@@ -20,12 +20,14 @@ passes over whole arrays:
    :meth:`~repro.core.summaries.InteractiveSummarizer.summarize_batch`,
    :meth:`~repro.engine.filter.Predicate.mask`,
    :meth:`~repro.engine.aggregate.RunningAggregate.on_batch`);
-4. the cache/prefetch feedback loop is resolved analytically: every read
-   and every extrapolated prefetch proposal is given a position on one
-   sequential event timeline, and a single "first writer per cache key"
-   pass reproduces which touches the per-touch loop would have served
-   from the cache, which prefetch proposals would have landed, and which
-   touches would have consumed them.
+4. the cache/prefetch feedback loop is replayed exactly: every read and
+   every extrapolated prefetch proposal is given its position on one
+   sequential event timeline, and
+   :meth:`~repro.core.caching.TouchCache.replay_gesture` walks that
+   timeline once against the live LRU — one dict lookup per event — to
+   settle which touches the per-touch loop would have served from the
+   cache, which proposals would have landed and what they evicted; the
+   values the walk found missing are then read in two batches.
 
 The executor produces the same deterministic
 :class:`~repro.core.kernel.GestureOutcome` fields as the reference loop —
@@ -59,13 +61,18 @@ the skipped reads are accounted analytically (the table path examines
 exactly one tuple per touch), so ``tuples_examined`` and every other
 counter still match the reference loop exactly.
 
-Mid-gesture cache evictions are not simulated.  Instead, before touching
-any state the executor *proves* the gesture eviction-free: for every
-cache-key reference it bounds how many distinct keys the LRU could have
-refreshed since that key's previous insertion or hit, and when any bound
-reaches the cache capacity — a revisit-after-eviction is then possible —
-``execute`` returns ``None`` and the kernel runs the gesture on the
-per-touch reference loop, keeping results exact in every configuration.
+Mid-gesture cache evictions are replayed, not avoided.  The walk of step
+4 performs every hit's LRU refresh, every insertion and every eviction —
+by capacity or by a shared :class:`~repro.core.caching.MemoryBudget` —
+in the order the per-touch loop would, so an entry evicted and revisited
+within one gesture is a miss here exactly when it is a miss there, and
+the cache's recency order, values, statistics and budget charges end up
+identical.  Inserted entries hold a placeholder until the batch reads
+deliver their values (and are dropped again should a read fail).  The
+cost is O(touches x (1 + proposals per touch)) of this gesture,
+independent of what the cache or the prefetched-rowid set has
+accumulated, so no supported slide ever leaves the batch path:
+``execute`` always returns an outcome.
 """
 
 from __future__ import annotations
@@ -160,10 +167,9 @@ class BatchSlideExecutor:
     def execute(self, state, gesture):
         """Execute one recognized slide gesture and return its outcome.
 
-        Returns ``None`` — without having mutated any kernel, cache or
-        prefetcher state — when the eviction-safety probe cannot prove the
-        gesture exact under the configured cache capacity; the kernel then
-        falls back to the per-touch reference loop.
+        Always an outcome, for every gesture :meth:`supports` accepted:
+        there is no cache state under which the gesture is handed back to
+        the per-touch loop.
         """
         from repro.core.kernel import GestureOutcome
 
@@ -191,10 +197,9 @@ class BatchSlideExecutor:
         timestamps = batch.timestamps[keep]
         n = int(rowids.size)
 
-        served = self._serve_values(state, rowids, strides, timestamps, outcome)
-        if served is None:
-            return None  # eviction risk: the reference loop takes over
-        values, levels, pass_rowids = served
+        values, levels, pass_rowids = self._serve_values(
+            state, rowids, strides, timestamps, outcome
+        )
         outcome.rowids_touched.extend(rowids.tolist())
         self._count_levels(outcome, levels)
         self._apply_action(
@@ -230,7 +235,7 @@ class BatchSlideExecutor:
     # ------------------------------------------------------------------ #
     def _serve_values(self, state, rowids, strides, timestamps, outcome):
         """Serve one value per processed touch, replaying the cache and
-        prefetch feedback loop analytically.  Returns ``(values, levels,
+        prefetch feedback loop in event order.  Returns ``(values, levels,
         pass_rowids)`` with level ``-1`` marking cache-served touches, and
         updates the outcome's cache/prefetch/tuple counters.  When the
         index prefilter answers the gesture's predicate, ``values`` is
@@ -245,39 +250,36 @@ class BatchSlideExecutor:
             state.summarizer.k = kernel._effective_summary_k(state)
         namespace = kernel._cache_namespace(state)
 
-        # --- extrapolated prefetch proposals, placed on the event timeline.
-        # Read j happens at time j*slots; its proposals at j*slots + rank,
-        # i.e. strictly after the read and strictly before read j+1 —
-        # exactly the interleaving of the per-touch loop.
+        # --- extrapolated prefetch proposals, placed on the event timeline:
+        # each read is followed by its own proposals, nearest first, then
+        # by the next read — the interleaving of the per-touch loop.
+        # propose_batch returns the proposals grouped by proposing touch in
+        # exactly that order, so a proposal's position is its index plus
+        # the number of reads up to and including its proposer's.
         prefetcher = state.prefetcher
         if prefetcher is not None:
-            # proposals are computed side-effect free; the observation
-            # history is committed only once the gesture is known to stay
-            # on the batch path
-            prop_rows, prop_src, prop_rank = prefetcher.propose_batch(
-                timestamps, rowids, strides, num_tuples, commit=False
+            prop_rows, prop_src, _ = prefetcher.propose_batch(
+                timestamps, rowids, strides, num_tuples
             )
         else:
-            prop_rows = np.empty(0, dtype=np.int64)
-            prop_src = np.empty(0, dtype=np.int64)
-            prop_rank = np.empty(0, dtype=np.int64)
-        slots = (prefetcher.max_prefetch if prefetcher is not None else 1) + 1
-        read_times = np.arange(n, dtype=np.int64) * slots
-        prop_times = prop_src * slots + prop_rank
+            prop_rows = prop_src = np.empty(0, dtype=np.int64)
+        prop_strides = strides[prop_src]
+        prop_pos = np.arange(prop_rows.size, dtype=np.int64) + prop_src + 1
+        is_read = np.ones(n + prop_rows.size, dtype=bool)
+        is_read[prop_pos] = False
+        read_pos = np.flatnonzero(is_read)
 
         pass_rowids = None
         if config.enable_cache:
             with trace_span("cache_lookup", touches=n) as span:
-                served = self._serve_with_cache(
-                    state, namespace, rowids, strides, read_times,
-                    prop_rows, prop_src, prop_times, outcome,
+                values, levels, winners = self._serve_with_cache(
+                    state, namespace, rowids, strides, read_pos,
+                    prop_rows, prop_strides, prop_pos, is_read, outcome,
                 )
-                if span is not None and served is not None:
+                if span is not None:
                     span.tags["hits"] = outcome.cache_hits
                     span.tags["misses"] = outcome.cache_misses
-            if served is None:
-                return None
-            values, levels, add_rows, add_times = served
+            add_rows, add_pos = prop_rows[winners], prop_pos[winners]
         else:
             pass_rowids = self._index_prefilter(state)
             if pass_rowids is not None:
@@ -294,15 +296,12 @@ class BatchSlideExecutor:
             # every proposal (same side effects, e.g. summarizer counters)
             # and remembers every proposed rowid
             if prop_rows.size:
-                self._read_rows(state, prop_rows, strides[prop_src], prefetch=True)
-            add_rows, add_times = prop_rows, prop_times
+                self._read_rows(state, prop_rows, prop_strides, prefetch=True)
+            add_rows, add_pos = prop_rows, prop_pos
 
-        if prefetcher is not None:
-            prefetcher.commit_observations(timestamps, rowids, int(prop_rows.size))
-        hits = self._prefetch_membership(
-            state, rowids, read_times, add_rows, add_times
+        outcome.prefetch_hits += self._prefetch_membership(
+            state, rowids, read_pos, add_rows, add_pos
         )
-        outcome.prefetch_hits += hits
         return values, levels, pass_rowids
 
     def _index_prefilter(self, state):
@@ -336,114 +335,61 @@ class BatchSlideExecutor:
         return None if selection is None else selection.rowids
 
     def _serve_with_cache(
-        self, state, namespace, rowids, strides, read_times,
-        prop_rows, prop_src, prop_times, outcome,
+        self, state, namespace, rowids, strides, read_pos,
+        prop_rows, prop_strides, prop_pos, is_read, outcome,
     ):
-        """First-writer analysis over one gesture's reads and prefetches.
+        """Replay the gesture's cache events exactly, then read in batches.
 
-        A cache key becomes present the first time any event (a missing
-        read, which puts its value, or an eligible prefetch proposal)
-        references it; every later read of that key is a hit served with
-        the first writer's value.  This reproduces the per-touch loop's
-        interleaved get/put sequence without executing it.
-
-        The analysis assumes no entry referenced by this gesture is
-        evicted mid-gesture; :meth:`_eviction_safe` proves that before any
-        state is touched, and on failure this method returns ``None`` so
-        the gesture re-runs on the reference loop.
+        :meth:`TouchCache.replay_gesture` walks the reads and prefetch
+        proposals once, in event order, against the live LRU — hits
+        refresh, misses and absent proposals insert (and evict) — so the
+        recency order, the statistics and the budget end up as the
+        per-touch loop would leave them even when entries are evicted and
+        revisited mid-gesture.  Only then are the values of the inserted
+        entries read: the missed touches in one batch, the proposals that
+        landed in another.  Returns ``(values, levels, winners)`` with
+        ``winners`` masking the proposals that entered the cache.
         """
-        kernel = self._kernel
-        cache = kernel.cache
+        cache = self._kernel.cache
         n = int(rowids.size)
-        read_keys = cache.collapsed_keys(rowids, strides)
-        prop_keys = cache.collapsed_keys(prop_rows, strides[prop_src])
-        all_keys = np.concatenate([read_keys, prop_keys])
-        all_times = np.concatenate([read_times, prop_times])
-        unique_keys, first_idx, inverse = np.unique(
-            all_keys, return_index=True, return_inverse=True
-        )
-        arrival = np.full(unique_keys.size, _INT64_MAX, dtype=np.int64)
-        np.minimum.at(arrival, inverse, all_times)
+        num_events = int(is_read.size)
+        event_rows = np.empty(num_events, dtype=np.int64)
+        event_rows[read_pos] = rowids
+        event_rows[prop_pos] = prop_rows
+        event_strides = np.empty(num_events, dtype=np.int64)
+        event_strides[read_pos] = strides
+        event_strides[prop_pos] = prop_strides
+        replay = cache.replay_gesture(namespace, event_rows, event_strides, is_read.tolist())
 
-        # probe the pre-gesture cache by iterating its (capacity-bounded)
-        # namespace once — no statistics or LRU side effects, so the
-        # eviction-safety check can still bail out leaving it untouched
-        present0 = np.isin(unique_keys, cache.collapsed_namespace_keys(namespace))
-        if not self._eviction_safe(
-            cache, present0, arrival, inverse, all_times, read_times
-        ):
-            return None
-        rep_rowids = np.concatenate([rowids, prop_rows])[first_idx]
-        rep_strides = np.concatenate([strides, strides[prop_src]])[first_idx]
-        present_idx = np.nonzero(present0)[0]
-        cached_values: list = []
-        if present_idx.size:
-            cached_values, _ = cache.get_many(
-                namespace,
-                rep_rowids[present_idx],
-                rep_strides[present_idx],
-                count_stats=False,
-                touch_lru=False,
+        wrote = np.zeros(num_events, dtype=bool)
+        wrote[replay.written] = True
+        miss_mask = wrote[read_pos]
+        winners = wrote[prop_pos]
+        event_values = np.empty(num_events, dtype=self._value_dtype(state))
+        written_values = None
+        try:
+            miss_vals, miss_counts, miss_levels = self._read_rows(
+                state, rowids[miss_mask], strides[miss_mask]
             )
+            pf_vals, _, _ = self._read_rows(
+                state, prop_rows[winners], prop_strides[winners], prefetch=True
+            )
+            event_values[read_pos[miss_mask]] = miss_vals
+            event_values[prop_pos[winners]] = pf_vals
+            written_values = list(event_values[wrote])
+        finally:
+            # also on a failed read: placeholders must not outlive the gesture
+            hit_values = cache.settle_replay(replay, written_values)
+        if replay.hits:
+            event_values[replay.hits] = hit_values
 
-        touch_u = inverse[:n]
-        hit_mask = present0[touch_u] | (arrival[touch_u] < read_times)
-        miss_mask = ~hit_mask
-
-        miss_vals, miss_counts, miss_levels = self._read_rows(
-            state, rowids[miss_mask], strides[miss_mask]
-        )
-        if prop_rows.size:
-            prop_u = inverse[n:]
-            winners = (~present0[prop_u]) & (arrival[prop_u] == prop_times)
-        else:
-            winners = np.empty(0, dtype=bool)
-        pf_rows = prop_rows[winners]
-        pf_strides = strides[prop_src[winners]]
-        pf_vals, _, _ = self._read_rows(state, pf_rows, pf_strides, prefetch=True)
-
-        # value stored under each key: pre-gesture entry or first writer
-        key_vals = np.empty(unique_keys.size, dtype=self._value_dtype(state))
-        if present_idx.size:
-            key_vals[present_idx] = np.asarray(cached_values, dtype=key_vals.dtype)
-        key_vals[touch_u[miss_mask]] = miss_vals
-        if pf_rows.size:
-            key_vals[prop_u[winners]] = pf_vals
-
-        values = np.empty(n, dtype=key_vals.dtype)
-        values[miss_mask] = miss_vals
-        values[hit_mask] = key_vals[touch_u[hit_mask]]
-
-        # replay one LRU event per touched entry — its last insertion or
-        # hit, in event order — so the cache's recency order (and hence
-        # which entries later gestures evict) ends up exactly as the
-        # per-touch loop would leave it.  Present keys referenced only by
-        # prefetch contains-checks are deliberately left untouched: a
-        # contains probe does not refresh the LRU.
-        last_read = np.full(unique_keys.size, np.int64(-1), dtype=np.int64)
-        np.maximum.at(last_read, touch_u, read_times)
-        new_mask = ~present0
-        event_time = np.where(new_mask, np.maximum(arrival, last_read), last_read)
-        replayed = new_mask | (last_read >= 0)
-        replay_idx = np.nonzero(replayed)[0]
-        replay_order = replay_idx[np.argsort(event_time[replay_idx], kind="stable")]
-        cache.replay_lru(
-            namespace,
-            rep_rowids[replay_order],
-            rep_strides[replay_order],
-            list(key_vals[replay_order]),
-            new_mask[replay_order].tolist(),
-        )
-
-        num_hits = int(hit_mask.sum())
+        num_hits = len(replay.hits)
         outcome.cache_hits += num_hits
         outcome.cache_misses += n - num_hits
-        cache.record_external(hits=num_hits, misses=n - num_hits)
         outcome.tuples_examined += int(miss_counts.sum())
-
         levels = np.full(n, -1, dtype=np.int64)
         levels[miss_mask] = miss_levels
-        return values, levels, pf_rows, prop_times[winners]
+        return event_values[read_pos], levels, winners
 
     # ------------------------------------------------------------------ #
     # applying the query action
@@ -533,48 +479,6 @@ class BatchSlideExecutor:
             return state.table.column(action.where_attribute).values.dtype
         return state.column.values.dtype
 
-    @staticmethod
-    def _eviction_safe(
-        cache, present0, arrival, inverse, all_times, read_times
-    ) -> bool:
-        """Prove no LRU eviction can change this gesture's replay.
-
-        An entry is evicted only after at least ``capacity`` distinct keys
-        are inserted or refreshed above it since the entry's own last
-        insertion or hit.  Per referenced key this bounds the LRU
-        movements — insertions of new keys plus reads (every read either
-        inserts or refreshes something) — across the key's whole reference
-        span: from its first event (for pre-existing entries, the start of
-        the gesture, where up to ``len(cache)`` entries may already sit
-        above it) to its last.  The span contains every
-        refresh-to-reference window of the key, so a bound below the
-        capacity for every key proves no referenced entry can have been
-        evicted mid-gesture and the first-writer analysis is exact;
-        otherwise the caller falls back to the per-touch loop.
-        """
-        capacity = cache.capacity
-        start_len = len(cache)
-        insert_times = np.sort(arrival[~present0])
-        if start_len + insert_times.size <= capacity:
-            return True  # the cache cannot overflow during this gesture
-        last_ref = np.full(arrival.size, np.int64(-1), dtype=np.int64)
-        np.maximum.at(last_ref, inverse, all_times)
-        span_start = np.where(present0, np.int64(-1), arrival)
-        inserts_in = np.searchsorted(
-            insert_times, last_ref, side="right"
-        ) - np.searchsorted(insert_times, span_start, side="right")
-        reads_in = np.searchsorted(
-            read_times, last_ref, side="right"
-        ) - np.searchsorted(read_times, span_start, side="right")
-        movements = inserts_in + reads_in + np.where(present0, start_len, 0)
-        # a key's own reads refresh it rather than bury it; remove them
-        # from its span count (all but one may coincide with the span
-        # start, so one is conservatively left in)
-        n_reads = read_times.size
-        own_reads = np.bincount(inverse[:n_reads], minlength=arrival.size)
-        movements = movements - np.maximum(0, own_reads - 1)
-        return bool(np.all(movements < capacity))
-
     # ------------------------------------------------------------------ #
     # prefetched-rowid bookkeeping
     # ------------------------------------------------------------------ #
@@ -590,7 +494,7 @@ class BatchSlideExecutor:
         a back-and-forth gesture fall back to an exact per-rowid merge.
         Updates ``state.prefetched_rowids`` and returns the hit count.
         """
-        initial: set = state.prefetched_rowids
+        initial: set = state.prefetched_rowids  # updated in place, never walked
         if not initial and not add_rows.size:
             return 0
         unique_r, counts = np.unique(rowids, return_counts=True)
@@ -608,14 +512,12 @@ class BatchSlideExecutor:
             np.maximum.at(max_add, add_pos[matched], add_times[matched])
             stray_adds = add_rows[~matched].tolist()
 
-        in_initial = np.zeros(unique_r.size, dtype=bool)
-        if initial:
-            init_arr = np.fromiter(initial, dtype=np.int64, count=len(initial))
-            init_pos = np.searchsorted(unique_r, init_arr)
-            in_range = init_pos < unique_r.size
-            hit_init = np.zeros(init_arr.size, dtype=bool)
-            hit_init[in_range] = unique_r[init_pos[in_range]] == init_arr[in_range]
-            in_initial[init_pos[hit_init]] = True
+        # probe the carried-over set with this gesture's rowids only: it
+        # grows with the session, the gesture does not
+        touched = unique_r.tolist()
+        in_initial = np.fromiter(
+            (value in initial for value in touched), dtype=bool, count=len(touched)
+        )
 
         single = counts == 1
         # scatter each single-occurrence rowid's read time to its slot
@@ -652,7 +554,7 @@ class BatchSlideExecutor:
                         present = False
                 final_u[u] = present
 
-        survivors = set(unique_r[final_u].tolist())
-        untouched_initial = initial - set(unique_r.tolist())
-        state.prefetched_rowids = untouched_initial | survivors | set(stray_adds)
+        initial.difference_update(touched)
+        initial.update(unique_r[final_u].tolist())
+        initial.update(stray_adds)
         return hits

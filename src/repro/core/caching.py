@@ -35,7 +35,8 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -216,6 +217,31 @@ class CacheStats:
         return self.hits / self.lookups
 
 
+class _PendingValue:
+    """Placeholder of an entry a gesture replay inserted but has not read yet."""
+
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
+        self.value: Any = None
+
+
+@dataclass
+class GestureReplay:
+    """What :meth:`TouchCache.replay_gesture` did, by event position.
+
+    ``written`` are the events that inserted an entry (reads that missed,
+    proposals whose key was absent) and so need a value; ``hits`` are the
+    reads served from the cache.  Both ascend.
+    """
+
+    written: list[int] = field(default_factory=list)
+    hits: list[int] = field(default_factory=list)
+    _pending: list[_PendingValue] = field(default_factory=list)
+    _hit_values: list[Any] = field(default_factory=list)
+
+
 class TouchCache:
     """LRU cache keyed by (object, rowid bucket, stride bucket).
 
@@ -261,11 +287,7 @@ class TouchCache:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _stride_bucket(stride: int) -> int:
-        stride = max(1, int(stride))
-        bucket = 1
-        while bucket * 2 <= stride:
-            bucket *= 2
-        return bucket
+        return 1 << (max(1, int(stride)).bit_length() - 1)
 
     @staticmethod
     def _stride_exponents(strides) -> np.ndarray:
@@ -286,6 +308,11 @@ class TouchCache:
     def _key(self, object_name: str, rowid: int, stride: int) -> Hashable:
         return (object_name, rowid // self.bucket_rows, self._stride_bucket(stride))
 
+    def _bucket_lists(self, rowids, strides) -> tuple[list[int], list[int]]:
+        """Rowid and stride buckets of many references, as Python ints."""
+        buckets = np.asarray(rowids, dtype=np.int64) // self.bucket_rows
+        return buckets.tolist(), self.stride_buckets(strides).tolist()
+
     #: Stride-bucket exponents fit in 6 bits (strides < 2^63); the rowid
     #: bucket is shifted past them when keys are collapsed to integers.
     _COLLAPSE_SHIFT = 64
@@ -299,9 +326,8 @@ class TouchCache:
 
         The vectorized mirror of :meth:`_key` within one object namespace:
         two (rowid, stride) pairs collapse to the same integer exactly when
-        ``_key`` maps them to the same tuple.  The batch slide executor
-        uses these integers for its first-writer replay, so the collapse
-        must stay derived from the cache's own bucketing parameters.
+        ``_key`` maps them to the same tuple — the form for grouping or
+        comparing many references with numpy instead of hashing tuples.
         """
         buckets = np.asarray(rowids, dtype=np.int64) // self.bucket_rows
         return buckets * np.int64(self._COLLAPSE_SHIFT) + self._stride_exponents(strides)
@@ -367,22 +393,17 @@ class TouchCache:
         with self._lock:
             return self._key(object_name, rowid, stride) in self._entries
 
-    def collapsed_namespace_keys(self, object_name: str) -> np.ndarray:
-        """Collapsed integer keys of every entry in one object namespace.
+    def presence_probe(self, object_name: str, stride: int = 1) -> Callable[[int], bool]:
+        """A ``rowid -> cached?`` test with the key's constant parts built once.
 
-        The inverse view of :meth:`collapsed_keys` over the live entries:
-        iterating the (capacity-bounded) cache once is how the batch
-        executor probes presence for a whole gesture without touching
-        statistics or LRU order.
+        Equivalent to ``contains(object_name, rowid, stride)`` per call
+        (no statistics, no LRU refresh); made for the per-touch prefetch
+        loop, which probes a run of proposals under one namespace and one
+        stride.  One dict lookup is atomic, so no lock is taken.
         """
-        shift = self._COLLAPSE_SHIFT
-        with self._lock:
-            collapsed = [
-                bucket * shift + (sbucket.bit_length() - 1)
-                for name, bucket, sbucket in self._entries
-                if name == object_name
-            ]
-        return np.asarray(collapsed, dtype=np.int64)
+        entries, bucket_rows = self._entries, self.bucket_rows
+        sbucket = self._stride_bucket(stride)
+        return lambda rowid: (object_name, rowid // bucket_rows, sbucket) in entries
 
     def put(self, object_name: str, rowid: int, value: Any, stride: int = 1) -> None:
         """Insert (or refresh) a cached value, evicting LRU entries if full."""
@@ -405,22 +426,15 @@ class TouchCache:
         object_name: str,
         rowids: Sequence[int] | np.ndarray,
         strides: Sequence[int] | np.ndarray,
-        count_stats: bool = True,
-        touch_lru: bool = True,
     ) -> tuple[list[Any], np.ndarray]:
         """Bulk probe: cached values plus a hit mask, one entry per rowid.
 
         Misses leave ``None`` in the value list (a ``None`` with a ``True``
-        mask bit is a genuinely cached ``None``).  With ``count_stats``,
-        statistics are updated per probed element, mirroring a loop of
-        :meth:`get` calls; the batch executor disables it (and the LRU
-        refresh, via ``touch_lru=False``) and replays per-touch statistics
-        and recency order itself through :meth:`record_external` and
-        :meth:`replay_lru`.
+        mask bit is a genuinely cached ``None``).  Statistics and recency
+        are updated per probed element, mirroring a loop of :meth:`get`
+        calls.
         """
-        rowid_arr = np.asarray(rowids, dtype=np.int64)
-        buckets = (rowid_arr // self.bucket_rows).tolist()
-        sbuckets = self.stride_buckets(strides).tolist()
+        buckets, sbuckets = self._bucket_lists(rowids, strides)
         values: list[Any] = []
         hits = np.zeros(len(buckets), dtype=bool)
         with self._lock:
@@ -428,16 +442,14 @@ class TouchCache:
             for i, (bucket, sbucket) in enumerate(zip(buckets, sbuckets)):
                 key = (object_name, bucket, sbucket)
                 if key in entries:
-                    if touch_lru:
-                        entries.move_to_end(key)
+                    entries.move_to_end(key)
                     values.append(entries[key])
                     hits[i] = True
                 else:
                     values.append(None)
-            if count_stats:
-                num_hits = int(hits.sum())
-                self.stats.hits += num_hits
-                self.stats.misses += len(buckets) - num_hits
+            num_hits = int(hits.sum())
+            self.stats.hits += num_hits
+            self.stats.misses += len(buckets) - num_hits
         return values, hits
 
     def put_many(
@@ -448,9 +460,7 @@ class TouchCache:
         strides: Sequence[int] | np.ndarray,
     ) -> None:
         """Bulk insert, equivalent to a loop of :meth:`put` calls in order."""
-        rowid_arr = np.asarray(rowids, dtype=np.int64)
-        buckets = (rowid_arr // self.bucket_rows).tolist()
-        sbuckets = self.stride_buckets(strides).tolist()
+        buckets, sbuckets = self._bucket_lists(rowids, strides)
         keys = [(object_name, b, s) for b, s in zip(buckets, sbuckets)]
         with self._lock:
             prospective = len({key for key in keys if key not in self._entries})
@@ -467,57 +477,100 @@ class TouchCache:
             delta = len(entries) - before
         self._settle(delta - prospective)
 
-    def replay_lru(
+    def replay_gesture(
         self,
         object_name: str,
         rowids: Sequence[int] | np.ndarray,
         strides: Sequence[int] | np.ndarray,
-        values: Sequence[Any],
-        writes: Sequence[bool] | np.ndarray,
-    ) -> None:
-        """Apply an ordered sequence of writes and LRU refreshes.
+        is_read: Sequence[bool],
+    ) -> GestureReplay:
+        """Walk one gesture's time-ordered cache events against the live LRU.
 
-        Element ``i`` is a :meth:`put` when ``writes[i]`` (inserting
-        ``values[i]``) and otherwise a pure LRU refresh of an existing
-        entry (a hit's ``move_to_end``, with no statistics).  The batch
-        slide executor orders one event per touched entry — its last
-        insertion or hit — so the cache's recency order ends up exactly as
-        the per-touch loop would leave it.
+        Event ``i`` is a :meth:`get` when ``is_read[i]`` and otherwise a
+        prefetch proposal — a :meth:`contains` probe followed, when the
+        key is absent, by a :meth:`put`.  Every event does exactly what
+        the per-touch loop's call would do to the recency order, the
+        statistics, the capacity evictions and the shared budget; only
+        the *values* of the inserted entries are not known yet, so an
+        insert leaves a placeholder.  The caller reads the values of
+        ``replay.written`` in two batches and hands them to
+        :meth:`settle_replay`, which it must call even when a read fails.
+
+        One dict lookup per event, never a pass over the entries: the cost
+        is O(events of this gesture) whatever the cache holds.
         """
-        rowid_arr = np.asarray(rowids, dtype=np.int64)
-        buckets = (rowid_arr // self.bucket_rows).tolist()
-        sbuckets = self.stride_buckets(strides).tolist()
-        keys = [(object_name, b, s) for b, s in zip(buckets, sbuckets)]
-        with self._lock:
-            prospective = len(
-                {key for key, write in zip(keys, writes) if write and key not in self._entries}
-            )
-        self._settle(prospective)  # charge BEFORE inserting
+        buckets, sbuckets = self._bucket_lists(rowids, strides)
+        replay = GestureReplay()
+        written, hits, hit_values = replay.written, replay.hits, replay._hit_values
+        pending = replay._pending
+        entries, capacity, stats = self._entries, self.capacity, self.stats
+        budgeted = self._budget is not None
+        unreleased = 0  # capacity evictions whose bytes are still charged
+        lock = self._lock
+        lock.acquire()
+        try:
+            for event, key in enumerate(zip(repeat(object_name), buckets, sbuckets)):
+                if key in entries:
+                    if is_read[event]:
+                        entries.move_to_end(key)
+                        hits.append(event)
+                        hit_values.append(entries[key])
+                    continue
+                if budgeted:
+                    # put() charges before inserting and releases an evicted
+                    # entry's bytes after; budget calls need the lock dropped
+                    lock.release()
+                    try:
+                        self._settle(-unreleased)
+                        unreleased = 0
+                        self._settle(1)
+                    finally:
+                        lock.acquire()
+                placeholder = _PendingValue(key)
+                entries[key] = placeholder
+                written.append(event)
+                pending.append(placeholder)
+                if len(entries) > capacity:
+                    entries.popitem(last=False)
+                    stats.evictions += 1
+                    unreleased += 1
+            reads = sum(is_read)
+            stats.hits += len(hits)
+            stats.misses += reads - len(hits)
+            stats.insertions += len(written)
+        finally:
+            lock.release()
+        self._settle(-unreleased)
+        return replay
+
+    def settle_replay(self, replay: GestureReplay, values: Sequence[Any] | None) -> list[Any]:
+        """Give the entries :meth:`replay_gesture` inserted their values.
+
+        ``values[i]`` belongs to event ``replay.written[i]``.  A
+        placeholder evicted later in the same gesture is simply gone (and
+        a re-insertion of its key has a placeholder of its own).  Returns
+        the value each of ``replay.hits`` was served.  ``values=None``
+        abandons the replay: placeholders still cached are dropped, so a
+        failed read can never leave one behind to be served as data.
+        """
+        dropped = 0
         with self._lock:
             entries = self._entries
-            before = len(entries)
-            for key, value, write in zip(keys, values, writes):
-                if write:
-                    if key in entries:
-                        entries.move_to_end(key)
-                    entries[key] = value
-                    self.stats.insertions += 1
-                    self._evict_to_capacity_locked()
-                elif key in entries:
-                    entries.move_to_end(key)
-            delta = len(entries) - before
-        self._settle(delta - prospective)
-
-    def record_external(self, hits: int = 0, misses: int = 0) -> None:
-        """Fold hit/miss accounting performed outside the cache into stats.
-
-        The batch slide executor resolves intra-gesture reuse (a touch served
-        by a value another touch of the same gesture just produced) without
-        probing the cache per touch; this keeps the statistics equivalent to
-        the per-touch reference path.
-        """
-        self.stats.hits += hits
-        self.stats.misses += misses
+            if values is None:
+                for placeholder in replay._pending:
+                    if entries.get(placeholder.key) is placeholder:
+                        del entries[placeholder.key]
+                        dropped += 1
+            else:
+                for placeholder, value in zip(replay._pending, values):
+                    placeholder.value = value
+                    if entries.get(placeholder.key) is placeholder:
+                        entries[placeholder.key] = value
+        self._settle(-dropped)
+        return [
+            served.value if type(served) is _PendingValue else served
+            for served in replay._hit_values
+        ]
 
     def invalidate(self, object_name: str) -> int:
         """Drop every entry belonging to ``object_name`` (data changed).

@@ -700,12 +700,13 @@ class DbTouchKernel:
         )
         join = self._join_for(gesture.view_name)
         if self.config.batch_execution and self._batch_executor.supports(state, join):
+            # every supported slide stays on the batch path, whatever the
+            # cache holds: mid-gesture evictions are replayed exactly there
             batch_outcome = self._batch_executor.execute(state, gesture)
-            if batch_outcome is not None:
-                self._refine_index(state)
-                return batch_outcome
-            # the executor proved it cannot replay this gesture exactly
-            # (cache evictions possible mid-gesture); run the reference loop
+            self._refine_index(state)
+            return batch_outcome
+        # joins, group-bys and attribute-dependent table scans (and the
+        # differential oracle, with batch_execution off): the per-touch loop
         for event in gesture.events:
             if event.phase is TouchPhase.ENDED or event.phase is TouchPhase.CANCELLED:
                 continue
@@ -1036,8 +1037,15 @@ class DbTouchKernel:
         # will read under the same namespace: the where attribute for
         # select-where plans, the touched attribute for other table reads
         cache_key_object = self._cache_namespace(state, mapped.attribute_index)
+        # namespace and stride bucket are the same for every proposal of
+        # this touch: bind them once, probe per proposal
+        cached = (
+            self.cache.presence_probe(cache_key_object, stride)
+            if self.config.enable_cache
+            else None
+        )
         for rowid in proposals:
-            if self.config.enable_cache and self.cache.contains(cache_key_object, rowid, stride):
+            if cached is not None and cached(rowid):
                 continue
             if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
                 value = state.summarizer.summarize_at(rowid, stride_hint=stride).value

@@ -74,7 +74,6 @@ class GesturePrefetcher:
         self.prefetches_issued = 0
         self._policy = None
         self._policy_object: str | None = None
-        self._pending_progress: tuple[int, int, int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # mined-policy binding
@@ -161,7 +160,6 @@ class GesturePrefetcher:
         rowids: np.ndarray,
         strides: np.ndarray,
         num_tuples: int,
-        commit: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized replay of per-touch ``observe()`` + ``propose()``.
 
@@ -177,12 +175,8 @@ class GesturePrefetcher:
             1-based position of the proposal within its touch's proposal
             list (sequential proposals are emitted nearest-first).
 
-        With ``commit`` (the default), the observation history and
-        ``prefetches_issued`` are updated as if the touches had been
-        observed one at a time; with ``commit=False`` the proposals are
-        computed without mutating any state, so a caller can inspect them
-        first and apply the updates later via :meth:`commit_observations`
-        (the batch executor's fall-back-to-reference-path probe).
+        The observation history and ``prefetches_issued`` are updated as
+        if the touches had been observed one at a time.
         """
         t = np.asarray(timestamps, dtype=np.float64)
         r = np.asarray(rowids, dtype=np.int64)
@@ -229,20 +223,16 @@ class GesturePrefetcher:
         counts = np.where(active, np.minimum(counts, np.maximum(0, room)), 0)
 
         total = int(counts.sum())
+        # the deque ends up exactly as a sequential loop would leave it
+        tail = min(self.history, n)
+        self._observations.extend(zip(t[-tail:].tolist(), r[-tail:].tolist()))
+        self.prefetches_issued += total
         # same progress report the sequential loop's last active propose()
         # would have made (observation only, see bind_policy: the returned
-        # proposals are unaffected); on the uncommitted probe path it is
-        # deferred until commit_observations applies the state updates
-        progress = None
+        # proposals are unaffected)
         if np.any(active):
             last = int(np.flatnonzero(active)[-1])
-            progress = (int(r[last]), int(direction[last]), int(s[last]), num_tuples)
-        if commit:
-            self.commit_observations(t, r, total)
-            if progress is not None:
-                self._report_progress(*progress)
-        else:
-            self._pending_progress = progress
+            self._report_progress(int(r[last]), int(direction[last]), int(s[last]), num_tuples)
         if total == 0:
             return empty
         proposer = np.repeat(np.arange(n), counts)
@@ -251,28 +241,9 @@ class GesturePrefetcher:
         proposal_rowids = r[proposer] + direction[proposer] * s[proposer] * rank
         return proposal_rowids, proposer, rank
 
-    def commit_observations(
-        self, timestamps: np.ndarray, rowids: np.ndarray, issued: int
-    ) -> None:
-        """Apply the state updates of an uncommitted :meth:`propose_batch`.
-
-        Replays the per-touch observes (the deque ends up exactly as a
-        sequential loop would leave it) and accounts the issued proposals.
-        """
-        t = np.asarray(timestamps, dtype=np.float64)
-        r = np.asarray(rowids, dtype=np.int64)
-        tail = min(self.history, int(r.size))
-        for pair in zip(t[-tail:].tolist(), r[-tail:].tolist()):
-            self._observations.append(pair)
-        self.prefetches_issued += issued
-        if self._pending_progress is not None:
-            self._report_progress(*self._pending_progress)
-            self._pending_progress = None
-
     def reset(self) -> None:
         """Forget the gesture history (a new gesture starts)."""
         self._observations.clear()
-        self._pending_progress = None
 
     @property
     def num_observations(self) -> int:

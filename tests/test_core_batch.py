@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -274,14 +276,61 @@ class TestCacheBulkOps:
             assert seen.setdefault(c, t) == t
         assert len(set(collapsed.tolist())) == len(set(tuples))
 
-    def test_collapsed_namespace_keys_round_trip(self):
-        cache = TouchCache(capacity=64, bucket_rows=16)
-        rowids = np.array([0, 40, 4000], dtype=np.int64)
-        strides = np.array([1, 7, 900], dtype=np.int64)
-        cache.put_many("obj", rowids, [1.0, 2.0, 3.0], strides)
-        cache.put("other", 5, 9.0, 1)
-        stored = set(cache.collapsed_namespace_keys("obj").tolist())
-        assert stored == set(cache.collapsed_keys(rowids, strides).tolist())
+    def test_presence_probe_round_trip(self):
+        # the probe must agree with the key scheme's vectorized mirror for
+        # tuple namespaces whose object names embed ":" — and leave the
+        # statistics and the recency order alone
+        cache = TouchCache(capacity=256, bucket_rows=16)
+        namespaces = [
+            ("sales:2024", "scan"),
+            ("sales", "2024:scan"),
+            ("sales:2024", "summary:k10"),
+            "sales:2024",
+        ]
+        rng = np.random.default_rng(5)
+        stored: dict = {}
+        for namespace in namespaces:
+            rowids = rng.integers(0, 5_000, size=20)
+            strides = rng.integers(1, 600, size=20)
+            for rowid, stride in zip(rowids.tolist(), strides.tolist()):
+                cache.put(namespace, rowid, float(rowid), stride)
+            stored[namespace] = set(cache.collapsed_keys(rowids, strides).tolist())
+        order_before = list(cache._entries)
+        lookups_before = cache.stats.lookups
+        probe_rowids = rng.integers(0, 5_000, size=300)
+        present = 0
+        for namespace in namespaces:
+            for stride in (1, 3, 40, 511, 512):
+                probe = cache.presence_probe(namespace, stride)
+                collapsed = cache.collapsed_keys(
+                    probe_rowids, np.full(probe_rowids.size, stride)
+                ).tolist()
+                for rowid, key in zip(probe_rowids.tolist(), collapsed):
+                    expected = key in stored[namespace]
+                    assert probe(rowid) is expected
+                    assert cache.contains(namespace, rowid, stride) is expected
+                    present += expected
+        assert present > 0
+        assert list(cache._entries) == order_before
+        assert cache.stats.lookups == lookups_before
+
+    def test_stride_bucket_matches_doubling_loop(self):
+        def doubling_loop(stride):
+            stride = max(1, int(stride))
+            bucket = 1
+            while bucket * 2 <= stride:
+                bucket *= 2
+            return bucket
+
+        strides = list(range(-2, 4_100))
+        for exponent in range(12, 41):
+            strides += [2**exponent - 1, 2**exponent, 2**exponent + 1]
+        assert [TouchCache._stride_bucket(s) for s in strides] == [
+            doubling_loop(s) for s in strides
+        ]
+        assert TouchCache.stride_buckets(np.array(strides)).tolist() == [
+            doubling_loop(s) for s in strides
+        ]
 
     def test_bulk_ops_match_loop_semantics(self):
         bulk = TouchCache(capacity=8, bucket_rows=4)
@@ -295,6 +344,106 @@ class TestCacheBulkOps:
         assert len(bulk) == len(loop) == 8
         assert bulk._entries == loop._entries
         assert bulk.stats.evictions == loop.stats.evictions
+
+
+class TestGestureReplay:
+    """``replay_gesture`` + ``settle_replay`` ≡ the per-touch call sequence."""
+
+    @staticmethod
+    def _events(seed, count=400):
+        rng = np.random.default_rng(seed)
+        rowids = rng.integers(0, 40 * 16, size=count)  # 40 buckets, revisits
+        strides = rng.choice([1, 2, 5, 64], size=count)
+        is_read = (rng.random(count) < 0.4).tolist()
+        return rowids, strides, is_read
+
+    @staticmethod
+    def _loop(cache, rowids, strides, is_read):
+        """What the kernel's per-touch loop does, event by event."""
+        served = []
+        for event, (rowid, stride, read) in enumerate(
+            zip(rowids.tolist(), strides.tolist(), is_read)
+        ):
+            if read:
+                value = cache.get("ns", rowid, stride)
+                if value is None:
+                    value = (event, rowid)
+                    cache.put("ns", rowid, value, stride)
+                served.append(value)
+            elif not cache.contains("ns", rowid, stride):
+                cache.put("ns", rowid, (event, rowid), stride)
+        return served
+
+    @pytest.mark.parametrize("budget_entries", [None, 9, 1000])
+    @pytest.mark.parametrize("capacity", [1, 12, 64])
+    def test_matches_get_contains_put_loop(self, capacity, budget_entries):
+        from repro.core.caching import MemoryBudget
+
+        def make():
+            budget = None
+            if budget_entries is not None:
+                budget = MemoryBudget(256 * budget_entries)
+                # a peer that sheds first, as the chunk cache would
+                peer = TouchCache(capacity=4, budget=budget)
+                peer.put_many("peer", np.arange(4) * 64, [0.0] * 4, np.ones(4))
+                budget.peer = peer  # keep it alive with the budget
+            cache = TouchCache(capacity=capacity, bucket_rows=16, budget=budget)
+            for rowid in range(0, 96, 16):  # some pre-gesture entries
+                cache.put("ns", rowid, ("old", rowid), 1)
+            return cache, budget
+
+        rowids, strides, is_read = self._events(capacity)
+        loop_cache, loop_budget = make()
+        loop_served = self._loop(loop_cache, rowids, strides, is_read)
+
+        cache, budget = make()
+        replay = cache.replay_gesture("ns", rowids, strides, is_read)
+        values = [(event, int(rowids[event])) for event in replay.written]
+        hit_values = cache.settle_replay(replay, values)
+        served = dict(zip(replay.written, values)) | dict(zip(replay.hits, hit_values))
+        reads = [event for event, read in enumerate(is_read) if read]
+
+        assert [served[event] for event in reads] == loop_served
+        assert list(cache._entries.items()) == list(loop_cache._entries.items())
+        assert cache.stats == loop_cache.stats
+        assert cache.stats.evictions > 0
+        if budget is not None:
+            assert budget.used_bytes == loop_budget.used_bytes
+            assert budget.used_bytes == 256 * (len(cache) + len(budget.peer))
+            assert budget.used_bytes <= budget.capacity_bytes
+
+    def test_abandoned_replay_leaves_no_placeholder(self):
+        from repro.core.caching import MemoryBudget
+
+        budget = MemoryBudget(1 << 20)
+        cache = TouchCache(capacity=8, bucket_rows=16, budget=budget)
+        cache.put("ns", 0, "kept", 1)
+        rowids, strides, is_read = self._events(3, count=50)
+        replay = cache.replay_gesture("ns", rowids, strides, is_read)
+        assert replay.written
+        cache.settle_replay(replay, None)  # the batch reads failed
+        assert all(isinstance(value, str) for value in cache._entries.values())
+        assert budget.used_bytes == 256 * len(cache)
+
+
+    def test_failed_batch_read_leaves_no_placeholder_in_the_kernel_cache(self, profile):
+        from repro.core.caching import _PendingValue
+
+        session = ExplorationSession(profile=profile, config=KernelConfig())
+        session.load_column("c", np.arange(50_000, dtype=np.int64))
+        view = session.show_column("c", height_cm=10.0)
+        session.choose_scan(view)
+        session.slide(view, duration=0.5)
+        column = session.kernel.state_of(view.name).column
+
+        def broken_read(rowids):
+            raise OSError("chunk file vanished")
+
+        column.read_batch = broken_read
+        with pytest.raises(OSError):
+            session.slide(view, duration=0.5, start_fraction=1.0, end_fraction=0.0)
+        entries = session.kernel.cache._entries
+        assert entries and not any(type(v) is _PendingValue for v in entries.values())
 
 
 class TestProposeBatch:
@@ -492,8 +641,9 @@ class TestBatchSlideParity:
 
     @pytest.mark.parametrize("capacity", [8, 64, 512])
     def test_parity_survives_tiny_cache_capacities(self, profile, capacity):
-        # when mid-gesture evictions become possible the executor must
-        # fall back to the reference loop rather than serve wrong values
+        # entries are evicted and revisited within one gesture here: the
+        # executor's event-ordered replay must miss exactly where the
+        # reference loop misses
         def drive(session, view):
             session.choose_aggregate(view, "avg")
             return [
@@ -580,3 +730,247 @@ class TestBatchSlideParity:
         outcome = session.slide(view, duration=1.0)
         assert session.kernel.state_of(view.name).group_by.num_groups > 1
         assert outcome.entries_returned > 0
+
+
+# --------------------------------------------------------------------- #
+# a full cache, a long session: batch ≡ per-touch, and never a fallback
+# --------------------------------------------------------------------- #
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestFullCacheParity:
+    """A ≥200-gesture seeded session that keeps the touch cache full."""
+
+    STEPS = 270  # ~16% of them change an action, the rest are gestures
+
+    @staticmethod
+    def _script(seed):
+        """(kind, args) steps; the same list drives both kernels."""
+        rng = np.random.default_rng(seed)
+        steps = []
+        for _ in range(TestFullCacheParity.STEPS):
+            roll = rng.random()
+            a, b = (float(x) for x in rng.random(2))
+            duration = float(rng.uniform(0.2, 0.9))
+            if roll < 0.08:
+                steps.append(("column_action", int(rng.integers(4))))
+            elif roll < 0.60:
+                steps.append(("slide", "column", a, b, duration))
+            elif roll < 0.70:
+                # out, a pause, and back over the same rows: revisits
+                steps.append(("back_and_forth", a, b, duration))
+            elif roll < 0.78:
+                steps.append(("table_action", int(rng.integers(3))))
+            elif roll < 0.95:
+                steps.append(("slide", "table", a, b, duration))
+            else:
+                steps.append(("tap", a))
+        return steps
+
+    @staticmethod
+    def _replay(monkeypatch, profile, steps, batch, capacity, budget_entries):
+        from repro.core.actions import (
+            aggregate_action,
+            group_by_action,
+            scan_action,
+            select_where_action,
+            summary_action,
+        )
+        from repro.core.batch import BatchSlideExecutor
+        from repro.core.caching import MemoryBudget
+        from repro.core.kernel import DbTouchKernel
+
+        budget = peer = None
+        if budget_entries is not None:
+            budget = MemoryBudget(256 * budget_entries)
+            # a second participant, charged first and so reclaimed first
+            peer = TouchCache(capacity=16, budget=budget)
+            peer.put_many("peer", np.arange(16) * 64, [0.0] * 16, np.ones(16))
+        session = ExplorationSession(
+            profile=profile,
+            config=KernelConfig(
+                batch_execution=batch,
+                cache_capacity=capacity,
+                memory_budget=budget,
+                latency_budget_s=1e6,
+                enable_indexing=False,
+            ),
+        )
+        rng = np.random.default_rng(99)
+        session.load_column("c", rng.integers(0, 1_000, size=200_000, dtype=np.int64))
+        session.load_table(
+            "t",
+            {
+                "amount": rng.integers(0, 1_000, size=60_000, dtype=np.int64),
+                "customer": np.arange(60_000, dtype=np.int64) % 7,
+            },
+        )
+        views = {
+            "column": session.show_column("c", height_cm=10.0, width_cm=2.0),
+            "table": session.show_table("t", height_cm=10.0, width_cm=8.0, x=4.0),
+        }
+        column_actions = [
+            scan_action(),
+            aggregate_action("avg"),
+            summary_action(k=6),
+            scan_action(Predicate(Comparison.GE, 400)),
+        ]
+        session.choose_action(views["column"], column_actions[0])
+        table_actions = [
+            select_where_action(
+                "amount", Predicate(Comparison.BETWEEN, 200, upper=700), ["customer"]
+            ),
+            scan_action(),  # attribute-dependent table scan: per-touch only
+            group_by_action("customer", "amount"),  # per-touch only
+        ]
+        session.choose_action(views["table"], table_actions[0])
+
+        kernel = session.kernel
+        executor = kernel._batch_executor
+        per_touch_gestures = []  # (supported?) per slide that ran the loop
+        batch_results = []
+        real_process, real_execute = DbTouchKernel._process_touch, BatchSlideExecutor.execute
+
+        def spy_process(self, state, mapped, event, stride, outcome, join):
+            per_touch_gestures.append(executor.supports(state, join))
+            return real_process(self, state, mapped, event, stride, outcome, join)
+
+        def spy_execute(self, state, gesture):
+            outcome = real_execute(self, state, gesture)
+            batch_results.append(outcome)
+            return outcome
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DbTouchKernel, "_process_touch", spy_process)
+            patch.setattr(BatchSlideExecutor, "execute", spy_execute)
+            fields = []
+            for step in steps:
+                kind = step[0]
+                if kind == "column_action":
+                    session.choose_action(views["column"], column_actions[step[1]])
+                elif kind == "table_action":
+                    session.choose_action(views["table"], table_actions[step[1]])
+                elif kind == "slide":
+                    _, view, a, b, duration = step
+                    outcome = session.slide(
+                        views[view], duration=duration, start_fraction=a, end_fraction=b
+                    )
+                    fields.append(_deterministic_fields(outcome))
+                elif kind == "back_and_forth":
+                    _, a, b, duration = step
+                    outcome = session.slide_path(
+                        views["column"],
+                        [
+                            SlideSegment(a, b, duration=duration, pause_after=0.2),
+                            SlideSegment(b, a, duration=duration),
+                        ],
+                    )
+                    fields.append(_deterministic_fields(outcome))
+                else:
+                    fields.append(_deterministic_fields(session.tap(views["column"], step[1])))
+
+        cache = kernel.cache
+        return dict(
+            fields=fields,
+            stats=cache.stats,
+            lru_keys=list(cache._entries.keys()),
+            cached_values=[_plain(value) for value in cache._entries.values()],
+            used_bytes=None if budget is None else budget.used_bytes,
+            peer_entries=None if peer is None else len(peer),
+            prefetched={
+                name: set(kernel.state_of(view.name).prefetched_rowids)
+                for name, view in views.items()
+            },
+            per_touch_gestures=per_touch_gestures,
+            batch_results=batch_results,
+        )
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    @pytest.mark.parametrize("capacity", [8, 64, 512, 4096])
+    def test_long_session_on_a_full_cache(self, monkeypatch, profile, capacity, budgeted):
+        steps = self._script(seed=capacity)
+        # a budget of three quarters of the capacity: once the peer has
+        # been drained, the budget's reclaims (not the capacity) evict
+        budget_entries = capacity * 3 // 4 if budgeted else None
+        loop = self._replay(monkeypatch, profile, steps, False, capacity, budget_entries)
+        batch = self._replay(monkeypatch, profile, steps, True, capacity, budget_entries)
+
+        assert len(loop["fields"]) >= 200
+        for index, (a, b) in enumerate(zip(loop["fields"], batch["fields"])):
+            assert a == b, f"gesture {index} diverged"
+        assert batch["stats"] == loop["stats"]
+        assert batch["lru_keys"] == loop["lru_keys"]
+        assert batch["cached_values"] == loop["cached_values"]
+        assert batch["used_bytes"] == loop["used_bytes"]
+        assert batch["peer_entries"] == loop["peer_entries"] == (0 if budgeted else None)
+        assert batch["prefetched"] == loop["prefetched"]
+        # the session really kept the cache full and evicting
+        limit = budget_entries if budgeted else capacity
+        assert len(batch["lru_keys"]) >= limit - 1
+        assert batch["stats"].evictions > limit
+        # every supported slide got an outcome from the executor; only
+        # unsupported ones (table scan, group-by) ever reached the loop
+        assert batch["batch_results"] and None not in batch["batch_results"]
+        assert batch["per_touch_gestures"] and not any(batch["per_touch_gestures"])
+        assert not loop["batch_results"]
+
+
+class _NeverWalkedDict(OrderedDict):
+    """An ``OrderedDict`` that may be probed but not iterated."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the slide hot path walked TouchCache._entries")
+
+    __iter__ = keys = values = items = copy = _refuse
+
+
+class _NeverWalkedSet(set):
+    """A ``set`` that may be probed and updated but not iterated."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the slide hot path walked prefetched_rowids")
+
+    __iter__ = copy = __sub__ = __or__ = __and__ = _refuse
+
+
+class TestHotPathNeverWalksContainers:
+    """Deterministic cost guard: a slide looks keys up, it never iterates."""
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_slide_only_probes_cache_and_prefetched_set(self, profile, batch):
+        session = ExplorationSession(
+            profile=profile,
+            config=KernelConfig(batch_execution=batch, cache_capacity=32),
+        )
+        session.load_column("c", np.arange(200_000, dtype=np.int64))
+        view = session.show_column("c", height_cm=10.0)
+        session.choose_scan(view)
+        session.slide(view, duration=0.8)  # fills the cache, leaves prefetched rowids
+        kernel = session.kernel
+        state = kernel.state_of(view.name)
+        assert len(kernel.cache) == 32 and state.prefetched_rowids
+
+        kernel.cache._entries = _NeverWalkedDict(kernel.cache._entries)
+        state.prefetched_rowids = _NeverWalkedSet(state.prefetched_rowids)
+        with pytest.raises(AssertionError):
+            list(kernel.cache._entries)
+        with pytest.raises(AssertionError):
+            list(state.prefetched_rowids)
+
+        outcomes = [
+            session.slide(view, duration=0.8),
+            session.slide(view, duration=0.6, start_fraction=1.0, end_fraction=0.2),
+            session.slide_path(
+                view,
+                [
+                    SlideSegment(0.1, 0.6, duration=0.5, pause_after=0.2),
+                    SlideSegment(0.6, 0.1, duration=0.5),
+                ],
+            ),
+        ]
+        assert sum(o.cache_hits for o in outcomes) > 0
+        assert sum(o.prefetch_hits for o in outcomes) > 0
+        # still the guarded containers: updated in place, never rebuilt
+        assert type(kernel.cache._entries) is _NeverWalkedDict
+        assert type(state.prefetched_rowids) is _NeverWalkedSet
