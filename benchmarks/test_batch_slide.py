@@ -111,6 +111,7 @@ def test_batch_slide_parity(batch_column):
         )
 
 
+@pytest.mark.wallclock
 def test_batch_slide_speedup(batch_column):
     """The batch path is >= 5x faster on a 1M-row slide with >= 10k touches."""
     # warm both paths once (numpy ufunc dispatch caches, lazy imports)

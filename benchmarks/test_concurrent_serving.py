@@ -13,10 +13,11 @@ serving modes of :class:`repro.service.MultiSessionServer`:
   pool parks thinking sessions on a timer and executes ready sessions in
   parallel, overlapping one user's pauses with other users' gestures.
 
-Asserted: >= 3x aggregate gesture throughput at 8 sessions, bit-identical
-per-session deterministic outcome counters between the two modes, and
-genuinely shared base storage (every session reads the same numpy buffer;
-the dataset is never copied per session).  The headline numbers land in
+Asserted: bit-identical per-session deterministic outcome counters
+between the two modes and genuinely shared base storage (every session
+reads the same numpy buffer; the dataset is never copied per session) —
+and, as a separate ``wallclock``-marked test over the same run, >= 3x
+aggregate gesture throughput at 8 sessions.  The headline numbers land in
 ``benchmark.extra_info`` so CI's ``--benchmark-json`` output carries them
 into the ``BENCH_concurrent_serving.json`` trajectory artifact (see
 ``scripts/bench_trajectory.py``).
@@ -24,7 +25,9 @@ into the ``BENCH_concurrent_serving.json`` trajectory artifact (see
 
 from __future__ import annotations
 
+import functools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,42 +83,59 @@ def replay(server: MultiSessionServer, workload) -> tuple[float, dict]:
     return time.perf_counter() - started, envelopes
 
 
-def test_concurrent_serving_three_x_throughput(benchmark, workload):
-    """>= 3x throughput at 8 sessions, identical per-session counters."""
-    serial_server = MultiSessionServer(service_factory=pinned_factory)
-    serial_wall, serial_envelopes = replay(serial_server, workload)
+@pytest.fixture(scope="module")
+def serving_run(workload):
+    """Both replays, run once for the parity test and its throughput gate."""
+    servers: list[MultiSessionServer] = []
 
-    concurrent_server = MultiSessionServer(
-        service_factory=pinned_factory,
-        scheduler=SchedulerConfig(num_workers=WORKERS, result_retention=4096),
-    )
-    concurrent_result: dict = {}
+    @functools.cache
+    def run() -> SimpleNamespace:
+        serial_server = MultiSessionServer(service_factory=pinned_factory)
+        concurrent_server = MultiSessionServer(
+            service_factory=pinned_factory,
+            scheduler=SchedulerConfig(num_workers=WORKERS, result_retention=4096),
+        )
+        servers.extend([serial_server, concurrent_server])
+        serial_wall, serial_envelopes = replay(serial_server, workload)
+        concurrent_wall, concurrent_envelopes = replay(concurrent_server, workload)
+        serial_cps = workload.total_commands / serial_wall
+        concurrent_cps = workload.total_commands / concurrent_wall
+        return SimpleNamespace(
+            serial_server=serial_server,
+            concurrent_server=concurrent_server,
+            serial_wall=serial_wall,
+            concurrent_wall=concurrent_wall,
+            serial_envelopes=serial_envelopes,
+            concurrent_envelopes=concurrent_envelopes,
+            serial_cps=serial_cps,
+            concurrent_cps=concurrent_cps,
+            speedup=concurrent_cps / serial_cps,
+        )
 
-    def run_concurrent():
-        wall, envelopes = replay(concurrent_server, workload)
-        concurrent_result["wall"] = wall
-        concurrent_result["envelopes"] = envelopes
+    yield run
+    for server in servers:
+        server.shutdown()
 
-    benchmark.pedantic(run_concurrent, rounds=1, iterations=1)
-    concurrent_wall = concurrent_result["wall"]
 
-    commands = workload.total_commands
-    serial_cps = commands / serial_wall
-    concurrent_cps = commands / concurrent_wall
-    speedup = concurrent_cps / serial_cps
+def test_concurrent_serving_three_x_throughput(benchmark, workload, serving_run):
+    """Identical per-session counters whichever lane serves, over genuinely
+    shared storage; the throughput ratio is reported here and gated by the
+    ``_gate`` test."""
+    measured = benchmark.pedantic(serving_run, rounds=1, iterations=1)
+    serial_server, concurrent_server = measured.serial_server, measured.concurrent_server
 
     rows_report = {
         "serial": {
-            "wall_s": serial_wall,
-            "throughput_cps": serial_cps,
+            "wall_s": measured.serial_wall,
+            "throughput_cps": measured.serial_cps,
             "p95_ms": serial_server.aggregate_metrics()["p95_command_wall_s"] * 1e3,
         },
         "concurrent": {
-            "wall_s": concurrent_wall,
-            "throughput_cps": concurrent_cps,
+            "wall_s": measured.concurrent_wall,
+            "throughput_cps": measured.concurrent_cps,
             "p95_ms": concurrent_server.aggregate_metrics()["p95_command_wall_s"] * 1e3,
         },
-        "SPEEDUP": {"wall_s": 0.0, "throughput_cps": speedup, "p95_ms": 0.0},
+        "SPEEDUP": {"wall_s": 0.0, "throughput_cps": measured.speedup, "p95_ms": 0.0},
     }
     trace_len = len(next(iter(workload.traces.values())))
     print_comparison(
@@ -131,14 +151,14 @@ def test_concurrent_serving_three_x_throughput(benchmark, workload):
         {
             "sessions": SESSIONS,
             "workers": WORKERS,
-            "commands": commands,
+            "commands": workload.total_commands,
             "rows": ROWS,
             "think_total_s": round(workload.total_think_s, 4),
-            "serial_wall_s": round(serial_wall, 4),
-            "concurrent_wall_s": round(concurrent_wall, 4),
-            "serial_throughput_cps": round(serial_cps, 2),
-            "concurrent_throughput_cps": round(concurrent_cps, 2),
-            "speedup": round(speedup, 3),
+            "serial_wall_s": round(measured.serial_wall, 4),
+            "concurrent_wall_s": round(measured.concurrent_wall, 4),
+            "serial_throughput_cps": round(measured.serial_cps, 2),
+            "concurrent_throughput_cps": round(measured.concurrent_cps, 2),
+            "speedup": round(measured.speedup, 3),
         }
     )
 
@@ -151,12 +171,12 @@ def test_concurrent_serving_three_x_throughput(benchmark, workload):
         serial_counters = [
             (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits,
              e.duration_s)
-            for e in serial_envelopes[session_id]
+            for e in measured.serial_envelopes[session_id]
         ]
         concurrent_counters = [
             (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits,
              e.duration_s)
-            for e in concurrent_result["envelopes"][session_id]
+            for e in measured.concurrent_envelopes[session_id]
         ]
         assert serial_counters == concurrent_counters, session_id
 
@@ -167,14 +187,17 @@ def test_concurrent_serving_three_x_throughput(benchmark, workload):
         assert column is shared_column
         assert np.shares_memory(column[:], shared_column[:])
 
-    # --- the headline: >= 3x aggregate gesture throughput
-    assert len(workload.traces) >= 8
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"concurrent engine reached only {speedup:.2f}x "
-        f"(serial {serial_cps:.1f} cmd/s vs concurrent {concurrent_cps:.1f} cmd/s)"
-    )
 
-    concurrent_server.shutdown()
+@pytest.mark.wallclock
+def test_concurrent_serving_three_x_throughput_gate(workload, serving_run):
+    """The headline: >= 3x aggregate gesture throughput at 8 sessions."""
+    measured = serving_run()
+    assert len(workload.traces) >= 8
+    assert measured.speedup >= REQUIRED_SPEEDUP, (
+        f"concurrent engine reached only {measured.speedup:.2f}x "
+        f"(serial {measured.serial_cps:.1f} cmd/s vs "
+        f"concurrent {measured.concurrent_cps:.1f} cmd/s)"
+    )
 
 
 def test_scheduler_queue_metrics_surface(benchmark, workload):

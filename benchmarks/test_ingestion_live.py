@@ -22,9 +22,11 @@ Headline numbers land in ``benchmark.extra_info`` and surface as
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
@@ -116,12 +118,14 @@ def test_append_throughput_never_invalidates(benchmark):
     assert rows_per_s >= MIN_APPEND_ROWS_PER_S
 
 
-def test_hot_tail_latency_window_vs_merged(benchmark):
-    """Unmerged tails still answer fast; merging restores pure-cracker service."""
+@pytest.fixture(scope="module")
+def hot_tail_run():
+    """The hot-tail comparison, run once for the exactness test and its gate."""
     rng = np.random.default_rng(103)
     data = rng.integers(0, 1_000_000, size=BASE_ROWS, dtype=np.int64)
     tail = rng.integers(0, 1_000_000, size=BATCH_ROWS * 4, dtype=np.int64)
 
+    @functools.cache
     def run():
         indexed, reference = make_sessions(data)
         crack_hot_ranges(indexed)
@@ -136,9 +140,18 @@ def test_hot_tail_latency_window_vs_merged(benchmark):
             assert np.array_equal(fast.rowids, slow.rowids)
         for fast, slow in zip(merged_results, reference_results):
             assert np.array_equal(fast.rowids, slow.rowids)
+        assert merged == len(tail)
         return window_s, merged_s, reference_s, merged
 
-    window_s, merged_s, reference_s, merged = benchmark.pedantic(run, rounds=1, iterations=1)
+    return run
+
+
+def test_hot_tail_latency_window_vs_merged(benchmark, hot_tail_run):
+    """Unmerged tails and merged pieces both answer bit-identically to brute
+    force; the latencies are reported here and gated by the ``_gate`` test."""
+    window_s, merged_s, reference_s, merged = benchmark.pedantic(
+        hot_tail_run, rounds=1, iterations=1
+    )
     print_comparison(
         format_comparison(
             "E-live-ingestion: hot-tail query latency",
@@ -149,10 +162,14 @@ def test_hot_tail_latency_window_vs_merged(benchmark):
             },
         )
     )
-    window_speedup = reference_s / window_s
-    benchmark.extra_info["window_speedup"] = window_speedup
+    benchmark.extra_info["window_speedup"] = reference_s / window_s
     benchmark.extra_info["merged_speedup"] = reference_s / merged_s
     benchmark.extra_info["rows_merged"] = merged
     benchmark.extra_info["queries_timed"] = REPEATS * len(HOT_RANGES)
-    assert merged == len(tail)
-    assert window_speedup >= MIN_WINDOW_SPEEDUP
+
+
+@pytest.mark.wallclock
+def test_hot_tail_latency_window_vs_merged_gate(hot_tail_run):
+    """Unmerged tails still answer fast: >= 2x over the full-scan reference."""
+    window_s, _, reference_s, _ = hot_tail_run()
+    assert reference_s / window_s >= MIN_WINDOW_SPEEDUP

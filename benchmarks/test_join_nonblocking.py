@@ -20,8 +20,8 @@ from repro.metrics.reporting import ExperimentSeries, format_comparison
 
 from conftest import print_comparison, print_series
 
-ROWS = 200_000
-KEY_CARDINALITY = 20_000
+ROWS = 50_000
+KEY_CARDINALITY = 5_000
 #: Checkpoints (fraction of the gesture completed) at which progress is sampled.
 CHECKPOINTS = [0.01, 0.1, 0.25, 0.5, 1.0]
 

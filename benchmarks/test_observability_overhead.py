@@ -27,9 +27,12 @@ The headline numbers land in ``benchmark.extra_info`` so CI's
 
 from __future__ import annotations
 
+import functools
 import time
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.core.commands import GestureScript, ShowColumn, Slide
 from repro.core.kernel import KernelConfig
@@ -103,79 +106,100 @@ def warmup(server: MultiSessionServer) -> None:
     server.close_session(sid)
 
 
-def test_disabled_tracer_overhead_under_five_percent(benchmark):
-    untraced = build_server(tracing=False)
-    traced = build_server(tracing=TraceConfig(sample_rate=1.0, site="bench"))
-    try:
-        warmup(untraced)
-        warmup(traced)
-        traced.drain_traces()  # warmup spans must not skew spans_per_command
-        result: dict = {}
+@pytest.fixture(scope="module")
+def overhead_run():
+    """Both workloads and the microbenchmark, run once for the parity test
+    and its gate."""
 
-        def run_untraced():
-            result["wall"], result["commands"], result["sid"] = run_workload(untraced)
-
-        benchmark.pedantic(run_untraced, rounds=1, iterations=1)
-        untraced_wall, commands = result["wall"], result["commands"]
-        traced_wall, traced_commands, traced_sid = run_workload(traced)
-        assert traced_commands == commands
-
-        # the parity contract rides along: tracing perturbs no counter
-        baseline = untraced.counters_report()[result["sid"]]
-        assert traced.counters_report()[traced_sid] == baseline
-
-        # how many instrumentation points does an average gesture cross?
-        traces = traced.drain_traces()
-        spans_recorded = sum(len(trace.spans) for trace in traces)
-        assert spans_recorded > 0
-        spans_per_command = spans_recorded / commands
-
-        noop_s = noop_span_cost_s()
-        per_command_s = untraced_wall / commands
-        disabled_overhead = (noop_s * spans_per_command) / per_command_s
-
-        untraced_cps = commands / untraced_wall
-        traced_cps = commands / traced_wall
-        print_comparison(
-            format_comparison(
-                f"E-observability: {commands} commands over {ROWS:,} rows",
-                {
-                    "untraced": {"wall_s": untraced_wall, "throughput_cps": untraced_cps},
-                    "traced": {"wall_s": traced_wall, "throughput_cps": traced_cps},
-                    "OVERHEAD": {
-                        "wall_s": 0.0,
-                        "throughput_cps": 0.0,
-                        "disabled_frac": disabled_overhead,
-                        "noop_span_ns": noop_s * 1e9,
-                        "spans_per_cmd": spans_per_command,
-                    },
-                },
+    @functools.cache
+    def run() -> SimpleNamespace:
+        untraced = build_server(tracing=False)
+        traced = build_server(tracing=TraceConfig(sample_rate=1.0, site="bench"))
+        try:
+            warmup(untraced)
+            warmup(traced)
+            traced.drain_traces()  # warmup spans must not skew spans_per_command
+            untraced_wall, commands, untraced_sid = run_workload(untraced)
+            traced_wall, traced_commands, traced_sid = run_workload(traced)
+            # how many instrumentation points does an average gesture cross?
+            spans_recorded = sum(len(trace.spans) for trace in traced.drain_traces())
+            noop_s = noop_span_cost_s()
+            spans_per_command = spans_recorded / commands
+            return SimpleNamespace(
+                commands=commands,
+                traced_commands=traced_commands,
+                untraced_wall=untraced_wall,
+                traced_wall=traced_wall,
+                untraced_counters=untraced.counters_report()[untraced_sid],
+                traced_counters=traced.counters_report()[traced_sid],
+                spans_recorded=spans_recorded,
+                spans_per_command=spans_per_command,
+                noop_s=noop_s,
+                per_command_s=untraced_wall / commands,
+                disabled_overhead=(noop_s * spans_per_command) / (untraced_wall / commands),
             )
-        )
+        finally:
+            untraced.shutdown()
+            traced.shutdown()
 
-        # the CI trajectory artifact picks these up from --benchmark-json
-        benchmark.extra_info.update(
+    return run
+
+
+def test_disabled_tracer_overhead_under_five_percent(benchmark, overhead_run):
+    """Tracing perturbs no counter; the disabled-tracer overhead is reported
+    here (CI reads it from ``extra_info``) and gated by the ``_gate`` test."""
+    measured = benchmark.pedantic(overhead_run, rounds=1, iterations=1)
+    commands = measured.commands
+    assert measured.traced_commands == commands
+
+    # the parity contract rides along: tracing perturbs no counter
+    assert measured.traced_counters == measured.untraced_counters
+    assert measured.spans_recorded > 0
+
+    untraced_cps = commands / measured.untraced_wall
+    traced_cps = commands / measured.traced_wall
+    print_comparison(
+        format_comparison(
+            f"E-observability: {commands} commands over {ROWS:,} rows",
             {
-                "commands": commands,
-                "rows": ROWS,
-                "untraced_wall_s": round(untraced_wall, 4),
-                "traced_wall_s": round(traced_wall, 4),
-                "untraced_throughput_cps": round(untraced_cps, 2),
-                "traced_throughput_cps": round(traced_cps, 2),
-                "noop_span_ns": round(noop_s * 1e9, 1),
-                "spans_per_command": round(spans_per_command, 2),
-                "overhead_disabled_frac": round(disabled_overhead, 5),
-                "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
-            }
+                "untraced": {"wall_s": measured.untraced_wall, "throughput_cps": untraced_cps},
+                "traced": {"wall_s": measured.traced_wall, "throughput_cps": traced_cps},
+                "OVERHEAD": {
+                    "wall_s": 0.0,
+                    "throughput_cps": 0.0,
+                    "disabled_frac": measured.disabled_overhead,
+                    "noop_span_ns": measured.noop_s * 1e9,
+                    "spans_per_cmd": measured.spans_per_command,
+                },
+            },
         )
+    )
 
-        # the gate: a disabled tracer costs <= 5% of a gesture
-        assert disabled_overhead <= MAX_DISABLED_OVERHEAD, (
-            f"disabled-tracer overhead {disabled_overhead:.2%} exceeds "
-            f"{MAX_DISABLED_OVERHEAD:.0%} "
-            f"(no-op span {noop_s * 1e9:.0f}ns x {spans_per_command:.1f} spans/cmd "
-            f"vs {per_command_s * 1e3:.2f}ms/cmd)"
-        )
-    finally:
-        untraced.shutdown()
-        traced.shutdown()
+    # the CI trajectory artifact picks these up from --benchmark-json
+    benchmark.extra_info.update(
+        {
+            "commands": commands,
+            "rows": ROWS,
+            "untraced_wall_s": round(measured.untraced_wall, 4),
+            "traced_wall_s": round(measured.traced_wall, 4),
+            "untraced_throughput_cps": round(untraced_cps, 2),
+            "traced_throughput_cps": round(traced_cps, 2),
+            "noop_span_ns": round(measured.noop_s * 1e9, 1),
+            "spans_per_command": round(measured.spans_per_command, 2),
+            "overhead_disabled_frac": round(measured.disabled_overhead, 5),
+            "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
+        }
+    )
+
+
+@pytest.mark.wallclock
+def test_disabled_tracer_overhead_under_five_percent_gate(overhead_run):
+    """The gate: a disabled tracer costs <= 5% of a gesture."""
+    measured = overhead_run()
+    assert measured.disabled_overhead <= MAX_DISABLED_OVERHEAD, (
+        f"disabled-tracer overhead {measured.disabled_overhead:.2%} exceeds "
+        f"{MAX_DISABLED_OVERHEAD:.0%} "
+        f"(no-op span {measured.noop_s * 1e9:.0f}ns x "
+        f"{measured.spans_per_command:.1f} spans/cmd "
+        f"vs {measured.per_command_s * 1e3:.2f}ms/cmd)"
+    )

@@ -26,6 +26,7 @@ Headline numbers land in ``benchmark.extra_info`` and surface as
 
 from __future__ import annotations
 
+import functools
 import time
 from pathlib import Path
 
@@ -255,24 +256,34 @@ def cold_start_from_snapshot(store_dir: Path) -> Table:
     return table
 
 
-def test_out_of_core_cold_start_speedup(benchmark, dataset):
-    """Snapshot reopen >= 10x faster than CSV re-ingest + sample rebuild."""
-    csv_path = dataset / "ingest.csv"
-    store_dir = dataset / "csv-store"
+@pytest.fixture(scope="module")
+def cold_start_run(dataset):
+    """Both cold starts, run once for the equivalence test and its gate."""
 
-    started = time.perf_counter()
-    csv_table = cold_start_from_csv(csv_path)
-    csv_seconds = time.perf_counter() - started
+    @functools.cache
+    def run():
+        started = time.perf_counter()
+        csv_table = cold_start_from_csv(dataset / "ingest.csv")
+        csv_seconds = time.perf_counter() - started
+        rounds = 3
+        started = time.perf_counter()
+        for _ in range(rounds):
+            snapshot_table = cold_start_from_snapshot(dataset / "csv-store")
+        snapshot_seconds = (time.perf_counter() - started) / rounds
+        return csv_table, snapshot_table, csv_seconds, snapshot_seconds
 
-    snapshot_table = benchmark.pedantic(
-        lambda: cold_start_from_snapshot(store_dir), rounds=3, iterations=1
+    return run
+
+
+def test_out_of_core_cold_start_speedup(benchmark, cold_start_run):
+    """A snapshot reopen restores what CSV re-ingest + sample rebuild builds;
+    the speedup is reported here and gated by the ``_gate`` test."""
+    csv_table, snapshot_table, csv_seconds, snapshot_seconds = benchmark.pedantic(
+        cold_start_run, rounds=1, iterations=1
     )
-    snapshot_seconds = benchmark.stats.stats.mean
-
     assert snapshot_table.schema == csv_table.schema
     assert len(snapshot_table) == len(csv_table) == CSV_ROWS
     speedup = csv_seconds / snapshot_seconds
-    assert speedup >= MIN_COLD_START_SPEEDUP
 
     benchmark.extra_info.update(
         {
@@ -286,3 +297,10 @@ def test_out_of_core_cold_start_speedup(benchmark, dataset):
         f"cold start: CSV re-ingest {csv_seconds * 1e3:.0f} ms vs snapshot "
         f"{snapshot_seconds * 1e3:.2f} ms ({speedup:.0f}x)"
     )
+
+
+@pytest.mark.wallclock
+def test_out_of_core_cold_start_speedup_gate(cold_start_run):
+    """Snapshot reopen >= 10x faster than CSV re-ingest + sample rebuild."""
+    _, _, csv_seconds, snapshot_seconds = cold_start_run()
+    assert csv_seconds / snapshot_seconds >= MIN_COLD_START_SPEEDUP

@@ -21,7 +21,8 @@ column — through both engines:
 Asserted always: per-session outcome counters from the sharded fleet are
 bit-identical to a serial single-service replay of the same scripts — the
 wire, the pipe and the process boundary change *where* gestures run,
-never what they compute.  The speedup floor is machine-gated: >= 2x
+never what they compute.  The speedup floor is a separate
+``wallclock``-marked test over the same run, and machine-gated: >= 2x
 aggregate gestures/sec on >= 4 cores (the acceptance bar), a relaxed
 floor on 2-3 cores, and on a single core only the parity contract is
 asserted (process parallelism cannot beat the GIL with one core to run
@@ -33,9 +34,11 @@ on).  Headline numbers land in ``benchmark.extra_info`` so CI's
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,24 +178,35 @@ def serial_replay(snapshot_root, scripts) -> dict:
     return envelopes
 
 
-def test_sharded_serving_scales_past_the_gil(benchmark, snapshot_root, scripts):
-    """>= 2x aggregate throughput at 4 workers (>= 4 cores), exact parity."""
-    inproc_wall, inproc_envelopes = run_inprocess(snapshot_root, scripts)
+@pytest.fixture(scope="module")
+def engines_run(snapshot_root, scripts):
+    """Both engines, run once for the parity test and its speedup gate."""
 
-    sharded_result: dict = {}
+    @functools.cache
+    def run() -> SimpleNamespace:
+        inproc_wall, inproc_envelopes = run_inprocess(snapshot_root, scripts)
+        sharded_wall, sharded_envelopes = run_sharded(snapshot_root, scripts)
+        commands = sum(len(script) for script in scripts.values())
+        inproc_cps = commands / inproc_wall
+        sharded_cps = commands / sharded_wall
+        return SimpleNamespace(
+            commands=commands,
+            inproc_wall=inproc_wall,
+            sharded_wall=sharded_wall,
+            inproc_envelopes=inproc_envelopes,
+            sharded_envelopes=sharded_envelopes,
+            inproc_cps=inproc_cps,
+            sharded_cps=sharded_cps,
+            speedup=sharded_cps / inproc_cps,
+        )
 
-    def run() -> None:
-        wall, envelopes = run_sharded(snapshot_root, scripts)
-        sharded_result["wall"] = wall
-        sharded_result["envelopes"] = envelopes
+    return run
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    sharded_wall = sharded_result["wall"]
 
-    commands = sum(len(script) for script in scripts.values())
-    inproc_cps = commands / inproc_wall
-    sharded_cps = commands / sharded_wall
-    speedup = sharded_cps / inproc_cps
+def test_sharded_serving_scales_past_the_gil(benchmark, snapshot_root, scripts, engines_run):
+    """Exact parity across the wire and the process boundary; the speedup
+    is reported here and gated by the ``_gate`` test."""
+    measured = benchmark.pedantic(engines_run, rounds=1, iterations=1)
     cores = os.cpu_count() or 1
 
     print_comparison(
@@ -200,9 +214,15 @@ def test_sharded_serving_scales_past_the_gil(benchmark, snapshot_root, scripts):
             f"E-sharded-serving: {SESSIONS} sessions x {len(next(iter(scripts.values())))} "
             f"commands, {SHARDS} shards, {cores} cores",
             {
-                "in-process": {"wall_s": inproc_wall, "throughput_cps": inproc_cps},
-                "sharded": {"wall_s": sharded_wall, "throughput_cps": sharded_cps},
-                "SPEEDUP": {"wall_s": 0.0, "throughput_cps": speedup},
+                "in-process": {
+                    "wall_s": measured.inproc_wall,
+                    "throughput_cps": measured.inproc_cps,
+                },
+                "sharded": {
+                    "wall_s": measured.sharded_wall,
+                    "throughput_cps": measured.sharded_cps,
+                },
+                "SPEEDUP": {"wall_s": 0.0, "throughput_cps": measured.speedup},
             },
         )
     )
@@ -211,35 +231,42 @@ def test_sharded_serving_scales_past_the_gil(benchmark, snapshot_root, scripts):
         {
             "sessions": SESSIONS,
             "shards": SHARDS,
-            "commands": commands,
+            "commands": measured.commands,
             "rows": ROWS,
             "cores": cores,
-            "inprocess_wall_s": round(inproc_wall, 4),
-            "sharded_wall_s": round(sharded_wall, 4),
-            "inprocess_throughput_cps": round(inproc_cps, 2),
-            "sharded_throughput_cps": round(sharded_cps, 2),
-            "speedup": round(speedup, 3),
+            "inprocess_wall_s": round(measured.inproc_wall, 4),
+            "sharded_wall_s": round(measured.sharded_wall, 4),
+            "inprocess_throughput_cps": round(measured.inproc_cps, 2),
+            "sharded_throughput_cps": round(measured.sharded_cps, 2),
+            "speedup": round(measured.speedup, 3),
         }
     )
 
     # --- parity: the wire and the process boundary change nothing
     expected = serial_replay(snapshot_root, scripts)
     for sid in scripts:
-        assert counters_of(sharded_result["envelopes"][sid]) == counters_of(expected[sid]), sid
-        assert counters_of(inproc_envelopes[sid]) == counters_of(expected[sid]), sid
+        assert counters_of(measured.sharded_envelopes[sid]) == counters_of(expected[sid]), sid
+        assert counters_of(measured.inproc_envelopes[sid]) == counters_of(expected[sid]), sid
 
-    # --- the headline, gated on the cores actually available
+
+@pytest.mark.wallclock
+def test_sharded_serving_scales_past_the_gil_gate(engines_run):
+    """The headline, gated on the cores actually available: >= 2x aggregate
+    throughput at 4 workers on >= 4 cores, a relaxed floor on 2-3."""
+    measured = engines_run()
+    cores = os.cpu_count() or 1
     if cores >= 4:
-        assert speedup >= REQUIRED_SPEEDUP, (
-            f"sharded fleet reached only {speedup:.2f}x on {cores} cores "
-            f"(in-process {inproc_cps:.1f} cmd/s vs sharded {sharded_cps:.1f} cmd/s)"
+        assert measured.speedup >= REQUIRED_SPEEDUP, (
+            f"sharded fleet reached only {measured.speedup:.2f}x on {cores} cores "
+            f"(in-process {measured.inproc_cps:.1f} cmd/s vs "
+            f"sharded {measured.sharded_cps:.1f} cmd/s)"
         )
     elif cores >= 2:
-        assert speedup >= RELAXED_SPEEDUP, (
-            f"sharded fleet reached only {speedup:.2f}x on {cores} cores"
+        assert measured.speedup >= RELAXED_SPEEDUP, (
+            f"sharded fleet reached only {measured.speedup:.2f}x on {cores} cores"
         )
     # single core: process parallelism has nothing to run on — the parity
-    # assertions above are the contract this machine can check
+    # test is the contract this machine can check
 
 
 def test_sharded_serving_wire_overhead(benchmark, snapshot_root):

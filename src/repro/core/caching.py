@@ -290,20 +290,12 @@ class TouchCache:
         return 1 << (max(1, int(stride)).bit_length() - 1)
 
     @staticmethod
-    def _stride_exponents(strides) -> np.ndarray:
-        """Power-of-two stride-bucket exponents, vectorized.
-
-        The single source of the bucketing rule for every vectorized
-        helper (:meth:`stride_buckets`, :meth:`collapsed_keys`);
-        ``tests`` lock its agreement with the scalar :meth:`_stride_bucket`.
-        """
+    def stride_buckets(strides: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`_stride_bucket`: power-of-two bucket per stride
+        (``tests`` lock its agreement with the scalar rule)."""
         s = np.maximum(1, np.asarray(strides, dtype=np.int64))
-        return np.floor(np.log2(s.astype(np.float64))).astype(np.int64)
-
-    @classmethod
-    def stride_buckets(cls, strides: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_stride_bucket`: power-of-two bucket per stride."""
-        return np.left_shift(np.int64(1), cls._stride_exponents(strides))
+        exponents = np.floor(np.log2(s.astype(np.float64))).astype(np.int64)
+        return np.left_shift(np.int64(1), exponents)
 
     def _key(self, object_name: str, rowid: int, stride: int) -> Hashable:
         return (object_name, rowid // self.bucket_rows, self._stride_bucket(stride))
@@ -312,25 +304,6 @@ class TouchCache:
         """Rowid and stride buckets of many references, as Python ints."""
         buckets = np.asarray(rowids, dtype=np.int64) // self.bucket_rows
         return buckets.tolist(), self.stride_buckets(strides).tolist()
-
-    #: Stride-bucket exponents fit in 6 bits (strides < 2^63); the rowid
-    #: bucket is shifted past them when keys are collapsed to integers.
-    _COLLAPSE_SHIFT = 64
-
-    def collapsed_keys(
-        self,
-        rowids: Sequence[int] | np.ndarray,
-        strides: Sequence[int] | np.ndarray,
-    ) -> np.ndarray:
-        """Collapse (rowid bucket, stride bucket) pairs into one int64 each.
-
-        The vectorized mirror of :meth:`_key` within one object namespace:
-        two (rowid, stride) pairs collapse to the same integer exactly when
-        ``_key`` maps them to the same tuple — the form for grouping or
-        comparing many references with numpy instead of hashing tuples.
-        """
-        buckets = np.asarray(rowids, dtype=np.int64) // self.bucket_rows
-        return buckets * np.int64(self._COLLAPSE_SHIFT) + self._stride_exponents(strides)
 
     # ------------------------------------------------------------------ #
     # shared-budget accounting
@@ -419,62 +392,6 @@ class TouchCache:
             self.stats.insertions += 1
             self._evict_to_capacity_locked()
             delta = len(self._entries) - before
-        self._settle(delta - prospective)
-
-    def get_many(
-        self,
-        object_name: str,
-        rowids: Sequence[int] | np.ndarray,
-        strides: Sequence[int] | np.ndarray,
-    ) -> tuple[list[Any], np.ndarray]:
-        """Bulk probe: cached values plus a hit mask, one entry per rowid.
-
-        Misses leave ``None`` in the value list (a ``None`` with a ``True``
-        mask bit is a genuinely cached ``None``).  Statistics and recency
-        are updated per probed element, mirroring a loop of :meth:`get`
-        calls.
-        """
-        buckets, sbuckets = self._bucket_lists(rowids, strides)
-        values: list[Any] = []
-        hits = np.zeros(len(buckets), dtype=bool)
-        with self._lock:
-            entries = self._entries
-            for i, (bucket, sbucket) in enumerate(zip(buckets, sbuckets)):
-                key = (object_name, bucket, sbucket)
-                if key in entries:
-                    entries.move_to_end(key)
-                    values.append(entries[key])
-                    hits[i] = True
-                else:
-                    values.append(None)
-            num_hits = int(hits.sum())
-            self.stats.hits += num_hits
-            self.stats.misses += len(buckets) - num_hits
-        return values, hits
-
-    def put_many(
-        self,
-        object_name: str,
-        rowids: Sequence[int] | np.ndarray,
-        values: Sequence[Any],
-        strides: Sequence[int] | np.ndarray,
-    ) -> None:
-        """Bulk insert, equivalent to a loop of :meth:`put` calls in order."""
-        buckets, sbuckets = self._bucket_lists(rowids, strides)
-        keys = [(object_name, b, s) for b, s in zip(buckets, sbuckets)]
-        with self._lock:
-            prospective = len({key for key in keys if key not in self._entries})
-        self._settle(prospective)  # charge BEFORE inserting
-        with self._lock:
-            entries = self._entries
-            before = len(entries)
-            for key, value in zip(keys, values):
-                if key in entries:
-                    entries.move_to_end(key)
-                entries[key] = value
-                self.stats.insertions += 1
-            self._evict_to_capacity_locked()
-            delta = len(entries) - before
         self._settle(delta - prospective)
 
     def replay_gesture(

@@ -106,15 +106,9 @@ class KernelConfig:
         serving deployments where many sessions explore the same base
         storage by reference and should split one set of cracked indexes
         (see ``MultiSessionServer(shared_index=...)``).  Ignored when
-        ``enable_indexing`` is off.
-    stochastic_cracking / crack_seed:
-        Passed to the kernel-private :class:`~repro.indexing.manager.
-        IndexManager`: when ``stochastic_cracking`` is on, each crack
-        mixes in one random pivot (MDD1R) drawn from a generator seeded
-        with ``crack_seed``, so skewed gesture sequences cannot leave
-        pathologically unbalanced pieces and equal seeds still yield
-        bit-identical piece structures.  Ignored when ``index_manager``
-        is supplied (the pre-built manager carries its own knobs).
+        ``enable_indexing`` is off.  Also the way to set the manager's
+        own knobs, e.g. ``IndexManager(stochastic=True, crack_seed=...)``
+        for seeded MDD1R stochastic cracking.
     speculation:
         Optional mined :class:`repro.mining.policy.SpeculativePolicy`.
         Every shown object's prefetcher reports gesture progress to the
@@ -156,8 +150,6 @@ class KernelConfig:
     memory_budget: MemoryBudget | None = None
     enable_indexing: bool = True
     index_manager: IndexManager | None = None
-    stochastic_cracking: bool = False
-    crack_seed: int = 0
     speculation: Any | None = None
 
 
@@ -279,11 +271,7 @@ class DbTouchKernel:
             self.index_manager = (
                 self.config.index_manager
                 if self.config.index_manager is not None
-                else IndexManager(
-                    budget=self.config.memory_budget,
-                    stochastic=self.config.stochastic_cracking,
-                    crack_seed=self.config.crack_seed,
-                )
+                else IndexManager(budget=self.config.memory_budget)
             )
         self.speculation = self.config.speculation
         self._states: dict[str, _ObjectState] = {}

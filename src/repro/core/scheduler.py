@@ -483,3 +483,54 @@ class GestureScheduler:
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         self.shutdown(wait=True, cancel_pending=exc_type is not None)
         return False
+
+
+class InlineLane:
+    """The scheduler's submit surface with no pool behind it (serial mode).
+
+    :class:`repro.service.MultiSessionServer` routes everything through
+    ``self._lane`` — a :class:`GestureScheduler` or this — so serving code
+    never asks which mode it is in; what differs is only *where* work
+    runs.  Here it runs on the caller's thread, at once: there are no
+    queues, so a think-time must be slept out inline (the one thread
+    serves everyone), session registration has nothing to create, and
+    there is never anything to drain.
+    """
+
+    def register_session(self, session_id: str) -> None:
+        """No queue to create."""
+
+    def unregister_session(self, session_id: str) -> int:
+        """No queue to cancel; returns 0 like an idle session would."""
+        return 0
+
+    def submit(
+        self, session_id: str, work: Callable[[], Any], think_s: float = 0.0
+    ) -> Future:
+        """Sleep out ``think_s``, run ``work`` now; the future is already
+        resolved (``result()`` re-raises the very exception ``work`` raised)."""
+        if think_s > 0:
+            time.sleep(think_s)
+        future: Future = Future()
+        try:
+            future.set_result(work())
+        except Exception as exc:  # noqa: BLE001 - delivered to the caller
+            future.set_exception(exc)
+        return future
+
+    def submit_background(self, work: Callable[[], Any]) -> Future:
+        """Run maintenance work now; a failure raises here, not later."""
+        future: Future = Future()
+        future.set_result(work())
+        return future
+
+    def queue_depth(self, session_id: str | None = None) -> int:
+        """Nothing is ever queued."""
+        return 0
+
+    def drain(self, timeout: float | None = None) -> bool:
+        """Always drained."""
+        return True
+
+    def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
+        """No pool to stop."""

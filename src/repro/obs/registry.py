@@ -212,6 +212,23 @@ class TelemetryRegistry:
         with self._lock:
             self._collectors.pop(name, None)
 
+    @property
+    def collector_names(self) -> list[str]:
+        """Names of every registered collector, in registration order."""
+        with self._lock:
+            return list(self._collectors)
+
+    def collect(self, name: str) -> Mapping[str, Any] | None:
+        """One collector's own report, un-flattened and un-prefixed.
+
+        ``None`` when no collector has that name or it has nothing to
+        report right now.  Unlike :meth:`snapshot`, a collector's failure
+        propagates: the caller asked for this island by name.
+        """
+        with self._lock:
+            fn = self._collectors.get(name)
+        return fn() if fn is not None else None
+
     # ------------------------------------------------------------------ #
     # scraping
     # ------------------------------------------------------------------ #
@@ -224,7 +241,6 @@ class TelemetryRegistry:
         """
         with self._lock:
             instruments = list(self._instruments.values())
-            collectors = list(self._collectors.items())
         merged: dict[str, float] = {}
         for instrument in instruments:
             if isinstance(instrument, Histogram):
@@ -233,14 +249,13 @@ class TelemetryRegistry:
                 merged[f"{instrument.name}_sum"] = float(data["sum"])
             else:
                 merged[instrument.name] = float(instrument.value)
-        for prefix, fn in collectors:
+        for prefix in self.collector_names:
             try:
-                values = fn()
+                values = self.collect(prefix)
             except Exception:  # noqa: BLE001 - a broken island must not kill the scrape
                 continue
-            if values is None:
-                continue
-            _flatten_into(merged, prefix, values)
+            if values is not None:
+                _flatten_into(merged, prefix, values)
         return merged
 
     def exposition(self) -> str:

@@ -116,7 +116,8 @@ class ChunkCache:
         self.stats = ChunkCacheStats()
         self._lock = threading.RLock()
         self._chunks: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._budget = budget
+        #: the shared memory budget this cache charges (``None``: unshared)
+        self.budget = budget
         self._budget_key = f"chunk-cache-{id(self):x}"
         if budget is not None:
             budget.register(self._budget_key, self._reclaim_bytes)
@@ -129,6 +130,19 @@ class ChunkCache:
     def current_bytes(self) -> int:
         """Bytes of chunk data currently resident."""
         return self.stats.bytes_cached
+
+    def stats_snapshot(self) -> dict[str, int]:
+        """Counters and byte gauges under the names telemetry reports."""
+        with self._lock:
+            stats = self.stats
+            return {
+                "chunk_hits": stats.hits,
+                "chunk_misses": stats.misses,
+                "chunk_insertions": stats.insertions,
+                "chunk_evictions": stats.evictions,
+                "bytes_cached": stats.bytes_cached,
+                "cache_capacity_bytes": self.capacity_bytes,
+            }
 
     def get(self, column_key, chunk_index: int) -> np.ndarray | None:
         """Return a resident chunk (refreshing its recency), or ``None``."""
@@ -146,11 +160,11 @@ class ChunkCache:
         """Insert a materialized chunk, evicting LRU chunks past the budget."""
         key = (column_key, chunk_index)
         nbytes = int(chunk.nbytes)
-        if self._budget is not None:
+        if self.budget is not None:
             # charge BEFORE inserting: a concurrent invalidate/clear that
             # removes the chunk right after insertion releases bytes that
             # must already be on the books, or usage drifts upward forever
-            self._budget.charge(self._budget_key, nbytes)
+            self.budget.charge(self._budget_key, nbytes)
         with self._lock:
             # two workers may race to materialize the same chunk; the
             # second insert replaces the first (a swap, not an eviction)
@@ -158,14 +172,14 @@ class ChunkCache:
             self._chunks[key] = chunk
             self.stats.insertions += 1
             self.stats.bytes_cached += nbytes
-        if replaced and self._budget is not None:
-            self._budget.release(self._budget_key, replaced)
+        if replaced and self.budget is not None:
+            self.budget.release(self._budget_key, replaced)
         freed = 0
         with self._lock:
             while self.stats.bytes_cached > self.capacity_bytes and len(self._chunks) > 1:
                 freed += self._evict_lru_locked()
-        if freed and self._budget is not None:
-            self._budget.release(self._budget_key, freed)
+        if freed and self.budget is not None:
+            self.budget.release(self._budget_key, freed)
 
     def _remove_locked(self, key: tuple) -> int:
         chunk = self._chunks.pop(key)
@@ -191,8 +205,8 @@ class ChunkCache:
         with self._lock:
             doomed = [key for key in self._chunks if key[0] == column_key]
             freed = sum(self._remove_locked(key) for key in doomed)
-        if self._budget is not None and freed:
-            self._budget.release(self._budget_key, freed)
+        if self.budget is not None and freed:
+            self.budget.release(self._budget_key, freed)
         return freed
 
     def clear(self) -> None:
@@ -201,8 +215,8 @@ class ChunkCache:
             freed = self.stats.bytes_cached
             self._chunks.clear()
             self.stats = ChunkCacheStats()
-        if self._budget is not None and freed:
-            self._budget.release(self._budget_key, freed)
+        if self.budget is not None and freed:
+            self.budget.release(self._budget_key, freed)
 
 
 class DiskColumnStore:

@@ -29,6 +29,7 @@ import inspect
 import itertools
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
@@ -57,7 +58,7 @@ from repro.core.commands import (
 )
 from repro.core.batch import dedupe_slide_batch
 from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
-from repro.core.scheduler import GestureScheduler, SchedulerConfig
+from repro.core.scheduler import GestureScheduler, InlineLane, SchedulerConfig
 from repro.core.schema_gestures import (
     SchemaGestureOutcome,
     SchemaGestures,
@@ -71,7 +72,7 @@ from repro.indexing.manager import IndexManager, RangeSelection
 from repro.mining.model import GestureTransitionModel
 from repro.mining.policy import SpeculationPlan, SpeculativePolicy
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import TelemetryRegistry
+from repro.obs.registry import TelemetryRegistry, merge_numeric
 from repro.obs.stats import nearest_rank
 from repro.obs.trace import Trace, TraceConfig, TraceContext, Tracer
 from repro.persist.snapshot import StoreCatalog
@@ -1264,7 +1265,10 @@ class SessionMetrics:
         """Nearest-rank quantile of per-command wall latencies (0 < q <= 1)."""
         with self._lock:
             ordered = sorted(self._latencies_s)
-        return _nearest_rank(ordered, q)
+        try:
+            return nearest_rank(ordered, q)
+        except ValueError as exc:  # q is the caller's: a service-layer error
+            raise ServiceError(str(exc)) from exc
 
     def latencies(self) -> list[float]:
         """A copy of every observed per-command wall latency."""
@@ -1303,21 +1307,6 @@ class SessionMetrics:
             self.last_command_monotonic = now
 
 
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sequence (0 < q <= 1).
-
-    The one quantile rule shared by per-session, aggregate and per-touch
-    metrics — the implementation lives in
-    :func:`repro.obs.stats.nearest_rank` so the reports can never
-    silently diverge; this wrapper only maps the domain error onto
-    :class:`ServiceError` for the service layer's callers.
-    """
-    try:
-        return nearest_rank(ordered, q)
-    except ValueError as exc:
-        raise ServiceError(str(exc)) from exc
-
-
 def _as_trace_context(trace: TraceContext | Mapping[str, Any] | None) -> TraceContext | None:
     """Normalize a caller-supplied trace handle (capsule, wire dict, or
     nothing) — malformed wire dicts degrade to untraced, never error."""
@@ -1351,23 +1340,38 @@ class MultiSessionServer:
 
     Each session gets its own service instance from ``service_factory`` —
     its own device, kernel, caches and clock — so concurrent explorations
-    cannot bleed state into each other.  Two serving modes share one API:
+    cannot bleed state into each other.
 
-    **Serial (default, ``scheduler=None``).**  ``execute`` runs the command
-    inline on the calling thread — the PR-1 behaviour.  One thread serves
-    everyone, so a session's think-time (the pause between a user's
-    gestures) stalls the whole server.
+    **One lane.**  Every unit of session work — a gesture command, a data
+    load (``replace=True`` reloads included), an append — is submitted to
+    the server's *lane*, so it lands at a well-defined point in the
+    session's command order.  The lane is the only thing the ``scheduler``
+    argument chooses, and where work runs is the only thing that differs:
 
-    **Concurrent (``scheduler=SchedulerConfig(...)`` or a worker count).**
-    Commands are queued per session and executed by a
-    :class:`repro.core.scheduler.GestureScheduler` worker pool: different
-    sessions run in parallel, each session stays strictly FIFO on one
-    worker at a time, and think-time parks the session without occupying a
-    worker.  Data loads (including ``replace=True`` reloads) route through
-    the same per-session queue, so a reload lands at a well-defined point
-    in the session's command order.  Per-session deterministic counters
-    (see :meth:`SessionMetrics.counters_snapshot`) are bit-identical to a
-    serial replay of the same traces.
+    * ``scheduler=None`` (the default): an
+      :class:`repro.core.scheduler.InlineLane` runs each item at once on the
+      calling thread.  One thread serves everyone, so a session's
+      think-time (the pause between a user's gestures) stalls the whole
+      server, and background work (tail merges, speculative warm-ups)
+      runs inline.
+    * ``scheduler=SchedulerConfig(...)`` or a worker count: a
+      :class:`repro.core.scheduler.GestureScheduler` queues items per
+      session and runs them on a worker pool — different sessions in
+      parallel, each session strictly FIFO on one worker at a time,
+      think-time parking the session without occupying a worker,
+      background work on its own lane.  :meth:`submit` (a future instead
+      of a result) is available only here.
+
+    Both run the same code, so per-session deterministic counters (see
+    :meth:`SessionMetrics.counters_snapshot`) are bit-identical whichever
+    lane serves the same traces.
+
+    **One plane.**  Every stat island (scheduler, index, storage, server,
+    speculation, tracer, flight recorder) is registered once, here, as a
+    collector on :attr:`telemetry`; ``index_stats()`` and its siblings are
+    views of one collector each, and a new island reaches
+    :meth:`telemetry_snapshot`, :meth:`exposition` and the sharded
+    ``stats`` / ``telemetry`` verbs with one ``register_collector`` call.
 
     **Shared base storage.**  Columns/tables registered once via
     :meth:`load_shared_column` / :meth:`load_shared_table` are attached to
@@ -1419,9 +1423,11 @@ class MultiSessionServer:
         if isinstance(scheduler, int):
             scheduler = SchedulerConfig(num_workers=scheduler)
         self._scheduler_config = scheduler
-        self._scheduler: GestureScheduler | None = None
-        if scheduler is not None:
-            self._scheduler = GestureScheduler(config=scheduler)
+        self._scheduler: GestureScheduler | None = (
+            GestureScheduler(config=scheduler) if scheduler is not None else None
+        )
+        #: where session work runs: the worker pool, or the calling thread
+        self._lane: GestureScheduler | InlineLane = self._scheduler or InlineLane()
         #: the server's telemetry plane: always present (collectors are
         #: scrape-time and free until polled), tracing opt-in via the
         #: ``tracing`` knob — a TraceConfig/True enables per-gesture span
@@ -1437,12 +1443,24 @@ class MultiSessionServer:
             # even a disabled tracer registers its (all-zero) counters, so
             # an untraced deployment still scrapes a complete schema
             self.tracer = Tracer(TraceConfig(enabled=False), registry=self.telemetry)
+        # every stat island, registered once: a shared manager/policy
+        # reports for itself, private per-session ones are pooled
         if self._scheduler is not None:
             self.telemetry.register_collector("scheduler", self._scheduler.stats.snapshot)
-        self.telemetry.register_collector("index", self.index_stats)
-        self.telemetry.register_collector("storage", self.storage_stats)
+        self.telemetry.register_collector(
+            "index",
+            shared_index.stats_snapshot
+            if shared_index is not None
+            else lambda: self._pooled_sessions("index_stats"),
+        )
+        self.telemetry.register_collector("storage", self._storage_report)
         self.telemetry.register_collector("server", self.aggregate_metrics)
-        self.telemetry.register_collector("speculation", self.speculation_stats)
+        self.telemetry.register_collector(
+            "speculation",
+            self._speculation.stats_snapshot
+            if self._speculation is not None
+            else lambda: self._pooled_sessions("speculation_stats"),
+        )
         if self.tracer.recorder is not None:
             self.telemetry.register_collector(
                 "flight_recorder", self.tracer.recorder.stats_snapshot
@@ -1463,15 +1481,11 @@ class MultiSessionServer:
 
     def scheduler_stats(self) -> dict[str, int] | None:
         """Snapshot of the scheduler's counters (``None`` in serial mode)."""
-        if self._scheduler is None:
-            return None
-        return self._scheduler.stats.snapshot()
+        return self.telemetry.collect("scheduler")
 
     def queue_depth(self, session_id: str | None = None) -> int:
         """Commands queued or executing (one session, or server-wide)."""
-        if self._scheduler is None:
-            return 0
-        return self._scheduler.queue_depth(session_id)
+        return self._lane.queue_depth(session_id)
 
     # ------------------------------------------------------------------ #
     # session lifecycle
@@ -1503,25 +1517,23 @@ class MultiSessionServer:
                     set_retention(config.result_retention)
             self._services[session_id] = service
             self._metrics[session_id] = SessionMetrics()
-        if self._scheduler is not None:
-            try:
-                self._scheduler.register_session(session_id)
-            except ServiceError:
-                with self._lock:
-                    del self._services[session_id]
-                    del self._metrics[session_id]
-                raise
+        try:
+            self._lane.register_session(session_id)
+        except ServiceError:
+            with self._lock:
+                del self._services[session_id]
+                del self._metrics[session_id]
+            raise
         return session_id
 
     def close_session(self, session_id: str) -> SessionMetrics:
         """Drop a session's service and return its final metrics.
 
-        In concurrent mode the session's queued-but-unstarted commands are
+        On a worker pool the session's queued-but-unstarted commands are
         cancelled and its in-flight command (if any) is waited out first.
         """
         self.service(session_id)
-        if self._scheduler is not None:
-            self._scheduler.unregister_session(session_id)
+        self._lane.unregister_session(session_id)
         with self._lock:
             del self._services[session_id]
             return self._metrics.pop(session_id)
@@ -1630,21 +1642,7 @@ class MultiSessionServer:
         snapshot this is load-dependent observability, kept separate from
         the :meth:`counters_report` parity surface.
         """
-        if self._shared_index is not None:
-            return self._shared_index.stats_snapshot()
-        with self._lock:
-            services = list(self._services.values())
-        totals: dict[str, int] = {}
-        seen = False
-        for service in services:
-            stats = getattr(service, "index_stats", None)
-            report = stats() if callable(stats) else None
-            if report is None:
-                continue
-            seen = True
-            for key, value in report.items():
-                totals[key] = totals.get(key, 0) + int(value)
-        return totals if seen else None
+        return self.telemetry.collect("index")
 
     @property
     def speculation(self) -> SpeculativePolicy | None:
@@ -1660,21 +1658,7 @@ class MultiSessionServer:
         :meth:`index_stats`, kept out of the :meth:`counters_report`
         parity surface.
         """
-        if self._speculation is not None:
-            return self._speculation.stats_snapshot()
-        with self._lock:
-            services = list(self._services.values())
-        totals: dict[str, int] = {}
-        seen = False
-        for service in services:
-            stats = getattr(service, "speculation_stats", None)
-            report = stats() if callable(stats) else None
-            if report is None:
-                continue
-            seen = True
-            for key, value in report.items():
-                totals[key] = totals.get(key, 0) + int(value)
-        return totals if seen else None
+        return self.telemetry.collect("speculation")
 
     def storage_stats(self) -> dict[str, int] | None:
         """Chunk-cache and memory-budget counters of the attached stores.
@@ -1686,36 +1670,37 @@ class MultiSessionServer:
         the store object directly.  Load-dependent like
         :meth:`index_stats`; never part of the parity surface.
         """
+        return self.telemetry.collect("storage")
+
+    def _pooled_sessions(self, report: str) -> dict[str, float] | None:
+        """The open sessions' private islands as one: ``merge_numeric``
+        over each service's ``report()`` (``None`` when none has one)."""
         with self._lock:
-            stores = list(self._shared_stores)
-        if not stores:
+            services = list(self._services.values())
+        reports = [
+            method() for service in services if callable(method := getattr(service, report, None))
+        ]
+        reports = [found for found in reports if found is not None]
+        return merge_numeric(reports) if reports else None
+
+    def _storage_report(self) -> dict[str, float] | None:
+        with self._lock:
+            caches = [catalog.store.cache for catalog in self._shared_stores]
+        if not caches:
             return None
-        totals = {
-            "chunk_hits": 0,
-            "chunk_misses": 0,
-            "chunk_insertions": 0,
-            "chunk_evictions": 0,
-            "bytes_cached": 0,
-            "cache_capacity_bytes": 0,
-        }
-        budgets: list[Any] = []
-        for catalog in stores:
-            cache = catalog.store.cache
-            stats = cache.stats
-            totals["chunk_hits"] += stats.hits
-            totals["chunk_misses"] += stats.misses
-            totals["chunk_insertions"] += stats.insertions
-            totals["chunk_evictions"] += stats.evictions
-            totals["bytes_cached"] += stats.bytes_cached
-            totals["cache_capacity_bytes"] += cache.capacity_bytes
-            budget = getattr(cache, "_budget", None)
-            if budget is not None and all(budget is not b for b in budgets):
-                budgets.append(budget)
-        if budgets:
-            totals["budget_capacity_bytes"] = sum(b.capacity_bytes for b in budgets)
-            totals["budget_used_bytes"] = sum(b.used_bytes for b in budgets)
-            totals["budget_participants"] = sum(len(b.participants) for b in budgets)
-        return totals
+        # a budget several stores share is counted once
+        budgets = {id(c.budget): c.budget for c in caches if c.budget is not None}
+        return merge_numeric(
+            [cache.stats_snapshot() for cache in caches]
+            + [
+                {
+                    "budget_capacity_bytes": budget.capacity_bytes,
+                    "budget_used_bytes": budget.used_bytes,
+                    "budget_participants": len(budget.participants),
+                }
+                for budget in budgets.values()
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # telemetry: traces and the merged snapshot
@@ -1772,10 +1757,10 @@ class MultiSessionServer:
     ) -> Column:
         """Load a column into one session's backend (session-private).
 
-        In concurrent mode the load routes through the session's FIFO
-        queue, so a mid-traffic ``replace=True`` reload lands *after*
-        every previously submitted command and *before* every later one —
-        no update can be lost between interleaved gestures.
+        The load is submitted to the session's lane like any command, so
+        a mid-traffic ``replace=True`` reload lands *after* every
+        previously submitted command and *before* every later one — no
+        update can be lost between interleaved gestures.
         """
 
         def load() -> Column:
@@ -1789,9 +1774,7 @@ class MultiSessionServer:
                 return service.load_column(name, values, replace=True)
             return service.load_column(name, values)
 
-        if self._scheduler is not None:
-            return self._scheduler.submit(session_id, load).result()
-        return load()
+        return self._lane.submit(session_id, load).result()
 
     def load_table(
         self,
@@ -1813,9 +1796,7 @@ class MultiSessionServer:
                 return loader(name, data, replace=True)
             return loader(name, data)
 
-        if self._scheduler is not None:
-            return self._scheduler.submit(session_id, load).result()
-        return load()
+        return self._lane.submit(session_id, load).result()
 
     def append_rows(
         self,
@@ -1828,16 +1809,15 @@ class MultiSessionServer:
     ) -> int:
         """Append rows to one session's loaded object; returns its new length.
 
-        Like :meth:`load_column`, the append routes through the session's
-        FIFO queue in concurrent mode, so it lands at a well-defined point
-        in the session's command order.  With ``merge`` (the default) the
-        cracked-index tail merge is scheduled on the scheduler's
-        background lane — gestures keep flowing and tail-scan until the
-        merge folds the appended rows into the pieces; in serial mode the
-        merge runs inline after the append.  A sampled append trace
-        continues onto the background lane: the merge records its span as
-        a second partial under the same trace id, stitched back under the
-        append span by :func:`repro.obs.trace.stitch_traces`.
+        Like :meth:`load_column`, the append is submitted to the session's
+        lane, so it lands at a well-defined point in the session's command
+        order.  With ``merge`` (the default) the cracked-index tail merge
+        follows on the background lane — on a worker pool gestures keep
+        flowing and tail-scan until the merge folds the appended rows into
+        the pieces; inline it runs right after the append.  A sampled
+        append trace continues onto the background lane: the merge records
+        its span as a second partial under the same trace id, stitched back
+        under the append span by :func:`repro.obs.trace.stitch_traces`.
         """
         ctx = _as_trace_context(trace)
 
@@ -1865,16 +1845,9 @@ class MultiSessionServer:
             ):
                 return self._merge_tails(session_id, object_name)
 
-        if self._scheduler is not None:
-            new_length, merge_ctx = self._scheduler.submit(session_id, append).result()
-            if merge:
-                self._scheduler.submit_background(
-                    lambda: merge_in_background(merge_ctx)
-                )
-            return new_length
-        new_length, merge_ctx = append()
+        new_length, merge_ctx = self._lane.submit(session_id, append).result()
         if merge:
-            merge_in_background(merge_ctx)
+            self._lane.submit_background(lambda: merge_in_background(merge_ctx))
         return new_length
 
     def _merge_tails(self, session_id: str, object_name: str) -> int:
@@ -1895,10 +1868,10 @@ class MultiSessionServer:
         trace: TraceContext | None = None,
         queued_monotonic: float | None = None,
     ) -> OutcomeEnvelope:
-        """Execute one command inline, recording its latency (and, when
-        sampled, its span tree — the tracer activates the trace on *this*
-        thread, which in concurrent mode is the scheduler worker, so the
-        kernel's ambient child spans attach to the right gesture)."""
+        """Execute one command on this thread, recording its latency (and,
+        when sampled, its span tree — the tracer activates the trace on the
+        thread the lane runs the work on, so the kernel's ambient child
+        spans attach to the right gesture)."""
         service = self.service(session_id)
         metrics = self.metrics(session_id)
         started = time.perf_counter()
@@ -1912,23 +1885,16 @@ class MultiSessionServer:
         return envelope
 
     def _schedule_speculation(self, service: ExplorationService) -> None:
-        """Run the session's pending speculative warm-up, if any.
-
-        Concurrent mode ships the job to the scheduler's background lane
-        so gestures never wait on warming; serial mode runs it inline
-        (warm-ups only touch caches and the policy's staging store, so
-        either way the command stream's counters are unaffected).
-        """
+        """Hand the session's pending speculative warm-up, if any, to the
+        background lane, so on a worker pool gestures never wait on warming
+        (warm-ups only touch caches and the policy's staging store: wherever
+        they run, the command stream's counters are unaffected)."""
         take = getattr(service, "take_speculation", None)
         if take is None:
             return
         job = take()
-        if job is None:
-            return
-        if self._scheduler is not None:
-            self._scheduler.submit_background(job)
-        else:
-            job()
+        if job is not None:
+            self._lane.submit_background(job)
 
     def execute(
         self,
@@ -1938,15 +1904,12 @@ class MultiSessionServer:
     ) -> OutcomeEnvelope:
         """Execute one command in one session and wait for its outcome.
 
-        In concurrent mode this submits to the session's queue and blocks
-        for the result, so it composes correctly with earlier ``submit``
-        calls (FIFO order is preserved).  ``trace`` optionally continues a
-        distributed trace (a :class:`repro.obs.trace.TraceContext` or its
-        wire dict).
+        Submits to the session's lane and blocks for the result, so it
+        composes correctly with earlier ``submit`` calls (FIFO order is
+        preserved).  ``trace`` optionally continues a distributed trace (a
+        :class:`repro.obs.trace.TraceContext` or its wire dict).
         """
-        if self._scheduler is not None:
-            return self.submit(session_id, command, trace=trace).result()
-        return self._execute_direct(session_id, command, trace=_as_trace_context(trace))
+        return self._submit(session_id, command, trace=trace).result()
 
     def submit(
         self,
@@ -1959,17 +1922,28 @@ class MultiSessionServer:
 
         ``think_s`` is the user's pause before this command (enforced from
         the completion of the session's previous command).  Concurrent
-        mode only.  The submit time is captured here so a sampled trace
-        records the scheduler ``queue_wait`` as its first child span.
+        mode only: inline, the "future" could only come back resolved.
         """
         if self._scheduler is None:
             raise ServiceError(
                 "submit() needs a concurrent server; construct "
                 "MultiSessionServer(scheduler=SchedulerConfig(...))"
             )
+        return self._submit(session_id, command, think_s=think_s, trace=trace)
+
+    def _submit(
+        self,
+        session_id: str,
+        command: GestureCommand,
+        think_s: float = 0.0,
+        trace: TraceContext | Mapping[str, Any] | None = None,
+    ) -> Future:
+        """Put one command on the session's lane.  Where a queue exists the
+        submit time is captured here, so a sampled trace records the
+        scheduler ``queue_wait`` as its first child span."""
         ctx = _as_trace_context(trace)
-        queued = time.perf_counter() if self.tracer.enabled else None
-        return self._scheduler.submit(
+        queued = time.perf_counter() if self.concurrent and self.tracer.enabled else None
+        return self._lane.submit(
             session_id,
             lambda: self._execute_direct(
                 session_id, command, trace=ctx, queued_monotonic=queued
@@ -2004,49 +1978,34 @@ class MultiSessionServer:
     ) -> dict[str, list[OutcomeEnvelope]]:
         """Drive a multi-user trace set to completion; envelopes per session.
 
-        The one entry point both serving modes share, so a benchmark can
-        compare identical workloads.  Serial mode interleaves sessions
-        round-robin on the calling thread and must *sleep out* every
-        command's think-time inline; concurrent mode submits each trace to
-        its session queue, where think-times overlap across sessions.
+        Commands are submitted to the lane round-robin across sessions —
+        each session's first, then each session's second, … — with their
+        think-times.  Inline that is the order they are served in, every
+        think-time slept out on the calling thread; on a worker pool
+        per-session FIFO makes the submission order irrelevant and
+        think-times overlap across sessions.  Same workload, same
+        counters, which is what lets a benchmark compare the two.
         """
-        order = [sid for sid in traces]
-        if self._scheduler is not None:
-            futures = {
-                sid: [
-                    self.submit(sid, timed.command, think_s=timed.think_s)
-                    for timed in traces[sid]
-                ]
-                for sid in order
-            }
-            return {sid: [f.result() for f in futures[sid]] for sid in order}
-        envelopes: dict[str, list[OutcomeEnvelope]] = {sid: [] for sid in order}
-        longest = max((len(traces[sid]) for sid in order), default=0)
-        for index in range(longest):
-            for sid in order:
-                trace = traces[sid]
-                if index >= len(trace):
-                    continue
-                timed = trace[index]
-                if timed.think_s > 0:
-                    time.sleep(timed.think_s)
-                envelopes[sid].append(self.execute(sid, timed.command))
-        return envelopes
+        futures: dict[str, list[Future]] = {sid: [] for sid in traces}
+        for step in itertools.zip_longest(*traces.values()):
+            for sid, timed in zip(traces, step):
+                if timed is not None:
+                    futures[sid].append(
+                        self._submit(sid, timed.command, think_s=timed.think_s)
+                    )
+        return {sid: [f.result() for f in pending] for sid, pending in futures.items()}
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Wait until every queued command has executed (concurrent mode)."""
-        if self._scheduler is None:
-            return True
-        return self._scheduler.drain(timeout=timeout)
+        """Wait until every queued command has executed."""
+        return self._lane.drain(timeout=timeout)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool (no-op in serial mode).
+        """Stop the lane (nothing to stop when it runs inline).
 
-        With ``wait`` the pool drains every queue first; otherwise queued
-        commands are cancelled and only in-flight ones complete.
+        With ``wait`` a worker pool drains every queue first; otherwise
+        queued commands are cancelled and only in-flight ones complete.
         """
-        if self._scheduler is not None:
-            self._scheduler.shutdown(wait=wait, cancel_pending=not wait)
+        self._lane.shutdown(wait=wait, cancel_pending=not wait)
 
     # ------------------------------------------------------------------ #
     # metrics
@@ -2111,8 +2070,8 @@ class MultiSessionServer:
             totals["wall_seconds"] / total_commands if total_commands else 0.0
         )
         pooled.sort()
-        totals["p50_command_wall_s"] = _nearest_rank(pooled, 0.5)
-        totals["p95_command_wall_s"] = _nearest_rank(pooled, 0.95)
+        totals["p50_command_wall_s"] = nearest_rank(pooled, 0.5)
+        totals["p95_command_wall_s"] = nearest_rank(pooled, 0.95)
         span = (max(lasts) - min(firsts)) if firsts and lasts else 0.0
         totals["throughput_cps"] = total_commands / span if span > 0.0 else 0.0
         return totals

@@ -276,59 +276,63 @@ class ShardManager:
     # ------------------------------------------------------------------ #
     # fleet-wide operations
     # ------------------------------------------------------------------ #
-    def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
-        """Aggregate every live shard's stats (dead shards are reported,
-        not raised — a half-dead fleet can still describe itself)."""
+    def _fan_out(
+        self, op: str, payload: dict | None = None, timeout: float | None = 30.0
+    ) -> dict[str, dict[str, Any]]:
+        """Send ``op`` to every live shard at once; replies by worker id.
+
+        A shard that fails or dies mid-request answers ``{"error": ...}``
+        as data, never raised — a half-dead fleet can still describe
+        itself, and no gather below needs its own error handling.
+        """
         futures = [
-            (handle.worker_id, handle.submit("stats")) for handle in self.workers if handle.alive
+            (handle.worker_id, handle.submit(op, payload=payload))
+            for handle in self.workers
+            if handle.alive
         ]
-        per_worker: dict[str, Any] = {}
-        sessions: dict[str, dict[str, int]] = {}
-        index_totals: dict[str, int] = {}
-        storage_totals: dict[str, int] = {}
-        speculation_totals: dict[str, int] = {}
-        any_index = False
-        any_storage = False
-        any_speculation = False
+        replies: dict[str, dict[str, Any]] = {}
         for worker_id, future in futures:
             try:
-                report = future.result(timeout=timeout)
+                replies[str(worker_id)] = future.result(timeout=timeout)
             except Exception as exc:  # noqa: BLE001 - reported as data
-                per_worker[str(worker_id)] = {"error": str(exc)}
-                continue
-            per_worker[str(worker_id)] = report
-            worker_sessions = report.get("sessions")
-            if isinstance(worker_sessions, dict):
-                sessions.update(worker_sessions)
-            worker_index = report.get("index")
-            if isinstance(worker_index, dict):
-                any_index = True
-                for key, value in worker_index.items():
-                    index_totals[key] = index_totals.get(key, 0) + int(value)
-            worker_storage = report.get("storage")
-            if isinstance(worker_storage, dict):
-                any_storage = True
-                for key, value in worker_storage.items():
-                    storage_totals[key] = storage_totals.get(key, 0) + int(value)
-            worker_speculation = report.get("speculation")
-            if isinstance(worker_speculation, dict):
-                any_speculation = True
-                for key, value in worker_speculation.items():
-                    speculation_totals[key] = speculation_totals.get(key, 0) + int(value)
+                replies[str(worker_id)] = {"error": str(exc)}
+        return replies
+
+    def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
+        """Aggregate every live shard's stats.
+
+        Fixed keys — ``num_workers``, ``alive_workers``, ``sessions`` (the
+        union of every shard's per-session parity counters) and
+        ``workers`` (each shard's own reply) — plus one section per stat
+        island: whatever mapping-valued sections the workers report are
+        key-wise summed with :func:`repro.obs.registry.merge_numeric`, so
+        an island a worker registers shows up here under its collector
+        name with no change to this file.  ``index``, ``storage`` and
+        ``speculation`` are always present, ``None`` when no shard
+        reports them.
+        """
+        replies = self._fan_out("stats", timeout=timeout)
+        sessions: dict[str, dict[str, int]] = {}
+        sections: dict[str, list[dict[str, Any]]] = {}
+        for report in replies.values():
+            for name, section in report.items():
+                if not isinstance(section, dict):
+                    continue
+                if name == "sessions":
+                    sessions.update(section)
+                else:
+                    sections.setdefault(name, []).append(section)
         return {
+            # defaults first, fixed keys last: a section can replace the
+            # former, never the latter
+            "index": None,
+            "storage": None,
+            "speculation": None,
+            **{name: merge_numeric(parts) for name, parts in sections.items()},
             "num_workers": len(self.workers),
             "alive_workers": self.alive_workers,
             "sessions": {sid: sessions[sid] for sid in sorted(sessions)},
-            # key-wise sum of every shard's adaptive-index counters and
-            # gauges; None when no shard runs the indexing tier
-            "index": index_totals if any_index else None,
-            # same treatment for the chunk-cache / memory-budget counters
-            # of each shard's attached store; None when serving in-memory
-            "storage": storage_totals if any_storage else None,
-            # and for every shard's mined-speculation counters; None when
-            # no shard serves with a speculation checkpoint
-            "speculation": speculation_totals if any_speculation else None,
-            "workers": per_worker,
+            "workers": replies,
         }
 
     def telemetry(self, timeout: float | None = 30.0) -> dict[str, Any]:
@@ -340,52 +344,25 @@ class ShardManager:
         (including each worker's own Prometheus exposition text).  Like
         :meth:`stats`, a dead shard is reported as data, never raised.
         """
-        futures = [
-            (handle.worker_id, handle.submit("telemetry"))
-            for handle in self.workers
-            if handle.alive
-        ]
-        per_worker: dict[str, Any] = {}
-        snapshots: list[dict[str, float]] = []
-        traces: list[dict[str, Any]] = []
-        slow_traces: list[dict[str, Any]] = []
-        for worker_id, future in futures:
-            try:
-                report = future.result(timeout=timeout)
-            except Exception as exc:  # noqa: BLE001 - reported as data
-                per_worker[str(worker_id)] = {"error": str(exc)}
-                continue
-            per_worker[str(worker_id)] = report
-            metrics = report.get("metrics")
-            if isinstance(metrics, dict):
-                snapshots.append(metrics)
-            for key, into in (("traces", traces), ("slow_traces", slow_traces)):
-                drained = report.get(key)
-                if isinstance(drained, list):
-                    into.extend(part for part in drained if isinstance(part, dict))
+        replies = self._fan_out("telemetry", timeout=timeout)
+        drained: dict[str, list[dict[str, Any]]] = {"traces": [], "slow_traces": []}
+        for report in replies.values():
+            for key, into in drained.items():
+                parts = report.get(key)
+                if isinstance(parts, list):
+                    into.extend(part for part in parts if isinstance(part, dict))
         return {
             "num_workers": len(self.workers),
             "alive_workers": self.alive_workers,
-            "metrics": merge_numeric(snapshots),
-            "traces": traces,
-            "slow_traces": slow_traces,
-            "workers": per_worker,
+            "metrics": merge_numeric(report.get("metrics") for report in replies.values()),
+            **drained,
+            "workers": replies,
         }
 
     def drain(self, timeout: float | None = None) -> bool:
         """Finish every in-flight gesture on every live shard."""
-        futures = [
-            handle.submit("drain", payload={"timeout": timeout})
-            for handle in self.workers
-            if handle.alive
-        ]
-        drained = True
-        for future in futures:
-            try:
-                drained = bool(future.result(timeout=timeout).get("drained")) and drained
-            except Exception:  # noqa: BLE001 - a crashed shard has nothing in flight
-                drained = False
-        return drained
+        replies = self._fan_out("drain", {"timeout": timeout}, timeout)
+        return all(bool(report.get("drained")) for report in replies.values())
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop every worker process (idempotent)."""

@@ -266,17 +266,18 @@ class _WorkerRuntime:
         self._reply(request_id, {"name": name, "rows": rows})
 
     def _op_stats(self, request_id: int, session: str | None, payload: dict) -> None:
+        """Reply one section per collector on the server's telemetry plane
+        (each island's own mapping, ``None`` when it has nothing to report)
+        around three fixed keys: ``worker``, ``sessions`` — the per-session
+        parity counters — and ``shared_objects``."""
+        telemetry = self.server.telemetry
         self._reply(
             request_id,
             {
+                **{name: telemetry.collect(name) for name in telemetry.collector_names},
                 "worker": self.worker_id,
                 "sessions": self.server.counters_report(),
-                "aggregate": self.server.aggregate_metrics(),
-                "scheduler": self.server.scheduler_stats(),
                 "shared_objects": self.server.shared_object_names,
-                "index": self.server.index_stats(),
-                "storage": self.server.storage_stats(),
-                "speculation": self.server.speculation_stats(),
             },
         )
 

@@ -18,6 +18,7 @@ The guarantees under test are the ones the ISSUE's north star depends on:
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,37 @@ class TestSerialVsConcurrentParity:
             assert stats["submitted"] == workload.total_commands
             assert stats["completed"] == workload.total_commands
             assert stats["failed"] == 0
+
+    def test_paced_uneven_traces_replay_alike_on_either_lane(self):
+        """One ``replay_traces`` body serves both lanes: three sessions of
+        unequal length, think-times on, same counters — and the inline
+        lane still sleeps every think-time out."""
+        workload = make_serving_workload(
+            num_sessions=3, gestures_per_session=5, num_rows=ROWS, mean_think_s=0.01, seed=17
+        )
+        traces = {
+            sid: trace[: len(trace) - cut]
+            for cut, (sid, trace) in enumerate(workload.traces.items())
+        }
+        assert len({len(trace) for trace in traces.values()}) == 3
+        think_total = sum(timed.think_s for trace in traces.values() for timed in trace)
+        assert think_total > 0
+
+        serial = MultiSessionServer(service_factory=pinned_factory)
+        workload.install(serial)
+        started = time.perf_counter()
+        serial_envelopes = serial.replay_traces(traces)
+        assert time.perf_counter() - started >= think_total
+
+        with MultiSessionServer(service_factory=pinned_factory, scheduler=2) as server:
+            workload.install(server)
+            concurrent_envelopes = server.replay_traces(traces)
+            assert server.counters_report() == serial.counters_report()
+        for sid, trace in traces.items():
+            assert len(serial_envelopes[sid]) == len(concurrent_envelopes[sid]) == len(trace)
+            assert [e.command_kind for e in serial_envelopes[sid]] == [
+                timed.command.kind for timed in trace
+            ]
 
     def test_concurrent_replay_is_repeatable(self):
         workload = make_serving_workload(

@@ -246,40 +246,16 @@ class TestFilterOnBatch:
 # cache, prefetch, results
 # --------------------------------------------------------------------- #
 class TestCacheBulkOps:
-    def test_put_many_get_many_round_trip(self):
-        cache = TouchCache(capacity=64, bucket_rows=4)
-        rowids = np.array([0, 4, 8, 200], dtype=np.int64)
-        cache.put_many("obj", rowids, [1.0, 2.0, 3.0, 4.0], np.ones(4, dtype=np.int64))
-        values, hits = cache.get_many("obj", rowids, np.ones(4, dtype=np.int64))
-        assert hits.all()
-        assert values == [1.0, 2.0, 3.0, 4.0]
-        # a different stride bucket misses
-        _, coarse_hits = cache.get_many("obj", rowids, np.full(4, 16, dtype=np.int64))
-        assert not coarse_hits.any()
-
     def test_stride_buckets_match_scalar_rule(self):
         strides = np.array([1, 2, 3, 4, 7, 8, 1023, 1024], dtype=np.int64)
         buckets = TouchCache.stride_buckets(strides)
         expected = [TouchCache._stride_bucket(int(s)) for s in strides]
         assert buckets.tolist() == expected
 
-    def test_collapsed_keys_mirror_tuple_keys(self):
-        cache = TouchCache(capacity=64, bucket_rows=16)
-        rng = np.random.default_rng(2)
-        rowids = rng.integers(0, 10_000, size=400)
-        strides = rng.integers(1, 2_000, size=400)
-        collapsed = cache.collapsed_keys(rowids, strides)
-        tuples = [cache._key("o", int(r), int(s))[1:] for r, s in zip(rowids, strides)]
-        # two references collapse to the same int exactly when _key agrees
-        seen: dict[int, tuple] = {}
-        for c, t in zip(collapsed.tolist(), tuples):
-            assert seen.setdefault(c, t) == t
-        assert len(set(collapsed.tolist())) == len(set(tuples))
-
     def test_presence_probe_round_trip(self):
-        # the probe must agree with the key scheme's vectorized mirror for
-        # tuple namespaces whose object names embed ":" — and leave the
-        # statistics and the recency order alone
+        # the probe must agree with contains() for tuple namespaces whose
+        # object names embed ":" — and leave the statistics and the
+        # recency order alone
         cache = TouchCache(capacity=256, bucket_rows=16)
         namespaces = [
             ("sales:2024", "scan"),
@@ -288,29 +264,24 @@ class TestCacheBulkOps:
             "sales:2024",
         ]
         rng = np.random.default_rng(5)
-        stored: dict = {}
         for namespace in namespaces:
             rowids = rng.integers(0, 5_000, size=20)
             strides = rng.integers(1, 600, size=20)
             for rowid, stride in zip(rowids.tolist(), strides.tolist()):
                 cache.put(namespace, rowid, float(rowid), stride)
-            stored[namespace] = set(cache.collapsed_keys(rowids, strides).tolist())
         order_before = list(cache._entries)
         lookups_before = cache.stats.lookups
         probe_rowids = rng.integers(0, 5_000, size=300)
-        present = 0
+        present = absent = 0
         for namespace in namespaces:
             for stride in (1, 3, 40, 511, 512):
                 probe = cache.presence_probe(namespace, stride)
-                collapsed = cache.collapsed_keys(
-                    probe_rowids, np.full(probe_rowids.size, stride)
-                ).tolist()
-                for rowid, key in zip(probe_rowids.tolist(), collapsed):
-                    expected = key in stored[namespace]
+                for rowid in probe_rowids.tolist():
+                    expected = cache.contains(namespace, rowid, stride)
                     assert probe(rowid) is expected
-                    assert cache.contains(namespace, rowid, stride) is expected
                     present += expected
-        assert present > 0
+                    absent += not expected
+        assert present > 0 and absent > 0
         assert list(cache._entries) == order_before
         assert cache.stats.lookups == lookups_before
 
@@ -333,17 +304,16 @@ class TestCacheBulkOps:
         ]
 
     def test_bulk_ops_match_loop_semantics(self):
-        bulk = TouchCache(capacity=8, bucket_rows=4)
-        loop = TouchCache(capacity=8, bucket_rows=4)
+        # a put loop past capacity keeps the newest entries, oldest first
+        cache = TouchCache(capacity=8, bucket_rows=4)
         rowids = list(range(0, 48, 4))  # 12 distinct buckets > capacity
-        values = [float(r) for r in rowids]
-        strides = [1] * len(rowids)
-        bulk.put_many("o", np.array(rowids), values, np.array(strides))
-        for r, v, s in zip(rowids, values, strides):
-            loop.put("o", r, v, s)
-        assert len(bulk) == len(loop) == 8
-        assert bulk._entries == loop._entries
-        assert bulk.stats.evictions == loop.stats.evictions
+        for rowid in rowids:
+            cache.put("o", rowid, float(rowid), 1)
+        assert len(cache) == 8
+        assert cache.stats.evictions == 4
+        assert list(cache._entries.items()) == [
+            (("o", r // 4, 1), float(r)) for r in rowids[4:]
+        ]
 
 
 class TestGestureReplay:
@@ -385,7 +355,8 @@ class TestGestureReplay:
                 budget = MemoryBudget(256 * budget_entries)
                 # a peer that sheds first, as the chunk cache would
                 peer = TouchCache(capacity=4, budget=budget)
-                peer.put_many("peer", np.arange(4) * 64, [0.0] * 4, np.ones(4))
+                for rowid in range(0, 4 * 64, 64):
+                    peer.put("peer", rowid, 0.0, 1)
                 budget.peer = peer  # keep it alive with the budget
             cache = TouchCache(capacity=capacity, bucket_rows=16, budget=budget)
             for rowid in range(0, 96, 16):  # some pre-gesture entries
@@ -786,7 +757,8 @@ class TestFullCacheParity:
             budget = MemoryBudget(256 * budget_entries)
             # a second participant, charged first and so reclaimed first
             peer = TouchCache(capacity=16, budget=budget)
-            peer.put_many("peer", np.arange(16) * 64, [0.0] * 16, np.ones(16))
+            for rowid in range(0, 16 * 64, 64):
+                peer.put("peer", rowid, 0.0, 1)
         session = ExplorationSession(
             profile=profile,
             config=KernelConfig(

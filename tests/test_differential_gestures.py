@@ -26,6 +26,7 @@ from repro.core.actions import (
 from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
+from repro.indexing.manager import IndexManager
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.storage.column import Column
@@ -201,7 +202,8 @@ def test_stochastic_cracking_scripts_bit_identical(kind, seed):
     on = ExplorationSession(
         profile=FAST_PROFILE,
         config=KernelConfig(
-            enable_indexing=True, stochastic_cracking=True, crack_seed=seed
+            enable_indexing=True,
+            index_manager=IndexManager(stochastic=True, crack_seed=seed),
         ),
     )
     off = ExplorationSession(
@@ -228,8 +230,6 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
     by an IndexManager that spills chunk crackers through the same store
     replays seeded scripts bit-identically to the indexing-off reference,
     and bulk selections stay exact through spill/revive cycles."""
-    from repro.indexing.manager import IndexManager
-
     rng = np.random.default_rng(seed)
     data = np.sort(rng.integers(0, 1_000_000, size=30_000, dtype=np.int64))
     store = DiskColumnStore(tmp_path / "store", cache_bytes=1 << 20)

@@ -243,6 +243,26 @@ class TestServerTelemetry:
         finally:
             server.shutdown()
 
+    def test_a_new_island_is_one_register_collector_call(self):
+        server = MultiSessionServer()
+        server.telemetry.register_collector("demo", lambda: {"x": 2})
+        assert server.telemetry.collect("demo") == {"x": 2}
+        assert "demo" in server.telemetry.collector_names
+        assert server.telemetry_snapshot()["demo_x"] == 2.0
+        assert "repro_demo_x 2\n" in server.exposition()
+
+    def test_stats_methods_are_views_of_their_collectors(self):
+        server = MultiSessionServer(shared_index=True)
+        sid = server.open_session()
+        server.load_column(sid, "data", np.arange(NUM_ROWS, dtype=np.int64))
+        server.run(sid, make_script())
+        assert server.index_stats() == server.index_manager.stats_snapshot()
+        assert server.index_stats() == server.telemetry.collect("index")
+        # nothing registered, nothing to report: the None cases
+        assert server.scheduler_stats() is None
+        assert server.speculation_stats() is None
+        assert server.telemetry.collect("no-such-island") is None
+
     def test_flight_recorder_property_and_slow_log(self):
         server = MultiSessionServer(
             scheduler=SchedulerConfig(num_workers=2),

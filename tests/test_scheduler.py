@@ -14,7 +14,12 @@ import time
 import pytest
 
 from repro.core.result_stream import ResultStream
-from repro.core.scheduler import GestureScheduler, SchedulerConfig, SchedulerStats
+from repro.core.scheduler import (
+    GestureScheduler,
+    InlineLane,
+    SchedulerConfig,
+    SchedulerStats,
+)
 from repro.errors import AdmissionError, ServiceError, VisualizationError
 from repro.service import OutcomeEnvelope, SessionMetrics
 
@@ -619,3 +624,48 @@ class TestBackgroundLane:
         scheduler.shutdown(wait=True)
         with pytest.raises(ServiceError):
             scheduler.submit_background(lambda: None)
+
+
+class TestInlineLane:
+    """Serial mode's lane: the scheduler's submit surface, no pool behind it."""
+
+    def test_result_comes_back_resolved(self):
+        future = InlineLane().submit("s1", lambda: 42)
+        assert future.done()
+        assert future.result(timeout=0) == 42
+
+    def test_work_exception_is_reraised_by_result_as_the_same_object(self):
+        boom = VisualizationError("boom")
+
+        def work():
+            raise boom
+
+        future = InlineLane().submit("s1", work)
+        assert future.done()
+        with pytest.raises(VisualizationError) as caught:
+            future.result(timeout=0)
+        assert caught.value is boom
+
+    def test_think_time_is_slept_before_the_work(self):
+        lane = InlineLane()
+        started = time.monotonic()
+        ran_at = lane.submit("s1", time.monotonic, think_s=0.05).result(timeout=0)
+        assert ran_at - started >= 0.05
+
+    def test_submit_background_runs_and_raises_inline(self):
+        lane = InlineLane()
+        assert lane.submit_background(lambda: "merged").result(timeout=0) == "merged"
+        with pytest.raises(VisualizationError):
+            lane.submit_background(lambda: (_ for _ in ()).throw(VisualizationError("boom")))
+
+    def test_nothing_is_ever_queued(self):
+        lane = InlineLane()
+        lane.register_session("s1")
+        lane.submit("s1", lambda: None)
+        assert lane.queue_depth() == 0
+        assert lane.queue_depth("s1") == 0
+        assert lane.drain() is True
+        assert lane.drain(timeout=0.0) is True
+        assert lane.unregister_session("s1") == 0
+        lane.shutdown(wait=True, cancel_pending=True)
+        assert lane.submit("s1", lambda: "still serving").result(timeout=0) == "still serving"

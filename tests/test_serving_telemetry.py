@@ -9,11 +9,13 @@ outcome counters stay bit-identical to a serial, untraced replay.
 
 import re
 import socket
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro import GestureScript, LocalExplorationService, ShowColumn, Slide
+from repro.errors import WorkerCrashedError
 from repro.obs import TraceConfig, stitch_traces
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -24,6 +26,7 @@ from repro.serving import (
     WorkerConfig,
 )
 from repro.serving.protocol import FrameDecoder, encode_frame
+from repro.serving.shards import ShardManager
 from repro.storage.column import Column
 
 NUM_ROWS = 50_000
@@ -219,6 +222,85 @@ class TestTelemetryVerb:
             assert storage["cache_capacity_bytes"] == 2 * (1 << 20)  # summed
             for report in stats["workers"].values():
                 assert "storage" in report
+
+
+    def test_stats_sections_equal_telemetry_metrics(self, server):
+        """One plane: what ``stats`` sums per island is what ``telemetry``
+        flattens, key for key, when nothing runs between the two scrapes."""
+        with ShardedClient("127.0.0.1", server.port, session_id="mirror") as client:
+            client.run(make_script("mirror-v"))
+            stats = client.stats()
+            metrics = client.telemetry()["metrics"]
+            for island in ("index", "storage"):
+                assert stats[island], island
+                for key, value in stats[island].items():
+                    assert metrics[f"{island}_{key}"] == value, (island, key)
+
+
+class _StubHandle:
+    """A worker handle that answers from a canned reply (no process)."""
+
+    alive = True
+
+    def __init__(self, worker_id: int, reply):
+        self.worker_id = worker_id
+        self.reply = reply
+        self.requests: list[tuple] = []
+
+    def submit(self, op, session=None, payload=None) -> Future:
+        self.requests.append((op, payload))
+        future: Future = Future()
+        if isinstance(self.reply, Exception):
+            future.set_exception(self.reply)
+        else:
+            future.set_result(self.reply)
+        return future
+
+
+def stub_fleet(*replies) -> ShardManager:
+    fleet = ShardManager.__new__(ShardManager)  # skip __init__: nothing forks
+    fleet.workers = [_StubHandle(i, reply) for i, reply in enumerate(replies)]
+    return fleet
+
+
+class TestFanOut:
+    def test_stats_merges_whatever_sections_workers_report(self):
+        fleet = stub_fleet(
+            {"worker": 0, "sessions": {"a": {"commands": 1}}, "demo": {"x": 2}, "index": None},
+            {"worker": 1, "sessions": {"b": {"commands": 3}}, "demo": {"x": 2}, "index": None},
+            WorkerCrashedError("worker 2 died mid-request"),
+        )
+        stats = fleet.stats()
+        assert stats["demo"] == {"x": 4}  # an island shards.py never heard of
+        assert stats["sessions"] == {"a": {"commands": 1}, "b": {"commands": 3}}
+        assert stats["index"] is None and stats["storage"] is None
+        assert stats["speculation"] is None
+        assert stats["num_workers"] == 3
+        # the failing shard is reported as data and skipped by the merge
+        assert stats["workers"]["2"] == {"error": "worker 2 died mid-request"}
+        assert stats["workers"]["0"]["demo"] == {"x": 2}
+
+    def test_dead_shards_are_not_asked(self):
+        fleet = stub_fleet({"worker": 0}, {"worker": 1})
+        fleet.workers[1].alive = False
+        assert fleet._fan_out("ping") == {"0": {"worker": 0}}
+        assert fleet.workers[1].requests == []
+
+    def test_drain_and_telemetry_share_the_gather(self):
+        fleet = stub_fleet({"drained": True}, {"drained": True})
+        assert fleet.drain(timeout=1.5) is True
+        assert fleet.workers[0].requests == [("drain", {"timeout": 1.5})]
+        assert stub_fleet({"drained": True}, {"drained": False}).drain() is False
+        assert stub_fleet({"drained": True}, WorkerCrashedError("gone")).drain() is False
+        report = stub_fleet(
+            {"metrics": {"index_cracks": 1}, "traces": [{"id": "t"}], "slow_traces": []},
+            {"metrics": {"index_cracks": 2}, "traces": ["mangled"], "slow_traces": [{"id": "s"}]},
+            WorkerCrashedError("gone"),
+        ).telemetry()
+        assert report["metrics"] == {"index_cracks": 3}
+        assert report["traces"] == [{"id": "t"}]
+        assert report["slow_traces"] == [{"id": "s"}]
+        assert report["workers"]["2"] == {"error": "gone"}
 
 
 class TestBackCompat:
