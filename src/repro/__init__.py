@@ -39,8 +39,8 @@ Subpackages
     The dbTouch kernel (touch mapping, gestures, commands, summaries,
     adaptivity) and the session facade.
 ``repro.service``
-    The backend-agnostic exploration services (local, remote,
-    multi-session).
+    The backend-agnostic exploration protocol, the in-process backend
+    and the multi-session server.
 ``repro.storage``
     Fixed-width numpy columns, tables, layouts, sample hierarchies.
 ``repro.persist``
@@ -58,7 +58,10 @@ Subpackages
 ``repro.baseline``
     The monolithic "traditional DBMS" comparison engine.
 ``repro.remote``
-    Simulated client/server building blocks for remote processing.
+    The simulated split deployment of the paper's Section 2.9: server,
+    link and per-rowid client, and the
+    :class:`~repro.RemoteExplorationService` backend that composes them
+    with the local backend as its device side.
 ``repro.workloads``
     Synthetic data generators, scenarios (as gesture scripts) and the
     exploration contest.
@@ -153,12 +156,12 @@ from repro.persist import (
     PagedColumn,
     StoreCatalog,
 )
+from repro.remote import RemoteExplorationService
 from repro.service import (
     ExplorationService,
     LocalExplorationService,
     MultiSessionServer,
     OutcomeEnvelope,
-    RemoteExplorationService,
     SessionMetrics,
 )
 from repro.serving import (

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 
 import numpy as np
 
@@ -87,7 +86,6 @@ from repro.core.actions import ActionKind
 from repro.obs.trace import trace_span
 from repro.touchio.recognizer import GestureType
 
-_INT64_MAX = np.iinfo(np.int64).max
 #: Per-touch latencies are quantized to multiples of 2^-40 s (~1 ps): n
 #: such multiples (n * value < 2^53 quanta) sum exactly in float64, so the
 #: mean of the constant amortized-latency list equals its max.
@@ -482,79 +480,29 @@ class BatchSlideExecutor:
     # ------------------------------------------------------------------ #
     # prefetched-rowid bookkeeping
     # ------------------------------------------------------------------ #
-    def _prefetch_membership(
-        self, state, rowids, read_times, add_rows, add_times
-    ) -> int:
+    def _prefetch_membership(self, state, rowids, read_times, add_rows, add_times) -> int:
         """Replay the prefetched-rowid set against this gesture's touches.
 
         A touch is a prefetch hit when its rowid is in the set at touch
         time (carried over from earlier gestures or added by an earlier
-        proposal of this gesture); a hit consumes the rowid.  Rowids
-        touched once are resolved vectorized; the rare revisited rowids of
-        a back-and-forth gesture fall back to an exact per-rowid merge.
+        proposal of this gesture); a hit consumes the rowid.  This is the
+        per-touch loop's own walk over the gesture's timeline: before each
+        touch, the proposals that landed ahead of it join the set.
         Updates ``state.prefetched_rowids`` and returns the hit count.
         """
-        initial: set = state.prefetched_rowids  # updated in place, never walked
-        if not initial and not add_rows.size:
+        prefetched: set = state.prefetched_rowids  # updated in place, never walked
+        if not prefetched and not add_rows.size:
             return 0
-        unique_r, counts = np.unique(rowids, return_counts=True)
-        positions = np.searchsorted(unique_r, rowids)
-
-        min_add = np.full(unique_r.size, _INT64_MAX, dtype=np.int64)
-        max_add = np.full(unique_r.size, np.int64(-1), dtype=np.int64)
-        stray_adds: list[int] = []
-        if add_rows.size:
-            add_pos = np.searchsorted(unique_r, add_rows)
-            in_range = add_pos < unique_r.size
-            matched = np.zeros(add_rows.size, dtype=bool)
-            matched[in_range] = unique_r[add_pos[in_range]] == add_rows[in_range]
-            np.minimum.at(min_add, add_pos[matched], add_times[matched])
-            np.maximum.at(max_add, add_pos[matched], add_times[matched])
-            stray_adds = add_rows[~matched].tolist()
-
-        # probe the carried-over set with this gesture's rowids only: it
-        # grows with the session, the gesture does not
-        touched = unique_r.tolist()
-        in_initial = np.fromiter(
-            (value in initial for value in touched), dtype=bool, count=len(touched)
-        )
-
-        single = counts == 1
-        # scatter each single-occurrence rowid's read time to its slot
-        read_time_u = np.zeros(unique_r.size, dtype=np.int64)
-        read_time_u[positions] = read_times
-        hit_u = single & (in_initial | (min_add < read_time_u))
-        final_u = single & (max_add > read_time_u)
-        hits = int(hit_u.sum())
-
-        # exact merge for rowids touched more than once
-        multi = np.nonzero(~single)[0]
-        if multi.size:
-            adds_by_value: dict[int, list[int]] = defaultdict(list)
-            if add_rows.size:
-                multi_values = set(unique_r[multi].tolist())
-                for value, when in zip(add_rows.tolist(), add_times.tolist()):
-                    if value in multi_values:
-                        adds_by_value[value].append(when)
-            order = np.argsort(positions, kind="stable")
-            starts = np.cumsum(counts) - counts
-            for u in multi.tolist():
-                value = int(unique_r[u])
-                touch_idx = order[starts[u] : starts[u] + counts[u]]
-                merged = sorted(
-                    [(int(read_times[j]), 0) for j in touch_idx]
-                    + [(when, 1) for when in adds_by_value.get(value, ())]
-                )
-                present = value in initial
-                for _, is_add in merged:
-                    if is_add:
-                        present = True
-                    elif present:
-                        hits += 1
-                        present = False
-                final_u[u] = present
-
-        initial.difference_update(touched)
-        initial.update(unique_r[final_u].tolist())
-        initial.update(stray_adds)
+        adds = add_rows.tolist()
+        add_at = add_times.tolist()  # ascending: proposals are in event order
+        num_adds = len(adds)
+        landed = hits = 0
+        for rowid, read_at in zip(rowids.tolist(), read_times.tolist()):
+            while landed < num_adds and add_at[landed] < read_at:
+                prefetched.add(adds[landed])
+                landed += 1
+            if rowid in prefetched:
+                hits += 1
+                prefetched.remove(rowid)
+        prefetched.update(adds[landed:])
         return hits

@@ -8,7 +8,7 @@ round-trip.  Because a script is plain data, the same exploration can be
 
 * executed in-process (``repro.service.LocalExplorationService``),
 * shipped over a simulated network link to a server that holds the base
-  data (``repro.service.RemoteExplorationService``), or
+  data (``repro.remote.RemoteExplorationService``), or
 * recorded from an interactive :class:`repro.ExplorationSession` and
   replayed later, byte-for-byte.
 

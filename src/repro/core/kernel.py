@@ -62,6 +62,10 @@ from repro.touchio.events import TouchEvent, TouchPhase, TouchStream
 from repro.touchio.recognizer import GestureRecognizer, GestureType, RecognizedGesture
 from repro.touchio.views import View, make_column_view, make_table_view
 
+#: Fraction of a table converted immediately when a rotate gesture triggers
+#: an incremental layout change (and per zoom-in while it is in progress).
+_ROTATION_SAMPLE_FRACTION = 0.05
+
 
 @dataclass
 class KernelConfig:
@@ -80,11 +84,6 @@ class KernelConfig:
         Down-sampling factor between consecutive sample-hierarchy levels.
     fade_seconds:
         How long a displayed result value stays visible.
-    touch_granularity:
-        Number of tuples snapped together per touch position (1 = finest).
-    rotation_sample_fraction:
-        Fraction of a table converted immediately when a rotate gesture
-        triggers an incremental layout change.
     batch_execution:
         Execute eligible slide gestures as one vectorized batch
         (:class:`repro.core.batch.BatchSlideExecutor`) instead of the
@@ -143,8 +142,6 @@ class KernelConfig:
     cache_capacity: int = 4096
     sample_factor: int = 4
     fade_seconds: float = 1.5
-    touch_granularity: int = 1
-    rotation_sample_fraction: float = 0.05
     batch_execution: bool = True
     max_retained_results: int | None = None
     memory_budget: MemoryBudget | None = None
@@ -206,21 +203,6 @@ class GestureOutcome:
         }
 
 
-def update_stride(state, rowid: int) -> int:
-    """The slide stride-detection rule, shared by every backend.
-
-    ``state`` is any object with ``last_rowid``/``current_stride``
-    attributes (the kernel's object state locally, the device-side state in
-    :class:`repro.service.RemoteExplorationService`).  Both backends must
-    apply the identical rule or local-vs-remote replays diverge.
-    """
-    if state.last_rowid is not None:
-        stride = abs(rowid - state.last_rowid)
-        if stride > 0:
-            state.current_stride = stride
-    return max(1, state.current_stride)
-
-
 @dataclass
 class _ObjectState:
     """Kernel-side state attached to one visualized data object."""
@@ -258,7 +240,7 @@ class DbTouchKernel:
         self.device = device
         self.config = config if config is not None else KernelConfig()
         self.recognizer = GestureRecognizer()
-        self.mapper = TouchMapper(granularity=self.config.touch_granularity)
+        self.mapper = TouchMapper()
         self.cache = TouchCache(
             capacity=self.config.cache_capacity, budget=self.config.memory_budget
         )
@@ -839,7 +821,13 @@ class DbTouchKernel:
         return None
 
     def _update_stride(self, state: _ObjectState, rowid: int) -> int:
-        return update_stride(state, rowid)
+        """The slide stride-detection rule of the per-touch loop (the batch
+        paths derive the same sequence in ``dedupe_slide_batch``)."""
+        if state.last_rowid is not None:
+            stride = abs(rowid - state.last_rowid)
+            if stride > 0:
+                state.current_stride = stride
+        return max(1, state.current_stride)
 
     def _process_touch(
         self,
@@ -1059,7 +1047,7 @@ class DbTouchKernel:
         if state.rotation is not None and scale > 1.0 and not state.rotation.progress.complete:
             converted = state.rotation.progress.fraction_converted
             state.rotation.convert_rows_for_sample(
-                min(1.0, converted + self.config.rotation_sample_fraction)
+                min(1.0, converted + _ROTATION_SAMPLE_FRACTION)
             )
         return GestureOutcome(
             gesture_type=gesture.gesture_type,
@@ -1083,7 +1071,7 @@ class DbTouchKernel:
                 else LayoutKind.COLUMN_STORE
             )
             state.rotation = IncrementalRotation(state.table, source_kind=source)
-            state.rotation.convert_rows_for_sample(self.config.rotation_sample_fraction)
+            state.rotation.convert_rows_for_sample(_ROTATION_SAMPLE_FRACTION)
             state.layout_kind = new_kind
             # the physical representation is mutating incrementally from
             # here on; cached reads of the old layout must not survive

@@ -35,29 +35,6 @@ class SchemaGestureOutcome:
     new_position: tuple[float, float] | None = None
 
 
-def pan_view_frame(view: View, dx_cm: float, dy_cm: float, profile) -> SchemaGestureOutcome:
-    """Move ``view`` by (dx, dy) centimeters, clamped to ``profile``'s screen.
-
-    This is the whole pan gesture; it only needs a device profile, so both
-    the kernel-backed :class:`SchemaGestures` and the remote device side
-    share it.
-    """
-    new_x = min(
-        max(0.0, view.frame.x + dx_cm),
-        max(0.0, profile.screen_width_cm - view.frame.width),
-    )
-    new_y = min(
-        max(0.0, view.frame.y + dy_cm),
-        max(0.0, profile.screen_height_cm - view.frame.height),
-    )
-    view.frame = Rect(new_x, new_y, view.frame.width, view.frame.height)
-    return SchemaGestureOutcome(
-        gesture="pan",
-        moved_view=view.name,
-        new_position=(new_x, new_y),
-    )
-
-
 class SchemaGestures:
     """Schema/layout gestures bound to a kernel (catalog + device + views)."""
 
@@ -69,7 +46,21 @@ class SchemaGestures:
     # ------------------------------------------------------------------ #
     def pan_view(self, view: View, dx_cm: float, dy_cm: float) -> SchemaGestureOutcome:
         """Move ``view`` by (dx, dy) centimeters, clamped to the screen."""
-        return pan_view_frame(view, dx_cm, dy_cm, self._kernel.device.profile)
+        profile = self._kernel.device.profile
+        new_x = min(
+            max(0.0, view.frame.x + dx_cm),
+            max(0.0, profile.screen_width_cm - view.frame.width),
+        )
+        new_y = min(
+            max(0.0, view.frame.y + dy_cm),
+            max(0.0, profile.screen_height_cm - view.frame.height),
+        )
+        view.frame = Rect(new_x, new_y, view.frame.width, view.frame.height)
+        return SchemaGestureOutcome(
+            gesture="pan",
+            moved_view=view.name,
+            new_position=(new_x, new_y),
+        )
 
     # ------------------------------------------------------------------ #
     # drag a column out of a table

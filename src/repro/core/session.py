@@ -95,7 +95,7 @@ class ExplorationSession:
         The backend executing the session's commands.  ``None`` (the
         default) creates a private in-process
         :class:`repro.service.LocalExplorationService` from the other
-        parameters; pass a :class:`repro.service.RemoteExplorationService`
+        parameters; pass a :class:`repro.remote.RemoteExplorationService`
         to run the same gestures against a simulated server deployment.
     """
 

@@ -1,8 +1,10 @@
 """Remote processing: device-local samples backed by a simulated server.
 
-This package provides the building blocks (server, link, per-rowid client);
-:class:`repro.service.RemoteExplorationService` composes them into a full
-gesture-speaking backend behind the exploration-service protocol.
+A *model* of the paper's Section 2.9 split deployment, not a transport:
+the building blocks (server, simulated link, per-rowid client) and
+:class:`RemoteExplorationService`, which composes them with the local
+backend's front half into a full gesture-speaking backend behind the
+exploration-service protocol.  Real sockets live in :mod:`repro.serving`.
 """
 
 from repro.remote.client import (
@@ -22,6 +24,7 @@ from repro.remote.network import (
     SimulatedLink,
 )
 from repro.remote.server import RemoteResponse, RemoteServer
+from repro.remote.service import RemoteExplorationService
 
 __all__ = [
     "LAN",
@@ -33,6 +36,7 @@ __all__ = [
     "NetworkProfile",
     "NetworkStats",
     "RemoteExplorationClient",
+    "RemoteExplorationService",
     "RemotePolicy",
     "RemoteResponse",
     "RemoteServer",

@@ -11,13 +11,14 @@ the seam that makes both worlds speak the same language:
   :class:`OutcomeEnvelope` objects either way;
 * :class:`LocalExplorationService` — the in-process path: a private
   catalog/device/kernel/synthesizer per service;
-* :class:`RemoteExplorationService` — gestures synthesized device-side,
-  touches answered from device-local samples and refined over a
-  :class:`repro.remote.network.SimulatedLink` under a
-  :class:`repro.remote.client.RemotePolicy`;
 * :class:`MultiSessionServer` — N independent services behind one façade,
   with per-session and aggregate metrics (the concurrency substrate for
   sharding and scale-out work).
+
+The simulated split deployment, :class:`repro.remote.RemoteExplorationService`,
+lives next to the server, link and client it composes; it *uses* the local
+backend as its device side, so this module imports nothing from
+:mod:`repro.remote` (the name stays importable from here, lazily).
 
 :class:`repro.ExplorationSession` is a thin facade over a service: every
 imperative method builds a command and calls ``execute``.
@@ -36,7 +37,6 @@ from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, runtime
 
 import numpy as np
 
-from repro.core.actions import ActionKind, QueryAction
 from repro.core.commands import (
     AppendCommand,
     ChooseAction,
@@ -56,18 +56,11 @@ from repro.core.commands import (
     ZoomIn,
     ZoomOut,
 )
-from repro.core.batch import dedupe_slide_batch
 from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
 from repro.core.scheduler import GestureScheduler, InlineLane, SchedulerConfig
-from repro.core.schema_gestures import (
-    SchemaGestureOutcome,
-    SchemaGestures,
-    pan_view_frame,
-)
-from repro.core.touch_mapping import TouchMapper
-from repro.engine.aggregate import AggregateKind, make_aggregate
+from repro.core.schema_gestures import SchemaGestureOutcome, SchemaGestures
 from repro.engine.filter import Predicate
-from repro.errors import IngestError, RemoteError, ServiceError
+from repro.errors import IngestError, ServiceError
 from repro.indexing.manager import IndexManager, RangeSelection
 from repro.mining.model import GestureTransitionModel
 from repro.mining.policy import SpeculationPlan, SpeculativePolicy
@@ -76,18 +69,23 @@ from repro.obs.registry import TelemetryRegistry, merge_numeric
 from repro.obs.stats import nearest_rank
 from repro.obs.trace import Trace, TraceConfig, TraceContext, Tracer
 from repro.persist.snapshot import StoreCatalog
-from repro.remote.client import RemoteExplorationClient, RemotePolicy
-from repro.remote.network import WAN, NetworkProfile, SimulatedLink
-from repro.remote.server import RemoteServer
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.sample import SampleHierarchy
 from repro.storage.table import Table
 from repro.touchio.device import DeviceProfile, IPAD1, TouchDevice
 from repro.touchio.events import TouchStream
-from repro.touchio.recognizer import GestureRecognizer, GestureType
 from repro.touchio.synthesizer import GestureSynthesizer
-from repro.touchio.views import View, make_column_view
+from repro.touchio.views import View
+
+
+def __getattr__(name: str) -> Any:
+    # the remote backend moved to repro.remote, which imports this module
+    if name == "RemoteExplorationService":
+        from repro.remote.service import RemoteExplorationService
+
+        return RemoteExplorationService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -164,52 +162,6 @@ class OutcomeEnvelope:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed outcome-envelope payload: {exc}") from exc
-
-
-def default_axis(view: View) -> str:
-    """Slide axis implied by a view's orientation (shared by all backends)."""
-    props = view.properties
-    if props is not None and props.orientation == "horizontal":
-        return "horizontal"
-    return "vertical"
-
-
-def synthesize_touch_stream(
-    synthesizer: GestureSynthesizer,
-    view: View,
-    command: Slide | SlidePath | Tap,
-    now: float,
-) -> TouchStream:
-    """Turn a touch-gesture command into the stream a finger would produce.
-
-    Both backends route through this one helper so the local kernel and the
-    remote device side always see identical touch streams for the same
-    command — the precondition for local-vs-remote parity.
-    """
-    axis = getattr(command, "axis", None)
-    if axis is None:
-        axis = default_axis(view)
-    if isinstance(command, Slide):
-        return synthesizer.slide(
-            view,
-            duration=command.duration,
-            start_fraction=command.start_fraction,
-            end_fraction=command.end_fraction,
-            axis=axis,
-            cross_fraction=command.cross_fraction,
-            start_time=now,
-        )
-    if isinstance(command, SlidePath):
-        return synthesizer.slide_path(
-            view,
-            list(command.segments),
-            axis=axis,
-            cross_fraction=command.cross_fraction,
-            start_time=now,
-        )
-    if isinstance(command, Tap):
-        return synthesizer.tap(view, fraction=command.fraction, axis=axis, start_time=now)
-    raise ServiceError(f"cannot synthesize a touch stream for command {command.kind!r}")
 
 
 @runtime_checkable
@@ -592,7 +544,7 @@ class LocalExplorationService:
                 object_name=self.kernel.state_of(command.view).object_name,
             )
         if isinstance(command, (Slide, SlidePath, Tap, ZoomIn, ZoomOut, Rotate)):
-            stream = self._synthesize(command)
+            stream = self.synthesize(command)
             self.device.advance_clock(stream.duration)
             outcome = self.kernel.handle_stream(stream)
             return self._gesture_envelope(command, outcome)
@@ -633,7 +585,6 @@ class LocalExplorationService:
             return OutcomeEnvelope(
                 command_kind=command.kind,
                 backend=self.backend,
-                view_name=None,
                 object_name=command.object_name,
                 payload={"num_rows": new_length},
             )
@@ -708,11 +659,12 @@ class LocalExplorationService:
         # and gestures must land on the view the kernel will map against
         return self.kernel.state_of(view_name).view
 
-    def _synthesize(self, command: GestureCommand) -> TouchStream:
+    def synthesize(self, command: GestureCommand) -> TouchStream:
+        """Turn a gesture command into the stream a finger would produce
+        (the remote backend's touch path calls this on its device side, so
+        both backends see identical streams for the same command)."""
         view = self._target_view(command.view)
         now = self.device.now
-        if isinstance(command, (Slide, SlidePath, Tap)):
-            return synthesize_touch_stream(self.synthesizer, view, command, now)
         if isinstance(command, (ZoomIn, ZoomOut)):
             return self.synthesizer.zoom(
                 view,
@@ -722,6 +674,30 @@ class LocalExplorationService:
             )
         if isinstance(command, Rotate):
             return self.synthesizer.rotate(view, duration=command.duration, start_time=now)
+        axis = getattr(command, "axis", None)
+        if axis is None:
+            # slide along the view's orientation
+            axis = view.properties.orientation if view.properties is not None else "vertical"
+        if isinstance(command, Slide):
+            return self.synthesizer.slide(
+                view,
+                duration=command.duration,
+                start_fraction=command.start_fraction,
+                end_fraction=command.end_fraction,
+                axis=axis,
+                cross_fraction=command.cross_fraction,
+                start_time=now,
+            )
+        if isinstance(command, SlidePath):
+            return self.synthesizer.slide_path(
+                view,
+                list(command.segments),
+                axis=axis,
+                cross_fraction=command.cross_fraction,
+                start_time=now,
+            )
+        if isinstance(command, Tap):
+            return self.synthesizer.tap(view, fraction=command.fraction, axis=axis, start_time=now)
         raise ServiceError(f"cannot synthesize a stream for command {command.kind!r}")
 
     def _show_envelope(
@@ -759,432 +735,6 @@ class LocalExplorationService:
             view_name=view_name,
             payload=outcome,
         )
-
-
-# --------------------------------------------------------------------- #
-# the remote backend
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class _RemoteObjectState:
-    """Device-side state for one explored remote column."""
-
-    view: View
-    object_name: str
-    client: RemoteExplorationClient
-    action: QueryAction = field(default_factory=QueryAction)
-    aggregate: Any = None
-    last_rowid: int | None = None
-    current_stride: int = 1
-
-
-_SUMMARY_FUNCS: dict[AggregateKind, Callable[[np.ndarray], float]] = {
-    AggregateKind.COUNT: lambda a: float(a.size),
-    AggregateKind.SUM: lambda a: float(np.sum(a)),
-    AggregateKind.AVG: lambda a: float(np.mean(a)),
-    AggregateKind.MIN: lambda a: float(np.min(a)),
-    AggregateKind.MAX: lambda a: float(np.max(a)),
-    AggregateKind.STD: lambda a: float(np.std(a)),
-}
-
-
-class RemoteExplorationService:
-    """Gesture exploration against a server that holds the base data.
-
-    The device side synthesizes the same touch streams as the local backend
-    (same device profile, synthesizer and touch→rowid mapping), but every
-    touch is answered under a :class:`RemotePolicy`: immediately from the
-    device-local sample, by shipping the touch over the simulated link, or
-    hybrid — local answer first, remote refinement only when the gesture's
-    granularity outruns the local sample.  The remote backend hosts
-    standalone columns only; table-shaped commands raise
-    :class:`repro.errors.RemoteError`.
-    """
-
-    backend = "remote"
-
-    def __init__(
-        self,
-        server: RemoteServer | None = None,
-        link: SimulatedLink | None = None,
-        policy: RemotePolicy = RemotePolicy.HYBRID,
-        profile: DeviceProfile = IPAD1,
-        network_profile: NetworkProfile = WAN,
-        local_sample_rows: int = 4096,
-        jitter_cm: float = 0.0,
-        seed: int = 11,
-    ) -> None:
-        self.server = server if server is not None else RemoteServer()
-        self.link = link if link is not None else SimulatedLink(network_profile)
-        self.policy = policy
-        self.profile = profile
-        self.local_sample_rows = local_sample_rows
-        self.jitter_cm = jitter_cm
-        self.seed = seed
-        self.reset()
-
-    def reset(self) -> None:
-        """Reset the device side (views, clients, clock); keep hosted data."""
-        self.device = TouchDevice(self.profile)
-        self.synthesizer = GestureSynthesizer(
-            self.profile, jitter_cm=self.jitter_cm, seed=self.seed
-        )
-        self.recognizer = GestureRecognizer()
-        self.mapper = TouchMapper()
-        self.link.reset()
-        self._states: dict[str, _RemoteObjectState] = {}
-
-    # ------------------------------------------------------------------ #
-    # host-side data management
-    # ------------------------------------------------------------------ #
-    def load_column(self, name: str, values: Iterable, replace: bool = False) -> Column:
-        """Host a column on the remote server (mirrors the local signature).
-
-        Hosting is idempotent per name (``RemoteServer.ensure_hosted``):
-        when many device sessions share one server, the first load pays the
-        hierarchy build and later loads of the same name reuse the hosted
-        data — swapping the data intentionally is what ``replace`` is for.
-
-        With ``replace``, an already-hosted column is swapped for the new
-        data (a reload): the server rebuilds its sample hierarchy, and
-        every device-side view of the object gets a fresh exploration
-        client — its local sample was drawn from the old data and must not
-        answer touches against the reload — plus re-scaled view metadata
-        and reset slide-tracking state, mirroring the local backend's
-        ``refresh_object`` path.
-        """
-        column = _as_named_column(name, values)
-        if replace and self.server.hosts(name):
-            self.server.host_column(column, replace=True)
-            self._refresh_remote_states(name, column)
-            return column
-        return self.server.ensure_hosted(column)
-
-    def _refresh_remote_states(self, name: str, column: Column) -> None:
-        """Re-bind shown views of ``name`` after its hosted data changed."""
-        for state in self._states.values():
-            if state.object_name != name:
-                continue
-            state.client = RemoteExplorationClient(
-                self.server,
-                self.link,
-                name,
-                policy=self.policy,
-                local_sample_rows=self.local_sample_rows,
-            )
-            state.last_rowid = None
-            state.current_stride = 1
-            if state.aggregate is not None:
-                state.aggregate = make_aggregate(state.action.aggregate)
-            properties = state.view.properties
-            if properties is not None:
-                properties.num_tuples = len(column)
-                properties.dtype_names = (column.dtype.name,)
-                properties.size_bytes = column.size_bytes
-
-    # ------------------------------------------------------------------ #
-    # live ingestion
-    # ------------------------------------------------------------------ #
-    def append_rows(
-        self,
-        object_name: str,
-        values: Iterable | None = None,
-        columns: Mapping[str, Iterable] | None = None,
-    ) -> int:
-        """Append rows to a hosted column (mirrors the local signature).
-
-        The hosted column grows in place; its server-side sample hierarchy
-        sampled the pre-append rows, so it is rebuilt, and every shown
-        device-side view gets a fresh exploration client and re-scaled
-        metadata — the same re-bind a ``replace`` reload performs.
-        """
-        if columns is not None:
-            raise RemoteError(
-                "the remote backend hosts standalone columns only; "
-                "table appends are a local-backend feature"
-            )
-        if values is None:
-            raise IngestError("append_rows needs values= for a hosted column")
-        if not self.server.hosts(object_name):
-            raise IngestError(
-                f"server does not host a column named {object_name!r}; "
-                "load_column() it before appending"
-            )
-        column = self.server.column(object_name)
-        new_length = column.append_batch(values)
-        self.server.host_column(column, replace=True)
-        self._refresh_remote_states(object_name, column)
-        return new_length
-
-    # ------------------------------------------------------------------ #
-    # the service protocol
-    # ------------------------------------------------------------------ #
-    def execute(self, command: GestureCommand) -> OutcomeEnvelope:
-        """Execute one gesture command through the remote machinery."""
-        if isinstance(command, AppendCommand):
-            new_length = self.append_rows(
-                command.object_name, values=command.values, columns=command.columns
-            )
-            return OutcomeEnvelope(
-                command_kind=command.kind,
-                backend=self.backend,
-                view_name=None,
-                object_name=command.object_name,
-                payload={"num_rows": new_length},
-            )
-        if isinstance(command, ShowColumn):
-            return self._show_column(command)
-        if isinstance(command, ChooseAction):
-            return self._choose_action(command)
-        if isinstance(command, (Slide, SlidePath, Tap)):
-            return self._touch_gesture(command)
-        if isinstance(command, (ZoomIn, ZoomOut)):
-            return self._zoom(command)
-        if isinstance(command, Rotate):
-            return self._rotate(command)
-        if isinstance(command, Pan):
-            return self._pan(command)
-        if isinstance(command, (ShowTable, DragColumnOut, GroupColumns, UngroupTable)):
-            raise RemoteError(
-                "the remote backend hosts standalone columns only; "
-                f"command {command.kind!r} needs a table object"
-            )
-        raise ServiceError(
-            f"the remote backend does not understand command kind {command.kind!r}"
-        )
-
-    def run(self, script: GestureScript) -> list[OutcomeEnvelope]:
-        """Execute a whole script in order."""
-        return [self.execute(command) for command in script]
-
-    # ------------------------------------------------------------------ #
-    # command handlers
-    # ------------------------------------------------------------------ #
-    def _state(self, view_name: str) -> _RemoteObjectState:
-        if view_name not in self._states:
-            raise RemoteError(f"no remote data object is shown under view {view_name!r}")
-        return self._states[view_name]
-
-    def _show_column(self, command: ShowColumn) -> OutcomeEnvelope:
-        if command.column_name is not None:
-            raise RemoteError(
-                "the remote backend addresses hosted columns directly; "
-                "table-attribute lookups are a local-backend feature"
-            )
-        if not self.server.hosts(command.object_name):
-            raise RemoteError(
-                f"server does not host a column named {command.object_name!r}; "
-                "load_column() it before showing it"
-            )
-        column = self.server.column(command.object_name)
-        name = command.view_name if command.view_name is not None else f"{command.object_name}-view"
-        view = make_column_view(
-            name=name,
-            object_name=command.object_name,
-            num_tuples=len(column),
-            height_cm=command.height_cm,
-            width_cm=command.width_cm,
-            x=command.x,
-            y=command.y,
-            dtype_names=(column.dtype.name,),
-            size_bytes=column.size_bytes,
-        )
-        self.device.add_view(view)
-        client = RemoteExplorationClient(
-            self.server,
-            self.link,
-            command.object_name,
-            policy=self.policy,
-            local_sample_rows=self.local_sample_rows,
-        )
-        self._states[name] = _RemoteObjectState(
-            view=view, object_name=command.object_name, client=client
-        )
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=name,
-            object_name=command.object_name,
-            payload=view,
-        )
-
-    def _choose_action(self, command: ChooseAction) -> OutcomeEnvelope:
-        state = self._state(command.view)
-        action = command.action
-        if action.kind not in (ActionKind.SCAN, ActionKind.AGGREGATE, ActionKind.SUMMARY):
-            raise RemoteError(
-                f"the remote backend supports scan/aggregate/summary actions, "
-                f"not {action.kind.value!r}"
-            )
-        state.action = action
-        state.aggregate = (
-            make_aggregate(action.aggregate) if action.kind is ActionKind.AGGREGATE else None
-        )
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=command.view,
-            object_name=state.object_name,
-        )
-
-    def _touch_gesture(self, command: Slide | SlidePath | Tap) -> OutcomeEnvelope:
-        state = self._state(command.view)
-        stream = synthesize_touch_stream(self.synthesizer, state.view, command, self.device.now)
-        self.device.advance_clock(stream.duration)
-        gesture = self.recognizer.recognize(stream)
-        requests_before = self.link.stats.requests
-        seconds_before = self.link.stats.simulated_seconds
-        outcome = GestureOutcome(
-            gesture_type=gesture.gesture_type,
-            view_name=gesture.view_name,
-            object_name=state.object_name,
-            duration_s=gesture.duration,
-        )
-        if gesture.gesture_type is GestureType.TAP:
-            # a tap asks for the exact value under the finger and, like
-            # the local kernel, leaves the slide-tracking state untouched
-            mapped = self.mapper.map_touch(state.view, gesture.events[-1].primary)
-            self._answer_touch(state, mapped.rowid, 1, outcome)
-        else:
-            # the whole slide is mapped and deduplicated in one numpy pass
-            # (the same batched mapping the local kernel uses); each touch
-            # is then answered under the remote policy as before
-            mapped_batch = self.mapper.map_batch(
-                state.view, gesture.events, active_only=True
-            )
-            if len(mapped_batch):
-                keep, strides = dedupe_slide_batch(
-                    mapped_batch.rowids, state.last_rowid, state.current_stride
-                )
-                kept = mapped_batch.rowids[keep]
-                for rowid, stride in zip(kept.tolist(), strides.tolist()):
-                    self._answer_touch(state, int(rowid), int(stride), outcome)
-                if kept.size:
-                    state.last_rowid = int(kept[-1])
-                    state.current_stride = int(strides[-1])
-        if state.aggregate is not None:
-            outcome.final_aggregate = state.aggregate.current()
-        envelope = OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=gesture.view_name,
-            object_name=state.object_name,
-            payload=outcome,
-            **outcome.counters(),
-        )
-        envelope.remote_requests = self.link.stats.requests - requests_before
-        envelope.network_seconds = self.link.stats.simulated_seconds - seconds_before
-        return envelope
-
-    def _answer_touch(
-        self,
-        state: _RemoteObjectState,
-        rowid: int,
-        stride: int,
-        outcome: GestureOutcome,
-    ) -> None:
-        action = state.action
-        outcome.rowids_touched.append(rowid)
-        if action.kind is ActionKind.SUMMARY:
-            value, examined, response_s = state.client.summary_touch(
-                rowid, action.summary_k, stride, _SUMMARY_FUNCS[action.aggregate]
-            )
-        else:
-            answer = state.client.touch(rowid, stride_hint=stride)
-            value = (
-                answer.refined_value
-                if answer.refined_value is not None
-                else answer.immediate_value
-            )
-            examined = 1
-            response_s = answer.response_time_s
-        outcome.tuples_examined += examined
-        outcome.per_touch_latencies_s.append(response_s)
-        if action.predicate is not None and not action.predicate.matches(value):
-            return
-        if state.aggregate is not None:
-            state.aggregate.on_touch(rowid, value)
-        outcome.entries_returned += 1
-
-    def _zoom(self, command: ZoomIn | ZoomOut) -> OutcomeEnvelope:
-        state = self._state(command.view)
-        stream = self._gesture_stream(command, state)
-        gesture = self.recognizer.recognize(stream)
-        scale = gesture.scale if gesture.scale > 0 else 1.0
-        state.view.resize(scale)
-        outcome = GestureOutcome(
-            gesture_type=gesture.gesture_type,
-            view_name=command.view,
-            object_name=state.object_name,
-            duration_s=gesture.duration,
-            zoom_scale=scale,
-        )
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=command.view,
-            object_name=state.object_name,
-            duration_s=gesture.duration,
-            payload=outcome,
-        )
-
-    def _rotate(self, command: Rotate) -> OutcomeEnvelope:
-        state = self._state(command.view)
-        stream = self._gesture_stream(command, state)
-        gesture = self.recognizer.recognize(stream)
-        state.view.rotate()
-        outcome = GestureOutcome(
-            gesture_type=GestureType.ROTATE,
-            view_name=command.view,
-            object_name=state.object_name,
-            duration_s=gesture.duration,
-        )
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=command.view,
-            object_name=state.object_name,
-            duration_s=gesture.duration,
-            payload=outcome,
-        )
-
-    def _gesture_stream(self, command: ZoomIn | ZoomOut | Rotate, state: _RemoteObjectState):
-        now = self.device.now
-        if isinstance(command, Rotate):
-            stream = self.synthesizer.rotate(state.view, duration=command.duration, start_time=now)
-        else:
-            stream = self.synthesizer.zoom(
-                state.view,
-                zoom_in=isinstance(command, ZoomIn),
-                duration=command.duration,
-                start_time=now,
-            )
-        self.device.advance_clock(stream.duration)
-        return stream
-
-    def _pan(self, command: Pan) -> OutcomeEnvelope:
-        state = self._state(command.view)
-        moved = pan_view_frame(state.view, command.dx_cm, command.dy_cm, self.profile)
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=command.view,
-            object_name=state.object_name,
-            payload=moved,
-        )
-
-    # ------------------------------------------------------------------ #
-    # accounting
-    # ------------------------------------------------------------------ #
-    @property
-    def network_seconds(self) -> float:
-        """Total simulated network time spent so far."""
-        return self.link.stats.simulated_seconds
-
-    def client_for(self, view_name: str) -> RemoteExplorationClient:
-        """The device-side client answering touches for ``view_name``."""
-        return self._state(view_name).client
 
 
 # --------------------------------------------------------------------- #
@@ -1732,7 +1282,7 @@ class MultiSessionServer:
         """Register shared objects into a fresh service's private catalog."""
         catalog = getattr(service, "catalog", None)
         if catalog is None:
-            return  # remote-style backend: nothing to attach into
+            return  # a remote device holds no base data: nothing to attach into
         for column in self._shared_columns.values():
             catalog.register_column(column)
         for table in self._shared_tables.values():

@@ -15,7 +15,7 @@ GIL-bound in one interpreter, while per-session
 a single-process serial replay.
 
 :class:`~repro.serving.client.ShardedClient` mirrors
-:class:`repro.service.RemoteExplorationService`'s service surface, so an
+:class:`repro.remote.RemoteExplorationService`'s service surface, so an
 :class:`repro.ExplorationSession` works unchanged over the wire.
 """
 

@@ -116,7 +116,7 @@ class WorkerHandle:
                 self._conn.send(message)
             except (OSError, ValueError, BrokenPipeError):
                 del self._pending[request_id]
-                self._mark_dead_locked()
+                self._alive = False
                 future.set_exception(
                     WorkerCrashedError(f"worker {self.worker_id} pipe is closed")
                 )
@@ -164,13 +164,9 @@ class WorkerHandle:
     # ------------------------------------------------------------------ #
     # crash handling
     # ------------------------------------------------------------------ #
-    def _mark_dead_locked(self) -> None:
-        self._alive = False
-
     def _on_crash(self) -> None:
         """Pipe EOF: fail everything pending with a typed crash error."""
         with self._lock:
-            already_dead = not self._alive
             self._alive = False
             pending = list(self._pending.values())
             self._pending.clear()
@@ -188,8 +184,6 @@ class WorkerHandle:
             self._ready.set_exception(
                 WorkerCrashedError(f"worker {self.worker_id} exited before serving{detail}")
             )
-        if already_dead:
-            return
 
     def stop(self, timeout: float = 5.0) -> None:
         """Ask the worker to exit; escalate to terminate if it will not."""

@@ -44,7 +44,7 @@ class Scenario:
 
         Works against any backend exposing ``load_column`` (both
         :class:`repro.service.LocalExplorationService` and
-        :class:`repro.service.RemoteExplorationService` do), which is what
+        :class:`repro.remote.RemoteExplorationService` do), which is what
         lets the scenario scripts below run locally or remotely unchanged.
         """
         for column in self.table.columns:
