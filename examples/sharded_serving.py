@@ -15,6 +15,9 @@ The walk-through:
 * explore it from an ordinary :class:`repro.ExplorationSession` — the
   session drives a :class:`repro.serving.ShardedClient` exactly the way
   it drives an in-process service,
+* append rows to a session-private column over the same wire — an append
+  is a gesture command like any other — and watch the shard fold the
+  appended tail into its cracked index in the background,
 * read the fleet-wide ``stats`` aggregation, then drain and shut down.
 
 Run it with::
@@ -29,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Column, DiskColumnStore, ExplorationSession, StoreCatalog
+from repro import Column, DiskColumnStore, ExplorationSession, StoreCatalog, scan_action
+from repro.engine.filter import Comparison, Predicate
 from repro.serving import (
     ShardedClient,
     ShardedServer,
@@ -104,9 +108,29 @@ def main() -> None:
                 )
 
                 # ---------------------------------------------------- #
+                # live ingestion over the wire: an append is a command
+                # ---------------------------------------------------- #
+                rng = np.random.default_rng(11)
+                session.load_column("readings", rng.uniform(0.0, 100.0, 5_000).tolist())
+                session.show_column("readings", view_name="r", height_cm=10.0)
+                hot = Predicate(Comparison.BETWEEN, 40.0, upper=60.0)
+                session.choose_action("r", scan_action(hot))
+                session.slide("r", duration=1.0)  # cracks the index on "readings"
+                rows = session.append("readings", values=rng.uniform(0.0, 100.0, 500))
+                after = session.slide("r", duration=1.0)
+                print(
+                    f"\nappended over the wire: 'readings' now has {rows:,} rows; "
+                    f"the next slide returned {after.entries_returned} entries"
+                )
+
+                # ---------------------------------------------------- #
                 # fleet-wide stats, aggregated across every worker
                 # ---------------------------------------------------- #
                 stats = wire.stats()
+                print(
+                    "background tail merges the shard has run since the append: "
+                    f"{int(stats['index']['tail_merges'])}"
+                )
                 print(
                     f"\nfleet: workers alive {stats['alive_workers']}, "
                     f"sessions {sorted(stats['sessions'])}"

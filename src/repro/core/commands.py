@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Iterator, Sequence
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.actions import ActionKind, QueryAction
 from repro.engine.aggregate import AggregateKind
@@ -121,7 +121,7 @@ class GestureCommand:
         """Encode the command (including its ``kind`` tag) as plain data."""
         payload: dict[str, Any] = {"kind": self.kind}
         for spec in fields(self):
-            payload[spec.name] = _encode_value(getattr(self, spec.name))
+            payload[spec.name] = encode_value(getattr(self, spec.name))
         return payload
 
     @staticmethod
@@ -151,7 +151,8 @@ class GestureCommand:
             raise CommandError(f"malformed {kind!r} command payload: {exc}") from exc
 
 
-def _encode_value(value: Any) -> Any:
+def encode_value(value: Any) -> Any:
+    """One command field (or data value) as plain JSON-compatible data."""
     if isinstance(value, QueryAction):
         return action_to_dict(value)
     if isinstance(value, SlideSegment):
@@ -162,9 +163,12 @@ def _encode_value(value: Any) -> Any:
             "pause_after": value.pause_after,
         }
     if isinstance(value, (tuple, list)):
-        return [_encode_value(item) for item in value]
+        return [encode_value(item) for item in value]
     if isinstance(value, dict):
-        return {key: _encode_value(item) for key, item in value.items()}
+        return {key: encode_value(item) for key, item in value.items()}
+    item = getattr(value, "item", None)
+    if item is not None and not isinstance(value, (int, float, str, bool)):
+        return item()  # numpy scalar -> exact Python scalar
     return value
 
 
@@ -188,6 +192,8 @@ def _decode_field(name: str, value: Any) -> Any:
                 f"field 'columns' must map attribute names to lists, got {value!r}"
             )
         return {key: tuple(rows) for key, rows in value.items()}
+    if name == "values" and value is not None and not isinstance(value, list):
+        raise CommandError(f"field 'values' must be a list, got {value!r}")
     if isinstance(value, list):
         return tuple(value)
     return value
@@ -343,13 +349,32 @@ class AppendCommand(GestureCommand):
     *every* attribute name to an equal-length row batch — the storage
     tier appends all-or-nothing, so a partial schema is refused before
     any column grows.  Values travel as JSON numbers, which restricts
-    wire-borne appends to finite numerics.
+    wire-borne appends to finite numerics.  On a serving host
+    (:class:`repro.service.MultiSessionServer`, and so every shard worker)
+    the cracked-index tail merge follows on the background lane; on a bare
+    service it is the caller's (``merge_index_tails``).
     """
 
     kind: ClassVar[str] = "append"
     object_name: str = ""
     values: tuple[float, ...] | None = None
     columns: dict[str, tuple[float, ...]] | None = None
+
+    @classmethod
+    def of(
+        cls,
+        object_name: str,
+        values: Iterable | None = None,
+        columns: Mapping[str, Iterable] | None = None,
+    ) -> "AppendCommand":
+        """The command for appending any row iterables (arrays included)."""
+        return cls(
+            object_name=object_name,
+            values=None if values is None else tuple(values),
+            columns=None
+            if columns is None
+            else {name: tuple(rows) for name, rows in columns.items()},
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -339,19 +339,7 @@ class ExplorationSession:
         indexes keep their pieces and tail-scan the appended rows until
         the backend merges them in.  Returns the object's new row count.
         """
-        normalized_values = None if values is None else tuple(values)
-        normalized_columns = (
-            None
-            if columns is None
-            else {name: tuple(rows) for name, rows in columns.items()}
-        )
-        envelope = self._execute(
-            AppendCommand(
-                object_name=object_name,
-                values=normalized_values,
-                columns=normalized_columns,
-            )
-        )
+        envelope = self._execute(AppendCommand.of(object_name, values, columns))
         return int(envelope.payload["num_rows"])
 
     def show_column(

@@ -119,9 +119,11 @@ class OutcomeEnvelope:
 
         Counter fields are coerced to plain ``int``/``float`` so the dict
         is always JSON-encodable — the kernel accumulates some counters as
-        numpy scalars, which ``json.dumps`` refuses.
+        numpy scalars, which ``json.dumps`` refuses.  Only a plain-``dict``
+        payload (an append's ``{"num_rows": n}``: data, not a live object)
+        gets a ``payload`` key.
         """
-        return {
+        wire = {
             "command_kind": self.command_kind,
             "backend": self.backend,
             "view_name": self.view_name,
@@ -135,13 +137,17 @@ class OutcomeEnvelope:
             "remote_requests": int(self.remote_requests),
             "network_seconds": float(self.network_seconds),
         }
+        if type(self.payload) is dict:
+            wire["payload"] = self.payload
+        return wire
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "OutcomeEnvelope":
         """Rebuild an envelope from :meth:`to_dict` output (wire side).
 
-        The ``payload`` attribute stays ``None`` — live outcome objects
-        never cross the wire; only the measurement surface does.  Raises
+        The ``payload`` attribute is the wire's plain-data one or ``None`` —
+        live outcome objects never cross the wire; only the measurement
+        surface does.  Raises
         :class:`repro.errors.ServiceError` on a malformed payload so
         protocol clients surface a typed error instead of a ``KeyError``.
         """
@@ -159,6 +165,7 @@ class OutcomeEnvelope:
                 max_touch_latency_s=float(payload.get("max_touch_latency_s", 0.0)),
                 remote_requests=int(payload.get("remote_requests", 0)),
                 network_seconds=float(payload.get("network_seconds", 0.0)),
+                payload=payload.get("payload"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed outcome-envelope payload: {exc}") from exc
@@ -1354,54 +1361,33 @@ class MultiSessionServer:
         object_name: str,
         values: Iterable | None = None,
         columns: Mapping[str, Iterable] | None = None,
-        merge: bool = True,
         trace: TraceContext | Mapping[str, Any] | None = None,
     ) -> int:
         """Append rows to one session's loaded object; returns its new length.
 
-        Like :meth:`load_column`, the append is submitted to the session's
-        lane, so it lands at a well-defined point in the session's command
-        order.  With ``merge`` (the default) the cracked-index tail merge
-        follows on the background lane — on a worker pool gestures keep
-        flowing and tail-scan until the merge folds the appended rows into
-        the pieces; inline it runs right after the append.  A sampled
-        append trace continues onto the background lane: the merge records
-        its span as a second partial under the same trace id, stitched back
-        under the append span by :func:`repro.obs.trace.stitch_traces`.
+        A convenience over :meth:`execute` of an
+        :class:`repro.core.commands.AppendCommand`: same place in the
+        session's command order, same background tail merge as an append
+        arriving in a script, a trace replay or over the wire.
         """
-        ctx = _as_trace_context(trace)
+        command = AppendCommand.of(object_name, values, columns)
+        return self.execute(session_id, command, trace=trace).payload["num_rows"]
 
-        def append() -> tuple[int, TraceContext | None]:
-            service = self.service(session_id)
-            appender = getattr(service, "append_rows", None)
-            if appender is None:
-                raise ServiceError(
-                    f"the {getattr(service, 'backend', '?')!r} backend has no append_rows"
-                )
-            with self.tracer.gesture(
-                "append", ctx=ctx, session=session_id, object=object_name
-            ) as root:
-                new_length = appender(object_name, values=values, columns=columns)
-                # captured before the root closes so the background merge
-                # attaches *under* the append span, not beside it
-                merge_ctx = root.context() if root is not None else None
-            return new_length, merge_ctx
+    def _merge_tails(
+        self, session_id: str, object_name: str, ctx: TraceContext | None = None
+    ) -> int:
+        """Fold appended index tails in; tolerant of a just-closed session.
 
-        def merge_in_background(merge_ctx: TraceContext | None) -> int:
-            if merge_ctx is None:  # the append wasn't sampled: merge untraced too
-                return self._merge_tails(session_id, object_name)
+        ``ctx`` is the append's own span context: the merge records its
+        span as a second partial under the same trace id, stitched back
+        under the append span by :func:`repro.obs.trace.stitch_traces`.
+        ``None`` (the append wasn't sampled) merges untraced too.
+        """
+        if ctx is not None:
             with self.tracer.gesture(
-                "merge_tails", ctx=merge_ctx, lane="background", object=object_name
+                "merge_tails", ctx=ctx, lane="background", object=object_name
             ):
                 return self._merge_tails(session_id, object_name)
-
-        new_length, merge_ctx = self._lane.submit(session_id, append).result()
-        if merge:
-            self._lane.submit_background(lambda: merge_in_background(merge_ctx))
-        return new_length
-
-    def _merge_tails(self, session_id: str, object_name: str) -> int:
-        """Fold appended index tails in; tolerant of a just-closed session."""
         if self._shared_index is not None:
             return self._shared_index.merge_tails(object_name)
         try:
@@ -1421,16 +1407,27 @@ class MultiSessionServer:
         """Execute one command on this thread, recording its latency (and,
         when sampled, its span tree — the tracer activates the trace on the
         thread the lane runs the work on, so the kernel's ambient child
-        spans attach to the right gesture)."""
+        spans attach to the right gesture).
+
+        The one place that knows what follows an append: its tail merge goes
+        to the background lane — a pool keeps serving gestures, which
+        tail-scan until it lands; inline it runs right after the append."""
         service = self.service(session_id)
         metrics = self.metrics(session_id)
         started = time.perf_counter()
         queue_wait_s = (started - queued_monotonic) if queued_monotonic is not None else None
         with self.tracer.gesture(
             command.kind, ctx=trace, queue_wait_s=queue_wait_s, session=session_id
-        ):
+        ) as root:
             envelope = service.execute(command)
+            # captured before the root closes so a background merge
+            # attaches *under* the append span, not beside it
+            merge_ctx = root.context() if root is not None else None
         metrics.observe(envelope, time.perf_counter() - started)
+        if isinstance(command, AppendCommand):
+            self._lane.submit_background(
+                lambda: self._merge_tails(session_id, command.object_name, merge_ctx)
+            )
         self._schedule_speculation(service)
         return envelope
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from repro.core.commands import AppendCommand, GestureCommand, GestureScript
+from repro.core.commands import AppendCommand, GestureCommand, GestureScript, encode_value
 from repro.core.kernel import GestureOutcome
 from repro.errors import MalformedFrameError, ProtocolError, ServiceError
 from repro.obs.trace import current_trace_context
@@ -68,7 +68,7 @@ class ShardedClient:
     ) -> None:
         self.session_id = session_id
         self.max_frame_bytes = max_frame_bytes
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # a suspended run_stream holds it
         self._decoder = FrameDecoder(max_bytes=max_frame_bytes)
         self._next_id = 0
         self._closed = False
@@ -89,10 +89,12 @@ class ShardedClient:
     # ------------------------------------------------------------------ #
     # the wire
     # ------------------------------------------------------------------ #
-    def _round_trip(
+    def _responses(
         self, verb: str, payload: dict | None = None, session: str | None = None
-    ) -> dict[str, Any]:
-        """Send one request, wait for its matching response, return/raise.
+    ) -> Iterator[dict[str, Any]]:
+        """Send one request; yield the payload of every response answering it
+        (stale frames are skipped by id, an ``ok:false`` one raises its typed
+        error).  The caller holds the lock for as long as it iterates.
 
         When the calling thread has an ambient active trace (see
         :mod:`repro.obs.trace`), its context rides along as the request's
@@ -100,26 +102,30 @@ class ShardedClient:
         trace.  Untraced callers pay one context-variable read.
         """
         ctx = current_trace_context()
+        if self._closed:
+            raise ServiceError("client is closed")
+        request_id = self._next_id
+        self._next_id += 1
+        request = Request(
+            id=request_id,
+            verb=verb,
+            session=session,
+            payload=payload if payload is not None else {},
+            trace=ctx.to_dict() if ctx is not None else None,
+        )
+        self._sock.sendall(encode_frame(request.to_dict(), max_bytes=self.max_frame_bytes))
+        while True:
+            for frame in self._decoder.feed(self._recv()):
+                response = Response.from_dict(frame)
+                if response.id == request_id:  # else: stale, from an abandoned request
+                    yield response.raise_if_error()
+
+    def _round_trip(
+        self, verb: str, payload: dict | None = None, session: str | None = None
+    ) -> dict[str, Any]:
+        """Send one request, wait for its matching response, return/raise."""
         with self._lock:
-            if self._closed:
-                raise ServiceError("client is closed")
-            request_id = self._next_id
-            self._next_id += 1
-            request = Request(
-                id=request_id,
-                verb=verb,
-                session=session,
-                payload=payload if payload is not None else {},
-                trace=ctx.to_dict() if ctx is not None else None,
-            )
-            self._sock.sendall(encode_frame(request.to_dict(), max_bytes=self.max_frame_bytes))
-            while True:
-                frames = self._decoder.feed(self._recv())
-                for frame in frames:
-                    response = Response.from_dict(frame)
-                    if response.id != request_id:
-                        continue  # stale response from an abandoned request
-                    return response.raise_if_error()
+            return next(self._responses(verb, payload, session))
 
     def _recv(self) -> bytes:
         try:
@@ -176,91 +182,38 @@ class ShardedClient:
     # ------------------------------------------------------------------ #
     def execute(self, command: GestureCommand) -> OutcomeEnvelope:
         """Execute one gesture command on the session's shard."""
-        if isinstance(command, AppendCommand):
-            # appends ride the dedicated verb so the new row count comes
-            # back (envelope payloads never cross the wire)
-            rows = self.append_rows(
-                command.object_name, values=command.values, columns=command.columns
-            )
-            return OutcomeEnvelope(
-                command_kind=command.kind,
-                backend=self.backend,
-                object_name=command.object_name,
-                payload={"num_rows": rows},
-            )
         reply = self._session_call("execute", {"command": command.to_dict()})
-        envelope = reply.get("envelope")
-        if not isinstance(envelope, dict):
-            raise MalformedFrameError("execute response carried no envelope")
-        return _rehydrate_payload(OutcomeEnvelope.from_dict(envelope))
+        return _envelope_of(reply, "execute response")
 
     def run(self, script: GestureScript) -> list[OutcomeEnvelope]:
-        """Execute a whole script in order, in one round trip."""
-        reply = self._session_call("run-script", {"script": script.to_dict()})
-        envelopes = reply.get("envelopes")
-        if not isinstance(envelopes, list):
-            raise MalformedFrameError("run-script response carried no envelopes")
-        return [_rehydrate_payload(OutcomeEnvelope.from_dict(entry)) for entry in envelopes]
+        """Execute a whole script in order; every envelope, once all are in."""
+        return list(self.run_stream(script))
 
-    def run_stream(self, script: GestureScript):
+    def run_stream(self, script: GestureScript) -> Iterator[OutcomeEnvelope]:
         """Execute a script, yielding each gesture's envelope as it completes.
 
-        Sends ``run-script`` with ``stream=true``: the server answers with
-        one ``partial`` frame per completed gesture plus a terminal
-        ``done`` frame.  A server that predates streaming answers with a
-        single ``envelopes`` frame instead; the generator degrades to
-        yielding from it, so callers work against either peer.  Consume
-        the stream fully (or abandon it — leftover frames are skipped by
-        id) before issuing other requests on this client.
+        The server answers ``run-script`` with one ``partial`` frame per
+        completed gesture plus a terminal ``done`` frame; the first failing
+        gesture instead ends the stream with its typed error.  Other
+        threads wait for the stream (it holds the client's lock); this one
+        may abandon it — leftover frames are skipped by id.
         """
-        ctx = current_trace_context()
         with self._lock:
-            if self._closed:
-                raise ServiceError("client is closed")
-            request_id = self._next_id
-            self._next_id += 1
-            request = Request(
-                id=request_id,
-                verb="run-script",
-                session=self.session_id,
-                payload={"script": script.to_dict(), "stream": True},
-                trace=ctx.to_dict() if ctx is not None else None,
-            )
-            self._sock.sendall(
-                encode_frame(request.to_dict(), max_bytes=self.max_frame_bytes)
-            )
-        while True:
-            frames = self._decoder.feed(self._recv())
-            for frame in frames:
-                response = Response.from_dict(frame)
-                if response.id != request_id:
-                    continue  # stale response from an abandoned request
-                payload = response.raise_if_error()
+            for payload in self._responses(
+                "run-script", {"script": script.to_dict()}, self.session_id
+            ):
                 if payload.get("done"):
                     return
-                if payload.get("partial"):
-                    envelope = payload.get("envelope")
-                    if not isinstance(envelope, dict):
-                        raise MalformedFrameError("partial frame carried no envelope")
-                    yield _rehydrate_payload(OutcomeEnvelope.from_dict(envelope))
-                    continue
-                envelopes = payload.get("envelopes")
-                if isinstance(envelopes, list):
-                    # non-streaming peer: everything arrived in one frame
-                    for entry in envelopes:
-                        yield _rehydrate_payload(OutcomeEnvelope.from_dict(entry))
-                    return
-                raise MalformedFrameError("unrecognized run-script response shape")
+                yield _envelope_of(payload, "run-script frame")
 
     def load_column(self, name: str, values: Iterable, replace: bool = False):
         """Ship a session-private column by value (small columns only —
         big base data belongs in the published snapshot, not on the wire).
         """
-        reply = self._session_call(
+        return self._session_call(
             "load-column",
-            {"name": name, "values": [_wire_value(v) for v in values], "replace": replace},
+            {"name": name, "values": encode_value(list(values)), "replace": replace},
         )
-        return reply
 
     def append_rows(
         self,
@@ -273,17 +226,12 @@ class ShardedClient:
         Mirrors :meth:`repro.service.LocalExplorationService.append_rows`:
         ``values`` grows a standalone column, ``columns`` a table (every
         attribute, equal lengths).  Values must be finite numerics — the
-        JSON wire refuses NaN/inf.  Returns the object's new row count.
+        JSON wire refuses NaN/inf.  A convenience over :meth:`execute` with
+        an :class:`repro.core.commands.AppendCommand` (the shard schedules
+        the tail merge); returns the object's new row count.
         """
-        payload: dict[str, Any] = {"name": object_name}
-        if values is not None:
-            payload["values"] = [_wire_value(v) for v in values]
-        if columns is not None:
-            payload["columns"] = {
-                name: [_wire_value(v) for v in rows] for name, rows in columns.items()
-            }
-        reply = self._session_call("append", payload)
-        return int(reply.get("rows", 0))
+        command = AppendCommand.of(object_name, values, columns)
+        return int(self.execute(command).payload["num_rows"])
 
     def reset(self) -> None:
         """Recreate the session server-side: close it, then reopen fresh."""
@@ -311,14 +259,6 @@ class ShardedClient:
         return False
 
 
-def _wire_value(value: Any) -> Any:
-    """Coerce one column value into a JSON-encodable scalar."""
-    item = getattr(value, "item", None)
-    if item is not None and not isinstance(value, (int, float, str, bool)):
-        return item()  # numpy scalar -> exact Python scalar
-    return value
-
-
 #: Touch-gesture command kinds whose envelopes reconstruct an outcome.
 _GESTURE_TYPES = {
     "tap": GestureType.TAP,
@@ -331,8 +271,9 @@ _GESTURE_TYPES = {
 }
 
 
-def _rehydrate_payload(envelope: OutcomeEnvelope) -> OutcomeEnvelope:
-    """Rebuild a counters-only :class:`GestureOutcome` for touch gestures.
+def _envelope_of(payload: dict[str, Any], what: str) -> OutcomeEnvelope:
+    """The envelope a response payload carries, with a counters-only
+    :class:`GestureOutcome` rebuilt for touch gestures.
 
     Live outcome objects never cross the wire, but
     :class:`repro.core.session.ExplorationSession` accounts history and
@@ -340,6 +281,10 @@ def _rehydrate_payload(envelope: OutcomeEnvelope) -> OutcomeEnvelope:
     measurement surface (counters, latency) from the envelope.  Row-level
     detail (rowids, result values) stays server-side by design.
     """
+    wire = payload.get("envelope")
+    if not isinstance(wire, dict):
+        raise MalformedFrameError(f"{what} carried no envelope")
+    envelope = OutcomeEnvelope.from_dict(wire)
     gesture_type = _GESTURE_TYPES.get(envelope.command_kind)
     if gesture_type is None:
         return envelope

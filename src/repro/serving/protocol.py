@@ -12,6 +12,13 @@ to requests and errors arrive as data instead of dropped connections:
 * success:  ``{"id": 7, "ok": true, "payload": {...}}``
 * failure:  ``{"id": 7, "ok": false, "error": {"kind": "admission", "message": "..."}}``
 
+Each request gets one response, except ``run-script``: one success frame
+per executed command (``{"partial": true, "seq": i, "envelope": {...}}``),
+closed by ``{"done": true, "total": n}`` or the first failing command's
+typed error.  Whatever the command vocabulary can say — live ingestion
+included (:class:`repro.core.commands.AppendCommand`) — travels as a
+command: session work has no verbs beyond ``execute`` and ``run-script``.
+
 Every decoding failure is a *typed* exception from the
 :class:`repro.errors.ProtocolError` hierarchy — oversized frames, bad
 JSON, non-object frames and malformed envelopes each have their own class
@@ -45,8 +52,9 @@ from repro.errors import (
 )
 
 #: Version tag carried by ``hello`` responses; a client refuses to talk to
-#: a server speaking a different protocol generation.
-PROTOCOL_VERSION = 1
+#: a server speaking a different protocol generation (2: appends travel as
+#: ``execute`` commands, every ``run-script`` is answered as a stream).
+PROTOCOL_VERSION = 2
 
 #: Default upper bound on one encoded frame (request or response).
 DEFAULT_MAX_FRAME_BYTES = 1 << 20
@@ -57,10 +65,9 @@ VERBS = frozenset(
         "hello",  # protocol handshake: server version + topology
         "open-session",  # create a session (pinned to a shard)
         "close-session",  # tear a session down, returning final counters
-        "execute",  # one GestureCommand -> one OutcomeEnvelope
-        "run-script",  # a whole GestureScript -> envelopes, in order
+        "execute",  # one GestureCommand (appends included) -> one OutcomeEnvelope
+        "run-script",  # a GestureScript -> one partial frame per envelope, then done
         "load-column",  # host a small session-private column by value
-        "append",  # grow a loaded object in place (live ingestion)
         "stats",  # aggregate per-worker SessionMetrics + scheduler stats
         "telemetry",  # merged metrics snapshot + drained gesture traces
         "drain",  # finish all in-flight gestures, then refuse new work

@@ -70,10 +70,10 @@ class ShardedServerConfig:
         per-worker scheduler admission still applies).
     tracing:
         Front-door :class:`repro.obs.trace.TraceConfig` (``None`` serves
-        untraced).  When set, every forwarded ``execute``/``run-script``/
-        ``append`` opens a front-door root span and ships its context to
-        the shard on the pipe payload's ``trace`` key, so the ``telemetry``
-        verb can stitch one distributed trace per gesture.  The config's
+        untraced).  When set, every ``execute`` and every ``run-script``
+        opens one front-door root span and ships its context to the shard
+        on the pipe payload's ``trace`` key, so the ``telemetry`` verb can
+        stitch one distributed trace per gesture (per script).  The config's
         ``site`` is overridden to ``"front-door"``; enable the *workers'*
         tracers via :attr:`WorkerConfig.trace_sample_rate`.
     """
@@ -88,18 +88,14 @@ class ShardedServerConfig:
     tracing: TraceConfig | None = None
 
 
-#: Verbs the front door forwards to a shard, keyed to the worker-side op.
+#: Verbs the front door forwards to a shard one-to-one, keyed to the
+#: worker-side op (``run-script`` is forwarded as its commands instead).
 _FORWARDED_OPS = {
     "open-session": "open",
     "close-session": "close",
     "execute": "execute",
-    "run-script": "run",
     "load-column": "load-column",
-    "append": "append",
 }
-
-#: Forwarded verbs that open a front-door root span when tracing is on.
-_TRACED_VERBS = frozenset({"execute", "run-script", "append"})
 
 
 class ShardedServer:
@@ -335,21 +331,15 @@ class ShardedServer:
                     writer, write_lock, Response.success(request.id, self._hello_payload())
                 )
                 return
-            if request.verb == "stats":
+            if request.verb in ("stats", "telemetry"):
+                stats = request.verb == "stats"
+                report = self.shards.stats if stats else self._telemetry_report
                 self._admit()
                 try:
-                    stats = await loop.run_in_executor(None, self.shards.stats)
+                    payload = await loop.run_in_executor(None, report)
                 finally:
                     self._release()
-                await self._send(writer, write_lock, Response.success(request.id, stats))
-                return
-            if request.verb == "telemetry":
-                self._admit()
-                try:
-                    report = await loop.run_in_executor(None, self._telemetry_report)
-                finally:
-                    self._release()
-                await self._send(writer, write_lock, Response.success(request.id, report))
+                await self._send(writer, write_lock, Response.success(request.id, payload))
                 return
             if request.verb == "drain":
                 timeout = request.payload.get("timeout")
@@ -361,21 +351,25 @@ class ShardedServer:
                 )
                 return
             # everything else is session-scoped and runs on a shard
-            op = _FORWARDED_OPS[request.verb]
             if request.session is None:
                 raise MalformedFrameError(f"verb {request.verb!r} needs a 'session'")
-            if request.verb == "run-script" and bool(request.payload.get("stream", False)):
-                self._admit()
+            self._admit()
+            if request.verb == "run-script":
                 try:
                     self._stream_script(request, writer, write_lock, loop)
                 except BaseException:
                     self._release()
                     raise
                 return
-            self._admit()
-            payload, root = self._traced_payload(request)
+            root, payload = None, request.payload
+            if request.verb == "execute":
+                root, capsule = self._begin_root(request)
+                if capsule is not None:
+                    payload = {**payload, "trace": capsule}
             try:
-                future = self.shards.submit(op, request.session, payload)
+                future = self.shards.submit(
+                    _FORWARDED_OPS[request.verb], request.session, payload
+                )
             except BaseException as exc:
                 if root is not None:
                     root.finish(error=exc)
@@ -385,31 +379,24 @@ class ShardedServer:
         except DbTouchError as exc:
             await self._send(writer, write_lock, Response.failure(request.id, exc))
 
-    def _traced_payload(self, request: Request) -> tuple[dict, RootSpan | None]:
-        """The forwarded payload plus the front-door root span, if any.
+    def _begin_root(self, request: Request, **tags: Any) -> tuple[RootSpan | None, dict | None]:
+        """Open the front-door root span of an ``execute`` or ``run-script``.
 
-        A traced verb opens a root here (continuing the client's capsule
-        when one rode in on the request) and ships the root's own context
-        to the shard, so the worker's spans attach *under* the front-door
-        span.  Untraced (or non-gesture) verbs forward the client capsule
-        untouched — the front door never blocks someone else's trace.
+        Returns the root (``None`` when untraced or sampled out) and the
+        capsule to ship to the shard: the root's own context, so the
+        worker's spans attach *under* the front-door span (continuing the
+        client's trace when a capsule rode in on the request) — or the
+        client's capsule untouched, because the front door never blocks
+        someone else's trace.
         """
-        root = None
-        capsule = request.trace
-        if request.verb in _TRACED_VERBS:
-            root = self.tracer.begin(
-                request.verb,
-                ctx=TraceContext.from_dict(request.trace),
-                activate=False,
-                session=request.session,
-            )
-            if root is not None:
-                capsule = root.context().to_dict()
-        if capsule is None:
-            return request.payload, root
-        payload = dict(request.payload)
-        payload["trace"] = capsule
-        return payload, root
+        root = self.tracer.begin(
+            request.verb,
+            ctx=TraceContext.from_dict(request.trace),
+            activate=False,
+            session=request.session,
+            **tags,
+        )
+        return root, (root.context().to_dict() if root is not None else request.trace)
 
     def _telemetry_report(self) -> dict[str, Any]:
         """Fleet-wide telemetry: merged metrics, drained traces, exposition.
@@ -486,16 +473,17 @@ class ShardedServer:
         write_lock: asyncio.Lock,
         loop: asyncio.AbstractEventLoop,
     ) -> None:
-        """Stream one partial frame per completed gesture of a ``run-script``.
+        """Answer a ``run-script``: one partial frame per completed gesture.
 
-        The script is decomposed into per-command ``execute`` ops on the
-        session's shard — same session, same FIFO queue, so gesture order
-        (and outcome parity with a non-streamed run) is preserved.  Each
-        completed gesture streams back as a success frame tagged
-        ``partial`` with its sequence number, and the run closes with a
-        ``done`` frame; the first failing gesture instead closes the run
-        with that typed error, after which later results are dropped.
-        One front-door admission covers the whole streamed run.
+        A script is its commands: it is decomposed into per-command
+        ``execute`` ops on the session's shard — same session, same FIFO
+        queue, so gesture order (and outcome parity with issuing the
+        commands one ``execute`` at a time) is preserved.  Each completed
+        gesture streams back as a success frame tagged ``partial`` with
+        its sequence number, and the run closes with a ``done`` frame; the
+        first failing gesture instead closes the run with that typed
+        error, after which later results are dropped.  One front-door
+        admission (already taken by the caller) covers the whole run.
         """
         script = request.payload.get("script")
         commands = script.get("commands") if isinstance(script, dict) else None
@@ -506,17 +494,10 @@ class ShardedServer:
         total = len(commands)
         state = {"closed": False}
         state_lock = threading.Lock()
-        # one front-door root covers the whole streamed script: every
+        # one front-door root covers the whole script: every
         # per-command span on the shard attaches under it, so a script is
         # one distributed trace, not N
-        root = self.tracer.begin(
-            "run-script",
-            ctx=TraceContext.from_dict(request.trace),
-            activate=False,
-            session=request.session,
-            commands=total,
-        )
-        capsule = root.context().to_dict() if root is not None else request.trace
+        root, capsule = self._begin_root(request, commands=total)
 
         def post(response: Response) -> None:
             try:

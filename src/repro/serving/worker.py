@@ -17,7 +17,11 @@ topology.  :func:`worker_main` runs in a child process spawned by
   :mod:`multiprocessing` pipe, gesture work is queued on the scheduler
   (the pipe loop never blocks on a gesture), and responses are written
   back from completion callbacks under a send lock, tagged with the
-  request id so the parent can match them out of order.
+  request id so the parent can match them out of order.  There are nine
+  ops (``open``, ``close``, ``execute``, ``load-column``, ``stats``,
+  ``telemetry``, ``drain``, ``ping``, ``stop``) and one of them,
+  ``execute``, carries all session work: a script reaches a worker as its
+  commands, an append as an :class:`repro.core.commands.AppendCommand`.
 
 Every failure path answers with a typed error payload
 (:func:`repro.serving.protocol.error_payload`); the worker loop itself
@@ -31,9 +35,9 @@ import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Any
+from typing import Any, Callable
 
-from repro.core.commands import GestureCommand, GestureScript
+from repro.core.commands import GestureCommand
 from repro.core.kernel import KernelConfig
 from repro.core.scheduler import SchedulerConfig
 from repro.errors import DbTouchError, MalformedFrameError, UnknownVerbError
@@ -41,23 +45,6 @@ from repro.obs.trace import TraceConfig
 from repro.persist.snapshot import StoreCatalog
 from repro.serving.protocol import error_payload
 from repro.service import LocalExplorationService, MultiSessionServer
-
-#: Pipe operations a worker understands (the pipe-side protocol mirror).
-WORKER_OPS = frozenset(
-    {
-        "open",
-        "close",
-        "execute",
-        "run",
-        "load-column",
-        "append",
-        "stats",
-        "telemetry",
-        "drain",
-        "ping",
-        "stop",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -199,8 +186,10 @@ class _WorkerRuntime:
         self._reply(request_id, {"counters": metrics.counters_snapshot()})
 
     def _op_execute(self, request_id: int, session: str, payload: dict) -> None:
-        command = GestureCommand.from_dict(_require_dict(payload, "command"))
-        future = self.server.submit(session, command, trace=_trace_of(payload))
+        # both decoders take anything: a malformed command is a typed
+        # CommandError, a mangled trace capsule degrades to untraced
+        command = GestureCommand.from_dict(payload.get("command"))
+        future = self.server.submit(session, command, trace=payload.get("trace"))
 
         def deliver(done: Future) -> None:
             try:
@@ -211,25 +200,6 @@ class _WorkerRuntime:
                 self._reply(request_id, {"envelope": envelope.to_dict()})
 
         future.add_done_callback(deliver)
-
-    def _op_run(self, request_id: int, session: str, payload: dict) -> None:
-        script = GestureScript.from_dict(_require_dict(payload, "script"))
-        if not len(script):
-            self._reply(request_id, {"envelopes": []})
-            return
-        futures = self.server.submit_script(session, script, trace=_trace_of(payload))
-
-        def deliver(_: Future) -> None:
-            # same session, FIFO queue: when the last future resolves,
-            # every earlier one already has — collecting cannot block
-            try:
-                envelopes = [f.result().to_dict() for f in futures]
-            except BaseException as exc:  # noqa: BLE001 - typed over the pipe
-                self._reply_error(request_id, exc)
-            else:
-                self._reply(request_id, {"envelopes": envelopes})
-
-        futures[-1].add_done_callback(deliver)
 
     def _op_load_column(self, request_id: int, session: str, payload: dict) -> None:
         name = payload.get("name")
@@ -242,28 +212,6 @@ class _WorkerRuntime:
             session, name, values, replace=bool(payload.get("replace", False))
         )
         self._reply(request_id, {"name": name, "rows": len(column)})
-
-    def _op_append(self, request_id: int, session: str, payload: dict) -> None:
-        name = payload.get("name")
-        values = payload.get("values")
-        columns = payload.get("columns")
-        if not isinstance(name, str) or not name:
-            raise MalformedFrameError("append needs a non-empty 'name'")
-        if (values is None) == (columns is None):
-            raise MalformedFrameError(
-                "append needs exactly one of 'values' (column) or 'columns' (table)"
-            )
-        if values is not None and not isinstance(values, list):
-            raise MalformedFrameError("append 'values' must be a list")
-        if columns is not None and (
-            not isinstance(columns, dict)
-            or not all(isinstance(rows, list) for rows in columns.values())
-        ):
-            raise MalformedFrameError("append 'columns' must map names to lists")
-        rows = self.server.append_rows(
-            session, name, values=values, columns=columns, trace=_trace_of(payload)
-        )
-        self._reply(request_id, {"name": name, "rows": rows})
 
     def _op_stats(self, request_id: int, session: str | None, payload: dict) -> None:
         """Reply one section per collector on the server's telemetry plane
@@ -306,7 +254,18 @@ class _WorkerRuntime:
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-    _SESSION_OPS = frozenset({"open", "close", "execute", "run", "load-column", "append"})
+    #: Every pipe op beside ``stop``: its handler and whether it needs a
+    #: ``session`` (the pipe-side mirror of the wire verbs).
+    _OPS: dict[str, tuple[Callable[..., None], bool]] = {
+        "open": (_op_open, True),
+        "close": (_op_close, True),
+        "execute": (_op_execute, True),
+        "load-column": (_op_load_column, True),
+        "stats": (_op_stats, False),
+        "telemetry": (_op_telemetry, False),
+        "drain": (_op_drain, False),
+        "ping": (_op_ping, False),
+    }
 
     def handle(self, message: Any) -> bool:
         """Dispatch one pipe message; ``False`` means exit the loop."""
@@ -326,39 +285,15 @@ class _WorkerRuntime:
             if op == "stop":
                 self._reply(request_id, {"stopped": True})
                 return False
-            if op not in WORKER_OPS:
+            if op not in self._OPS:
                 raise UnknownVerbError(f"worker does not understand op {op!r}")
-            if op in self._SESSION_OPS and (not isinstance(session, str) or not session):
+            handler, needs_session = self._OPS[op]
+            if needs_session and (not isinstance(session, str) or not session):
                 raise MalformedFrameError(f"op {op!r} needs a 'session' string")
-            handler = {
-                "open": self._op_open,
-                "close": self._op_close,
-                "execute": self._op_execute,
-                "run": self._op_run,
-                "load-column": self._op_load_column,
-                "append": self._op_append,
-                "stats": self._op_stats,
-                "telemetry": self._op_telemetry,
-                "drain": self._op_drain,
-                "ping": self._op_ping,
-            }[op]
-            handler(request_id, session, payload)
+            handler(self, request_id, session, payload)
         except BaseException as exc:  # noqa: BLE001 - the worker must survive anything
             self._reply_error(request_id, exc)
         return True
-
-
-def _require_dict(payload: dict, key: str) -> dict:
-    value = payload.get(key)
-    if not isinstance(value, dict):
-        raise MalformedFrameError(f"payload field {key!r} must be an object")
-    return value
-
-
-def _trace_of(payload: dict) -> dict | None:
-    """The optional trace capsule riding on a pipe payload (mangled: none)."""
-    trace = payload.get("trace")
-    return trace if isinstance(trace, dict) else None
 
 
 def worker_main(conn: Connection, worker_id: int, config: WorkerConfig) -> None:

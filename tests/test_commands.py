@@ -33,6 +33,7 @@ from repro.core.commands import (
     action_from_dict,
     action_to_dict,
 )
+from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import CommandError
 from repro.service import LocalExplorationService
@@ -105,6 +106,8 @@ class TestCommandRoundTrip:
             )
         with pytest.raises(CommandError):
             GestureCommand.from_dict({"kind": "append", "columns": [1, 2]})
+        with pytest.raises(CommandError):
+            GestureCommand.from_dict({"kind": "append", "object_name": "c", "values": 7})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(CommandError):
@@ -161,6 +164,22 @@ class TestGestureScript:
         script = self._script()
         assert GestureScript.from_json(script.to_json()) == script
         assert GestureScript.from_json(script.to_json(indent=2)) == script
+
+    def test_recorded_numpy_append_round_trips(self):
+        """A script that appended a numpy array saves and loads (numpy
+        scalars are coerced to exact Python ones by the encoder)."""
+        session = ExplorationSession()
+        session.load_column("c", np.arange(10))
+        session.load_table("t", {"a": np.arange(4), "b": np.linspace(0.0, 1.0, 4)})
+        session.record()
+        session.append("c", values=np.arange(3))
+        session.append("t", columns={"a": np.arange(2), "b": np.array([0.25, 0.5])})
+        script = session.stop_recording()
+        loaded = GestureScript.from_json(script.to_json())
+        assert loaded[0].values == (0, 1, 2)
+        assert loaded[1].columns == {"a": (0, 1), "b": (0.25, 0.5)}
+        assert all(type(v) is int for v in loaded[0].values)
+        assert loaded == script  # np.int64(1) == 1: equal values, plain types
 
     def test_container_protocol(self):
         script = self._script()

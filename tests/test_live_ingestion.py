@@ -337,7 +337,10 @@ def test_local_service_append_rows_and_merge():
     manager = service.kernel.index_manager
     assert manager.cracker_for("c") is not None
     assert manager.cracker_for("c").tail_rows == 200
+    # a bare service has no background lane: the merge is the caller's call
+    assert service.index_stats()["tail_merges"] == 0
     assert service.merge_index_tails("c") == 200
+    assert service.index_stats()["tail_merges"] == 1
     # typed refusals
     with pytest.raises(IngestError):
         service.append_rows("c")  # neither values nor columns
@@ -409,3 +412,113 @@ def test_session_append_records_and_replays():
         np.asarray(replay.catalog.column("c").values),
         np.asarray(session.catalog.column("c").values),
     )
+
+
+# --------------------------------------------------------------------- #
+# one route per append: every door into a serving host, one answer
+# --------------------------------------------------------------------- #
+
+ROUTE_TAIL = tuple(range(1_000))
+
+
+def _route_script():
+    from repro import ChooseAction, GestureScript, ShowColumn, Slide, scan_action
+    from repro.core.commands import AppendCommand
+
+    in_range = Predicate(Comparison.BETWEEN, 200.0, upper=500.0)
+    return GestureScript(
+        [
+            ShowColumn(object_name="c", view_name="v", height_cm=10.0),
+            ChooseAction(view="v", action=scan_action(in_range)),
+            Slide(view="v", duration=1.0, start_fraction=0.1, end_fraction=0.7),
+            Slide(view="v", duration=0.8, start_fraction=0.7, end_fraction=0.3),
+            AppendCommand(object_name="c", values=ROUTE_TAIL),
+            Slide(view="v", duration=0.8, start_fraction=0.2, end_fraction=1.0),
+        ]
+    )
+
+
+def _drive_route(route, script, execute, append_rows, run, other):
+    """Issue ``script`` through one of a host's doors."""
+    if route == "run":
+        run(script)
+    elif route in ("replay_traces", "run_stream"):
+        other(script)
+    else:
+        for command in script:
+            if route == "append_rows" and command.kind == "append":
+                assert append_rows("c", values=command.values) == 21_000
+            else:
+                execute(command)
+
+
+def _in_process_route(scheduler, route):
+    from repro.core.commands import TimedCommand
+    from repro.service import MultiSessionServer
+
+    server = MultiSessionServer(scheduler=scheduler)
+    try:
+        sid = server.open_session()
+        server.load_column(sid, "c", np.arange(20_000, dtype=np.int64) % 1_000)
+        _drive_route(
+            route,
+            _route_script(),
+            execute=lambda command: server.execute(sid, command),
+            append_rows=lambda name, values: server.append_rows(sid, name, values=values),
+            run=lambda script: server.run(sid, script),
+            other=lambda script: server.replay_traces(
+                {sid: [TimedCommand(command) for command in script]}
+            ),
+        )
+        assert server.drain(timeout=30.0)
+        return server.metrics(sid).counters_snapshot(), server.index_stats()
+    finally:
+        server.shutdown()
+
+
+def _wire_route(route):
+    from repro.serving import ShardedClient, ShardedServer, ShardedServerConfig
+
+    with ShardedServer(ShardedServerConfig(num_workers=1)) as fleet:
+        with ShardedClient("127.0.0.1", fleet.port, session_id="route") as client:
+            client.load_column("c", (np.arange(20_000) % 1_000).tolist())
+            _drive_route(
+                route,
+                _route_script(),
+                execute=client.execute,
+                append_rows=client.append_rows,
+                run=client.run,
+                other=lambda script: list(client.run_stream(script)),
+            )
+            assert client.drain(timeout=30.0)
+            stats = fleet.shards.stats()  # a drained front door admits no verb
+            return stats["sessions"]["route"], stats["index"]
+
+
+@pytest.mark.parametrize(
+    "host, route",
+    [
+        (host, route)
+        for host in ("inline", "pool")
+        for route in ("execute", "append_rows", "run", "replay_traces")
+    ]
+    + [("wire", route) for route in ("execute", "append_rows", "run", "run_stream")],
+)
+def test_append_takes_one_route(host, route):
+    """Twelve ways to run one script that appends; one answer.
+
+    Whichever door the append comes through it is one counted command and
+    its tail merge follows on the background lane — the parity surface has
+    no route-dependent field.
+    """
+    from repro.service import SchedulerConfig
+
+    if host == "wire":
+        counters, index = _wire_route(route)
+    else:
+        scheduler = SchedulerConfig(num_workers=2) if host == "pool" else None
+        counters, index = _in_process_route(scheduler, route)
+    reference, _ = _in_process_route(None, "execute")
+    assert counters == reference and counters["commands"] == 6
+    assert index["tail_merges"] == 1
+    assert index["rows_merged_total"] == 1_000

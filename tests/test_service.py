@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.actions import summary_action
 from repro.core.commands import (
+    AppendCommand,
     ChooseAction,
     GestureScript,
     GroupColumns,
@@ -26,6 +27,7 @@ from repro.service import (
     ExplorationService,
     LocalExplorationService,
     MultiSessionServer,
+    OutcomeEnvelope,
     RemoteExplorationService,
 )
 from repro.storage.column import Column
@@ -108,7 +110,15 @@ class TestLocalService:
         envelope = service.execute(ShowColumn(object_name="m"))
         wire = envelope.to_dict()
         assert wire["command_kind"] == "show-column"
-        assert "payload" not in wire
+        assert "payload" not in wire  # a View stays home
+        slide = service.execute(Slide(view=envelope.view_name, duration=0.5))
+        assert isinstance(slide.payload, GestureOutcome)
+        assert "payload" not in slide.to_dict()
+        # plain data is not a live object: an append's row count crosses
+        append = service.execute(AppendCommand(object_name="m", values=(1, 2, 3)))
+        assert append.to_dict()["payload"] == {"num_rows": 1003}
+        assert OutcomeEnvelope.from_dict(append.to_dict()).payload == {"num_rows": 1003}
+        assert OutcomeEnvelope.from_dict(slide.to_dict()).payload is None
 
 
 class TestRemoteService:

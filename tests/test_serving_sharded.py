@@ -6,6 +6,7 @@ workers or drain the fleet build their own private servers so they cannot
 poison the shared one.
 """
 
+import json
 import socket
 import time
 
@@ -31,6 +32,7 @@ from repro.errors import (
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.serving import (
+    PROTOCOL_VERSION,
     ShardedClient,
     ShardedServer,
     ShardedServerConfig,
@@ -119,7 +121,7 @@ class TestWireServing:
     def test_hello_reports_topology(self, server):
         with ShardedClient("127.0.0.1", server.port, session_id="hello-1") as client:
             hello = client.hello()
-        assert hello["protocol"] == 1
+        assert hello["protocol"] == PROTOCOL_VERSION == 2
         assert hello["num_workers"] == 2
         assert hello["alive_workers"] == [0, 1]
 
@@ -404,25 +406,28 @@ class TestDrainAndAdmission:
 
 class TestClientRobustness:
     def test_client_rejects_wrong_protocol(self, snapshot_root):
-        # a raw TCP server speaking the wrong version
+        # a raw TCP server speaking the wrong version (an unknown one, then
+        # generation 1, whose run-script reply this client could not read)
         import json as _json
         import threading
 
         def fake_server(sock):
-            conn, _ = sock.accept()
-            data = conn.recv(4096)
-            frame = _json.loads(data.decode().splitlines()[0])
-            reply = {"id": frame["id"], "ok": True, "payload": {"protocol": 99}}
-            conn.sendall((_json.dumps(reply) + "\n").encode())
-            conn.close()
+            for peer_protocol in (99, 1):
+                conn, _ = sock.accept()
+                data = conn.recv(4096)
+                frame = _json.loads(data.decode().splitlines()[0])
+                reply = {"id": frame["id"], "ok": True, "payload": {"protocol": peer_protocol}}
+                conn.sendall((_json.dumps(reply) + "\n").encode())
+                conn.close()
 
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         thread = threading.Thread(target=fake_server, args=(listener,), daemon=True)
         thread.start()
         try:
-            with pytest.raises(ProtocolError, match="protocol"):
-                ShardedClient("127.0.0.1", port, session_id="v-1")
+            for peer_protocol in (99, 1):
+                with pytest.raises(ProtocolError, match=f"protocol {peer_protocol},"):
+                    ShardedClient("127.0.0.1", port, session_id="v-1")
         finally:
             listener.close()
 
@@ -435,7 +440,7 @@ class TestClientRobustness:
 
 
 class TestLiveIngestionOverTheWire:
-    """The append verb and per-gesture streaming, end to end."""
+    """Appends as commands and per-gesture streaming, end to end."""
 
     def test_append_verb_grows_session_column(self, server):
         with ShardedClient("127.0.0.1", server.port, session_id="ing-1") as client:
@@ -539,57 +544,34 @@ class TestLiveIngestionOverTheWire:
             assert client.hello()["alive_workers"] == [0, 1]
             client.close_session()
 
-    def test_run_stream_degrades_against_non_streaming_peer(self):
-        """A peer answering with one ``envelopes`` frame still streams out."""
-        import json as _json
-        import threading
-
-        from repro.service import OutcomeEnvelope
-
-        envelope = OutcomeEnvelope(command_kind="slide", backend="local").to_dict()
-
-        def fake_server(sock):
-            conn, _ = sock.accept()
-            buffered = b""
-            for _ in range(2):  # hello, then run-script
-                while b"\n" not in buffered:
-                    buffered += conn.recv(4096)
-                line, _, buffered = buffered.partition(b"\n")
-                frame = _json.loads(line.decode())
-                if frame["verb"] == "hello":
-                    payload = {"protocol": 1}
-                else:
-                    assert frame["payload"]["stream"] is True
-                    payload = {"envelopes": [envelope, envelope]}
-                reply = {"id": frame["id"], "ok": True, "payload": payload}
-                conn.sendall((_json.dumps(reply) + "\n").encode())
-            conn.close()
-
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        thread = threading.Thread(target=fake_server, args=(listener,), daemon=True)
-        thread.start()
-        try:
-            client = ShardedClient(
-                "127.0.0.1", port, session_id="old-peer", open_on_connect=False
-            )
-            kinds = [e.command_kind for e in client.run_stream(make_script())]
-            assert kinds == ["slide", "slide"]
-            client.close()
-        finally:
-            listener.close()
-
     def test_malformed_append_frames_get_typed_replies(self, server):
         fuzz = TestFrontDoorFuzz()
-        both = (
-            b'{"id": 21, "verb": "append", "session": "fz2",'
-            b' "payload": {"name": "x", "values": [1.0], "columns": {"a": [1.0]}}}\n'
-        )
-        reply = fuzz.raw(server, both)
-        assert b'"id":21' in reply and b'"kind":"malformed-frame"' in reply
-        neither = b'{"id": 22, "verb": "append", "session": "fz2", "payload": {"name": "x"}}\n'
-        reply = fuzz.raw(server, neither)
-        assert b'"id":22' in reply and b'"kind":"malformed-frame"' in reply
+        # there is no append verb: an append is an execute of an AppendCommand
+        retired = b'{"id": 20, "verb": "append", "session": "fz2", "payload": {"name": "x"}}\n'
+        reply = fuzz.raw(server, retired)
+        assert b'"id":20' in reply and b'"kind":"unknown-verb"' in reply
+        malformed = [
+            ({"values": [1.0], "columns": {"a": [1.0]}}, b'"kind":"ingest"'),  # both
+            ({}, b'"kind":"ingest"'),  # neither
+            ({"columns": 7}, b'"kind":"command"'),
+            ({"values": 7}, b'"kind":"command"'),
+        ]
+        with ShardedClient("127.0.0.1", server.port, session_id="fz2") as client:
+            client.load_column("x", [1.0, 2.0])
+            for request_id, (fields, kind) in enumerate(malformed, start=30):
+                command = {"kind": "append", "object_name": "x", **fields}
+                frame = {
+                    "id": request_id,
+                    "verb": "execute",
+                    "session": "fz2",
+                    "payload": {"command": command},
+                }
+                reply = fuzz.raw(server, json.dumps(frame).encode() + b"\n")
+                assert b'"id":%d' % request_id in reply and b'"ok":false' in reply, reply
+                assert kind in reply, reply
+            # the session survives the refusals
+            assert client.append_rows("x", values=[3.0]) == 3
+            client.close_session()
         bad_stream = (
             b'{"id": 23, "verb": "run-script", "session": "fz2",'
             b' "payload": {"stream": true, "script": {"commands": 7}}}\n'
