@@ -8,10 +8,13 @@ chunk-cache byte budget many times over and asserts the three properties
 the tier is for:
 
 * **Bounded residency, exact results** — a slide over a narrow band of a
-  larger-than-budget table faults in < 5 % of its chunks, stays within
-  the interactive per-touch latency bound, and produces *bit-identical*
-  deterministic outcome counters versus the all-in-RAM path.
-* **Chunk-cache locality** — a dense back-and-forth slide trace is served
+  larger-than-budget table gathers its rows through the mapping and
+  materialises nothing (no chunk inserted, zero bytes cached), stays
+  within the interactive per-touch latency bound, and produces
+  *bit-identical* deterministic outcome counters versus the all-in-RAM
+  path.
+* **Chunk-cache locality** — a dense back-and-forth trace of summary
+  taps (stride-1 windows, range reads through the chunk layer) is served
   > 80 % from resident chunks.
 * **Warm cold-start** — reopening a snapshot (manifest + mmap, sample
   levels included) is >= 10x faster than re-ingesting the same table from
@@ -33,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.actions import summary_action
 from repro.core.kernel import KernelConfig
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -55,6 +59,8 @@ CACHE_BYTES = 2 << 20
 CSV_ROWS = 250_000
 #: The narrow slide band (fractions of the object) for the residency test.
 BAND = (0.50, 0.53)
+#: Summary taps per sweep of the dense trace (several per chunk of the band).
+TAPS_PER_SWEEP = 60
 #: Acceptance floors.
 MAX_CHUNK_FRACTION = 0.05
 MIN_HIT_RATE = 0.80
@@ -142,7 +148,7 @@ def slide_narrow_band(service: LocalExplorationService):
 
 
 def test_out_of_core_narrow_slide_residency_and_parity(benchmark, dataset):
-    """< 5% of chunks faulted, latency-bounded, counters == in-memory."""
+    """Nothing materialised, latency-bounded, counters == in-memory."""
     catalog = open_store(dataset)
     paged_service = narrow_band_service(catalog)
     paged_outcomes = benchmark.pedantic(
@@ -166,6 +172,9 @@ def test_out_of_core_narrow_slide_residency_and_parity(benchmark, dataset):
     on_disk = catalog.store.on_disk_bytes()
     assert on_disk > 10 * CACHE_BYTES, "dataset must dwarf the cache budget"
     assert touched_fraction < MAX_CHUNK_FRACTION
+    # a narrow slide materialises nothing: its rows are gathered
+    assert catalog.store.cache.stats.insertions == 0
+    assert catalog.store.cache.stats.bytes_cached == 0
 
     benchmark.extra_info.update(
         {
@@ -187,10 +196,10 @@ def test_out_of_core_narrow_slide_residency_and_parity(benchmark, dataset):
 
 
 def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
-    """A dense back-and-forth slide trace hits resident chunks > 80%."""
-    # the trace's working set — the touched band plus the prefetcher's
-    # extrapolated base reads around it — must be residentable for
-    # locality to show; the dataset still dwarfs this budget 15x
+    """A dense back-and-forth trace of summary windows hits resident chunks > 80%."""
+    # the trace's working set — the chunks under the touched band — must
+    # be residentable for locality to show; the dataset still dwarfs this
+    # budget 15x
     budget = 2 * CACHE_BYTES
     catalog = StoreCatalog(DiskColumnStore(dataset / "store", cache_bytes=budget))
     # the kernel touch cache is disabled so every read exercises the
@@ -202,19 +211,19 @@ def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
     view = service.kernel.show_column(
         "sky", column_name="flux", view_name="v", height_cm=10.0
     )
+    # a tap's stride-1 summary window is a *range* read (``slice``), the
+    # chunk layer's product; a scan slide gathers rows past the cache
+    service.kernel.set_action("v", summary_action(k=64))
 
     def dense_trace():
         # the trace's union band stays ~11% of the rows: revisits of a
         # residentable region must hit, not thrash
         for round_index in range(6):
             lo = 0.30 + 0.002 * round_index
-            for start, end in ((lo, lo + 0.10), (lo + 0.10, lo)):
-                stream = service.synthesizer.slide(
-                    view,
-                    duration=1.0,
-                    start_fraction=start,
-                    end_fraction=end,
-                    start_time=service.device.now,
+            forward = np.linspace(lo, lo + 0.10, TAPS_PER_SWEEP)
+            for fraction in (*forward, *forward[::-1]):
+                stream = service.synthesizer.tap(
+                    view, fraction=float(fraction), start_time=service.device.now
                 )
                 service.device.advance_clock(stream.duration)
                 service.kernel.handle_stream(stream)
@@ -233,7 +242,7 @@ def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
         }
     )
     print_comparison(
-        f"dense slide trace: {stats.hits}/{stats.lookups} chunk lookups hit "
+        f"dense summary-tap trace: {stats.hits}/{stats.lookups} chunk lookups hit "
         f"({stats.hit_rate:.1%}), {stats.bytes_cached / 2**20:.2f} MiB resident"
     )
 

@@ -94,14 +94,15 @@ def main() -> int:
                 scheduler_workers=2,
                 trace_sample_rate=1.0,  # trace every gesture
                 slow_trace_threshold_s=0.0005,  # everything over 0.5 ms is "slow"
-                cache_bytes=1 << 20,  # a tiny cache, to force chunk faults
+                cache_bytes=1 << 20,  # a tiny cache: a slide's gathers never need it
             ),
             tracing=TraceConfig(),  # front-door tracer: stitchable roots
         )
 
         with ShardedServer(config) as server:
             with ShardedClient("127.0.0.1", server.port, session_id="ops") as client:
-                # a cold slide: chunk faults and cache lookups on the way
+                # a cold slide: rows gathered through the mapping (storage_gathers),
+                # touch-cache lookups on the way; range reads would add chunk_fault spans
                 client.execute(ShowColumn(object_name="sensor", view_name="v"))
                 client.execute(
                     Slide(view="v", duration=1.5, start_fraction=0.05, end_fraction=0.9)

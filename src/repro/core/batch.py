@@ -456,7 +456,7 @@ class BatchSlideExecutor:
         ones = np.ones(m, dtype=np.int64)
         zeros = np.zeros(m, dtype=np.int64)
         # reads go through Column.read_batch (not raw fancy indexing) so
-        # out-of-core paged columns fault in only the touched chunks
+        # out-of-core paged columns gather through mapping *and* append tail
         if state.table is not None:
             column = state.table.column(action.where_attribute)
             return column.read_batch(rowids), ones, zeros

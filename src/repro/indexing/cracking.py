@@ -476,8 +476,11 @@ class CrackerIndex:
                 [row_segment[mask], row_segment[inv]]
             )
             self._log_mutation(start, stop)
-        self._pivots = np.insert(self._pivots, idx, pivot)
-        self._bounds = np.insert(self._bounds, idx + 1, start + n_left)
+        # three-slice concatenate (a general-purpose insert's axis handling was
+        # a third of a crack); a float / int scalar keeps float64 / int64
+        self._pivots = np.concatenate([self._pivots[:idx], [pivot], self._pivots[idx:]])
+        split = [start + n_left]
+        self._bounds = np.concatenate([self._bounds[: idx + 1], split, self._bounds[idx + 1 :]])
         self.cracks_performed += 1
         if self.num_pieces > self.max_pieces:
             self.coalesce()

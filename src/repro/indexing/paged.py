@@ -183,15 +183,19 @@ class PagedCrackerIndex:
         start = index * self._chunk_rows
         return start, max(start, min(self._num_rows, start + self._chunk_rows))
 
-    def _chunk_values(self, index: int) -> np.ndarray:
+    def _chunk_view(self, index: int) -> np.ndarray:
         # read straight off the memmap: no ChunkCache, no budget charge
         # while the manager's column lock is held (see module docstring).
         # raw_slice assembles memmap + append-tail rows, equally cache-free
         start, stop = self._chunk_span(index)
         raw = getattr(self.column, "raw_slice", None)
         if callable(raw):
-            return np.array(raw(start, stop), copy=True)
-        return np.array(self.column.values[start:stop], copy=True)
+            return raw(start, stop)
+        return self.column.values[start:stop]
+
+    def _chunk_values(self, index: int) -> np.ndarray:
+        # the private copy a cracker is about to permute in place
+        return np.array(self._chunk_view(index), copy=True)
 
     def _counters_of(self, cracker: CrackerIndex) -> tuple[int, ...]:
         return tuple(getattr(cracker, name) for name in _COUNTERS)
@@ -391,9 +395,10 @@ class PagedCrackerIndex:
             self._absorb(cracker, before)
 
     def _scan_chunk(self, index: int, low: float, high: float) -> np.ndarray:
-        """Raw half-open range scan of one chunk (no cracker built)."""
+        """Raw half-open range scan of one chunk's read-only view: no
+        cracker is built and nothing is permuted, so nothing is copied."""
         start, _ = self._chunk_span(index)
-        values = self._chunk_values(index)
+        values = np.asarray(self._chunk_view(index))  # plain view: no memmap wrap per ufunc
         self.values_scanned_total += int(values.size)
         mask = (values >= low) & (values < high)
         return np.nonzero(mask)[0].astype(np.int64) + start

@@ -11,7 +11,7 @@ a trained :class:`repro.mining.model.GestureTransitionModel` into serving:
 * :meth:`speculation_plan` combines the predicted next gesture kind with
   the latest progress into a plan the service layer executes on the
   scheduler's background lane: pre-reading the rows the predicted gesture
-  would touch (warming out-of-core chunk caches) and staging likely-next
+  would touch (warming out-of-core columns' mapped pages) and staging likely-next
   sample levels in a policy-private store.
 
 The staging store is deliberately *not* the kernel's sample hierarchy:
@@ -19,7 +19,7 @@ materializing a level into the hierarchy renumbers levels and changes
 ``served_level_counts``, and the correctness contract for every adaptive
 side-system in this codebase is bit-identical ``GestureOutcome`` counters
 with the feature on or off.  Speculation therefore only warms surfaces
-outside the outcome accounting (chunk caches, this staging area); the
+outside the outcome accounting (page cache, this staging area); the
 differential harness in ``tests/test_differential_gestures.py`` proves it.
 """
 

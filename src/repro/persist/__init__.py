@@ -13,8 +13,9 @@ what an out-of-core store exploits:
   shared by all of a store's columns (optionally sharing a
   :class:`repro.core.caching.MemoryBudget` with the kernel touch cache);
 * :mod:`repro.persist.paged_column` — :class:`PagedColumn`, the
-  ``Column`` read surface over a read-only memmap with chunk-granular
-  faulting, so every existing kernel/service layer explores
+  ``Column`` read surface over a read-only memmap (row-granular
+  gathers through the mapping, chunk-granular range reads through the
+  cache), so every existing kernel/service layer explores
   larger-than-memory data unchanged and bit-identically;
 * :mod:`repro.persist.snapshot` — :class:`StoreCatalog`, the versioned
   JSON manifest snapshotting table schemas *and* materialized sample
@@ -31,6 +32,8 @@ what an out-of-core store exploits:
 >>> reopened = catalog.load_column("m")        # mmap, no data read yet
 >>> int(reopened.value_at(42_000))             # faults in one chunk
 42000
+>>> reopened.read_batch([7, 99_999]).tolist()  # gathers two rows, no chunk
+[7, 99999]
 """
 
 from repro.persist.background import BackgroundMaterializer

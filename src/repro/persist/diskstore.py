@@ -60,13 +60,16 @@ DEFAULT_CACHE_BYTES = 64 << 20
 
 @dataclass
 class ChunkCacheStats:
-    """Hit/miss/eviction accounting for a :class:`ChunkCache`."""
+    """Hit/miss/eviction accounting for a :class:`ChunkCache`, plus the
+    batched gathers that read *past* it (``PagedColumn.read_batch``)."""
 
     hits: int = 0
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
     bytes_cached: int = 0
+    gathers: int = 0
+    rows_gathered: int = 0
 
     @property
     def lookups(self) -> int:
@@ -142,7 +145,15 @@ class ChunkCache:
                 "chunk_evictions": stats.evictions,
                 "bytes_cached": stats.bytes_cached,
                 "cache_capacity_bytes": self.capacity_bytes,
+                "gathers": stats.gathers,
+                "rows_gathered": stats.rows_gathered,
             }
+
+    def count_gather(self, rows: int) -> None:
+        """Record one batched read of ``rows`` rows that bypassed the cache."""
+        with self._lock:
+            self.stats.gathers += 1
+            self.stats.rows_gathered += rows
 
     def get(self, column_key, chunk_index: int) -> np.ndarray | None:
         """Return a resident chunk (refreshing its recency), or ``None``."""

@@ -10,11 +10,18 @@ its data lives on disk:
   session opening the same column through one
   :class:`repro.persist.diskstore.DiskColumnStore` shares the single
   mapping — N users over one dataset cost one copy of nothing.
-* The scalar/batched read methods route through the store's
-  :class:`repro.persist.diskstore.ChunkCache` at *chunk* granularity:
-  the chunk under the finger is materialized once, revisits are cache
-  hits, and the cache's byte budget bounds how much of the column is ever
-  resident regardless of on-disk size.
+* Batched gathers (:meth:`PagedColumn.read_batch`, hence ``gather``, the
+  batch slide executor, select-where projection, sample-hierarchy and
+  prefetcher base reads) read through the mapping at *row* granularity:
+  one fancy index, O(rows read) whatever the chunk, cache or column size
+  — the mapped file already is the shared cache, so nothing is copied
+  but the rows asked for.
+* Range reads (:meth:`PagedColumn.slice`: per-touch summary windows, the
+  unindexed zonemap scan, ``head``, the adaptive loader) and the
+  per-touch :meth:`PagedColumn.value_at` route through the store's
+  :class:`repro.persist.diskstore.ChunkCache` at *chunk* granularity: a
+  materialised contiguous chunk is their product, revisits are cache
+  hits, and the cache's byte budget bounds how much is resident.
 * ``min()``/``max()`` answer from the persisted per-chunk zonemap without
   faulting any data page, and :meth:`chunk_range` exposes the zonemap so
   scans can skip chunks whose ``[min, max]`` cannot satisfy a predicate.
@@ -53,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class PagedColumn(Column):
-    """A named, typed column whose values are faulted in chunk by chunk.
+    """A named, typed column read through a mapped file (see module docstring).
 
     Built by :meth:`repro.persist.diskstore.DiskColumnStore.open_column`;
     not constructed directly.  ``data`` is the read-only memmap (or a
@@ -255,7 +262,7 @@ class PagedColumn(Column):
         return np.concatenate([np.asarray(self._data[start:base]), tail_part])
 
     # ------------------------------------------------------------------ #
-    # the Column read surface, chunk-granular
+    # the Column read surface: point/range reads by chunk, gathers by row
     # ------------------------------------------------------------------ #
     def value_at(self, rowid: int):
         """Return the value at ``rowid``, faulting in only its chunk."""
@@ -311,16 +318,23 @@ class PagedColumn(Column):
         )
 
     def read_batch(self, rowids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Gather rowids with one chunk fault per distinct touched chunk."""
+        """``values[rowids]`` as one gather through the mapping (and tail).
+
+        Costs O(rows read) whatever ``chunk_rows``, the cache size or the
+        column size: no chunk is materialised and the chunk cache is not
+        consulted (it only counts the gather).  Returns a fresh writable
+        ``ndarray``; ``rowids`` are the caller's to bounds-check — a raw
+        fancy index wraps negatives, so use :meth:`gather` when unsure.
+        """
         idx = np.asarray(rowids, dtype=np.int64)
+        self._cache.count_gather(idx.size)
+        if not self._tail.shape[0]:
+            return self._data[idx]
+        base = self.base_rows
+        in_base, in_tail = idx < base, idx >= base
         out = np.empty(idx.size, dtype=self._data.dtype)
-        if not idx.size:
-            return out
-        chunk_ids = idx // self.chunk_rows
-        for index in np.unique(chunk_ids):
-            mask = chunk_ids == index
-            chunk = self._chunk(int(index))
-            out[mask] = chunk[idx[mask] - int(index) * self.chunk_rows]
+        out[in_base] = self._data[idx[in_base]]
+        out[in_tail] = self._tail[idx[in_tail] - base]
         return out
 
     def gather(self, rowids: Sequence[int] | np.ndarray) -> np.ndarray:

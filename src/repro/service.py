@@ -350,7 +350,7 @@ class LocalExplorationService:
         """Execute one speculation plan; returns the rows warmed.
 
         Pre-reads the rows the predicted gesture would touch — for paged
-        columns this faults the chunks into the store's chunk cache, the
+        columns this faults their mapped pages into the page cache, the
         real speculative win — and stages predicted-zoom sample levels in
         the policy's private store.  Never touches kernel-visible state
         (views, hierarchies, touch caches), so outcome counters stay

@@ -130,9 +130,9 @@ class Column:
         The batched read primitive of the kernel's vectorized paths
         (:meth:`repro.storage.sample.SampleHierarchy.read_batch`, the batch
         slide executor): semantically ``values[rowids]``, but overridable —
-        :class:`repro.persist.paged_column.PagedColumn` reroutes it through
-        chunk-granular faulting so a gesture over an out-of-core column
-        touches only the chunks under the finger.  Callers are expected to
+        :class:`repro.persist.paged_column.PagedColumn` gathers through
+        its mapped file and append tail, so a gesture over an out-of-core
+        column reads only the rows under the finger.  Callers are expected to
         have bounds-checked ``rowids``; use :meth:`gather` for the checked
         variant.
         """

@@ -231,7 +231,7 @@ class SampleHierarchy:
             mask = indices == index
             sample_rowids = np.minimum(lvl.num_rows - 1, rowids[mask] // lvl.step)
             # read_batch (not raw fancy indexing) so out-of-core paged
-            # columns serve the gather through chunk-granular faults
+            # columns serve the gather through mapping and append tail
             values[mask] = lvl.column.read_batch(sample_rowids)
             level_numbers[mask] = lvl.level
         return values, level_numbers

@@ -10,7 +10,8 @@ surfacing through the server's telemetry plane.
 import numpy as np
 import pytest
 
-from repro.core.commands import GestureScript, ShowColumn, Slide
+from repro.core.actions import summary_action
+from repro.core.commands import ChooseAction, GestureScript, ShowColumn, Slide, Tap
 from repro.errors import ExecutionError
 from repro.obs import TraceConfig, TraceContext, Tracer, current_trace_context, stitch_traces
 from repro.persist.diskstore import DiskColumnStore
@@ -217,18 +218,24 @@ class TestServerTelemetry:
                 GestureScript(
                     [
                         ShowColumn(object_name="cold", view_name="v", height_cm=10.0),
+                        # a scan slide gathers rows through the mapping ...
                         Slide(view="v", duration=1.0, start_fraction=0.0, end_fraction=0.5),
+                        # ... a tap's stride-1 summary window is a range
+                        # read through the chunk layer
+                        ChooseAction(view="v", action=summary_action(k=10)),
+                        Tap(view="v", fraction=0.3),
                     ]
                 ),
             )
             storage = server.storage_stats()
             assert storage is not None
+            assert storage["rows_gathered"] > 0
             assert storage["chunk_misses"] > 0
             assert storage["bytes_cached"] > 0
             assert storage["cache_capacity_bytes"] == 1 << 20
             telemetry = server.telemetry_snapshot()
             assert telemetry["storage_chunk_misses"] == storage["chunk_misses"]
-            # the paged tier shows up inside the slide's trace too
+            # the paged tier shows up inside the tap's trace too
             traces = server.drain_traces()
             faults = [s for t in traces for s in t.find("chunk_fault")]
             assert faults and all(f.duration_s >= 0.0 for f in faults)

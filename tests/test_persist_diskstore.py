@@ -1,13 +1,31 @@
 """Unit tests for the disk column store, chunk cache and paged columns."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import (
+    ChooseAction,
+    GestureScript,
+    KernelConfig,
+    LocalExplorationService,
+    ShowColumn,
+    ShowTable,
+    Slide,
+)
+from repro.core.actions import select_where_action
 from repro.core.caching import MemoryBudget, TouchCache
+from repro.engine.filter import Comparison, Predicate
 from repro.errors import PersistError, StorageError
+from repro.indexing.paged import PagedCrackerIndex
 from repro.persist.diskstore import ChunkCache, DiskColumnStore
+from repro.persist.snapshot import StoreCatalog
 from repro.storage.column import Column
 from repro.storage.loader import AdaptiveLoader
+from repro.storage.table import Table
 
 
 @pytest.fixture
@@ -179,6 +197,171 @@ class TestChunkCache:
             ChunkCache(0)
 
 
+class TestGatherThroughTheMapping:
+    """``read_batch`` is one gather: O(rows read), nothing materialised."""
+
+    @staticmethod
+    def _data(kind: str, n: int, offset: int = 0) -> np.ndarray:
+        ramp = np.arange(offset, offset + n)
+        if kind == "int64":
+            return ramp.astype(np.int64) * 7 - 3
+        if kind == "float64":
+            values = ramp.astype(np.float64) / 3.0
+            values[::5] = np.nan
+            return values
+        return np.array([f"{i:04d}" for i in ramp], dtype="U4")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["int64", "float64", "U4"]),
+        rows=st.integers(0, 200),
+        chunk_rows=st.integers(1, 64),
+        tail_rows=st.integers(0, 70),
+        data=st.data(),
+    )
+    def test_read_batch_equals_values_fancy_index(
+        self, kind, rows, chunk_rows, tail_rows, data
+    ):
+        if kind == "U4":
+            tail_rows = 0  # string zones have no min/max: base-only
+        with tempfile.TemporaryDirectory() as root:
+            store = DiskColumnStore(root, cache_bytes=1 << 16)
+            store.write_column(Column("c", self._data(kind, rows)), chunk_rows=chunk_rows)
+            paged = store.open_column("c")
+            stages = [self._data(kind, rows)]
+            if tail_rows:
+                stages.append(self._data(kind, rows + tail_rows))
+            for reference in stages:
+                if len(reference) > len(paged):
+                    paged.append_batch(reference[len(paged) :])
+                n = len(reference)
+                # the multiset: unsorted, duplicated, possibly empty, plus
+                # every chunk boundary and the base/tail straddle
+                edges = [
+                    r
+                    for k in range(1, n // chunk_rows + 1)
+                    for r in (k * chunk_rows - 1, k * chunk_rows)
+                    if r < n
+                ] + [r for r in (rows - 1, rows, n - 1) if 0 <= r < n]
+                drawn = (
+                    data.draw(st.lists(st.integers(0, n - 1), max_size=40)) if n else []
+                )
+                for rowids in (drawn, sorted(drawn), edges, drawn[:1], []):
+                    idx = np.asarray(rowids, dtype=np.int64)
+                    got = paged.read_batch(rowids)
+                    assert type(got) is np.ndarray and got.dtype == paged.values.dtype
+                    # bit-identical, NaN payloads included
+                    assert got.tobytes() == reference[idx].tobytes()
+                    assert got.tobytes() == paged.values[idx].tobytes()
+                    assert paged.gather(rowids).tobytes() == got.tobytes()
+            assert store.cache.stats.insertions == 0 and len(store.cache) == 0
+
+    def test_result_is_a_private_writable_array(self, store):
+        column = make_column(5000)
+        path = store.write_column(column, chunk_rows=512)
+        on_disk = path.read_bytes()
+        paged = store.open_column("m")
+        for rowids in ([3, 4000, 511, 512], np.arange(1000, 3000)):
+            got = paged.read_batch(rowids)
+            assert not isinstance(got, np.memmap)
+            assert got.flags.writeable and not np.shares_memory(got, paged.values)
+            got[:] = -1
+        assert path.read_bytes() == on_disk
+        assert np.array_equal(paged.values[:], column.values)
+
+    def test_reads_after_compaction_are_tail_free_and_equal(self, tmp_path):
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 16))
+        catalog.persist_column(make_column(1000, name="c"), chunk_rows=128)
+        catalog.load_column("c").append_batch(np.arange(1000, 1300, dtype=np.int64))
+        rowids = [1299, 0, 999, 1000, 127, 128, 1000]
+        before = catalog.load_column("c").read_batch(rowids)
+        assert catalog.compact_appends("c") == 1300
+        compacted = catalog.load_column("c")
+        assert compacted.tail_rows == 0
+        assert np.array_equal(compacted.read_batch(rowids), before)
+        assert np.array_equal(before, rowids)
+
+    def test_gather_refuses_rowids_a_fancy_index_would_wrap(self, store):
+        store.write_column(make_column(100), chunk_rows=16)
+        paged = store.open_column("m")
+        paged.append_batch(np.arange(100, 110, dtype=np.int64))
+        for bad in ([-1], [0, len(paged)], [5, -110]):
+            with pytest.raises(StorageError):
+                paged.gather(bad)
+        assert np.array_equal(paged.gather([109, 0]), [109, 0])
+
+    def test_gathers_are_counted_where_faults_used_to_be(self, store):
+        store.write_column(make_column(), chunk_rows=1024)
+        paged = store.open_column("m")
+        paged.read_batch([1, 2000, 9000])
+        paged.gather(np.arange(50))
+        paged.read_batch([])
+        snapshot = store.cache.stats_snapshot()
+        assert snapshot["gathers"] == 3 and snapshot["rows_gathered"] == 53
+        assert snapshot["chunk_misses"] == 0 and store.cache.stats.lookups == 0
+        store.cache.clear()
+        assert store.cache.stats_snapshot()["rows_gathered"] == 0
+
+    def test_gesture_reads_materialise_nothing_whatever_the_column_size(self, tmp_path):
+        """The size-independence guard: a count, not a clock."""
+        chunk_rows, cache_chunks = 256, 4
+        rows = 48 * cache_chunks * chunk_rows  # the column is 48x its cache
+        rng = np.random.default_rng(5)
+        arrays = {"a": rng.integers(0, 1_000_000, rows), "b": rng.normal(0.0, 1.0, rows)}
+        predicate = Predicate(Comparison.BETWEEN, 100_000, 400_000)
+        script = GestureScript(
+            [
+                ShowColumn(object_name="a", view_name="c", height_cm=10.0),
+                Slide(view="c", duration=1.0, start_fraction=0.05, end_fraction=0.95),
+                ShowTable(table_name="t", view_name="v", height_cm=10.0),
+                ChooseAction(view="v", action=select_where_action("a", predicate, ["b"])),
+                Slide(view="v", duration=1.0, start_fraction=0.9, end_fraction=0.1),
+            ]
+        )
+        store = DiskColumnStore(tmp_path, cache_bytes=cache_chunks * chunk_rows * 8)
+        for name, values in arrays.items():
+            store.write_column(Column(name, values), chunk_rows=chunk_rows)
+        assert store.on_disk_bytes("a") >= 48 * store.cache.capacity_bytes
+        tables = {
+            "paged": Table("t", [store.open_column("a"), store.open_column("b")]),
+            "memory": Table.from_arrays("t", arrays),
+        }
+        results = {}
+        for label, table in tables.items():
+            service = LocalExplorationService(config=KernelConfig(latency_budget_s=1e6))
+            service.load_table("t", table)
+            service.load_column("a", table.column("a"))
+            envelopes = service.run(script)
+            selection = service.select_where("v")
+            results[label] = (
+                [
+                    (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits)
+                    for e in envelopes
+                ],
+                selection.rowids.tolist(),
+                selection.selected["b"].tobytes(),
+            )
+        assert results["paged"] == results["memory"]
+        assert len(results["paged"][1]) > 0
+        assert store.cache.stats.insertions == 0 and len(store.cache) == 0
+        assert store.cache.stats.rows_gathered > 0
+
+    def test_scan_only_paged_cracker_masks_a_view_not_a_copy(self, store):
+        rng = np.random.default_rng(9)
+        column = Column("m", rng.normal(50.0, 10.0, 4096))
+        path = store.write_column(column, chunk_rows=256)
+        on_disk = path.read_bytes()
+        paged = store.open_column("m")
+        # 16 candidate chunks > 2 resident: every lookup is scan-only
+        index = PagedCrackerIndex(paged, max_resident_chunks=2)
+        for low, high in ((45.0, 55.0), (-np.inf, 30.0), (70.0, np.inf), (50.0, 50.0)):
+            mask = (column.values >= low) & (column.values < high)
+            assert np.array_equal(index.rowids_in_range(low, high), np.nonzero(mask)[0])
+        assert index.chunk_crackers_built == 0  # nothing was permuted ...
+        assert path.read_bytes() == on_disk  # ... and the mapping is intact
+        assert store.cache.stats.lookups == 0  # never through the budgeted cache
+
+
 class TestConcurrentSharedCache:
     """The chunk cache is shared by parallel scheduler workers."""
 
@@ -206,6 +389,40 @@ class TestConcurrentSharedCache:
             thread.join()
         assert errors == []
         assert store.cache.stats.lookups == 8 * 300
+
+    def test_parallel_gathers_lose_no_count_and_no_row(self, tmp_path):
+        import sys
+        import threading
+
+        store = DiskColumnStore(tmp_path, cache_bytes=6 * 512 * 8)
+        store.write_column(make_column(20_000), chunk_rows=512)
+        paged = store.open_column("m")
+        paged.append_batch(np.arange(20_000, 20_500, dtype=np.int64))
+        errors = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(200):
+                    rowids = rng.integers(0, 20_500, 25)
+                    assert np.array_equal(paged.read_batch(rowids), rowids)
+            except Exception as exc:  # pragma: no cover - the assertion target
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.cache.stats.gathers == 8 * 200
+        assert store.cache.stats.rows_gathered == 8 * 200 * 25
 
     def test_racing_double_put_releases_replaced_budget(self, tmp_path):
         budget = MemoryBudget(1 << 20)

@@ -22,6 +22,7 @@ from repro import (
     ShowColumn,
     ShowTable,
     Slide,
+    Tap,
     ZoomIn,
 )
 from repro.core.actions import select_where_action, summary_action
@@ -207,6 +208,10 @@ class TestSharedMemoryBudgetEndToEnd:
                     ShowColumn(object_name="meas", view_name="v", height_cm=10.0),
                     Slide(view="v", duration=1.0, start_fraction=0.0, end_fraction=1.0),
                     Slide(view="v", duration=1.0, start_fraction=1.0, end_fraction=0.0),
+                    # the slides charge the kernel's share; the store's is a
+                    # range read — a tap's stride-1 summary window
+                    ChooseAction(view="v", action=summary_action(k=10)),
+                    Tap(view="v", fraction=0.5),
                 ]
             )
         )

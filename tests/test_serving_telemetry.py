@@ -14,7 +14,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro import GestureScript, LocalExplorationService, ShowColumn, Slide
+from repro import ChooseAction, GestureScript, LocalExplorationService, ShowColumn, Slide, Tap
+from repro.core.actions import summary_action
 from repro.errors import WorkerCrashedError
 from repro.obs import TraceConfig, stitch_traces
 from repro.persist.diskstore import DiskColumnStore
@@ -214,10 +215,20 @@ class TestTelemetryVerb:
 
     def test_stats_verb_aggregates_storage(self, server):
         with ShardedClient("127.0.0.1", server.port, session_id="statter") as client:
-            client.run(make_script("tv"))
+            client.run(make_script("tv"))  # scan slides: gathered rows
+            # a tap's stride-1 summary window: a range read through the chunks
+            client.run(
+                GestureScript(
+                    [
+                        ChooseAction(view="tv", action=summary_action(k=10)),
+                        Tap(view="tv", fraction=0.3),
+                    ]
+                )
+            )
             stats = client.stats()
             storage = stats["storage"]
             assert storage is not None
+            assert storage["rows_gathered"] > 0
             assert storage["chunk_misses"] > 0
             assert storage["cache_capacity_bytes"] == 2 * (1 << 20)  # summed
             for report in stats["workers"].values():
