@@ -62,9 +62,16 @@ def batch_column():
 
 def _drive_gesture(column, batch_execution: bool, config_kwargs: dict, action: str):
     """Build a fresh session, run one dense slide, return (outcome, seconds, events)."""
+    # the adaptive optimizer reads the wall clock: one 50 ms gen-2 GC pause
+    # inside a per-touch-loop touch overruns the default 50 ms budget, halves
+    # that touch's summary window, and the "deterministic" counters differ
+    # (tuples 251970 vs 251980) — so parity pins the budget off, as the
+    # differential suites do
     session = ExplorationSession(
         profile=FAST_DIGITIZER,
-        config=KernelConfig(batch_execution=batch_execution, **config_kwargs),
+        config=KernelConfig(
+            batch_execution=batch_execution, latency_budget_s=1e6, **config_kwargs
+        ),
     )
     session.load_column("ramp", column)
     view = session.show_column("ramp", height_cm=10.0)

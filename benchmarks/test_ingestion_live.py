@@ -3,7 +3,7 @@
 The streaming-append tier must keep exploration interactive while data
 arrives: ``append_batch`` grows a column in place, the cracked index
 keeps serving its frozen prefix through a validity window, and only the
-appended hot tail is scanned until a background merge folds it in.  Two
+appended hot tail is scanned until a background merge folds it in.  Three
 properties are measured:
 
 * **Append throughput** — a session absorbing batch after batch into an
@@ -15,9 +15,14 @@ properties are measured:
   beat the full-scan reference; after ``merge_index_tails`` the window
   closes and selections are pure cracker again.  Results stay
   bit-identical to brute force throughout.
+* **Size independence** — an append writes the batch and a merge moves at
+  most a tail's worth of rows per piece, whatever the column holds:
+  counted (buffer reallocations, ``rows_moved_total``), not timed, so it
+  gates tier-1.
 
-Headline numbers land in ``benchmark.extra_info`` and surface as
-``BENCH_live_ingestion_*.json`` via ``scripts/bench_trajectory.py``.
+Headline numbers land in ``benchmark.extra_info`` (``--benchmark-json``);
+the timed comparison against a parent commit is the ledger's
+``ingest_mixed`` workload.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ import pytest
 from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
+from repro.indexing.manager import IndexManager
 from repro.metrics.reporting import format_comparison
+from repro.storage.column import Column
 from repro.touchio.device import IPAD1_PROTOTYPE as IPAD1
 
 from conftest import print_comparison
@@ -173,3 +180,56 @@ def test_hot_tail_latency_window_vs_merged_gate(hot_tail_run):
     """Unmerged tails still answer fast: >= 2x over the full-scan reference."""
     window_s, _, reference_s, _ = hot_tail_run()
     assert reference_s / window_s >= MIN_WINDOW_SPEEDUP
+
+
+def test_ingest_cost_independent_of_column_size():
+    """The same append/merge script costs the same over 250k and 2M rows.
+
+    A count, not a clock: per object at most one buffer reallocation (the
+    doubling that makes room for the whole script) and, per merge, at most
+    a tail's worth of rows relocated per piece.  An ``append_batch`` that
+    re-concatenates or a ``merge_tail`` that rewrites its arrays
+    reallocates 16 times and moves ``n`` rows a merge.
+    """
+    script_batches, script_rows = 16, 2_000
+
+    def address(array: np.ndarray) -> int:
+        return array.__array_interface__["data"][0]
+
+    def run(rows: int):
+        rng = np.random.default_rng(107)
+        column = Column("stream", rng.integers(0, 1_000_000, size=rows, dtype=np.int64))
+        manager = IndexManager()
+        for low, high in HOT_RANGES:
+            manager.select_rowids(
+                "stream", None, column, Predicate(Comparison.BETWEEN, low, upper=high)
+            )
+        cracker = manager.cracker_for("stream")
+        buffers = {"column": set(), "cracker values": set(), "cracker rowids": set()}
+        for _ in range(script_batches):
+            column.append_batch(rng.integers(0, 1_000_000, size=script_rows, dtype=np.int64))
+            manager.extend_valid_prefix("stream")
+            assert manager.merge_tails("stream") == script_rows
+            buffers["column"].add(address(column.values))
+            buffers["cracker values"].add(address(cracker._values))
+            buffers["cracker rowids"].add(address(cracker._rowids))
+        low, high = HOT_RANGES[0]
+        selection = manager.select_rowids(
+            "stream", None, column, Predicate(Comparison.BETWEEN, low, upper=high)
+        )
+        values = column.values
+        assert np.array_equal(selection.rowids, np.nonzero((values >= low) & (values <= high))[0])
+        stats = manager.stats_snapshot()
+        return {name: len(seen) for name, seen in buffers.items()}, stats, cracker.num_pieces
+
+    small_buffers, small, pieces = run(250_000)
+    large_buffers, large, large_pieces = run(BASE_ROWS)
+    assert pieces == large_pieces == 2 * len(HOT_RANGES) + 1
+    # one buffer per object after the first growth, at either size
+    assert small_buffers == large_buffers == dict.fromkeys(small_buffers, 1)
+    per_script = script_batches * pieces * script_rows
+    for stats in (small, large):
+        assert stats["tail_merges"] == script_batches
+        assert stats["rows_merged_total"] == script_batches * script_rows
+        assert script_batches * script_rows <= stats["rows_moved_total"] <= per_script
+    assert large["rows_moved_total"] <= BASE_ROWS // 4

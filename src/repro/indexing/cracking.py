@@ -53,9 +53,12 @@ touching the cracker: the index keeps answering exactly for the prefix it
 was built over (``covered_rows``) while the appended tail is scanned by
 the caller (:class:`repro.indexing.manager.IndexManager` merges the two
 answer sets).  :meth:`merge_tail` — scheduled off the gesture path, on
-the background lane — folds the tail rows into their pieces in one pass
+the background lane — folds the tail rows into their pieces *in place*
 and advances the window, so steady-state lookups regain full piece
-pruning without ever discarding cracked state.
+pruning without ever discarding cracked state.  The arrays sit in
+capacity-doubling buffers and room is made by rippling (Idreos et al.,
+*Updating a Cracked Database*): a merge moves at most a tail's worth of
+rows per piece, so its cost follows the tail, not the column.
 
 The full cracked state (the reordered copy, the rowid permutation and the
 piece structure) can be exported with :meth:`CrackerIndex.export_state`
@@ -80,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.column import Column
+from repro.storage.column import Column, grown_buffer
 
 #: Default hard cap on the piece count; cracks beyond it coalesce.
 DEFAULT_MAX_PIECES = 512
@@ -213,6 +216,9 @@ class CrackerIndex:
                 order = np.argsort(nan_mask, kind="stable")  # non-NaN first
                 self._values = self._values[order]
                 self._rowids = self._rowids[order]
+        # capacity buffers the two arrays are logical-length views of; they
+        # only diverge once merge_tail has grown them (capacity == length here)
+        self._values_buf, self._rowids_buf = self._values, self._rowids
         self._num_valid = len(column) - self._num_nan
         # flat piece structure: piece i spans positions
         # [_bounds[i], _bounds[i+1]) and values [pivot[i-1], pivot[i])
@@ -229,6 +235,7 @@ class CrackerIndex:
         self.values_scanned_total = 0
         self.tail_merges = 0
         self.rows_merged_total = 0
+        self.rows_moved_total = 0
         # incremental-snapshot bookkeeping (see CrackerState)
         self.epoch = uuid.uuid4().hex[:16]
         self.generation = 0
@@ -325,8 +332,8 @@ class CrackerIndex:
                     )
         index = cls.__new__(cls)
         index.column = column
-        index._values = values
-        index._rowids = rowids
+        index._values = index._values_buf = values
+        index._rowids = index._rowids_buf = rowids
         index._num_nan = m - num_valid
         index._num_valid = num_valid
         index._bounds = bounds
@@ -342,6 +349,7 @@ class CrackerIndex:
         index.values_scanned_total = 0
         index.tail_merges = 0
         index.rows_merged_total = 0
+        index.rows_moved_total = 0
         # an adopted cracker starts a fresh delta chain: diffs against any
         # previously persisted epoch are unknowable from here
         index.epoch = uuid.uuid4().hex[:16]
@@ -401,10 +409,11 @@ class CrackerIndex:
 
     @property
     def size_bytes(self) -> int:
-        """Bytes held by the cracker column, rowids and piece vectors."""
+        """Bytes allocated for the cracker column, rowids (spare capacity
+        included — this is what the memory budget is charged) and pieces."""
         return int(
-            self._values.nbytes
-            + self._rowids.nbytes
+            self._values_buf.nbytes
+            + self._rowids_buf.nbytes
             + self._pivots.nbytes
             + self._bounds.nbytes
         )
@@ -515,76 +524,67 @@ class CrackerIndex:
     def merge_tail(self) -> int:
         """Fold appended base rows into the pieces; returns rows merged.
 
-        One pass over the tail: each appended row is routed to the piece
-        whose value envelope contains it (piece membership uses the same
-        ``< pivot`` comparison :meth:`crack` splits with, so exactness
-        against ``Predicate.mask`` is preserved even for int64 beyond
-        2**53), appended NaN rows are parked behind the valid prefix with
-        the rest, and the validity window advances to the column's new
-        length.  No existing piece boundary moves — the structure keeps
-        every crack it has earned.  Intended to run on the background
-        lane, off the gesture path; a no-op when the window is current.
+        In place, O(tail · log pieces + Σ min(shift, width)): each appended
+        row is routed to the piece whose value envelope contains it (one
+        binary search in the dtype :meth:`crack`'s ``segment < pivot``
+        compares in, so exactness against ``Predicate.mask`` holds for
+        int64 beyond 2**53 and for float32 pivots alike), then room is made
+        by *rippling* from the last piece to the first: pieces are
+        unordered inside, so a piece that must start ``shift`` rows later
+        moves only its first ``min(shift, width)`` rows to just past its
+        end and takes its share of the tail behind them.  Parked NaN rows
+        ripple the same way and appended NaN rows land last.  Only the
+        order of rows *inside* a piece is unspecified (a ``stochastic``
+        cracker's next sampled pivot may therefore differ); no piece
+        boundary's pivot moves, every earned crack is kept, and the
+        validity window advances to the column's new length.  Intended for
+        the background lane, off the gesture path; a no-op when current.
         """
         n = len(self.column)
         covered = self.covered_rows
         if n <= covered:
             return 0
         tail = np.asarray(self.column.values[covered:])
-        tail_rowids = np.arange(covered, n, dtype=np.int64)
-        if np.issubdtype(tail.dtype, np.floating):
-            nan_mask = np.isnan(tail)
-        else:
-            nan_mask = np.zeros(tail.shape, dtype=bool)
-        valid = tail[~nan_mask]
-        valid_rowids = tail_rowids[~nan_mask]
-        # route each row to its piece: membership is #{pivot <= value},
-        # evaluated pivot-by-pivot with the exact promotion crack() uses
-        piece_idx = np.zeros(valid.shape[0], dtype=np.int64)
-        for pivot in self._pivots.tolist():
-            piece_idx += valid >= pivot
-        order = np.argsort(piece_idx, kind="stable")
-        valid = valid[order]
-        valid_rowids = valid_rowids[order]
-        counts = np.bincount(piece_idx, minlength=self.num_pieces)
-        shifts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        old_bounds = self._bounds
-        new_bounds = old_bounds + shifts
-        new_values = np.empty(n, dtype=self._values.dtype)
-        new_rowids = np.empty(n, dtype=np.int64)
-        for i in range(self.num_pieces):
-            old_start, old_stop = int(old_bounds[i]), int(old_bounds[i + 1])
-            new_start = int(new_bounds[i])
-            width = old_stop - old_start
-            new_values[new_start : new_start + width] = self._values[old_start:old_stop]
-            new_rowids[new_start : new_start + width] = self._rowids[old_start:old_stop]
-            t_start, t_stop = int(shifts[i]), int(shifts[i + 1])
-            new_values[new_start + width : int(new_bounds[i + 1])] = valid[t_start:t_stop]
-            new_rowids[new_start + width : int(new_bounds[i + 1])] = valid_rowids[
-                t_start:t_stop
-            ]
-        new_num_valid = self._num_valid + int(valid.shape[0])
-        new_values[new_num_valid : new_num_valid + self._num_nan] = self._values[
-            self._num_valid : self._num_valid + self._num_nan
-        ]
-        new_rowids[new_num_valid : new_num_valid + self._num_nan] = self._rowids[
-            self._num_valid : self._num_valid + self._num_nan
-        ]
-        new_values[new_num_valid + self._num_nan :] = tail[nan_mask]
-        new_rowids[new_num_valid + self._num_nan :] = tail_rowids[nan_mask]
-        self._values = new_values
-        self._rowids = new_rowids
-        self._bounds = new_bounds
-        self._num_valid = new_num_valid
-        self._num_nan = n - new_num_valid
+        pieces = self.num_pieces
+        floating = np.issubdtype(tail.dtype, np.floating)
+        key = tail.dtype if floating else np.float64
+        # block i < pieces is piece i (membership #{pivot <= value} under
+        # crack()'s promotion); block `pieces` is the parked-NaN region
+        block = np.searchsorted(self._pivots.astype(key), tail.astype(key), side="right")
+        if floating:
+            block[np.isnan(tail)] = pieces
+        order = np.argsort(block, kind="stable")
+        tail, tail_rowids = tail[order], covered + order
+        shifts = np.concatenate([[0], np.cumsum(np.bincount(block, minlength=pieces + 1))])
+        values = self._values_buf = grown_buffer(self._values_buf, covered, n)
+        rowids = self._rowids_buf = grown_buffer(self._rowids_buf, covered, n)
+        edges, shift_of = [*self._bounds.tolist(), covered], shifts.tolist()
+        moved = n - covered
+        for i in range(pieces, -1, -1):
+            shift, upto = shift_of[i], shift_of[i + 1]
+            if not upto:
+                break  # no row lands in or before this block: the rest stay put
+            start, stop = edges[i], edges[i + 1]
+            carry = min(shift, stop - start)
+            dest = stop + shift - carry
+            values[dest : dest + carry] = values[start : start + carry]
+            rowids[dest : dest + carry] = rowids[start : start + carry]
+            values[stop + shift : stop + upto] = tail[shift:upto]
+            rowids[stop + shift : stop + upto] = tail_rowids[shift:upto]
+            moved += carry
+        self._values, self._rowids = values[:n], rowids[:n]
+        self._bounds = self._bounds + shifts[:-1]
+        self._num_valid += shift_of[pieces]
+        self._num_nan = n - self._num_valid
         self.generation += 1
         # growing the arrays invalidates deltas against any shorter base:
         # collapse the log so the next snapshot falls back to a full write
         self._mutation_log.clear()
         self._log_floor = self.generation
-        merged = int(tail.shape[0])
         self.tail_merges += 1
-        self.rows_merged_total += merged
-        return merged
+        self.rows_merged_total += n - covered
+        self.rows_moved_total += moved
+        return n - covered
 
     def _stochastic_crack(self, near: float) -> None:
         """One MDD1R-style crack at a sampled value from ``near``'s piece."""

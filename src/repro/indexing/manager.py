@@ -30,7 +30,8 @@ wires that bet into the kernel:
   invalidation: crackers keep answering for the prefix they cover (their
   *validity window*) while :meth:`select_rowids` scans the appended tail,
   and :meth:`merge_tails` — run on the background lane — folds tails into
-  the cracked structure without ever discarding earned cracks.
+  the cracked structure in place (under the column lock, like a crack; cost
+  follows the tail, not the column) without ever discarding earned cracks.
 
 **Concurrency.**  One manager may be shared by every session of a
 :class:`repro.service.MultiSessionServer` whose sessions attach the same
@@ -100,6 +101,7 @@ _ACTIVITY_COUNTERS = (
     "spill_loads",
     "tail_merges",
     "rows_merged_total",
+    "rows_moved_total",
 )
 
 
@@ -182,6 +184,7 @@ class IndexManagerStats:
     spill_loads: int = 0
     tail_merges: int = 0
     rows_merged_total: int = 0
+    rows_moved_total: int = 0
     crackers_built: int = 0
     paged_crackers_built: int = 0
     crackers_adopted: int = 0

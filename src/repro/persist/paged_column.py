@@ -53,7 +53,7 @@ import numpy as np
 from repro.errors import StorageError
 from repro.obs.trace import trace_span
 from repro.persist.format import ColumnFormat, chunk_min_max
-from repro.storage.column import Column
+from repro.storage.column import Column, grown_buffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.persist.diskstore import ChunkCache
@@ -91,7 +91,7 @@ class PagedColumn(Column):
         self._touched_chunks: set[int] = set()
         # live-append tail: rows past the immutable memmap.  The zone
         # arrays start as the persisted ones and are extended per append.
-        self._tail = np.empty(0, dtype=data.dtype)
+        self._tail = self._tail_buffer = np.empty(0, dtype=data.dtype)
         self._zone_mins = chunk_mins
         self._zone_maxs = chunk_maxs
         self._values_cache: np.ndarray | None = None
@@ -146,9 +146,10 @@ class PagedColumn(Column):
         tail = self._cast_append_values(values)
         if tail.size == 0:
             return len(self)
-        self._tail = (
-            np.concatenate([self._tail, tail]) if self._tail.shape[0] else tail
-        )
+        old, new = self.tail_rows, self.tail_rows + tail.size
+        self._tail_buffer = grown_buffer(self._tail_buffer, old, new)
+        self._tail_buffer[old:new] = tail
+        self._tail = self._tail_buffer[:new]
         self._extend_zones()
         return len(self)
 

@@ -21,6 +21,20 @@ from repro.storage.dtypes import FixedWidthType, infer_type
 CACHE_LINE_VALUES = 8
 
 
+def grown_buffer(buffer: np.ndarray, length: int, needed: int) -> np.ndarray:
+    """``buffer`` if it holds ``needed`` rows, else a doubled copy of its prefix.
+
+    The one growth rule of every append path (column, paged tail, cracker
+    arrays): a full buffer is reallocated once to ``max(needed, 2 * length)``
+    carrying its first ``length`` rows, so n appends reallocate O(log n) times.
+    """
+    if needed <= buffer.shape[0]:
+        return buffer
+    grown = np.empty(max(needed, 2 * length), dtype=buffer.dtype)
+    grown[:length] = buffer[:length]
+    return grown
+
+
 class Column:
     """A named, typed, fixed-width column of values.
 
@@ -45,7 +59,13 @@ class Column:
             raise StorageError(f"column {name!r} requires 1-D data, got shape {arr.shape}")
         self.name = name
         self.dtype = dtype if dtype is not None else infer_type(arr)
-        self._data = self.dtype.cast(arr)
+        # _data is the logical-length array every read uses; _buffer is the
+        # capacity it is a prefix view of (capacity == length until an append)
+        self._data = self._buffer = self.dtype.cast(arr)
+
+    def __getstate__(self) -> dict:
+        # copies and pickles carry the logical array only, never spare capacity
+        return {**self.__dict__, "_buffer": self._data}
 
     # ------------------------------------------------------------------ #
     # basic container protocol
@@ -173,17 +193,25 @@ class Column:
     def append_batch(self, values: Iterable) -> int:
         """Append a batch of values in place; returns the new length.
 
-        The grown buffer is swapped under the *same* object, so every
-        holder of this column — catalog registrations, shown views,
-        identity-keyed index state — observes the new tail without
-        rebinding.  (Renamed clones made before the append keep the old
-        buffer; appends target the registered object.)
+        Amortised O(len(values)), whatever the column holds: the batch is
+        written into spare capacity behind the data and ``values`` is
+        re-pointed at the longer view; a full buffer doubles
+        (:func:`grown_buffer`).  The longer view appears under the *same*
+        object, so every holder of this column — catalog registrations,
+        shown views, identity-keyed index state — observes the new tail
+        without rebinding, and a ``values`` array captured earlier stays a
+        valid prefix: existing rows are never rewritten.  (Renamed clones
+        made before the append keep their own length; appends target the
+        registered object.)
         """
         tail = self._cast_append_values(values)
         if tail.size == 0:
             return len(self)
-        self._data = np.concatenate([self._data, tail])
-        return len(self)
+        old, new = len(self), len(self) + tail.size
+        self._buffer = grown_buffer(self._buffer, old, new)
+        self._buffer[old:new] = tail
+        self._data = self._buffer[:new]
+        return new
 
     # ------------------------------------------------------------------ #
     # derived columns
@@ -193,7 +221,7 @@ class Column:
         clone = Column.__new__(Column)
         clone.name = name
         clone.dtype = self.dtype
-        clone._data = self._data
+        clone._data = clone._buffer = self._data
         return clone
 
     def take_every(self, step: int, name_suffix: str = "") -> "Column":
@@ -212,7 +240,7 @@ class Column:
         clone = Column.__new__(Column)
         clone.name = self.name
         clone.dtype = self.dtype
-        clone._data = self._data.copy()
+        clone._data = clone._buffer = self._data.copy()
         return clone
 
     # ------------------------------------------------------------------ #

@@ -10,17 +10,23 @@ rests on:
   sorted, pivots strictly increasing, every piece's values inside its
   ``[low, high)`` envelope;
 * the rowid array stays a permutation of the base rowids;
-* range lookups return exactly the rowids a brute-force scan returns.
+* range lookups return exactly the rowids a brute-force scan returns;
+* an in-place ripple ``merge_tail`` leaves everything a lookup can observe
+  exactly as a wholesale rebuild of the arrays would (hypothesis).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.filter import Comparison, Predicate
 from repro.errors import StorageError
 from repro.indexing.cracking import CrackerIndex, CrackerState
 from repro.storage.column import Column
+from repro.storage.dtypes import FLOAT32, type_from_name
 
 SEEDS = [1, 7, 19, 83]
 
@@ -324,3 +330,186 @@ def test_nan_rows_never_returned_even_from_fully_covered_pieces():
     all_nan = CrackerIndex(Column("n", np.full(16, np.nan)))
     assert all_nan.num_valid == 0
     assert all_nan.rowids_in_range(-np.inf, np.inf).size == 0
+
+
+# --------------------------------------------------------------------- #
+# ripple merge_tail ≡ rebuilding the arrays (the pre-ripple algorithm, kept
+# here as the oracle)
+# --------------------------------------------------------------------- #
+def rebuild_merge(index: CrackerIndex, full: np.ndarray):
+    """What ``merge_tail`` must amount to, computed the slow obvious way.
+
+    Allocates full-length arrays, routes each tail row pivot by pivot with
+    the very comparison ``crack()`` uses, and copies every piece.  Returns
+    ``(values, rowids, bounds, num_valid)`` for the column ``full``.
+    """
+    n, covered = full.shape[0], index.covered_rows
+    tail, tail_rowids = full[covered:], np.arange(covered, n, dtype=np.int64)
+    nan_mask = tail != tail
+    valid, valid_rowids = tail[~nan_mask], tail_rowids[~nan_mask]
+    piece_idx = np.zeros(valid.shape[0], dtype=np.int64)
+    for pivot in index._pivots.tolist():
+        piece_idx += valid >= pivot
+    order = np.argsort(piece_idx, kind="stable")
+    valid, valid_rowids = valid[order], valid_rowids[order]
+    counts = np.bincount(piece_idx, minlength=index.num_pieces)
+    shifts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    old_bounds, new_bounds = index._bounds, index._bounds + shifts
+    values, rowids = np.empty(n, dtype=full.dtype), np.empty(n, dtype=np.int64)
+    for i in range(index.num_pieces):
+        start, stop, new_start = int(old_bounds[i]), int(old_bounds[i + 1]), int(new_bounds[i])
+        mid, new_stop = new_start + stop - start, int(new_bounds[i + 1])
+        values[new_start:mid] = index._values[start:stop]
+        rowids[new_start:mid] = index._rowids[start:stop]
+        values[mid:new_stop] = valid[shifts[i] : shifts[i + 1]]
+        rowids[mid:new_stop] = valid_rowids[shifts[i] : shifts[i + 1]]
+    num_valid = index.num_valid + valid.shape[0]
+    parked = num_valid + index.num_nan
+    values[num_valid:parked] = index._values[index.num_valid : covered]
+    rowids[num_valid:parked] = index._rowids[index.num_valid : covered]
+    values[parked:], rowids[parked:] = tail[nan_mask], tail_rowids[nan_mask]
+    return values, rowids, new_bounds, num_valid
+
+
+def assert_same_pieces(index: CrackerIndex, expected) -> None:
+    """Same structure, and per piece the same multiset of (value, rowid)."""
+    values, rowids, bounds, num_valid = expected
+    assert np.array_equal(index._bounds, bounds)
+    assert index.num_valid == num_valid
+    assert index.covered_rows == values.shape[0]
+    assert index._values.shape == values.shape and index._rowids.shape == rowids.shape
+    edges = [*bounds.tolist(), values.shape[0]]  # the last block is the parked NaNs
+    for start, stop in zip(edges, edges[1:]):
+        got, want = np.argsort(index._rowids[start:stop]), np.argsort(rowids[start:stop])
+        assert np.array_equal(index._rowids[start:stop][got], rowids[start:stop][want])
+        assert np.array_equal(
+            index._values[start:stop][got], values[start:stop][want], equal_nan=True
+        )
+
+
+def assert_crack_membership(index: CrackerIndex) -> None:
+    """``pivot[i-1] <= v < pivot[i]`` in the comparison ``crack()`` splits with."""
+    pivots = index._pivots.tolist()
+    for i in range(index.num_pieces):
+        segment = index._values[index._bounds[i] : index._bounds[i + 1]]
+        if i:
+            assert not (segment < pivots[i - 1]).any()
+        if i < len(pivots):
+            assert (segment < pivots[i]).all()
+    parked = index._values[index.num_valid :]
+    assert (parked != parked).all()
+
+
+@st.composite
+def merge_cases(draw):
+    """(base, pivots, tails, ranges) over one dtype, on a small value grid.
+
+    The grid makes empty pieces, duplicate values and exact pivot hits
+    common; floats sit at ``cell / 10`` (inexact in binary, and differently
+    so in float32) with pivots a hair either side of a *stored* value, and
+    the int64 grid can sit beyond 2**53 where float64 cannot tell
+    neighbours apart.
+    """
+    kind = draw(st.sampled_from(["int64", "int32", "float64", "float32"]))
+    floating = kind.startswith("float")
+    offset = draw(st.sampled_from([0, 2**53, 2**60])) if kind == "int64" else 0
+    cell = st.integers(-5, 5)
+    if floating:
+        cell = st.one_of(cell, cell, cell, st.none())  # None is a NaN row
+
+    def array(cells) -> np.ndarray:
+        if floating:
+            grid = [np.nan if c is None else c / 10 for c in cells]
+            return np.asarray(grid, dtype=kind)
+        return np.asarray([offset + c for c in cells], dtype=kind)
+
+    def bound(c: int, nudge: float) -> float:
+        return float(array([c])[0]) + nudge
+
+    nudges = st.sampled_from([0.0, 1e-12, -1e-12] if floating else [0.0, 0.5])
+    bounds = st.builds(bound, st.integers(-6, 6), nudges)
+    base = array(draw(st.lists(cell, max_size=60)))
+    pivots = draw(st.lists(bounds, max_size=8))  # none: a single-piece index
+    tails = draw(st.lists(st.lists(cell, max_size=120), min_size=1, max_size=3))
+    tails = [array(cells) for cells in tails]
+    pairs = draw(st.lists(st.tuples(bounds, bounds), min_size=1, max_size=4))
+    ranges = [tuple(sorted(pair)) for pair in pairs]
+    return base, pivots, tails, ranges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=merge_cases())
+def test_ripple_merge_equals_rebuilding_the_arrays(case):
+    base, pivots, tails, ranges = case
+    column = Column("c", base.copy(), dtype=type_from_name(str(base.dtype)))
+    assert column.values.dtype == base.dtype
+    index = CrackerIndex(column)
+    for pivot in pivots:
+        index.crack(pivot)
+    for tail in tails:
+        column.append_batch(tail)
+        full = np.asarray(column.values)
+        expected = rebuild_merge(index, full)
+        kept_pivots = index._pivots.copy()
+        assert index.merge_tail() == tail.shape[0]
+        assert np.array_equal(index._pivots, kept_pivots)
+        assert index.num_nan == int((full != full).sum())
+        assert_same_pieces(index, expected)
+        assert_crack_membership(index)
+        assert np.array_equal(np.sort(index._rowids), np.arange(full.shape[0]))
+        # lookups agree with the mask, before and after further cracking,
+        # on the live index and on a revived copy of it
+        revived = CrackerIndex.from_state(column, index.export_state())
+        assert_same_pieces(revived, (index._values, index._rowids, index._bounds, index.num_valid))
+        for low, high in ranges:
+            at_least, below = Predicate(Comparison.GE, low), Predicate(Comparison.LT, high)
+            expected_rowids = np.nonzero(at_least.mask(full) & below.mask(full))[0]
+            for crack in (False, True):
+                found = revived.rowids_in_range(low, high, crack=crack)
+                assert np.array_equal(found, expected_rowids)
+        index = revived  # the next tail merges into the round-tripped index
+
+
+def test_merge_routes_float32_rows_by_the_float32_rounded_pivot():
+    """``crack()`` compares a float32 column against the pivot *rounded to
+    float32*; a float64 binary search would send this row one piece left."""
+    stored = np.float32(0.1)
+    pivot = float(stored) + 1e-12  # above the value in float64, equal to it in float32
+    assert not (np.asarray([stored]) < pivot).any()  # crack() keeps it right of the pivot
+    assert float(stored) < pivot  # ...where float64 arithmetic says left
+    column = Column("c", np.asarray([0.0, 0.05, 0.2, 0.3], dtype=np.float32), dtype=FLOAT32)
+    index = CrackerIndex(column)
+    index.crack(pivot)
+    column.append_batch(np.asarray([stored, 0.05, stored], dtype=np.float32))
+    full = np.asarray(column.values)
+    expected = rebuild_merge(index, full)
+    index.merge_tail()
+    assert_same_pieces(index, expected)
+    assert_crack_membership(index)
+    assert index._bounds.tolist() == [0, 3, 7]  # both 0.1f rows joined the right piece
+    assert index.rowids_in_range(pivot, 1.0).tolist() == [2, 3, 4, 6]
+    assert np.array_equal(
+        index.rowids_in_range(pivot, 1.0), np.nonzero(Predicate(Comparison.GE, pivot).mask(full))[0]
+    )
+
+
+def test_merge_of_a_tail_larger_than_the_index_moves_every_piece_whole():
+    """Every shift exceeds its piece's width: whole pieces relocate."""
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 100, 40).astype(np.int64)
+    column = Column("c", base.copy())
+    index = CrackerIndex(column)
+    for pivot in (20.0, 40.0, 60.0, 80.0):
+        index.crack(pivot)
+    # 50 rows below every pivot come first, so every later piece shifts by
+    # more than the widest piece holds
+    tail = np.concatenate([rng.integers(0, 20, 50), rng.integers(0, 100, 400)]).astype(np.int64)
+    assert 50 > np.diff(index._bounds).max()
+    column.append_batch(tail)
+    expected = rebuild_merge(index, np.asarray(column.values))
+    assert index.merge_tail() == 450
+    assert_same_pieces(index, expected)
+    assert_crack_membership(index)
+    # moved = the 450 tail rows + every row of pieces 1.. (piece 0 never shifts)
+    assert index.rows_moved_total == 450 + 40 - int((base < 20).sum())
+    assert np.array_equal(index.rowids_in_range(10.0, 70.0), brute_force(column, 10.0, 70.0))

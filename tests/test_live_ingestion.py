@@ -133,6 +133,54 @@ def test_cracker_window_scan_and_merge_exact(kind):
     assert stats["rows_merged_total"] == len(tail)
 
 
+def test_merge_charges_allocated_capacity_and_reports_rows_moved():
+    """The budget pays for the doubled buffers; merges say what they moved."""
+    from repro.core.caching import MemoryBudget
+
+    rng = np.random.default_rng(17)
+    column = Column("c", rng.integers(0, 1_000, 10_000).astype(np.int64))
+    budget = MemoryBudget(capacity_bytes=1 << 22)
+    manager = IndexManager(budget=budget)
+    for low in (100.0, 400.0, 700.0):
+        manager.select_rowids(
+            "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 150)
+        )
+    cracker = manager.cracker_for("c")
+    pieces = cracker.num_pieces
+    assert manager.index_bytes == budget.used_bytes == cracker.size_bytes
+    assert cracker.size_bytes == 10_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
+    moved = 0
+    for batch in range(4):
+        column.append_batch(rng.integers(0, 1_000, 500).astype(np.int64))
+        manager.extend_valid_prefix("c")
+        assert manager.merge_tails("c") == 500
+        # a merge touches the tail plus at most one tail's worth per piece —
+        # never the column — and only the first one reallocates (to 2x)
+        step = cracker.rows_moved_total - moved
+        assert 500 <= step <= 500 * pieces and step < len(column) // 2
+        moved += step
+        assert cracker._values.base.shape[0] == cracker._rowids.base.shape[0] == 20_000
+        assert cracker.size_bytes == 20_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
+        assert manager.index_bytes == budget.used_bytes == cracker.size_bytes
+    stats = manager.stats_snapshot()
+    assert stats["rows_merged_total"] == 2_000
+    assert stats["rows_moved_total"] == cracker.rows_moved_total == moved
+    assert stats["cracker_bytes"] == cracker.size_bytes
+    full = np.asarray(column.values)
+    selection = manager.select_rowids(
+        "c", None, column, Predicate(Comparison.BETWEEN, 250.0, upper=650.0)
+    )
+    assert np.array_equal(selection.rowids, _mask_rowids(full, 250.0, 650.0))
+    # export copies the logical arrays, not the capacity
+    assert cracker.export_state().values.shape == (12_000,)
+    # a peer that needs the room reclaims the cracker: every byte charged
+    # for it, spare capacity included, goes back
+    budget.register("peer", lambda nbytes: 0)
+    budget.charge("peer", budget.capacity_bytes)
+    assert manager.stats.crackers_dropped == 1
+    assert budget.used_by(manager._budget_key) == 0 and manager.index_bytes == 0
+
+
 def test_extend_valid_prefix_keeps_pieces():
     """Regression: an append must shrink the validity window, not the index."""
     rng = np.random.default_rng(9)
@@ -239,6 +287,36 @@ class TestPagedColumnTail:
             for i in np.nonzero(full[int(start):int(stop)] >= 50_000)[0]
         ]
         assert sorted(hits) == [5_000, 5_001]
+
+    def test_many_small_appends_grow_one_tail_buffer(self, paged):
+        """The tail grows by doubling: every read surface sees each batch,
+        earlier tail reads stay valid, the caller's batch is never aliased."""
+        rng = np.random.default_rng(24)
+        batch = rng.integers(0, 10_000, 7).astype(np.int64)
+        paged.append_batch(batch)
+        batch[:] = -1  # the column copied it
+        full = np.concatenate([self.base, paged.raw_slice(5_000, 5_007)])
+        assert full.min() >= 0
+        buffers, first_tail = set(), paged.raw_slice(5_000, 5_007)
+        for _ in range(300):
+            more = rng.integers(0, 10_000, 7).astype(np.int64)
+            full = np.concatenate([full, more])
+            assert paged.append_batch(more) == full.shape[0]
+            buffers.add(paged.raw_slice(5_000, 5_001).__array_interface__["data"][0])
+            assert np.array_equal(np.asarray(paged.values), full)  # cache refreshed per length
+        assert len(buffers) <= 10  # 7 -> 2,107 rows by doubling
+        assert np.array_equal(first_tail, full[5_000:5_007])
+        assert paged.tail_rows == 2_107 and paged.num_chunks == -(-7_107 // 512)
+        probe = rng.integers(0, 7_107, 500)
+        assert np.array_equal(paged.read_batch(probe), full[probe])
+        assert np.array_equal(np.asarray(paged.slice(4_990, 7_107)), full[4_990:])
+        assert paged.value_at(7_106) == full[-1]
+        for index in range(paged.num_chunks):
+            lo, hi = paged.chunk_range(index)
+            rows = full[index * 512 : (index + 1) * 512]
+            assert (int(lo), int(hi)) == (int(rows.min()), int(rows.max()))
+        assert self.catalog.compact_appends("c") == 7_107
+        assert np.array_equal(np.asarray(self.catalog.load_column("c").values), full)
 
     def test_compact_appends_rewrites_tail_free(self, paged):
         rng = np.random.default_rng(23)
