@@ -18,8 +18,7 @@ A third benchmark locks down the coalescing contract: a 10,000-predicate
 session keeps the piece count bounded by the coalescing cap instead of
 growing one piece per distinct predicate.
 
-Headline numbers land in ``benchmark.extra_info`` and surface as
-``BENCH_adaptive_indexing_*.json`` via ``scripts/bench_trajectory.py``.
+Headline numbers land in ``benchmark.extra_info``.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ between the two modes and genuinely shared base storage (every session
 reads the same numpy buffer; the dataset is never copied per session) —
 and, as a separate ``wallclock``-marked test over the same run, >= 3x
 aggregate gesture throughput at 8 sessions.  The headline numbers land in
-``benchmark.extra_info`` so CI's ``--benchmark-json`` output carries them
-into the ``BENCH_concurrent_serving.json`` trajectory artifact (see
-``scripts/bench_trajectory.py``).
+``benchmark.extra_info``.
 """
 
 from __future__ import annotations

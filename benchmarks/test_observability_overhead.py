@@ -20,9 +20,7 @@ Two measurements back that up:
   Unlike a wall-vs-wall diff, this gate is immune to machine noise: the
   no-op span cost is nanoseconds while a gesture is milliseconds.
 
-The headline numbers land in ``benchmark.extra_info`` so CI's
-``--benchmark-json`` output carries them into the
-``BENCH_observability_overhead.json`` trajectory artifact.
+The headline numbers land in ``benchmark.extra_info``.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ the tier is for:
 The generated dataset lives under ``.bench-data/v<DATASET_VERSION>`` and
 is reused across runs; CI caches the directory keyed on this module's
 content, so the generator version bumps the cache key automatically.
-Headline numbers land in ``benchmark.extra_info`` and surface as
-``BENCH_out_of_core_*.json`` via ``scripts/bench_trajectory.py``.
+Headline numbers land in ``benchmark.extra_info``.
 """
 
 from __future__ import annotations

@@ -26,10 +26,7 @@ never what they compute.  The speedup floor is a separate
 aggregate gestures/sec on >= 4 cores (the acceptance bar), a relaxed
 floor on 2-3 cores, and on a single core only the parity contract is
 asserted (process parallelism cannot beat the GIL with one core to run
-on).  Headline numbers land in ``benchmark.extra_info`` so CI's
-``--benchmark-json`` output carries them into the
-``BENCH_sharded_serving_*.json`` trajectory artifacts
-(``scripts/bench_trajectory.py``).
+on).  Headline numbers land in ``benchmark.extra_info``.
 """
 
 from __future__ import annotations
@@ -268,31 +265,3 @@ def test_sharded_serving_scales_past_the_gil_gate(engines_run):
     # single core: process parallelism has nothing to run on — the parity
     # test is the contract this machine can check
 
-
-def test_sharded_serving_wire_overhead(benchmark, snapshot_root):
-    """Round-trip cost of the wire for one session, one gesture at a time."""
-    config = ShardedServerConfig(
-        num_workers=1,
-        worker=WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1),
-    )
-    script = script_for(0)
-    with ShardedServer(config) as server:
-        with ShardedClient("127.0.0.1", server.port, session_id="wire-bench") as client:
-
-            def run() -> list:
-                return [client.execute(command) for command in script]
-
-            envelopes = benchmark.pedantic(run, rounds=1, iterations=1)
-            stats = client.stats()
-            client.close_session()
-
-    wall = benchmark.stats.stats.total
-    per_command_ms = wall / len(script) * 1e3
-    assert len(envelopes) == len(script)
-    assert stats["sessions"]["wire-bench"]["commands"] == len(script)
-    benchmark.extra_info.update(
-        {
-            "commands": len(script),
-            "per_command_ms": round(per_command_ms, 3),
-        }
-    )

@@ -14,8 +14,7 @@ into an order-2 :class:`GestureTransitionModel`, and scored:
   mined policy adopted, the policy's online hit rate must show the same
   advantage while its background warm-ups run error-free.
 
-Headline numbers land in ``benchmark.extra_info`` and surface as
-``BENCH_speculation_*.json`` via ``scripts/bench_trajectory.py``.
+Headline numbers land in ``benchmark.extra_info``.
 """
 
 from __future__ import annotations

@@ -88,7 +88,6 @@ from repro.core.actions import (
     QueryAction,
     aggregate_action,
     group_by_action,
-    join_action,
     scan_action,
     select_where_action,
     summary_action,
@@ -130,8 +129,6 @@ from repro.errors import (
 from repro.indexing import IndexManager, RangeSelection
 from repro.mining import (
     GestureTransitionModel,
-    HitRateReport,
-    MiningReport,
     SpeculationPlan,
     SpeculativePolicy,
     TraceCorpus,
@@ -174,13 +171,7 @@ from repro.serving import (
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
-from repro.touchio.device import (
-    IPAD1,
-    IPAD1_PROTOTYPE,
-    MODERN_TABLET,
-    PHONE,
-    DeviceProfile,
-)
+from repro.touchio.device import IPAD1, IPAD1_PROTOTYPE, DeviceProfile
 
 __version__ = "0.9.0"
 
@@ -206,21 +197,17 @@ __all__ = [
     "GestureScript",
     "GestureTransitionModel",
     "GroupColumns",
-    "HitRateReport",
     "IPAD1",
     "IndexManager",
     "IPAD1_PROTOTYPE",
     "KernelConfig",
     "LoaderError",
     "LocalExplorationService",
-    "MODERN_TABLET",
     "MemoryBudget",
     "MiningError",
-    "MiningReport",
     "ModelCheckpointError",
     "MultiSessionServer",
     "OutcomeEnvelope",
-    "PHONE",
     "PagedColumn",
     "Pan",
     "PersistError",
@@ -262,7 +249,6 @@ __all__ = [
     "aggregate_action",
     "group_by_action",
     "heldout_hit_rate",
-    "join_action",
     "mine_corpus",
     "persistence_hit_rate",
     "scan_action",

@@ -7,20 +7,10 @@ drag-and-drop in a Polaris/Tableau-style interface.
 """
 
 from repro.baseline.engine import MonolithicEngine, QueryResult
-from repro.baseline.sql import ParsedQuery, SqlInterface, parse_sql
-from repro.baseline.visual_analytics import (
-    ChartResult,
-    ShelfSpec,
-    VisualAnalyticsInterface,
-)
+from repro.baseline.sql import SqlInterface
 
 __all__ = [
-    "ChartResult",
     "MonolithicEngine",
-    "ParsedQuery",
     "QueryResult",
-    "ShelfSpec",
     "SqlInterface",
-    "VisualAnalyticsInterface",
-    "parse_sql",
 ]

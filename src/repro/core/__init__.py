@@ -21,12 +21,11 @@ from repro.core.actions import (
     QueryAction,
     aggregate_action,
     group_by_action,
-    join_action,
     scan_action,
     select_where_action,
     summary_action,
 )
-from repro.core.caching import CacheStats, HashTableCache, TouchCache
+from repro.core.caching import HashTableCache, TouchCache
 from repro.core.commands import (
     ChooseAction,
     DragColumnOut,
@@ -46,31 +45,23 @@ from repro.core.commands import (
     ZoomOut,
 )
 from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
-from repro.core.optimizer import (
-    AdaptiveOptimizer,
-    AdaptivePredicateOrderer,
-    OptimizerDecision,
-    PredicateStats,
-)
-from repro.core.prefetch import GestureEstimate, GesturePrefetcher
-from repro.core.result_stream import ResultStream, ResultValue, VisibleResult
+from repro.core.optimizer import AdaptiveOptimizer
+from repro.core.prefetch import GesturePrefetcher
+from repro.core.result_stream import ResultStream, ResultValue
 from repro.core.scheduler import GestureScheduler, SchedulerConfig, SchedulerStats
 from repro.core.schema_gestures import SchemaGestureOutcome, SchemaGestures
 from repro.core.session import ExplorationSession, SessionSummary
-from repro.core.summaries import InteractiveSummarizer, SummaryResult
+from repro.core.summaries import InteractiveSummarizer
 from repro.core.touch_mapping import MappedTouch, TouchMapper
 
 __all__ = [
     "ActionKind",
     "AdaptiveOptimizer",
-    "AdaptivePredicateOrderer",
-    "CacheStats",
     "ChooseAction",
     "DbTouchKernel",
     "DragColumnOut",
     "ExplorationSession",
     "GestureCommand",
-    "GestureEstimate",
     "GestureOutcome",
     "GesturePrefetcher",
     "GestureScheduler",
@@ -80,9 +71,7 @@ __all__ = [
     "InteractiveSummarizer",
     "KernelConfig",
     "MappedTouch",
-    "OptimizerDecision",
     "Pan",
-    "PredicateStats",
     "QueryAction",
     "ResultStream",
     "ResultValue",
@@ -96,18 +85,15 @@ __all__ = [
     "ShowTable",
     "Slide",
     "SlidePath",
-    "SummaryResult",
     "Tap",
     "TimedCommand",
     "TouchCache",
     "TouchMapper",
     "UngroupTable",
-    "VisibleResult",
     "ZoomIn",
     "ZoomOut",
     "aggregate_action",
     "group_by_action",
-    "join_action",
     "scan_action",
     "select_where_action",
     "summary_action",

@@ -51,15 +51,9 @@ only after this executor (or the reference loop) has fully produced the
 outcome, so the counters above are bit-identical whether the indexing
 tier is enabled or not — the invariant the differential gesture harness
 (``tests/test_differential_gestures.py``) replays seeded scripts to lock
-down.  Index *consultation* is: a dense range-filtered SELECT_WHERE
-slide running without the touched-range cache answers its predicate
-through :meth:`~repro.indexing.manager.IndexManager.select_rowids`
-membership instead of reading one where-value per touch
-(:meth:`BatchSlideExecutor._index_prefilter`).  The selection is
-bit-identical to evaluating the predicate on every touched value, and
-the skipped reads are accounted analytically (the table path examines
-exactly one tuple per touch), so ``tuples_examined`` and every other
-counter still match the reference loop exactly.
+down.  Slides never *consult* the index either: a select-where slide
+reads its where-values with the same ``read_batch`` every other slide
+uses, with or without the touched-range cache.
 
 Mid-gesture cache evictions are replayed, not avoided.  The walk of step
 4 performs every hit's LRU refresh, every insertion and every eviction —
@@ -195,14 +189,10 @@ class BatchSlideExecutor:
         timestamps = batch.timestamps[keep]
         n = int(rowids.size)
 
-        values, levels, pass_rowids = self._serve_values(
-            state, rowids, strides, timestamps, outcome
-        )
+        values, levels = self._serve_values(state, rowids, strides, timestamps, outcome)
         outcome.rowids_touched.extend(rowids.tolist())
         self._count_levels(outcome, levels)
-        self._apply_action(
-            state, outcome, rowids, values, fractions, timestamps, pass_rowids
-        )
+        self._apply_action(state, outcome, rowids, values, fractions, timestamps)
 
         state.last_rowid = int(rowids[-1])
         state.current_stride = int(strides[-1])
@@ -233,12 +223,9 @@ class BatchSlideExecutor:
     # ------------------------------------------------------------------ #
     def _serve_values(self, state, rowids, strides, timestamps, outcome):
         """Serve one value per processed touch, replaying the cache and
-        prefetch feedback loop in event order.  Returns ``(values, levels,
-        pass_rowids)`` with level ``-1`` marking cache-served touches, and
-        updates the outcome's cache/prefetch/tuple counters.  When the
-        index prefilter answers the gesture's predicate, ``values`` is
-        ``None`` and ``pass_rowids`` holds the qualifying rowids;
-        otherwise ``pass_rowids`` is ``None``."""
+        prefetch feedback loop in event order.  Returns ``(values, levels)``
+        with level ``-1`` marking cache-served touches, and updates the
+        outcome's cache/prefetch/tuple counters."""
         kernel = self._kernel
         config = kernel.config
         action = state.action
@@ -267,7 +254,6 @@ class BatchSlideExecutor:
         is_read[prop_pos] = False
         read_pos = np.flatnonzero(is_read)
 
-        pass_rowids = None
         if config.enable_cache:
             with trace_span("cache_lookup", touches=n) as span:
                 values, levels, winners = self._serve_with_cache(
@@ -279,17 +265,8 @@ class BatchSlideExecutor:
                     span.tags["misses"] = outcome.cache_misses
             add_rows, add_pos = prop_rows[winners], prop_pos[winners]
         else:
-            pass_rowids = self._index_prefilter(state)
-            if pass_rowids is not None:
-                # the index answers the predicate wholesale; the skipped
-                # touch reads are accounted analytically — the table path
-                # examines exactly one tuple per touch
-                values = None
-                levels = np.zeros(n, dtype=np.int64)
-                outcome.tuples_examined += n
-            else:
-                values, counts, levels = self._read_rows(state, rowids, strides)
-                outcome.tuples_examined += int(counts.sum())
+            values, counts, levels = self._read_rows(state, rowids, strides)
+            outcome.tuples_examined += int(counts.sum())
             # without a cache the sequential loop still computes a value for
             # every proposal (same side effects, e.g. summarizer counters)
             # and remembers every proposed rowid
@@ -300,37 +277,7 @@ class BatchSlideExecutor:
         outcome.prefetch_hits += self._prefetch_membership(
             state, rowids, read_pos, add_rows, add_pos
         )
-        return values, levels, pass_rowids
-
-    def _index_prefilter(self, state):
-        """Qualifying rowids for a select-where slide, answered by the
-        adaptive index instead of reading one where-value per touch.
-
-        Only taken when the touched-range cache is off: with the cache
-        on, skipping the reads would change which values enter the cache
-        and the LRU replay would diverge from the per-touch loop.  The
-        returned rowids are bit-identical to evaluating the predicate on
-        every touched value (the :class:`~repro.indexing.manager.
-        IndexManager` contract), so predicate membership reproduces the
-        reference loop's pass/fail decisions exactly.  Returns ``None``
-        when the index cannot answer (indexing off, non-range predicate,
-        non-numeric where column) and the read path takes over.
-        """
-        kernel = self._kernel
-        action = state.action
-        if (
-            kernel.index_manager is None
-            or kernel.config.enable_cache
-            or action.kind is not ActionKind.SELECT_WHERE
-            or state.table is None
-            or action.predicate is None
-        ):
-            return None
-        column = state.table.column(action.where_attribute)
-        selection = kernel.index_manager.select_rowids(
-            state.object_name, action.where_attribute, column, action.predicate
-        )
-        return None if selection is None else selection.rowids
+        return values, levels
 
     def _serve_with_cache(
         self, state, namespace, rowids, strides, read_pos,
@@ -392,23 +339,17 @@ class BatchSlideExecutor:
     # ------------------------------------------------------------------ #
     # applying the query action
     # ------------------------------------------------------------------ #
-    def _apply_action(
-        self, state, outcome, rowids, values, fractions, timestamps, pass_rowids=None
-    ):
+    def _apply_action(self, state, outcome, rowids, values, fractions, timestamps):
         """Filter, fold and emit the served values as one batch.
 
         Reproduces the per-touch action application: the predicate drops
         touches without results, select-where projects the qualifying
         tuples' selected attributes, running aggregates display their
         evolving value, and every displayed value is emitted into the
-        result stream at the touch's position and timestamp.  When the
-        index prefilter served the gesture, ``values`` is ``None`` and
-        the predicate decision is membership in ``pass_rowids``.
+        result stream at the touch's position and timestamp.
         """
         action = state.action
-        if pass_rowids is not None:
-            pass_mask = np.isin(rowids, pass_rowids)
-        elif action.predicate is not None:
+        if action.predicate is not None:
             # batch values are always scalars, matching the per-touch
             # np.isscalar guard
             pass_mask = np.asarray(action.predicate.mask(values), dtype=bool)

@@ -120,7 +120,6 @@ class SchedulerStats:
     failed: int = 0
     rejected: int = 0
     cancelled: int = 0
-    post_exec_errors: int = 0
     peak_pending: int = 0
 
     def snapshot(self) -> dict[str, int]:
@@ -131,7 +130,6 @@ class SchedulerStats:
             "failed": self.failed,
             "rejected": self.rejected,
             "cancelled": self.cancelled,
-            "post_exec_errors": self.post_exec_errors,
             "peak_pending": self.peak_pending,
         }
 
@@ -157,21 +155,11 @@ class GestureScheduler:
     ----------
     config:
         Pool size and queue bounds; defaults to :class:`SchedulerConfig`.
-    post_exec:
-        Optional hook called after every executed item, still under the
-        session's affinity (no other worker can touch the session while
-        it runs) — for per-command maintenance a host wants serialized
-        with the session's own work.
     """
 
-    def __init__(
-        self,
-        config: SchedulerConfig | None = None,
-        post_exec: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, config: SchedulerConfig | None = None) -> None:
         self.config = config if config is not None else SchedulerConfig()
         self.stats = SchedulerStats()
-        self._post_exec = post_exec
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._space_available = threading.Condition(self._lock)
@@ -401,12 +389,6 @@ class GestureScheduler:
                     failed = True
                 else:
                     item.future.set_result(result)
-                if self._post_exec is not None:
-                    try:
-                        self._post_exec(session_id)
-                    except Exception:
-                        with self._lock:
-                            self.stats.post_exec_errors += 1
             with self._lock:
                 self._executing.discard(session_id)
                 self._pending_total -= 1

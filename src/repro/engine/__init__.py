@@ -7,71 +7,22 @@ non-blocking joins, incremental group-by, online aggregation with
 confidence bounds and linear pipelines of all of the above.
 """
 
-from repro.engine.aggregate import (
-    AggregateKind,
-    AvgAggregate,
-    CountAggregate,
-    MaxAggregate,
-    MinAggregate,
-    RunningAggregate,
-    StdAggregate,
-    SumAggregate,
-    aggregate_window,
-    make_aggregate,
-)
-from repro.engine.filter import (
-    Comparison,
-    CompositeFilter,
-    FilterOperator,
-    Predicate,
-    predicate_from_string,
-)
-from repro.engine.groupby import GroupResult, IncrementalGroupBy
-from repro.engine.join import (
-    BlockingHashJoin,
-    JoinMatch,
-    SymmetricHashJoin,
-    join_arrays_symmetric,
-)
-from repro.engine.online_agg import OnlineAggregator, OnlineEstimate
-from repro.engine.operators import (
-    LimitOperator,
-    OperatorStats,
-    ProjectOperator,
-    ScanOperator,
-    TouchOperator,
-)
-from repro.engine.pipeline import PipelineStats, TouchPipeline
+from repro.engine.aggregate import AggregateKind, RunningAggregate, aggregate_window, make_aggregate
+from repro.engine.filter import Comparison, Predicate
+from repro.engine.groupby import IncrementalGroupBy
+from repro.engine.join import BlockingHashJoin, SymmetricHashJoin
+from repro.engine.operators import OperatorStats, TouchOperator
 
 __all__ = [
     "AggregateKind",
-    "AvgAggregate",
     "BlockingHashJoin",
     "Comparison",
-    "CompositeFilter",
-    "CountAggregate",
-    "FilterOperator",
-    "GroupResult",
     "IncrementalGroupBy",
-    "JoinMatch",
-    "LimitOperator",
-    "MaxAggregate",
-    "MinAggregate",
-    "OnlineAggregator",
-    "OnlineEstimate",
     "OperatorStats",
-    "PipelineStats",
     "Predicate",
-    "ProjectOperator",
     "RunningAggregate",
-    "ScanOperator",
-    "StdAggregate",
-    "SumAggregate",
     "SymmetricHashJoin",
     "TouchOperator",
-    "TouchPipeline",
     "aggregate_window",
-    "join_arrays_symmetric",
     "make_aggregate",
-    "predicate_from_string",
 ]

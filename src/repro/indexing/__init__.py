@@ -6,26 +6,17 @@ executes and consulted by bulk range selections — see
 :mod:`repro.indexing.manager`.
 """
 
-from repro.indexing.cracking import CrackerIndex, CrackerState, CrackPiece
-from repro.indexing.manager import (
-    IndexManager,
-    IndexManagerStats,
-    RangeSelection,
-    predicate_range,
-)
-from repro.indexing.sample_index import RangeLookupResult, SampleLevelIndex
+from repro.indexing.cracking import CrackerIndex, CrackerState
+from repro.indexing.manager import IndexManager, RangeSelection
+from repro.indexing.sample_index import SampleLevelIndex
 from repro.indexing.zonemap import Zone, ZoneMap
 
 __all__ = [
-    "CrackPiece",
     "CrackerIndex",
     "CrackerState",
     "IndexManager",
-    "IndexManagerStats",
-    "RangeLookupResult",
     "RangeSelection",
     "SampleLevelIndex",
     "Zone",
     "ZoneMap",
-    "predicate_range",
 ]

@@ -9,8 +9,8 @@ wires that bet into the kernel:
   columns, a disk-resident :class:`repro.indexing.paged.PagedCrackerIndex`
   for out-of-core :class:`repro.persist.paged_column.PagedColumn` objects
   (per-chunk crackers under an LRU residency cap, spilled through an
-  optional ``spill_store``), with zonemap chunk pruning as the fallback
-  when paged cracking is disabled;
+  optional ``spill_store``; its candidate search prunes chunks by their
+  persisted zonemaps);
 * every qualifying gesture — a slide whose action carries a range-shaped
   predicate — *refines* the matching cracker via
   :meth:`observe_predicate`, outside the gesture's outcome accounting, so
@@ -46,12 +46,12 @@ on the orphaned (still self-consistent) index.
 
 **Exactness.**  Indexed selections must agree bit-for-bit with
 ``Predicate.mask`` over the base data.  Three guards make that hold: NaN
-rows are segregated by the cracker and masked per-chunk by the zonemap
-path; inclusive/exclusive predicate bounds are mapped onto the cracker's
-half-open ranges with ``np.nextafter``; and cracker arrays preserve the
-column's native dtype, so piece membership is decided by the *same* numpy
-promotion ``Predicate.mask`` performs — int64 columns crack exactly even
-beyond 2**53, where the old float64-copy design had to refuse them.
+rows are segregated by the cracker; inclusive/exclusive predicate bounds
+are mapped onto the cracker's half-open ranges with ``np.nextafter``; and
+cracker arrays preserve the column's native dtype, so piece membership is
+decided by the *same* numpy promotion ``Predicate.mask`` performs — int64
+columns crack exactly even beyond 2**53, where the old float64-copy design
+had to refuse them.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from repro.indexing.cracking import (
     CrackerState,
 )
 from repro.indexing.paged import DEFAULT_MAX_RESIDENT_CHUNKS, PagedCrackerIndex
-from repro.indexing.zonemap import ZoneMap
 from repro.obs.trace import trace_span
 from repro.storage.column import Column
 
@@ -107,6 +106,18 @@ _ACTIVITY_COUNTERS = (
 
 def _activity_probe(cracker) -> tuple[int, ...]:
     return tuple(int(getattr(cracker, name, 0)) for name in _ACTIVITY_COUNTERS)
+
+
+def _with_activity(cracker, operation, *args, **kwargs):
+    """Run one cracker operation (caller holds the column lock).
+
+    Returns ``(result, deltas)`` — ``deltas`` is what the operation added
+    to each of :data:`_ACTIVITY_COUNTERS`, for
+    :meth:`IndexManagerStats.apply_activity`.
+    """
+    before = _activity_probe(cracker)
+    result = operation(*args, **kwargs)
+    return result, tuple(now - then for then, now in zip(before, _activity_probe(cracker)))
 
 
 def predicate_range(predicate: Predicate) -> tuple[float, float] | None:
@@ -145,11 +156,10 @@ class RangeSelection:
     """The result of one bulk range selection (indexed or scanned).
 
     ``strategy`` records how the rowids were found: ``"cracker"`` (cracked
-    pieces), ``"paged-cracker"`` (per-chunk disk-resident cracking),
-    ``"zonemap"`` (chunk-pruned paged scan) or ``"scan"`` (full
-    scan of the base data).  ``rows_scanned`` is how many values were
-    actually inspected — the adaptive win is this number shrinking while
-    ``rowids`` stays exactly what a full scan returns.
+    pieces), ``"paged-cracker"`` (per-chunk disk-resident cracking) or
+    ``"scan"`` (full scan of the base data).  ``rows_scanned`` is how many
+    values were actually inspected — the adaptive win is this number
+    shrinking while ``rowids`` stays exactly what a full scan returns.
     """
 
     object_name: str
@@ -220,8 +230,7 @@ class _ColumnIndexState:
     lock: threading.RLock = field(default_factory=threading.RLock)
     cracker: CrackerIndex | PagedCrackerIndex | None = None
     cracker_bytes: int = 0
-    cracker_refused: bool = False  # e.g. non-numeric, empty, paged w/o paged cracking
-    zonemap: ZoneMap | None = None
+    cracker_refused: bool = False  # e.g. non-numeric, empty
 
 
 class IndexManager:
@@ -234,10 +243,6 @@ class IndexManager:
         cracker's bytes are charged to it and the least-recently-consulted
         crackers are dropped when the budget asks this participant to
         reclaim.
-    zone_block_rows:
-        Block size used when an in-memory :class:`ZoneMap` is requested
-        through :meth:`zonemap_for` (paged columns use their persisted
-        chunk zonemaps instead).
     max_crackers:
         Upper bound on simultaneously live crackers; beyond it the
         least-recently-consulted cracker is dropped (and rebuilt on its
@@ -253,14 +258,11 @@ class IndexManager:
         Enable the MDD1R-style stochastic crack mix on every cracker built
         by this manager; ``crack_seed`` makes the random pivot stream
         deterministic per manager.
-    paged_cracking:
-        Crack paged (chunked) columns with a disk-resident
-        :class:`~repro.indexing.paged.PagedCrackerIndex`; when off they
-        fall back to zonemap chunk pruning only.
     spill_store:
         Optional :class:`repro.persist.diskstore.DiskColumnStore` that
-        evicted chunk crackers spill their cracked arrays through instead
-        of dropping them.
+        the evicted chunk crackers of a paged (chunked) column's
+        :class:`~repro.indexing.paged.PagedCrackerIndex` spill their
+        cracked arrays through instead of dropping them.
     max_resident_chunks:
         Per paged cracker, how many chunk crackers stay in memory.
     """
@@ -268,24 +270,20 @@ class IndexManager:
     def __init__(
         self,
         budget=None,
-        zone_block_rows: int = 4096,
         max_crackers: int = 64,
         *,
         max_pieces: int = DEFAULT_MAX_PIECES,
         min_piece_rows: int = DEFAULT_MIN_PIECE_ROWS,
         stochastic: bool = False,
         crack_seed: int = 0,
-        paged_cracking: bool = True,
         spill_store=None,
         max_resident_chunks: int = DEFAULT_MAX_RESIDENT_CHUNKS,
     ) -> None:
-        self.zone_block_rows = zone_block_rows
         self.max_crackers = max_crackers
         self.max_pieces = int(max_pieces)
         self.min_piece_rows = int(min_piece_rows)
         self.stochastic = bool(stochastic)
         self.crack_seed = int(crack_seed)
-        self.paged_cracking = bool(paged_cracking)
         self.max_resident_chunks = int(max_resident_chunks)
         self._spill_store = spill_store
         self.stats = IndexManagerStats()
@@ -468,14 +466,8 @@ class IndexManager:
                 with state.lock:
                     if state.cracker is not cracker or state.cracker_bytes == 0:
                         continue
-                    before = _activity_probe(cracker)
-                    got = min(
-                        cracker.release_bytes(nbytes - freed), state.cracker_bytes
-                    )
-                    deltas = tuple(
-                        now - then
-                        for then, now in zip(before, _activity_probe(cracker))
-                    )
+                    got, deltas = _with_activity(cracker, cracker.release_bytes, nbytes - freed)
+                    got = min(got, state.cracker_bytes)
                     state.cracker_bytes -= got
                 freed += got
                 with self._lock:
@@ -493,21 +485,6 @@ class IndexManager:
     # ------------------------------------------------------------------ #
     # building / adopting crackers
     # ------------------------------------------------------------------ #
-    def _cracker_supported(self, column: Column) -> bool:
-        """Whether any cracker kind applies to ``column``.
-
-        Cracker arrays are dtype-preserving, so every numeric dtype cracks
-        exactly — including int64 beyond 2**53, where piece membership is
-        decided by the same array-vs-float promotion ``Predicate.mask``
-        uses.  Chunked columns qualify only when paged cracking is on
-        (otherwise they answer from their zonemaps with no index state).
-        """
-        if not column.is_numeric or not len(column):
-            return False
-        if _is_chunked(column) and not self.paged_cracking:
-            return False
-        return True
-
     def _spill_prefix(self, state: _ColumnIndexState, column: Column) -> str:
         # the column's identity keys the spill namespace, matching the
         # state key: same-named private columns must never share spills
@@ -520,13 +497,12 @@ class IndexManager:
         """Build (or return) the state's cracker.  Caller holds state.lock.
 
         Returns ``None`` when the column cannot be cracked (non-numeric,
-        empty, paged with paged cracking off).  Budget charging happens
-        after the caller releases the column lock — see
-        :meth:`_settle_cracker`.
+        empty).  Budget charging happens after the caller releases the
+        column lock — see :meth:`_settle_cracker`.
         """
         if state.cracker is not None or state.cracker_refused:
             return state.cracker
-        if not self._cracker_supported(column):
+        if not (column.is_numeric and len(column)):
             state.cracker_refused = True
             return None
         if _is_chunked(column):
@@ -658,11 +634,7 @@ class IndexManager:
             cracker = self._ensure_cracker(state, column)
             if cracker is None:
                 return False
-            before = _activity_probe(cracker)
-            cracker.crack_range(*bounds)
-            deltas = tuple(
-                now - then for then, now in zip(before, _activity_probe(cracker))
-            )
+            _, deltas = _with_activity(cracker, cracker.crack_range, *bounds)
         self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         with self._lock:
@@ -695,60 +667,39 @@ class IndexManager:
             return None
         low, high = bounds
         state = self._state_for(object_name, column_name, column)
-        refined = False
-        deltas: tuple[int, ...] = ()
-        strategy = None
         with state.lock:
             cracker = self._ensure_cracker(state, column)
-            if cracker is not None:
-                before = _activity_probe(cracker)
-                scanned_before = cracker.values_scanned_total
-                rowids = cracker.rowids_in_range(low, high, crack=True)
-                rows_scanned = cracker.values_scanned_total - scanned_before
-                covered = cracker.covered_rows
-                n = len(column)
-                if covered < n:
-                    # validity window: the cracker answers exactly for the
-                    # prefix it was built over; rows appended since then
-                    # are scanned with the predicate itself (exact by
-                    # definition) until merge_tails folds them in.  Tail
-                    # hits all land at rowids >= covered, so appending
-                    # them keeps the result sorted.  raw_slice (paged
-                    # columns) bypasses the budget-charging chunk cache —
-                    # never call the budget under a column lock.
-                    raw = getattr(column, "raw_slice", None)
-                    with trace_span("tail_scan", object=object_name, rows=n - covered):
-                        tail = np.asarray(
-                            raw(covered, n) if callable(raw) else column.slice(covered, n)
-                        )
-                        hits = np.nonzero(predicate.mask(tail))[0].astype(np.int64)
-                        if hits.size:
-                            rowids = np.concatenate([rowids, hits + covered])
-                        rows_scanned += int(tail.shape[0])
-                deltas = tuple(
-                    now - then for then, now in zip(before, _activity_probe(cracker))
-                )
-                refined = deltas[0] > 0
-                strategy = (
-                    "paged-cracker"
-                    if isinstance(cracker, PagedCrackerIndex)
-                    else "cracker"
-                )
-        if strategy is not None:
-            self._settle_cracker(state)
-            self._enforce_cracker_cap(keep=state)
-        elif _is_chunked(column) and len(column):
-            # chunk pruning touches no mutable index state: run the I/O
-            # and masking outside the column lock so concurrent sessions
-            # selecting over one shared paged column do not serialize
-            rowids, rows_scanned = self._chunk_pruned_select(column, predicate, low, high)
-            strategy = "zonemap"
-        else:
-            return None
+            if cracker is None:
+                return None
+            scanned_before = cracker.values_scanned_total
+            rowids, deltas = _with_activity(cracker, cracker.rowids_in_range, low, high, crack=True)
+            rows_scanned = cracker.values_scanned_total - scanned_before
+            covered = cracker.covered_rows
+            n = len(column)
+            if covered < n:
+                # validity window: the cracker answers exactly for the
+                # prefix it was built over; rows appended since then are
+                # scanned with the predicate itself (exact by definition)
+                # until merge_tails folds them in.  Tail hits all land at
+                # rowids >= covered, so appending them keeps the result
+                # sorted.  raw_slice (paged columns) bypasses the
+                # budget-charging chunk cache — never call the budget
+                # under a column lock.
+                raw = getattr(column, "raw_slice", None)
+                with trace_span("tail_scan", object=object_name, rows=n - covered):
+                    tail = np.asarray(
+                        raw(covered, n) if callable(raw) else column.slice(covered, n)
+                    )
+                    hits = np.nonzero(predicate.mask(tail))[0].astype(np.int64)
+                    if hits.size:
+                        rowids = np.concatenate([rowids, hits + covered])
+                    rows_scanned += int(tail.shape[0])
+        refined = deltas[0] > 0  # cracks_performed delta
+        self._settle_cracker(state)
+        self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.indexed_consultations += 1
-            if deltas:
-                self.stats.apply_activity(deltas)
+            self.stats.apply_activity(deltas)
             if refined:
                 self.stats.refinements += 1
         return RangeSelection(
@@ -756,63 +707,10 @@ class IndexManager:
             column_name=column_name,
             predicate=predicate,
             rowids=rowids,
-            strategy=strategy,
+            strategy="paged-cracker" if isinstance(cracker, PagedCrackerIndex) else "cracker",
             rows_scanned=rows_scanned,
             refined=refined,
         )
-
-    @staticmethod
-    def _chunk_pruned_select(
-        column: Column, predicate: Predicate, low: float, high: float
-    ) -> tuple[np.ndarray, int]:
-        """Exact selection over a paged column, faulting only candidate chunks.
-
-        The persisted chunk zonemap excludes chunks whose ``[min, max]``
-        cannot overlap ``[low, high]``; the surviving chunks are read
-        through the store's chunk cache and masked with the *predicate
-        itself*, so inclusivity and NaN semantics are exactly the full
-        scan's.
-        """
-        chunk_rows = column.chunk_rows
-        n = len(column)
-        parts: list[np.ndarray] = []
-        scanned = 0
-        for index in column.chunks_for_predicate(low, high):
-            start = index * chunk_rows
-            stop = min(n, start + chunk_rows)
-            chunk = column.slice(start, stop)
-            scanned += len(chunk)
-            hits = np.nonzero(predicate.mask(chunk))[0]
-            if hits.size:
-                parts.append(hits.astype(np.int64) + start)
-        if not parts:
-            return np.empty(0, dtype=np.int64), scanned
-        return np.concatenate(parts), scanned
-
-    # ------------------------------------------------------------------ #
-    # zonemap introspection for in-memory columns
-    # ------------------------------------------------------------------ #
-    def zonemap_for(
-        self, object_name: str, column_name: str | None, column: Column
-    ) -> ZoneMap | None:
-        """The (lazily built) block zonemap of an in-memory numeric column.
-
-        Paged columns answer pruning questions from their persisted chunk
-        directory instead, so this returns ``None`` for them; callers
-        wanting chunk candidates should use
-        :meth:`repro.persist.paged_column.PagedColumn.chunks_for_predicate`.
-        """
-        if _is_chunked(column) or not column.is_numeric or not len(column):
-            return None
-        state = self._state_for(object_name, column_name, column)
-        with state.lock:
-            if state.zonemap is None:
-                state.zonemap = ZoneMap(column, block_rows=self.zone_block_rows)
-            elif state.zonemap.covered_rows < len(column):
-                # the column grew under the map: extend incrementally,
-                # only the trailing (possibly partial) zone is rebuilt
-                state.zonemap.extend()
-            return state.zonemap
 
     # ------------------------------------------------------------------ #
     # validity windows (live appends)
@@ -829,8 +727,8 @@ class IndexManager:
         existing cracked state is kept — the crackers simply cover a
         shorter prefix (their validity window) and :meth:`select_rowids`
         scans the appended tail until :meth:`merge_tails` folds it in.
-        Zonemaps are extended incrementally and a previously *refused*
-        cracker (e.g. the column used to be empty) becomes eligible again.
+        A previously *refused* cracker (e.g. the column used to be empty)
+        becomes eligible again.
         If any tracked cracker turns out to cover *more* rows than the
         column now holds, the data did not grow — it was replaced or
         truncated — and the call degrades to a full :meth:`invalidate`.
@@ -855,8 +753,6 @@ class IndexManager:
                 if cracker is not None and cracker.covered_rows > target:
                     return self.invalidate(object_name)
                 state.cracker_refused = False
-                if state.zonemap is not None and state.zonemap.covered_rows < target:
-                    state.zonemap.extend()
             touched += 1
         if touched:
             with self._lock:
@@ -886,11 +782,8 @@ class IndexManager:
                 cracker = state.cracker
                 if cracker is None:
                     continue
-                before = _activity_probe(cracker)
-                merged += cracker.merge_tail()
-                deltas = tuple(
-                    now - then for then, now in zip(before, _activity_probe(cracker))
-                )
+                rows, deltas = _with_activity(cracker, cracker.merge_tail)
+                merged += rows
             self._settle_cracker(state)
             with self._lock:
                 self.stats.apply_activity(deltas)
@@ -899,22 +792,19 @@ class IndexManager:
     # ------------------------------------------------------------------ #
     # invalidation
     # ------------------------------------------------------------------ #
-    def invalidate(self, object_name: str) -> int:
-        """Drop every index derived from ``object_name`` (its data changed).
+    def _drop_states(self, object_name: str | None) -> int:
+        """Unlink every state of ``object_name`` (``None``: of every object).
 
-        Returns how many column states were discarded.  Called by the
-        kernel's replace-reload path; a shared manager invalidates for
-        every session at once, which is exactly right — the old data is
-        gone for all of them.
+        Returns how many column states were dropped; their bytes go back
+        to the budget and paged crackers discard their spill files.
         """
         released = 0
-        dropped = 0
         victims: list[PagedCrackerIndex] = []
         with self._lock:
             doomed = [
                 key
                 for key, state in self._states.items()
-                if state.key[0] == object_name
+                if object_name is None or state.key[0] == object_name
             ]
             for key in doomed:
                 state = self._states.pop(key)
@@ -925,30 +815,25 @@ class IndexManager:
                     victims.append(state.cracker)
                 state.cracker = None
                 state.cracker_bytes = 0
-                dropped += 1
-            if dropped:
-                self.stats.invalidations += 1
         self._release_bytes(released)
         for cracker in victims:
             cracker.discard_spills()
+        return len(doomed)
+
+    def invalidate(self, object_name: str) -> int:
+        """Drop every index derived from ``object_name`` (its data changed).
+
+        Returns how many column states were discarded.  Called by the
+        kernel's replace-reload path; a shared manager invalidates for
+        every session at once, which is exactly right — the old data is
+        gone for all of them.
+        """
+        dropped = self._drop_states(object_name)
+        if dropped:
+            with self._lock:
+                self.stats.invalidations += 1
         return dropped
 
     def clear(self) -> int:
         """Drop all index state (returns how many column states existed)."""
-        released = 0
-        victims: list[PagedCrackerIndex] = []
-        with self._lock:
-            count = len(self._states)
-            for state in self._states.values():
-                released += state.cracker_bytes
-                if state.cracker is not None:
-                    self.stats.crackers_dropped += 1
-                if isinstance(state.cracker, PagedCrackerIndex):
-                    victims.append(state.cracker)
-                state.cracker = None
-                state.cracker_bytes = 0
-            self._states.clear()
-        self._release_bytes(released)
-        for cracker in victims:
-            cracker.discard_spills()
-        return count
+        return self._drop_states(None)

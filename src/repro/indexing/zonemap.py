@@ -103,46 +103,9 @@ class ZoneMap:
                 )
             )
 
-    def extend(self) -> int:
-        """Extend the map over rows appended since the last build/extend.
-
-        Incremental: only the last zone — which may have been a partial
-        block that the appended rows topped up — is recomputed; every
-        earlier zone is left untouched, and new full/tail blocks are
-        summarized fresh.  Returns how many zones were (re)built.
-        """
-        values = self.column.values
-        n = len(values)
-        covered = self._zones[-1].stop if self._zones else 0
-        if n <= covered:
-            return 0
-        rebuilt = 0
-        if self._zones and self._zones[-1].num_rows < self.block_rows:
-            # the appended rows grow the trailing partial block in place
-            self._zones.pop()
-            covered = self._zones[-1].stop if self._zones else 0
-        for start in range(covered, n, self.block_rows):
-            stop = min(n, start + self.block_rows)
-            block = values[start:stop]
-            self._zones.append(
-                Zone(
-                    start=start,
-                    stop=stop,
-                    minimum=block.min().item(),
-                    maximum=block.max().item(),
-                )
-            )
-            rebuilt += 1
-        return rebuilt
-
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
-    @property
-    def covered_rows(self) -> int:
-        """Rows the zones currently summarize (appends grow past this)."""
-        return self._zones[-1].stop if self._zones else 0
-
     @property
     def zones(self) -> list[Zone]:
         """All zones, in rowid order."""

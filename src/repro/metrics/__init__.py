@@ -1,13 +1,10 @@
 """Metrics: collectors and experiment-series reporting for the benchmarks."""
 
-from repro.metrics.collectors import GestureMetrics, LatencyStats, MetricsCollector
-from repro.metrics.reporting import ExperimentSeries, SeriesPoint, format_comparison
+from repro.metrics.collectors import LatencyStats
+from repro.metrics.reporting import ExperimentSeries, format_comparison
 
 __all__ = [
     "ExperimentSeries",
-    "GestureMetrics",
     "LatencyStats",
-    "MetricsCollector",
-    "SeriesPoint",
     "format_comparison",
 ]

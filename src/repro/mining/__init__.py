@@ -9,38 +9,22 @@ driving speculative background warm-ups — without ever changing gesture
 results (see :mod:`repro.mining.policy`).
 """
 
-from repro.mining.corpus import (
-    CorpusReadReport,
-    CorpusRecord,
-    TraceCorpus,
-    decode_record,
-    encode_record,
-)
+from repro.mining.corpus import CorpusReadReport, TraceCorpus
 from repro.mining.model import (
     GestureTransitionModel,
-    HitRateReport,
-    MiningReport,
     heldout_hit_rate,
     mine_corpus,
     persistence_hit_rate,
-    scope_streams,
 )
-from repro.mining.policy import SpeculationPlan, SpeculativePolicy, WARMABLE_KINDS
+from repro.mining.policy import SpeculationPlan, SpeculativePolicy
 
 __all__ = [
     "CorpusReadReport",
-    "CorpusRecord",
     "GestureTransitionModel",
-    "HitRateReport",
-    "MiningReport",
     "SpeculationPlan",
     "SpeculativePolicy",
     "TraceCorpus",
-    "WARMABLE_KINDS",
-    "decode_record",
-    "encode_record",
     "heldout_hit_rate",
     "mine_corpus",
     "persistence_hit_rate",
-    "scope_streams",
 ]

@@ -19,22 +19,13 @@ counters and the parity contracts built on them are untouched.
 """
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetryRegistry,
-    merge_numeric,
-    render_exposition,
-)
+from repro.obs.registry import Counter, TelemetryRegistry, merge_numeric, render_exposition
 from repro.obs.stats import nearest_rank
 from repro.obs.trace import (
-    Span,
     Trace,
     TraceConfig,
     TraceContext,
     Tracer,
-    active_trace_id,
     current_trace_context,
     stitch_traces,
     trace_event,
@@ -44,15 +35,11 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "Span",
     "TelemetryRegistry",
     "Trace",
     "TraceConfig",
     "TraceContext",
     "Tracer",
-    "active_trace_id",
     "current_trace_context",
     "merge_numeric",
     "nearest_rank",

@@ -37,18 +37,12 @@ what an out-of-core store exploits:
 """
 
 from repro.persist.background import BackgroundMaterializer
-from repro.persist.diskstore import (
-    DEFAULT_CACHE_BYTES,
-    ChunkCache,
-    ChunkCacheStats,
-    DiskColumnStore,
-)
+from repro.persist.diskstore import ChunkCache, ChunkCacheStats, DiskColumnStore
 from repro.persist.format import DEFAULT_CHUNK_ROWS, ColumnFormat, read_format
 from repro.persist.paged_column import PagedColumn
 from repro.persist.snapshot import StoreCatalog
 
 __all__ = [
-    "DEFAULT_CACHE_BYTES",
     "DEFAULT_CHUNK_ROWS",
     "BackgroundMaterializer",
     "ChunkCache",

@@ -7,39 +7,19 @@ backend's front half into a full gesture-speaking backend behind the
 exploration-service protocol.  Real sockets live in :mod:`repro.serving`.
 """
 
-from repro.remote.client import (
-    ClientStats,
-    LOCAL_READ_SECONDS,
-    RemoteExplorationClient,
-    RemotePolicy,
-    TouchAnswer,
-)
-from repro.remote.network import (
-    LAN,
-    MOBILE,
-    WAN,
-    WIFI,
-    NetworkProfile,
-    NetworkStats,
-    SimulatedLink,
-)
-from repro.remote.server import RemoteResponse, RemoteServer
+from repro.remote.client import RemoteExplorationClient, RemotePolicy
+from repro.remote.network import LAN, WAN, NetworkProfile, NetworkStats, SimulatedLink
+from repro.remote.server import RemoteServer
 from repro.remote.service import RemoteExplorationService
 
 __all__ = [
     "LAN",
-    "LOCAL_READ_SECONDS",
-    "MOBILE",
     "WAN",
-    "WIFI",
-    "ClientStats",
     "NetworkProfile",
     "NetworkStats",
     "RemoteExplorationClient",
     "RemoteExplorationService",
     "RemotePolicy",
-    "RemoteResponse",
     "RemoteServer",
     "SimulatedLink",
-    "TouchAnswer",
 ]

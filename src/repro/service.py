@@ -18,7 +18,7 @@ the seam that makes both worlds speak the same language:
 The simulated split deployment, :class:`repro.remote.RemoteExplorationService`,
 lives next to the server, link and client it composes; it *uses* the local
 backend as its device side, so this module imports nothing from
-:mod:`repro.remote` (the name stays importable from here, lazily).
+:mod:`repro.remote`.
 
 :class:`repro.ExplorationSession` is a thin facade over a service: every
 imperative method builds a command and calls ``execute``.
@@ -77,15 +77,6 @@ from repro.touchio.device import DeviceProfile, IPAD1, TouchDevice
 from repro.touchio.events import TouchStream
 from repro.touchio.synthesizer import GestureSynthesizer
 from repro.touchio.views import View
-
-
-def __getattr__(name: str) -> Any:
-    # the remote backend moved to repro.remote, which imports this module
-    if name == "RemoteExplorationService":
-        from repro.remote.service import RemoteExplorationService
-
-        return RemoteExplorationService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -622,10 +613,6 @@ class LocalExplorationService:
     # ------------------------------------------------------------------ #
     # result-stream backpressure (used by the concurrent serving engine)
     # ------------------------------------------------------------------ #
-    def result_backlog(self) -> int:
-        """Total result values currently retained across all shown views."""
-        return sum(stream.backlog for _, stream in self.kernel.iter_result_streams())
-
     def result_drops(self) -> int:
         """Total result values dropped by retention across all shown views."""
         return sum(
@@ -644,18 +631,6 @@ class LocalExplorationService:
         for _, stream in self.kernel.iter_result_streams():
             stream.max_retained = max_retained
             stream.trim()
-
-    def trim_results(self, max_retained: int) -> int:
-        """One-off trim of every view's result stream to ``max_retained``.
-
-        Returns how many (long-faded) values were dropped.  Manual
-        variant of :meth:`set_result_retention` for drivers that want to
-        reclaim memory without changing the standing bound.
-        """
-        return sum(
-            stream.trim(max_retained)
-            for _, stream in self.kernel.iter_result_streams()
-        )
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -23,7 +23,6 @@ from repro.serving.client import ShardedClient
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    VERBS,
     FrameDecoder,
     Request,
     Response,
@@ -33,13 +32,12 @@ from repro.serving.protocol import (
     exception_from_payload,
 )
 from repro.serving.server import ShardedServer, ShardedServerConfig
-from repro.serving.shards import ShardManager, WorkerHandle, shard_for_session
+from repro.serving.shards import ShardManager, shard_for_session
 from repro.serving.worker import WorkerConfig, worker_main
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "VERBS",
     "FrameDecoder",
     "Request",
     "Response",
@@ -48,7 +46,6 @@ __all__ = [
     "ShardedServer",
     "ShardedServerConfig",
     "WorkerConfig",
-    "WorkerHandle",
     "decode_frame",
     "encode_frame",
     "error_payload",

@@ -13,8 +13,11 @@ contract, so overload turns into an immediate typed refusal on the wire
 (exactly like the in-process scheduler's ``max_pending``) instead of
 unbounded queueing.  And it is the *armor* layer: every decode failure is
 answered (or, with no usable request id, the connection dropped) at the
-boundary — hostile bytes never reach a worker process, which is what the
-fuzz suite in ``tests/test_serving_protocol.py`` pins down.
+boundary, and the one payload field the front door consumes itself
+(``drain``'s ``timeout``) is validated before it acts on it — hostile
+bytes never reach a worker process, which is what the fuzz suites in
+``tests/test_serving_protocol.py`` and ``tests/test_serving_sharded.py``
+pin down.
 
 The asyncio loop runs on a background thread so blocking clients and
 tests can drive the server without owning an event loop.
@@ -84,7 +87,6 @@ class ShardedServerConfig:
     worker: WorkerConfig = WorkerConfig()
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     max_inflight: int | None = 1024
-    start_method: str | None = None
     tracing: TraceConfig | None = None
 
 
@@ -105,9 +107,7 @@ class ShardedServer:
         self.config = config if config is not None else ShardedServerConfig()
         # fork the whole fleet before the asyncio loop thread exists
         self.shards = ShardManager(
-            num_workers=self.config.num_workers,
-            config=self.config.worker,
-            start_method=self.config.start_method,
+            num_workers=self.config.num_workers, config=self.config.worker
         )
         self.telemetry = TelemetryRegistry()
         if self.config.tracing is not None:
@@ -343,9 +343,17 @@ class ShardedServer:
                 return
             if request.verb == "drain":
                 timeout = request.payload.get("timeout")
-                drained = await loop.run_in_executor(
-                    None, lambda: self.drain(None if timeout is None else float(timeout))
-                )
+                # validated before the drain starts: a bad frame must not
+                # leave the server refusing work (NaN fails both bounds)
+                if timeout is not None and not (
+                    isinstance(timeout, (int, float))
+                    and not isinstance(timeout, bool)
+                    and 0 <= timeout <= threading.TIMEOUT_MAX
+                ):
+                    raise MalformedFrameError(
+                        "drain 'timeout' must be a non-negative number of seconds or null"
+                    )
+                drained = await loop.run_in_executor(None, self.drain, timeout)
                 await self._send(
                     writer, write_lock, Response.success(request.id, {"drained": drained})
                 )

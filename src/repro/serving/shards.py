@@ -215,23 +215,22 @@ class ShardManager:
         Per-worker :class:`repro.serving.worker.WorkerConfig` (every shard
         gets the same one — workers are deliberately interchangeable
         modulo the sessions hashed onto them).
-    start_method:
-        ``multiprocessing`` start method (``None`` uses the platform
-        default, fork on Linux).  All processes are spawned before any
-        reader thread starts, so forking is safe here by construction.
+
+    Workers start with the platform's default ``multiprocessing`` method
+    (fork on Linux).  All processes are spawned before any reader thread
+    starts, so forking is safe here by construction.
     """
 
     def __init__(
         self,
         num_workers: int = 4,
         config: WorkerConfig | None = None,
-        start_method: str | None = None,
         ready_timeout_s: float = DEFAULT_READY_TIMEOUT_S,
     ) -> None:
         if num_workers <= 0:
             raise ServiceError("num_workers must be positive")
         self.config = config if config is not None else WorkerConfig()
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context()
         # phase 1: fork/spawn every process while this process is still
         # effectively single-threaded...
         self.workers = [WorkerHandle(i, self.config, ctx) for i in range(num_workers)]

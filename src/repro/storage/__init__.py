@@ -13,82 +13,39 @@ This subpackage provides everything below the dbTouch kernel:
 """
 
 from repro.storage.catalog import Catalog, ObjectInfo
-from repro.storage.column import CACHE_LINE_VALUES, Column, column_from_function
-from repro.storage.dtypes import (
-    BOOL,
-    FLOAT32,
-    FLOAT64,
-    INT8,
-    INT16,
-    INT32,
-    INT64,
-    TIMESTAMP,
-    FixedWidthType,
-    TypeKind,
-    infer_type,
-    string_type,
-    type_from_name,
-)
-from repro.storage.incremental import IncrementalRotation, RotationProgress
+from repro.storage.column import CACHE_LINE_VALUES, Column
+from repro.storage.dtypes import FixedWidthType, infer_type, type_from_name
+from repro.storage.incremental import IncrementalRotation
 from repro.storage.layout import (
     ColumnStoreLayout,
-    HybridLayout,
     LayoutKind,
     PhysicalLayout,
     RowStoreLayout,
-    build_layout,
     conversion_cost_cells,
-    rotate_layout,
-    table_from_matrix,
 )
-from repro.storage.loader import (
-    AdaptiveLoader,
-    generate_integer_column,
-    load_table_from_arrays,
-    load_table_from_csv_file,
-    load_table_from_csv_text,
-)
+from repro.storage.loader import AdaptiveLoader, generate_integer_column, load_table_from_csv_file
 from repro.storage.sample import SampleHierarchy, SampleLevel
-from repro.storage.table import ColumnSpec, Schema, Table
+from repro.storage.table import Schema, Table
 
 __all__ = [
-    "BOOL",
     "CACHE_LINE_VALUES",
-    "FLOAT32",
-    "FLOAT64",
-    "INT8",
-    "INT16",
-    "INT32",
-    "INT64",
-    "TIMESTAMP",
     "AdaptiveLoader",
     "Catalog",
     "Column",
-    "ColumnSpec",
     "ColumnStoreLayout",
     "FixedWidthType",
-    "HybridLayout",
     "IncrementalRotation",
     "LayoutKind",
     "ObjectInfo",
     "PhysicalLayout",
-    "RotationProgress",
     "RowStoreLayout",
     "SampleHierarchy",
     "SampleLevel",
     "Schema",
     "Table",
-    "TypeKind",
-    "build_layout",
-    "column_from_function",
     "conversion_cost_cells",
     "generate_integer_column",
     "infer_type",
-    "load_table_from_arrays",
     "load_table_from_csv_file",
-    "load_table_from_csv_text",
-    "rotate_layout",
-    "string_type",
-    "table_from_matrix",
     "type_from_name",
 ]

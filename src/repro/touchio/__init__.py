@@ -7,14 +7,7 @@ of known physical size, sampled at the digitizer rate, segmented into
 recognized gestures.
 """
 
-from repro.touchio.device import (
-    IPAD1,
-    IPAD1_PROTOTYPE,
-    MODERN_TABLET,
-    PHONE,
-    DeviceProfile,
-    TouchDevice,
-)
+from repro.touchio.device import IPAD1, IPAD1_PROTOTYPE, DeviceProfile, TouchDevice
 from repro.touchio.events import TouchEvent, TouchPhase, TouchPoint, TouchStream
 from repro.touchio.recognizer import (
     GestureRecognizer,
@@ -22,20 +15,11 @@ from repro.touchio.recognizer import (
     RecognizedGesture,
 )
 from repro.touchio.synthesizer import GestureSynthesizer, SlideSegment
-from repro.touchio.views import (
-    DataObjectProperties,
-    Rect,
-    View,
-    make_column_view,
-    make_table_view,
-)
+from repro.touchio.views import Rect, View, make_column_view, make_table_view
 
 __all__ = [
     "IPAD1",
     "IPAD1_PROTOTYPE",
-    "MODERN_TABLET",
-    "PHONE",
-    "DataObjectProperties",
     "DeviceProfile",
     "GestureRecognizer",
     "GestureSynthesizer",

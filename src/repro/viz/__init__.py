@@ -1,31 +1,12 @@
 """Visualization: data-object shapes and text rendering of the screen."""
 
-from repro.viz.objects import (
-    DEFAULT_PALETTE,
-    DataObjectShape,
-    assign_colors,
-    shape_from_info,
-    shape_from_view,
-)
-from repro.viz.render import (
-    FADE_RAMP,
-    RenderConfig,
-    fade_character,
-    render_object,
-    render_results,
-    render_screen,
-)
+from repro.viz.objects import DataObjectShape, assign_colors, shape_from_view
+from repro.viz.render import render_results, render_screen
 
 __all__ = [
-    "DEFAULT_PALETTE",
     "DataObjectShape",
-    "FADE_RAMP",
-    "RenderConfig",
     "assign_colors",
-    "fade_character",
-    "render_object",
     "render_results",
     "render_screen",
-    "shape_from_info",
     "shape_from_view",
 ]

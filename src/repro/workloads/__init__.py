@@ -1,49 +1,22 @@
 """Workloads: synthetic generators, domain scenarios and the contest harness."""
 
-from repro.workloads.contest import (
-    ContestResult,
-    DbTouchExplorer,
-    ExplorerReport,
-    SqlExplorer,
-    run_contest,
-)
+from repro.workloads.contest import run_contest
 from repro.workloads.generators import (
     GeneratedDataset,
-    MultiUserWorkload,
     PatternKind,
     PlantedPattern,
-    make_clustered_column,
     make_contest_dataset,
-    make_correlated_pair,
-    make_pattern_column,
     make_serving_workload,
 )
-from repro.workloads.scenarios import (
-    Scenario,
-    it_monitoring_scenario,
-    it_monitoring_script,
-    sky_survey_scenario,
-    sky_survey_script,
-)
+from repro.workloads.scenarios import it_monitoring_scenario, sky_survey_scenario
 
 __all__ = [
-    "ContestResult",
-    "DbTouchExplorer",
-    "ExplorerReport",
     "GeneratedDataset",
-    "MultiUserWorkload",
     "PatternKind",
     "PlantedPattern",
-    "Scenario",
-    "SqlExplorer",
     "it_monitoring_scenario",
-    "it_monitoring_script",
-    "make_clustered_column",
     "make_contest_dataset",
-    "make_correlated_pair",
-    "make_pattern_column",
     "make_serving_workload",
     "run_contest",
     "sky_survey_scenario",
-    "sky_survey_script",
 ]

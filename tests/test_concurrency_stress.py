@@ -364,7 +364,8 @@ class TestResultBackpressure:
             service = server.service(session_id)
             # retention is enforced at emission time, so the backlog never
             # exceeds the bound even mid-command
-            assert service.result_backlog() <= 25
+            streams = service.kernel.iter_result_streams()
+            assert sum(stream.backlog for _, stream in streams) <= 25
             assert service.result_drops() > 0
             assert server.aggregate_metrics()["results_dropped"] == float(
                 service.result_drops()
@@ -440,7 +441,7 @@ class TestReplaceOnLimitedBackends:
         from repro.core.actions import aggregate_action
         from repro.core.commands import ChooseAction, ShowColumn, Tap
         from repro.remote.network import LAN
-        from repro.service import RemoteExplorationService
+        from repro.remote import RemoteExplorationService
 
         with MultiSessionServer(
             service_factory=lambda: RemoteExplorationService(network_profile=LAN),

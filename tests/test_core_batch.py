@@ -629,11 +629,12 @@ class TestBatchSlideParity:
             assert _deterministic_fields(a) == _deterministic_fields(b)
 
     @pytest.mark.parametrize("indexing", [False, True])
-    def test_select_where_index_prefilter_parity(self, profile, indexing):
+    def test_select_where_cache_off_parity(self, profile, indexing):
         # without the touched-range cache, a range-filtered select-where
-        # slide is answered through the cracker index instead of reading
-        # one where-value per touch — tuples_examined and every other
-        # counter must still match the per-touch reference loop exactly
+        # slide reads one where-value per touch like any other slide: every
+        # counter matches the per-touch reference loop, and the gesture
+        # only *refines* the index — it never consults it (a consultation
+        # selects the whole column, O(column) on the gesture path)
         from repro.core.actions import select_where_action
 
         rng = np.random.default_rng(11)
@@ -670,16 +671,17 @@ class TestBatchSlideParity:
                 session.slide(view, duration=1.0),
                 session.slide(view, duration=0.8, start_fraction=1.0, end_fraction=0.2),
             ]
-            engaged = (
-                session.kernel.index_manager is not None
-                and session.kernel.index_manager.has_cracker("t", "amount")
-            )
-            return [_deterministic_fields(o) for o in outcomes], engaged
+            return [_deterministic_fields(o) for o in outcomes], session.kernel.index_manager
 
         loop, _ = run(False)
-        batch, engaged = run(True)
+        batch, manager = run(True)
         assert loop == batch
-        assert engaged is indexing
+        assert (manager is not None) is indexing
+        if indexing:
+            assert manager.has_cracker("t", "amount")
+            assert manager.stats.refinements > 0
+            assert manager.stats.consultations == 0
+            assert manager.cracker_for("t", "amount").values_scanned_total == 0
 
     def test_group_by_and_join_fall_back_to_reference_path(self, profile):
         # the batch executor must decline actions it does not implement

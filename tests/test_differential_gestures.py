@@ -270,10 +270,10 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
 def test_select_where_table_scripts_bit_identical(seed, with_cache):
     """Seeded select-where slides over tables are unchanged by indexing.
 
-    The ``with_cache=False`` arm drives the batch executor's index
-    prefilter (touch reads answered through cracker membership), which
-    must leave every counter — ``tuples_examined`` included — identical
-    to the indexing-off replay.
+    The ``with_cache=False`` arm is the same proof for uncached slides,
+    whose every where-value is read: the refinement that follows each
+    gesture must leave every counter — ``tuples_examined`` included —
+    identical to the indexing-off replay.
     """
     rng = np.random.default_rng(seed)
     n = 5_000

@@ -175,20 +175,6 @@ class TestManagerStrategies:
         assert again.rows_scanned <= selection.rows_scanned
         assert np.array_equal(again.rowids, brute(data, predicate))
 
-    def test_paged_cracking_off_falls_back_to_zonemap(self, tmp_path):
-        manager = IndexManager(paged_cracking=False)
-        data = np.arange(50_000, dtype=np.int64)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
-        catalog = StoreCatalog(store)
-        catalog.persist_column(Column("sorted", data), chunk_rows=1024)
-        paged = catalog.load_column("sorted")
-        predicate = Predicate(Comparison.BETWEEN, 10_000, upper=10_500)
-        selection = manager.select_rowids("sorted", None, paged, predicate)
-        assert selection.strategy == "zonemap"
-        assert np.array_equal(selection.rowids, brute(data, predicate))
-        assert selection.rows_scanned <= 2 * 1024
-        assert not manager.has_cracker("sorted", None)  # no cracker state at all
-
 
 class TestManagerLifecycle:
     def test_same_named_private_columns_keep_separate_state(self, manager):

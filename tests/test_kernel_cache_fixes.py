@@ -268,7 +268,7 @@ class TestTouchCacheInvalidate:
         # replace-reloads used to be a local-only feature; the serving
         # engine's reload path now re-hosts on the server, rebuilds the
         # device-side sample clients and re-scales shown view metadata
-        from repro.service import RemoteExplorationService
+        from repro.remote import RemoteExplorationService
 
         session = ExplorationSession(service=RemoteExplorationService())
         session.load_column("c", np.arange(1000, dtype=np.int64))

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.commands import ShowColumn, Slide, Tap, TimedCommand
 from repro.errors import DbTouchError, MiningError, TraceCorpusError
-from repro.mining import TraceCorpus, decode_record, encode_record, mine_corpus
-from repro.mining.corpus import RECORD_VERSION, CorpusReadReport
+from repro.mining import TraceCorpus, mine_corpus
+from repro.mining.corpus import RECORD_VERSION, CorpusReadReport, decode_record, encode_record
 
 
 def timed(command, think_s: float = 0.1) -> TimedCommand:

@@ -29,9 +29,8 @@ from repro.mining import (
     GestureTransitionModel,
     heldout_hit_rate,
     persistence_hit_rate,
-    scope_streams,
 )
-from repro.mining.model import GLOBAL_SCOPE, START
+from repro.mining.model import GLOBAL_SCOPE, START, scope_streams
 
 KINDS = ["slide", "tap", "zoom-in", "zoom-out", "rotate"]
 

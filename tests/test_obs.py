@@ -16,15 +16,11 @@ from repro.metrics.collectors import LatencyStats
 from repro.obs import (
     Counter,
     FlightRecorder,
-    Gauge,
-    Histogram,
-    Span,
     TelemetryRegistry,
     Trace,
     TraceConfig,
     TraceContext,
     Tracer,
-    active_trace_id,
     current_trace_context,
     merge_numeric,
     nearest_rank,
@@ -33,6 +29,8 @@ from repro.obs import (
     trace_event,
     trace_span,
 )
+from repro.obs.registry import Gauge, Histogram
+from repro.obs.trace import Span, active_trace_id
 
 
 class TestTraceContext:

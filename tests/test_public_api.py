@@ -1,5 +1,10 @@
 """Tests of the public API surface and the exception hierarchy."""
 
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -43,6 +48,37 @@ class TestTopLevelExports:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
+
+    def test_every_public_name_has_a_user(self):
+        """An exported name earns its place: README, an example, a benchmark,
+        the ledger or a second ``src/repro`` module (the first being the one
+        that defines it; ``__init__`` re-exports do not count) mentions it."""
+
+        def words(path: Path) -> set[str]:
+            return set(re.findall(r"\w+", path.read_text()))
+
+        root = Path(__file__).resolve().parents[1]
+        outside = words(root / "README.md")
+        for directory in ("examples", "benchmarks", "ledger"):
+            for path in (root / directory).rglob("*.py"):
+                outside |= words(path)
+        modules = [
+            words(path)
+            for path in (root / "src" / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        ]
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        for package in packages:
+            unused = [
+                name
+                for name in package.__all__
+                if name not in outside and sum(name in module for module in modules) < 2
+            ]
+            assert not unused, f"{package.__name__}.__all__ exports names nobody uses: {unused}"
 
     def test_module_docstring_doctest_example_runs(self):
         """The usage example in the package docstring must keep working."""

@@ -202,7 +202,7 @@ class TestRemoteReplaceReload:
     def _shown_service(self, values):
         from repro.core.actions import aggregate_action
         from repro.core.commands import ChooseAction, ShowColumn
-        from repro.service import RemoteExplorationService
+        from repro.remote import RemoteExplorationService
 
         service = RemoteExplorationService(network_profile=LAN)
         service.load_column("c", values)
@@ -223,7 +223,7 @@ class TestRemoteReplaceReload:
         assert after == before * 3
 
     def test_replace_on_unhosted_name_just_hosts(self):
-        from repro.service import RemoteExplorationService
+        from repro.remote import RemoteExplorationService
 
         service = RemoteExplorationService(network_profile=LAN)
         service.load_column("fresh", np.arange(100), replace=True)

@@ -37,8 +37,9 @@ class TestOneHome:
     def test_three_import_spellings_are_one_class(self):
         from repro.remote import RemoteExplorationService
 
-        assert RemoteExplorationService is repro.service.RemoteExplorationService
         assert RemoteExplorationService is repro.RemoteExplorationService
+        assert RemoteExplorationService is repro.remote.service.RemoteExplorationService
+        assert not hasattr(repro.service, "RemoteExplorationService")
         assert RemoteExplorationService.__module__ == "repro.remote.service"
 
     @pytest.mark.parametrize(
@@ -47,9 +48,8 @@ class TestOneHome:
     )
     def test_either_import_order_works_in_a_fresh_interpreter(self, first, second):
         code = (
-            f"import {first} as a, {second} as b, repro; "
-            "assert a.RemoteExplorationService is b.RemoteExplorationService "
-            "is repro.RemoteExplorationService"
+            f"import {first}, {second}, repro; "
+            "assert repro.remote.RemoteExplorationService is repro.RemoteExplorationService"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 

@@ -419,7 +419,6 @@ class TestSchedulerLifecycle:
             "failed",
             "rejected",
             "cancelled",
-            "post_exec_errors",
             "peak_pending",
         }
 
@@ -429,30 +428,6 @@ class TestSchedulerLifecycle:
             assert scheduler.submit("s", lambda: "ok").result(timeout=5) == "ok"
         with pytest.raises(ServiceError):
             scheduler.submit("s", lambda: None)
-
-
-class TestPostExecHook:
-    def test_post_exec_runs_per_item_and_errors_are_counted(self):
-        seen: list[str] = []
-        flaky = {"raise": True}
-
-        def hook(session_id: str) -> None:
-            seen.append(session_id)
-            if flaky.pop("raise", False):
-                raise RuntimeError("hook hiccup")
-
-        scheduler = GestureScheduler(
-            config=SchedulerConfig(num_workers=1), post_exec=hook
-        )
-        scheduler.register_session("s")
-        try:
-            scheduler.submit("s", lambda: None).result(timeout=5)
-            scheduler.submit("s", lambda: None).result(timeout=5)
-            assert scheduler.drain(timeout=5)
-        finally:
-            scheduler.shutdown()
-        assert seen == ["s", "s"]
-        assert scheduler.stats.post_exec_errors == 1
 
 
 class TestResultStreamRetention:

@@ -23,12 +23,12 @@ from repro.errors import RemoteError, ServiceError
 from repro.remote.client import RemotePolicy
 from repro.remote.network import LAN, WAN, SimulatedLink
 from repro.remote.server import RemoteServer
+from repro.remote.service import RemoteExplorationService
 from repro.service import (
     ExplorationService,
     LocalExplorationService,
     MultiSessionServer,
     OutcomeEnvelope,
-    RemoteExplorationService,
 )
 from repro.storage.column import Column
 from repro.workloads.scenarios import sky_survey_scenario, sky_survey_script

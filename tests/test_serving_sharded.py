@@ -300,6 +300,30 @@ class TestFrontDoorFuzz:
             assert len(client.run(make_script())) == 4
             client.close_session()
 
+    def test_malformed_drain_timeout_is_refused_and_nothing_drains(self, snapshot_root):
+        # a private fleet: where a bad timeout does start a drain, the
+        # shared server would refuse every later test's work
+        bad_timeouts = [b'"soon"', b"[1]", b"true", b"NaN", b"-1", b"1e999"]
+        with (
+            ShardedServer(server_config(snapshot_root, num_workers=1)) as fleet,
+            socket.create_connection(("127.0.0.1", fleet.port), timeout=10.0) as sock,
+        ):
+            lines = sock.makefile("rb")
+            for request_id, timeout in enumerate(bad_timeouts, start=1):
+                sock.sendall(
+                    b'{"id": %d, "verb": "drain", "payload": {"timeout": %s}}\n'
+                    % (request_id, timeout)
+                )
+                reply = json.loads(lines.readline())
+                assert reply["id"] == request_id and not reply["ok"], reply
+                assert reply["error"]["kind"] == "malformed-frame", reply
+            # same socket, next request: served, and no drain was started
+            sock.sendall(b'{"id": 99, "verb": "hello"}\n')
+            assert json.loads(lines.readline())["id"] == 99
+            with ShardedClient("127.0.0.1", fleet.port, session_id="post-drain") as client:
+                assert len(client.run(make_script())) == 4
+                client.close_session()
+
 
 class TestWorkerCrash:
     def test_crash_surfaces_typed_error_and_others_keep_serving(self, snapshot_root):
