@@ -396,27 +396,21 @@ class BatchSlideExecutor:
             return state.summarizer.summarize_batch(rowids, strides)
         ones = np.ones(m, dtype=np.int64)
         zeros = np.zeros(m, dtype=np.int64)
-        # reads go through Column.read_batch (not raw fancy indexing) so
-        # out-of-core paged columns gather through mapping *and* append tail
-        if state.table is not None:
-            column = state.table.column(action.where_attribute)
-            return column.read_batch(rowids), ones, zeros
         if (
             not prefetch
-            and state.hierarchy is not None
+            and state.hierarchy is not None  # only column objects carry one
             and config.enable_samples
         ):
             values, levels = state.hierarchy.read_batch(rowids, strides)
             return values, ones, levels
-        return state.column.read_batch(rowids), ones, zeros
+        # reads go through Column.read_batch (not raw fancy indexing) so
+        # out-of-core paged columns gather through mapping *and* append tail
+        return state.read_target()[0].read_batch(rowids), ones, zeros
 
     def _value_dtype(self, state):
-        action = state.action
-        if action.kind is ActionKind.SUMMARY:
+        if state.action.kind is ActionKind.SUMMARY:
             return np.dtype(np.float64)
-        if state.table is not None:
-            return state.table.column(action.where_attribute).values.dtype
-        return state.column.values.dtype
+        return state.read_target()[0].values.dtype
 
     # ------------------------------------------------------------------ #
     # prefetched-rowid bookkeeping

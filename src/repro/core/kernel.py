@@ -150,6 +150,17 @@ class KernelConfig:
     speculation: Any | None = None
 
 
+#: The outcome counters, named once — envelopes, session summaries, metric
+#: folds and the wire codec iterate these tuples instead of spelling the
+#: fields out.  ``DETERMINISTIC_COUNTERS`` depend only on the command
+#: sequence (the parity surface); ``OUTCOME_COUNTERS`` adds the two clock
+#: readings; ``LINK_COUNTERS`` are the envelope's link accounting, which only
+#: a remote backend fills in (zero on the local path).
+DETERMINISTIC_COUNTERS = ("entries_returned", "tuples_examined", "cache_hits", "prefetch_hits")
+OUTCOME_COUNTERS = DETERMINISTIC_COUNTERS + ("duration_s", "max_touch_latency_s")
+LINK_COUNTERS = ("remote_requests", "network_seconds")
+
+
 @dataclass
 class GestureOutcome:
     """Everything a gesture produced, for display and for measurement."""
@@ -193,14 +204,7 @@ class GestureOutcome:
         incremental :class:`repro.core.session.SessionSummary` consume it,
         so local and remote backends report identical fields.
         """
-        return {
-            "entries_returned": self.entries_returned,
-            "tuples_examined": self.tuples_examined,
-            "cache_hits": self.cache_hits,
-            "prefetch_hits": self.prefetch_hits,
-            "duration_s": self.duration_s,
-            "max_touch_latency_s": self.max_touch_latency_s,
-        }
+        return {name: getattr(self, name) for name in OUTCOME_COUNTERS}
 
 
 @dataclass
@@ -225,6 +229,29 @@ class _ObjectState:
     current_stride: int = 1
     layout_kind: LayoutKind = LayoutKind.COLUMN_STORE
     rotation: IncrementalRotation | None = None
+
+    def read_target(
+        self, attribute_index: int | None = None
+    ) -> tuple[Column, str | None] | None:
+        """The ``(column, column-name)`` a touch reads under this action.
+
+        The one answer every reader shares — the per-touch loop, the
+        prefetcher, the batch executor, index refinement and bulk
+        selection.  A column object reads itself; a select-where plan reads
+        its where attribute wherever the finger is; any other table action
+        reads the attribute under the finger — so with no
+        ``attribute_index`` it has no single column, and the answer is
+        ``None`` (nothing to index, nothing to select over).
+        """
+        if self.table is None:
+            return self.column, self.column_name
+        action = self.action
+        if action.kind is ActionKind.SELECT_WHERE and action.where_attribute is not None:
+            return self.table.column(action.where_attribute), action.where_attribute
+        if attribute_index is None:
+            return None
+        column = self.table.column_at(attribute_index)
+        return column, column.name
 
 
 class DbTouchKernel:
@@ -705,26 +732,6 @@ class DbTouchKernel:
     # ------------------------------------------------------------------ #
     # adaptive indexing: gesture-driven refinement + bulk consultation
     # ------------------------------------------------------------------ #
-    def _index_target(self, state: _ObjectState) -> tuple[Column, str | None] | None:
-        """The (column, column-name) a state's predicate restricts, if any.
-
-        Select-where plans restrict the where attribute regardless of the
-        touched attribute; column objects restrict their own values.
-        Plain table scans and group-bys apply the predicate to whatever
-        attribute is under the finger, so no single column can be indexed
-        for them.
-        """
-        action = state.action
-        if (
-            action.kind is ActionKind.SELECT_WHERE
-            and state.table is not None
-            and action.where_attribute is not None
-        ):
-            return state.table.column(action.where_attribute), action.where_attribute
-        if state.column is not None:
-            return state.column, state.column_name
-        return None
-
     def _refine_index(self, state: _ObjectState) -> None:
         """Crack the touched column around a qualifying gesture's predicate.
 
@@ -735,7 +742,9 @@ class DbTouchKernel:
         """
         if self.index_manager is None or state.action.predicate is None:
             return
-        target = self._index_target(state)
+        # plain table scans and group-bys apply the predicate to whatever
+        # attribute is under the finger: no single column to index
+        target = state.read_target()
         if target is None:
             return
         column, column_name = target
@@ -754,11 +763,16 @@ class DbTouchKernel:
         Where a slide evaluates its predicate touch by touch, this answers
         the whole-object question — "every row where the predicate holds"
         — in one call, consulting the adaptive indexing tier when it is
-        enabled: cracked pieces for in-memory columns, zonemap-pruned
-        chunks for paged ones, full scan otherwise (and always for
-        non-range predicates).  The returned rowids are bit-identical to
-        the full scan's in every strategy; the consultation itself further
-        refines the index, so repeating a predicate keeps getting cheaper.
+        enabled: cracked pieces for in-memory columns, per-chunk crackers
+        over the zonemap's candidate chunks for paged ones, full scan
+        otherwise (and always for non-range predicates).  The returned
+        rowids are bit-identical to the full scan's in every strategy.  The
+        consultation itself refines the index: in memory, repeating a
+        predicate keeps getting cheaper.  On a paged column that holds only
+        where the zonemap prunes — one not clustered on the key offers every
+        chunk as a candidate, the candidates outrun the residency cap and
+        the rest are raw-scanned, so the cost stays O(chunks) however often
+        the predicate repeats (ROADMAP direction 2 has the numbers).
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected
@@ -775,19 +789,16 @@ class DbTouchKernel:
                 "select_where needs a predicate, either passed explicitly or "
                 "attached to the view's action"
             )
+        target = state.read_target()
+        if target is None:
+            raise QueryError(
+                "bulk select_where over a table requires a SELECT_WHERE "
+                "action naming the where attribute"
+            )
+        column, column_name = target
         select_names: list[str] = []
         if state.table is not None:
-            if action.kind is not ActionKind.SELECT_WHERE or action.where_attribute is None:
-                raise QueryError(
-                    "bulk select_where over a table requires a SELECT_WHERE "
-                    "action naming the where attribute"
-                )
-            column = state.table.column(action.where_attribute)
-            column_name: str | None = action.where_attribute
             select_names = list(dict.fromkeys(action.select_attributes))
-        else:
-            column = state.column
-            column_name = state.column_name
         started = time.perf_counter()
         selection: RangeSelection | None = None
         if self.index_manager is not None:
@@ -962,33 +973,19 @@ class DbTouchKernel:
                 return cached, 0, -1  # -1 marks "served from cache"
             outcome.cache_misses += 1
 
-        level = 0
+        level, tuples_read = 0, 1
         if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
             state.summarizer.k = self._effective_summary_k(state)
             summary = state.summarizer.summarize_at(mapped.rowid, stride_hint=stride)
             value: object = summary.value
             tuples_read = summary.values_aggregated
             level = summary.served_from_level
-        elif state.table is not None:
-            if action.kind is ActionKind.SELECT_WHERE and action.where_attribute is not None:
-                # the slide drives the where restriction: read the where
-                # attribute regardless of which attribute the finger is over
-                column = state.table.column(action.where_attribute)
-            else:
-                column = state.table.column_at(mapped.attribute_index)
-            value = column.value_at(mapped.rowid)
-            tuples_read = 1
+        elif state.hierarchy is not None and self.config.enable_samples and stride > 1:
+            # only column objects carry a sample hierarchy
+            value, sample_level = state.hierarchy.read_at(mapped.rowid, stride)
+            level = sample_level.level
         else:
-            if (
-                state.hierarchy is not None
-                and self.config.enable_samples
-                and stride > 1
-            ):
-                value, sample_level = state.hierarchy.read_at(mapped.rowid, stride)
-                level = sample_level.level
-            else:
-                value = state.column.value_at(mapped.rowid)
-            tuples_read = 1
+            value = state.read_target(mapped.attribute_index)[0].value_at(mapped.rowid)
 
         if self.config.enable_cache:
             self.cache.put(cache_key_object, mapped.rowid, value, stride)
@@ -1009,9 +1006,8 @@ class DbTouchKernel:
         )
         proposals = state.prefetcher.propose(num_tuples, stride=stride)
         action = state.action
-        # prefetch must warm the cache with exactly the column _read_value
-        # will read under the same namespace: the where attribute for
-        # select-where plans, the touched attribute for other table reads
+        # prefetch warms the cache with exactly the column _read_value will
+        # read under the same namespace: both ask the state's read_target
         cache_key_object = self._cache_namespace(state, mapped.attribute_index)
         # namespace and stride bucket are the same for every proposal of
         # this touch: bind them once, probe per proposal
@@ -1025,12 +1021,8 @@ class DbTouchKernel:
                 continue
             if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
                 value = state.summarizer.summarize_at(rowid, stride_hint=stride).value
-            elif state.column is not None:
-                value = state.column.value_at(rowid)
-            elif action.kind is ActionKind.SELECT_WHERE and action.where_attribute is not None:
-                value = state.table.column(action.where_attribute).value_at(rowid)
             else:
-                value = state.table.column_at(mapped.attribute_index).value_at(rowid)
+                value = state.read_target(mapped.attribute_index)[0].value_at(rowid)
             if self.config.enable_cache:
                 self.cache.put(cache_key_object, rowid, value, stride)
             state.prefetched_rowids.add(rowid)

@@ -50,7 +50,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.errors import AdmissionError, ServiceError
@@ -124,14 +124,7 @@ class SchedulerStats:
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of the counters."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "cancelled": self.cancelled,
-            "peak_pending": self.peak_pending,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

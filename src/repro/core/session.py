@@ -49,7 +49,7 @@ from repro.core.commands import (
     ZoomIn,
     ZoomOut,
 )
-from repro.core.kernel import GestureOutcome, KernelConfig
+from repro.core.kernel import DETERMINISTIC_COUNTERS, GestureOutcome, KernelConfig
 from repro.core.schema_gestures import SchemaGestureOutcome
 from repro.errors import QueryError
 from repro.service import (
@@ -444,10 +444,8 @@ class ExplorationSession:
         self.history.append(outcome)
         summary = self._summary
         summary.gestures += 1
-        summary.entries_returned += outcome.entries_returned
-        summary.tuples_examined += outcome.tuples_examined
-        summary.cache_hits += outcome.cache_hits
-        summary.prefetch_hits += outcome.prefetch_hits
+        for name in DETERMINISTIC_COUNTERS:
+            setattr(summary, name, getattr(summary, name) + getattr(outcome, name))
         summary.max_touch_latency_s = max(
             summary.max_touch_latency_s, outcome.max_touch_latency_s
         )

@@ -120,6 +120,27 @@ def dirty_ranges_from_log(
     return merged
 
 
+#: What a cracker operation can do, named once (ledger keys, manager statistics fold).
+ACTIVITY_COUNTERS = (
+    "cracks_performed",
+    "stochastic_cracks",
+    "coalesces_performed",
+    "pieces_merged",
+    "spills",
+    "spill_loads",
+    "tail_merges",
+    "rows_merged_total",
+    "rows_moved_total",
+)
+
+
+def new_activity_ledger() -> dict[str, int]:
+    """A zeroed activity ledger, one monotonic count per name.  A cracker counts
+    into exactly one (a paged cracker shares its own with its chunk crackers);
+    ``values_scanned_total`` is the measure behind ``RangeSelection.rows_scanned``."""
+    return dict.fromkeys((*ACTIVITY_COUNTERS, "values_scanned_total"), 0)
+
+
 @dataclass(frozen=True)
 class CrackPiece:
     """A contiguous piece of the cracker column known to lie in [low, high)."""
@@ -166,7 +187,39 @@ class CrackerState:
     mutation_log: tuple[tuple[int, int, int], ...] = field(default=())
 
 
-class CrackerIndex:
+class Cracker:
+    """The one surface :class:`repro.indexing.manager.IndexManager` drives.
+
+    Every cracker kind has every member the manager calls or reads.  The
+    answers written here are the in-memory kind's — nothing resident to
+    shed, nothing spilled — stated once, not defaulted per call site;
+    counter names read as attributes resolve to the activity ledger.
+    """
+
+    strategy = "cracker"  #: ``RangeSelection.strategy`` of a lookup answered here
+    #: ``release_bytes`` sheds part of the index under the column lock (else pressure unlinks it)
+    sheds_chunks = False
+    num_resident_chunks = num_spilled_chunks = 0
+
+    def __getattr__(self, name: str) -> int:
+        if name != "activity" and name in self.activity:
+            return self.activity[name]
+        raise AttributeError(f"{type(self).__name__!s} has no attribute {name!r}")
+
+    @property
+    def tail_rows(self) -> int:
+        """Appended base rows beyond the validity window, not yet merged in."""
+        return len(self.column) - self.covered_rows
+
+    def release_bytes(self, nbytes: int) -> int:
+        """Shed up to ``nbytes`` of resident state; returns the bytes freed."""
+        return 0
+
+    def discard_spills(self) -> None:
+        """Delete whatever the index wrote outside memory (on drop)."""
+
+
+class CrackerIndex(Cracker):
     """An adaptive index refined by the value ranges gestures touch.
 
     The cracker column is a reordered copy of the base column together with
@@ -203,43 +256,41 @@ class CrackerIndex:
             raise StorageError("cracking requires a numeric column")
         if max_pieces < 2:
             raise StorageError("max_pieces must be at least 2")
-        self.column = column
-        self._values = np.array(column.values, copy=True)
-        self._rowids = np.arange(len(column), dtype=np.int64)
+        values = np.array(column.values, copy=True)
+        rowids = np.arange(len(column), dtype=np.int64)
         # NaNs are segregated behind the valid prefix once, so no crack or
         # wholesale piece-append can ever surface them (see module docstring)
-        self._num_nan = 0
-        if np.issubdtype(self._values.dtype, np.floating):
-            nan_mask = np.isnan(self._values)
-            self._num_nan = int(nan_mask.sum())
-            if self._num_nan:
+        num_nan = 0
+        if np.issubdtype(values.dtype, np.floating):
+            nan_mask = np.isnan(values)
+            num_nan = int(nan_mask.sum())
+            if num_nan:
                 order = np.argsort(nan_mask, kind="stable")  # non-NaN first
-                self._values = self._values[order]
-                self._rowids = self._rowids[order]
-        # capacity buffers the two arrays are logical-length views of; they
-        # only diverge once merge_tail has grown them (capacity == length here)
-        self._values_buf, self._rowids_buf = self._values, self._rowids
-        self._num_valid = len(column) - self._num_nan
-        # flat piece structure: piece i spans positions
-        # [_bounds[i], _bounds[i+1]) and values [pivot[i-1], pivot[i])
-        self._bounds = np.array([0, self._num_valid], dtype=np.int64)
-        self._pivots = np.empty(0, dtype=np.float64)
+                values, rowids = values[order], rowids[order]
+        num_valid = len(column) - num_nan
+        one_piece = np.array([0, num_valid], dtype=np.int64)
+        self._install(column, values, rowids, num_valid, one_piece, np.empty(0, dtype=np.float64))
         self.max_pieces = int(max_pieces)
         self.min_piece_rows = int(min_piece_rows)
         self.stochastic = bool(stochastic)
         self._rng = np.random.default_rng(seed)
-        self.cracks_performed = 0
-        self.stochastic_cracks = 0
-        self.coalesces_performed = 0
-        self.pieces_merged = 0
-        self.values_scanned_total = 0
-        self.tail_merges = 0
-        self.rows_merged_total = 0
-        self.rows_moved_total = 0
+
+    def _install(self, column, values, rowids, num_valid, bounds, pivots, cracks=0, generation=0):
+        """Bind cracked arrays and piece structure; start a fresh ledger and delta epoch."""
+        self.column = column
+        # capacity buffers the two arrays are logical-length views of; they
+        # only diverge once merge_tail has grown them (capacity == length here)
+        self._values = self._values_buf = values
+        self._rowids = self._rowids_buf = rowids
+        self._num_valid, self._num_nan = num_valid, int(values.shape[0]) - num_valid
+        # flat piece structure: piece i spans positions
+        # [_bounds[i], _bounds[i+1]) and values [pivot[i-1], pivot[i])
+        self._bounds, self._pivots = bounds, pivots
+        self.activity = new_activity_ledger()
+        self.activity["cracks_performed"] = cracks
         # incremental-snapshot bookkeeping (see CrackerState)
         self.epoch = uuid.uuid4().hex[:16]
-        self.generation = 0
-        self._log_floor = 0
+        self.generation = self._log_floor = generation or cracks  # pre-generation snapshots
         self._mutation_log: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------ #
@@ -331,31 +382,14 @@ class CrackerIndex:
                         f"row {int(rowids[pos])} is {actual!r}"
                     )
         index = cls.__new__(cls)
-        index.column = column
-        index._values = index._values_buf = values
-        index._rowids = index._rowids_buf = rowids
-        index._num_nan = m - num_valid
-        index._num_valid = num_valid
-        index._bounds = bounds
-        index._pivots = pivots
+        # an adopted cracker starts a fresh delta chain: diffs against any
+        # previously persisted epoch are unknowable from here
+        cracks, generation = int(state.cracks_performed), int(state.generation)
+        index._install(column, values, rowids, num_valid, bounds, pivots, cracks, generation)
         index.max_pieces = max(DEFAULT_MAX_PIECES, pivots.size + 1)
         index.min_piece_rows = DEFAULT_MIN_PIECE_ROWS
         index.stochastic = False
         index._rng = np.random.default_rng(0)
-        index.cracks_performed = int(state.cracks_performed)
-        index.stochastic_cracks = 0
-        index.coalesces_performed = 0
-        index.pieces_merged = 0
-        index.values_scanned_total = 0
-        index.tail_merges = 0
-        index.rows_merged_total = 0
-        index.rows_moved_total = 0
-        # an adopted cracker starts a fresh delta chain: diffs against any
-        # previously persisted epoch are unknowable from here
-        index.epoch = uuid.uuid4().hex[:16]
-        index.generation = int(state.generation) or int(state.cracks_performed)
-        index._log_floor = index.generation
-        index._mutation_log = []
         return index
 
     def export_state(self) -> CrackerState:
@@ -391,11 +425,6 @@ class CrackerIndex:
         caller scans the tail until :meth:`merge_tail` advances it.
         """
         return self._num_valid + self._num_nan
-
-    @property
-    def tail_rows(self) -> int:
-        """Appended base rows not yet folded into the piece structure."""
-        return len(self.column) - self.covered_rows
 
     @property
     def num_nan(self) -> int:
@@ -445,15 +474,6 @@ class CrackerIndex:
             self._mutation_log.clear()
             self._log_floor = self.generation
 
-    def dirty_ranges_since(self, generation: int) -> list[tuple[int, int]] | None:
-        """Merged ``[start, stop)`` ranges permuted after ``generation``.
-
-        Returns ``None`` when the log no longer reaches back that far (the
-        caller must treat everything as dirty).  Coalesces bump the
-        generation without logging a range — they move no data.
-        """
-        return dirty_ranges_from_log(self._mutation_log, self._log_floor, generation)
-
     def _piece_containing_value(self, value: float) -> tuple[int, int]:
         """Return the (start, stop) positions of the piece a pivot falls in."""
         idx = int(np.searchsorted(self._pivots, value, side="right"))
@@ -490,7 +510,7 @@ class CrackerIndex:
         self._pivots = np.concatenate([self._pivots[:idx], [pivot], self._pivots[idx:]])
         split = [start + n_left]
         self._bounds = np.concatenate([self._bounds[: idx + 1], split, self._bounds[idx + 1 :]])
-        self.cracks_performed += 1
+        self.activity["cracks_performed"] += 1
         if self.num_pieces > self.max_pieces:
             self.coalesce()
 
@@ -513,8 +533,8 @@ class CrackerIndex:
             self._bounds = np.delete(self._bounds, victim + 1)
             merged += 1
         if merged:
-            self.pieces_merged += merged
-            self.coalesces_performed += 1
+            self.activity["pieces_merged"] += merged
+            self.activity["coalesces_performed"] += 1
             self.generation += 1
         return merged
 
@@ -581,9 +601,9 @@ class CrackerIndex:
         # collapse the log so the next snapshot falls back to a full write
         self._mutation_log.clear()
         self._log_floor = self.generation
-        self.tail_merges += 1
-        self.rows_merged_total += n - covered
-        self.rows_moved_total += moved
+        self.activity["tail_merges"] += 1
+        self.activity["rows_merged_total"] += n - covered
+        self.activity["rows_moved_total"] += moved
         return n - covered
 
     def _stochastic_crack(self, near: float) -> None:
@@ -595,9 +615,9 @@ class CrackerIndex:
         pivot = float(self._values[position])
         if not math.isfinite(pivot):
             return
-        before = self.cracks_performed
+        before = self.activity["cracks_performed"]
         self.crack(pivot)
-        self.stochastic_cracks += self.cracks_performed - before
+        self.activity["stochastic_cracks"] += self.activity["cracks_performed"] - before
 
     def crack_range(self, low: float, high: float) -> None:
         """Crack on both bounds of ``[low, high)`` (as a range query would).
@@ -658,7 +678,7 @@ class CrackerIndex:
         first, last = self._overlap_run(low, high)
         if first > last:
             return np.empty(0, dtype=np.int64)
-        self.values_scanned_total += int(self._bounds[last + 1] - self._bounds[first])
+        self.activity["values_scanned_total"] += int(self._bounds[last + 1] - self._bounds[first])
         first_covered = self._piece_covered(first, low, high)
         last_covered = (
             first_covered if last == first else self._piece_covered(last, low, high)

@@ -66,58 +66,28 @@ import numpy as np
 
 from repro.engine.filter import Comparison, Predicate
 from repro.indexing.cracking import (
+    ACTIVITY_COUNTERS,
     DEFAULT_MAX_PIECES,
     DEFAULT_MIN_PIECE_ROWS,
+    Cracker,
     CrackerIndex,
     CrackerState,
 )
-from repro.indexing.paged import DEFAULT_MAX_RESIDENT_CHUNKS, PagedCrackerIndex
+from repro.indexing.paged import DEFAULT_MAX_RESIDENT_CHUNKS, PagedCrackerIndex, is_chunked
 from repro.obs.trace import trace_span
 from repro.storage.column import Column
 
 
-def _is_chunked(column: Column) -> bool:
-    """Whether ``column`` exposes the paged-column chunk surface.
-
-    Duck-typed (rather than ``isinstance`` against
-    :class:`repro.persist.paged_column.PagedColumn`) so the indexing tier
-    does not import the persist package — the snapshot module imports this
-    package for warm starts, and a class-level dependency both ways would
-    be an import cycle waiting to happen.
-    """
-    return callable(getattr(column, "chunks_for_predicate", None))
-
-
-#: Cracker counters mirrored into :class:`IndexManagerStats` by delta.
-#: Probed with ``getattr(..., 0)`` so both cracker kinds fit one surface
-#: (only the paged cracker has spill counters).
-_ACTIVITY_COUNTERS = (
-    "cracks_performed",
-    "stochastic_cracks",
-    "coalesces_performed",
-    "pieces_merged",
-    "spills",
-    "spill_loads",
-    "tail_merges",
-    "rows_merged_total",
-    "rows_moved_total",
-)
-
-
-def _activity_probe(cracker) -> tuple[int, ...]:
-    return tuple(int(getattr(cracker, name, 0)) for name in _ACTIVITY_COUNTERS)
-
-
-def _with_activity(cracker, operation, *args, **kwargs):
+def _with_activity(cracker: Cracker, operation, *args, **kwargs):
     """Run one cracker operation (caller holds the column lock).
 
-    Returns ``(result, deltas)`` — ``deltas`` is what the operation added
-    to each of :data:`_ACTIVITY_COUNTERS`, for
+    Returns ``(result, did)`` — ``did`` is what the operation added to each
+    count of the cracker's activity ledger, for
     :meth:`IndexManagerStats.apply_activity`.
     """
-    before = _activity_probe(cracker)
+    before = dict(cracker.activity)
     result = operation(*args, **kwargs)
-    return result, tuple(now - then for then, now in zip(before, _activity_probe(cracker)))
+    return result, {name: count - before[name] for name, count in cracker.activity.items()}
 
 
 def predicate_range(predicate: Predicate) -> tuple[float, float] | None:
@@ -202,10 +172,10 @@ class IndexManagerStats:
     invalidations: int = 0
     prefix_extensions: int = 0
 
-    def apply_activity(self, deltas: tuple[int, ...]) -> None:
-        """Fold one :func:`_activity_probe` delta tuple into the counters."""
-        for name, delta in zip(_ACTIVITY_COUNTERS, deltas):
-            setattr(self, name, getattr(self, name) + delta)
+    def apply_activity(self, did: dict[str, int]) -> None:
+        """Fold what one cracker operation did (:func:`_with_activity`) in."""
+        for name in ACTIVITY_COUNTERS:
+            setattr(self, name, getattr(self, name) + did[name])
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of every counter."""
@@ -228,7 +198,7 @@ class _ColumnIndexState:
     key: tuple[str, str | None]
     column_ref: "weakref.ref[Column]"
     lock: threading.RLock = field(default_factory=threading.RLock)
-    cracker: CrackerIndex | PagedCrackerIndex | None = None
+    cracker: Cracker | None = None
     cracker_bytes: int = 0
     cracker_refused: bool = False  # e.g. non-numeric, empty
 
@@ -337,10 +307,10 @@ class IndexManager:
             if cracker is None:
                 continue
             live += 1
-            pieces += int(getattr(cracker, "num_pieces", 0))
+            pieces += cracker.num_pieces
             nbytes += state.cracker_bytes
-            resident += int(getattr(cracker, "num_resident_chunks", 0))
-            spilled += int(getattr(cracker, "num_spilled_chunks", 0))
+            resident += cracker.num_resident_chunks
+            spilled += cracker.num_spilled_chunks
         data.update(
             crackers_live=live,
             piece_count=pieces,
@@ -352,16 +322,11 @@ class IndexManager:
 
     def has_cracker(self, object_name: str, column_name: str | None = None) -> bool:
         """Whether any live cracker exists for the pair."""
-        with self._lock:
-            return any(
-                state.cracker is not None
-                for state in self._states.values()
-                if state.key == (object_name, column_name)
-            )
+        return self.cracker_for(object_name, column_name) is not None
 
     def cracker_for(
         self, object_name: str, column_name: str | None = None
-    ) -> CrackerIndex | None:
+    ) -> Cracker | None:
         """The most recently consulted live cracker of one pair (or ``None``)."""
         with self._lock:
             for key in reversed(self._states):
@@ -403,6 +368,18 @@ class IndexManager:
             self._states.move_to_end(key)  # LRU refresh
         return state
 
+    def _states_matching(
+        self, object_name: str | None, column_name: str | None
+    ) -> list[_ColumnIndexState]:
+        """Every state of the object (any, if ``None``) and column (likewise)."""
+        with self._lock:
+            return [
+                state
+                for key, state in self._states.items()
+                if (object_name is None or key[0] == object_name)
+                and (column_name is None or key[1] == column_name)
+            ]
+
     def _enforce_cracker_cap(self, keep: _ColumnIndexState) -> None:
         """Drop least-recently-consulted crackers beyond ``max_crackers``.
 
@@ -410,7 +387,7 @@ class IndexManager:
         Called with no locks held; bytes are released after unlinking.
         """
         released = 0
-        victims: list[CrackerIndex | PagedCrackerIndex] = []
+        victims: list[Cracker] = []
         with self._lock:
             live = [
                 state
@@ -426,8 +403,7 @@ class IndexManager:
                 self.stats.crackers_dropped += 1
         self._release_bytes(released)
         for cracker in victims:
-            if isinstance(cracker, PagedCrackerIndex):
-                cracker.discard_spills()
+            cracker.discard_spills()
 
     # ------------------------------------------------------------------ #
     # shared-budget accounting
@@ -443,11 +419,12 @@ class IndexManager:
     def _reclaim_bytes(self, nbytes: int) -> int:
         """Budget hook: spill or drop least-recently-consulted crackers.
 
-        Paged crackers *spill* their LRU chunk crackers through the spill
-        store (cracked organization survives on disk) under their column
-        lock — safe because no thread ever calls the budget while holding
-        a column lock, so the lock is always released promptly.  In-memory
-        crackers are unlinked without taking their column lock — a lookup
+        Crackers that shed chunks (paged ones) *spill* their LRU chunk
+        crackers through the spill store (cracked organization survives on
+        disk) under their column lock — safe because no thread ever calls
+        the budget while holding a column lock, so the lock is always
+        released promptly.  The others (in-memory ones) are unlinked
+        without taking their column lock — a lookup
         holding a reference to the orphaned index completes correctly on
         it; the next consultation rebuilds.  Only charged state
         (``cracker_bytes > 0``) is touched, so a cracker built but not yet
@@ -462,16 +439,16 @@ class IndexManager:
             cracker = state.cracker
             if cracker is None or state.cracker_bytes == 0:
                 continue
-            if isinstance(cracker, PagedCrackerIndex):
+            if cracker.sheds_chunks:
                 with state.lock:
                     if state.cracker is not cracker or state.cracker_bytes == 0:
                         continue
-                    got, deltas = _with_activity(cracker, cracker.release_bytes, nbytes - freed)
+                    got, did = _with_activity(cracker, cracker.release_bytes, nbytes - freed)
                     got = min(got, state.cracker_bytes)
                     state.cracker_bytes -= got
                 freed += got
                 with self._lock:
-                    self.stats.apply_activity(deltas)
+                    self.stats.apply_activity(did)
                 continue
             with self._lock:
                 if state.cracker is not cracker or state.cracker_bytes == 0:
@@ -493,7 +470,7 @@ class IndexManager:
 
     def _ensure_cracker(
         self, state: _ColumnIndexState, column: Column
-    ) -> CrackerIndex | PagedCrackerIndex | None:
+    ) -> Cracker | None:
         """Build (or return) the state's cracker.  Caller holds state.lock.
 
         Returns ``None`` when the column cannot be cracked (non-numeric,
@@ -505,7 +482,8 @@ class IndexManager:
         if not (column.is_numeric and len(column)):
             state.cracker_refused = True
             return None
-        if _is_chunked(column):
+        paged = is_chunked(column)  # the one column-kind test: which cracker to build
+        if paged:
             state.cracker = PagedCrackerIndex(
                 column,
                 spill_store=self._spill_store,
@@ -515,9 +493,6 @@ class IndexManager:
                 stochastic=self.stochastic,
                 seed=self.crack_seed,
             )
-            with self._lock:
-                self.stats.crackers_built += 1
-                self.stats.paged_crackers_built += 1
         else:
             state.cracker = CrackerIndex(
                 column,
@@ -526,8 +501,9 @@ class IndexManager:
                 stochastic=self.stochastic,
                 seed=self.crack_seed,
             )
-            with self._lock:
-                self.stats.crackers_built += 1
+        with self._lock:
+            self.stats.crackers_built += 1
+            self.stats.paged_crackers_built += int(paged)
         return state.cracker
 
     def _settle_cracker(self, state: _ColumnIndexState) -> None:
@@ -594,7 +570,9 @@ class IndexManager:
 
         At most one export per (object, column) pair: when several column
         identities share a name (private per-session copies), the most
-        recently consulted cracker wins.
+        recently consulted cracker wins.  A kind with no exportable state
+        is skipped — a paged cracker's organisation persists through its
+        spill store, not the snapshot.
         """
         with self._lock:
             latest: dict[tuple[str, str | None], _ColumnIndexState] = {}
@@ -605,8 +583,9 @@ class IndexManager:
         exported = []
         for state in states:
             with state.lock:
-                if state.cracker is not None:
-                    exported.append((state.key, state.cracker.export_state()))
+                cracker_state = None if state.cracker is None else state.cracker.export_state()
+            if cracker_state is not None:
+                exported.append((state.key, cracker_state))
         return exported
 
     # ------------------------------------------------------------------ #
@@ -634,13 +613,13 @@ class IndexManager:
             cracker = self._ensure_cracker(state, column)
             if cracker is None:
                 return False
-            _, deltas = _with_activity(cracker, cracker.crack_range, *bounds)
+            _, did = _with_activity(cracker, cracker.crack_range, *bounds)
         self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.refinements += 1
-            self.stats.apply_activity(deltas)
-        return deltas[0] > 0  # cracks_performed delta
+            self.stats.apply_activity(did)
+        return did["cracks_performed"] > 0
 
     # ------------------------------------------------------------------ #
     # consultation (the read side)
@@ -671,9 +650,8 @@ class IndexManager:
             cracker = self._ensure_cracker(state, column)
             if cracker is None:
                 return None
-            scanned_before = cracker.values_scanned_total
-            rowids, deltas = _with_activity(cracker, cracker.rowids_in_range, low, high, crack=True)
-            rows_scanned = cracker.values_scanned_total - scanned_before
+            rowids, did = _with_activity(cracker, cracker.rowids_in_range, low, high, crack=True)
+            rows_scanned = did["values_scanned_total"]
             covered = cracker.covered_rows
             n = len(column)
             if covered < n:
@@ -682,24 +660,21 @@ class IndexManager:
                 # scanned with the predicate itself (exact by definition)
                 # until merge_tails folds them in.  Tail hits all land at
                 # rowids >= covered, so appending them keeps the result
-                # sorted.  raw_slice (paged columns) bypasses the
+                # sorted.  raw_slice bypasses a paged column's
                 # budget-charging chunk cache — never call the budget
                 # under a column lock.
-                raw = getattr(column, "raw_slice", None)
                 with trace_span("tail_scan", object=object_name, rows=n - covered):
-                    tail = np.asarray(
-                        raw(covered, n) if callable(raw) else column.slice(covered, n)
-                    )
+                    tail = np.asarray(column.raw_slice(covered, n))
                     hits = np.nonzero(predicate.mask(tail))[0].astype(np.int64)
                     if hits.size:
                         rowids = np.concatenate([rowids, hits + covered])
                     rows_scanned += int(tail.shape[0])
-        refined = deltas[0] > 0  # cracks_performed delta
+        refined = did["cracks_performed"] > 0
         self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.indexed_consultations += 1
-            self.stats.apply_activity(deltas)
+            self.stats.apply_activity(did)
             if refined:
                 self.stats.refinements += 1
         return RangeSelection(
@@ -707,7 +682,7 @@ class IndexManager:
             column_name=column_name,
             predicate=predicate,
             rowids=rowids,
-            strategy="paged-cracker" if isinstance(cracker, PagedCrackerIndex) else "cracker",
+            strategy=cracker.strategy,
             rows_scanned=rows_scanned,
             refined=refined,
         )
@@ -735,13 +710,7 @@ class IndexManager:
         Returns how many column states were touched (or dropped, on the
         degraded path).
         """
-        with self._lock:
-            states = [
-                state
-                for key, state in self._states.items()
-                if key[0] == object_name
-                and (column_name is None or key[1] == column_name)
-            ]
+        states = self._states_matching(object_name, column_name)
         touched = 0
         for state in states:
             column = state.column_ref()
@@ -769,24 +738,17 @@ class IndexManager:
         the merge runs; each cracker's merge is a single pass under its
         own column lock, so lookups on *other* columns never wait.
         """
-        with self._lock:
-            states = [
-                state
-                for key, state in self._states.items()
-                if (object_name is None or key[0] == object_name)
-                and (column_name is None or key[1] == column_name)
-            ]
         merged = 0
-        for state in states:
+        for state in self._states_matching(object_name, column_name):
             with state.lock:
                 cracker = state.cracker
                 if cracker is None:
                     continue
-                rows, deltas = _with_activity(cracker, cracker.merge_tail)
+                rows, did = _with_activity(cracker, cracker.merge_tail)
                 merged += rows
             self._settle_cracker(state)
             with self._lock:
-                self.stats.apply_activity(deltas)
+                self.stats.apply_activity(did)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -796,10 +758,10 @@ class IndexManager:
         """Unlink every state of ``object_name`` (``None``: of every object).
 
         Returns how many column states were dropped; their bytes go back
-        to the budget and paged crackers discard their spill files.
+        to the budget and the crackers discard whatever they spilled.
         """
         released = 0
-        victims: list[PagedCrackerIndex] = []
+        victims: list[Cracker] = []
         with self._lock:
             doomed = [
                 key
@@ -811,7 +773,6 @@ class IndexManager:
                 released += state.cracker_bytes
                 if state.cracker is not None:
                     self.stats.crackers_dropped += 1
-                if isinstance(state.cracker, PagedCrackerIndex):
                     victims.append(state.cracker)
                 state.cracker = None
                 state.cracker_bytes = 0

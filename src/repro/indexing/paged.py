@@ -32,10 +32,10 @@ and only a bounded number of those chunk crackers stay resident:
 
 **Deadlock freedom.**  The :class:`repro.indexing.manager.IndexManager`
 mutates this index while holding a per-column lock, and the shared
-:class:`repro.persist.budget.MemoryBudget` must never be charged while
+:class:`repro.core.caching.MemoryBudget` must never be charged while
 any such lock is held (budget reclaim may need those locks).  The paged
 cracker therefore reads chunk data straight off the column's read-only
-memmap (``column.values[start:stop]``) — *bypassing* the budget-charging
+memmap and append tail (``column.raw_slice``) — *bypassing* the budget-charging
 ``ChunkCache`` — and its spill writes are pure file I/O.  The resident
 crackers' bytes are themselves accounted to the budget by the manager,
 which charges/releases the size delta after dropping the lock.
@@ -52,8 +52,10 @@ import numpy as np
 from repro.errors import StorageError
 from repro.indexing.cracking import (
     DEFAULT_MIN_PIECE_ROWS,
+    Cracker,
     CrackerIndex,
     CrackerState,
+    new_activity_ledger,
 )
 from repro.storage.column import Column
 
@@ -67,25 +69,31 @@ DEFAULT_MAX_PIECES_PER_CHUNK = 64
 #: stay cheap for broad predicates.
 REFINE_BUILD_BUDGET = 8
 
-_COUNTERS = (
-    "cracks_performed",
-    "stochastic_cracks",
-    "coalesces_performed",
-    "pieces_merged",
-    "values_scanned_total",
-)
+
+def is_chunked(column: Any) -> bool:
+    """Whether ``column`` exposes the paged-column chunk surface.
+
+    Duck-typed (not ``isinstance`` against
+    :class:`repro.persist.paged_column.PagedColumn`): the snapshot module
+    imports this package for warm starts, so the indexing tier must not
+    import the persist package back.
+    """
+    return hasattr(column, "chunks_for_predicate")
 
 
-class PagedCrackerIndex:
+class PagedCrackerIndex(Cracker):
     """Adaptive index over a chunked on-disk column (see module docstring).
 
-    Exposes the same consultation surface as
-    :class:`~repro.indexing.cracking.CrackerIndex` — ``crack_range``,
-    ``rowids_in_range``, ``scan_cost_for_range``, the counter and size
-    attributes — so the :class:`~repro.indexing.manager.IndexManager`
-    treats both uniformly, plus ``release_bytes`` so budget pressure can
-    spill resident chunk crackers instead of dropping the whole index.
+    Implements the :class:`~repro.indexing.cracking.Cracker` surface the
+    :class:`~repro.indexing.manager.IndexManager` drives; under budget
+    pressure ``release_bytes`` spills resident chunk crackers instead of
+    dropping the whole index, and the cracked organisation persists
+    through the spill store rather than a snapshot (``export_state`` is
+    ``None``).  Every chunk cracker counts into this index's one ledger.
     """
+
+    strategy = "paged-cracker"
+    sheds_chunks = True
 
     def __init__(
         self,
@@ -101,12 +109,12 @@ class PagedCrackerIndex:
     ):
         if not column.is_numeric:
             raise StorageError("cracking requires a numeric column")
-        if getattr(column, "num_chunks", 0) <= 0:
+        if not is_chunked(column) or column.num_chunks <= 0:
             raise StorageError(
                 f"paged cracking requires a chunked column; {column.name!r} has none"
             )
-        if max_resident_chunks < 1:
-            raise StorageError("max_resident_chunks must be at least 1")
+        if max_resident_chunks < 1 or max_pieces_per_chunk < 2:
+            raise StorageError("max_resident_chunks must be at least 1, max_pieces_per_chunk 2")
         self.column = column
         self._num_rows = len(column)
         self._chunk_rows = int(column.chunk_rows)
@@ -125,16 +133,8 @@ class PagedCrackerIndex:
         # chunks leave their store columns behind (the next spill simply
         # overwrites them), so cleanup must cover this superset
         self._spill_written: set[int] = set()
-        self.cracks_performed = 0
-        self.stochastic_cracks = 0
-        self.coalesces_performed = 0
-        self.pieces_merged = 0
-        self.values_scanned_total = 0
+        self.activity = new_activity_ledger()
         self.chunk_crackers_built = 0
-        self.spills = 0
-        self.spill_loads = 0
-        self.tail_merges = 0
-        self.rows_merged_total = 0
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -171,11 +171,6 @@ class PagedCrackerIndex:
         """
         return self._num_rows
 
-    @property
-    def tail_rows(self) -> int:
-        """Appended base rows not yet covered by the chunk crackers."""
-        return len(self.column) - self._num_rows
-
     # ------------------------------------------------------------------ #
     # chunk cracker lifecycle
     # ------------------------------------------------------------------ #
@@ -184,43 +179,21 @@ class PagedCrackerIndex:
         return start, max(start, min(self._num_rows, start + self._chunk_rows))
 
     def _chunk_view(self, index: int) -> np.ndarray:
-        # read straight off the memmap: no ChunkCache, no budget charge
-        # while the manager's column lock is held (see module docstring).
-        # raw_slice assembles memmap + append-tail rows, equally cache-free
-        start, stop = self._chunk_span(index)
-        raw = getattr(self.column, "raw_slice", None)
-        if callable(raw):
-            return raw(start, stop)
-        return self.column.values[start:stop]
+        # straight off the memmap and append tail: no ChunkCache, no budget
+        # charge while the manager's column lock is held (see module docstring)
+        return self.column.raw_slice(*self._chunk_span(index))
 
-    def _chunk_values(self, index: int) -> np.ndarray:
-        # the private copy a cracker is about to permute in place
-        return np.array(self._chunk_view(index), copy=True)
-
-    def _counters_of(self, cracker: CrackerIndex) -> tuple[int, ...]:
-        return tuple(getattr(cracker, name) for name in _COUNTERS)
-
-    def _absorb(self, cracker: CrackerIndex, before: tuple[int, ...]) -> None:
-        after = self._counters_of(cracker)
-        for name, prev, now in zip(_COUNTERS, before, after):
-            setattr(self, name, getattr(self, name) + now - prev)
-
-    def _configure(self, cracker: CrackerIndex, index: int) -> None:
+    def _new_chunk_cracker(self, index: int, state: CrackerState | None = None) -> CrackerIndex:
+        """A cracker over a private copy of chunk ``index`` — fresh, or revived
+        from spilled ``state`` — configured like every other chunk cracker
+        and counting into this index's ledger."""
+        local = Column(f"{self._prefix}#chunk{index}", np.array(self._chunk_view(index), copy=True))
+        cracker = CrackerIndex(local) if state is None else CrackerIndex.from_state(local, state)
         cracker.max_pieces = self.max_pieces_per_chunk
         cracker.min_piece_rows = self.min_piece_rows
         cracker.stochastic = self.stochastic
         cracker._rng = np.random.default_rng((self.seed, index))
-
-    def _build(self, index: int) -> CrackerIndex:
-        local = Column(f"{self._prefix}#chunk{index}", self._chunk_values(index))
-        cracker = CrackerIndex(
-            local,
-            max_pieces=self.max_pieces_per_chunk,
-            min_piece_rows=self.min_piece_rows,
-            stochastic=self.stochastic,
-            seed=(self.seed, index),
-        )
-        self.chunk_crackers_built += 1
+        cracker.activity = self.activity
         return cracker
 
     def _spill_names(self, index: int) -> tuple[str, str]:
@@ -245,22 +218,19 @@ class PagedCrackerIndex:
                 pivots=meta["pivots"],
                 bounds=meta["bounds"],
                 num_valid=meta["num_valid"],
-                cracks_performed=meta["cracks_performed"],
             )
-            local = Column(f"{self._prefix}#chunk{index}", self._chunk_values(index))
-            cracker = CrackerIndex.from_state(local, state)
+            cracker = self._new_chunk_cracker(index, state)
         except StorageError:
             # spill file gone or stale: rebuild from the base chunk
             return None
-        self._configure(cracker, index)
-        self.spill_loads += 1
+        self.activity["spill_loads"] += 1
         return cracker
 
     def _spill_one(self) -> int:
         """Evict the LRU chunk cracker; returns the bytes freed."""
         index, cracker = self._chunks.popitem(last=False)
         freed = cracker.size_bytes
-        if self._store is not None and cracker.cracks_performed:
+        if self._store is not None and cracker.num_pieces > 1:  # cracked at all
             state = cracker.export_state()
             values_store, rowids_store = self._spill_names(index)
             self._store.write_column(
@@ -279,12 +249,11 @@ class PagedCrackerIndex:
                 "pivots": state.pivots,
                 "bounds": state.bounds,
                 "num_valid": state.num_valid,
-                "cracks_performed": state.cracks_performed,
                 "values_store": values_store,
                 "rowids_store": rowids_store,
             }
             self._spill_written.add(index)
-            self.spills += 1
+            self.activity["spills"] += 1
         return freed
 
     def _enforce_residency(self) -> None:
@@ -297,12 +266,10 @@ class PagedCrackerIndex:
         if cracker is not None:
             self._chunks.move_to_end(index)
             return cracker
-        if index in self._spilled:
-            cracker = self._revive(index)
-            if cracker is None:
-                cracker = self._build(index)
-        else:
-            cracker = self._build(index)
+        cracker = self._revive(index) if index in self._spilled else None
+        if cracker is None:
+            cracker = self._new_chunk_cracker(index)
+            self.chunk_crackers_built += 1
         self._chunks[index] = cracker
         self._enforce_residency()
         return cracker
@@ -318,6 +285,10 @@ class PagedCrackerIndex:
         while freed < nbytes and self._chunks:
             freed += self._spill_one()
         return freed
+
+    def export_state(self) -> None:
+        """No snapshot state: the organisation persists through the spill store."""
+        return None
 
     def discard_spills(self) -> None:
         """Delete this index's spill columns from the store — including
@@ -353,8 +324,8 @@ class PagedCrackerIndex:
             self._chunks.pop(boundary, None)
             self._spilled.pop(boundary, None)
         self._num_rows = n
-        self.tail_merges += 1
-        self.rows_merged_total += merged
+        self.activity["tail_merges"] += 1
+        self.activity["rows_merged_total"] += merged
         return merged
 
     # ------------------------------------------------------------------ #
@@ -389,17 +360,14 @@ class PagedCrackerIndex:
                 if builds_left <= 0:
                     continue
                 builds_left -= 1
-            cracker = self._chunk_cracker(index)
-            before = self._counters_of(cracker)
-            cracker.crack_range(low, high)
-            self._absorb(cracker, before)
+            self._chunk_cracker(index).crack_range(low, high)
 
     def _scan_chunk(self, index: int, low: float, high: float) -> np.ndarray:
         """Raw half-open range scan of one chunk's read-only view: no
         cracker is built and nothing is permuted, so nothing is copied."""
         start, _ = self._chunk_span(index)
         values = np.asarray(self._chunk_view(index))  # plain view: no memmap wrap per ufunc
-        self.values_scanned_total += int(values.size)
+        self.activity["values_scanned_total"] += int(values.size)
         mask = (values >= low) & (values < high)
         return np.nonzero(mask)[0].astype(np.int64) + start
 
@@ -424,12 +392,8 @@ class PagedCrackerIndex:
             if thrashing and index not in self._chunks:
                 part = self._scan_chunk(index, low, high)
             else:
-                cracker = self._chunk_cracker(index)
-                before = self._counters_of(cracker)
-                local = cracker.rowids_in_range(low, high, crack=crack)
-                self._absorb(cracker, before)
-                start, _ = self._chunk_span(index)
-                part = local + start
+                local = self._chunk_cracker(index).rowids_in_range(low, high, crack=crack)
+                part = local + self._chunk_span(index)[0]
             if part.size:
                 parts.append(part)
         if not parts:

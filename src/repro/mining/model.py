@@ -47,6 +47,7 @@ from repro.core.commands import (
 )
 from repro.errors import MiningError, ModelCheckpointError
 from repro.mining.corpus import CorpusReadReport, TraceCorpus
+from repro.persist.format import atomic_replace
 
 #: Context padding token: "the stream started fewer than k gestures ago".
 START = "^"
@@ -287,7 +288,10 @@ class GestureTransitionModel:
         """Write the checkpoint artifact as JSON; returns the path."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
+        # atomically: a worker loading ``speculation_checkpoint`` must never
+        # read a half-written model
+        with atomic_replace(path, "w") as handle:
+            handle.write(json.dumps(self.to_dict(), indent=2))
         return path
 
     @classmethod

@@ -1,12 +1,9 @@
 """Shared statistical helpers of the telemetry plane.
 
 One quantile rule for the whole codebase.  Per-session metrics
-(:class:`repro.service.SessionMetrics`), the server-wide aggregate, and
-the per-touch latency summaries (:class:`repro.metrics.collectors.LatencyStats`)
-all report percentiles; before this module each carried its own
-implementation (nearest-rank in one, linear interpolation in another),
-so "p95" silently meant different things in different reports.  Every
-caller now routes through :func:`nearest_rank`.
+(:class:`repro.service.SessionMetrics`), the server-wide aggregate and
+the trace reports all give percentiles; every caller routes through
+:func:`nearest_rank`, so "p95" means the same thing in every report.
 """
 
 from __future__ import annotations

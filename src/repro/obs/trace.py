@@ -466,9 +466,6 @@ class RootSpan:
         """Install this trace as the thread's ambient active trace."""
         self._token = _CURRENT.set(self._active)
 
-    def add_tags(self, **tags: Any) -> None:
-        self._span.tags.update(tags)
-
     def record_child(self, name: str, duration_s: float, **tags: Any) -> None:
         self._active.record_completed(name, duration_s, tags)
 

@@ -26,8 +26,6 @@ the zonemap as it goes, and commits atomically via a temp-file rename.
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -42,6 +40,7 @@ from repro.errors import PersistError
 from repro.persist.format import (
     DEFAULT_CHUNK_ROWS,
     ColumnFormat,
+    atomic_replace,
     chunk_min_max,
     read_format,
     read_zonemap,
@@ -52,8 +51,6 @@ from repro.storage.dtypes import FixedWidthType
 
 #: File extension of persistent column files.
 COLUMN_SUFFIX = ".dbtc"
-#: Distinguishes concurrent writers' temp files (same name, same process).
-_TMP_COUNTER = itertools.count()
 #: Default chunk-cache byte budget (64 MiB).
 DEFAULT_CACHE_BYTES = 64 << 20
 
@@ -336,7 +333,7 @@ class DiskColumnStore:
         ``chunks`` must yield ``ceil(num_rows / chunk_rows)`` arrays of
         exactly ``chunk_rows`` values each (last one shorter); the zonemap
         is computed on the fly so the column is never fully resident.  The
-        file appears atomically (temp file + rename).
+        file appears atomically (:func:`repro.persist.format.atomic_replace`).
         """
         path = self.column_path(name)
         if path.exists() and not replace:
@@ -346,55 +343,46 @@ class DiskColumnStore:
         )
         mins: list = []
         maxs: list = []
-        # per-writer temp file: concurrent writers of one name must not
-        # interleave into a shared tmp — each commits atomically, last
-        # os.replace wins with a complete file
-        tmp = path.with_suffix(f"{path.suffix}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
         written = 0
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(fmt.to_header())
-                for chunk in chunks:
-                    source = np.asarray(chunk)
-                    # strings demand "safe" (a narrowing U-cast silently
-                    # truncates); numerics use "same_kind" so int chunks
-                    # may land in a float column but never the reverse
-                    casting = "safe" if source.dtype.kind in ("U", "S") else "same_kind"
-                    if source.size and not np.can_cast(
-                        source.dtype, dtype.numpy_dtype, casting=casting
-                    ):
-                        raise PersistError(
-                            f"chunk of dtype {source.dtype} cannot be stored "
-                            f"losslessly in column {name!r} of type {dtype.name}"
-                        )
-                    arr = dtype.cast(source)
-                    if arr.ndim != 1:
-                        raise PersistError(
-                            f"chunk for column {name!r} must be 1-D, got shape {arr.shape}"
-                        )
-                    expected = min(chunk_rows, num_rows - written)
-                    if len(arr) != expected:
-                        raise PersistError(
-                            f"chunk for column {name!r} has {len(arr)} rows, "
-                            f"expected {expected}"
-                        )
-                    handle.write(np.ascontiguousarray(arr).tobytes())
-                    if len(arr):
-                        low, high = chunk_min_max(arr)
-                        mins.append(low)
-                        maxs.append(high)
-                    written += len(arr)
-                if written != num_rows:
+        with atomic_replace(path) as handle:
+            handle.write(fmt.to_header())
+            for chunk in chunks:
+                source = np.asarray(chunk)
+                # strings demand "safe" (a narrowing U-cast silently
+                # truncates); numerics use "same_kind" so int chunks
+                # may land in a float column but never the reverse
+                casting = "safe" if source.dtype.kind in ("U", "S") else "same_kind"
+                if source.size and not np.can_cast(
+                    source.dtype, dtype.numpy_dtype, casting=casting
+                ):
                     raise PersistError(
-                        f"column {name!r} received {written} rows, declared {num_rows}"
+                        f"chunk of dtype {source.dtype} cannot be stored "
+                        f"losslessly in column {name!r} of type {dtype.name}"
                     )
-                np_dtype = dtype.numpy_dtype
-                handle.write(np.asarray(mins, dtype=np_dtype).tobytes())
-                handle.write(np.asarray(maxs, dtype=np_dtype).tobytes())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+                arr = dtype.cast(source)
+                if arr.ndim != 1:
+                    raise PersistError(
+                        f"chunk for column {name!r} must be 1-D, got shape {arr.shape}"
+                    )
+                expected = min(chunk_rows, num_rows - written)
+                if len(arr) != expected:
+                    raise PersistError(
+                        f"chunk for column {name!r} has {len(arr)} rows, "
+                        f"expected {expected}"
+                    )
+                handle.write(np.ascontiguousarray(arr).tobytes())
+                if len(arr):
+                    low, high = chunk_min_max(arr)
+                    mins.append(low)
+                    maxs.append(high)
+                written += len(arr)
+            if written != num_rows:
+                raise PersistError(
+                    f"column {name!r} received {written} rows, declared {num_rows}"
+                )
+            np_dtype = dtype.numpy_dtype
+            handle.write(np.asarray(mins, dtype=np_dtype).tobytes())
+            handle.write(np.asarray(maxs, dtype=np_dtype).tobytes())
         self._forget(name)
         return path
 

@@ -29,7 +29,10 @@ arithmetic; malformed, truncated or foreign-version files raise
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +53,22 @@ DEFAULT_CHUNK_ROWS = 65_536
 # magic, version, header size, num_rows, chunk_rows, data offset,
 # stats offset, dtype name (utf-8, NUL padded)
 _HEADER = struct.Struct("<8sIIQQQQ32s")
+_TMP_COUNTER = itertools.count()
+
+
+@contextmanager
+def atomic_replace(path: Path, mode: str = "wb"):
+    """Write ``path`` through a per-writer temp file (pid + counter in its name)
+    renamed over it on a clean exit: concurrent writers of one target never share
+    a file, a reader never sees a partial write, and a failed write leaves ``path``
+    as it was, its temp file removed."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ its data lives on disk:
   one fancy index, O(rows read) whatever the chunk, cache or column size
   — the mapped file already is the shared cache, so nothing is copied
   but the rows asked for.
-* Range reads (:meth:`PagedColumn.slice`: per-touch summary windows, the
-  unindexed zonemap scan, ``head``, the adaptive loader) and the
+* Range reads (:meth:`PagedColumn.slice`: per-touch summary windows,
+  ``head``, the adaptive loader) and the
   per-touch :meth:`PagedColumn.value_at` route through the store's
   :class:`repro.persist.diskstore.ChunkCache` at *chunk* granularity: a
   materialised contiguous chunk is their product, revisits are cache
@@ -40,7 +40,7 @@ chunks past (or straddling) the disk chunks, with zone envelopes
 maintained incrementally on every append — the straddling chunk's
 envelope is the union of its persisted disk zone and its tail rows, so
 no data page is faulted to keep pruning exact.  The tail stays hot until
-:meth:`repro.persist.snapshot.StoreCatalog.compact_column` folds it into
+:meth:`repro.persist.snapshot.StoreCatalog.compact_appends` folds it into
 the chunked file and reopens the column tail-free.
 """
 

@@ -36,7 +36,7 @@ import numpy as np
 from repro.errors import CatalogError, SnapshotError, StorageError
 from repro.indexing.cracking import CrackerState, dirty_ranges_from_log
 from repro.persist.diskstore import DiskColumnStore
-from repro.persist.format import DEFAULT_CHUNK_ROWS
+from repro.persist.format import DEFAULT_CHUNK_ROWS, atomic_replace
 from repro.persist.paged_column import PagedColumn
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
@@ -505,7 +505,11 @@ class StoreCatalog:
         raise SnapshotError(f"table {object_name!r} has no column {column_name!r}")
 
     def persist_index(self, manager, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> list:
-        """Snapshot every live cracker of an :class:`IndexManager`.
+        """Snapshot every live in-memory cracker of an :class:`IndexManager`.
+
+        Paged crackers are not part of the snapshot (``cracked_states()``
+        skips them): their cracked organisation persists, chunk by chunk,
+        through the manager's spill store when one is configured.
 
         The expensive part of a cracker — the reordered value copy and the
         rowid permutation — is written as two chunked store columns
@@ -755,9 +759,8 @@ class StoreCatalog:
                 for key in sorted(self._indexes, key=lambda k: (k[0], k[1] or ""))
             ],
         }
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
+        with atomic_replace(self.manifest_path, "w") as handle:
+            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def _read_manifest(self) -> None:
         try:

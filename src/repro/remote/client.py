@@ -111,11 +111,6 @@ class RemoteExplorationClient:
         """The small sample stored on the device."""
         return self._local_sample
 
-    @property
-    def local_stride(self) -> int:
-        """Base-rowid stride between consecutive local-sample entries."""
-        return self._local_stride
-
     def _local_value(self, base_rowid: int) -> float:
         sample_rowid = min(len(self._local_sample) - 1, base_rowid // self._local_stride)
         return float(self._local_sample.value_at(sample_rowid))

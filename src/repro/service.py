@@ -56,9 +56,15 @@ from repro.core.commands import (
     ZoomIn,
     ZoomOut,
 )
-from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
+from repro.core.kernel import (
+    DETERMINISTIC_COUNTERS,
+    LINK_COUNTERS,
+    OUTCOME_COUNTERS,
+    DbTouchKernel,
+    KernelConfig,
+)
 from repro.core.scheduler import GestureScheduler, InlineLane, SchedulerConfig
-from repro.core.schema_gestures import SchemaGestureOutcome, SchemaGestures
+from repro.core.schema_gestures import SchemaGestures
 from repro.engine.filter import Predicate
 from repro.errors import IngestError, ServiceError
 from repro.indexing.manager import IndexManager, RangeSelection
@@ -119,15 +125,9 @@ class OutcomeEnvelope:
             "backend": self.backend,
             "view_name": self.view_name,
             "object_name": self.object_name,
-            "entries_returned": int(self.entries_returned),
-            "tuples_examined": int(self.tuples_examined),
-            "cache_hits": int(self.cache_hits),
-            "prefetch_hits": int(self.prefetch_hits),
-            "duration_s": float(self.duration_s),
-            "max_touch_latency_s": float(self.max_touch_latency_s),
-            "remote_requests": int(self.remote_requests),
-            "network_seconds": float(self.network_seconds),
         }
+        for name, plain in _ENVELOPE_COUNTERS.items():
+            wire[name] = plain(getattr(self, name))
         if type(self.payload) is dict:
             wire["payload"] = self.payload
         return wire
@@ -148,18 +148,21 @@ class OutcomeEnvelope:
                 backend=str(payload["backend"]),
                 view_name=payload.get("view_name"),
                 object_name=payload.get("object_name"),
-                entries_returned=int(payload.get("entries_returned", 0)),
-                tuples_examined=int(payload.get("tuples_examined", 0)),
-                cache_hits=int(payload.get("cache_hits", 0)),
-                prefetch_hits=int(payload.get("prefetch_hits", 0)),
-                duration_s=float(payload.get("duration_s", 0.0)),
-                max_touch_latency_s=float(payload.get("max_touch_latency_s", 0.0)),
-                remote_requests=int(payload.get("remote_requests", 0)),
-                network_seconds=float(payload.get("network_seconds", 0.0)),
                 payload=payload.get("payload"),
+                **{
+                    name: plain(payload.get(name, 0))
+                    for name, plain in _ENVELOPE_COUNTERS.items()
+                },
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed outcome-envelope payload: {exc}") from exc
+
+
+#: Every counter field of an :class:`OutcomeEnvelope`, in wire order, with the
+#: plain type (``int``/``float``) its declaration gives it.
+_ENVELOPE_COUNTERS = {
+    name: type(getattr(OutcomeEnvelope, name)) for name in OUTCOME_COUNTERS + LINK_COUNTERS
+}
 
 
 @runtime_checkable
@@ -522,7 +525,9 @@ class LocalExplorationService:
                 x=command.x,
                 y=command.y,
             )
-            return self._show_envelope(command, view, command.object_name)
+            return self._envelope(
+                command, view_name=view.name, object_name=command.object_name, payload=view
+            )
         if isinstance(command, ShowTable):
             view = self.kernel.show_table(
                 command.table_name,
@@ -532,25 +537,29 @@ class LocalExplorationService:
                 x=command.x,
                 y=command.y,
             )
-            return self._show_envelope(command, view, command.table_name)
+            return self._envelope(
+                command, view_name=view.name, object_name=command.table_name, payload=view
+            )
         if isinstance(command, ChooseAction):
             self.kernel.set_action(command.view, command.action)
-            return OutcomeEnvelope(
-                command_kind=command.kind,
-                backend=self.backend,
-                view_name=command.view,
-                object_name=self.kernel.state_of(command.view).object_name,
-            )
+            object_name = self.kernel.state_of(command.view).object_name
+            return self._envelope(command, view_name=command.view, object_name=object_name)
         if isinstance(command, (Slide, SlidePath, Tap, ZoomIn, ZoomOut, Rotate)):
             stream = self.synthesize(command)
             self.device.advance_clock(stream.duration)
             outcome = self.kernel.handle_stream(stream)
-            return self._gesture_envelope(command, outcome)
+            return self._envelope(
+                command,
+                view_name=outcome.view_name,
+                object_name=outcome.object_name,
+                payload=outcome,
+                **outcome.counters(),
+            )
         if isinstance(command, Pan):
             moved = self.schema_gestures.pan_view(
                 self._target_view(command.view), command.dx_cm, command.dy_cm
             )
-            return self._schema_envelope(command, moved, view_name=command.view)
+            return self._envelope(command, view_name=command.view, payload=moved)
         if isinstance(command, DragColumnOut):
             dragged = self.schema_gestures.drag_column_out(
                 self._target_view(command.table_view),
@@ -560,7 +569,7 @@ class LocalExplorationService:
                 y=command.y,
                 height_cm=command.height_cm,
             )
-            return self._schema_envelope(command, dragged, view_name=command.table_view)
+            return self._envelope(command, view_name=command.table_view, payload=dragged)
         if isinstance(command, GroupColumns):
             grouped = self.schema_gestures.group_columns(
                 list(command.column_object_names),
@@ -570,21 +579,18 @@ class LocalExplorationService:
                 height_cm=command.height_cm,
                 width_cm=command.width_cm,
             )
-            return self._schema_envelope(command, grouped, view_name=None)
+            return self._envelope(command, payload=grouped)
         if isinstance(command, UngroupTable):
             split = self.schema_gestures.ungroup_table(
                 self._target_view(command.table_view), height_cm=command.height_cm
             )
-            return self._schema_envelope(command, split, view_name=command.table_view)
+            return self._envelope(command, view_name=command.table_view, payload=split)
         if isinstance(command, AppendCommand):
             new_length = self.append_rows(
                 command.object_name, values=command.values, columns=command.columns
             )
-            return OutcomeEnvelope(
-                command_kind=command.kind,
-                backend=self.backend,
-                object_name=command.object_name,
-                payload={"num_rows": new_length},
+            return self._envelope(
+                command, object_name=command.object_name, payload={"num_rows": new_length}
             )
         raise ServiceError(
             f"the local backend does not understand command kind {command.kind!r}"
@@ -682,46 +688,20 @@ class LocalExplorationService:
             return self.synthesizer.tap(view, fraction=command.fraction, axis=axis, start_time=now)
         raise ServiceError(f"cannot synthesize a stream for command {command.kind!r}")
 
-    def _show_envelope(
-        self, command: GestureCommand, view: View, object_name: str
-    ) -> OutcomeEnvelope:
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=view.name,
-            object_name=object_name,
-            payload=view,
-        )
-
-    def _gesture_envelope(
-        self, command: GestureCommand, outcome: GestureOutcome
-    ) -> OutcomeEnvelope:
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=outcome.view_name,
-            object_name=outcome.object_name,
-            payload=outcome,
-            **outcome.counters(),
-        )
-
-    def _schema_envelope(
-        self,
-        command: GestureCommand,
-        outcome: SchemaGestureOutcome,
-        view_name: str | None,
-    ) -> OutcomeEnvelope:
-        return OutcomeEnvelope(
-            command_kind=command.kind,
-            backend=self.backend,
-            view_name=view_name,
-            payload=outcome,
-        )
+    def _envelope(self, command: GestureCommand, **fields: Any) -> OutcomeEnvelope:
+        """This backend's envelope for ``command``: what every one starts with."""
+        return OutcomeEnvelope(command_kind=command.kind, backend=self.backend, **fields)
 
 
 # --------------------------------------------------------------------- #
 # many sessions behind one protocol
 # --------------------------------------------------------------------- #
+
+
+#: The envelope counters a session (and the server's aggregate) totals up —
+#: the clock readings are accounted apart, as ``simulated_seconds`` and the
+#: session's own wall-clock latencies.
+_SESSION_TOTALS = DETERMINISTIC_COUNTERS + LINK_COUNTERS
 
 
 @dataclass
@@ -813,10 +793,7 @@ class SessionMetrics:
         with self._lock:
             return {
                 "commands": self.commands,
-                "entries_returned": self.entries_returned,
-                "tuples_examined": self.tuples_examined,
-                "cache_hits": self.cache_hits,
-                "prefetch_hits": self.prefetch_hits,
+                **{name: getattr(self, name) for name in DETERMINISTIC_COUNTERS},
             }
 
     def observe(self, envelope: OutcomeEnvelope, wall_s: float) -> None:
@@ -824,12 +801,8 @@ class SessionMetrics:
         now = time.monotonic()
         with self._lock:
             self.commands += 1
-            self.entries_returned += envelope.entries_returned
-            self.tuples_examined += envelope.tuples_examined
-            self.cache_hits += envelope.cache_hits
-            self.prefetch_hits += envelope.prefetch_hits
-            self.remote_requests += envelope.remote_requests
-            self.network_seconds += envelope.network_seconds
+            for name in _SESSION_TOTALS:
+                setattr(self, name, getattr(self, name) + getattr(envelope, name))
             self.simulated_seconds += envelope.duration_s
             self.wall_seconds += wall_s
             self.max_command_wall_s = max(self.max_command_wall_s, wall_s)
@@ -1567,14 +1540,10 @@ class MultiSessionServer:
                 lasts.append(m.last_command_monotonic)
         totals = {
             "sessions": float(len(sessions)),
-            "commands": float(sum(m.commands for m in sessions)),
-            "entries_returned": float(sum(m.entries_returned for m in sessions)),
-            "tuples_examined": float(sum(m.tuples_examined for m in sessions)),
-            "cache_hits": float(sum(m.cache_hits for m in sessions)),
-            "prefetch_hits": float(sum(m.prefetch_hits for m in sessions)),
-            "remote_requests": float(sum(m.remote_requests for m in sessions)),
-            "network_seconds": sum(m.network_seconds for m in sessions),
-            "wall_seconds": sum(m.wall_seconds for m in sessions),
+            **{
+                name: float(sum(getattr(m, name) for m in sessions))
+                for name in ("commands", *_SESSION_TOTALS, "wall_seconds")
+            },
             "results_dropped": float(
                 sum(
                     drops()

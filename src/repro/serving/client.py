@@ -25,7 +25,7 @@ import threading
 from typing import Any, Iterable, Iterator
 
 from repro.core.commands import AppendCommand, GestureCommand, GestureScript, encode_value
-from repro.core.kernel import GestureOutcome
+from repro.core.kernel import DETERMINISTIC_COUNTERS, GestureOutcome
 from repro.errors import MalformedFrameError, ProtocolError, ServiceError
 from repro.obs.trace import current_trace_context
 from repro.touchio.recognizer import GestureType
@@ -288,16 +288,13 @@ def _envelope_of(payload: dict[str, Any], what: str) -> OutcomeEnvelope:
     gesture_type = _GESTURE_TYPES.get(envelope.command_kind)
     if gesture_type is None:
         return envelope
-    latency = float(envelope.max_touch_latency_s)
+    latency = envelope.max_touch_latency_s
     envelope.payload = GestureOutcome(
         gesture_type=gesture_type,
         view_name=envelope.view_name or "",
         object_name=envelope.object_name or "",
-        entries_returned=int(envelope.entries_returned),
-        tuples_examined=int(envelope.tuples_examined),
-        duration_s=float(envelope.duration_s),
+        duration_s=envelope.duration_s,
         per_touch_latencies_s=[latency] if latency > 0 else [],
-        cache_hits=int(envelope.cache_hits),
-        prefetch_hits=int(envelope.prefetch_hits),
+        **{name: getattr(envelope, name) for name in DETERMINISTIC_COUNTERS},
     )
     return envelope

@@ -90,16 +90,6 @@ class ShardedServerConfig:
     tracing: TraceConfig | None = None
 
 
-#: Verbs the front door forwards to a shard one-to-one, keyed to the
-#: worker-side op (``run-script`` is forwarded as its commands instead).
-_FORWARDED_OPS = {
-    "open-session": "open",
-    "close-session": "close",
-    "execute": "execute",
-    "load-column": "load-column",
-}
-
-
 class ShardedServer:
     """Accepts TCP clients and serves them off the worker fleet."""
 
@@ -375,9 +365,8 @@ class ShardedServer:
                 if capsule is not None:
                     payload = {**payload, "trace": capsule}
             try:
-                future = self.shards.submit(
-                    _FORWARDED_OPS[request.verb], request.session, payload
-                )
+                # pipe ops carry the wire verbs' names: forward one-to-one
+                future = self.shards.submit(request.verb, request.session, payload)
             except BaseException as exc:
                 if root is not None:
                     root.finish(error=exc)

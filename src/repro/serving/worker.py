@@ -254,11 +254,11 @@ class _WorkerRuntime:
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-    #: Every pipe op beside ``stop``: its handler and whether it needs a
-    #: ``session`` (the pipe-side mirror of the wire verbs).
+    #: Every pipe op beside ``stop``, named as the wire verb it serves: its
+    #: handler and whether it needs a ``session``.
     _OPS: dict[str, tuple[Callable[..., None], bool]] = {
-        "open": (_op_open, True),
-        "close": (_op_close, True),
+        "open-session": (_op_open, True),
+        "close-session": (_op_close, True),
         "execute": (_op_execute, True),
         "load-column": (_op_load_column, True),
         "stats": (_op_stats, False),

@@ -135,6 +135,12 @@ class Column:
             return self._data[:0]
         return self._data[start:stop]
 
+    def raw_slice(self, start: int, stop: int) -> np.ndarray:
+        """:meth:`slice` that never charges a memory budget — the read the
+        index tier uses under its column locks.  In memory every read is one;
+        :class:`repro.persist.paged_column.PagedColumn` bypasses its chunk cache."""
+        return self.slice(start, stop)
+
     def gather(self, rowids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Return the values at the given rowids (fancy indexing)."""
         idx = np.asarray(rowids, dtype=np.int64)

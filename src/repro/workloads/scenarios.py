@@ -187,56 +187,25 @@ def it_monitoring_scenario(num_events: int = 500_000, seed: int = 43) -> Scenari
 # --------------------------------------------------------------------- #
 
 
-def _browse_column_script(
-    name: str,
-    column: str,
-    suspicious_start: float,
-    suspicious_end: float,
-    summary_k: int = 10,
-) -> GestureScript:
-    """The canonical browse: coarse summary slide, zoom in, inspect a region.
-
-    This is the exploration loop both running examples in the paper's
-    introduction describe — slide over the whole column to get the lay of
-    the land, zoom into the suspicious region, slide slowly across it, and
-    tap to reveal an exact value.
-    """
-    view = f"{column}-view"
-    margin = 0.02
-    start = max(0.0, suspicious_start - margin)
-    end = min(1.0, suspicious_end + margin)
-    return GestureScript(
-        name=name,
-        commands=[
-            ShowColumn(object_name=column, view_name=view, height_cm=10.0),
-            ChooseAction(view=view, action=summary_action(k=summary_k, aggregate="avg")),
-            Slide(view=view, duration=2.0),
-            ZoomIn(view=view),
-            Slide(view=view, duration=1.5, start_fraction=start, end_fraction=end),
-            Tap(view=view, fraction=(suspicious_start + suspicious_end) / 2.0),
-        ],
-    )
-
-
 def sky_survey_script(summary_k: int = 10) -> GestureScript:
     """The astronomer's exploration of :func:`sky_survey_scenario` as data.
 
-    Browses the magnitude column and drills into the planted transient
-    region (declination fractions 0.42–0.45).  Load the scenario's columns
-    first (``scenario.load_into(service)``), then run the script on any
-    :class:`repro.service.ExplorationService`.
+    The canonical browse the paper's introduction describes — slide over
+    the whole magnitude column to get the lay of the land, zoom into the
+    planted transient region (declination fractions 0.42–0.45, plus a 0.02
+    margin), slide slowly across it, and tap to reveal an exact value.
+    Load the scenario's columns first (``scenario.load_into(service)``),
+    then run the script on any :class:`repro.service.ExplorationService`.
     """
-    return _browse_column_script(
-        "sky-survey-browse", "magnitude", 0.42, 0.45, summary_k=summary_k
-    )
-
-
-def it_monitoring_script(summary_k: int = 10) -> GestureScript:
-    """The IT analyst's exploration of :func:`it_monitoring_scenario` as data.
-
-    Browses the latency column and drills into the planted deployment
-    window (event fractions 0.55–0.60).
-    """
-    return _browse_column_script(
-        "it-monitoring-browse", "latency_ms", 0.55, 0.60, summary_k=summary_k
+    view, start, end = "magnitude-view", 0.42, 0.45
+    return GestureScript(
+        name="sky-survey-browse",
+        commands=[
+            ShowColumn(object_name="magnitude", view_name=view, height_cm=10.0),
+            ChooseAction(view=view, action=summary_action(k=summary_k, aggregate="avg")),
+            Slide(view=view, duration=2.0),
+            ZoomIn(view=view),
+            Slide(view=view, duration=1.5, start_fraction=start - 0.02, end_fraction=end + 0.02),
+            Tap(view=view, fraction=(start + end) / 2.0),
+        ],
     )

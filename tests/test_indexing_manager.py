@@ -11,7 +11,10 @@ columns through ``select_where``, cracking and zonemap pruning.
 
 from __future__ import annotations
 
+import inspect
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,13 @@ from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import QueryError, StorageError
+from repro.indexing import manager as manager_module
+from repro.indexing.cracking import CrackerIndex
 from repro.indexing.manager import (
     IndexManager,
     predicate_range,
 )
+from repro.indexing.paged import PagedCrackerIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -174,6 +180,53 @@ class TestManagerStrategies:
         again = manager.select_rowids("sorted", None, paged, predicate)
         assert again.rows_scanned <= selection.rows_scanned
         assert np.array_equal(again.rowids, brute(data, predicate))
+
+
+#: The cracker surface ISSUE 21 declares (``repro.indexing.cracking.Cracker``).
+CRACKER_SURFACE = {
+    "crack_range", "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
+    "num_pieces", "values_scanned_total", "export_state", "release_bytes",
+    "discard_spills", "num_resident_chunks", "num_spilled_chunks", "strategy",
+}  # fmt: skip
+
+
+def _members_the_manager_reads() -> set[str]:
+    """Every ``cracker.<name>`` the manager's source touches — the surface
+    cannot drift from its one consumer."""
+    source = Path(manager_module.__file__).read_text()
+    return set(re.findall(r"\bcracker\.(\w+)", source))
+
+
+class TestCrackerSurface:
+    """Both cracker kinds carry every member the manager calls or reads —
+    a missing one is a named failure here, not a production AttributeError."""
+
+    @pytest.fixture()
+    def crackers(self, tmp_path):
+        data = np.random.default_rng(5).integers(0, 1_000, size=4_096)
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
+        catalog.persist_column(Column("c", data), chunk_rows=512)
+        return CrackerIndex(Column("c", data)), PagedCrackerIndex(catalog.load_column("c"))
+
+    def test_the_manager_reads_nothing_outside_the_declared_surface(self):
+        assert _members_the_manager_reads() <= CRACKER_SURFACE | {"activity", "sheds_chunks"}
+
+    @pytest.mark.parametrize("member", sorted(CRACKER_SURFACE | _members_the_manager_reads()))
+    def test_member_present_with_one_arity_on_both_kinds(self, crackers, member):
+        in_memory, paged = crackers
+        for cracker in crackers:
+            assert hasattr(cracker, member), f"{type(cracker).__name__} lacks {member!r}"
+        if callable(getattr(in_memory, member)):
+            signatures = [inspect.signature(getattr(cracker, member)) for cracker in crackers]
+            assert list(signatures[0].parameters) == list(signatures[1].parameters), member
+        else:
+            assert type(getattr(in_memory, member)) is type(getattr(paged, member)), member
+
+    def test_one_ledger_counts_a_paged_index(self, crackers):
+        _, paged = crackers
+        paged.rowids_in_range(100.0, 200.0)
+        assert paged.cracks_performed == paged.activity["cracks_performed"] > 0
+        assert all(chunk.activity is paged.activity for chunk in paged._chunks.values())
 
 
 class TestManagerLifecycle:
@@ -482,6 +535,41 @@ class TestSnapshotRoundTrip:
         assert selection.strategy == "cracker"
         assert selection.rows_scanned < len(paged)
         assert np.array_equal(selection.rowids, brute(data, predicate))
+
+    def test_paged_cracker_is_skipped_and_the_in_memory_one_persists(self, tmp_path):
+        """Regression: with one paged cracker live, ``cracked_states()`` — hence
+        ``persist_index`` — raised ``AttributeError: 'PagedCrackerIndex' object
+        has no attribute 'export_state'``."""
+        rng = np.random.default_rng(21)
+        flux = rng.uniform(0.0, 1_000.0, size=50_000)
+        hot = rng.integers(0, 10_000, size=20_000, dtype=np.int64)
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
+        catalog.persist_column(Column("flux", flux), chunk_rows=4_096)
+        catalog.persist_column(Column("hot", hot))
+        manager = IndexManager()
+        paged = catalog.load_column("flux")  # snapshot-backed: a paged cracker
+        narrow = Predicate(Comparison.BETWEEN, 10, upper=20)
+        wide = Predicate(Comparison.BETWEEN, 2_000, upper=3_000)
+        assert manager.select_rowids("flux", None, paged, narrow).strategy == "paged-cracker"
+        assert manager.select_rowids("hot", None, Column("hot", hot), wide).strategy == "cracker"
+
+        # a paged cracker's organisation persists through its spill store
+        assert [key for key, _ in manager.cracked_states()] == [("hot", None)]
+        assert catalog.persist_index(manager) == [("hot", None)]
+
+        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
+        runtime = Catalog()
+        reopened.attach(runtime)
+        warm = IndexManager()
+        assert reopened.attach_index(warm, runtime) == [("hot", None)]
+        selection = warm.select_rowids("hot", None, runtime.resolve_column("hot"), wide)
+        assert selection.strategy == "cracker" and selection.rows_scanned < len(hot)
+        assert np.array_equal(selection.rowids, brute(hot, wide))
+
+        for predicate in (narrow, Predicate(Comparison.GE, 990.0), Predicate(Comparison.LT, 5.0)):
+            selection = manager.select_rowids("flux", None, paged, predicate)
+            assert selection.strategy == "paged-cracker"
+            assert np.array_equal(selection.rowids, brute(flux, predicate))
 
     def test_stale_index_state_is_skipped_on_attach(self, tmp_path):
         data = np.arange(1_000, dtype=np.int64)

@@ -3,8 +3,7 @@
 Covers the pieces in isolation — span trees and cross-process stitching,
 deterministic sampling, the instrument/collector registry with its
 Prometheus text exposition, the bounded flight recorder, and the shared
-nearest-rank quantile that :mod:`repro.metrics.collectors` and
-:mod:`repro.service` both delegate to.
+nearest-rank quantile that :mod:`repro.service` delegates to.
 """
 
 import re
@@ -12,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.metrics.collectors import LatencyStats
 from repro.obs import (
     Counter,
     FlightRecorder,
@@ -346,14 +344,3 @@ class TestNearestRank:
     def test_out_of_range_raises(self, q):
         with pytest.raises(ValueError):
             nearest_rank([1.0], q)
-
-    def test_latency_stats_and_service_agree(self):
-        """Regression: the two former quantile implementations now share
-        one function, so their outputs are pinned identical."""
-        samples = [0.004, 0.001, 0.1, 0.002, 0.003]
-        stats = LatencyStats.from_samples(samples)
-        ordered = sorted(samples)
-        assert stats.p50_s == nearest_rank(ordered, 0.50) == 0.003
-        assert stats.p95_s == nearest_rank(ordered, 0.95) == 0.1
-        assert stats.p99_s == nearest_rank(ordered, 0.99) == 0.1
-        assert stats.max_s == max(samples)

@@ -1,5 +1,7 @@
 """Unit tests for the on-disk chunked column format."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.errors import PersistFormatError
 from repro.persist.format import (
     HEADER_SIZE,
     ColumnFormat,
+    atomic_replace,
     chunk_min_max,
     compute_zonemap,
     read_format,
@@ -98,3 +101,41 @@ class TestZonemap:
     def test_chunk_min_max_handles_strings(self):
         low, high = chunk_min_max(np.asarray(["pear", "apple", "plum"]))
         assert (low, high) == ("apple", "plum")
+
+
+class TestAtomicReplace:
+    def test_two_writers_of_one_target_each_leave_a_complete_file(self, tmp_path):
+        """Two writers with both temp files open at once (a shared temp name —
+        the manifest's old ``catalog.json.tmp`` — interleaved them): each
+        commit is a complete file, and the last one is what stays."""
+        target = tmp_path / "catalog.json"
+        payloads = [b"a" * 200_000, b"b" * 200_000]
+        both_open = threading.Barrier(2)
+        committed: list[bytes] = []
+
+        def write(payload: bytes) -> None:
+            with atomic_replace(target) as handle:
+                both_open.wait(timeout=10)
+                for offset in range(0, len(payload), 4_096):
+                    handle.write(payload[offset : offset + 4_096])
+            committed.append(target.read_bytes())
+
+        writers = [threading.Thread(target=write, args=(payload,)) for payload in payloads]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert len(committed) == 2 and all(data in payloads for data in committed)
+        assert target.read_bytes() in payloads
+        assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+    def test_a_failed_write_leaves_the_target_untouched(self, tmp_path):
+        target = tmp_path / "model.json"
+        target.write_text("complete")
+        with pytest.raises(RuntimeError):
+            with atomic_replace(target, "w") as handle:
+                handle.write("half")
+                raise RuntimeError("writer died")
+        assert target.read_text() == "complete"
+        assert list(tmp_path.iterdir()) == [target]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.result_stream import ResultStream
 from repro.errors import MetricsError, VisualizationError
-from repro.metrics.collectors import LatencyStats, MetricsCollector
 from repro.metrics.reporting import ExperimentSeries, format_comparison
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
@@ -116,40 +115,6 @@ class TestRendering:
         shape = DataObjectShape("c", "column", 2.0, 5.0, "blue", 100)
         with pytest.raises(VisualizationError):
             render_results(shape, ResultStream(), now=0.0, max_rows=0)
-
-
-class TestLatencyStats:
-    def test_from_samples(self):
-        stats = LatencyStats.from_samples([0.001, 0.002, 0.003, 0.004, 0.1])
-        assert stats.count == 5
-        assert stats.max_s == 0.1
-        assert stats.p50_s == pytest.approx(0.003)
-        assert stats.p95_s <= stats.p99_s <= stats.max_s
-
-    def test_empty(self):
-        stats = LatencyStats.from_samples([])
-        assert stats.count == 0 and stats.max_s == 0.0
-
-    def test_single_sample(self):
-        stats = LatencyStats.from_samples([0.5])
-        assert stats.p50_s == 0.5 and stats.p99_s == 0.5
-
-
-class TestMetricsCollector:
-    def test_records_outcomes(self, session):
-        session.load_column("c", np.arange(10_000))
-        view = session.show_column("c")
-        session.choose_scan(view)
-        outcome = session.slide(view, duration=0.5)
-        collector = MetricsCollector()
-        metrics = collector.record(outcome)
-        assert metrics.entries_returned == outcome.entries_returned
-        assert len(collector) == 1
-        assert collector.total_entries_returned == outcome.entries_returned
-        assert collector.total_tuples_examined == outcome.tuples_examined
-        assert collector.budget_violations(10.0) == 0
-        with pytest.raises(MetricsError):
-            collector.budget_violations(0.0)
 
 
 class TestExperimentSeries:
