@@ -19,6 +19,9 @@ the tier is for:
 * **Warm cold-start** — reopening a snapshot (manifest + mmap, sample
   levels included) is >= 10x faster than re-ingesting the same table from
   CSV and rebuilding its hierarchies.
+* **Size-independent selection** — a warm range selection over a column
+  the zonemap cannot prune inspects O(sqrt(n)) values, counted at 1M and
+  4M rows.
 
 The generated dataset lives under ``.bench-data/v<DATASET_VERSION>`` and
 is reused across runs; CI caches the directory keyed on this module's
@@ -29,6 +32,7 @@ Headline numbers land in ``benchmark.extra_info``.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from pathlib import Path
 
@@ -37,9 +41,12 @@ import pytest
 
 from repro.core.actions import summary_action
 from repro.core.kernel import KernelConfig
+from repro.engine.filter import Comparison, Predicate
+from repro.indexing.manager import IndexManager
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.service import LocalExplorationService
+from repro.storage.column import Column
 from repro.storage.loader import load_table_from_csv_file
 from repro.storage.sample import SampleHierarchy
 from repro.storage.table import Table
@@ -244,6 +251,31 @@ def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
         f"dense summary-tap trace: {stats.hits}/{stats.lookups} chunk lookups hit "
         f"({stats.hit_rate:.1%}), {stats.bytes_cached / 2**20:.2f} MiB resident"
     )
+
+
+def test_paged_select_cost_independent_of_column_size(tmp_path):
+    """A warm 1 %-wide selection over a uniform paged column inspects at most
+    two runs of the value-sorted permutation — 2 * ceil(sqrt(n)) values — at
+    1M rows as at 4M, and never enters the chunk path.
+
+    A count, not a clock: the zonemap cannot prune a column not clustered on
+    the key, so the chunk path it replaced visited every chunk per selection.
+    """
+    predicate = Predicate(Comparison.BETWEEN, 420_000.0, upper=430_000.0)
+    for rows in (1_000_000, 4_000_000):
+        data = np.random.default_rng(rows).integers(0, 1_000_000, rows)
+        catalog = StoreCatalog(DiskColumnStore(tmp_path / str(rows), cache_bytes=CACHE_BYTES))
+        # 4,096-row chunks: 245 / 977 candidates against 64 resident chunk crackers
+        catalog.persist_column(Column("flux", data), chunk_rows=4_096, hierarchy=False)
+        paged = catalog.load_column("flux")
+        manager = IndexManager()
+        manager.select_rowids("flux", None, paged, predicate)  # builds the permutation
+        warm = manager.select_rowids("flux", None, paged, predicate)
+        assert np.array_equal(warm.rowids, np.nonzero(predicate.mask(data))[0])
+        assert warm.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)
+        cracker = manager.cracker_for("flux")
+        assert cracker.chunk_crackers_built == 0 and cracker.num_resident_chunks == 0
+        assert manager.stats_snapshot()["cracks_performed"] == 0
 
 
 def cold_start_from_csv(csv_path: Path) -> Table:

@@ -767,12 +767,13 @@ class DbTouchKernel:
         over the zonemap's candidate chunks for paged ones, full scan
         otherwise (and always for non-range predicates).  The returned
         rowids are bit-identical to the full scan's in every strategy.  The
-        consultation itself refines the index: in memory, repeating a
-        predicate keeps getting cheaper.  On a paged column that holds only
-        where the zonemap prunes — one not clustered on the key offers every
-        chunk as a candidate, the candidates outrun the residency cap and
-        the rest are raw-scanned, so the cost stays O(chunks) however often
-        the predicate repeats (ROADMAP direction 2 has the numbers).
+        consultation itself refines the index: repeating a predicate keeps
+        getting cheaper.  A paged column the zonemap cannot prune (one not
+        clustered on the key offers more candidate chunks than stay
+        resident) answers instead from one value-sorted rowid permutation,
+        built by the first such selection: each later one inspects at most
+        two runs of ⌈√n⌉ rows, so its cost follows the result, not the
+        column.
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected

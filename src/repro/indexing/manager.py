@@ -9,16 +9,17 @@ wires that bet into the kernel:
   columns, a disk-resident :class:`repro.indexing.paged.PagedCrackerIndex`
   for out-of-core :class:`repro.persist.paged_column.PagedColumn` objects
   (per-chunk crackers under an LRU residency cap, spilled through an
-  optional ``spill_store``; its candidate search prunes chunks by their
-  persisted zonemaps);
+  optional ``spill_store``, over the chunks the persisted zonemaps leave;
+  where they leave more than the cap, one value-sorted rowid permutation
+  of the column answers instead);
 * every qualifying gesture — a slide whose action carries a range-shaped
   predicate — *refines* the matching cracker via
   :meth:`observe_predicate`, outside the gesture's outcome accounting, so
   ``GestureOutcome`` counters stay bit-identical with indexing on or off;
 * bulk range selections (:meth:`repro.core.kernel.DbTouchKernel.select_where`)
   *consult* the tier via :meth:`select_rowids`, scanning only the cracked
-  pieces / non-pruned chunks that can overlap the predicate instead of the
-  whole column;
+  pieces / non-pruned chunks / sorted runs that can overlap the predicate
+  instead of the whole column;
 * cracker state is charged to an optional shared
   :class:`repro.core.caching.MemoryBudget` (the same allowance the touch
   cache and the disk chunk cache split), reclaimed least-recently-consulted
@@ -126,8 +127,10 @@ class RangeSelection:
     """The result of one bulk range selection (indexed or scanned).
 
     ``strategy`` records how the rowids were found: ``"cracker"`` (cracked
-    pieces), ``"paged-cracker"`` (per-chunk disk-resident cracking) or
-    ``"scan"`` (full scan of the base data).  ``rows_scanned`` is how many
+    pieces), ``"paged-cracker"`` (a paged column's index: per-chunk
+    crackers over the zonemap's candidate chunks, or its value-sorted
+    permutation when those outnumber the residency cap) or ``"scan"``
+    (full scan of the base data).  ``rows_scanned`` is how many
     values were actually inspected — the adaptive win is this number
     shrinking while ``rowids`` stays exactly what a full scan returns.
     """
@@ -511,32 +514,33 @@ class IndexManager:
 
         Called with no locks held.  Works by delta so it covers both a
         freshly built cracker (recorded 0) and a paged cracker whose
-        resident set grew or spilled since the last settle.
+        resident set grew or spilled since the last settle.  Growth is
+        charged before it is recorded and shrinkage recorded before it is
+        released, so the budget never holds less than the states record: a
+        concurrent reclaim always finds the bytes it frees on the books (a
+        shrink released first could be clamped at zero there, and undoing
+        it would leave phantom bytes).
         """
         with state.lock:
             cracker = state.cracker
             if cracker is None:
                 return
             recorded = state.cracker_bytes
-            current = cracker.size_bytes
-            if current == recorded:
-                return
-        delta = current - recorded
-        if delta > 0:
-            self._charge_bytes(delta)
-        else:
+            delta = cracker.size_bytes - recorded
+            if delta < 0:
+                state.cracker_bytes += delta
+        if delta <= 0:
             self._release_bytes(-delta)
+            return
+        self._charge_bytes(delta)
         with state.lock:
-            # record the adjustment only if the cracker survived AND no
+            # record the growth only if the cracker survived AND no
             # concurrent settle or reclaim beat us to it — otherwise undo
             # ours, or the budget carries phantom bytes forever
             if state.cracker is cracker and state.cracker_bytes == recorded:
-                state.cracker_bytes = current
+                state.cracker_bytes += delta
                 return
-        if delta > 0:
-            self._release_bytes(delta)
-        else:
-            self._charge_bytes(-delta)
+        self._release_bytes(delta)
 
     def adopt_cracker(
         self,

@@ -25,17 +25,27 @@ and only a bounded number of those chunk crackers stay resident:
   the cracker from disk instead of re-cracking from scratch.  Without a
   store the cracked organization is simply dropped and rebuilt on
   demand — still correct, just colder.
-* **Scan-only fallback for huge predicates.**  A predicate whose
-  candidate set exceeds the residency cap would thrash the LRU; such
-  lookups answer resident chunks through their crackers and raw-scan the
-  rest without building anything.
+* **One value-sorted permutation where the zonemap cannot prune.**  A
+  predicate whose candidate set exceeds the residency cap (every range
+  over a column not clustered on the key) would thrash the LRU.  Such a
+  lookup instead answers from one column-level rowid permutation in value
+  order, built by the first of them with one ``np.argsort`` and cut into
+  runs of ⌈√n⌉ rowids fenced by their real first/last values: interior
+  runs are taken whole, at most two boundary runs are filtered by
+  gathering their values, so the cost follows the result, not the column.
+  Refinement over such a candidate set does nothing.  Rows merged after
+  the build are scanned as a gap until it outgrows
+  :data:`PERMUTATION_GAP_SHARE` of the sorted rows; the next such lookup
+  then rebuilds.  Under budget pressure the permutation is shed after the
+  chunk crackers and rebuilt on demand.
 
 **Deadlock freedom.**  The :class:`repro.indexing.manager.IndexManager`
 mutates this index while holding a per-column lock, and the shared
 :class:`repro.core.caching.MemoryBudget` must never be charged while
 any such lock is held (budget reclaim may need those locks).  The paged
 cracker therefore reads chunk data straight off the column's read-only
-memmap and append tail (``column.raw_slice``) — *bypassing* the budget-charging
+memmap and append tail (``column.raw_slice``, and ``column.read_batch``
+gathers, which charge nothing) — *bypassing* the budget-charging
 ``ChunkCache`` — and its spill writes are pure file I/O.  The resident
 crackers' bytes are themselves accounted to the budget by the manager,
 which charges/releases the size delta after dropping the lock.
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -68,6 +79,27 @@ DEFAULT_MAX_PIECES_PER_CHUNK = 64
 #: build whatever they need; pure refinement (observe_predicate) must
 #: stay cheap for broad predicates.
 REFINE_BUILD_BUDGET = 8
+#: Rows merged past the value-sorted permutation, as a share of the rows it
+#: sorts, beyond which the next over-cap lookup rebuilds it instead of
+#: scanning them.
+PERMUTATION_GAP_SHARE = 1 / 16
+
+
+@dataclass(frozen=True)
+class _SortedRuns:
+    """The non-NaN rowids of ``[0, covered)`` in value order, in runs of
+    ``run_rows`` fenced by each run's first (``lows``) and last (``highs``)
+    value in the column's native dtype."""
+
+    rowids: np.ndarray
+    run_rows: int
+    lows: np.ndarray
+    highs: np.ndarray
+    covered: int
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.rowids.nbytes + self.lows.nbytes + self.highs.nbytes)
 
 
 def is_chunked(column: Any) -> bool:
@@ -86,10 +118,11 @@ class PagedCrackerIndex(Cracker):
 
     Implements the :class:`~repro.indexing.cracking.Cracker` surface the
     :class:`~repro.indexing.manager.IndexManager` drives; under budget
-    pressure ``release_bytes`` spills resident chunk crackers instead of
-    dropping the whole index, and the cracked organisation persists
-    through the spill store rather than a snapshot (``export_state`` is
-    ``None``).  Every chunk cracker counts into this index's one ledger.
+    pressure ``release_bytes`` spills resident chunk crackers, then drops
+    the value-sorted permutation, instead of dropping the whole index, and
+    the cracked organisation persists through the spill store rather than
+    a snapshot (``export_state`` is ``None``).  Every chunk cracker counts
+    into this index's one ledger.
     """
 
     strategy = "paged-cracker"
@@ -133,6 +166,8 @@ class PagedCrackerIndex(Cracker):
         # chunks leave their store columns behind (the next spill simply
         # overwrites them), so cleanup must cover this superset
         self._spill_written: set[int] = set()
+        # the over-cap lookups' value-sorted permutation (built on demand)
+        self._sorted: _SortedRuns | None = None
         self.activity = new_activity_ledger()
         self.chunk_crackers_built = 0
 
@@ -158,8 +193,9 @@ class PagedCrackerIndex(Cracker):
 
     @property
     def size_bytes(self) -> int:
-        """Bytes held in memory (resident chunk crackers only)."""
-        return sum(c.size_bytes for c in self._chunks.values())
+        """Bytes held in memory: resident chunk crackers and the permutation."""
+        sorted_bytes = 0 if self._sorted is None else self._sorted.nbytes
+        return sorted_bytes + sum(c.size_bytes for c in self._chunks.values())
 
     @property
     def covered_rows(self) -> int:
@@ -275,15 +311,20 @@ class PagedCrackerIndex(Cracker):
         return cracker
 
     def release_bytes(self, nbytes: int) -> int:
-        """Spill resident chunk crackers until ``nbytes`` are freed.
+        """Spill resident chunk crackers, then drop the permutation, until
+        ``nbytes`` are freed.
 
         Budget-pressure hook: the cracked organization moves to the spill
-        store (or is dropped without one) instead of being lost outright.
-        Returns how many bytes were actually freed.
+        store (or is dropped without one) instead of being lost outright;
+        the permutation is rebuilt by the next over-cap lookup.  Returns how
+        many bytes were actually freed.
         """
         freed = 0
         while freed < nbytes and self._chunks:
             freed += self._spill_one()
+        if freed < nbytes and self._sorted is not None:
+            freed += self._sorted.nbytes
+            self._sorted = None
         return freed
 
     def export_state(self) -> None:
@@ -313,7 +354,9 @@ class PagedCrackerIndex(Cracker):
         (whose crackers build lazily on first consult) or top up the one
         logical chunk the old window ended inside — only *that* chunk's
         cracker is stale and gets dropped (resident or spilled); every
-        other chunk's cracked organization survives untouched.
+        other chunk's cracked organization survives untouched.  The
+        value-sorted permutation is not touched either: the merged rows are
+        the gap its lookups scan.
         """
         n = len(self.column)
         if n <= self._num_rows:
@@ -349,12 +392,17 @@ class PagedCrackerIndex(Cracker):
         Builds at most :data:`REFINE_BUILD_BUDGET` new chunk crackers per
         call; beyond that only already-resident chunks are refined, so a
         broad predicate cannot stampede the whole column into memory just
-        to record its bounds.
+        to record its bounds.  A candidate set over the residency cap is
+        answered from the value-sorted permutation, which needs no
+        refinement: nothing is built and nothing evicted.
         """
         if high < low:
             raise StorageError("crack_range requires low <= high")
+        candidates = self._candidates(low, high)
+        if len(candidates) > self.max_resident_chunks:
+            return
         builds_left = REFINE_BUILD_BUDGET
-        for index in self._candidates(low, high):
+        for index in candidates:
             resident = index in self._chunks
             if not resident:
                 if builds_left <= 0:
@@ -362,14 +410,61 @@ class PagedCrackerIndex(Cracker):
                 builds_left -= 1
             self._chunk_cracker(index).crack_range(low, high)
 
-    def _scan_chunk(self, index: int, low: float, high: float) -> np.ndarray:
-        """Raw half-open range scan of one chunk's read-only view: no
-        cracker is built and nothing is permuted, so nothing is copied."""
-        start, _ = self._chunk_span(index)
-        values = np.asarray(self._chunk_view(index))  # plain view: no memmap wrap per ufunc
-        self.activity["values_scanned_total"] += int(values.size)
-        mask = (values >= low) & (values < high)
-        return np.nonzero(mask)[0].astype(np.int64) + start
+    def _sorted_runs(self) -> _SortedRuns:
+        """The permutation, (re)built when missing or when the rows merged
+        past it outgrow :data:`PERMUTATION_GAP_SHARE` of it.
+
+        One ``np.argsort`` straight off ``raw_slice``: no chunk cache and no
+        budget call under the manager's column lock.  argsort parks NaN rows
+        last, where they are cut off — no range holds a NaN.
+        """
+        runs, covered = self._sorted, self._num_rows
+        if runs is not None and covered - runs.covered <= runs.covered * PERMUTATION_GAP_SHARE:
+            return runs
+        values = np.asarray(self.column.raw_slice(0, covered))
+        order = np.argsort(values)
+        if np.issubdtype(values.dtype, np.floating):
+            order = order[: covered - int(np.count_nonzero(np.isnan(values)))]
+        n = int(order.size)
+        run_rows = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
+        starts = np.arange(0, n, run_rows)
+        self._sorted = _SortedRuns(
+            rowids=order.astype(np.int32 if covered < 2**31 else np.int64),
+            run_rows=run_rows,
+            lows=values[order[starts]],
+            highs=values[order[np.minimum(starts + run_rows, n) - 1]],
+            covered=covered,
+        )
+        return self._sorted
+
+    def _sorted_lookup(self, low: float, high: float) -> np.ndarray:
+        """``[low, high)`` from the value-sorted permutation, plus a scan of
+        the rows merged since it was built; sorted."""
+        runs = self._sorted_runs()
+        rowids, size = runs.rowids, runs.run_rows
+        # the comparison Predicate.mask and the chunk crackers make, on real
+        # values: in value order the matches are one contiguous stretch, so
+        # the runs it touches are contiguous and all but the end two whole.
+        # An infinite high bounds nothing: +inf rows match GT / GE.
+        open_top = high == math.inf
+        touched = np.flatnonzero((runs.highs >= low) & ((runs.lows < high) | open_top))
+        whole = (runs.lows >= low) & ((runs.highs < high) | open_top)
+        parts = [rowids[:0]]
+        if touched.size:
+            first, last = int(touched[0]), int(touched[-1])
+            inner_first = first if whole[first] else first + 1
+            inner_last = last if whole[last] else last - 1
+            parts.append(rowids[inner_first * size : (inner_last + 1) * size])
+            for run in sorted({first, last}):
+                if not whole[run]:
+                    edge = rowids[run * size : (run + 1) * size]
+                    values = self.column.read_batch(edge)  # one gather, charges nothing
+                    self.activity["values_scanned_total"] += int(edge.size)
+                    parts.append(edge[(values >= low) & ((values < high) | open_top)])
+        gap = np.asarray(self.column.raw_slice(runs.covered, self._num_rows))
+        self.activity["values_scanned_total"] += int(gap.size)
+        hits = np.flatnonzero((gap >= low) & ((gap < high) | open_top)) + runs.covered
+        return np.concatenate([np.sort(np.concatenate(parts)).astype(np.int64), hits])
 
     def rowids_in_range(
         self, low: float, high: float, crack: bool = True
@@ -377,45 +472,25 @@ class PagedCrackerIndex(Cracker):
         """Base rowids whose values lie in ``[low, high)``, sorted.
 
         Candidate chunks (by zonemap) answer through their chunk crackers,
-        built or revived on demand; when the candidate set exceeds the
-        residency cap, non-resident chunks are raw-scanned instead so one
-        huge predicate cannot thrash the LRU.
+        built or revived on demand.  A candidate set over the residency cap
+        — a huge predicate, or any range over a column not clustered on the
+        key — answers from the value-sorted permutation instead, so it
+        neither thrashes the LRU nor visits every chunk.
         """
         if math.isnan(low) or math.isnan(high):
             return np.empty(0, dtype=np.int64)
         if high < low:
             raise StorageError("range lookup requires low <= high")
         candidates = self._candidates(low, high)
-        thrashing = len(candidates) > self.max_resident_chunks
-        parts: list[np.ndarray] = []
-        for index in candidates:
-            if thrashing and index not in self._chunks:
-                part = self._scan_chunk(index, low, high)
-            else:
-                local = self._chunk_cracker(index).rowids_in_range(low, high, crack=crack)
-                part = local + self._chunk_span(index)[0]
-            if part.size:
-                parts.append(part)
-        if not parts:
+        if len(candidates) > self.max_resident_chunks:
+            return self._sorted_lookup(low, high)
+        if not candidates:
             return np.empty(0, dtype=np.int64)
         # ascending chunk order + sorted per-chunk results = sorted output
-        return np.concatenate(parts)
-
-    def scan_cost_for_range(self, low: float, high: float) -> int:
-        """Values a lookup of ``[low, high)`` would scan right now."""
-        cost = 0
-        for index in self._candidates(low, high):
-            cracker = self._chunks.get(index)
-            if cracker is not None:
-                cost += cracker.scan_cost_for_range(low, high)
-            elif index in self._spilled:
-                # piece structure is known even while spilled; approximate
-                # with the boundary-piece widths a revived cracker would scan
-                bounds = self._spilled[index]["bounds"]
-                cost += min(
-                    bounds[-1], 2 * max(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
-                )
-            else:
-                start, stop = self._chunk_span(index)
-                cost += stop - start
-        return cost
+        return np.concatenate(
+            [
+                self._chunk_cracker(index).rowids_in_range(low, high, crack=crack)
+                + self._chunk_span(index)[0]
+                for index in candidates
+            ]
+        )

@@ -86,14 +86,13 @@ class PagedColumn(Column):
         self._format = fmt
         self._cache = cache
         self._cache_key = cache_key
-        self._chunk_mins = chunk_mins
-        self._chunk_maxs = chunk_maxs
         self._touched_chunks: set[int] = set()
         # live-append tail: rows past the immutable memmap.  The zone
-        # arrays start as the persisted ones and are extended per append.
+        # arrays start as the persisted ones and grow in place per append
+        # (logical-length views of capacity buffers, like the tail).
         self._tail = self._tail_buffer = np.empty(0, dtype=data.dtype)
-        self._zone_mins = chunk_mins
-        self._zone_maxs = chunk_maxs
+        self._zone_mins = self._zone_min_buffer = chunk_mins
+        self._zone_maxs = self._zone_max_buffer = chunk_maxs
         self._values_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -139,8 +138,8 @@ class PagedColumn(Column):
         """Append values to the in-memory tail; returns the new length.
 
         The on-disk file is untouched; the logical chunk surface and zone
-        envelopes extend incrementally (only chunks containing tail rows
-        are recomputed, and the straddling chunk's envelope unions its
+        envelopes extend incrementally (only the chunks the batch lands in
+        are updated, and the straddling chunk's envelope unions its
         persisted zone with the new rows — no disk reads).
         """
         tail = self._cast_append_values(values)
@@ -150,32 +149,26 @@ class PagedColumn(Column):
         self._tail_buffer = grown_buffer(self._tail_buffer, old, new)
         self._tail_buffer[old:new] = tail
         self._tail = self._tail_buffer[:new]
-        self._extend_zones()
+        self._extend_zones(self.base_rows + old)
         return len(self)
 
-    def _extend_zones(self) -> None:
-        """Recompute zone envelopes for the logical chunks the tail spans."""
-        chunk_rows = self.chunk_rows
-        base = self.base_rows
-        n = len(self)
-        first = base // chunk_rows
-        total = -(-n // chunk_rows)
-        mins = list(self._chunk_mins[:first])
-        maxs = list(self._chunk_maxs[:first])
-        for index in range(first, total):
-            start = index * chunk_rows
-            stop = min(n, start + chunk_rows)
-            part = self._tail[max(0, start - base) : stop - base]
+    def _extend_zones(self, start: int) -> None:
+        """Fold rows ``[start, len)`` — one appended batch — into the zone
+        envelopes of the chunks they land in: O(batch + chunks it spans)."""
+        chunk_rows, base, n = self.chunk_rows, self.base_rows, len(self)
+        known, total = self._zone_mins.shape[0], -(-n // chunk_rows)
+        mins = self._zone_min_buffer = grown_buffer(self._zone_min_buffer, known, total)
+        maxs = self._zone_max_buffer = grown_buffer(self._zone_max_buffer, known, total)
+        for index in range(start // chunk_rows, total):
+            lo_row, hi_row = max(start, index * chunk_rows), min(n, (index + 1) * chunk_rows)
+            part = self._tail[lo_row - base : hi_row - base]
             # NaN tails poison the envelope on purpose: an unknown zone is
             # never pruned (np.minimum/maximum propagate NaN)
             lo, hi = part.min(), part.max()
-            if start < base:
-                lo = np.minimum(lo, self._chunk_mins[index])
-                hi = np.maximum(hi, self._chunk_maxs[index])
-            mins.append(lo)
-            maxs.append(hi)
-        self._zone_mins = np.asarray(mins)
-        self._zone_maxs = np.asarray(maxs)
+            if index < known:  # a chunk with an envelope already: widen it
+                lo, hi = np.minimum(lo, mins[index]), np.maximum(hi, maxs[index])
+            mins[index], maxs[index] = lo, hi
+        self._zone_mins, self._zone_maxs = mins[:total], maxs[:total]
 
     # ------------------------------------------------------------------ #
     # chunk plumbing

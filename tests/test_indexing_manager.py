@@ -12,6 +12,7 @@ columns through ``select_where``, cracking and zonemap pruning.
 from __future__ import annotations
 
 import inspect
+import math
 import re
 import threading
 from pathlib import Path
@@ -31,7 +32,7 @@ from repro.indexing.manager import (
     IndexManager,
     predicate_range,
 )
-from repro.indexing.paged import PagedCrackerIndex
+from repro.indexing.paged import PERMUTATION_GAP_SHARE, PagedCrackerIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -227,6 +228,154 @@ class TestCrackerSurface:
         paged.rowids_in_range(100.0, 200.0)
         assert paged.cracks_performed == paged.activity["cracks_performed"] > 0
         assert all(chunk.activity is paged.activity for chunk in paged._chunks.values())
+
+
+class TestPagedPermutation:
+    """Over-cap lookups on a uniform paged column — the zonemap offers every
+    chunk, more than ``max_resident_chunks`` — answer from one value-sorted
+    rowid permutation: exact, two runs inspected, no chunk cracker built."""
+
+    @staticmethod
+    def uniform(tmp_path, rows: int):
+        data = np.random.default_rng(rows).integers(0, 1_000_000, size=rows, dtype=np.int64)
+        catalog = StoreCatalog(DiskColumnStore(tmp_path / f"u{rows}", cache_bytes=1 << 20))
+        catalog.persist_column(Column("u", data), chunk_rows=1024, hierarchy=False)
+        return data, catalog.load_column("u")
+
+    @pytest.mark.parametrize("rows", [20_000, 80_000])
+    def test_every_selection_scans_at_most_two_runs(self, tmp_path, rows):
+        data, paged = self.uniform(tmp_path, rows)
+        manager = IndexManager(max_resident_chunks=2)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            low = float(rng.integers(0, 990_000))
+            predicate = Predicate(Comparison.BETWEEN, low, upper=low + 10_000)
+            selection = manager.select_rowids("u", None, paged, predicate)
+            assert selection.strategy == "paged-cracker"
+            assert np.array_equal(selection.rowids, brute(data, predicate))
+            assert selection.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)  # 2 * ceil(sqrt(n))
+        cracker = manager.cracker_for("u")
+        assert cracker.chunk_crackers_built == 0 and cracker.num_resident_chunks == 0
+
+    def test_refinement_over_cap_builds_nothing(self, tmp_path):
+        _, paged = self.uniform(tmp_path, 20_000)
+        manager = IndexManager(max_resident_chunks=2)
+        wide = Predicate(Comparison.BETWEEN, 200_000, upper=500_000)
+        assert not manager.observe_predicate("u", None, paged, wide)
+        assert manager.stats_snapshot()["cracker_bytes"] == 0  # not even the permutation
+        manager.select_rowids("u", None, paged, wide)
+        before = manager.stats_snapshot()
+        for low in range(0, 900_000, 100_000):
+            narrow = Predicate(Comparison.BETWEEN, low, upper=low + 50_000)
+            assert not manager.observe_predicate("u", None, paged, narrow)
+        after = manager.stats_snapshot()
+        assert manager.cracker_for("u").chunk_crackers_built == 0
+        assert after["cracker_bytes"] == before["cracker_bytes"] > 0
+        assert after["cracks_performed"] == 0
+        assert after["refinements"] == before["refinements"] + 9
+
+    def test_appends_are_a_scanned_gap_until_the_permutation_rebuilds(self, tmp_path):
+        _, paged = self.uniform(tmp_path, 20_000)
+        manager = IndexManager(max_resident_chunks=2)
+        predicate = Predicate(Comparison.BETWEEN, 300_000, upper=320_000)
+        rng = np.random.default_rng(8)
+
+        def append(rows: int) -> None:
+            paged.append_batch(rng.integers(0, 1_000_000, size=rows, dtype=np.int64))
+            manager.extend_valid_prefix("u")
+
+        def select():
+            selection = manager.select_rowids("u", None, paged, predicate)
+            assert np.array_equal(selection.rowids, brute(np.asarray(paged.values), predicate))
+            return selection
+
+        select()
+        cracker = manager.cracker_for("u")
+        built = cracker._sorted
+        append(700)
+        select()  # the manager scans the unmerged tail
+        assert manager.merge_tails("u") == 700 and cracker.covered_rows == 20_700
+        assert select().rows_scanned <= 2 * built.run_rows + 700  # the permutation's gap
+        assert cracker._sorted is built  # no merge pays a rebuild
+        assert 700 <= 20_000 * PERMUTATION_GAP_SHARE < 2_700
+        append(2_000)
+        manager.merge_tails("u")
+        select()
+        assert cracker._sorted is not built and cracker._sorted.covered == 22_700
+        assert cracker.chunk_crackers_built == 0
+
+    def test_budget_reclaim_drops_the_permutation_and_it_rebuilds(self, tmp_path):
+        data, paged = self.uniform(tmp_path, 20_000)
+        capacity = 1 << 20
+        budget = MemoryBudget(capacity_bytes=capacity)
+        manager = IndexManager(budget=budget, max_resident_chunks=2)
+        predicate = Predicate(Comparison.LT, 30_000)
+        manager.select_rowids("u", None, paged, predicate)
+        cracker = manager.cracker_for("u")
+        held = cracker.size_bytes
+        assert held >= 4 * len(data) and manager.index_bytes == budget.used_bytes == held
+        budget.register("peer", lambda nbytes: 0)
+        budget.charge("peer", capacity - held // 2)  # overflows: the manager sheds first
+        assert cracker._sorted is None and cracker.size_bytes == 0
+        assert manager.index_bytes == 0 and budget.used_bytes == capacity - held // 2
+        budget.release("peer", capacity)
+        selection = manager.select_rowids("u", None, paged, predicate)
+        assert np.array_equal(selection.rowids, brute(data, predicate))
+        assert cracker._sorted is not None and budget.used_bytes == held
+
+    def test_concurrent_lookups_survive_reclaims_exactly(self, tmp_path):
+        """Selections, refinements and budget reclaims race on one shared
+        paged index: the permutation is dropped and rebuilt under the column
+        lock, every answer stays exact, and the budget ends holding exactly
+        the bytes the manager records — no phantom bytes from a shrink
+        settled while a reclaim freed the same bytes."""
+        import sys
+
+        data, paged = self.uniform(tmp_path, 20_000)
+        capacity = 1 << 20
+        budget = MemoryBudget(capacity_bytes=capacity)
+        manager = IndexManager(budget=budget, max_resident_chunks=2)
+        budget.register("peer", lambda nbytes: 0)
+        errors: list[Exception] = []
+
+        def select(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(30):
+                    low = float(rng.integers(0, 950_000))
+                    predicate = Predicate(Comparison.BETWEEN, low, upper=low + 20_000)
+                    manager.observe_predicate("u", None, paged, predicate)
+                    selection = manager.select_rowids("u", None, paged, predicate)
+                    if not np.array_equal(selection.rowids, brute(data, predicate)):
+                        raise AssertionError(f"divergence for {predicate}")
+            except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
+                errors.append(exc)
+
+        selecting = threading.Event()
+        selecting.set()
+
+        def squeeze() -> None:
+            while selecting.is_set():
+                budget.charge("peer", capacity)  # overflows: the index sheds
+                budget.release("peer", capacity)
+
+        selectors = [threading.Thread(target=select, args=(s,)) for s in range(5)]
+        squeezer = threading.Thread(target=squeeze)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in (*selectors, squeezer):
+                thread.start()
+            for thread in selectors:
+                thread.join(timeout=60)
+        finally:
+            selecting.clear()
+            squeezer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in (*selectors, squeezer))
+        assert errors == []
+        assert manager.cracker_for("u").chunk_crackers_built == 0
+        assert budget.used_bytes == manager.index_bytes
 
 
 class TestManagerLifecycle:

@@ -254,6 +254,48 @@ def test_paged_cracker_stays_exact_through_spill_and_revive(seed, tmp_path):
     assert not [name for name in store.column_names if "#spill-" in name]
 
 
+@pytest.mark.parametrize("kind", ["int64 around 2**53", "float64 with NaN and inf"])
+def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
+    """A uniform paged column offers every chunk to every range; past the
+    residency cap each lookup answers from the value-sorted permutation and
+    agrees with ``Predicate.mask`` for every comparison, building no chunk
+    cracker."""
+    from repro.indexing.manager import predicate_range
+    from repro.indexing.paged import PagedCrackerIndex
+    from repro.persist.diskstore import DiskColumnStore
+
+    rng = np.random.default_rng(17)
+    if kind.startswith("int64"):
+        # float64 cannot tell 2**53 from 2**53 + 1: the native comparison must
+        data = 2**53 + rng.integers(-300, 300, size=6_000)
+        operands = [float(2**53), float(2**53 - 1), float(2**53 + 2), 2.0**53 - 400, 2.0**53 + 400]
+    else:
+        data = rng.uniform(-100.0, 100.0, size=6_000)
+        data[rng.random(6_000) < 0.1] = np.nan
+        data[rng.integers(0, 6_000, 40)] = np.inf
+        data[rng.integers(0, 6_000, 40)] = -np.inf
+        operands = [-100.5, -3.25, 0.0, 99.0]
+    finite = data[np.isfinite(data)]
+    operands += [float(value) for value in finite[:4]]  # exact hits for EQ / LE / GE
+    store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
+    store.write_column(Column("u", data), chunk_rows=256)
+    paged = store.open_column("u")
+    index = PagedCrackerIndex(paged, max_resident_chunks=2)
+    over_cap = 0
+    for operand in operands:
+        for comparison in Comparison:
+            if comparison is Comparison.NE:
+                continue
+            predicate = Predicate(comparison, operand, upper=operand + 150.0)
+            low, high = predicate_range(predicate)
+            over_cap += len(paged.chunks_for_predicate(low, high)) > 2  # else none at all
+            found = index.rowids_in_range(low, high)
+            assert np.array_equal(found, np.nonzero(predicate.mask(data))[0]), predicate
+    assert over_cap >= 4 * len(operands)
+    assert index.chunk_crackers_built == 0 and index.num_resident_chunks == 0
+    assert index.size_bytes > 0  # the permutation, charged like a chunk cracker
+
+
 def test_from_state_rejects_malformed_states():
     column = Column("c", np.arange(100, dtype=np.int64))
     index = CrackerIndex(column)

@@ -318,6 +318,27 @@ class TestPagedColumnTail:
         assert self.catalog.compact_appends("c") == 7_107
         assert np.array_equal(np.asarray(self.catalog.load_column("c").values), full)
 
+    def test_zone_arrays_equal_brute_force_after_small_appends(self, paged):
+        """Each append folds only its own rows into the chunks it lands in;
+        after 300 of them the zone arrays are the per-chunk min/max of the
+        whole logical column — the straddling chunk's persisted zone
+        included, and a NaN poisoning its chunk's envelope."""
+        rng = np.random.default_rng(26)
+        floats = rng.normal(0.0, 100.0, 5_000)
+        self.catalog.persist_column(Column("f", floats), chunk_rows=512, hierarchy=False)
+        for column, full in ((paged, self.base), (self.catalog.load_column("f"), floats)):
+            for step in range(300):
+                batch = rng.integers(0, 10_000, int(rng.integers(1, 40))).astype(full.dtype)
+                if full.dtype.kind == "f" and step % 50 == 7:
+                    batch[-1] = np.nan
+                column.append_batch(batch)
+                full = np.concatenate([full, batch])
+            chunks = [full[start : start + 512] for start in range(0, full.size, 512)]
+            mins, maxs = [chunk.min() for chunk in chunks], [chunk.max() for chunk in chunks]
+            assert np.array_equal(column._zone_mins, mins, equal_nan=True)
+            assert np.array_equal(column._zone_maxs, maxs, equal_nan=True)
+            assert np.isnan(column._zone_mins).any() == (full.dtype.kind == "f")
+
     def test_compact_appends_rewrites_tail_free(self, paged):
         rng = np.random.default_rng(23)
         tail = rng.integers(0, 10_000, 300).astype(np.int64)
