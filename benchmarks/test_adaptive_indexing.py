@@ -7,12 +7,12 @@ both on the same workload:
   indexing enabled and disabled produces exactly the same deterministic
   ``GestureOutcome`` counters (refinement is a side effect, never a
   result change);
-* **Repeated range predicates get cheap** — after the gestures have
-  cracked the hot column, repeated ``select_where`` range queries answer
-  from cracked pieces (in-memory) or per-chunk disk-resident crackers
-  (out-of-core paged columns) at least ``MIN_SPEEDUP``x faster than the
-  full scans the indexing-disabled reference runs, while returning
-  bit-identical rowids.
+* **Repeated range predicates get cheap** — repeated ``select_where``
+  range queries answer from cracked pieces (in-memory, cracked by the
+  gestures) or from a scan of the chunks the zonemap keeps (an
+  out-of-core paged column clustered on the key) at least
+  ``MIN_SPEEDUP``x faster than the full scans the indexing-disabled
+  reference runs, while returning bit-identical rowids.
 
 A third benchmark locks down the coalescing contract: a 10,000-predicate
 session keeps the piece count bounded by the coalescing cap instead of
@@ -178,7 +178,7 @@ def paged_run(tmp_path_factory):
         last = results[-1]
         stats = indexed.kernel.index_manager.stats_snapshot()
         return {
-            "indexed (disk-resident cracker)": {
+            "indexed (zonemap-kept chunks)": {
                 "seconds": indexed_s,
                 "rows_scanned_last": float(last.rows_scanned),
             },
@@ -214,8 +214,9 @@ def test_adaptive_indexing_speedup_in_memory_gate(in_memory_run):
 
 
 def test_adaptive_indexing_speedup_paged(benchmark, paged_run):
-    """Disk-resident chunk crackers answer paged selections bit-identically;
-    the speedup is reported here and gated by the ``_gate`` test."""
+    """Scans of the zonemap-kept chunks answer paged selections
+    bit-identically; the speedup is reported here and gated by the
+    ``_gate`` test."""
     comparison, speedup, strategy, stats = benchmark.pedantic(
         paged_run, rounds=1, iterations=1
     )
@@ -224,13 +225,13 @@ def test_adaptive_indexing_speedup_paged(benchmark, paged_run):
     benchmark.extra_info["strategy"] = strategy
     benchmark.extra_info["chunk_rows"] = CHUNK_ROWS
     benchmark.extra_info["piece_count"] = stats["piece_count"]
-    benchmark.extra_info["resident_chunk_crackers"] = stats["resident_chunk_crackers"]
+    benchmark.extra_info["cracker_bytes"] = stats["cracker_bytes"]
     assert strategy == "paged-cracker"
 
 
 @pytest.mark.wallclock
 def test_adaptive_indexing_speedup_paged_gate(paged_run):
-    """Disk-resident chunk crackers beat paged full scans >= 5x."""
+    """Scans of the zonemap-kept chunks beat paged full scans >= 5x."""
     _, speedup, _, _ = paged_run()
     assert speedup >= MIN_SPEEDUP
 

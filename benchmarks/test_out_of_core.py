@@ -20,8 +20,9 @@ the tier is for:
   levels included) is >= 10x faster than re-ingesting the same table from
   CSV and rebuilding its hierarchies.
 * **Size-independent selection** — a warm range selection over a column
-  the zonemap cannot prune inspects O(sqrt(n)) values, counted at 1M and
-  4M rows.
+  the zonemap cannot prune inspects O(sqrt(n)) values, and one over a
+  clustered column at most the two chunks the zonemap keeps, counted at
+  1M and 4M rows.
 
 The generated dataset lives under ``.bench-data/v<DATASET_VERSION>`` and
 is reused across runs; CI caches the directory keyed on this module's
@@ -32,6 +33,7 @@ Headline numbers land in ``benchmark.extra_info``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from pathlib import Path
@@ -254,27 +256,42 @@ def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
 
 
 def test_paged_select_cost_independent_of_column_size(tmp_path):
-    """A warm 1 %-wide selection over a uniform paged column inspects at most
-    two runs of the value-sorted permutation — 2 * ceil(sqrt(n)) values — at
-    1M rows as at 4M, and never enters the chunk path.
+    """A warm selection over a paged column inspects what its answer needs,
+    at 1M rows as at 4M, and cracks nothing — on both layouts.
 
-    A count, not a clock: the zonemap cannot prune a column not clustered on
-    the key, so the chunk path it replaced visited every chunk per selection.
+    ``uniform``: the zonemap cannot prune a column not clustered on the key,
+    so a 1 %-wide range inspects at most two runs of the value-sorted
+    permutation — 2 * ceil(sqrt(n)) values — where a chunk path would visit
+    every chunk.  ``clustered`` (the same values, sorted): a range holding
+    about one chunk's worth of rows scans the at most two chunks the zonemap
+    keeps — 2 * 4,096 values — and holds no index state.  A count, not a
+    clock.
     """
-    predicate = Predicate(Comparison.BETWEEN, 420_000.0, upper=430_000.0)
-    for rows in (1_000_000, 4_000_000):
+    chunk_rows = 4_096
+    for layout, rows in itertools.product(("uniform", "clustered"), (1_000_000, 4_000_000)):
         data = np.random.default_rng(rows).integers(0, 1_000_000, rows)
-        catalog = StoreCatalog(DiskColumnStore(tmp_path / str(rows), cache_bytes=CACHE_BYTES))
-        # 4,096-row chunks: 245 / 977 candidates against 64 resident chunk crackers
-        catalog.persist_column(Column("flux", data), chunk_rows=4_096, hierarchy=False)
+        if layout == "clustered":
+            data = np.sort(data)
+            # ~4,000 rows' worth of values, bounds between stored integers
+            width = 4_000 * 1_000_000 / rows
+            predicate = Predicate(Comparison.BETWEEN, 420_000.5, upper=420_000.5 + width)
+        else:
+            predicate = Predicate(Comparison.BETWEEN, 420_000.0, upper=430_000.0)
+        catalog = StoreCatalog(
+            DiskColumnStore(tmp_path / f"{layout}{rows}", cache_bytes=CACHE_BYTES)
+        )
+        # 4,096-row chunks: a uniform range offers all 245 / 977 of them
+        catalog.persist_column(Column("flux", data), chunk_rows=chunk_rows, hierarchy=False)
         paged = catalog.load_column("flux")
         manager = IndexManager()
-        manager.select_rowids("flux", None, paged, predicate)  # builds the permutation
+        manager.select_rowids("flux", None, paged, predicate)  # builds any permutation
         warm = manager.select_rowids("flux", None, paged, predicate)
         assert np.array_equal(warm.rowids, np.nonzero(predicate.mask(data))[0])
-        assert warm.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)
-        cracker = manager.cracker_for("flux")
-        assert cracker.chunk_crackers_built == 0 and cracker.num_resident_chunks == 0
+        if layout == "clustered":
+            assert warm.rows_scanned <= 2 * chunk_rows
+            assert manager.cracker_for("flux").size_bytes == 0
+        else:
+            assert warm.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)
         assert manager.stats_snapshot()["cracks_performed"] == 0
 
 

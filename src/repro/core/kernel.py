@@ -763,17 +763,17 @@ class DbTouchKernel:
         Where a slide evaluates its predicate touch by touch, this answers
         the whole-object question — "every row where the predicate holds"
         — in one call, consulting the adaptive indexing tier when it is
-        enabled: cracked pieces for in-memory columns, per-chunk crackers
-        over the zonemap's candidate chunks for paged ones, full scan
-        otherwise (and always for non-range predicates).  The returned
-        rowids are bit-identical to the full scan's in every strategy.  The
-        consultation itself refines the index: repeating a predicate keeps
-        getting cheaper.  A paged column the zonemap cannot prune (one not
-        clustered on the key offers more candidate chunks than stay
-        resident) answers instead from one value-sorted rowid permutation,
-        built by the first such selection: each later one inspects at most
-        two runs of ⌈√n⌉ rows, so its cost follows the result, not the
-        column.
+        enabled: cracked pieces for in-memory columns, full scan otherwise
+        (and always for non-range predicates).  The returned rowids are
+        bit-identical to the full scan's in every strategy.  On an
+        in-memory column the consultation itself refines the index:
+        repeating a predicate keeps getting cheaper.  A paged column scans
+        only the chunks its zonemap keeps; where the zonemap cannot prune
+        (a column not clustered on the key offers more than
+        ``SCAN_MAX_CHUNKS`` candidate chunks) it answers instead from one
+        value-sorted rowid permutation, built by the first such selection:
+        each later one inspects at most two runs of ⌈√n⌉ rows, so its cost
+        follows the result, not the column.
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected

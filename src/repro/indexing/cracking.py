@@ -126,8 +126,6 @@ ACTIVITY_COUNTERS = (
     "stochastic_cracks",
     "coalesces_performed",
     "pieces_merged",
-    "spills",
-    "spill_loads",
     "tail_merges",
     "rows_merged_total",
     "rows_moved_total",
@@ -135,8 +133,7 @@ ACTIVITY_COUNTERS = (
 
 
 def new_activity_ledger() -> dict[str, int]:
-    """A zeroed activity ledger, one monotonic count per name.  A cracker counts
-    into exactly one (a paged cracker shares its own with its chunk crackers);
+    """A zeroed activity ledger, one monotonic count per name, per cracker;
     ``values_scanned_total`` is the measure behind ``RangeSelection.rows_scanned``."""
     return dict.fromkeys((*ACTIVITY_COUNTERS, "values_scanned_total"), 0)
 
@@ -190,16 +187,11 @@ class CrackerState:
 class Cracker:
     """The one surface :class:`repro.indexing.manager.IndexManager` drives.
 
-    Every cracker kind has every member the manager calls or reads.  The
-    answers written here are the in-memory kind's — nothing resident to
-    shed, nothing spilled — stated once, not defaulted per call site;
-    counter names read as attributes resolve to the activity ledger.
+    Every cracker kind has every member the manager calls or reads; counter
+    names read as attributes resolve to the activity ledger.
     """
 
     strategy = "cracker"  #: ``RangeSelection.strategy`` of a lookup answered here
-    #: ``release_bytes`` sheds part of the index under the column lock (else pressure unlinks it)
-    sheds_chunks = False
-    num_resident_chunks = num_spilled_chunks = 0
 
     def __getattr__(self, name: str) -> int:
         if name != "activity" and name in self.activity:
@@ -210,13 +202,6 @@ class Cracker:
     def tail_rows(self) -> int:
         """Appended base rows beyond the validity window, not yet merged in."""
         return len(self.column) - self.covered_rows
-
-    def release_bytes(self, nbytes: int) -> int:
-        """Shed up to ``nbytes`` of resident state; returns the bytes freed."""
-        return 0
-
-    def discard_spills(self) -> None:
-        """Delete whatever the index wrote outside memory (on drop)."""
 
 
 class CrackerIndex(Cracker):

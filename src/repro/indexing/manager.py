@@ -6,19 +6,18 @@ wires that bet into the kernel:
 
 * it owns per-``(object, column)`` index state — a
   :class:`repro.indexing.cracking.CrackerIndex` for in-memory numeric
-  columns, a disk-resident :class:`repro.indexing.paged.PagedCrackerIndex`
-  for out-of-core :class:`repro.persist.paged_column.PagedColumn` objects
-  (per-chunk crackers under an LRU residency cap, spilled through an
-  optional ``spill_store``, over the chunks the persisted zonemaps leave;
-  where they leave more than the cap, one value-sorted rowid permutation
-  of the column answers instead);
+  columns, a :class:`repro.indexing.paged.PagedCrackerIndex` for
+  out-of-core :class:`repro.persist.paged_column.PagedColumn` objects (a
+  scan of the chunks the persisted zonemaps leave; where they leave more
+  than ``SCAN_MAX_CHUNKS``, one value-sorted rowid permutation of the
+  column answers instead);
 * every qualifying gesture — a slide whose action carries a range-shaped
   predicate — *refines* the matching cracker via
   :meth:`observe_predicate`, outside the gesture's outcome accounting, so
   ``GestureOutcome`` counters stay bit-identical with indexing on or off;
 * bulk range selections (:meth:`repro.core.kernel.DbTouchKernel.select_where`)
   *consult* the tier via :meth:`select_rowids`, scanning only the cracked
-  pieces / non-pruned chunks / sorted runs that can overlap the predicate
+  pieces / zonemap-kept chunks / sorted runs that can overlap the predicate
   instead of the whole column;
 * cracker state is charged to an optional shared
   :class:`repro.core.caching.MemoryBudget` (the same allowance the touch
@@ -74,7 +73,7 @@ from repro.indexing.cracking import (
     CrackerIndex,
     CrackerState,
 )
-from repro.indexing.paged import DEFAULT_MAX_RESIDENT_CHUNKS, PagedCrackerIndex, is_chunked
+from repro.indexing.paged import PagedCrackerIndex, is_chunked
 from repro.obs.trace import trace_span
 from repro.storage.column import Column
 
@@ -127,9 +126,9 @@ class RangeSelection:
     """The result of one bulk range selection (indexed or scanned).
 
     ``strategy`` records how the rowids were found: ``"cracker"`` (cracked
-    pieces), ``"paged-cracker"`` (a paged column's index: per-chunk
-    crackers over the zonemap's candidate chunks, or its value-sorted
-    permutation when those outnumber the residency cap) or ``"scan"``
+    pieces), ``"paged-cracker"`` (a paged column's index: a scan of the
+    zonemap's candidate chunks, or its value-sorted permutation when those
+    outnumber ``SCAN_MAX_CHUNKS``) or ``"scan"``
     (full scan of the base data).  ``rows_scanned`` is how many
     values were actually inspected — the adaptive win is this number
     shrinking while ``rowids`` stays exactly what a full scan returns.
@@ -163,8 +162,6 @@ class IndexManagerStats:
     stochastic_cracks: int = 0
     coalesces_performed: int = 0
     pieces_merged: int = 0
-    spills: int = 0
-    spill_loads: int = 0
     tail_merges: int = 0
     rows_merged_total: int = 0
     rows_moved_total: int = 0
@@ -231,13 +228,9 @@ class IndexManager:
         Enable the MDD1R-style stochastic crack mix on every cracker built
         by this manager; ``crack_seed`` makes the random pivot stream
         deterministic per manager.
-    spill_store:
-        Optional :class:`repro.persist.diskstore.DiskColumnStore` that
-        the evicted chunk crackers of a paged (chunked) column's
-        :class:`~repro.indexing.paged.PagedCrackerIndex` spill their
-        cracked arrays through instead of dropping them.
-    max_resident_chunks:
-        Per paged cracker, how many chunk crackers stay in memory.
+
+    A paged (chunked) column's :class:`~repro.indexing.paged.PagedCrackerIndex`
+    takes none of these knobs: it cracks nothing.
     """
 
     def __init__(
@@ -249,16 +242,12 @@ class IndexManager:
         min_piece_rows: int = DEFAULT_MIN_PIECE_ROWS,
         stochastic: bool = False,
         crack_seed: int = 0,
-        spill_store=None,
-        max_resident_chunks: int = DEFAULT_MAX_RESIDENT_CHUNKS,
     ) -> None:
         self.max_crackers = max_crackers
         self.max_pieces = int(max_pieces)
         self.min_piece_rows = int(min_piece_rows)
         self.stochastic = bool(stochastic)
         self.crack_seed = int(crack_seed)
-        self.max_resident_chunks = int(max_resident_chunks)
-        self._spill_store = spill_store
         self.stats = IndexManagerStats()
         self._lock = threading.RLock()
         #: keyed by (object, column, id(column)); insertion/consultation
@@ -294,17 +283,16 @@ class IndexManager:
     def stats_snapshot(self) -> dict[str, int]:
         """Every activity counter plus point-in-time gauges.
 
-        Gauges (``crackers_live``, ``piece_count``, ``cracker_bytes``,
-        ``resident_chunk_crackers``, ``spilled_chunk_crackers``) are read
-        without column locks — piece counts are single-attribute reads of
-        atomically swapped arrays, so a concurrent crack can skew a gauge
+        Gauges (``crackers_live``, ``piece_count``, ``cracker_bytes``) are
+        read without column locks — piece counts are single-attribute reads
+        of atomically swapped arrays, so a concurrent crack can skew a gauge
         by a piece but never tear it.  This is the observability surface
         the session metrics and the fleet ``stats`` verb expose.
         """
         with self._lock:
             data = self.stats.snapshot()
             states = list(self._states.values())
-        live = pieces = nbytes = resident = spilled = 0
+        live = pieces = nbytes = 0
         for state in states:
             cracker = state.cracker
             if cracker is None:
@@ -312,15 +300,7 @@ class IndexManager:
             live += 1
             pieces += cracker.num_pieces
             nbytes += state.cracker_bytes
-            resident += cracker.num_resident_chunks
-            spilled += cracker.num_spilled_chunks
-        data.update(
-            crackers_live=live,
-            piece_count=pieces,
-            cracker_bytes=nbytes,
-            resident_chunk_crackers=resident,
-            spilled_chunk_crackers=spilled,
-        )
+        data.update(crackers_live=live, piece_count=pieces, cracker_bytes=nbytes)
         return data
 
     def has_cracker(self, object_name: str, column_name: str | None = None) -> bool:
@@ -390,7 +370,6 @@ class IndexManager:
         Called with no locks held; bytes are released after unlinking.
         """
         released = 0
-        victims: list[Cracker] = []
         with self._lock:
             live = [
                 state
@@ -399,14 +378,11 @@ class IndexManager:
             ]
             excess = (len(live) + 1) - self.max_crackers
             for state in live[:max(0, excess)]:
-                victims.append(state.cracker)
                 state.cracker = None
                 released += state.cracker_bytes
                 state.cracker_bytes = 0
                 self.stats.crackers_dropped += 1
         self._release_bytes(released)
-        for cracker in victims:
-            cracker.discard_spills()
 
     # ------------------------------------------------------------------ #
     # shared-budget accounting
@@ -420,41 +396,20 @@ class IndexManager:
             self._budget.release(self._budget_key, nbytes)
 
     def _reclaim_bytes(self, nbytes: int) -> int:
-        """Budget hook: spill or drop least-recently-consulted crackers.
+        """Budget hook: unlink least-recently-consulted crackers.
 
-        Crackers that shed chunks (paged ones) *spill* their LRU chunk
-        crackers through the spill store (cracked organization survives on
-        disk) under their column lock — safe because no thread ever calls
-        the budget while holding a column lock, so the lock is always
-        released promptly.  The others (in-memory ones) are unlinked
-        without taking their column lock — a lookup
-        holding a reference to the orphaned index completes correctly on
-        it; the next consultation rebuilds.  Only charged state
-        (``cracker_bytes > 0``) is touched, so a cracker built but not yet
-        charged is never double-counted.
+        Unlinking takes no column lock: a lookup holding a reference to the
+        orphaned index completes correctly on it, and the next consultation
+        rebuilds (a paged index's only state is a permutation that rebuilds
+        on demand).  Only charged state (``cracker_bytes > 0``) is touched,
+        so a cracker built but not yet charged is never double-counted.
         """
-        with self._lock:
-            states = list(self._states.values())
         freed = 0
-        for state in states:
-            if freed >= nbytes:
-                break
-            cracker = state.cracker
-            if cracker is None or state.cracker_bytes == 0:
-                continue
-            if cracker.sheds_chunks:
-                with state.lock:
-                    if state.cracker is not cracker or state.cracker_bytes == 0:
-                        continue
-                    got, did = _with_activity(cracker, cracker.release_bytes, nbytes - freed)
-                    got = min(got, state.cracker_bytes)
-                    state.cracker_bytes -= got
-                freed += got
-                with self._lock:
-                    self.stats.apply_activity(did)
-                continue
-            with self._lock:
-                if state.cracker is not cracker or state.cracker_bytes == 0:
+        with self._lock:
+            for state in self._states.values():
+                if freed >= nbytes:
+                    break
+                if state.cracker is None or state.cracker_bytes == 0:
                     continue
                 state.cracker = None
                 freed += state.cracker_bytes
@@ -465,12 +420,6 @@ class IndexManager:
     # ------------------------------------------------------------------ #
     # building / adopting crackers
     # ------------------------------------------------------------------ #
-    def _spill_prefix(self, state: _ColumnIndexState, column: Column) -> str:
-        # the column's identity keys the spill namespace, matching the
-        # state key: same-named private columns must never share spills
-        object_name, column_name = state.key
-        return f"{object_name}/{column_name or ''}#{id(column):x}"
-
     def _ensure_cracker(
         self, state: _ColumnIndexState, column: Column
     ) -> Cracker | None:
@@ -487,15 +436,7 @@ class IndexManager:
             return None
         paged = is_chunked(column)  # the one column-kind test: which cracker to build
         if paged:
-            state.cracker = PagedCrackerIndex(
-                column,
-                spill_store=self._spill_store,
-                spill_prefix=self._spill_prefix(state, column),
-                max_resident_chunks=self.max_resident_chunks,
-                min_piece_rows=self.min_piece_rows,
-                stochastic=self.stochastic,
-                seed=self.crack_seed,
-            )
+            state.cracker = PagedCrackerIndex(column)
         else:
             state.cracker = CrackerIndex(
                 column,
@@ -513,15 +454,16 @@ class IndexManager:
         """Reconcile a cracker's recorded bytes with its current size.
 
         Called with no locks held.  Works by delta so it covers both a
-        freshly built cracker (recorded 0) and a paged cracker whose
-        resident set grew or spilled since the last settle.  Growth is
-        charged before it is recorded and shrinkage recorded before it is
+        freshly built cracker (recorded 0) and one that grew or coalesced
+        since the last settle (a merge, a paged permutation built).  Growth
+        is charged before it is recorded and shrinkage recorded before it is
         released, so the budget never holds less than the states record: a
         concurrent reclaim always finds the bytes it frees on the books (a
         shrink released first could be clamped at zero there, and undoing
-        it would leave phantom bytes).
+        it would leave phantom bytes).  Records are written under the
+        manager lock too, the one a reclaim unlinks under.
         """
-        with state.lock:
+        with state.lock, self._lock:
             cracker = state.cracker
             if cracker is None:
                 return
@@ -533,7 +475,7 @@ class IndexManager:
             self._release_bytes(-delta)
             return
         self._charge_bytes(delta)
-        with state.lock:
+        with state.lock, self._lock:
             # record the growth only if the cracker survived AND no
             # concurrent settle or reclaim beat us to it — otherwise undo
             # ours, or the budget carries phantom bytes forever
@@ -575,8 +517,7 @@ class IndexManager:
         At most one export per (object, column) pair: when several column
         identities share a name (private per-session copies), the most
         recently consulted cracker wins.  A kind with no exportable state
-        is skipped — a paged cracker's organisation persists through its
-        spill store, not the snapshot.
+        is skipped — a paged cracker's permutation rebuilds on demand.
         """
         with self._lock:
             latest: dict[tuple[str, str | None], _ColumnIndexState] = {}
@@ -762,10 +703,9 @@ class IndexManager:
         """Unlink every state of ``object_name`` (``None``: of every object).
 
         Returns how many column states were dropped; their bytes go back
-        to the budget and the crackers discard whatever they spilled.
+        to the budget.
         """
         released = 0
-        victims: list[Cracker] = []
         with self._lock:
             doomed = [
                 key
@@ -777,12 +717,9 @@ class IndexManager:
                 released += state.cracker_bytes
                 if state.cracker is not None:
                     self.stats.crackers_dropped += 1
-                    victims.append(state.cracker)
                 state.cracker = None
                 state.cracker_bytes = 0
         self._release_bytes(released)
-        for cracker in victims:
-            cracker.discard_spills()
         return len(doomed)
 
     def invalidate(self, object_name: str) -> int:

@@ -508,8 +508,8 @@ class StoreCatalog:
         """Snapshot every live in-memory cracker of an :class:`IndexManager`.
 
         Paged crackers are not part of the snapshot (``cracked_states()``
-        skips them): their cracked organisation persists, chunk by chunk,
-        through the manager's spill store when one is configured.
+        skips them): their only state, a value-sorted permutation, rebuilds
+        on the first selection that needs it.
 
         The expensive part of a cracker — the reordered value copy and the
         rowid permutation — is written as two chunked store columns

@@ -403,11 +403,11 @@ class LocalExplorationService:
 
         A point-in-time :meth:`~repro.indexing.manager.IndexManager.
         stats_snapshot`: consultation/refinement counters, cracks
-        (deterministic and stochastic), coalesces, spills, plus live
-        gauges (crackers, pieces, cracker bytes, resident/spilled chunk
-        crackers).  ``None`` when indexing is disabled.  Load-dependent —
-        deliberately not part of :meth:`SessionMetrics.counters_snapshot`,
-        the serial-vs-concurrent parity surface.
+        (deterministic and stochastic), coalesces, tail merges, plus live
+        gauges (crackers, pieces, cracker bytes).  ``None`` when indexing
+        is disabled.  Load-dependent — deliberately not part of
+        :meth:`SessionMetrics.counters_snapshot`, the serial-vs-concurrent
+        parity surface.
         """
         manager = self.kernel.index_manager
         return None if manager is None else manager.stats_snapshot()
@@ -716,7 +716,7 @@ class SessionMetrics:
     happens under a private lock, so the serving engine's workers and any
     monitoring thread can touch one session's metrics concurrently.
 
-    Adaptive-index activity (cracks, coalesces, spills, piece counts) is
+    Adaptive-index activity (cracks, coalesces, tail merges, piece counts) is
     deliberately NOT folded in here: with a shared index those counters
     depend on cross-session interleaving, so they live on the separate
     load-dependent surface (:meth:`LocalExplorationService.index_stats` /

@@ -226,16 +226,17 @@ def test_stochastic_cracking_scripts_bit_identical(kind, seed):
 
 @pytest.mark.parametrize("seed", [7, 31])
 def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
-    """The spill-through disk-resident cracker arm: a paged column served
-    by an IndexManager that spills chunk crackers through the same store
-    replays seeded scripts bit-identically to the indexing-off reference,
-    and bulk selections stay exact through spill/revive cycles."""
+    """The disk-resident cracker arm: a paged column clustered on the key,
+    served by an IndexManager, replays seeded scripts bit-identically to the
+    indexing-off reference, and bulk selections stay exact on both answers
+    of its index — narrow ranges scan the chunks the zonemap keeps, ranges
+    over more than ``SCAN_MAX_CHUNKS`` chunks read the permutation."""
     rng = np.random.default_rng(seed)
     data = np.sort(rng.integers(0, 1_000_000, size=30_000, dtype=np.int64))
     store = DiskColumnStore(tmp_path / "store", cache_bytes=1 << 20)
     catalog = StoreCatalog(store)
-    catalog.persist_column(Column("data", data), chunk_rows=2048)
-    manager = IndexManager(spill_store=store, max_resident_chunks=2)
+    catalog.persist_column(Column("data", data), chunk_rows=256)  # 118 chunks
+    manager = IndexManager()
     on = ExplorationSession(
         profile=FAST_PROFILE,
         config=KernelConfig(enable_indexing=True, index_manager=manager),
@@ -249,20 +250,20 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
         view = session.show_column("data")
         results.append(drive_column_script(session, view, np.random.default_rng(seed + 1)))
     assert results[0] == results[1]
-    # narrow bulk selections walk the key space chunk by chunk, forcing
-    # chunk-cracker builds past the 2-chunk residency cap
+    # narrow bulk selections walk the key space a chunk or two at a time:
+    # scans, no index state; then ranges over 70+ chunks: the permutation
     script_rng = np.random.default_rng(seed + 2)
-    for _ in range(30):
-        low = float(script_rng.uniform(0, 990_000))
-        predicate = Predicate(Comparison.BETWEEN, low, upper=low + 5_000.0)
-        selection = on.select_where("data-view", predicate)
-        assert selection.strategy == "paged-cracker"
-        assert np.array_equal(selection.rowids, np.nonzero(predicate.mask(data))[0])
-    stats = on.kernel.index_manager.stats_snapshot()
+    for width, cracker_bytes_held in ((5_000.0, False), (600_000.0, True)):
+        for _ in range(15):
+            low = float(script_rng.uniform(0, 1_000_000 - width))
+            predicate = Predicate(Comparison.BETWEEN, low, upper=low + width)
+            selection = on.select_where("data-view", predicate)
+            assert selection.strategy == "paged-cracker"
+            assert np.array_equal(selection.rowids, np.nonzero(predicate.mask(data))[0])
+        stats = on.kernel.index_manager.stats_snapshot()
+        assert (stats["cracker_bytes"] > 0) == cracker_bytes_held
     assert stats["paged_crackers_built"] == 1
-    assert stats["spills"] > 0
-    assert stats["spill_loads"] > 0
-    assert stats["resident_chunk_crackers"] <= 2
+    assert stats["cracks_performed"] == 0
 
 
 @pytest.mark.parametrize("seed", [5, 23])

@@ -175,9 +175,9 @@ class TestManagerStrategies:
         # zonemap pruning still bounds the work: only overlapping chunks
         assert selection.rows_scanned <= 2 * 1024
         assert manager.has_cracker("sorted", None)
-        # the cracker holds per-chunk state, never a full column copy
-        assert manager.index_bytes < data.nbytes
-        # repeat consultations answer from cracked pieces and scan no more
+        # a scan of the kept chunks holds no index state at all
+        assert manager.index_bytes == 0
+        # repeat consultations scan the same chunks, no more
         again = manager.select_rowids("sorted", None, paged, predicate)
         assert again.rows_scanned <= selection.rows_scanned
         assert np.array_equal(again.rowids, brute(data, predicate))
@@ -186,8 +186,7 @@ class TestManagerStrategies:
 #: The cracker surface ISSUE 21 declares (``repro.indexing.cracking.Cracker``).
 CRACKER_SURFACE = {
     "crack_range", "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
-    "num_pieces", "values_scanned_total", "export_state", "release_bytes",
-    "discard_spills", "num_resident_chunks", "num_spilled_chunks", "strategy",
+    "num_pieces", "values_scanned_total", "export_state", "strategy",
 }  # fmt: skip
 
 
@@ -210,7 +209,7 @@ class TestCrackerSurface:
         return CrackerIndex(Column("c", data)), PagedCrackerIndex(catalog.load_column("c"))
 
     def test_the_manager_reads_nothing_outside_the_declared_surface(self):
-        assert _members_the_manager_reads() <= CRACKER_SURFACE | {"activity", "sheds_chunks"}
+        assert _members_the_manager_reads() <= CRACKER_SURFACE | {"activity"}
 
     @pytest.mark.parametrize("member", sorted(CRACKER_SURFACE | _members_the_manager_reads()))
     def test_member_present_with_one_arity_on_both_kinds(self, crackers, member):
@@ -226,26 +225,27 @@ class TestCrackerSurface:
     def test_one_ledger_counts_a_paged_index(self, crackers):
         _, paged = crackers
         paged.rowids_in_range(100.0, 200.0)
-        assert paged.cracks_performed == paged.activity["cracks_performed"] > 0
-        assert all(chunk.activity is paged.activity for chunk in paged._chunks.values())
+        assert paged.values_scanned_total == paged.activity["values_scanned_total"] > 0
+        assert paged.cracks_performed == paged.activity["cracks_performed"] == 0
 
 
 class TestPagedPermutation:
-    """Over-cap lookups on a uniform paged column — the zonemap offers every
-    chunk, more than ``max_resident_chunks`` — answer from one value-sorted
-    rowid permutation: exact, two runs inspected, no chunk cracker built."""
+    """Lookups on a uniform paged column — the zonemap offers every chunk,
+    more than ``SCAN_MAX_CHUNKS`` — answer from one value-sorted rowid
+    permutation: exact, two runs inspected, nothing cracked."""
 
     @staticmethod
     def uniform(tmp_path, rows: int):
         data = np.random.default_rng(rows).integers(0, 1_000_000, size=rows, dtype=np.int64)
         catalog = StoreCatalog(DiskColumnStore(tmp_path / f"u{rows}", cache_bytes=1 << 20))
-        catalog.persist_column(Column("u", data), chunk_rows=1024, hierarchy=False)
+        # 256-row chunks: 79 / 313 of them, past SCAN_MAX_CHUNKS
+        catalog.persist_column(Column("u", data), chunk_rows=256, hierarchy=False)
         return data, catalog.load_column("u")
 
     @pytest.mark.parametrize("rows", [20_000, 80_000])
     def test_every_selection_scans_at_most_two_runs(self, tmp_path, rows):
         data, paged = self.uniform(tmp_path, rows)
-        manager = IndexManager(max_resident_chunks=2)
+        manager = IndexManager()
         rng = np.random.default_rng(3)
         for _ in range(20):
             low = float(rng.integers(0, 990_000))
@@ -254,12 +254,12 @@ class TestPagedPermutation:
             assert selection.strategy == "paged-cracker"
             assert np.array_equal(selection.rowids, brute(data, predicate))
             assert selection.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)  # 2 * ceil(sqrt(n))
-        cracker = manager.cracker_for("u")
-        assert cracker.chunk_crackers_built == 0 and cracker.num_resident_chunks == 0
+        assert manager.cracker_for("u")._sorted is not None
+        assert manager.stats_snapshot()["cracks_performed"] == 0
 
     def test_refinement_over_cap_builds_nothing(self, tmp_path):
         _, paged = self.uniform(tmp_path, 20_000)
-        manager = IndexManager(max_resident_chunks=2)
+        manager = IndexManager()
         wide = Predicate(Comparison.BETWEEN, 200_000, upper=500_000)
         assert not manager.observe_predicate("u", None, paged, wide)
         assert manager.stats_snapshot()["cracker_bytes"] == 0  # not even the permutation
@@ -269,14 +269,14 @@ class TestPagedPermutation:
             narrow = Predicate(Comparison.BETWEEN, low, upper=low + 50_000)
             assert not manager.observe_predicate("u", None, paged, narrow)
         after = manager.stats_snapshot()
-        assert manager.cracker_for("u").chunk_crackers_built == 0
+        assert after["crackers_built"] == 1
         assert after["cracker_bytes"] == before["cracker_bytes"] > 0
         assert after["cracks_performed"] == 0
         assert after["refinements"] == before["refinements"] + 9
 
     def test_appends_are_a_scanned_gap_until_the_permutation_rebuilds(self, tmp_path):
         _, paged = self.uniform(tmp_path, 20_000)
-        manager = IndexManager(max_resident_chunks=2)
+        manager = IndexManager()
         predicate = Predicate(Comparison.BETWEEN, 300_000, upper=320_000)
         rng = np.random.default_rng(8)
 
@@ -302,39 +302,39 @@ class TestPagedPermutation:
         manager.merge_tails("u")
         select()
         assert cracker._sorted is not built and cracker._sorted.covered == 22_700
-        assert cracker.chunk_crackers_built == 0
+        assert cracker.cracks_performed == 0
 
     def test_budget_reclaim_drops_the_permutation_and_it_rebuilds(self, tmp_path):
         data, paged = self.uniform(tmp_path, 20_000)
         capacity = 1 << 20
         budget = MemoryBudget(capacity_bytes=capacity)
-        manager = IndexManager(budget=budget, max_resident_chunks=2)
+        manager = IndexManager(budget=budget)
         predicate = Predicate(Comparison.LT, 30_000)
         manager.select_rowids("u", None, paged, predicate)
-        cracker = manager.cracker_for("u")
-        held = cracker.size_bytes
+        held = manager.cracker_for("u").size_bytes
         assert held >= 4 * len(data) and manager.index_bytes == budget.used_bytes == held
         budget.register("peer", lambda nbytes: 0)
-        budget.charge("peer", capacity - held // 2)  # overflows: the manager sheds first
-        assert cracker._sorted is None and cracker.size_bytes == 0
+        budget.charge("peer", capacity - held // 2)  # overflows: the manager unlinks the index
+        assert manager.cracker_for("u") is None
         assert manager.index_bytes == 0 and budget.used_bytes == capacity - held // 2
         budget.release("peer", capacity)
         selection = manager.select_rowids("u", None, paged, predicate)
         assert np.array_equal(selection.rowids, brute(data, predicate))
-        assert cracker._sorted is not None and budget.used_bytes == held
+        assert manager.cracker_for("u")._sorted is not None
+        assert budget.used_bytes == manager.index_bytes == held
 
     def test_concurrent_lookups_survive_reclaims_exactly(self, tmp_path):
         """Selections, refinements and budget reclaims race on one shared
-        paged index: the permutation is dropped and rebuilt under the column
-        lock, every answer stays exact, and the budget ends holding exactly
-        the bytes the manager records — no phantom bytes from a shrink
-        settled while a reclaim freed the same bytes."""
+        paged index: reclaims unlink it and lookups rebuild it, every answer
+        stays exact, and the budget ends holding exactly the bytes the
+        manager records — no phantom bytes from a settle racing a reclaim
+        of the same bytes."""
         import sys
 
         data, paged = self.uniform(tmp_path, 20_000)
         capacity = 1 << 20
         budget = MemoryBudget(capacity_bytes=capacity)
-        manager = IndexManager(budget=budget, max_resident_chunks=2)
+        manager = IndexManager(budget=budget)
         budget.register("peer", lambda nbytes: 0)
         errors: list[Exception] = []
 
@@ -374,7 +374,7 @@ class TestPagedPermutation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in (*selectors, squeezer))
         assert errors == []
-        assert manager.cracker_for("u").chunk_crackers_built == 0
+        assert manager.stats_snapshot()["cracks_performed"] == 0
         assert budget.used_bytes == manager.index_bytes
 
 
@@ -702,7 +702,7 @@ class TestSnapshotRoundTrip:
         assert manager.select_rowids("flux", None, paged, narrow).strategy == "paged-cracker"
         assert manager.select_rowids("hot", None, Column("hot", hot), wide).strategy == "cracker"
 
-        # a paged cracker's organisation persists through its spill store
+        # a paged cracker has no snapshot state: its permutation rebuilds on demand
         assert [key for key, _ in manager.cracked_states()] == [("hot", None)]
         assert catalog.persist_index(manager) == [("hot", None)]
 

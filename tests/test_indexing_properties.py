@@ -224,9 +224,9 @@ def test_stochastic_cracking_is_seed_deterministic(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_paged_cracker_stays_exact_through_spill_and_revive(seed, tmp_path):
-    """The disk-resident cracker answers exactly while chunk crackers are
-    built, spilled to the store under LRU pressure, and revived."""
+def test_paged_cracker_scans_the_chunks_a_clustered_zonemap_keeps(seed, tmp_path):
+    """On a column clustered on the key, narrow lookups are exact scans of
+    the zonemap's candidate chunks and hold no index state."""
     from repro.indexing.paged import PagedCrackerIndex
     from repro.persist.diskstore import DiskColumnStore
 
@@ -235,33 +235,30 @@ def test_paged_cracker_stays_exact_through_spill_and_revive(seed, tmp_path):
     store = DiskColumnStore(tmp_path, cache_bytes=1 << 22)
     store.write_column(Column("c", data), chunk_rows=1024)
     paged = store.open_column("c")
-    index = PagedCrackerIndex(
-        paged, spill_store=store, spill_prefix="c#t", max_resident_chunks=3
-    )
+    index = PagedCrackerIndex(paged)
     column = Column("c", data)
     for _ in range(60):
         a = float(rng.uniform(-30_000, 30_000))
         b = a + float(rng.uniform(0.0, 2_000.0))
+        scanned = index.values_scanned_total
         result = index.rowids_in_range(a, b)
         assert np.array_equal(result, brute_force(column, a, b))
-        assert index.num_resident_chunks <= 3
-    assert index.chunk_crackers_built > 3
-    assert index.spills > 0
-    assert index.spill_loads > 0
-    # spilled structure is dropped cleanly on request
-    index.discard_spills()
-    assert index.num_spilled_chunks == 0
-    assert not [name for name in store.column_names if "#spill-" in name]
+        candidates = len(paged.chunks_for_predicate(a, b))
+        assert index.values_scanned_total - scanned <= candidates * 1024
+    assert index.size_bytes == 0
+    assert index.cracks_performed == 0
 
 
 @pytest.mark.parametrize("kind", ["int64 around 2**53", "float64 with NaN and inf"])
 def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
-    """A uniform paged column offers every chunk to every range; past the
-    residency cap each lookup answers from the value-sorted permutation and
-    agrees with ``Predicate.mask`` for every comparison, building no chunk
-    cracker."""
-    from repro.indexing.manager import predicate_range
-    from repro.indexing.paged import PagedCrackerIndex
+    """Both answers of the paged index agree with ``Predicate.mask`` for
+    every comparison: a sorted column whose every range keeps at most
+    ``SCAN_MAX_CHUNKS`` zonemap candidates is scanned, a uniform one whose
+    ranges offer more answers from the value-sorted permutation — and so do
+    rows appended past a validity window that ends mid-chunk, before and
+    after the merge that folds them in."""
+    from repro.indexing.manager import IndexManager, predicate_range
+    from repro.indexing.paged import SCAN_MAX_CHUNKS
     from repro.persist.diskstore import DiskColumnStore
 
     rng = np.random.default_rng(17)
@@ -277,23 +274,45 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
         operands = [-100.5, -3.25, 0.0, 99.0]
     finite = data[np.isfinite(data)]
     operands += [float(value) for value in finite[:4]]  # exact hits for EQ / LE / GE
+    predicates = [
+        Predicate(comparison, operand, upper=operand + 150.0)
+        for operand in operands
+        for comparison in Comparison
+        if comparison is not Comparison.NE
+    ]
     store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
-    store.write_column(Column("u", data), chunk_rows=256)
-    paged = store.open_column("u")
-    index = PagedCrackerIndex(paged, max_resident_chunks=2)
-    over_cap = 0
-    for operand in operands:
-        for comparison in Comparison:
-            if comparison is Comparison.NE:
-                continue
-            predicate = Predicate(comparison, operand, upper=operand + 150.0)
-            low, high = predicate_range(predicate)
-            over_cap += len(paged.chunks_for_predicate(low, high)) > 2  # else none at all
-            found = index.rowids_in_range(low, high)
-            assert np.array_equal(found, np.nonzero(predicate.mask(data))[0]), predicate
-    assert over_cap >= 4 * len(operands)
-    assert index.chunk_crackers_built == 0 and index.num_resident_chunks == 0
-    assert index.size_bytes > 0  # the permutation, charged like a chunk cracker
+    layouts = {"sorted": (np.sort(data), 128), "uniform": (data, 64)}
+    paged = {}
+    for name, (values, chunk_rows) in layouts.items():
+        assert len(values) % chunk_rows  # the validity window ends mid-chunk
+        store.write_column(Column(name, values), chunk_rows=chunk_rows)
+        paged[name] = store.open_column(name)
+    # no range over the sorted column, appended chunk included, can offer more
+    # chunks than the cap; nearly every range over the uniform one offers all
+    assert paged["sorted"].num_chunks + 1 <= SCAN_MAX_CHUNKS < paged["uniform"].num_chunks
+    manager = IndexManager()
+
+    def lookups_equal_the_mask() -> int:
+        over_cap = 0
+        for name, column in paged.items():
+            values = np.asarray(column.values)
+            for predicate in predicates:
+                candidates = column.chunks_for_predicate(*predicate_range(predicate))
+                over_cap += name == "uniform" and len(candidates) > SCAN_MAX_CHUNKS
+                found = manager.select_rowids(name, None, column, predicate).rowids
+                assert np.array_equal(found, np.nonzero(predicate.mask(values))[0]), predicate
+        return over_cap
+
+    assert lookups_equal_the_mask() >= 4 * len(operands)
+    for name, column in paged.items():  # rows drawn from the column: hits, NaN included
+        column.append_batch(rng.choice(layouts[name][0], size=100))
+        manager.extend_valid_prefix(name)
+    lookups_equal_the_mask()  # the manager scans the tail past the window
+    assert manager.merge_tails() == 200
+    lookups_equal_the_mask()
+    assert manager.cracker_for("sorted").size_bytes == 0  # scanned, never permuted
+    assert manager.cracker_for("uniform").size_bytes > 0  # the permutation
+    assert manager.stats_snapshot()["cracks_performed"] == 0
 
 
 def test_from_state_rejects_malformed_states():

@@ -348,18 +348,20 @@ class TestGatherThroughTheMapping:
 
     def test_scan_only_paged_cracker_masks_a_view_not_a_copy(self, store):
         rng = np.random.default_rng(9)
-        column = Column("m", rng.normal(50.0, 10.0, 4096))
-        path = store.write_column(column, chunk_rows=256)
-        on_disk = path.read_bytes()
-        paged = store.open_column("m")
-        # 16 candidate chunks > 2 resident: every lookup is scan-only
-        index = PagedCrackerIndex(paged, max_resident_chunks=2)
-        for low, high in ((45.0, 55.0), (-np.inf, 30.0), (70.0, np.inf), (50.0, 50.0)):
-            mask = (column.values >= low) & (column.values < high)
-            assert np.array_equal(index.rowids_in_range(low, high), np.nonzero(mask)[0])
-        assert index.chunk_crackers_built == 0  # nothing was permuted ...
-        assert path.read_bytes() == on_disk  # ... and the mapping is intact
-        assert store.cache.stats.lookups == 0  # never through the budgeted cache
+        values = rng.normal(50.0, 10.0, 4096)
+        # unclustered in 128 chunks: the permutation answers (45, 55) at
+        # least; sorted into 16 chunks, every lookup scans the chunks the
+        # zonemap keeps
+        for name, data, chunk_rows in (("m", values, 32), ("s", np.sort(values), 256)):
+            path = store.write_column(Column(name, data), chunk_rows=chunk_rows)
+            on_disk = path.read_bytes()
+            index = PagedCrackerIndex(store.open_column(name))
+            for low, high in ((45.0, 55.0), (-np.inf, 30.0), (70.0, np.inf), (50.0, 50.0)):
+                mask = (data >= low) & (data < high)
+                assert np.array_equal(index.rowids_in_range(low, high), np.nonzero(mask)[0])
+            assert (index.size_bytes > 0) == (name == "m")  # only "m" built the permutation
+            assert path.read_bytes() == on_disk  # the mapping is intact
+            assert store.cache.stats.lookups == 0  # never through the budgeted cache
 
 
 class TestConcurrentSharedCache:
