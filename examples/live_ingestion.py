@@ -13,24 +13,37 @@ example walks the whole streaming-append story on one session:
 3. **merge the tail** — fold the tail into the cracked pieces (on a
    server this runs on the background lane; here we call it directly)
    and watch the window close;
-4. **compact and re-attach** — persist the column, append more rows,
-   fold the in-memory tail into the chunk files with
+4. **compact and re-attach** — persist the column and its cracker, append
+   more rows, fold the in-memory tail into the chunk files with
    :meth:`repro.StoreCatalog.compact_appends`, and warm-restart from the
-   snapshot with every appended row present.
+   snapshot with every appended row present: the persisted cracker is
+   adopted as a prefix window over the grown column and still answers
+   exactly.
 
 Run it with::
 
     python examples/live_ingestion.py
+
+It exits non-zero if the warm restart does not adopt the cracker or a
+selection on the grown column differs from a full scan.
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro import Column, DiskColumnStore, ExplorationSession, StoreCatalog
+from repro import (
+    Catalog,
+    Column,
+    DiskColumnStore,
+    ExplorationSession,
+    IndexManager,
+    StoreCatalog,
+)
 from repro.engine.filter import Comparison, Predicate
 
 BASE_ROWS = 500_000
@@ -41,8 +54,8 @@ def fresh_readings(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(500.0, 150.0, size=n)
 
 
-def window_report(session: ExplorationSession, name: str) -> str:
-    cracker = session.kernel.index_manager.cracker_for(name)
+def window_report(manager: IndexManager, name: str) -> str:
+    cracker = manager.cracker_for(name)
     if cracker is None:
         return "no cracker yet"
     return (
@@ -51,13 +64,14 @@ def window_report(session: ExplorationSession, name: str) -> str:
     )
 
 
-def main() -> None:
+def main() -> int:
     rng = np.random.default_rng(11)
 
     # ---------------------------------------------------------------- #
     # 1. load and explore: selections crack the column
     # ---------------------------------------------------------------- #
     session = ExplorationSession()
+    live_index = session.kernel.index_manager
     session.load_column("sensor", fresh_readings(rng, BASE_ROWS))
     view = session.show_column("sensor")
     hot = Predicate(Comparison.BETWEEN, 440.0, upper=460.0)
@@ -67,14 +81,14 @@ def main() -> None:
             f"selected {len(selection.rowids):,} rows via {selection.strategy!r}, "
             f"scanned {selection.rows_scanned:,}"
         )
-    print(f"index after exploring : {window_report(session, 'sensor')}")
+    print(f"index after exploring : {window_report(live_index, 'sensor')}")
 
     # ---------------------------------------------------------------- #
     # 2. rows arrive mid-session: the index keeps its pieces
     # ---------------------------------------------------------------- #
     new_length = session.append("sensor", values=fresh_readings(rng, BATCH_ROWS).tolist())
     print(f"\nappended {BATCH_ROWS:,} rows -> column holds {new_length:,}")
-    print(f"index after append    : {window_report(session, 'sensor')}")
+    print(f"index after append    : {window_report(live_index, 'sensor')}")
     selection = session.select_where(view.name, hot)
     print(
         f"hot range still exact : {len(selection.rowids):,} rows "
@@ -86,7 +100,7 @@ def main() -> None:
     # ---------------------------------------------------------------- #
     merged = session.service.merge_index_tails()
     print(f"\nmerged {merged:,} tail rows into the cracker")
-    print(f"index after merge     : {window_report(session, 'sensor')}")
+    print(f"index after merge     : {window_report(live_index, 'sensor')}")
 
     # ---------------------------------------------------------------- #
     # 4. persist, append onto the paged column, compact, re-attach warm
@@ -96,20 +110,43 @@ def main() -> None:
         catalog.persist_column(
             Column("sensor", np.asarray(session.catalog.column("sensor").values))
         )
+        persisted = catalog.persist_index(live_index)
+        print(f"\npersisted crackers    : {persisted}")
         paged = catalog.load_column("sensor")
         paged.append_batch(fresh_readings(rng, BATCH_ROWS))
         print(
-            f"\npaged column: {paged.base_rows:,} rows on disk "
+            f"paged column: {paged.base_rows:,} rows on disk "
             f"+ {paged.tail_rows:,} in the in-memory tail"
         )
         compacted = catalog.compact_appends("sensor")
         print(f"compact_appends -> {compacted:,} rows, all in chunk files")
-        reopened = StoreCatalog(DiskColumnStore(Path(root))).load_column("sensor")
+
+        warm = StoreCatalog(DiskColumnStore(Path(root)))
+        runtime = Catalog()
+        warm.attach(runtime)
+        reopened = runtime.resolve_column("sensor")
         print(
             f"warm re-attach        : {len(reopened):,} rows, "
             f"tail {reopened.tail_rows} (everything served from chunks)"
         )
+        manager = IndexManager()
+        adopted = warm.attach_index(manager, runtime)
+        print(f"adopted crackers      : {adopted}, {window_report(manager, 'sensor')}")
+        cracker = manager.cracker_for("sensor")
+        if adopted != [("sensor", None)] or cracker.tail_rows != BATCH_ROWS:
+            print("FAILED: the cracker was not adopted as a prefix window", file=sys.stderr)
+            return 1
+        selection = manager.select_rowids("sensor", None, reopened, hot)
+        expected = np.nonzero(hot.mask(np.asarray(reopened.values)))[0]
+        print(
+            f"hot range after restart: {len(selection.rowids):,} rows via "
+            f"{selection.strategy!r}, scanned {selection.rows_scanned:,}"
+        )
+        if not np.array_equal(selection.rowids, expected):
+            print("FAILED: the warm selection differs from a full scan", file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -62,23 +62,18 @@ rows per piece, so its cost follows the tail, not the column.
 
 The full cracked state (the reordered copy, the rowid permutation and the
 piece structure) can be exported with :meth:`CrackerIndex.export_state`
-and restored with :meth:`CrackerIndex.from_state`; the snapshot tier uses
-this to make cracked organization survive restarts.  Because appends
-never mutate existing rows, a snapshot taken *before* an append is still
-a valid prefix of the grown column — ``from_state`` therefore accepts
-state covering any prefix and revives it with a correspondingly narrowed
-validity window.  Each data-permuting mutation is also recorded in a
-bounded mutation log (generation, start, stop), which lets the snapshot
-tier write *incremental piece-level deltas* — only the regions permuted
-since the last persisted generation — instead of rewriting the full
-arrays.
+and restored with :meth:`CrackerIndex.from_state`; the snapshot tier
+persists exactly that state, whole, on every snapshot, to make cracked
+organization survive restarts.  Because appends never mutate existing
+rows, a snapshot taken *before* an append is still a valid prefix of the
+grown column — ``from_state`` therefore accepts state covering any prefix
+and revives it with a correspondingly narrowed validity window.
 """
 
 from __future__ import annotations
 
 import math
-import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,34 +85,6 @@ DEFAULT_MAX_PIECES = 512
 #: Pieces narrower than this are preferred merge victims and too small to
 #: be worth a stochastic split.
 DEFAULT_MIN_PIECE_ROWS = 32
-#: Mutation-log entries kept before the log collapses (a collapse forces
-#: the next incremental snapshot to fall back to a full rewrite).
-MUTATION_LOG_CAP = 2048
-
-
-def dirty_ranges_from_log(
-    mutation_log, log_floor: int, generation: int
-) -> list[tuple[int, int]] | None:
-    """Merged ``[start, stop)`` ranges logged after ``generation``.
-
-    Works on a live index's log or a :class:`CrackerState`'s exported
-    copy.  Returns ``None`` when the log has been collapsed past
-    ``generation`` — the caller must treat everything as dirty.
-    """
-    if generation < log_floor:
-        return None
-    ranges = sorted(
-        (start, stop)
-        for gen, start, stop in mutation_log
-        if gen > generation and stop > start
-    )
-    merged: list[tuple[int, int]] = []
-    for start, stop in ranges:
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
-        else:
-            merged.append((start, stop))
-    return merged
 
 
 #: What a cracker operation can do, named once (ledger keys, manager statistics fold).
@@ -161,15 +128,9 @@ class CrackerState:
     dtype* copy of the base data) and its base-rowid permutation;
     ``pivots`` and ``bounds`` describe the piece structure; ``num_valid``
     is the number of non-NaN rows (the prefix the pieces partition).  The
-    snapshot tier persists these fields and :meth:`CrackerIndex.from_state`
-    revives them against the live base column.
-
-    ``epoch``/``generation``/``mutation_log``/``log_floor`` describe the
-    mutation history for incremental snapshots: ``epoch`` identifies one
-    live cracker's delta chain, ``generation`` counts its mutations, and
-    ``mutation_log`` holds ``(generation, start, stop)`` permuted ranges
-    back to ``log_floor`` (older history has been collapsed away — a
-    consumer needing it must rewrite in full).
+    snapshot tier persists every field, whole, on each snapshot and
+    :meth:`CrackerIndex.from_state` revives them against the live base
+    column.
     """
 
     values: np.ndarray
@@ -178,10 +139,6 @@ class CrackerState:
     bounds: tuple[int, ...]
     num_valid: int
     cracks_performed: int = 0
-    epoch: str = ""
-    generation: int = 0
-    log_floor: int = 0
-    mutation_log: tuple[tuple[int, int, int], ...] = field(default=())
 
 
 class Cracker:
@@ -260,8 +217,8 @@ class CrackerIndex(Cracker):
         self.stochastic = bool(stochastic)
         self._rng = np.random.default_rng(seed)
 
-    def _install(self, column, values, rowids, num_valid, bounds, pivots, cracks=0, generation=0):
-        """Bind cracked arrays and piece structure; start a fresh ledger and delta epoch."""
+    def _install(self, column, values, rowids, num_valid, bounds, pivots, cracks=0):
+        """Bind cracked arrays and piece structure; start a fresh ledger."""
         self.column = column
         # capacity buffers the two arrays are logical-length views of; they
         # only diverge once merge_tail has grown them (capacity == length here)
@@ -273,10 +230,6 @@ class CrackerIndex(Cracker):
         self._bounds, self._pivots = bounds, pivots
         self.activity = new_activity_ledger()
         self.activity["cracks_performed"] = cracks
-        # incremental-snapshot bookkeeping (see CrackerState)
-        self.epoch = uuid.uuid4().hex[:16]
-        self.generation = self._log_floor = generation or cracks  # pre-generation snapshots
-        self._mutation_log: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------ #
     # state export / restore (snapshot warm starts)
@@ -367,10 +320,9 @@ class CrackerIndex(Cracker):
                         f"row {int(rowids[pos])} is {actual!r}"
                     )
         index = cls.__new__(cls)
-        # an adopted cracker starts a fresh delta chain: diffs against any
-        # previously persisted epoch are unknowable from here
-        cracks, generation = int(state.cracks_performed), int(state.generation)
-        index._install(column, values, rowids, num_valid, bounds, pivots, cracks, generation)
+        index._install(
+            column, values, rowids, num_valid, bounds, pivots, int(state.cracks_performed)
+        )
         index.max_pieces = max(DEFAULT_MAX_PIECES, pivots.size + 1)
         index.min_piece_rows = DEFAULT_MIN_PIECE_ROWS
         index.stochastic = False
@@ -386,10 +338,6 @@ class CrackerIndex(Cracker):
             bounds=tuple(int(b) for b in self._bounds),
             num_valid=self._num_valid,
             cracks_performed=self.cracks_performed,
-            epoch=self.epoch,
-            generation=self.generation,
-            log_floor=self._log_floor,
-            mutation_log=tuple(self._mutation_log),
         )
 
     # ------------------------------------------------------------------ #
@@ -450,15 +398,6 @@ class CrackerIndex(Cracker):
     # ------------------------------------------------------------------ #
     # cracking
     # ------------------------------------------------------------------ #
-    def _log_mutation(self, start: int, stop: int) -> None:
-        """Record one permuted range for incremental snapshots."""
-        self._mutation_log.append((self.generation, start, stop))
-        if len(self._mutation_log) > MUTATION_LOG_CAP:
-            # collapse: consumers older than the current generation must
-            # fall back to a full rewrite
-            self._mutation_log.clear()
-            self._log_floor = self.generation
-
     def _piece_containing_value(self, value: float) -> tuple[int, int]:
         """Return the (start, stop) positions of the piece a pivot falls in."""
         idx = int(np.searchsorted(self._pivots, value, side="right"))
@@ -481,7 +420,6 @@ class CrackerIndex(Cracker):
         # promotion Predicate.mask performs, so membership agrees exactly
         mask = segment < pivot
         n_left = int(mask.sum())
-        self.generation += 1
         if 0 < n_left < segment.size:
             inv = ~mask
             self._values[start:stop] = np.concatenate([segment[mask], segment[inv]])
@@ -489,7 +427,6 @@ class CrackerIndex(Cracker):
             self._rowids[start:stop] = np.concatenate(
                 [row_segment[mask], row_segment[inv]]
             )
-            self._log_mutation(start, stop)
         # three-slice concatenate (a general-purpose insert's axis handling was
         # a third of a crack); a float / int scalar keeps float64 / int64
         self._pivots = np.concatenate([self._pivots[:idx], [pivot], self._pivots[idx:]])
@@ -520,7 +457,6 @@ class CrackerIndex(Cracker):
         if merged:
             self.activity["pieces_merged"] += merged
             self.activity["coalesces_performed"] += 1
-            self.generation += 1
         return merged
 
     # ------------------------------------------------------------------ #
@@ -581,11 +517,6 @@ class CrackerIndex(Cracker):
         self._bounds = self._bounds + shifts[:-1]
         self._num_valid += shift_of[pieces]
         self._num_nan = n - self._num_valid
-        self.generation += 1
-        # growing the arrays invalidates deltas against any shorter base:
-        # collapse the log so the next snapshot falls back to a full write
-        self._mutation_log.clear()
-        self._log_floor = self.generation
         self.activity["tail_merges"] += 1
         self.activity["rows_merged_total"] += n - covered
         self.activity["rows_moved_total"] += moved

@@ -67,8 +67,6 @@ import numpy as np
 from repro.engine.filter import Comparison, Predicate
 from repro.indexing.cracking import (
     ACTIVITY_COUNTERS,
-    DEFAULT_MAX_PIECES,
-    DEFAULT_MIN_PIECE_ROWS,
     Cracker,
     CrackerIndex,
     CrackerState,
@@ -219,11 +217,6 @@ class IndexManager:
         next consult).  This bounds the manager's memory even without a
         shared budget — relevant for a long-lived shared manager serving
         many sessions with private columns.
-    max_pieces / min_piece_rows:
-        Coalescing knobs forwarded to every in-memory cracker: the piece
-        count stays under ``max_pieces`` no matter how many predicates a
-        session issues, with pieces under ``min_piece_rows`` the natural
-        merge victims.
     stochastic / crack_seed:
         Enable the MDD1R-style stochastic crack mix on every cracker built
         by this manager; ``crack_seed`` makes the random pivot stream
@@ -238,14 +231,10 @@ class IndexManager:
         budget=None,
         max_crackers: int = 64,
         *,
-        max_pieces: int = DEFAULT_MAX_PIECES,
-        min_piece_rows: int = DEFAULT_MIN_PIECE_ROWS,
         stochastic: bool = False,
         crack_seed: int = 0,
     ) -> None:
         self.max_crackers = max_crackers
-        self.max_pieces = int(max_pieces)
-        self.min_piece_rows = int(min_piece_rows)
         self.stochastic = bool(stochastic)
         self.crack_seed = int(crack_seed)
         self.stats = IndexManagerStats()
@@ -438,13 +427,7 @@ class IndexManager:
         if paged:
             state.cracker = PagedCrackerIndex(column)
         else:
-            state.cracker = CrackerIndex(
-                column,
-                max_pieces=self.max_pieces,
-                min_piece_rows=self.min_piece_rows,
-                stochastic=self.stochastic,
-                seed=self.crack_seed,
-            )
+            state.cracker = CrackerIndex(column, stochastic=self.stochastic, seed=self.crack_seed)
         with self._lock:
             self.stats.crackers_built += 1
             self.stats.paged_crackers_built += int(paged)

@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import CatalogError, SnapshotError, StorageError
-from repro.indexing.cracking import CrackerState, dirty_ranges_from_log
+from repro.indexing.cracking import CrackerState
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.format import DEFAULT_CHUNK_ROWS, atomic_replace
 from repro.persist.paged_column import PagedColumn
@@ -47,10 +47,6 @@ from repro.storage.table import Table
 MANIFEST_VERSION = 1
 #: Manifest file name inside the store root.
 MANIFEST_NAME = "catalog.json"
-#: Caps on one index record's incremental-delta chain; exceeding either
-#: compacts the chain with a full cracker-array rewrite.
-MAX_INDEX_DELTAS = 8
-MAX_DELTA_RANGES = 16
 
 
 def _hierarchy_key(object_name: str, column_name: str | None) -> tuple[str, str | None]:
@@ -511,159 +507,46 @@ class StoreCatalog:
         skips them): their only state, a value-sorted permutation, rebuilds
         on the first selection that needs it.
 
-        The expensive part of a cracker — the reordered value copy and the
-        rowid permutation — is written as two chunked store columns
-        (``<store>#crk-v`` / ``<store>#crk-r``) *once per cracker epoch*;
-        re-snapshotting the same cracker writes **incremental piece-level
-        deltas** instead (``<store>#crk-d<n>-v`` / ``-r``): only the
-        regions its mutation log says were permuted since the persisted
-        generation, applied in order on load.  The chain compacts back to
-        a full rewrite when it grows past :data:`MAX_INDEX_DELTAS` entries,
-        the dirty set exceeds half the column, or the cracker's log no
-        longer reaches the persisted generation.  The piece structure
-        (pivots, bounds) always rides in the manifest.  Only crackers
+        Every call writes each cracker whole: the reordered value copy and
+        the rowid permutation as two chunked store columns
+        (``<store>#crk-v`` / ``<store>#crk-r``, replaced in place, so a
+        persisted cracker is always exactly those two columns) and the
+        piece structure (pivots, bounds) in the manifest.  Only crackers
         whose ``(object, column)`` pair is already persisted in this
         catalog are snapshotted (state for unknown objects is skipped —
         there is nothing to warm-start it against).  Returns the persisted
-        keys, including up-to-date records that needed no write.
+        keys.
         """
         self._ensure_writable("persist_index")
         persisted = []
         with self._lock:
-            changed = False
             for (object_name, column_name), state in manager.cracked_states():
                 try:
                     base_store = self._store_name_for(object_name, column_name)
                 except SnapshotError:
                     continue
+                values_store = f"{base_store}#crk-v"
+                rowids_store = f"{base_store}#crk-r"
+                for name, array in ((values_store, state.values), (rowids_store, state.rowids)):
+                    self.store.write_column(
+                        Column(name, array), name=name, chunk_rows=chunk_rows, replace=True
+                    )
                 key = _hierarchy_key(object_name, column_name)
-                record = self._indexes.get(key)
-                if (
-                    record is not None
-                    and state.epoch
-                    and record.get("epoch") == state.epoch
-                ):
-                    if int(record["generation"]) == int(state.generation):
-                        persisted.append(key)  # already current: no write
-                        continue
-                    if self._persist_index_delta(record, base_store, state, chunk_rows):
-                        persisted.append(key)
-                        changed = True
-                        continue
-                self._persist_index_full(
-                    key, base_store, object_name, column_name, state, chunk_rows
-                )
+                self._indexes[key] = {
+                    "object": object_name,
+                    "column": column_name,
+                    "num_rows": int(state.values.shape[0]),
+                    "num_valid": int(state.num_valid),
+                    "cracks_performed": int(state.cracks_performed),
+                    "pivots": [float(p) for p in state.pivots],
+                    "bounds": [int(b) for b in state.bounds],
+                    "values_store": values_store,
+                    "rowids_store": rowids_store,
+                }
                 persisted.append(key)
-                changed = True
-            if changed:
+            if persisted:
                 self._write_manifest()
         return persisted
-
-    def _persist_index_full(
-        self,
-        key: tuple[str, str | None],
-        base_store: str,
-        object_name: str,
-        column_name: str | None,
-        state: CrackerState,
-        chunk_rows: int,
-    ) -> None:
-        """Write the full cracker arrays and reset the record's delta chain."""
-        old = self._indexes.get(key)
-        values_store = f"{base_store}#crk-v"
-        rowids_store = f"{base_store}#crk-r"
-        self.store.write_column(
-            Column(values_store, state.values),
-            name=values_store,
-            chunk_rows=chunk_rows,
-            replace=True,
-        )
-        self.store.write_column(
-            Column(rowids_store, state.rowids),
-            name=rowids_store,
-            chunk_rows=chunk_rows,
-            replace=True,
-        )
-        if old is not None:
-            self._drop_delta_stores(old)
-        self._indexes[key] = {
-            "object": object_name,
-            "column": column_name,
-            "num_rows": int(state.values.shape[0]),
-            "num_valid": int(state.num_valid),
-            "cracks_performed": int(state.cracks_performed),
-            "pivots": [float(p) for p in state.pivots],
-            "bounds": [int(b) for b in state.bounds],
-            "values_store": values_store,
-            "rowids_store": rowids_store,
-            "epoch": state.epoch,
-            "generation": int(state.generation),
-            "deltas": [],
-        }
-
-    def _persist_index_delta(
-        self, record: dict, base_store: str, state: CrackerState, chunk_rows: int
-    ) -> bool:
-        """Extend the record's delta chain to ``state``'s generation.
-
-        Returns ``False`` when a delta write is not worthwhile or not
-        possible (log collapsed, dirty set too large, chain too long) —
-        the caller then compacts with a full rewrite.
-        """
-        since = int(record["generation"])
-        ranges = dirty_ranges_from_log(state.mutation_log, state.log_floor, since)
-        if ranges is None or len(ranges) > MAX_DELTA_RANGES:
-            return False
-        deltas = list(record.get("deltas", []))
-        if len(deltas) + len(ranges) > MAX_INDEX_DELTAS:
-            return False
-        n = int(state.values.shape[0])
-        if n and sum(stop - start for start, stop in ranges) > n // 2:
-            return False
-        for start, stop in ranges:
-            seq = len(deltas)
-            delta_values = f"{base_store}#crk-d{seq}-v"
-            delta_rowids = f"{base_store}#crk-d{seq}-r"
-            rows = stop - start
-            self.store.write_column(
-                Column(delta_values, state.values[start:stop]),
-                name=delta_values,
-                chunk_rows=max(1, min(chunk_rows, rows)),
-                replace=True,
-            )
-            self.store.write_column(
-                Column(delta_rowids, state.rowids[start:stop]),
-                name=delta_rowids,
-                chunk_rows=max(1, min(chunk_rows, rows)),
-                replace=True,
-            )
-            deltas.append(
-                {
-                    "offset": int(start),
-                    "rows": int(rows),
-                    "values_store": delta_values,
-                    "rowids_store": delta_rowids,
-                }
-            )
-        # a generation bump with no permuted range (pivot-only cracks,
-        # coalesces) still lands here: the refreshed piece structure below
-        # is the whole delta
-        record["deltas"] = deltas
-        record["generation"] = int(state.generation)
-        record["cracks_performed"] = int(state.cracks_performed)
-        record["num_valid"] = int(state.num_valid)
-        record["pivots"] = [float(p) for p in state.pivots]
-        record["bounds"] = [int(b) for b in state.bounds]
-        return True
-
-    def _drop_delta_stores(self, record: dict) -> None:
-        """Delete a record's superseded delta columns (best effort)."""
-        for delta in record.get("deltas", []):
-            for name in (delta["values_store"], delta["rowids_store"]):
-                try:
-                    self.store.delete_column(name)
-                except StorageError:
-                    pass
 
     def attach_index(self, manager, catalog: Catalog) -> list:
         """Warm-start an :class:`IndexManager` from persisted cracker state.
@@ -698,7 +581,6 @@ class StoreCatalog:
                     self.store.open_column(record["rowids_store"]).values,
                     dtype=np.int64,
                 )
-                self._apply_index_deltas(record, values, rowids)
                 state = CrackerState(
                     values=values,
                     rowids=rowids,
@@ -706,41 +588,12 @@ class StoreCatalog:
                     bounds=tuple(record["bounds"]),
                     num_valid=int(record["num_valid"]),
                     cracks_performed=int(record["cracks_performed"]),
-                    epoch=str(record.get("epoch", "")),
-                    generation=int(record.get("generation", record["cracks_performed"])),
                 )
                 manager.adopt_cracker(object_name, column_name, base, state)
             except StorageError:
                 continue  # stale or malformed state: start cold for this column
             adopted.append(_hierarchy_key(object_name, column_name))
         return adopted
-
-    def _apply_index_deltas(
-        self, record: dict, values: np.ndarray, rowids: np.ndarray
-    ) -> None:
-        """Splice a record's delta chain into the base arrays, in order."""
-        for delta in record.get("deltas", []):
-            offset = int(delta["offset"])
-            rows = int(delta["rows"])
-            delta_values = np.asarray(
-                self.store.open_column(delta["values_store"]).values
-            )
-            delta_rowids = np.asarray(
-                self.store.open_column(delta["rowids_store"]).values
-            )
-            if (
-                delta_values.shape[0] != rows
-                or delta_rowids.shape[0] != rows
-                or offset < 0
-                or offset + rows > values.shape[0]
-                or delta_values.dtype != values.dtype
-            ):
-                raise StorageError(
-                    f"index delta {delta['values_store']!r} does not fit its "
-                    f"base arrays (offset {offset}, rows {rows})"
-                )
-            values[offset : offset + rows] = delta_values
-            rowids[offset : offset + rows] = delta_rowids.astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # the manifest
@@ -842,25 +695,15 @@ class StoreCatalog:
                     "bounds": [int(b) for b in record["bounds"]],
                     "values_store": str(record["values_store"]),
                     "rowids_store": str(record["rowids_store"]),
-                    # epoch/generation/deltas are absent from pre-delta
-                    # manifests: default to a full-array record
-                    "epoch": str(record.get("epoch", "")),
-                    "generation": int(
-                        record.get("generation", record["cracks_performed"])
-                    ),
-                    "deltas": [
-                        {
-                            "offset": int(delta["offset"]),
-                            "rows": int(delta["rows"]),
-                            "values_store": str(delta["values_store"]),
-                            "rowids_store": str(delta["rowids_store"]),
-                        }
-                        for delta in record.get("deltas", [])
-                    ],
                 }
                 for record in indexes
+                # a record with pending deltas pairs older base arrays with
+                # newer pivots and bounds; this reader cannot splice them,
+                # and the pair can pass from_state's checks yet answer
+                # wrongly, so that column starts cold
+                if not record.get("deltas")
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"store manifest {self.manifest_path} has a malformed record: {exc}"
             ) from exc

@@ -761,12 +761,6 @@ class TestSnapshotRoundTrip:
         assert reopened.index_keys() == []
         assert reopened.column_names == ["c"]
 
-    @staticmethod
-    def _index_record(catalog):
-        import json
-
-        return json.loads(catalog.manifest_path.read_text())["indexes"][0]
-
     def _seeded_catalog(self, tmp_path):
         """A persisted column plus a manager whose cracker has an
         established piece structure and one full index snapshot on disk."""
@@ -783,32 +777,24 @@ class TestSnapshotRoundTrip:
         assert catalog.persist_index(manager) == [("hot", None)]
         return data, catalog, manager, column
 
-    def test_narrow_refinement_persists_as_delta(self, tmp_path):
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
-        full = self._index_record(catalog)
-        assert full["deltas"] == []
-
-        narrow = Predicate(Comparison.BETWEEN, 0.1 * 2**60, upper=0.12 * 2**60)
-        manager.select_rowids("hot", None, column, narrow)
-        assert catalog.persist_index(manager) == [("hot", None)]
-        record = self._index_record(catalog)
-        assert record["epoch"] == full["epoch"]
-        assert record["generation"] > full["generation"]
-        assert len(record["deltas"]) >= 1
-        assert sum(d["rows"] for d in record["deltas"]) < len(data) // 2
-
-        # persisting again with no new cracks leaves the record untouched
-        assert catalog.persist_index(manager) == [("hot", None)]
-        assert self._index_record(catalog) == record
-
-        # warm start splices the delta chain and answers exactly, in the
-        # column's native dtype
+    def _reattach(self, tmp_path):
+        """A cold restart: fresh store catalog, runtime and manager."""
         reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
         runtime = Catalog()
         reopened.attach(runtime)
         warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == [("hot", None)]
-        paged = runtime.resolve_column("hot")
+        return reopened.attach_index(warm, runtime), warm, runtime.resolve_column("hot")
+
+    def test_every_persist_rewrites_the_same_two_full_arrays(self, tmp_path):
+        data, catalog, manager, column = self._seeded_catalog(tmp_path)
+        narrow = Predicate(Comparison.BETWEEN, 0.1 * 2**60, upper=0.12 * 2**60)
+        manager.select_rowids("hot", None, column, narrow)
+        assert catalog.persist_index(manager) == [("hot", None)]
+
+        # the narrow refinement survives the restart, exactly and in the
+        # column's native dtype
+        adopted_keys, warm, paged = self._reattach(tmp_path)
+        assert adopted_keys == [("hot", None)]
         for predicate in (
             narrow,
             Predicate(Comparison.GE, 0.5 * 2**60),
@@ -818,39 +804,66 @@ class TestSnapshotRoundTrip:
             assert np.array_equal(selection.rowids, brute(data, predicate))
         adopted = warm.cracker_for("hot", None)
         assert adopted._values.dtype == np.int64
-        # the delta carried the refined piece boundaries across the restart
         assert adopted.scan_cost_for_range(0.1 * 2**60, 0.12 * 2**60) < len(data) // 8
 
-    def test_wholesale_recracking_compacts_to_full_rewrite(self, tmp_path):
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
-        full = self._index_record(catalog)
-        # cracks that dirty most of the array must not be written as deltas:
-        # one new pivot inside every established piece touches ~every row
-        for step in range(16):
-            fraction = -0.85 + step * 0.11
-            manager.select_rowids(
-                "hot", None, column, Predicate(Comparison.LE, fraction * 2**60)
-            )
-        assert catalog.persist_index(manager) == [("hot", None)]
-        record = self._index_record(catalog)
-        assert record["epoch"] == full["epoch"]
-        assert record["deltas"] == []
-        assert record["generation"] > full["generation"]
-
-    def test_delta_chain_is_bounded_and_orphan_free(self, tmp_path):
-        from repro.persist.snapshot import MAX_INDEX_DELTAS
-
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
+        # however many snapshots follow, a persisted cracker is two columns
+        # (the "#s<step>" columns are the column's sample hierarchy)
         for step in range(12):
             low = (0.1 + step * 0.01) * 2**60
             manager.select_rowids(
                 "hot", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 2**53)
             )
             assert catalog.persist_index(manager) == [("hot", None)]
-        record = self._index_record(catalog)
-        assert len(record["deltas"]) <= MAX_INDEX_DELTAS
-        live = [name for name in catalog.store.column_names if "#crk-d" in name]
-        assert len(live) == 2 * len(record["deltas"])
+        names = [name for name in catalog.store.column_names if not name.startswith("hot#s")]
+        assert names == ["hot", "hot#crk-r", "hot#crk-v"]
+
+        adopted_keys, warm, paged = self._reattach(tmp_path)
+        assert adopted_keys == [("hot", None)]
+        low = 0.21 * 2**60
+        for predicate in (
+            Predicate(Comparison.BETWEEN, low, upper=low + 2**53),
+            Predicate(Comparison.GE, 0.5 * 2**60),
+        ):
+            selection = warm.select_rowids("hot", None, paged, predicate)
+            assert np.array_equal(selection.rowids, brute(data, predicate))
+
+    def test_a_record_with_pending_deltas_is_never_adopted(self, tmp_path):
+        """A delta-chain record (written by an incremental-snapshot build)
+        pairs its base arrays with newer pivots and bounds; adopting it
+        without the deltas would pass every ``from_state`` check and answer
+        wrongly."""
+        import json
+
+        data, catalog, manager, column = self._seeded_catalog(tmp_path)
+        # keep the seeded (older) arrays under other store names
+        for suffix in ("v", "r"):
+            old = np.asarray(catalog.store.open_column(f"hot#crk-{suffix}").values)
+            catalog.store.write_column(Column(f"old-{suffix}", old), name=f"old-{suffix}")
+        narrow = Predicate(Comparison.BETWEEN, 0.1 * 2**60, upper=0.12 * 2**60)
+        manager.select_rowids("hot", None, column, narrow)
+        assert catalog.persist_index(manager) == [("hot", None)]
+
+        payload = json.loads(catalog.manifest_path.read_text())
+        (record,) = payload["indexes"]
+        record.update(
+            values_store="old-v",
+            rowids_store="old-r",
+            deltas=[
+                {"offset": 0, "rows": 1, "values_store": "d0-v", "rowids_store": "d0-r"}
+            ],
+        )
+        catalog.manifest_path.write_text(json.dumps(payload))
+
+        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
+        assert reopened.index_keys() == []
+        runtime = Catalog()
+        reopened.attach(runtime)
+        warm = IndexManager()
+        assert reopened.attach_index(warm, runtime) == []
+        paged = runtime.resolve_column("hot")
+        for predicate in (narrow, Predicate(Comparison.GE, 0.5 * 2**60)):
+            selection = warm.select_rowids("hot", None, paged, predicate)
+            assert np.array_equal(selection.rowids, brute(data, predicate))
 
     def test_legacy_full_array_records_still_attach(self, tmp_path):
         import json
@@ -859,9 +872,9 @@ class TestSnapshotRoundTrip:
         payload = json.loads(catalog.manifest_path.read_text())
         for record in payload["indexes"]:
             # pre-delta manifests carry none of the incremental fields
-            record.pop("epoch")
-            record.pop("generation")
-            record.pop("deltas")
+            record.pop("epoch", None)
+            record.pop("generation", None)
+            record.pop("deltas", None)
         catalog.manifest_path.write_text(json.dumps(payload))
 
         reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))

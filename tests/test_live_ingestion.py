@@ -192,13 +192,13 @@ def test_extend_valid_prefix_keeps_pieces():
         )
     cracker = manager.cracker_for("c")
     pieces = cracker.num_pieces
-    generation = cracker.generation
+    cracks = cracker.cracks_performed
     column.append_batch(rng.integers(0, 1_000, 800).astype(np.int64))
     manager.extend_valid_prefix("c")
     survivor = manager.cracker_for("c")
     assert survivor is cracker  # same index object, not a rebuild
     assert survivor.num_pieces == pieces
-    assert survivor.generation == generation  # no cracks were discarded
+    assert survivor.cracks_performed == cracks  # no cracks were discarded
     assert survivor.tail_rows == 800
 
 
@@ -228,7 +228,7 @@ def test_int64_beyond_float_precision_stays_scan_identical():
 
 
 def test_merge_tail_forces_full_snapshot_rewrite(tmp_path):
-    """A merged cracker must not replay stale deltas over a longer base."""
+    """A cracker whose arrays grew through a merge re-snapshots in full."""
     rng = np.random.default_rng(3)
     data = rng.integers(0, 1_000, 3_000).astype(np.int64)
     column = Column("c", data.copy())
