@@ -125,8 +125,9 @@ class KernelConfig:
         it so unserviced sessions stay memory-bounded.
     memory_budget:
         Optional :class:`repro.core.caching.MemoryBudget` the kernel's
-        touched-range cache registers with.  Out-of-core deployments hand
-        the same budget to a
+        touched-range cache — and only it — registers with; crackers are
+        bounded by ``IndexManager(max_crackers=)``.  Out-of-core
+        deployments hand the same budget to a
         :class:`repro.persist.diskstore.DiskColumnStore`, so the touch
         cache and the disk store's chunk cache evict against one shared
         byte allowance instead of sizing themselves independently.  Note
@@ -280,7 +281,7 @@ class DbTouchKernel:
             self.index_manager = (
                 self.config.index_manager
                 if self.config.index_manager is not None
-                else IndexManager(budget=self.config.memory_budget)
+                else IndexManager()
             )
         self.speculation = self.config.speculation
         self._states: dict[str, _ObjectState] = {}

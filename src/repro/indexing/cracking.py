@@ -372,7 +372,8 @@ class CrackerIndex(Cracker):
     @property
     def size_bytes(self) -> int:
         """Bytes allocated for the cracker column, rowids (spare capacity
-        included — this is what the memory budget is charged) and pieces."""
+        included — this is what the manager's ``cracker_bytes`` gauge
+        reads) and pieces."""
         return int(
             self._values_buf.nbytes
             + self._rowids_buf.nbytes

@@ -19,10 +19,10 @@ wires that bet into the kernel:
   *consult* the tier via :meth:`select_rowids`, scanning only the cracked
   pieces / zonemap-kept chunks / sorted runs that can overlap the predicate
   instead of the whole column;
-* cracker state is charged to an optional shared
-  :class:`repro.core.caching.MemoryBudget` (the same allowance the touch
-  cache and the disk chunk cache split), reclaimed least-recently-consulted
-  first when peers need room;
+* crackers are bounded by count alone (``max_crackers``), dropped
+  least-recently-consulted first: indexes are a side effect of touches, so
+  a dropped one costs its next consultation one rebuild and never changes
+  an answer; the bytes they hold are read off them (``index_bytes``);
 * :meth:`invalidate` drops every index derived from an object whose data
   was replace-reloaded, and :meth:`adopt_cracker` revives persisted state
   from a :class:`repro.persist.snapshot.StoreCatalog` warm start;
@@ -38,11 +38,10 @@ wires that bet into the kernel:
 base storage by reference; refinement and consultation then run on
 parallel scheduler workers.  All piece mutation happens under a per-column
 lock; the manager-level lock only guards the state dictionary and the
-LRU/statistics bookkeeping, and is never held while a column lock is taken
-or the budget is called (the deadlock-freedom rule documented on
-``MemoryBudget``).  Budget reclaims drop a column's cracker by atomically
-unlinking it — an in-flight lookup keeps its own reference and completes
-on the orphaned (still self-consistent) index.
+LRU/statistics bookkeeping, and is never held while a column lock is
+taken.  The cap drops a column's cracker by atomically unlinking it,
+without the column lock — an in-flight lookup keeps its own reference and
+completes on the orphaned (still self-consistent) index.
 
 **Exactness.**  Indexed selections must agree bit-for-bit with
 ``Predicate.mask`` over the base data.  Three guards make that hold: NaN
@@ -197,7 +196,6 @@ class _ColumnIndexState:
     column_ref: "weakref.ref[Column]"
     lock: threading.RLock = field(default_factory=threading.RLock)
     cracker: Cracker | None = None
-    cracker_bytes: int = 0
     cracker_refused: bool = False  # e.g. non-numeric, empty
 
 
@@ -206,17 +204,12 @@ class IndexManager:
 
     Parameters
     ----------
-    budget:
-        Optional shared :class:`repro.core.caching.MemoryBudget`; every
-        cracker's bytes are charged to it and the least-recently-consulted
-        crackers are dropped when the budget asks this participant to
-        reclaim.
     max_crackers:
         Upper bound on simultaneously live crackers; beyond it the
         least-recently-consulted cracker is dropped (and rebuilt on its
-        next consult).  This bounds the manager's memory even without a
-        shared budget — relevant for a long-lived shared manager serving
-        many sessions with private columns.
+        next consult).  This is the one bound on the manager's memory —
+        relevant for a long-lived shared manager serving many sessions
+        with private columns.
     stochastic / crack_seed:
         Enable the MDD1R-style stochastic crack mix on every cracker built
         by this manager; ``crack_seed`` makes the random pivot stream
@@ -228,7 +221,6 @@ class IndexManager:
 
     def __init__(
         self,
-        budget=None,
         max_crackers: int = 64,
         *,
         stochastic: bool = False,
@@ -240,14 +232,10 @@ class IndexManager:
         self.stats = IndexManagerStats()
         self._lock = threading.RLock()
         #: keyed by (object, column, id(column)); insertion/consultation
-        #: order doubles as the reclaim/cap LRU
+        #: order doubles as the cap's LRU
         self._states: OrderedDict[
             tuple[str, str | None, int], _ColumnIndexState
         ] = OrderedDict()
-        self._budget = budget
-        self._budget_key = f"index-manager-{id(self):x}"
-        if budget is not None:
-            budget.register(self._budget_key, self._reclaim_bytes)
 
     # ------------------------------------------------------------------ #
     # state bookkeeping
@@ -265,31 +253,27 @@ class IndexManager:
 
     @property
     def index_bytes(self) -> int:
-        """Bytes currently held by cracker state across all columns."""
-        with self._lock:
-            return sum(state.cracker_bytes for state in self._states.values())
+        """Bytes held by the live crackers: the ``cracker_bytes`` gauge."""
+        return self.stats_snapshot()["cracker_bytes"]
 
     def stats_snapshot(self) -> dict[str, int]:
         """Every activity counter plus point-in-time gauges.
 
         Gauges (``crackers_live``, ``piece_count``, ``cracker_bytes``) are
-        read without column locks — piece counts are single-attribute reads
-        of atomically swapped arrays, so a concurrent crack can skew a gauge
-        by a piece but never tear it.  This is the observability surface
-        the session metrics and the fleet ``stats`` verb expose.
+        read off the live crackers without column locks — piece counts and
+        ``size_bytes`` are single-attribute reads of atomically swapped
+        arrays, so a concurrent crack can skew a gauge by a piece but never
+        tear it.  This is the observability surface the session metrics
+        and the fleet ``stats`` verb expose.
         """
         with self._lock:
             data = self.stats.snapshot()
-            states = list(self._states.values())
-        live = pieces = nbytes = 0
-        for state in states:
-            cracker = state.cracker
-            if cracker is None:
-                continue
-            live += 1
-            pieces += cracker.num_pieces
-            nbytes += state.cracker_bytes
-        data.update(crackers_live=live, piece_count=pieces, cracker_bytes=nbytes)
+            crackers = [c for state in self._states.values() if (c := state.cracker) is not None]
+        data.update(
+            crackers_live=len(crackers),
+            piece_count=sum(cracker.num_pieces for cracker in crackers),
+            cracker_bytes=sum(cracker.size_bytes for cracker in crackers),
+        )
         return data
 
     def has_cracker(self, object_name: str, column_name: str | None = None) -> bool:
@@ -312,7 +296,7 @@ class IndexManager:
 
         Caller holds the manager lock.  A state with a live cracker can
         never be dead (the cracker strongly references its column), so
-        pruning releases no budget bytes.
+        pruning drops no cracker.
         """
         doomed = [key for key, state in self._states.items() if state.column_ref() is None]
         for key in doomed:
@@ -355,10 +339,11 @@ class IndexManager:
     def _enforce_cracker_cap(self, keep: _ColumnIndexState) -> None:
         """Drop least-recently-consulted crackers beyond ``max_crackers``.
 
-        ``keep`` (the state just built or adopted) is never the victim.
-        Called with no locks held; bytes are released after unlinking.
+        The one bound on index memory.  ``keep`` (the state just consulted
+        or adopted) is never the victim.  Unlinking takes no column lock: a
+        lookup holding a reference to the orphaned index completes on it,
+        and the next consultation rebuilds.
         """
-        released = 0
         with self._lock:
             live = [
                 state
@@ -368,43 +353,7 @@ class IndexManager:
             excess = (len(live) + 1) - self.max_crackers
             for state in live[:max(0, excess)]:
                 state.cracker = None
-                released += state.cracker_bytes
-                state.cracker_bytes = 0
                 self.stats.crackers_dropped += 1
-        self._release_bytes(released)
-
-    # ------------------------------------------------------------------ #
-    # shared-budget accounting
-    # ------------------------------------------------------------------ #
-    def _charge_bytes(self, nbytes: int) -> None:
-        if self._budget is not None and nbytes > 0:
-            self._budget.charge(self._budget_key, nbytes)
-
-    def _release_bytes(self, nbytes: int) -> None:
-        if self._budget is not None and nbytes > 0:
-            self._budget.release(self._budget_key, nbytes)
-
-    def _reclaim_bytes(self, nbytes: int) -> int:
-        """Budget hook: unlink least-recently-consulted crackers.
-
-        Unlinking takes no column lock: a lookup holding a reference to the
-        orphaned index completes correctly on it, and the next consultation
-        rebuilds (a paged index's only state is a permutation that rebuilds
-        on demand).  Only charged state (``cracker_bytes > 0``) is touched,
-        so a cracker built but not yet charged is never double-counted.
-        """
-        freed = 0
-        with self._lock:
-            for state in self._states.values():
-                if freed >= nbytes:
-                    break
-                if state.cracker is None or state.cracker_bytes == 0:
-                    continue
-                state.cracker = None
-                freed += state.cracker_bytes
-                state.cracker_bytes = 0
-                self.stats.crackers_dropped += 1
-        return freed
 
     # ------------------------------------------------------------------ #
     # building / adopting crackers
@@ -415,57 +364,26 @@ class IndexManager:
         """Build (or return) the state's cracker.  Caller holds state.lock.
 
         Returns ``None`` when the column cannot be cracked (non-numeric,
-        empty).  Budget charging happens after the caller releases the
-        column lock — see :meth:`_settle_cracker`.
+        empty).  ``state.cracker`` is read and written once: a concurrent
+        cap drop unlinks it without the column lock, and the caller still
+        answers on the reference returned here.
         """
-        if state.cracker is not None or state.cracker_refused:
-            return state.cracker
+        cracker = state.cracker
+        if cracker is not None or state.cracker_refused:
+            return cracker
         if not (column.is_numeric and len(column)):
             state.cracker_refused = True
             return None
         paged = is_chunked(column)  # the one column-kind test: which cracker to build
         if paged:
-            state.cracker = PagedCrackerIndex(column)
+            cracker = PagedCrackerIndex(column)
         else:
-            state.cracker = CrackerIndex(column, stochastic=self.stochastic, seed=self.crack_seed)
+            cracker = CrackerIndex(column, stochastic=self.stochastic, seed=self.crack_seed)
+        state.cracker = cracker
         with self._lock:
             self.stats.crackers_built += 1
             self.stats.paged_crackers_built += int(paged)
-        return state.cracker
-
-    def _settle_cracker(self, state: _ColumnIndexState) -> None:
-        """Reconcile a cracker's recorded bytes with its current size.
-
-        Called with no locks held.  Works by delta so it covers both a
-        freshly built cracker (recorded 0) and one that grew or coalesced
-        since the last settle (a merge, a paged permutation built).  Growth
-        is charged before it is recorded and shrinkage recorded before it is
-        released, so the budget never holds less than the states record: a
-        concurrent reclaim always finds the bytes it frees on the books (a
-        shrink released first could be clamped at zero there, and undoing
-        it would leave phantom bytes).  Records are written under the
-        manager lock too, the one a reclaim unlinks under.
-        """
-        with state.lock, self._lock:
-            cracker = state.cracker
-            if cracker is None:
-                return
-            recorded = state.cracker_bytes
-            delta = cracker.size_bytes - recorded
-            if delta < 0:
-                state.cracker_bytes += delta
-        if delta <= 0:
-            self._release_bytes(-delta)
-            return
-        self._charge_bytes(delta)
-        with state.lock, self._lock:
-            # record the growth only if the cracker survived AND no
-            # concurrent settle or reclaim beat us to it — otherwise undo
-            # ours, or the budget carries phantom bytes forever
-            if state.cracker is cracker and state.cracker_bytes == recorded:
-                state.cracker_bytes += delta
-                return
-        self._release_bytes(delta)
+        return cracker
 
     def adopt_cracker(
         self,
@@ -483,14 +401,10 @@ class IndexManager:
         cracker = CrackerIndex.from_state(column, cracker_state)
         state = self._state_for(object_name, column_name, column)
         with state.lock:
-            previous_bytes = state.cracker_bytes
             state.cracker = cracker
-            state.cracker_bytes = 0
             state.cracker_refused = False
-        self._release_bytes(previous_bytes)
         with self._lock:
             self.stats.crackers_adopted += 1
-        self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         return cracker
 
@@ -542,7 +456,6 @@ class IndexManager:
             if cracker is None:
                 return False
             _, did = _with_activity(cracker, cracker.crack_range, *bounds)
-        self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.refinements += 1
@@ -588,9 +501,8 @@ class IndexManager:
                 # scanned with the predicate itself (exact by definition)
                 # until merge_tails folds them in.  Tail hits all land at
                 # rowids >= covered, so appending them keeps the result
-                # sorted.  raw_slice bypasses a paged column's
-                # budget-charging chunk cache — never call the budget
-                # under a column lock.
+                # sorted.  raw_slice reads a paged column off its mapping
+                # and never evicts the gestures' chunks.
                 with trace_span("tail_scan", object=object_name, rows=n - covered):
                     tail = np.asarray(column.raw_slice(covered, n))
                     hits = np.nonzero(predicate.mask(tail))[0].astype(np.int64)
@@ -598,7 +510,6 @@ class IndexManager:
                         rowids = np.concatenate([rowids, hits + covered])
                     rows_scanned += int(tail.shape[0])
         refined = did["cracks_performed"] > 0
-        self._settle_cracker(state)
         self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.indexed_consultations += 1
@@ -674,7 +585,6 @@ class IndexManager:
                     continue
                 rows, did = _with_activity(cracker, cracker.merge_tail)
                 merged += rows
-            self._settle_cracker(state)
             with self._lock:
                 self.stats.apply_activity(did)
         return merged
@@ -685,10 +595,8 @@ class IndexManager:
     def _drop_states(self, object_name: str | None) -> int:
         """Unlink every state of ``object_name`` (``None``: of every object).
 
-        Returns how many column states were dropped; their bytes go back
-        to the budget.
+        Returns how many column states were dropped.
         """
-        released = 0
         with self._lock:
             doomed = [
                 key
@@ -697,12 +605,9 @@ class IndexManager:
             ]
             for key in doomed:
                 state = self._states.pop(key)
-                released += state.cracker_bytes
                 if state.cracker is not None:
                     self.stats.crackers_dropped += 1
                 state.cracker = None
-                state.cracker_bytes = 0
-        self._release_bytes(released)
         return len(doomed)
 
     def invalidate(self, object_name: str) -> int:

@@ -26,17 +26,16 @@ chosen by how far the column's persisted zonemap prunes it:
 
 Both answers make the comparison ``Predicate.mask`` makes, in the
 column's native dtype, so they agree with it bit for bit.  Refinement
-does nothing.  The permutation is the index's only state: the manager
-charges it to the memory budget and, under pressure, unlinks the whole
-index, which the next lookup rebuilds.
+does nothing.  The permutation is the index's only state: when the
+manager's ``max_crackers`` cap unlinks the index, the next lookup
+rebuilds it.
 
-**Deadlock freedom.**  The :class:`repro.indexing.manager.IndexManager`
-runs lookups while holding a per-column lock, and the shared
-:class:`repro.core.caching.MemoryBudget` must never be charged while any
-such lock is held.  The paged index therefore reads straight off the
-column's read-only memmap and append tail (``column.raw_slice``, and
-``column.read_batch`` gathers, which charge nothing) — *bypassing* the
-budget-charging ``ChunkCache``.
+**Why index scans read ``raw_slice``.**  The paged index reads straight
+off the column's read-only memmap and append tail (``column.raw_slice``,
+and ``column.read_batch`` gathers) and *bypasses* the store's
+``ChunkCache``: a scan of up to :data:`SCAN_MAX_CHUNKS` chunks, or a
+whole-column ``argsort``, read once through the cache would evict the
+chunks the gestures' summary windows keep coming back to.
 """
 
 from __future__ import annotations
@@ -192,9 +191,9 @@ class PagedCrackerIndex(Cracker):
         """The permutation, (re)built when missing or when the rows merged
         past it outgrow :data:`PERMUTATION_GAP_SHARE` of it.
 
-        One ``np.argsort`` straight off ``raw_slice``: no chunk cache and no
-        budget call under the manager's column lock.  argsort parks NaN rows
-        last, where they are cut off — no range holds a NaN.
+        One ``np.argsort`` straight off ``raw_slice``, which never evicts the
+        gestures' chunks.  argsort parks NaN rows last, where they are cut
+        off — no range holds a NaN.
         """
         runs, covered = self._sorted, self._num_rows
         if runs is not None and covered - runs.covered <= runs.covered * PERMUTATION_GAP_SHARE:
@@ -235,7 +234,7 @@ class PagedCrackerIndex(Cracker):
             for run in sorted({first, last}):
                 if not whole[run]:
                     edge = rowids[run * size : (run + 1) * size]
-                    values = self.column.read_batch(edge)  # one gather, charges nothing
+                    values = self.column.read_batch(edge)  # one gather, no chunk cache
                     self.activity["values_scanned_total"] += int(edge.size)
                     parts.append(edge[_in_range(values, low, high)])
         gap = np.asarray(self.column.raw_slice(runs.covered, self._num_rows))

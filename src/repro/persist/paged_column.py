@@ -293,10 +293,9 @@ class PagedColumn(Column):
     def raw_slice(self, start: int, stop: int) -> np.ndarray:
         """Values in ``[start, stop)`` straight off the memmap and tail.
 
-        Bypasses the budget-charging chunk cache entirely, which makes it
-        safe to call while index-tier column locks are held (the budget
-        must never be charged under one — see the paged-cracker module
-        docstring).  Pure-tail ranges cost no I/O at all.
+        Bypasses the chunk cache entirely, so the index tier's scans never
+        evict the chunks the gestures are reading (see the paged-cracker
+        module docstring).  Pure-tail ranges cost no I/O at all.
         """
         start = max(0, int(start))
         stop = min(len(self), int(stop))

@@ -181,19 +181,19 @@ class StoreCatalog:
         with self._lock:
             if column.name in self._tables:
                 raise SnapshotError(f"name {column.name!r} already persisted as a table")
+            referenced = self._store_names()
             self.store.write_column(column, chunk_rows=chunk_rows, replace=replace)
             self._columns[column.name] = {
                 "store_name": column.name,
                 "dtype": column.dtype.name,
                 "num_rows": len(column),
             }
-            self._hierarchies.pop(_hierarchy_key(column.name, None), None)
-            # cracked state snapshotted from the previous data is stale now
-            self._indexes.pop(_hierarchy_key(column.name, None), None)
+            self._drop_object_records(column.name)
             self._persist_hierarchy_levels(
                 column, column.name, None, hierarchy, factor, min_rows, chunk_rows
             )
             self._write_manifest()
+            self._delete_unreferenced(referenced)
 
     def persist_table(
         self,
@@ -214,6 +214,7 @@ class StoreCatalog:
         with self._lock:
             if table.name in self._columns:
                 raise SnapshotError(f"name {table.name!r} already persisted as a column")
+            referenced = self._store_names()
             specs = []
             for column in table.columns:
                 store_name = f"{table.name}/{column.name}"
@@ -224,9 +225,8 @@ class StoreCatalog:
                     {"name": column.name, "store_name": store_name, "dtype": column.dtype.name}
                 )
             self._tables[table.name] = {"num_rows": len(table), "columns": specs}
+            self._drop_object_records(table.name)
             for column in table.columns:
-                self._hierarchies.pop(_hierarchy_key(table.name, column.name), None)
-                self._indexes.pop(_hierarchy_key(table.name, column.name), None)
                 self._persist_hierarchy_levels(
                     column,
                     f"{table.name}/{column.name}",
@@ -237,6 +237,31 @@ class StoreCatalog:
                     chunk_rows,
                 )
             self._write_manifest()
+            self._delete_unreferenced(referenced)
+
+    def _drop_object_records(self, object_name: str) -> None:
+        """Forget every hierarchy and index record of a replaced object: all
+        were snapshotted from its previous data, a dropped attribute's too."""
+        for records in (self._hierarchies, self._indexes):
+            for key in [key for key in records if key[0] == object_name]:
+                del records[key]
+
+    def _store_names(self) -> set[str]:
+        """Every store column some manifest record names."""
+        names = {record["store_name"] for record in self._columns.values()}
+        for record in self._tables.values():
+            names.update(spec["store_name"] for spec in record["columns"])
+        for record in self._hierarchies.values():
+            names.update(level["store_name"] for level in record["levels"])
+        for record in self._indexes.values():
+            names.update((record["values_store"], record["rowids_store"]))
+        return names
+
+    def _delete_unreferenced(self, referenced: set[str]) -> None:
+        """Delete what ``referenced`` names and the written manifest no longer does."""
+        for name in referenced - self._store_names():
+            if self.store.has_column(name):
+                self.store.delete_column(name)
 
     def persist_hierarchy(
         self,

@@ -136,8 +136,8 @@ class Column:
         return self._data[start:stop]
 
     def raw_slice(self, start: int, stop: int) -> np.ndarray:
-        """:meth:`slice` that never charges a memory budget — the read the
-        index tier uses under its column locks.  In memory every read is one;
+        """:meth:`slice` for index scans: a read that never evicts the
+        gestures' chunks.  In memory every read is one;
         :class:`repro.persist.paged_column.PagedColumn` bypasses its chunk cache."""
         return self.slice(start, stop)
 

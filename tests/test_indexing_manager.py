@@ -1,7 +1,7 @@
 """Unit and edge-case tests for the adaptive indexing tier.
 
 Covers the :class:`repro.indexing.manager.IndexManager` itself (strategy
-choice, refinement, budget participation, invalidation, thread safety),
+choice, refinement, the cracker cap, invalidation, thread safety),
 the kernel/service/session wiring (``select_where``, replace-reloads,
 shared managers on a multi-session server), the snapshot round-trip, and
 the predicate edge cases uncovered while wiring the index into the hot
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.actions import scan_action, select_where_action
-from repro.core.caching import MemoryBudget
 from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
@@ -304,38 +303,15 @@ class TestPagedPermutation:
         assert cracker._sorted is not built and cracker._sorted.covered == 22_700
         assert cracker.cracks_performed == 0
 
-    def test_budget_reclaim_drops_the_permutation_and_it_rebuilds(self, tmp_path):
-        data, paged = self.uniform(tmp_path, 20_000)
-        capacity = 1 << 20
-        budget = MemoryBudget(capacity_bytes=capacity)
-        manager = IndexManager(budget=budget)
-        predicate = Predicate(Comparison.LT, 30_000)
-        manager.select_rowids("u", None, paged, predicate)
-        held = manager.cracker_for("u").size_bytes
-        assert held >= 4 * len(data) and manager.index_bytes == budget.used_bytes == held
-        budget.register("peer", lambda nbytes: 0)
-        budget.charge("peer", capacity - held // 2)  # overflows: the manager unlinks the index
-        assert manager.cracker_for("u") is None
-        assert manager.index_bytes == 0 and budget.used_bytes == capacity - held // 2
-        budget.release("peer", capacity)
-        selection = manager.select_rowids("u", None, paged, predicate)
-        assert np.array_equal(selection.rowids, brute(data, predicate))
-        assert manager.cracker_for("u")._sorted is not None
-        assert budget.used_bytes == manager.index_bytes == held
-
     def test_concurrent_lookups_survive_reclaims_exactly(self, tmp_path):
-        """Selections, refinements and budget reclaims race on one shared
-        paged index: reclaims unlink it and lookups rebuild it, every answer
-        stays exact, and the budget ends holding exactly the bytes the
-        manager records — no phantom bytes from a settle racing a reclaim
-        of the same bytes."""
+        """Selections and refinements race a thread that keeps unlinking
+        the shared paged index: lookups in flight finish on their own
+        reference, the next ones rebuild the permutation, and every answer
+        stays exact."""
         import sys
 
         data, paged = self.uniform(tmp_path, 20_000)
-        capacity = 1 << 20
-        budget = MemoryBudget(capacity_bytes=capacity)
-        manager = IndexManager(budget=budget)
-        budget.register("peer", lambda nbytes: 0)
+        manager = IndexManager()
         errors: list[Exception] = []
 
         def select(seed: int) -> None:
@@ -356,8 +332,7 @@ class TestPagedPermutation:
 
         def squeeze() -> None:
             while selecting.is_set():
-                budget.charge("peer", capacity)  # overflows: the index sheds
-                budget.release("peer", capacity)
+                manager.clear()  # unlinks the index under the selectors
 
         selectors = [threading.Thread(target=select, args=(s,)) for s in range(5)]
         squeezer = threading.Thread(target=squeeze)
@@ -375,7 +350,8 @@ class TestPagedPermutation:
         assert not any(thread.is_alive() for thread in (*selectors, squeezer))
         assert errors == []
         assert manager.stats_snapshot()["cracks_performed"] == 0
-        assert budget.used_bytes == manager.index_bytes
+        assert manager.stats.crackers_dropped > 0  # dropped permutations were rebuilt
+        assert manager.stats_snapshot()["cracker_bytes"] == manager.index_bytes
 
 
 class TestManagerLifecycle:
@@ -438,23 +414,6 @@ class TestManagerLifecycle:
         assert manager.clear() == 1
         assert manager.tracked_keys == []
         assert manager.index_bytes == 0
-
-    def test_budget_charge_and_reclaim(self):
-        budget = MemoryBudget(capacity_bytes=1 << 20)
-        manager = IndexManager(budget=budget)
-        data = np.arange(30_000, dtype=np.int64)  # cracker ~ 480 KB
-        predicate = Predicate(Comparison.LT, 1000)
-        manager.select_rowids("a", None, Column("a", data), predicate)
-        charged = budget.used_bytes
-        assert charged >= data.size * 16
-        # a second cracker overflows the budget: the LRU one is reclaimed
-        manager.select_rowids("b", None, Column("b", data.copy()), predicate)
-        manager.select_rowids("c", None, Column("c", data.copy()), predicate)
-        assert manager.stats.crackers_dropped >= 1
-        assert budget.used_bytes <= (1 << 20) + data.size * 16
-        # dropped state rebuilds transparently and stays correct
-        selection = manager.select_rowids("a", None, Column("a", data), predicate)
-        assert np.array_equal(selection.rowids, np.arange(1000))
 
     def test_concurrent_refinement_and_lookup_stay_exact(self, random_data):
         manager = IndexManager()

@@ -134,20 +134,17 @@ def test_cracker_window_scan_and_merge_exact(kind):
 
 
 def test_merge_charges_allocated_capacity_and_reports_rows_moved():
-    """The budget pays for the doubled buffers; merges say what they moved."""
-    from repro.core.caching import MemoryBudget
-
+    """The index bytes count the doubled buffers; merges say what they moved."""
     rng = np.random.default_rng(17)
     column = Column("c", rng.integers(0, 1_000, 10_000).astype(np.int64))
-    budget = MemoryBudget(capacity_bytes=1 << 22)
-    manager = IndexManager(budget=budget)
+    manager = IndexManager()
     for low in (100.0, 400.0, 700.0):
         manager.select_rowids(
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 150)
         )
     cracker = manager.cracker_for("c")
     pieces = cracker.num_pieces
-    assert manager.index_bytes == budget.used_bytes == cracker.size_bytes
+    assert manager.index_bytes == cracker.size_bytes
     assert cracker.size_bytes == 10_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
     moved = 0
     for batch in range(4):
@@ -161,7 +158,7 @@ def test_merge_charges_allocated_capacity_and_reports_rows_moved():
         moved += step
         assert cracker._values.base.shape[0] == cracker._rowids.base.shape[0] == 20_000
         assert cracker.size_bytes == 20_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
-        assert manager.index_bytes == budget.used_bytes == cracker.size_bytes
+        assert manager.index_bytes == cracker.size_bytes
     stats = manager.stats_snapshot()
     assert stats["rows_merged_total"] == 2_000
     assert stats["rows_moved_total"] == cracker.rows_moved_total == moved
@@ -173,12 +170,10 @@ def test_merge_charges_allocated_capacity_and_reports_rows_moved():
     assert np.array_equal(selection.rowids, _mask_rowids(full, 250.0, 650.0))
     # export copies the logical arrays, not the capacity
     assert cracker.export_state().values.shape == (12_000,)
-    # a peer that needs the room reclaims the cracker: every byte charged
-    # for it, spare capacity included, goes back
-    budget.register("peer", lambda nbytes: 0)
-    budget.charge("peer", budget.capacity_bytes)
+    # dropping the cracker drops every byte it held, spare capacity included
+    manager.clear()
     assert manager.stats.crackers_dropped == 1
-    assert budget.used_by(manager._budget_key) == 0 and manager.index_bytes == 0
+    assert manager.index_bytes == 0
 
 
 def test_extend_valid_prefix_keeps_pieces():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.scheduler import GestureScheduler, SchedulerConfig
+from repro.engine.filter import Comparison, Predicate
 from repro.errors import SnapshotError
+from repro.indexing.manager import IndexManager
 from repro.persist.background import BackgroundMaterializer
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -172,6 +174,46 @@ class TestWarmStart:
         assert hierarchy.num_levels > 1
         value, level = hierarchy.read_at(40_000, stride_hint=16)
         assert level.step == 16
+
+
+class TestReplace:
+    """A replace leaves the snapshot attachable and the store holding only
+    what the manifest names."""
+
+    def test_replacing_a_table_forgets_the_old_schema(self, root):
+        rng = np.random.default_rng(3)
+        old = Table.from_arrays(
+            "t", {"a": rng.integers(0, 1_000, 100_000), "b": rng.integers(0, 1_000, 100_000)}
+        )
+        catalog = make_catalog(root)
+        catalog.persist_table(old)
+        manager = IndexManager()
+        manager.select_rowids("t", "b", old.column("b"), Predicate(Comparison.LT, 100))
+        assert catalog.persist_index(manager) == [("t", "b")]
+        new = Table.from_arrays("t", {"a": np.arange(1_000)})
+        catalog.persist_table(new, replace=True)
+        assert catalog.index_keys() == []
+        assert list(catalog.iter_hierarchy_keys()) == [("t", "a")]
+        # the dropped attribute's base, levels and index arrays, and the
+        # levels 1k rows no longer have, are gone from the store
+        assert catalog.store.column_names == ["t/a", "t/a#s4"]
+        for snapshot in (catalog, make_catalog(root), StoreCatalog.open_read_only(root)):
+            runtime = Catalog()
+            assert snapshot.attach(runtime) == ["t"]
+            assert runtime.table("t").column_names == ["a"]
+            assert runtime.hierarchy_for("t", "a").level(1).step == 4
+
+    def test_replacing_an_indexed_column_deletes_its_index_and_levels(self, root):
+        data = np.random.default_rng(4).integers(0, 1_000, 20_000)
+        catalog = make_catalog(root)
+        catalog.persist_column(Column("c", data))
+        manager = IndexManager()
+        manager.select_rowids("c", None, Column("c", data), Predicate(Comparison.LT, 100))
+        catalog.persist_index(manager)
+        assert {"c#crk-v", "c#crk-r", "c#s4"} <= set(catalog.store.column_names)
+        catalog.persist_column(Column("c", np.arange(500)), hierarchy=False, replace=True)
+        assert catalog.store.column_names == ["c"]
+        assert np.array_equal(make_catalog(root).load_column("c").values[:], np.arange(500))
 
 
 class TestBackgroundMaterialization:
