@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,8 +265,9 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
     permutation — 2 * ceil(sqrt(n)) values — where a chunk path would visit
     every chunk.  ``clustered`` (the same values, sorted): a range holding
     about one chunk's worth of rows scans the at most two chunks the zonemap
-    keeps — 2 * 4,096 values — and holds no index state.  A count, not a
-    clock.
+    keeps — 2 * 4,096 values — and holds no index state.  The first
+    selection, which builds any permutation, allocates at most 12 bytes a
+    row (8-byte sort keys, 4-byte rowids), traced.  Counts, not a clock.
     """
     chunk_rows = 4_096
     for layout, rows in itertools.product(("uniform", "clustered"), (1_000_000, 4_000_000)):
@@ -284,7 +286,13 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
         catalog.persist_column(Column("flux", data), chunk_rows=chunk_rows, hierarchy=False)
         paged = catalog.load_column("flux")
         manager = IndexManager()
-        manager.select_rowids("flux", None, paged, predicate)  # builds any permutation
+        tracemalloc.start()
+        try:
+            manager.select_rowids("flux", None, paged, predicate)  # builds any permutation
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * rows * 1.01, f"{layout} {rows}: {peak / rows:.2f} B/row"
         warm = manager.select_rowids("flux", None, paged, predicate)
         assert np.array_equal(warm.rowids, np.nonzero(predicate.mask(data))[0])
         if layout == "clustered":

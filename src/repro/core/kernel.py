@@ -772,9 +772,10 @@ class DbTouchKernel:
         only the chunks its zonemap keeps; where the zonemap cannot prune
         (a column not clustered on the key offers more than
         ``SCAN_MAX_CHUNKS`` candidate chunks) it answers instead from one
-        value-sorted rowid permutation, built by the first such selection:
-        each later one inspects at most two runs of ⌈√n⌉ rows, so its cost
-        follows the result, not the column.
+        value-sorted rowid permutation, built by the first such selection
+        with one sort (of packed ``(value, rowid)`` keys on an integer
+        column, at most 12 bytes a row): each later one inspects at most two
+        runs of ⌈√n⌉ rows, so its cost follows the result, not the column.
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected

@@ -16,13 +16,15 @@ chosen by how far the column's persisted zonemap prunes it:
 * **One value-sorted permutation where the zonemap cannot prune.**  More
   candidates (every range over a column not clustered on the key) answer
   from one column-level rowid permutation in value order, built by the
-  first such lookup with one ``np.argsort`` and cut into runs of ⌈√n⌉
-  rowids fenced by their real first/last values: interior runs are taken
-  whole, at most two boundary runs are filtered by gathering their values,
-  so the cost follows the result, not the column.  Rows merged after the
-  build are scanned as a gap until it outgrows
-  :data:`PERMUTATION_GAP_SHARE` of the sorted rows; the next such lookup
-  then rebuilds.
+  first such lookup and cut into runs of ⌈√n⌉ rowids fenced by their real
+  first/last values.  An integer column whose zonemap range packs beside
+  the rowid bits is ordered by one in-place sort of ``uint64``
+  ``(value, rowid)`` keys, which yields the stable order; any other takes
+  one ``np.argsort``.  Interior runs are taken whole, at most two boundary
+  runs are filtered by gathering their values, so the cost follows the
+  result, not the column.  Rows merged after the build are scanned as a
+  gap until it outgrows :data:`PERMUTATION_GAP_SHARE` of the sorted rows;
+  the next such lookup then rebuilds.
 
 Both answers make the comparison ``Predicate.mask`` makes, in the
 column's native dtype, so they agree with it bit for bit.  Refinement
@@ -34,7 +36,7 @@ rebuilds it.
 off the column's read-only memmap and append tail (``column.raw_slice``,
 and ``column.read_batch`` gathers) and *bypasses* the store's
 ``ChunkCache``: a scan of up to :data:`SCAN_MAX_CHUNKS` chunks, or a
-whole-column ``argsort``, read once through the cache would evict the
+whole-column sort, read once through the cache would evict the
 chunks the gestures' summary windows keep coming back to.
 """
 
@@ -191,25 +193,55 @@ class PagedCrackerIndex(Cracker):
         """The permutation, (re)built when missing or when the rows merged
         past it outgrow :data:`PERMUTATION_GAP_SHARE` of it.
 
-        One ``np.argsort`` straight off ``raw_slice``, which never evicts the
-        gestures' chunks.  argsort parks NaN rows last, where they are cut
-        off — no range holds a NaN.
+        Read straight off ``raw_slice``, which never evicts the gestures'
+        chunks.  An integer column whose zonemap range fits in ``64 - bits``
+        bits (``bits`` those of the largest rowid) sorts packed ``uint64``
+        keys ``(value - lo) << bits | rowid`` in place — one vectorised
+        sort, ties in rowid order, so the permutation equals a stable
+        argsort.  The base and the tail are concatenated straight into the
+        keys, the rowids are masked back out into the ``uint32`` buffer
+        that supplied them, and only the fence keys are decoded: 12 bytes a
+        row at the peak.  Any other column takes one ``np.argsort``, which
+        parks NaN rows last, where they are cut off — no range holds a NaN.
         """
         runs, covered = self._sorted, self._num_rows
         if runs is not None and covered - runs.covered <= runs.covered * PERMUTATION_GAP_SHARE:
             return runs
-        values = np.asarray(self.column.raw_slice(0, covered))
-        order = np.argsort(values)
-        if np.issubdtype(values.dtype, np.floating):
-            order = order[: covered - int(np.count_nonzero(np.isnan(values)))]
+        column, bits = self.column, (covered - 1).bit_length()
+        dtype = column.dtype.numpy_dtype
+        lo, hi = column.min(), column.max()  # the zonemap: a superset, no data read
+        if dtype.kind in "iu" and covered < 2**31 and int(hi) - int(lo) < 1 << (64 - bits):
+            split, offset = min(column.base_rows, covered), np.uint64(int(lo) % 2**64)
+            parts = [column.raw_slice(0, split), column.raw_slice(split, covered)]
+            keys = np.concatenate(parts, dtype=np.uint64, casting="unsafe")
+            keys -= offset
+            keys <<= bits
+            order = np.arange(covered, dtype=np.uint32)
+            keys |= order
+            keys.sort()
+            np.bitwise_and(keys, (1 << bits) - 1, out=order, casting="unsafe")
+            order = order.view(np.int32)
+
+            def fence(at: np.ndarray) -> np.ndarray:
+                return ((keys[at] >> bits) + offset).astype(dtype)
+
+        else:
+            values = np.asarray(column.raw_slice(0, covered))
+            order = np.argsort(values)
+            if np.issubdtype(values.dtype, np.floating):
+                order = order[: covered - int(np.count_nonzero(np.isnan(values)))]
+
+            def fence(at: np.ndarray) -> np.ndarray:
+                return values[order[at]]
+
         n = int(order.size)
         run_rows = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
         starts = np.arange(0, n, run_rows)
         self._sorted = _SortedRuns(
-            rowids=order.astype(np.int32 if covered < 2**31 else np.int64),
+            rowids=order.astype(np.int32 if covered < 2**31 else np.int64, copy=False),
             run_rows=run_rows,
-            lows=values[order[starts]],
-            highs=values[order[np.minimum(starts + run_rows, n) - 1]],
+            lows=fence(starts),
+            highs=fence(np.minimum(starts + run_rows, n) - 1),
             covered=covered,
         )
         return self._sorted

@@ -15,6 +15,7 @@ import inspect
 import math
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.persist.snapshot import StoreCatalog
 from repro.service import LocalExplorationService, MultiSessionServer, SchedulerConfig
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
+from repro.storage.dtypes import INT32
 from repro.storage.table import Table
 from repro.touchio.device import DeviceProfile
 
@@ -302,6 +304,68 @@ class TestPagedPermutation:
         select()
         assert cracker._sorted is not built and cracker._sorted.covered == 22_700
         assert cracker.cracks_performed == 0
+
+    @pytest.mark.parametrize(
+        "kind", ["int64 heavy ties", "int64 negative", "int32", "int64 at the packing limit"]
+    )
+    def test_the_packed_build_is_the_stable_order(self, tmp_path, kind):
+        """An integer column whose zonemap range packs beside the rowid bits
+        is sorted as (value, rowid) keys: ties come out in rowid order, so
+        the permutation is exactly the stable argsort, and the fences decoded
+        from the keys are the values at each run's first and last rowid."""
+        rows, rng = 200_000, np.random.default_rng(29)
+        bits = (rows - 1).bit_length()
+        dtype = None
+        if kind == "int64 heavy ties":
+            data = rng.integers(0, 1_000, size=rows)
+        elif kind == "int64 negative":
+            data = rng.integers(-500_000, 500_000, size=rows)
+        elif kind == "int32":
+            data, dtype = rng.integers(-(2**31), 2**31, size=rows, dtype=np.int32), INT32
+        else:
+            data = rng.integers(-(2**45), 2**45, size=rows)
+            data[7], data[11] = -(2**45), 2**45 - 1
+            assert int(data.max()) - int(data.min()) == 2 ** (64 - bits) - 1
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
+        catalog.persist_column(Column("u", data, dtype=dtype), chunk_rows=256, hierarchy=False)
+        paged = catalog.load_column("u")
+        manager = IndexManager()
+        low, high = np.quantile(data, [0.4, 0.45])
+        predicate = Predicate(Comparison.BETWEEN, float(low), upper=float(high))
+        selection = manager.select_rowids("u", None, paged, predicate)
+        assert np.array_equal(selection.rowids, brute(data, predicate))
+        runs = manager.cracker_for("u")._sorted
+        assert np.array_equal(runs.rowids, np.argsort(data, kind="stable"))
+        starts = np.arange(0, rows, runs.run_rows)
+        lasts = np.minimum(starts + runs.run_rows, rows) - 1
+        assert runs.lows.dtype == runs.highs.dtype == data.dtype
+        assert np.array_equal(runs.lows, data[runs.rowids[starts]])
+        assert np.array_equal(runs.highs, data[runs.rowids[lasts]])
+
+    def test_a_rebuild_over_merged_appends_holds_twelve_bytes_a_row(self, tmp_path):
+        """The rebuild past ``PERMUTATION_GAP_SHARE`` packs base and tail
+        straight into its keys: no int64 copy of the column sits beside the
+        sort (20 bytes a row when it did)."""
+        rows, rng = 1_000_000, np.random.default_rng(31)
+        data = rng.integers(0, 1_000_000, size=rows)
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
+        catalog.persist_column(Column("u", data), chunk_rows=4_096, hierarchy=False)
+        paged = catalog.load_column("u")
+        manager = IndexManager()
+        predicate = Predicate(Comparison.BETWEEN, 420_000, upper=430_000)
+        manager.select_rowids("u", None, paged, predicate)  # the first build
+        paged.append_batch(rng.integers(0, 1_000_000, size=rows // 8))
+        manager.extend_valid_prefix("u")
+        assert manager.merge_tails("u") == rows // 8
+        tracemalloc.start()
+        try:
+            selection = manager.select_rowids("u", None, paged, predicate)  # rebuilds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manager.cracker_for("u")._sorted.covered == len(paged)
+        assert np.array_equal(selection.rowids, brute(np.asarray(paged.values), predicate))
+        assert peak <= 12 * len(paged) * 1.01
 
     def test_concurrent_lookups_survive_reclaims_exactly(self, tmp_path):
         """Selections and refinements race a thread that keeps unlinking

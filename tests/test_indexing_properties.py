@@ -249,7 +249,9 @@ def test_paged_cracker_scans_the_chunks_a_clustered_zonemap_keeps(seed, tmp_path
     assert index.cracks_performed == 0
 
 
-@pytest.mark.parametrize("kind", ["int64 around 2**53", "float64 with NaN and inf"])
+@pytest.mark.parametrize(
+    "kind", ["int64 around 2**53", "float64 with NaN and inf", "int64 spanning 2**62"]
+)
 def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
     """Both answers of the paged index agree with ``Predicate.mask`` for
     every comparison: a sorted column whose every range keeps at most
@@ -262,10 +264,14 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
     from repro.persist.diskstore import DiskColumnStore
 
     rng = np.random.default_rng(17)
-    if kind.startswith("int64"):
+    if kind == "int64 around 2**53":
         # float64 cannot tell 2**53 from 2**53 + 1: the native comparison must
         data = 2**53 + rng.integers(-300, 300, size=6_000)
         operands = [float(2**53), float(2**53 - 1), float(2**53 + 2), 2.0**53 - 400, 2.0**53 + 400]
+    elif kind == "int64 spanning 2**62":
+        # too wide to pack beside the rowid bits: the permutation is an argsort
+        data = rng.integers(-(2**62), 2**62, size=6_000)
+        operands = [-1e18, -3.5, 0.0, 1e18, 2.0**61]
     else:
         data = rng.uniform(-100.0, 100.0, size=6_000)
         data[rng.random(6_000) < 0.1] = np.nan
