@@ -1,22 +1,22 @@
-"""E-adaptive-indexing: gesture-cracked selections versus full scans.
+"""E-adaptive-indexing: indexed selections versus full scans.
 
 The adaptive tier's contract has two halves, and this benchmark measures
 both on the same workload:
 
 * **Bit-identical gestures** — replaying the same filtered slides with
   indexing enabled and disabled produces exactly the same deterministic
-  ``GestureOutcome`` counters (refinement is a side effect, never a
+  ``GestureOutcome`` counters (the index is a side effect, never a
   result change);
 * **Repeated range predicates get cheap** — repeated ``select_where``
-  range queries answer from cracked pieces (in-memory, cracked by the
-  gestures) or from a scan of the chunks the zonemap keeps (an
-  out-of-core paged column clustered on the key) at least
+  range queries answer from the value-sorted permutation (in-memory,
+  built by the first selection) or from a scan of the chunks the zonemap
+  keeps (an out-of-core paged column clustered on the key) at least
   ``MIN_SPEEDUP``x faster than the full scans the indexing-disabled
   reference runs, while returning bit-identical rowids.
 
-A third benchmark locks down the coalescing contract: a 10,000-predicate
-session keeps the piece count bounded by the coalescing cap instead of
-growing one piece per distinct predicate.
+A third benchmark locks down the footprint: a 10,000-predicate session
+builds one index whose bytes do not grow with the number of distinct
+predicates.
 
 Headline numbers land in ``benchmark.extra_info``.
 """
@@ -24,6 +24,7 @@ Headline numbers land in ``benchmark.extra_info``.
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -79,7 +80,7 @@ def gesture_fingerprint(outcome) -> tuple:
 
 
 def drive_gestures(session: ExplorationSession, view) -> list[tuple]:
-    """A few filtered slides over the hot ranges (these crack the index)."""
+    """A few filtered slides over the hot ranges (they leave the index alone)."""
     fingerprints = []
     for low, high in HOT_RANGES:
         session.choose_action(
@@ -107,7 +108,7 @@ def compare_backends(indexed: ExplorationSession, reference: ExplorationSession,
     reference_fp = drive_gestures(reference, view_name)
     assert indexed_fp == reference_fp, "indexing changed gesture outcome counters"
 
-    # warm-up consult: the first indexed query pays any residual cracking
+    # warm-up consult: the first indexed query pays the permutation's build
     for predicate in hot_predicates():
         indexed.select_where(view_name, predicate)
 
@@ -138,7 +139,7 @@ def in_memory_run():
         last = results[-1]
         stats = indexed.kernel.index_manager.stats_snapshot()
         return {
-            "indexed (cracked pieces)": {
+            "indexed (sorted runs)": {
                 "seconds": indexed_s,
                 "rows_scanned_last": float(last.rows_scanned),
             },
@@ -192,8 +193,9 @@ def paged_run(tmp_path_factory):
 
 
 def test_adaptive_indexing_speedup_in_memory(benchmark, in_memory_run):
-    """Cracked in-memory selections answer from pieces, bit-identically;
-    the speedup is reported here and gated by the ``_gate`` test."""
+    """In-memory selections answer from the value-sorted permutation,
+    bit-identically; the speedup is reported here and gated by the
+    ``_gate`` test."""
     comparison, speedup, strategy, stats = benchmark.pedantic(
         in_memory_run, rounds=1, iterations=1
     )
@@ -201,14 +203,13 @@ def test_adaptive_indexing_speedup_in_memory(benchmark, in_memory_run):
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["strategy"] = strategy
     benchmark.extra_info["queries_timed"] = REPEATS * len(HOT_RANGES)
-    benchmark.extra_info["piece_count"] = stats["piece_count"]
-    benchmark.extra_info["cracks_performed"] = stats["cracks_performed"]
-    assert strategy == "cracker"
+    benchmark.extra_info["cracker_bytes"] = stats["cracker_bytes"]
+    assert strategy == "index"
 
 
 @pytest.mark.wallclock
 def test_adaptive_indexing_speedup_in_memory_gate(in_memory_run):
-    """Cracked in-memory selections beat full scans >= 5x."""
+    """Indexed in-memory selections beat full scans >= 5x."""
     _, speedup, _, _ = in_memory_run()
     assert speedup >= MIN_SPEEDUP
 
@@ -224,9 +225,8 @@ def test_adaptive_indexing_speedup_paged(benchmark, paged_run):
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["strategy"] = strategy
     benchmark.extra_info["chunk_rows"] = CHUNK_ROWS
-    benchmark.extra_info["piece_count"] = stats["piece_count"]
     benchmark.extra_info["cracker_bytes"] = stats["cracker_bytes"]
-    assert strategy == "paged-cracker"
+    assert strategy == "index"
 
 
 @pytest.mark.wallclock
@@ -236,14 +236,14 @@ def test_adaptive_indexing_speedup_paged_gate(paged_run):
     assert speedup >= MIN_SPEEDUP
 
 
-def test_piece_count_bounded_under_predicate_storm(benchmark):
-    """10,000 distinct range predicates: coalescing caps the piece count.
+def test_index_bytes_bounded_under_predicate_storm(benchmark):
+    """10,000 distinct range predicates: one index, a fixed footprint.
 
-    Without coalescing a cracker grows up to two pieces per distinct
-    predicate; the cap keeps a long adaptive session's structure (and its
-    per-query piece-vector walk) bounded, while every answer stays exact.
+    The first selection builds the value-sorted permutation and no later
+    one adds to it, so a long adaptive session's index stays at its 4
+    bytes a row (plus ⌈√n⌉ fences of each kind), while every answer stays
+    exact.
     """
-    from repro.indexing.cracking import DEFAULT_MAX_PIECES
     from repro.indexing.manager import IndexManager
 
     rng = np.random.default_rng(113)
@@ -254,12 +254,15 @@ def test_piece_count_bounded_under_predicate_storm(benchmark):
     def run():
         manager = IndexManager()
         checked = 0
+        footprint = None
         for step in range(10_000):
             low = float(predicate_rng.uniform(0, 990_000))
             predicate = Predicate(
                 Comparison.BETWEEN, low, upper=low + float(predicate_rng.uniform(0, 10_000))
             )
             selection = manager.select_rowids("storm", None, column, predicate)
+            footprint = footprint or manager.index_bytes
+            assert manager.index_bytes == footprint
             if step % 500 == 0:  # spot-check exactness along the way
                 assert np.array_equal(
                     selection.rowids, np.nonzero(predicate.mask(data))[0]
@@ -269,9 +272,8 @@ def test_piece_count_bounded_under_predicate_storm(benchmark):
         return manager.stats_snapshot()
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["piece_count"] = stats["piece_count"]
-    benchmark.extra_info["coalesces_performed"] = stats["coalesces_performed"]
-    benchmark.extra_info["cracks_performed"] = stats["cracks_performed"]
-    assert stats["cracks_performed"] > DEFAULT_MAX_PIECES
-    assert stats["piece_count"] <= DEFAULT_MAX_PIECES
-    assert stats["coalesces_performed"] > 0
+    benchmark.extra_info["cracker_bytes"] = stats["cracker_bytes"]
+    assert stats["crackers_built"] == 1
+    run_rows = math.isqrt(len(data) - 1) + 1
+    fences = 2 * 8 * -(-len(data) // run_rows)  # an int64 low and high per run
+    assert stats["cracker_bytes"] == 4 * len(data) + fences

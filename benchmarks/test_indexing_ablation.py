@@ -2,26 +2,31 @@
 
 The paper proposes (a) maintaining a separate index per sample level, so an
 index-supported slide can be served at whatever granularity the gesture
-uses, and (b) exploiting adaptive (cracking-style) indexing, where the
-value ranges gestures restrict on progressively refine the physical
-organization.
+uses, and (b) exploiting adaptive indexing, where the columns users
+select on earn an index as a side effect.  The adaptive index here is one
+value-sorted rowid permutation per column, built by the first selection
+(Schuhknecht et al., *The Uncracked Pieces in Database Cracking*: a cheap
+sort beats cracking once its first-query cost is paid).
 
 Two ablations:
 
-* **zone-map / cracking vs full scan** — how much data must be scanned to
-  answer the same value-range selection as the user keeps issuing similar
-  range restrictions (each repetition cracks the index further);
+* **zone-map / sorted index vs full scan** — how much data must be scanned
+  to answer the same value-range selection as the user keeps issuing
+  similar range restrictions (the first one sorts the column, every later
+  one inspects at most two runs of ⌈√n⌉ rows);
 * **per-sample-level index** — an index lookup at a coarse granularity
   touches only the matching sample level, not the base data.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.indexing.cracking import CrackerIndex
 from repro.indexing.sample_index import SampleLevelIndex
+from repro.indexing.sorted_index import SortedIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.engine.filter import Comparison, Predicate
 from repro.metrics.reporting import ExperimentSeries, format_comparison
@@ -46,34 +51,38 @@ def build_column() -> Column:
     return Column("values", rng.integers(0, 1_000_000, size=ROWS, dtype=np.int64))
 
 
-def run_cracking_series(column: Column) -> ExperimentSeries:
-    """Scan cost per query as the cracker index adapts to the touched ranges."""
+def run_index_series(column: Column) -> ExperimentSeries:
+    """Values read per query by the sorted index: the first query's build
+    reads the whole column, every later lookup only its boundary runs."""
     series = ExperimentSeries(
         "E-index: values scanned per range selection",
         "query_number",
-        ["cracking_scan", "full_scan"],
+        ["index_scan", "full_scan"],
     )
-    index = CrackerIndex(column)
+    index = SortedIndex(column)
     for i, (low, high) in enumerate(RANGE_QUERIES, start=1):
-        cost_before = index.scan_cost_for_range(low, high)
-        index.rowids_in_range(low, high)  # answers the query and cracks further
-        series.add(i, cracking_scan=cost_before, full_scan=len(column))
+        built = index.size_bytes > 0
+        before = index.values_scanned_total
+        index.rowids_in_range(low, high)  # the first one sorts the column
+        read = index.values_scanned_total - before + (0 if built else len(column))
+        series.add(i, index_scan=read, full_scan=len(column))
     return series
 
 
-def test_cracking_reduces_scan_cost_query_by_query(benchmark):
-    """Each repetition of a similar range restriction scans less data."""
+def test_sorted_index_reduces_scan_cost_after_the_first_query(benchmark):
+    """Once the first range selection has sorted the column, a similar one
+    inspects at most two runs of ⌈√n⌉ rows."""
     column = build_column()
-    series = benchmark.pedantic(run_cracking_series, args=(column,), rounds=1, iterations=1)
+    series = benchmark.pedantic(run_index_series, args=(column,), rounds=1, iterations=1)
     print_series(series)
 
-    cracking = series.ys("cracking_scan")
-    # the first query scans everything (nothing is cracked yet)
-    assert cracking[0] == ROWS
-    # subsequent, similar queries scan monotonically less
-    assert series.is_monotonic_decreasing("cracking_scan")
-    # by the last query the scan cost has dropped by at least 10x
-    assert cracking[-1] * 10 <= cracking[0]
+    scanned = series.ys("index_scan")
+    # the first query reads everything (the build sorts the whole column)
+    assert scanned[0] >= ROWS
+    # every later one reads at most its two boundary runs
+    assert all(cost <= 2 * (math.isqrt(ROWS - 1) + 1) for cost in scanned[1:])
+    # a drop of far more than 10x
+    assert scanned[-1] * 10 <= scanned[0]
 
 
 def test_zone_maps_prune_sorted_data(benchmark):

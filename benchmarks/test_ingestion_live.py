@@ -1,24 +1,24 @@
 """E-live-ingestion: append throughput and hot-tail query latency.
 
 The streaming-append tier must keep exploration interactive while data
-arrives: ``append_batch`` grows a column in place, the cracked index
+arrives: ``append_batch`` grows a column in place, the value-sorted index
 keeps serving its frozen prefix through a validity window, and only the
 appended hot tail is scanned until a background merge folds it in.  Three
 properties are measured:
 
 * **Append throughput** — a session absorbing batch after batch into an
-  already-cracked column sustains a bulk ingest rate, and not one append
+  already-indexed column sustains a bulk ingest rate, and not one append
   tears the index down (``prefix_extensions`` grows, ``invalidations``
   stays zero).
 * **Hot-tail query latency** — with a fresh unmerged tail, narrow range
-  selections still answer through cracked pieces plus a tail scan and
+  selections still answer through the sorted runs plus a tail scan and
   beat the full-scan reference; after ``merge_index_tails`` the window
-  closes and selections are pure cracker again.  Results stay
-  bit-identical to brute force throughout.
-* **Size independence** — an append writes the batch and a merge moves at
-  most a tail's worth of rows per piece, whatever the column holds:
-  counted (buffer reallocations, ``rows_moved_total``), not timed, so it
-  gates tier-1.
+  closes and the merged rows are the index's scanned gap until it
+  rebuilds.  Results stay bit-identical to brute force throughout.
+* **Size independence** — an append writes the batch, a merge moves
+  nothing and a selection inspects two sorted runs plus the merged gap,
+  whatever the column holds: counted (buffer reallocations, values
+  inspected), not timed, so it gates tier-1.
 
 Headline numbers land in ``benchmark.extra_info`` (``--benchmark-json``);
 the timed comparison against a parent commit is the ledger's
@@ -28,6 +28,7 @@ the timed comparison against a parent commit is the ledger's
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.touchio.device import IPAD1_PROTOTYPE as IPAD1
 
 from conftest import print_comparison
 
-#: Rows preloaded (and cracked) before ingestion starts.
+#: Rows preloaded (and indexed) before ingestion starts.
 BASE_ROWS = 2_000_000
 #: Batches appended and rows per batch for the throughput run.
 BATCHES = 32
@@ -65,7 +66,7 @@ def make_sessions(data: np.ndarray):
     return indexed, reference
 
 
-def crack_hot_ranges(session: ExplorationSession) -> None:
+def select_hot_ranges(session: ExplorationSession) -> None:
     for low, high in HOT_RANGES:
         session.select_where("stream-view", Predicate(Comparison.BETWEEN, low, upper=high))
 
@@ -82,7 +83,7 @@ def timed_selections(session: ExplorationSession):
 
 
 def test_append_throughput_never_invalidates(benchmark):
-    """Bulk ingest into a cracked column: fast, and the index survives."""
+    """Bulk ingest into an indexed column: fast, and the index survives."""
     rng = np.random.default_rng(101)
     data = rng.integers(0, 1_000_000, size=BASE_ROWS, dtype=np.int64)
     batches = [
@@ -91,7 +92,7 @@ def test_append_throughput_never_invalidates(benchmark):
 
     def run():
         indexed, _ = make_sessions(data)
-        crack_hot_ranges(indexed)
+        select_hot_ranges(indexed)
         started = time.perf_counter()
         for batch in batches:
             indexed.append("stream", values=batch.tolist())
@@ -105,7 +106,7 @@ def test_append_throughput_never_invalidates(benchmark):
     rows_per_s = total_rows / append_s
     print_comparison(
         format_comparison(
-            "E-live-ingestion: bulk append into a cracked column",
+            "E-live-ingestion: bulk append into an indexed column",
             {
                 "ingest": {
                     "rows_appended": float(total_rows),
@@ -135,7 +136,7 @@ def hot_tail_run():
     @functools.cache
     def run():
         indexed, reference = make_sessions(data)
-        crack_hot_ranges(indexed)
+        select_hot_ranges(indexed)
         for session in (indexed, reference):
             session.append("stream", values=tail.tolist())
         window_s, window_results = timed_selections(indexed)
@@ -154,7 +155,7 @@ def hot_tail_run():
 
 
 def test_hot_tail_latency_window_vs_merged(benchmark, hot_tail_run):
-    """Unmerged tails and merged pieces both answer bit-identically to brute
+    """Unmerged tails and merged gaps both answer bit-identically to brute
     force; the latencies are reported here and gated by the ``_gate`` test."""
     window_s, merged_s, reference_s, merged = benchmark.pedantic(
         hot_tail_run, rounds=1, iterations=1
@@ -163,8 +164,8 @@ def test_hot_tail_latency_window_vs_merged(benchmark, hot_tail_run):
         format_comparison(
             "E-live-ingestion: hot-tail query latency",
             {
-                "window (pieces + tail scan)": {"seconds": window_s},
-                "merged (pieces only)": {"seconds": merged_s},
+                "window (sorted runs + tail scan)": {"seconds": window_s},
+                "merged (sorted runs + gap scan)": {"seconds": merged_s},
                 "reference (full scan)": {"seconds": reference_s},
             },
         )
@@ -185,11 +186,12 @@ def test_hot_tail_latency_window_vs_merged_gate(hot_tail_run):
 def test_ingest_cost_independent_of_column_size():
     """The same append/merge script costs the same over 250k and 2M rows.
 
-    A count, not a clock: per object at most one buffer reallocation (the
-    doubling that makes room for the whole script) and, per merge, at most
-    a tail's worth of rows relocated per piece.  An ``append_batch`` that
-    re-concatenates or a ``merge_tail`` that rewrites its arrays
-    reallocates 16 times and moves ``n`` rows a merge.
+    A count, not a clock: per column at most one buffer reallocation (the
+    doubling that makes room for the whole script), no merge rebuilds the
+    permutation, and a selection after the script inspects at most two
+    runs of ⌈√n⌉ rows plus the rows the script appended.  An
+    ``append_batch`` that re-concatenates reallocates 16 times; a merge or
+    a selection that re-sorts or scans the column reads ``n`` rows.
     """
     script_batches, script_rows = 16, 2_000
 
@@ -205,31 +207,24 @@ def test_ingest_cost_independent_of_column_size():
                 "stream", None, column, Predicate(Comparison.BETWEEN, low, upper=high)
             )
         cracker = manager.cracker_for("stream")
-        buffers = {"column": set(), "cracker values": set(), "cracker rowids": set()}
+        built, buffers = cracker._sorted, set()
         for _ in range(script_batches):
             column.append_batch(rng.integers(0, 1_000_000, size=script_rows, dtype=np.int64))
             manager.extend_valid_prefix("stream")
             assert manager.merge_tails("stream") == script_rows
-            buffers["column"].add(address(column.values))
-            buffers["cracker values"].add(address(cracker._values))
-            buffers["cracker rowids"].add(address(cracker._rowids))
+            assert cracker._sorted is built  # a merge advances the window, nothing more
+            buffers.add(address(column.values))
         low, high = HOT_RANGES[0]
         selection = manager.select_rowids(
             "stream", None, column, Predicate(Comparison.BETWEEN, low, upper=high)
         )
         values = column.values
         assert np.array_equal(selection.rowids, np.nonzero((values >= low) & (values <= high))[0])
-        stats = manager.stats_snapshot()
-        return {name: len(seen) for name, seen in buffers.items()}, stats, cracker.num_pieces
+        return len(buffers), manager.stats_snapshot(), selection.rows_scanned, len(column)
 
-    small_buffers, small, pieces = run(250_000)
-    large_buffers, large, large_pieces = run(BASE_ROWS)
-    assert pieces == large_pieces == 2 * len(HOT_RANGES) + 1
-    # one buffer per object after the first growth, at either size
-    assert small_buffers == large_buffers == dict.fromkeys(small_buffers, 1)
-    per_script = script_batches * pieces * script_rows
-    for stats in (small, large):
+    for rows in (250_000, BASE_ROWS):
+        buffers, stats, scanned, n = run(rows)
+        assert buffers == 1  # one column buffer after the first growth
         assert stats["tail_merges"] == script_batches
         assert stats["rows_merged_total"] == script_batches * script_rows
-        assert script_batches * script_rows <= stats["rows_moved_total"] <= per_script
-    assert large["rows_moved_total"] <= BASE_ROWS // 4
+        assert scanned <= 2 * (math.isqrt(n - 1) + 1) + script_batches * script_rows

@@ -257,20 +257,25 @@ def test_out_of_core_chunk_cache_hit_rate(benchmark, dataset):
 
 
 def test_paged_select_cost_independent_of_column_size(tmp_path):
-    """A warm selection over a paged column inspects what its answer needs,
-    at 1M rows as at 4M, and cracks nothing — on both layouts.
+    """A warm selection inspects what its answer needs, at 1M rows as at
+    4M — on every layout.
 
-    ``uniform``: the zonemap cannot prune a column not clustered on the key,
-    so a 1 %-wide range inspects at most two runs of the value-sorted
-    permutation — 2 * ceil(sqrt(n)) values — where a chunk path would visit
-    every chunk.  ``clustered`` (the same values, sorted): a range holding
-    about one chunk's worth of rows scans the at most two chunks the zonemap
-    keeps — 2 * 4,096 values — and holds no index state.  The first
-    selection, which builds any permutation, allocates at most 12 bytes a
-    row (8-byte sort keys, 4-byte rowids), traced.  Counts, not a clock.
+    ``uniform``: the zonemap cannot prune a paged column not clustered on
+    the key, so a 1 %-wide range inspects at most two runs of the
+    value-sorted permutation — 2 * ceil(sqrt(n)) values — where a chunk
+    path would visit every chunk.  ``clustered`` (the same values, sorted):
+    a range holding about one chunk's worth of rows scans the at most two
+    chunks the zonemap keeps — 2 * 4,096 values — and holds no index state.
+    ``in_memory`` (the uniform values as a plain ``Column``, which has no
+    zonemap): the permutation answers, and after n/32 rows are appended and
+    merged a selection inspects the two runs plus that merged gap.  The
+    first selection, which builds any permutation, allocates at most 12
+    bytes a row (8-byte sort keys, 4-byte rowids), traced.  Counts, not a
+    clock.
     """
     chunk_rows = 4_096
-    for layout, rows in itertools.product(("uniform", "clustered"), (1_000_000, 4_000_000)):
+    layouts = ("uniform", "clustered", "in_memory")
+    for layout, rows in itertools.product(layouts, (1_000_000, 4_000_000)):
         data = np.random.default_rng(rows).integers(0, 1_000_000, rows)
         if layout == "clustered":
             data = np.sort(data)
@@ -279,28 +284,41 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
             predicate = Predicate(Comparison.BETWEEN, 420_000.5, upper=420_000.5 + width)
         else:
             predicate = Predicate(Comparison.BETWEEN, 420_000.0, upper=430_000.0)
-        catalog = StoreCatalog(
-            DiskColumnStore(tmp_path / f"{layout}{rows}", cache_bytes=CACHE_BYTES)
-        )
-        # 4,096-row chunks: a uniform range offers all 245 / 977 of them
-        catalog.persist_column(Column("flux", data), chunk_rows=chunk_rows, hierarchy=False)
-        paged = catalog.load_column("flux")
+        if layout == "in_memory":
+            column = Column("flux", data)
+        else:
+            catalog = StoreCatalog(
+                DiskColumnStore(tmp_path / f"{layout}{rows}", cache_bytes=CACHE_BYTES)
+            )
+            # 4,096-row chunks: a uniform range offers all 245 / 977 of them
+            catalog.persist_column(Column("flux", data), chunk_rows=chunk_rows, hierarchy=False)
+            column = catalog.load_column("flux")
         manager = IndexManager()
         tracemalloc.start()
         try:
-            manager.select_rowids("flux", None, paged, predicate)  # builds any permutation
+            manager.select_rowids("flux", None, column, predicate)  # builds any permutation
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 12 * rows * 1.01, f"{layout} {rows}: {peak / rows:.2f} B/row"
-        warm = manager.select_rowids("flux", None, paged, predicate)
+        warm = manager.select_rowids("flux", None, column, predicate)
         assert np.array_equal(warm.rowids, np.nonzero(predicate.mask(data))[0])
+        runs = 2 * (math.isqrt(rows - 1) + 1)  # two runs of ceil(sqrt(n)) rows
         if layout == "clustered":
             assert warm.rows_scanned <= 2 * chunk_rows
             assert manager.cracker_for("flux").size_bytes == 0
         else:
-            assert warm.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)
-        assert manager.stats_snapshot()["cracks_performed"] == 0
+            assert warm.rows_scanned <= runs
+        if layout == "in_memory":
+            appended = np.random.default_rng(rows + 1).integers(0, 1_000_000, rows // 32)
+            column.append_batch(appended)
+            manager.extend_valid_prefix("flux")
+            assert manager.merge_tails("flux") == rows // 32
+            merged = manager.select_rowids("flux", None, column, predicate)
+            grown = np.concatenate([data, appended])
+            assert np.array_equal(merged.rowids, np.nonzero(predicate.mask(grown))[0])
+            assert merged.rows_scanned <= runs + rows // 32
+        assert manager.stats_snapshot()["crackers_built"] == 1
 
 
 def cold_start_from_csv(csv_path: Path) -> Table:

@@ -3,20 +3,24 @@
 The dbTouch promise does not pause for the data to finish loading.  This
 example walks the whole streaming-append story on one session:
 
-1. **load and explore** — show a sensor column, crack it with a few
-   range selections (adaptive indexing as a gesture side effect);
+1. **load and explore** — show a sensor column and run a few range
+   selections: the first sorts the column once into a value-sorted rowid
+   permutation (adaptive indexing as a side effect of what is touched),
+   every later one reads two runs of it;
 2. **append mid-session** — new readings land via
    :meth:`repro.ExplorationSession.append` (a recorded, replayable
-   gesture command).  The cracked index is *not* thrown away: its pieces
-   keep answering for the frozen prefix through a validity window while
+   gesture command).  The index is *not* thrown away: its permutation
+   keeps answering for the frozen prefix through a validity window while
    the appended hot tail is scanned;
-3. **merge the tail** — fold the tail into the cracked pieces (on a
-   server this runs on the background lane; here we call it directly)
-   and watch the window close;
-4. **compact and re-attach** — persist the column and its cracker, append
-   more rows, fold the in-memory tail into the chunk files with
+3. **merge the tail** — advance the window over the tail (on a server this
+   runs on the background lane; here we call it directly).  The merged
+   rows are now a gap the index scans; this batch is more than 1/16 of
+   the sorted rows, so the next selection re-sorts the grown column;
+4. **compact and re-attach** — persist the column and its permutation
+   (one ``sensor#perm`` store column), append more rows, fold the
+   in-memory tail into the chunk files with
    :meth:`repro.StoreCatalog.compact_appends`, and warm-restart from the
-   snapshot with every appended row present: the persisted cracker is
+   snapshot with every appended row present: the persisted permutation is
    adopted as a prefix window over the grown column and still answers
    exactly.
 
@@ -24,8 +28,10 @@ Run it with::
 
     python examples/live_ingestion.py
 
-It exits non-zero if the warm restart does not adopt the cracker or a
-selection on the grown column differs from a full scan.
+It exits non-zero if the snapshot holds anything but one ``sensor#perm``
+index column, if the warm restart does not adopt the permutation as a
+prefix window, or if a selection on the grown column differs from a full
+scan.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from repro import (
 )
 from repro.engine.filter import Comparison, Predicate
 
-BASE_ROWS = 500_000
+BASE_ROWS = 200_000
 BATCH_ROWS = 20_000
 
 
@@ -55,12 +61,12 @@ def fresh_readings(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def window_report(manager: IndexManager, name: str) -> str:
-    cracker = manager.cracker_for(name)
-    if cracker is None:
-        return "no cracker yet"
+    index = manager.cracker_for(name)
+    if index is None:
+        return "no index yet"
     return (
-        f"{cracker.num_pieces} pieces over rows [0, {cracker.covered_rows:,}), "
-        f"hot tail: {cracker.tail_rows:,} rows"
+        f"{index.size_bytes:,} bytes, valid over rows [0, {index.covered_rows:,}), "
+        f"hot tail: {index.tail_rows:,} rows"
     )
 
 
@@ -68,7 +74,7 @@ def main() -> int:
     rng = np.random.default_rng(11)
 
     # ---------------------------------------------------------------- #
-    # 1. load and explore: selections crack the column
+    # 1. load and explore: the first selection sorts the column once
     # ---------------------------------------------------------------- #
     session = ExplorationSession()
     live_index = session.kernel.index_manager
@@ -84,7 +90,7 @@ def main() -> int:
     print(f"index after exploring : {window_report(live_index, 'sensor')}")
 
     # ---------------------------------------------------------------- #
-    # 2. rows arrive mid-session: the index keeps its pieces
+    # 2. rows arrive mid-session: the index keeps its permutation
     # ---------------------------------------------------------------- #
     new_length = session.append("sensor", values=fresh_readings(rng, BATCH_ROWS).tolist())
     print(f"\nappended {BATCH_ROWS:,} rows -> column holds {new_length:,}")
@@ -92,26 +98,39 @@ def main() -> int:
     selection = session.select_where(view.name, hot)
     print(
         f"hot range still exact : {len(selection.rowids):,} rows "
-        f"(pieces answer the prefix, the tail is scanned)"
+        f"(sorted runs answer the prefix, the tail is scanned)"
     )
 
     # ---------------------------------------------------------------- #
-    # 3. fold the hot tail into the cracked pieces
+    # 3. merge the hot tail into the window; the next selection re-sorts
     # ---------------------------------------------------------------- #
     merged = session.service.merge_index_tails()
-    print(f"\nmerged {merged:,} tail rows into the cracker")
+    print(f"\nmerged {merged:,} tail rows into the index's window")
     print(f"index after merge     : {window_report(live_index, 'sensor')}")
+    selection = session.select_where(view.name, hot)
+    print(
+        f"hot range after merge : {len(selection.rowids):,} rows, "
+        f"scanned {selection.rows_scanned:,} (the permutation was re-sorted)"
+    )
 
     # ---------------------------------------------------------------- #
     # 4. persist, append onto the paged column, compact, re-attach warm
     # ---------------------------------------------------------------- #
     with tempfile.TemporaryDirectory(prefix="dbtouch-ingest-") as root:
         catalog = StoreCatalog(DiskColumnStore(Path(root)))
+        # 1,024-row chunks: the zonemap of an unclustered column keeps every
+        # one of them, so restarted selections read the adopted permutation
         catalog.persist_column(
-            Column("sensor", np.asarray(session.catalog.column("sensor").values))
+            Column("sensor", np.asarray(session.catalog.column("sensor").values)),
+            chunk_rows=1_024,
         )
         persisted = catalog.persist_index(live_index)
-        print(f"\npersisted crackers    : {persisted}")
+        index_columns = [name for name in catalog.store.column_names if "#" in name]
+        index_columns = [name for name in index_columns if "#s" not in name]
+        print(f"\npersisted indexes     : {persisted}, store columns {index_columns}")
+        if index_columns != ["sensor#perm"]:
+            print("FAILED: the snapshot is not one sensor#perm column", file=sys.stderr)
+            return 1
         paged = catalog.load_column("sensor")
         paged.append_batch(fresh_readings(rng, BATCH_ROWS))
         print(
@@ -131,10 +150,10 @@ def main() -> int:
         )
         manager = IndexManager()
         adopted = warm.attach_index(manager, runtime)
-        print(f"adopted crackers      : {adopted}, {window_report(manager, 'sensor')}")
-        cracker = manager.cracker_for("sensor")
-        if adopted != [("sensor", None)] or cracker.tail_rows != BATCH_ROWS:
-            print("FAILED: the cracker was not adopted as a prefix window", file=sys.stderr)
+        print(f"adopted indexes       : {adopted}, {window_report(manager, 'sensor')}")
+        index = manager.cracker_for("sensor")
+        if adopted != [("sensor", None)] or index.tail_rows != BATCH_ROWS:
+            print("FAILED: the permutation was not adopted as a prefix window", file=sys.stderr)
             return 1
         selection = manager.select_rowids("sensor", None, reopened, hot)
         expected = np.nonzero(hot.mask(np.asarray(reopened.values)))[0]

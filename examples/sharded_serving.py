@@ -16,8 +16,7 @@ The walk-through:
   session drives a :class:`repro.serving.ShardedClient` exactly the way
   it drives an in-process service,
 * append rows to a session-private column over the same wire — an append
-  is a gesture command like any other — and watch the shard fold the
-  appended tail into its cracked index in the background,
+  is a gesture command like any other — and see the next slide read them,
 * read the fleet-wide ``stats`` aggregation, then drain and shut down.
 
 Run it with::
@@ -115,7 +114,7 @@ def main() -> None:
                 session.show_column("readings", view_name="r", height_cm=10.0)
                 hot = Predicate(Comparison.BETWEEN, 40.0, upper=60.0)
                 session.choose_action("r", scan_action(hot))
-                session.slide("r", duration=1.0)  # cracks the index on "readings"
+                session.slide("r", duration=1.0)
                 rows = session.append("readings", values=rng.uniform(0.0, 100.0, 500))
                 after = session.slide("r", duration=1.0)
                 print(
@@ -127,10 +126,6 @@ def main() -> None:
                 # fleet-wide stats, aggregated across every worker
                 # ---------------------------------------------------- #
                 stats = wire.stats()
-                print(
-                    "background tail merges the shard has run since the append: "
-                    f"{int(stats['index']['tail_merges'])}"
-                )
                 print(
                     f"\nfleet: workers alive {stats['alive_workers']}, "
                     f"sessions {sorted(stats['sessions'])}"

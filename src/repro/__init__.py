@@ -52,9 +52,9 @@ Subpackages
 ``repro.engine``
     Touch-driven operators: scans, aggregates, filters, joins, group-by.
 ``repro.indexing``
-    Zone maps, per-sample-level indexes, touch-driven cracking and the
-    adaptive :class:`~repro.indexing.manager.IndexManager` tier refined
-    by gestures and consulted by bulk range selections.
+    Zone maps, per-sample-level indexes, the value-sorted index and the
+    adaptive :class:`~repro.indexing.manager.IndexManager` tier that
+    builds one per column consulted by bulk range selections.
 ``repro.baseline``
     The monolithic "traditional DBMS" comparison engine.
 ``repro.remote``

@@ -45,11 +45,10 @@ reproduce bit-exactly), a SUMMARY gesture's window sizes, and with them
 per-touch loop's touch-by-touch shrinking would have produced.  Counter
 parity is exact whenever the budget is honored.
 
-Adaptive-index *refinement* is not part of batch execution: the kernel
-cracks the touched column around a qualifying gesture's predicate bounds
-only after this executor (or the reference loop) has fully produced the
-outcome, so the counters above are bit-identical whether the indexing
-tier is enabled or not — the invariant the differential gesture harness
+The adaptive index is not part of batch execution: no gesture builds or
+refines it (bulk ``select_where`` calls build it), so the counters above
+are bit-identical whether the indexing tier is enabled or not — the
+invariant the differential gesture harness
 (``tests/test_differential_gestures.py``) replays seeded scripts to lock
 down.  Slides never *consult* the index either: a select-where slide
 reads its where-values with the same ``read_batch`` every other slide

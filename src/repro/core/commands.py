@@ -351,7 +351,7 @@ class AppendCommand(GestureCommand):
     any column grows.  Values travel as JSON numbers, which restricts
     wire-borne appends to finite numerics.  On a serving host
     (:class:`repro.service.MultiSessionServer`, and so every shard worker)
-    the cracked-index tail merge follows on the background lane; on a bare
+    the index tail merge follows on the background lane; on a bare
     service it is the caller's (``merge_index_tails``).
     """
 

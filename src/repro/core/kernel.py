@@ -92,22 +92,20 @@ class KernelConfig:
         attribute-dependent table scans.
     enable_indexing:
         Maintain the adaptive indexing tier
-        (:class:`repro.indexing.manager.IndexManager`): every slide whose
-        action carries a range-shaped predicate refines the touched
-        column's cracker index as a side effect (outside the outcome
-        accounting, so ``GestureOutcome`` counters are bit-identical with
-        indexing on or off), and bulk :meth:`DbTouchKernel.select_where`
-        queries consult it instead of scanning the whole column.  On by
-        default.
+        (:class:`repro.indexing.manager.IndexManager`): bulk
+        :meth:`DbTouchKernel.select_where` queries consult the touched
+        column's value-sorted index — built by the first of them — instead
+        of scanning the whole column.  Gestures never touch it, so
+        ``GestureOutcome`` counters are bit-identical with indexing on or
+        off.  On by default.
     index_manager:
         Optional pre-built :class:`~repro.indexing.manager.IndexManager`
         to use instead of a kernel-private one — the sharing hook for
         serving deployments where many sessions explore the same base
-        storage by reference and should split one set of cracked indexes
-        (see ``MultiSessionServer(shared_index=...)``).  Ignored when
+        storage by reference and should split one set of indexes (see
+        ``MultiSessionServer(shared_index=...)``).  Ignored when
         ``enable_indexing`` is off.  Also the way to set the manager's
-        own knobs, e.g. ``IndexManager(stochastic=True, crack_seed=...)``
-        for seeded MDD1R stochastic cracking.
+        one knob, ``IndexManager(max_crackers=...)``.
     speculation:
         Optional mined :class:`repro.mining.policy.SpeculativePolicy`.
         Every shown object's prefetcher reports gesture progress to the
@@ -125,7 +123,7 @@ class KernelConfig:
         it so unserviced sessions stay memory-bounded.
     memory_budget:
         Optional :class:`repro.core.caching.MemoryBudget` the kernel's
-        touched-range cache — and only it — registers with; crackers are
+        touched-range cache — and only it — registers with; indexes are
         bounded by ``IndexManager(max_crackers=)``.  Out-of-core
         deployments hand the same budget to a
         :class:`repro.persist.diskstore.DiskColumnStore`, so the touch
@@ -237,12 +235,11 @@ class _ObjectState:
         """The ``(column, column-name)`` a touch reads under this action.
 
         The one answer every reader shares — the per-touch loop, the
-        prefetcher, the batch executor, index refinement and bulk
-        selection.  A column object reads itself; a select-where plan reads
-        its where attribute wherever the finger is; any other table action
-        reads the attribute under the finger — so with no
-        ``attribute_index`` it has no single column, and the answer is
-        ``None`` (nothing to index, nothing to select over).
+        prefetcher, the batch executor and bulk selection.  A column object
+        reads itself; a select-where plan reads its where attribute wherever
+        the finger is; any other table action reads the attribute under the
+        finger — so with no ``attribute_index`` it has no single column, and
+        the answer is ``None`` (nothing to index, nothing to select over).
         """
         if self.table is None:
             return self.column, self.column_name
@@ -449,9 +446,9 @@ class DbTouchKernel:
         """Re-bind shown views after rows were *appended* to ``object_name``.
 
         The growth twin of :meth:`refresh_object`: appends never mutate
-        existing rows, so cracked indexes keep their pieces as a valid
-        prefix window (:meth:`IndexManager.extend_valid_prefix`) instead
-        of being discarded.  Every other effect — touched-range cache,
+        existing rows, so indexes stay valid over their prefix window
+        (:meth:`IndexManager.extend_valid_prefix`) instead of being
+        discarded.  Every other effect — touched-range cache,
         hierarchies, joins, operators, view properties — is identical to
         a reload, which is what keeps gesture outcomes bit-identical
         between preloaded and incrementally appended data.
@@ -463,10 +460,10 @@ class DbTouchKernel:
         # the catalog caches hierarchies per (object, column); they sample
         # the pre-change arrays and must be rebuilt from the new data
         self.catalog.drop_hierarchies_for(object_name)
-        # cracked indexes partition the pre-change values; serving rowids
-        # computed from vanished data would be silent corruption.  Growth
-        # is the one safe case: old rows kept their positions, so the
-        # cracker survives as a prefix window over the new length.
+        # indexes order the pre-change values; serving rowids computed from
+        # vanished data would be silent corruption.  Growth is the one safe
+        # case: old rows kept their positions, so an index survives as a
+        # prefix window over the new length.
         if self.index_manager is not None:
             if grew:
                 self.index_manager.extend_valid_prefix(object_name)
@@ -627,7 +624,7 @@ class DbTouchKernel:
 
         The whole dispatch runs under an ambient ``kernel_exec`` span (a
         no-op unless a sampled trace is active on this thread), so the
-        deeper ``crack``/``chunk_fault``/``tail_scan``/``cache_lookup``
+        deeper ``chunk_fault``/``tail_scan``/``cache_lookup``
         spans attach under one kernel step per gesture.  Tracing measures
         wall time only — outcome counters are untouched.
         """
@@ -700,9 +697,7 @@ class DbTouchKernel:
         if self.config.batch_execution and self._batch_executor.supports(state, join):
             # every supported slide stays on the batch path, whatever the
             # cache holds: mid-gesture evictions are replayed exactly there
-            batch_outcome = self._batch_executor.execute(state, gesture)
-            self._refine_index(state)
-            return batch_outcome
+            return self._batch_executor.execute(state, gesture)
         # joins, group-bys and attribute-dependent table scans (and the
         # differential oracle, with batch_execution off): the per-touch loop
         for event in gesture.events:
@@ -727,35 +722,11 @@ class DbTouchKernel:
             trace_event(
                 "cache_lookup", hits=outcome.cache_hits, misses=outcome.cache_misses
             )
-        self._refine_index(state)
         return outcome
 
     # ------------------------------------------------------------------ #
-    # adaptive indexing: gesture-driven refinement + bulk consultation
+    # adaptive indexing: bulk consultation
     # ------------------------------------------------------------------ #
-    def _refine_index(self, state: _ObjectState) -> None:
-        """Crack the touched column around a qualifying gesture's predicate.
-
-        Runs after the gesture's outcome is fully computed and mutates
-        only index-tier state, so outcome counters are bit-identical with
-        indexing enabled or disabled — the property the differential
-        gesture harness locks down.
-        """
-        if self.index_manager is None or state.action.predicate is None:
-            return
-        # plain table scans and group-bys apply the predicate to whatever
-        # attribute is under the finger: no single column to index
-        target = state.read_target()
-        if target is None:
-            return
-        column, column_name = target
-        if not column.is_numeric:
-            return
-        with trace_span("crack", object=state.object_name, column=column_name):
-            self.index_manager.observe_predicate(
-                state.object_name, column_name, column, state.action.predicate
-            )
-
     def select_where(
         self, view_name: str, predicate: Predicate | None = None
     ) -> RangeSelection:
@@ -764,18 +735,17 @@ class DbTouchKernel:
         Where a slide evaluates its predicate touch by touch, this answers
         the whole-object question — "every row where the predicate holds"
         — in one call, consulting the adaptive indexing tier when it is
-        enabled: cracked pieces for in-memory columns, full scan otherwise
-        (and always for non-range predicates).  The returned rowids are
-        bit-identical to the full scan's in every strategy.  On an
-        in-memory column the consultation itself refines the index:
-        repeating a predicate keeps getting cheaper.  A paged column scans
-        only the chunks its zonemap keeps; where the zonemap cannot prune
-        (a column not clustered on the key offers more than
-        ``SCAN_MAX_CHUNKS`` candidate chunks) it answers instead from one
-        value-sorted rowid permutation, built by the first such selection
-        with one sort (of packed ``(value, rowid)`` keys on an integer
-        column, at most 12 bytes a row): each later one inspects at most two
-        runs of ⌈√n⌉ rows, so its cost follows the result, not the column.
+        enabled (a full scan otherwise, and always for non-range
+        predicates).  The returned rowids are bit-identical to the full
+        scan's in every strategy.  A paged column scans only the chunks its
+        zonemap keeps; where the zonemap cannot prune (a column not
+        clustered on the key offers more than ``SCAN_MAX_CHUNKS`` candidate
+        chunks), and always on an in-memory column, it answers instead from
+        one value-sorted rowid permutation, built by the first such
+        selection with one sort (of packed ``(value, rowid)`` keys on an
+        integer column, at most 12 bytes a row): each later one inspects at
+        most two runs of ⌈√n⌉ rows, so its cost follows the result, not the
+        column.
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected

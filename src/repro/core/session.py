@@ -335,9 +335,9 @@ class ExplorationSession:
         vocabulary (:class:`repro.core.commands.AppendCommand`), so it is
         recorded and replays at the same position in the script — which
         is what lets a replay reproduce an exploration over live,
-        incrementally arriving data.  Shown views stay live: cracked
-        indexes keep their pieces and tail-scan the appended rows until
-        the backend merges them in.  Returns the object's new row count.
+        incrementally arriving data.  Shown views stay live: indexes
+        keep answering for their prefix and tail-scan the appended rows
+        until the backend merges them in.  Returns the object's new row count.
         """
         envelope = self._execute(AppendCommand.of(object_name, values, columns))
         return int(envelope.payload["num_rows"])
@@ -419,10 +419,10 @@ class ExplorationSession:
         """Whole-object range selection over the object shown in ``view``.
 
         Delegates to the backend's ``select_where`` extra (local backends
-        only): the adaptive indexing tier — refined as a side effect of
-        this session's filtered slides — answers repeated range predicates
-        from cracked pieces or zonemap-pruned chunks instead of full
-        scans.  Not a gesture, so it is neither recorded nor counted in
+        only): the adaptive indexing tier — a value-sorted permutation
+        built by the first selection on a column — answers range
+        predicates from its sorted runs or zonemap-pruned chunks instead of
+        full scans.  Not a gesture, so it is neither recorded nor counted in
         :meth:`summary`.  Returns a
         :class:`repro.indexing.manager.RangeSelection`.
         """

@@ -1,22 +1,20 @@
-"""Indexing support: zone maps, touch-driven cracking, per-sample indexes.
+"""Indexing support: zone maps, the value-sorted index, per-sample indexes.
 
-The adaptive tier (:class:`IndexManager`) lives here too: it owns
-per-column cracker/zonemap state, is refined by the gestures the kernel
-executes and consulted by bulk range selections — see
-:mod:`repro.indexing.manager`.
+The adaptive tier (:class:`IndexManager`) lives here too: it owns one
+:class:`SortedIndex` per consulted numeric column and answers the bulk
+range selections the kernel runs — see :mod:`repro.indexing.manager`.
 """
 
-from repro.indexing.cracking import CrackerIndex, CrackerState
 from repro.indexing.manager import IndexManager, RangeSelection
 from repro.indexing.sample_index import SampleLevelIndex
+from repro.indexing.sorted_index import SortedIndex
 from repro.indexing.zonemap import Zone, ZoneMap
 
 __all__ = [
-    "CrackerIndex",
-    "CrackerState",
     "IndexManager",
     "RangeSelection",
     "SampleLevelIndex",
+    "SortedIndex",
     "Zone",
     "ZoneMap",
 ]

@@ -4,53 +4,49 @@ The paper's core bet is that physical organization should adapt as a side
 effect of how users touch data.  :class:`IndexManager` is the seam that
 wires that bet into the kernel:
 
-* it owns per-``(object, column)`` index state — a
-  :class:`repro.indexing.cracking.CrackerIndex` for in-memory numeric
-  columns, a :class:`repro.indexing.paged.PagedCrackerIndex` for
-  out-of-core :class:`repro.persist.paged_column.PagedColumn` objects (a
-  scan of the chunks the persisted zonemaps leave; where they leave more
-  than ``SCAN_MAX_CHUNKS``, one value-sorted rowid permutation of the
-  column answers instead);
-* every qualifying gesture — a slide whose action carries a range-shaped
-  predicate — *refines* the matching cracker via
-  :meth:`observe_predicate`, outside the gesture's outcome accounting, so
-  ``GestureOutcome`` counters stay bit-identical with indexing on or off;
+* it owns per-``(object, column)`` index state — one
+  :class:`repro.indexing.sorted_index.SortedIndex` for every numeric
+  column, in memory or out of core (a scan of the chunks a paged column's
+  persisted zonemap leaves, where it leaves at most ``SCAN_MAX_CHUNKS``;
+  otherwise, and always for an in-memory column, one value-sorted rowid
+  permutation of the column);
 * bulk range selections (:meth:`repro.core.kernel.DbTouchKernel.select_where`)
-  *consult* the tier via :meth:`select_rowids`, scanning only the cracked
-  pieces / zonemap-kept chunks / sorted runs that can overlap the predicate
-  instead of the whole column;
-* crackers are bounded by count alone (``max_crackers``), dropped
-  least-recently-consulted first: indexes are a side effect of touches, so
+  *consult* the tier via :meth:`select_rowids`, scanning only the
+  zonemap-kept chunks or the sorted runs that can overlap the predicate
+  instead of the whole column; the first consultation builds the index;
+* indexes are bounded by count alone (``max_crackers``), dropped
+  least-recently-consulted first: an index is a side effect of touches, so
   a dropped one costs its next consultation one rebuild and never changes
   an answer; the bytes they hold are read off them (``index_bytes``);
 * :meth:`invalidate` drops every index derived from an object whose data
-  was replace-reloaded, and :meth:`adopt_cracker` revives persisted state
-  from a :class:`repro.persist.snapshot.StoreCatalog` warm start;
+  was replace-reloaded, and :meth:`adopt_cracker` revives a persisted
+  permutation from a :class:`repro.persist.snapshot.StoreCatalog` warm
+  start;
 * live appends go through :meth:`extend_valid_prefix` instead of
-  invalidation: crackers keep answering for the prefix they cover (their
+  invalidation: indexes keep answering for the prefix they cover (their
   *validity window*) while :meth:`select_rowids` scans the appended tail,
-  and :meth:`merge_tails` — run on the background lane — folds tails into
-  the cracked structure in place (under the column lock, like a crack; cost
-  follows the tail, not the column) without ever discarding earned cracks.
+  and :meth:`merge_tails` — run on the background lane — advances the
+  windows over the tails in O(1) each; the index scans merged rows as a
+  gap until it rebuilds.
 
 **Concurrency.**  One manager may be shared by every session of a
 :class:`repro.service.MultiSessionServer` whose sessions attach the same
-base storage by reference; refinement and consultation then run on
-parallel scheduler workers.  All piece mutation happens under a per-column
-lock; the manager-level lock only guards the state dictionary and the
+base storage by reference; consultations then run on parallel scheduler
+workers.  Every index build and lookup happens under a per-column lock;
+the manager-level lock only guards the state dictionary and the
 LRU/statistics bookkeeping, and is never held while a column lock is
-taken.  The cap drops a column's cracker by atomically unlinking it,
+taken.  The cap drops a column's index by atomically unlinking it,
 without the column lock — an in-flight lookup keeps its own reference and
 completes on the orphaned (still self-consistent) index.
 
 **Exactness.**  Indexed selections must agree bit-for-bit with
 ``Predicate.mask`` over the base data.  Three guards make that hold: NaN
-rows are segregated by the cracker; inclusive/exclusive predicate bounds
-are mapped onto the cracker's half-open ranges with ``np.nextafter``; and
-cracker arrays preserve the column's native dtype, so piece membership is
-decided by the *same* numpy promotion ``Predicate.mask`` performs — int64
-columns crack exactly even beyond 2**53, where the old float64-copy design
-had to refuse them.
+rows are left out of the permutation; inclusive/exclusive predicate
+bounds are mapped onto the index's half-open ranges with ``np.nextafter``
+in the dtype the column compares in; and every comparison is made on the
+column's native values, so membership is decided by the *same* numpy
+promotion ``Predicate.mask`` performs — int64 columns answer exactly even
+beyond 2**53.
 """
 
 from __future__ import annotations
@@ -64,38 +60,32 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.engine.filter import Comparison, Predicate
-from repro.indexing.cracking import (
-    ACTIVITY_COUNTERS,
-    Cracker,
-    CrackerIndex,
-    CrackerState,
-)
-from repro.indexing.paged import PagedCrackerIndex, is_chunked
+from repro.indexing.sorted_index import SortedIndex
 from repro.obs.trace import trace_span
 from repro.storage.column import Column
 
 
-def _with_activity(cracker: Cracker, operation, *args, **kwargs):
-    """Run one cracker operation (caller holds the column lock).
-
-    Returns ``(result, did)`` — ``did`` is what the operation added to each
-    count of the cracker's activity ledger, for
-    :meth:`IndexManagerStats.apply_activity`.
-    """
-    before = dict(cracker.activity)
-    result = operation(*args, **kwargs)
-    return result, {name: count - before[name] for name, count in cracker.activity.items()}
-
-
-def predicate_range(predicate: Predicate) -> tuple[float, float] | None:
+def predicate_range(
+    predicate: Predicate, dtype: np.dtype = np.dtype(np.float64)
+) -> tuple[float, float] | None:
     """The half-open ``[low, high)`` value range of a range-shaped predicate.
 
-    Inclusive upper bounds are mapped to half-open form with
-    ``np.nextafter`` so the cracker's ``>= low and < high`` test agrees
-    exactly with :meth:`repro.engine.filter.Predicate.matches`.  Returns
-    ``None`` for predicates that are not a contiguous range (``NE``) or
-    whose operands are NaN/infinite — those fall back to a full scan.
+    Inclusive bounds are mapped to half-open form with ``np.nextafter`` so
+    the index's ``>= low and < high`` test agrees exactly with
+    :meth:`repro.engine.filter.Predicate.mask` over a column of ``dtype``.
+    A float32 column compares in float32 (numpy casts a Python float
+    operand to the array's dtype), so its bounds step from the operand
+    rounded to float32, in float32; integer and float64 columns step in
+    float64.  Returns ``None`` for predicates that are not a contiguous
+    range (``NE``) or whose operands are NaN/infinite — those fall back to
+    a full scan.
     """
+    dtype = np.dtype(dtype)
+    step = dtype if dtype.kind == "f" else np.dtype(np.float64)
+
+    def above(value: float) -> float:
+        return float(np.nextafter(step.type(value), step.type(math.inf)))
+
     operand = float(predicate.operand)
     if not math.isfinite(operand):
         return None
@@ -104,15 +94,15 @@ def predicate_range(predicate: Predicate) -> tuple[float, float] | None:
         upper = float(predicate.upper)
         if not math.isfinite(upper):
             return None
-        return operand, float(np.nextafter(upper, math.inf))
+        return operand, above(upper)
     if comparison is Comparison.EQ:
-        return operand, float(np.nextafter(operand, math.inf))
+        return operand, above(operand)
     if comparison is Comparison.LT:
         return -math.inf, operand
     if comparison is Comparison.LE:
-        return -math.inf, float(np.nextafter(operand, math.inf))
+        return -math.inf, above(operand)
     if comparison is Comparison.GT:
-        return float(np.nextafter(operand, math.inf)), math.inf
+        return above(operand), math.inf
     if comparison is Comparison.GE:
         return operand, math.inf
     return None  # NE is not a contiguous range
@@ -122,13 +112,13 @@ def predicate_range(predicate: Predicate) -> tuple[float, float] | None:
 class RangeSelection:
     """The result of one bulk range selection (indexed or scanned).
 
-    ``strategy`` records how the rowids were found: ``"cracker"`` (cracked
-    pieces), ``"paged-cracker"`` (a paged column's index: a scan of the
-    zonemap's candidate chunks, or its value-sorted permutation when those
-    outnumber ``SCAN_MAX_CHUNKS``) or ``"scan"``
-    (full scan of the base data).  ``rows_scanned`` is how many
-    values were actually inspected — the adaptive win is this number
-    shrinking while ``rowids`` stays exactly what a full scan returns.
+    ``strategy`` records how the rowids were found: ``"index"`` (the
+    column's :class:`~repro.indexing.sorted_index.SortedIndex`: a scan of a
+    paged column's zonemap-kept chunks, or the value-sorted permutation)
+    or ``"scan"`` (the kernel's full scan of the base data).
+    ``rows_scanned`` is how many values were actually inspected — the
+    adaptive win is this number shrinking while ``rowids`` stays exactly
+    what a full scan returns.
     """
 
     object_name: str
@@ -137,7 +127,6 @@ class RangeSelection:
     rowids: np.ndarray
     strategy: str
     rows_scanned: int
-    refined: bool = False
     values: np.ndarray | None = None
     selected: dict[str, np.ndarray] | None = None
     duration_s: float = 0.0
@@ -154,25 +143,13 @@ class IndexManagerStats:
 
     consultations: int = 0
     indexed_consultations: int = 0
-    refinements: int = 0
-    cracks_performed: int = 0
-    stochastic_cracks: int = 0
-    coalesces_performed: int = 0
-    pieces_merged: int = 0
     tail_merges: int = 0
     rows_merged_total: int = 0
-    rows_moved_total: int = 0
     crackers_built: int = 0
-    paged_crackers_built: int = 0
     crackers_adopted: int = 0
     crackers_dropped: int = 0
     invalidations: int = 0
     prefix_extensions: int = 0
-
-    def apply_activity(self, did: dict[str, int]) -> None:
-        """Fold what one cracker operation did (:func:`_with_activity`) in."""
-        for name in ACTIVITY_COUNTERS:
-            setattr(self, name, getattr(self, name) + did[name])
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of every counter."""
@@ -186,49 +163,34 @@ class _ColumnIndexState:
     States are keyed by ``(object, column, id(column))`` — the identity
     dimension lets same-named private columns of different sessions keep
     separate index state under one shared manager instead of thrashing
-    each other's crackers.  The column itself is held weakly so a dead
+    each other's indexes.  The column itself is held weakly so a dead
     session's private columns do not pin the manager's bookkeeping; a
-    live cracker keeps its column alive through ``CrackerIndex.column``,
-    so a state with a cracker never sees its weakref die.
+    live index keeps its column alive through ``SortedIndex.column``, so
+    a state with an index never sees its weakref die.
     """
 
     key: tuple[str, str | None]
     column_ref: "weakref.ref[Column]"
     lock: threading.RLock = field(default_factory=threading.RLock)
-    cracker: Cracker | None = None
+    cracker: SortedIndex | None = None
     cracker_refused: bool = False  # e.g. non-numeric, empty
 
 
 class IndexManager:
-    """Owns, refines, consults and evicts per-column adaptive index state.
+    """Owns, consults and evicts per-column adaptive index state.
 
     Parameters
     ----------
     max_crackers:
-        Upper bound on simultaneously live crackers; beyond it the
-        least-recently-consulted cracker is dropped (and rebuilt on its
+        Upper bound on simultaneously live indexes; beyond it the
+        least-recently-consulted index is dropped (and rebuilt on its
         next consult).  This is the one bound on the manager's memory —
         relevant for a long-lived shared manager serving many sessions
         with private columns.
-    stochastic / crack_seed:
-        Enable the MDD1R-style stochastic crack mix on every cracker built
-        by this manager; ``crack_seed`` makes the random pivot stream
-        deterministic per manager.
-
-    A paged (chunked) column's :class:`~repro.indexing.paged.PagedCrackerIndex`
-    takes none of these knobs: it cracks nothing.
     """
 
-    def __init__(
-        self,
-        max_crackers: int = 64,
-        *,
-        stochastic: bool = False,
-        crack_seed: int = 0,
-    ) -> None:
+    def __init__(self, max_crackers: int = 64) -> None:
         self.max_crackers = max_crackers
-        self.stochastic = bool(stochastic)
-        self.crack_seed = int(crack_seed)
         self.stats = IndexManagerStats()
         self._lock = threading.RLock()
         #: keyed by (object, column, id(column)); insertion/consultation
@@ -259,31 +221,30 @@ class IndexManager:
     def stats_snapshot(self) -> dict[str, int]:
         """Every activity counter plus point-in-time gauges.
 
-        Gauges (``crackers_live``, ``piece_count``, ``cracker_bytes``) are
-        read off the live crackers without column locks — piece counts and
-        ``size_bytes`` are single-attribute reads of atomically swapped
-        arrays, so a concurrent crack can skew a gauge by a piece but never
-        tear it.  This is the observability surface the session metrics
-        and the fleet ``stats`` verb expose.
+        Gauges (``crackers_live``, ``cracker_bytes``) are read off the live
+        indexes without column locks — ``size_bytes`` is a single-attribute
+        read of an atomically swapped permutation, so a concurrent build
+        can skew the gauge by one index but never tear it.  This is the
+        observability surface the session metrics and the fleet ``stats``
+        verb expose.
         """
         with self._lock:
             data = self.stats.snapshot()
             crackers = [c for state in self._states.values() if (c := state.cracker) is not None]
         data.update(
             crackers_live=len(crackers),
-            piece_count=sum(cracker.num_pieces for cracker in crackers),
             cracker_bytes=sum(cracker.size_bytes for cracker in crackers),
         )
         return data
 
     def has_cracker(self, object_name: str, column_name: str | None = None) -> bool:
-        """Whether any live cracker exists for the pair."""
+        """Whether any live index exists for the pair."""
         return self.cracker_for(object_name, column_name) is not None
 
     def cracker_for(
         self, object_name: str, column_name: str | None = None
-    ) -> Cracker | None:
-        """The most recently consulted live cracker of one pair (or ``None``)."""
+    ) -> SortedIndex | None:
+        """The most recently consulted live index of one pair (or ``None``)."""
         with self._lock:
             for key in reversed(self._states):
                 state = self._states[key]
@@ -308,7 +269,7 @@ class IndexManager:
         Keyed by identity on top of the name pair: sessions sharing base
         storage by reference land on one state (and one cracker), while a
         session with a *private* same-named column gets its own state —
-        serving it rowids cracked from different data would be a
+        serving it rowids indexed from different data would be a
         correctness bug, and discarding the peer's cracker on every
         access would be a quadratic performance one.
         """
@@ -356,14 +317,12 @@ class IndexManager:
                 self.stats.crackers_dropped += 1
 
     # ------------------------------------------------------------------ #
-    # building / adopting crackers
+    # building / adopting indexes
     # ------------------------------------------------------------------ #
-    def _ensure_cracker(
-        self, state: _ColumnIndexState, column: Column
-    ) -> Cracker | None:
-        """Build (or return) the state's cracker.  Caller holds state.lock.
+    def _ensure_cracker(self, state: _ColumnIndexState, column: Column) -> SortedIndex | None:
+        """Build (or return) the state's index.  Caller holds state.lock.
 
-        Returns ``None`` when the column cannot be cracked (non-numeric,
+        Returns ``None`` when the column cannot be indexed (non-numeric,
         empty).  ``state.cracker`` is read and written once: a concurrent
         cap drop unlinks it without the column lock, and the caller still
         answers on the reference returned here.
@@ -374,15 +333,9 @@ class IndexManager:
         if not (column.is_numeric and len(column)):
             state.cracker_refused = True
             return None
-        paged = is_chunked(column)  # the one column-kind test: which cracker to build
-        if paged:
-            cracker = PagedCrackerIndex(column)
-        else:
-            cracker = CrackerIndex(column, stochastic=self.stochastic, seed=self.crack_seed)
-        state.cracker = cracker
+        cracker = state.cracker = SortedIndex(column)
         with self._lock:
             self.stats.crackers_built += 1
-            self.stats.paged_crackers_built += int(paged)
         return cracker
 
     def adopt_cracker(
@@ -390,15 +343,17 @@ class IndexManager:
         object_name: str,
         column_name: str | None,
         column: Column,
-        cracker_state: CrackerState,
-    ) -> CrackerIndex:
-        """Revive persisted cracker state for a live column (warm start).
+        rowids: np.ndarray,
+        covered: int,
+    ) -> SortedIndex:
+        """Revive a persisted permutation for a live column (warm start).
 
-        Raises :class:`repro.errors.StorageError` when the state does not
-        fit the column (length mismatch, malformed piece structure); the
-        snapshot attach path treats that as "start cold for this column".
+        Raises :class:`repro.errors.StorageError` unless ``rowids`` is
+        exactly the stable value order of the column's non-NaN rows in
+        ``[0, covered)`` (:meth:`SortedIndex.adopt`); the snapshot attach
+        path treats that as "start cold for this column".
         """
-        cracker = CrackerIndex.from_state(column, cracker_state)
+        cracker = SortedIndex.adopt(column, rowids, covered)
         state = self._state_for(object_name, column_name, column)
         with state.lock:
             state.cracker = cracker
@@ -408,13 +363,15 @@ class IndexManager:
         self._enforce_cracker_cap(keep=state)
         return cracker
 
-    def cracked_states(self) -> list[tuple[tuple[str, str | None], CrackerState]]:
-        """Export live cracker state for snapshot persistence.
+    def cracked_states(self) -> list[tuple[tuple[str, str | None], tuple[np.ndarray, int]]]:
+        """Export every built permutation, with the rows it covers, for
+        snapshot persistence.
 
         At most one export per (object, column) pair: when several column
         identities share a name (private per-session copies), the most
-        recently consulted cracker wins.  A kind with no exportable state
-        is skipped — a paged cracker's permutation rebuilds on demand.
+        recently consulted index wins.  An index whose permutation is not
+        built yet (a paged column answered by chunk scans alone) is
+        skipped.
         """
         with self._lock:
             latest: dict[tuple[str, str | None], _ColumnIndexState] = {}
@@ -425,14 +382,11 @@ class IndexManager:
         exported = []
         for state in states:
             with state.lock:
-                cracker_state = None if state.cracker is None else state.cracker.export_state()
-            if cracker_state is not None:
-                exported.append((state.key, cracker_state))
+                exported_state = None if state.cracker is None else state.cracker.export_state()
+            if exported_state is not None:
+                exported.append((state.key, exported_state))
         return exported
 
-    # ------------------------------------------------------------------ #
-    # refinement (the gesture side effect)
-    # ------------------------------------------------------------------ #
     def observe_predicate(
         self,
         object_name: str,
@@ -440,27 +394,10 @@ class IndexManager:
         column: Column,
         predicate: Predicate,
     ) -> bool:
-        """Refine the pair's index around a gesture's predicate bounds.
-
-        This is the touch-driven cracking hook the kernel calls after a
-        qualifying gesture executed.  It mutates only index-tier state —
-        never the gesture's outcome — and returns whether any new crack
-        was performed.
-        """
-        bounds = predicate_range(predicate)
-        if bounds is None or not column.is_numeric:
-            return False
-        state = self._state_for(object_name, column_name, column)
-        with state.lock:
-            cracker = self._ensure_cracker(state, column)
-            if cracker is None:
-                return False
-            _, did = _with_activity(cracker, cracker.crack_range, *bounds)
-        self._enforce_cracker_cap(keep=state)
-        with self._lock:
-            self.stats.refinements += 1
-            self.stats.apply_activity(did)
-        return did["cracks_performed"] > 0
+        """A no-op kept for callers that report a gesture's predicate:
+        the index is built by the first consultation and refined by none,
+        so there is nothing to observe.  Always returns ``False``."""
+        return False
 
     # ------------------------------------------------------------------ #
     # consultation (the read side)
@@ -482,21 +419,23 @@ class IndexManager:
         """
         with self._lock:
             self.stats.consultations += 1
-        bounds = predicate_range(predicate)
-        if bounds is None or not column.is_numeric:
+        if not column.is_numeric:
             return None
-        low, high = bounds
+        bounds = predicate_range(predicate, column.dtype.numpy_dtype)
+        if bounds is None:
+            return None
         state = self._state_for(object_name, column_name, column)
         with state.lock:
             cracker = self._ensure_cracker(state, column)
             if cracker is None:
                 return None
-            rowids, did = _with_activity(cracker, cracker.rowids_in_range, low, high, crack=True)
-            rows_scanned = did["values_scanned_total"]
+            scanned_before = cracker.values_scanned_total
+            rowids = cracker.rowids_in_range(*bounds)
+            rows_scanned = cracker.values_scanned_total - scanned_before
             covered = cracker.covered_rows
             n = len(column)
             if covered < n:
-                # validity window: the cracker answers exactly for the
+                # validity window: the index answers exactly for the
                 # prefix it was built over; rows appended since then are
                 # scanned with the predicate itself (exact by definition)
                 # until merge_tails folds them in.  Tail hits all land at
@@ -509,21 +448,16 @@ class IndexManager:
                     if hits.size:
                         rowids = np.concatenate([rowids, hits + covered])
                     rows_scanned += int(tail.shape[0])
-        refined = did["cracks_performed"] > 0
         self._enforce_cracker_cap(keep=state)
         with self._lock:
             self.stats.indexed_consultations += 1
-            self.stats.apply_activity(did)
-            if refined:
-                self.stats.refinements += 1
         return RangeSelection(
             object_name=object_name,
             column_name=column_name,
             predicate=predicate,
             rowids=rowids,
-            strategy=cracker.strategy,
+            strategy="index",
             rows_scanned=rows_scanned,
-            refined=refined,
         )
 
     # ------------------------------------------------------------------ #
@@ -538,12 +472,12 @@ class IndexManager:
         """Signal that ``object_name``'s columns *grew* (append, not replace).
 
         The narrow alternative to :meth:`invalidate` for live ingestion:
-        existing cracked state is kept — the crackers simply cover a
-        shorter prefix (their validity window) and :meth:`select_rowids`
-        scans the appended tail until :meth:`merge_tails` folds it in.
-        A previously *refused* cracker (e.g. the column used to be empty)
-        becomes eligible again.
-        If any tracked cracker turns out to cover *more* rows than the
+        existing indexes are kept — they simply cover a shorter prefix
+        (their validity window) and :meth:`select_rowids` scans the
+        appended tail until :meth:`merge_tails` folds it in.  A previously
+        *refused* column (e.g. one that used to be empty) becomes eligible
+        again.
+        If any tracked index turns out to cover *more* rows than the
         column now holds, the data did not grow — it was replaced or
         truncated — and the call degrades to a full :meth:`invalidate`.
         Returns how many column states were touched (or dropped, on the
@@ -570,23 +504,23 @@ class IndexManager:
     def merge_tails(
         self, object_name: str | None = None, column_name: str | None = None
     ) -> int:
-        """Fold appended tails into every matching live cracker.
+        """Advance every matching live index's validity window over its
+        appended tail.
 
         Returns total rows folded.  This is the background-lane entry
-        point: gestures keep answering through the validity window while
-        the merge runs; each cracker's merge is a single pass under its
-        own column lock, so lookups on *other* columns never wait.
+        point; each index's merge is O(1) under its own column lock, so
+        lookups on *other* columns never wait.
         """
         merged = 0
         for state in self._states_matching(object_name, column_name):
             with state.lock:
                 cracker = state.cracker
-                if cracker is None:
-                    continue
-                rows, did = _with_activity(cracker, cracker.merge_tail)
+                rows = 0 if cracker is None else cracker.merge_tail()
+            if rows:
                 merged += rows
-            with self._lock:
-                self.stats.apply_activity(did)
+                with self._lock:
+                    self.stats.tail_merges += 1
+                    self.stats.rows_merged_total += rows
         return merged
 
     # ------------------------------------------------------------------ #

@@ -8,8 +8,8 @@ context order from 0 (the unconditional kind distribution) up to ``order``,
 so prediction backs off gracefully: an unseen order-k context falls back
 to shorter suffixes, and an unseen object falls back to the fleet-global
 stream.  Ties break deterministically from a seed, so equal corpora always
-yield equal policies (the same bit-identical contract the cracker's
-stochastic knob honors).
+yield equal policies (the same bit-identical contract seeded gesture
+synthesis honors).
 
 The trained model is a JSON checkpoint artifact
 (:meth:`GestureTransitionModel.save` / :meth:`~GestureTransitionModel.load`)

@@ -3,7 +3,7 @@
 The tracing model is deliberately small.  A **trace** is the story of one
 gesture (or one script) identified by a ``trace_id``; a **span** is one
 timed step of that story (``queue_wait``, ``kernel_exec``, ``chunk_fault``,
-``crack``, ``cache_lookup``, ``tail_scan``, ...) linked to its parent by
+``cache_lookup``, ``tail_scan``, ...) linked to its parent by
 id.  Three pieces make it work end to end:
 
 * :class:`Tracer` owns the policy — on/off, a deterministic
@@ -16,7 +16,7 @@ id.  Three pieces make it work end to end:
   :class:`contextvars.ContextVar`.  With no active trace the helpers
   return a shared no-op context manager — the disabled cost is one
   context-variable read per call site, which is why instrumentation sits
-  at gesture/fault/crack granularity and never inside per-touch loops.
+  at gesture/fault/scan granularity and never inside per-touch loops.
 * :class:`TraceContext` is the propagation capsule: ``(trace_id,
   parent_id, sampled)``.  It crosses scheduler threads explicitly (the
   submitting thread captures it, the worker thunk re-activates it) and

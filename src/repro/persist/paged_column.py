@@ -294,7 +294,7 @@ class PagedColumn(Column):
         """Values in ``[start, stop)`` straight off the memmap and tail.
 
         Bypasses the chunk cache entirely, so the index tier's scans never
-        evict the chunks the gestures are reading (see the paged-cracker
+        evict the chunks the gestures are reading (see the sorted-index
         module docstring).  Pure-tail ranges cost no I/O at all.
         """
         start = max(0, int(start))

@@ -10,10 +10,11 @@ engine needs to resume exploration instantly*:
 * standalone columns;
 * every materialized :class:`repro.storage.sample.SampleHierarchy` level,
   persisted as its own chunked column file;
-* the cracked state of an :class:`repro.indexing.manager.IndexManager`
+* the value-sorted permutations of an
+  :class:`repro.indexing.manager.IndexManager`
   (:meth:`StoreCatalog.persist_index` / :meth:`StoreCatalog.attach_index`),
-  so the physical organization that gestures adapted keeps paying off
-  after a restart instead of being re-learned from scratch.
+  so the indexes selections built keep paying off after a restart
+  instead of being re-sorted from scratch.
 
 Cold start then costs a manifest read plus a handful of ``mmap`` calls —
 no CSV parsing, no hierarchy re-striding — which is where the >=10x
@@ -34,12 +35,12 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import CatalogError, SnapshotError, StorageError
-from repro.indexing.cracking import CrackerState
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.format import DEFAULT_CHUNK_ROWS, atomic_replace
 from repro.persist.paged_column import PagedColumn
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
+from repro.storage.dtypes import type_from_name
 from repro.storage.sample import SampleHierarchy, SampleLevel
 from repro.storage.table import Table
 
@@ -254,7 +255,7 @@ class StoreCatalog:
         for record in self._hierarchies.values():
             names.update(level["store_name"] for level in record["levels"])
         for record in self._indexes.values():
-            names.update((record["values_store"], record["rowids_store"]))
+            names.add(record["perm_store"])
         return names
 
     def _delete_unreferenced(self, referenced: set[str]) -> None:
@@ -380,10 +381,10 @@ class StoreCatalog:
         :class:`PagedColumn`'s RAM tail until this folds them into the
         chunked on-disk format, so warm re-attaches keep their mmap-speed
         cold start over the *grown* data.  Hierarchy snapshots for the
-        object are re-persisted over the new length; persisted cracker
-        state is deliberately left alone — appends never permute existing
-        rows, so it revives as a valid *prefix* warm start
-        (:meth:`repro.indexing.cracking.CrackerIndex.from_state`) whose
+        object are re-persisted over the new length; persisted index
+        permutations are deliberately left alone — appends never permute
+        existing rows, so one revives as a valid *prefix* warm start
+        (:meth:`repro.indexing.sorted_index.SortedIndex.adopt`) whose
         window the index tier advances on the background lane.  Returns
         the object's row count after compaction (a no-op when no column
         has a tail).
@@ -503,10 +504,10 @@ class StoreCatalog:
             return list(self._hierarchies)
 
     # ------------------------------------------------------------------ #
-    # adaptive-index state (cracked organization survives restarts)
+    # adaptive-index state (built indexes survive restarts)
     # ------------------------------------------------------------------ #
     def index_keys(self) -> list[tuple[str, str | None]]:
-        """The ``(object, column)`` pairs with persisted cracker state."""
+        """The ``(object, column)`` pairs with a persisted permutation."""
         with self._lock:
             return list(self._indexes)
 
@@ -526,47 +527,35 @@ class StoreCatalog:
         raise SnapshotError(f"table {object_name!r} has no column {column_name!r}")
 
     def persist_index(self, manager, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> list:
-        """Snapshot every live in-memory cracker of an :class:`IndexManager`.
+        """Snapshot every built permutation of an :class:`IndexManager`.
 
-        Paged crackers are not part of the snapshot (``cracked_states()``
-        skips them): their only state, a value-sorted permutation, rebuilds
-        on the first selection that needs it.
-
-        Every call writes each cracker whole: the reordered value copy and
-        the rowid permutation as two chunked store columns
-        (``<store>#crk-v`` / ``<store>#crk-r``, replaced in place, so a
-        persisted cracker is always exactly those two columns) and the
-        piece structure (pivots, bounds) in the manifest.  Only crackers
-        whose ``(object, column)`` pair is already persisted in this
-        catalog are snapshotted (state for unknown objects is skipped —
-        there is nothing to warm-start it against).  Returns the persisted
-        keys.
+        Each index is one store column, ``<store>#perm``: its value-sorted
+        rowids in their int32/int64 dtype, replaced in place on every call,
+        and one manifest record naming it with the rows it covers
+        (``num_rows``).  An index whose permutation is not built yet (a
+        paged column answered by chunk scans alone) has nothing to persist.
+        Only indexes whose ``(object, column)`` pair is already persisted
+        in this catalog are snapshotted (one for an unknown object is
+        skipped — there is nothing to warm-start it against).  Returns the
+        persisted keys.
         """
         self._ensure_writable("persist_index")
         persisted = []
         with self._lock:
-            for (object_name, column_name), state in manager.cracked_states():
+            for (object_name, column_name), (rowids, covered) in manager.cracked_states():
                 try:
                     base_store = self._store_name_for(object_name, column_name)
                 except SnapshotError:
                     continue
-                values_store = f"{base_store}#crk-v"
-                rowids_store = f"{base_store}#crk-r"
-                for name, array in ((values_store, state.values), (rowids_store, state.rowids)):
-                    self.store.write_column(
-                        Column(name, array), name=name, chunk_rows=chunk_rows, replace=True
-                    )
+                perm_store = f"{base_store}#perm"
+                perm = Column(perm_store, rowids, dtype=type_from_name(str(rowids.dtype)))
+                self.store.write_column(perm, name=perm_store, chunk_rows=chunk_rows, replace=True)
                 key = _hierarchy_key(object_name, column_name)
                 self._indexes[key] = {
                     "object": object_name,
                     "column": column_name,
-                    "num_rows": int(state.values.shape[0]),
-                    "num_valid": int(state.num_valid),
-                    "cracks_performed": int(state.cracks_performed),
-                    "pivots": [float(p) for p in state.pivots],
-                    "bounds": [int(b) for b in state.bounds],
-                    "values_store": values_store,
-                    "rowids_store": rowids_store,
+                    "num_rows": int(covered),
+                    "perm_store": perm_store,
                 }
                 persisted.append(key)
             if persisted:
@@ -574,17 +563,18 @@ class StoreCatalog:
         return persisted
 
     def attach_index(self, manager, catalog: Catalog) -> list:
-        """Warm-start an :class:`IndexManager` from persisted cracker state.
+        """Warm-start an :class:`IndexManager` from persisted permutations.
 
         For every snapshotted index whose object is registered in
-        ``catalog`` (typically right after :meth:`attach`), the cracked
-        arrays are loaded and adopted, so the first range selection after
-        a restart scans cracked pieces instead of the whole column.  This
-        also gives *paged* columns cracker-grade lookups — the adopted
-        arrays live in RAM (16 bytes/row), which is the explicit,
-        opt-in trade the warm start makes.  State that no longer fits the
-        registered data (a reload between snapshot and restart) is
-        skipped; returns the adopted keys.
+        ``catalog`` (typically right after :meth:`attach`), the permutation
+        is loaded and adopted — whole, and only if it is exactly the stable
+        value order of the non-NaN rows it covers — so the first range
+        selection after a restart reads sorted runs instead of sorting the
+        column again.  The adopted permutation lives in RAM (4 bytes a row
+        below 2**31 rows), which is the explicit, opt-in trade the warm
+        start makes.  A permutation that no longer fits the registered data
+        (a reload between snapshot and restart) is skipped; returns the
+        adopted keys.
         """
         with self._lock:
             records = list(self._indexes.values())
@@ -597,24 +587,9 @@ class StoreCatalog:
             except CatalogError:
                 continue
             try:
-                # native dtype: the stored column file knows what the
-                # cracker arrays were (legacy float64 snapshots load as
-                # float64 and are cast — losslessly or not at all — by
-                # CrackerIndex.from_state)
-                values = np.array(self.store.open_column(record["values_store"]).values)
-                rowids = np.array(
-                    self.store.open_column(record["rowids_store"]).values,
-                    dtype=np.int64,
-                )
-                state = CrackerState(
-                    values=values,
-                    rowids=rowids,
-                    pivots=tuple(record["pivots"]),
-                    bounds=tuple(record["bounds"]),
-                    num_valid=int(record["num_valid"]),
-                    cracks_performed=int(record["cracks_performed"]),
-                )
-                manager.adopt_cracker(object_name, column_name, base, state)
+                # a private copy: a later persist_index replaces the file
+                rowids = np.array(self.store.open_column(record["perm_store"]).values)
+                manager.adopt_cracker(object_name, column_name, base, rowids, record["num_rows"])
             except StorageError:
                 continue  # stale or malformed state: start cold for this column
             adopted.append(_hierarchy_key(object_name, column_name))
@@ -659,7 +634,7 @@ class StoreCatalog:
         columns = payload.get("columns")
         hierarchies = payload.get("hierarchies")
         # "indexes" is optional: manifests written before the adaptive
-        # indexing tier simply have no cracked state to warm-start
+        # indexing tier simply have no index to warm-start
         indexes = payload.get("indexes", [])
         if (
             not isinstance(tables, dict)
@@ -714,19 +689,12 @@ class StoreCatalog:
                     "object": str(record["object"]),
                     "column": record.get("column"),
                     "num_rows": int(record["num_rows"]),
-                    "num_valid": int(record["num_valid"]),
-                    "cracks_performed": int(record["cracks_performed"]),
-                    "pivots": [float(p) for p in record["pivots"]],
-                    "bounds": [int(b) for b in record["bounds"]],
-                    "values_store": str(record["values_store"]),
-                    "rowids_store": str(record["rowids_store"]),
+                    "perm_store": str(record["perm_store"]),
                 }
                 for record in indexes
-                # a record with pending deltas pairs older base arrays with
-                # newer pivots and bounds; this reader cannot splice them,
-                # and the pair can pass from_state's checks yet answer
-                # wrongly, so that column starts cold
-                if not record.get("deltas")
+                # a record of an older index format (two cracked arrays, a
+                # delta chain) names no permutation: that column starts cold
+                if "perm_store" in record
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(

@@ -266,8 +266,8 @@ class LocalExplorationService:
         """Serve this session's adaptive indexing from a shared manager.
 
         The hook :class:`MultiSessionServer` uses when sessions attach the
-        same base storage by reference: cracks performed by one session's
-        gestures then speed up every session's selections.  The adoption
+        same base storage by reference: an index built by one session's
+        selection then speeds up every session's selections.  The adoption
         survives :meth:`reset` (the kernel is rebuilt around the same
         shared manager).  A kernel explicitly configured with
         ``enable_indexing=False`` keeps its off switch: the shared
@@ -310,9 +310,8 @@ class LocalExplorationService:
     ) -> None:
         """Feed one executed command to the policy and park its plan.
 
-        Runs strictly after the outcome is computed (the
-        ``_refine_index`` pattern), so observation can never perturb the
-        gesture's counters.
+        Runs strictly after the outcome is computed, so observation can
+        never perturb the gesture's counters.
         """
         object_name = envelope.object_name
         if not object_name:
@@ -402,9 +401,9 @@ class LocalExplorationService:
         """Counters and gauges of the adaptive indexing tier.
 
         A point-in-time :meth:`~repro.indexing.manager.IndexManager.
-        stats_snapshot`: consultation/refinement counters, cracks
-        (deterministic and stochastic), coalesces, tail merges, plus live
-        gauges (crackers, pieces, cracker bytes).  ``None`` when indexing
+        stats_snapshot`: consultation, build, adoption and drop counters,
+        tail merges and rows merged, plus live gauges (indexes live and the
+        bytes they hold: ``crackers_live``, ``cracker_bytes``).  ``None`` when indexing
         is disabled.  Load-dependent — deliberately not part of
         :meth:`SessionMetrics.counters_snapshot`, the serial-vs-concurrent
         parity surface.
@@ -456,8 +455,8 @@ class LocalExplorationService:
         Standalone columns take ``values``; tables take ``columns`` covering
         the schema exactly (the storage tier appends all-or-nothing).  After
         the data grows, shown views are re-bound via
-        :meth:`repro.core.kernel.DbTouchKernel.extend_object`, so cracked
-        indexes keep their pieces as a valid prefix window — the hot tail is
+        :meth:`repro.core.kernel.DbTouchKernel.extend_object`, so indexes
+        stay valid over their prefix window — the hot tail is
         scanned until :meth:`merge_index_tails` (or a background merge)
         folds it in.  Returns the object's new row count.
         """
@@ -485,7 +484,7 @@ class LocalExplorationService:
         return new_length
 
     def merge_index_tails(self, object_name: str | None = None) -> int:
-        """Fold appended hot tails into the cracked indexes; returns rows merged.
+        """Fold appended hot tails into the indexes' windows; returns rows merged.
 
         A no-op (0) when indexing is disabled or nothing was appended.
         Serving layers schedule this on the background lane; callers here
@@ -716,7 +715,7 @@ class SessionMetrics:
     happens under a private lock, so the serving engine's workers and any
     monitoring thread can touch one session's metrics concurrently.
 
-    Adaptive-index activity (cracks, coalesces, tail merges, piece counts) is
+    Adaptive-index activity (builds, consultations, tail merges, index bytes) is
     deliberately NOT folded in here: with a shared index those counters
     depend on cross-session interleaving, so they live on the separate
     load-dependent surface (:meth:`LocalExplorationService.index_stats` /
@@ -913,8 +912,8 @@ class MultiSessionServer:
         #: or True for an untrained placeholder policy
         self._speculation: SpeculativePolicy | None = _as_speculation_policy(speculation)
         #: one adaptive-index manager adopted by every session that
-        #: attaches the shared base storage: cracks performed by one
-        #: session's gestures shrink every session's selections (the
+        #: attaches the shared base storage: an index built by one
+        #: session's selection shrinks every session's selections (the
         #: manager's per-column locks make this scheduler-safe)
         self._shared_index: IndexManager | None = shared_index
         self._lock = threading.RLock()

@@ -4,7 +4,7 @@
 of the session id modulo the worker count — which gives the serving tier
 its central invariant: *every gesture of one session executes in one
 process*.  Session affinity is what keeps the adaptive state a session's
-gestures build (cracked pieces, sample read-ahead, result streams) in one
+gestures build (sample read-ahead, result streams, indexes) in one
 kernel, so per-session outcome counters stay bit-identical to a serial
 replay no matter how many shards serve the fleet.
 

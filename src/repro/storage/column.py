@@ -24,8 +24,8 @@ CACHE_LINE_VALUES = 8
 def grown_buffer(buffer: np.ndarray, length: int, needed: int) -> np.ndarray:
     """``buffer`` if it holds ``needed`` rows, else a doubled copy of its prefix.
 
-    The one growth rule of every append path (column, paged tail, cracker
-    arrays): a full buffer is reallocated once to ``max(needed, 2 * length)``
+    The one growth rule of every append path (column, paged tail, zone
+    envelopes): a full buffer is reallocated once to ``max(needed, 2 * length)``
     carrying its first ``length`` rows, so n appends reallocate O(log n) times.
     """
     if needed <= buffer.shape[0]:

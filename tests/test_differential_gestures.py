@@ -1,10 +1,10 @@
 """Differential gesture harness: indexing on vs. indexing off, bit for bit.
 
-The adaptive indexing tier refines cracked state as a *side effect* of
-qualifying gestures and is consulted only by bulk ``select_where``
-queries — so replaying any gesture script with indexing enabled must
-produce exactly the outcomes of the same script with indexing disabled:
-identical counters, identical touched rowids, identical displayed values.
+The adaptive indexing tier is built and consulted only by bulk
+``select_where`` queries, never by a gesture — so replaying any gesture
+script with indexing enabled must produce exactly the outcomes of the
+same script with indexing disabled: identical counters, identical touched
+rowids, identical displayed values.
 This harness generates seeded random gesture scripts and replays each on
 a kernel-with-indexing and an indexing-disabled reference, across dtypes,
 dataset sizes and in-memory vs. paged columns, asserting bit-identical
@@ -192,38 +192,6 @@ def test_paged_column_scripts_bit_identical(tmp_path, seed):
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("kind", ["int64", "float64-nan"])
-@pytest.mark.parametrize("seed", [13, 37])
-def test_stochastic_cracking_scripts_bit_identical(kind, seed):
-    """MDD1R stochastic cracking is still outcome-invisible: random pivot
-    mixing rearranges index internals only, so seeded scripts replay bit
-    for bit against the indexing-off reference."""
-    data = make_column_data(np.random.default_rng(seed), kind, 20_000)
-    on = ExplorationSession(
-        profile=FAST_PROFILE,
-        config=KernelConfig(
-            enable_indexing=True,
-            index_manager=IndexManager(stochastic=True, crack_seed=seed),
-        ),
-    )
-    off = ExplorationSession(
-        profile=FAST_PROFILE, config=KernelConfig(enable_indexing=False)
-    )
-    results = []
-    for session in (on, off):
-        session.load_column("data", data.copy())
-        view = session.show_column("data")
-        results.append(drive_column_script(session, view, np.random.default_rng(seed + 1)))
-    assert results[0] == results[1]
-    # bulk selections stay exact with stochastic pivots in the structure
-    script_rng = np.random.default_rng(seed + 2)
-    for _ in range(8):
-        predicate = random_predicate(script_rng)
-        selection = on.select_where("data-view", predicate)
-        assert np.array_equal(selection.rowids, np.nonzero(predicate.mask(data))[0])
-    assert on.kernel.index_manager.stats.stochastic_cracks > 0
-
-
 @pytest.mark.parametrize("seed", [7, 31])
 def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
     """The disk-resident cracker arm: a paged column clustered on the key,
@@ -258,12 +226,11 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
             low = float(script_rng.uniform(0, 1_000_000 - width))
             predicate = Predicate(Comparison.BETWEEN, low, upper=low + width)
             selection = on.select_where("data-view", predicate)
-            assert selection.strategy == "paged-cracker"
+            assert selection.strategy == "index"
             assert np.array_equal(selection.rowids, np.nonzero(predicate.mask(data))[0])
         stats = on.kernel.index_manager.stats_snapshot()
         assert (stats["cracker_bytes"] > 0) == cracker_bytes_held
-    assert stats["paged_crackers_built"] == 1
-    assert stats["cracks_performed"] == 0
+    assert stats["crackers_built"] == 1
 
 
 @pytest.mark.parametrize("seed", [5, 23])
@@ -272,9 +239,8 @@ def test_select_where_table_scripts_bit_identical(seed, with_cache):
     """Seeded select-where slides over tables are unchanged by indexing.
 
     The ``with_cache=False`` arm is the same proof for uncached slides,
-    whose every where-value is read: the refinement that follows each
-    gesture must leave every counter — ``tuples_examined`` included —
-    identical to the indexing-off replay.
+    whose every where-value is read: every counter — ``tuples_examined``
+    included — must equal the indexing-off replay's.
     """
     rng = np.random.default_rng(seed)
     n = 5_000
@@ -312,8 +278,8 @@ def test_select_where_table_scripts_bit_identical(seed, with_cache):
             fingerprints.append(outcome_fingerprint(outcome))
         results.append(fingerprints)
     assert results[0] == results[1]
-    # the slides refined the where-attribute's cracker as a side effect
-    assert on.kernel.index_manager.has_cracker("orders", "amount")
+    # the slides left the where-attribute unindexed: gestures build nothing
+    assert not on.kernel.index_manager.has_cracker("orders", "amount")
 
 
 @pytest.mark.parametrize("kind", ["int64", "float64-nan"])
@@ -415,7 +381,7 @@ def test_append_mid_script_bit_identical(tmp_path, kind, paged):
     Both arms replay the identical command history — gestures, bulk
     selections, and two ``session.append`` batches landing between script
     segments — and every observable outcome must match bit for bit.  The
-    indexed arm additionally proves the appends *extended* its crackers'
+    indexed arm additionally proves the appends *extended* its indexes'
     validity windows rather than invalidating them, and that a mid-run
     background-style ``merge_index_tails`` is outcome-invisible too.
     """
@@ -593,7 +559,7 @@ def test_preload_vs_incremental_append_converge(kind):
     base, then ingests the tail in two ``session.append`` batches (with a
     tail merge between them).  Once both hold the same rows, identical
     gesture scripts and bulk selections must produce bit-identical
-    outcomes — the index's very different crack histories notwithstanding.
+    outcomes — the index's very different build histories notwithstanding.
     Caching is disabled so outcomes are a pure function of data + command.
     """
     seed = 53
@@ -614,7 +580,7 @@ def test_preload_vs_incremental_append_converge(kind):
         session.load_column("data", (full if preloaded else base).copy())
         view = session.show_column("data")
         warm_rng = np.random.default_rng(seed + 1)
-        for _ in range(6):  # crack each arm along its own history
+        for _ in range(6):  # index each arm along its own history
             session.select_where(view.name, random_predicate(warm_rng))
         if not preloaded:
             session.append("data", values=tail[:400].tolist())

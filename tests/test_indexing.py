@@ -1,12 +1,12 @@
-"""Unit tests for zone maps, cracking and per-sample-level indexes."""
+"""Unit tests for zone maps, the sorted index and per-sample-level indexes."""
 
 import numpy as np
 import pytest
 
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import SampleError, StorageError
-from repro.indexing.cracking import CrackerIndex
 from repro.indexing.sample_index import SampleLevelIndex
+from repro.indexing.sorted_index import SortedIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.storage.column import Column
 from repro.storage.sample import SampleHierarchy
@@ -115,66 +115,34 @@ class TestZoneMap:
 
 
 class TestCrackerIndex:
+    """The manager's per-column index (``IndexManager.cracker_for``), a
+    :class:`SortedIndex` over an in-memory column."""
+
     def test_range_lookup_correct(self, random_column):
-        index = CrackerIndex(random_column)
+        index = SortedIndex(random_column)
         expected = np.nonzero((random_column.values >= 100) & (random_column.values < 200))[0]
         result = index.rowids_in_range(100, 200)
         assert np.array_equal(result, expected)
 
     def test_lookup_without_cracking(self, random_column):
-        index = CrackerIndex(random_column)
-        result = index.rowids_in_range(100, 200, crack=False)
-        assert index.cracks_performed == 0
+        """A lookup reorders nothing: its only state is the permutation,
+        exactly the stable argsort, beside an untouched column."""
+        before = random_column.values.copy()
+        index = SortedIndex(random_column)
+        result = index.rowids_in_range(100, 200)
         expected = np.nonzero((random_column.values >= 100) & (random_column.values < 200))[0]
         assert np.array_equal(result, expected)
-
-    def test_repeat_lookup_scans_less(self, random_column):
-        index = CrackerIndex(random_column)
-        cost_before = index.scan_cost_for_range(100, 200)
-        index.rowids_in_range(100, 200)
-        cost_after = index.scan_cost_for_range(100, 200)
-        assert cost_after < cost_before
-        assert cost_after == 0  # the range is now exactly covered by pieces
-
-    def test_nearby_range_benefits_from_previous_cracks(self, random_column):
-        index = CrackerIndex(random_column)
-        index.rowids_in_range(100, 200)
-        cost = index.scan_cost_for_range(150, 180)
-        assert cost <= 10_000  # bounded by the 100..200 piece, not the whole column
-        assert cost < len(random_column)
-
-    def test_pieces_partition_the_column(self, random_column):
-        index = CrackerIndex(random_column)
-        index.rowids_in_range(100, 200)
-        index.rowids_in_range(500, 700)
-        pieces = index.pieces
-        assert sum(p.num_rows for p in pieces) == len(random_column)
-        assert pieces[0].start == 0 and pieces[-1].stop == len(random_column)
-
-    def test_values_respect_piece_bounds(self, random_column):
-        index = CrackerIndex(random_column)
-        index.crack(300.0)
-        left_piece = index.pieces[0]
-        values = index._values[left_piece.start : left_piece.stop]
-        assert (values < 300.0).all()
-
-    def test_duplicate_crack_is_noop(self, random_column):
-        index = CrackerIndex(random_column)
-        index.crack(300.0)
-        cracks = index.cracks_performed
-        index.crack(300.0)
-        assert index.cracks_performed == cracks
+        assert np.array_equal(random_column.values, before)
+        assert np.array_equal(index._sorted.rowids, np.argsort(before, kind="stable"))
 
     def test_invalid_range(self, random_column):
-        index = CrackerIndex(random_column)
+        index = SortedIndex(random_column)
         with pytest.raises(StorageError):
             index.rowids_in_range(200, 100)
-        with pytest.raises(StorageError):
-            index.crack_range(5, 1)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(StorageError):
-            CrackerIndex(Column("s", ["a", "b"]))
+            SortedIndex(Column("s", ["a", "b"]))
 
 
 class TestSampleLevelIndex:

@@ -1,12 +1,12 @@
 """Unit and edge-case tests for the adaptive indexing tier.
 
-Covers the :class:`repro.indexing.manager.IndexManager` itself (strategy
-choice, refinement, the cracker cap, invalidation, thread safety),
-the kernel/service/session wiring (``select_where``, replace-reloads,
-shared managers on a multi-session server), the snapshot round-trip, and
-the predicate edge cases uncovered while wiring the index into the hot
-path: NaN values, empty/inverted ranges, all-rows-match and single-value
-columns through ``select_where``, cracking and zonemap pruning.
+Covers the :class:`repro.indexing.manager.IndexManager` itself (both
+answers of the index, the cap, invalidation, thread safety), the
+kernel/service/session wiring (``select_where``, replace-reloads, shared
+managers on a multi-session server), the snapshot round-trip, and the
+predicate edge cases uncovered while wiring the index into the hot path:
+NaN values, empty/inverted ranges, all-rows-match and single-value
+columns through ``select_where``, the permutation and zonemap pruning.
 """
 
 from __future__ import annotations
@@ -27,19 +27,18 @@ from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import QueryError, StorageError
 from repro.indexing import manager as manager_module
-from repro.indexing.cracking import CrackerIndex
 from repro.indexing.manager import (
     IndexManager,
     predicate_range,
 )
-from repro.indexing.paged import PERMUTATION_GAP_SHARE, PagedCrackerIndex
+from repro.indexing.sorted_index import PERMUTATION_GAP_SHARE, SortedIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.service import LocalExplorationService, MultiSessionServer, SchedulerConfig
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
-from repro.storage.dtypes import INT32
+from repro.storage.dtypes import FLOAT32, INT32
 from repro.storage.table import Table
 from repro.touchio.device import DeviceProfile
 
@@ -87,32 +86,55 @@ class TestPredicateRange:
         assert predicate_range(Predicate(Comparison.BETWEEN, 0.0, upper=np.inf)) is None
 
 
+#: One predicate per range comparison, for an int64 column of 0..999 and
+#: for a float32 column on a grid of tenths.
+SIX_COMPARISONS = {
+    "int64": [
+        Predicate(Comparison.BETWEEN, 100, upper=200),
+        Predicate(Comparison.LT, 50),
+        Predicate(Comparison.GE, 990),
+        Predicate(Comparison.EQ, 123),
+        Predicate(Comparison.GT, 998),
+        Predicate(Comparison.LE, 1),
+    ],
+    "float32": [
+        Predicate(Comparison.BETWEEN, 0.1, upper=0.3),
+        Predicate(Comparison.LT, 0.3),
+        Predicate(Comparison.GE, 0.2),
+        Predicate(Comparison.EQ, 0.1),
+        Predicate(Comparison.GT, 0.1),
+        Predicate(Comparison.LE, 0.3),
+    ],
+}
+
+
 class TestManagerStrategies:
     @pytest.mark.parametrize(
-        "predicate",
-        [
-            Predicate(Comparison.BETWEEN, 100, upper=200),
-            Predicate(Comparison.LT, 50),
-            Predicate(Comparison.GE, 990),
-            Predicate(Comparison.EQ, 123),
-            Predicate(Comparison.GT, 998),
-            Predicate(Comparison.LE, 1),
-        ],
+        "kind, predicate",
+        [(kind, pred) for kind, predicates in SIX_COMPARISONS.items() for pred in predicates],
+        ids=lambda value: getattr(getattr(value, "comparison", None), "name", value),
     )
-    def test_cracker_selection_matches_brute_force(self, manager, random_data, predicate):
-        column = Column("c", random_data)
+    def test_index_selection_matches_brute_force(self, manager, random_data, kind, predicate):
+        """A float32 column compares in float32 (numpy casts the operand to
+        it), so an inclusive bound on 0.1 steps from float32(0.1)."""
+        if kind == "float32":
+            grid = np.asarray([0.1, 0.2, 0.3, 1.5, 2.0], dtype=np.float32)
+            data = np.random.default_rng(13).choice(grid, size=20_000)
+            column = Column("c", data, dtype=FLOAT32)
+        else:
+            data, column = random_data, Column("c", random_data)
         selection = manager.select_rowids("c", None, column, predicate)
-        assert selection is not None and selection.strategy == "cracker"
-        assert np.array_equal(selection.rowids, brute(random_data, predicate))
+        assert selection is not None and selection.strategy == "index"
+        assert np.array_equal(selection.rowids, brute(data, predicate))
 
     def test_repeat_consultations_scan_less(self, manager, random_data):
         column = Column("c", random_data)
         predicate = Predicate(Comparison.BETWEEN, 300, upper=400)
         first = manager.select_rowids("c", None, column, predicate)
         second = manager.select_rowids("c", None, column, predicate)
-        assert first.refined and not second.refined
         assert second.rows_scanned <= first.rows_scanned
-        assert second.rows_scanned < len(column)
+        assert second.rows_scanned <= 2 * (math.isqrt(len(column) - 1) + 1)
+        assert manager.stats.crackers_built == 1
 
     def test_ne_predicate_is_not_indexable(self, manager, random_data):
         column = Column("c", random_data)
@@ -129,7 +151,7 @@ class TestManagerStrategies:
         "data",
         [
             # the 2**53 boundary, where float64 loses integer exactness:
-            # the dtype-preserving cracker must agree with Predicate.mask
+            # the native-dtype index must agree with Predicate.mask
             # on both sides of it
             np.array([0, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 5], dtype=np.int64),
             np.array([-(2**53) - 1, -(2**53), -(2**53) + 1, -7, 0], dtype=np.int64),
@@ -141,7 +163,7 @@ class TestManagerStrategies:
         ],
     )
     def test_huge_integers_crack_exactly(self, manager, data):
-        """Regression for the deleted >2**53 refusal: int64 cracks as int64."""
+        """Regression for the deleted >2**53 refusal: int64 compares as int64."""
         column = Column("big", data)
         for operand in (
             float(2**53),
@@ -153,7 +175,7 @@ class TestManagerStrategies:
             for comparison in (Comparison.GT, Comparison.LE, Comparison.EQ):
                 predicate = Predicate(comparison, operand)
                 selection = manager.select_rowids("big", None, column, predicate)
-                assert selection is not None and selection.strategy == "cracker"
+                assert selection is not None and selection.strategy == "index"
                 assert np.array_equal(selection.rowids, brute(data, predicate))
         assert manager.has_cracker("big", None)
 
@@ -171,7 +193,7 @@ class TestManagerStrategies:
         paged = catalog.load_column("sorted")
         predicate = Predicate(Comparison.BETWEEN, 10_000, upper=10_500)
         selection = manager.select_rowids("sorted", None, paged, predicate)
-        assert selection.strategy == "paged-cracker"
+        assert selection.strategy == "index"
         assert np.array_equal(selection.rowids, brute(data, predicate))
         # zonemap pruning still bounds the work: only overlapping chunks
         assert selection.rows_scanned <= 2 * 1024
@@ -184,10 +206,10 @@ class TestManagerStrategies:
         assert np.array_equal(again.rowids, brute(data, predicate))
 
 
-#: The cracker surface ISSUE 21 declares (``repro.indexing.cracking.Cracker``).
+#: The members of :class:`SortedIndex` the manager may use.
 CRACKER_SURFACE = {
-    "crack_range", "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
-    "num_pieces", "values_scanned_total", "export_state", "strategy",
+    "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
+    "values_scanned_total", "export_state",
 }  # fmt: skip
 
 
@@ -199,23 +221,25 @@ def _members_the_manager_reads() -> set[str]:
 
 
 class TestCrackerSurface:
-    """Both cracker kinds carry every member the manager calls or reads —
-    a missing one is a named failure here, not a production AttributeError."""
+    """The index over either column kind carries every member the manager
+    calls or reads — a missing one is a named failure here, not a
+    production AttributeError."""
 
     @pytest.fixture()
     def crackers(self, tmp_path):
         data = np.random.default_rng(5).integers(0, 1_000, size=4_096)
         catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
         catalog.persist_column(Column("c", data), chunk_rows=512)
-        return CrackerIndex(Column("c", data)), PagedCrackerIndex(catalog.load_column("c"))
+        return SortedIndex(Column("c", data)), SortedIndex(catalog.load_column("c"))
 
     def test_the_manager_reads_nothing_outside_the_declared_surface(self):
-        assert _members_the_manager_reads() <= CRACKER_SURFACE | {"activity"}
+        assert _members_the_manager_reads() <= CRACKER_SURFACE
 
     @pytest.mark.parametrize("member", sorted(CRACKER_SURFACE | _members_the_manager_reads()))
     def test_member_present_with_one_arity_on_both_kinds(self, crackers, member):
         in_memory, paged = crackers
         for cracker in crackers:
+            cracker.rowids_in_range(100.0, 200.0)
             assert hasattr(cracker, member), f"{type(cracker).__name__} lacks {member!r}"
         if callable(getattr(in_memory, member)):
             signatures = [inspect.signature(getattr(cracker, member)) for cracker in crackers]
@@ -226,8 +250,8 @@ class TestCrackerSurface:
     def test_one_ledger_counts_a_paged_index(self, crackers):
         _, paged = crackers
         paged.rowids_in_range(100.0, 200.0)
-        assert paged.values_scanned_total == paged.activity["values_scanned_total"] > 0
-        assert paged.cracks_performed == paged.activity["cracks_performed"] == 0
+        assert paged.values_scanned_total > 0
+        assert paged.size_bytes == 0  # eight chunks: scanned, nothing built
 
 
 class TestPagedPermutation:
@@ -252,11 +276,10 @@ class TestPagedPermutation:
             low = float(rng.integers(0, 990_000))
             predicate = Predicate(Comparison.BETWEEN, low, upper=low + 10_000)
             selection = manager.select_rowids("u", None, paged, predicate)
-            assert selection.strategy == "paged-cracker"
+            assert selection.strategy == "index"
             assert np.array_equal(selection.rowids, brute(data, predicate))
             assert selection.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)  # 2 * ceil(sqrt(n))
         assert manager.cracker_for("u")._sorted is not None
-        assert manager.stats_snapshot()["cracks_performed"] == 0
 
     def test_refinement_over_cap_builds_nothing(self, tmp_path):
         _, paged = self.uniform(tmp_path, 20_000)
@@ -272,8 +295,6 @@ class TestPagedPermutation:
         after = manager.stats_snapshot()
         assert after["crackers_built"] == 1
         assert after["cracker_bytes"] == before["cracker_bytes"] > 0
-        assert after["cracks_performed"] == 0
-        assert after["refinements"] == before["refinements"] + 9
 
     def test_appends_are_a_scanned_gap_until_the_permutation_rebuilds(self, tmp_path):
         _, paged = self.uniform(tmp_path, 20_000)
@@ -303,7 +324,6 @@ class TestPagedPermutation:
         manager.merge_tails("u")
         select()
         assert cracker._sorted is not built and cracker._sorted.covered == 22_700
-        assert cracker.cracks_performed == 0
 
     @pytest.mark.parametrize(
         "kind", ["int64 heavy ties", "int64 negative", "int32", "int64 at the packing limit"]
@@ -336,6 +356,11 @@ class TestPagedPermutation:
         assert np.array_equal(selection.rowids, brute(data, predicate))
         runs = manager.cracker_for("u")._sorted
         assert np.array_equal(runs.rowids, np.argsort(data, kind="stable"))
+        # an in-memory column of the same data packs its min/max range alike
+        in_memory = IndexManager()
+        found = in_memory.select_rowids("u", None, Column("u", data, dtype=dtype), predicate)
+        assert np.array_equal(found.rowids, brute(data, predicate))
+        assert np.array_equal(in_memory.cracker_for("u")._sorted.rowids, runs.rowids)
         starts = np.arange(0, rows, runs.run_rows)
         lasts = np.minimum(starts + runs.run_rows, rows) - 1
         assert runs.lows.dtype == runs.highs.dtype == data.dtype
@@ -413,7 +438,6 @@ class TestPagedPermutation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in (*selectors, squeezer))
         assert errors == []
-        assert manager.stats_snapshot()["cracks_performed"] == 0
         assert manager.stats.crackers_dropped > 0  # dropped permutations were rebuilt
         assert manager.stats_snapshot()["cracker_bytes"] == manager.index_bytes
 
@@ -506,9 +530,7 @@ class TestManagerLifecycle:
             t.join()
         assert errors == []
         cracker = manager.cracker_for("c", None)
-        assert np.array_equal(
-            np.sort(cracker._rowids), np.arange(len(random_data), dtype=np.int64)
-        )
+        assert np.array_equal(cracker._sorted.rowids, np.argsort(random_data, kind="stable"))
 
 
 class TestKernelSelectWhere:
@@ -560,15 +582,16 @@ class TestKernelSelectWhere:
         assert np.array_equal(selection.selected["customer"], expected % 17)
         assert selection.values is None
 
-    def test_gesture_refines_then_bulk_query_scans_less(self, random_data):
+    def test_gestures_build_nothing_and_the_bulk_query_indexes(self, random_data):
         session = self.make_session()
         session.load_column("c", random_data)
         view = session.show_column("c")
         predicate = Predicate(Comparison.BETWEEN, 250, upper=260)
         session.choose_action(view, scan_action(predicate))
         session.slide(view, duration=0.4)
+        assert not session.kernel.index_manager.has_cracker("c", None)
         selection = session.select_where(view)
-        assert selection.strategy == "cracker"
+        assert selection.strategy == "index"
         assert selection.rows_scanned < len(random_data)
         assert np.array_equal(selection.rowids, brute(random_data, predicate))
 
@@ -602,9 +625,9 @@ class TestPredicateEdgeCases:
     _stores = 0
 
     def run_all_strategies(self, data: np.ndarray, predicate: Predicate, tmp_path):
-        """The same predicate through cracker, zonemap-chunks and scan."""
+        """The same predicate through the permutation, zonemap-chunks and scan."""
         expected = brute(data, predicate)
-        # cracker (in-memory, indexing on)
+        # the permutation (in-memory, indexing on)
         manager = IndexManager()
         indexed = manager.select_rowids("d", None, Column("d", data), predicate)
         if indexed is not None:
@@ -619,7 +642,7 @@ class TestPredicateEdgeCases:
         paged = catalog.load_column("d")
         chunked = manager.select_rowids("d-paged", None, paged, predicate)
         if chunked is not None:
-            assert chunked.strategy == "paged-cracker"
+            assert chunked.strategy == "index"
             assert np.array_equal(chunked.rowids, expected)
         return expected
 
@@ -656,10 +679,7 @@ class TestPredicateEdgeCases:
     def test_inverted_ranges_are_rejected_at_the_edges(self):
         with pytest.raises(QueryError):
             Predicate(Comparison.BETWEEN, 10.0, upper=5.0)
-        index_column = Column("c", np.arange(10))
-        from repro.indexing.cracking import CrackerIndex
-
-        index = CrackerIndex(index_column)
+        index = SortedIndex(Column("c", np.arange(10)))
         with pytest.raises(StorageError):
             index.rowids_in_range(10.0, 5.0)
 
@@ -682,65 +702,78 @@ class TestPredicateEdgeCases:
         )
 
 
+def _reopen(root):
+    """A cold restart: a fresh store catalog and runtime over ``root``."""
+    catalog = StoreCatalog(DiskColumnStore(root, cache_bytes=1 << 22))
+    runtime = Catalog()
+    catalog.attach(runtime)
+    return catalog, runtime
+
+
+def _perm_columns(catalog: StoreCatalog) -> list[str]:
+    return [name for name in catalog.store.column_names if "#" in name and "#s" not in name]
+
+
 class TestSnapshotRoundTrip:
     def test_persist_and_attach_index(self, tmp_path):
         rng = np.random.default_rng(23)
         data = rng.integers(0, 10_000, size=50_000, dtype=np.int64)
         store = DiskColumnStore(tmp_path, cache_bytes=1 << 22)
         catalog = StoreCatalog(store)
-        catalog.persist_column(Column("hot", data))
+        # 256-row chunks: a uniform range offers all 196, so the warm
+        # selection answers from the adopted permutation
+        catalog.persist_column(Column("hot", data), chunk_rows=256)
         manager = IndexManager()
         predicate = Predicate(Comparison.BETWEEN, 2_000, upper=3_000)
         manager.select_rowids("hot", None, Column("hot", data), predicate)
+        # an index of an object the catalog never persisted has nothing to
+        # warm-start against: skipped
+        manager.select_rowids("scratch", None, Column("scratch", data), predicate)
         assert catalog.persist_index(manager) == [("hot", None)]
         assert catalog.index_keys() == [("hot", None)]
 
         # cold restart: fresh store catalog, fresh runtime, fresh manager
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        runtime = Catalog()
-        reopened.attach(runtime)
+        reopened, runtime = _reopen(tmp_path)
+        assert reopened.attach_index(IndexManager(), Catalog()) == []  # "hot" not registered
         warm = IndexManager()
         assert reopened.attach_index(warm, runtime) == [("hot", None)]
         assert warm.stats.crackers_adopted == 1
         paged = runtime.resolve_column("hot")
         selection = warm.select_rowids("hot", None, paged, predicate)
-        assert selection.strategy == "cracker"
-        assert selection.rows_scanned < len(paged)
+        assert selection.strategy == "index"
+        assert selection.rows_scanned <= 2 * (math.isqrt(len(paged) - 1) + 1)
+        assert warm.stats.crackers_built == 0  # adopted, not sorted again
         assert np.array_equal(selection.rowids, brute(data, predicate))
 
     def test_paged_cracker_is_skipped_and_the_in_memory_one_persists(self, tmp_path):
-        """Regression: with one paged cracker live, ``cracked_states()`` — hence
-        ``persist_index`` — raised ``AttributeError: 'PagedCrackerIndex' object
-        has no attribute 'export_state'``."""
+        """An index answered by chunk scans alone has built no permutation:
+        ``cracked_states()`` — hence ``persist_index`` — skips it."""
         rng = np.random.default_rng(21)
         flux = rng.uniform(0.0, 1_000.0, size=50_000)
         hot = rng.integers(0, 10_000, size=20_000, dtype=np.int64)
         catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
         catalog.persist_column(Column("flux", flux), chunk_rows=4_096)
-        catalog.persist_column(Column("hot", hot))
+        catalog.persist_column(Column("hot", hot), chunk_rows=128)
         manager = IndexManager()
-        paged = catalog.load_column("flux")  # snapshot-backed: a paged cracker
+        paged = catalog.load_column("flux")  # 13 chunks: every range is a scan
         narrow = Predicate(Comparison.BETWEEN, 10, upper=20)
         wide = Predicate(Comparison.BETWEEN, 2_000, upper=3_000)
-        assert manager.select_rowids("flux", None, paged, narrow).strategy == "paged-cracker"
-        assert manager.select_rowids("hot", None, Column("hot", hot), wide).strategy == "cracker"
+        assert manager.select_rowids("flux", None, paged, narrow).strategy == "index"
+        assert manager.select_rowids("hot", None, Column("hot", hot), wide).strategy == "index"
 
-        # a paged cracker has no snapshot state: its permutation rebuilds on demand
         assert [key for key, _ in manager.cracked_states()] == [("hot", None)]
         assert catalog.persist_index(manager) == [("hot", None)]
 
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        runtime = Catalog()
-        reopened.attach(runtime)
+        reopened, runtime = _reopen(tmp_path)
         warm = IndexManager()
         assert reopened.attach_index(warm, runtime) == [("hot", None)]
         selection = warm.select_rowids("hot", None, runtime.resolve_column("hot"), wide)
-        assert selection.strategy == "cracker" and selection.rows_scanned < len(hot)
+        assert selection.strategy == "index" and selection.rows_scanned < len(hot)
         assert np.array_equal(selection.rowids, brute(hot, wide))
 
         for predicate in (narrow, Predicate(Comparison.GE, 990.0), Predicate(Comparison.LT, 5.0)):
             selection = manager.select_rowids("flux", None, paged, predicate)
-            assert selection.strategy == "paged-cracker"
+            assert selection.strategy == "index"
             assert np.array_equal(selection.rowids, brute(flux, predicate))
 
     def test_stale_index_state_is_skipped_on_attach(self, tmp_path):
@@ -784,132 +817,133 @@ class TestSnapshotRoundTrip:
         assert reopened.index_keys() == []
         assert reopened.column_names == ["c"]
 
-    def _seeded_catalog(self, tmp_path):
-        """A persisted column plus a manager whose cracker has an
-        established piece structure and one full index snapshot on disk."""
+    def test_every_persist_rewrites_the_one_permutation(self, tmp_path):
+        """However many snapshots follow, a persisted index is one
+        ``#perm`` column of int32 rowids (4 bytes a row), adopted back in
+        the column's native dtype."""
         rng = np.random.default_rng(3)
         data = rng.integers(-(2**60), 2**60, size=40_000)
         catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        catalog.persist_column(Column("hot", data))
+        catalog.persist_column(Column("hot", data), chunk_rows=256)
         manager = IndexManager()
         column = Column("hot", data)
-        for fraction in (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75):
-            manager.select_rowids(
-                "hot", None, column, Predicate(Comparison.GE, fraction * 2**60)
-            )
-        assert catalog.persist_index(manager) == [("hot", None)]
-        return data, catalog, manager, column
-
-    def _reattach(self, tmp_path):
-        """A cold restart: fresh store catalog, runtime and manager."""
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        runtime = Catalog()
-        reopened.attach(runtime)
-        warm = IndexManager()
-        return reopened.attach_index(warm, runtime), warm, runtime.resolve_column("hot")
-
-    def test_every_persist_rewrites_the_same_two_full_arrays(self, tmp_path):
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
-        narrow = Predicate(Comparison.BETWEEN, 0.1 * 2**60, upper=0.12 * 2**60)
-        manager.select_rowids("hot", None, column, narrow)
-        assert catalog.persist_index(manager) == [("hot", None)]
-
-        # the narrow refinement survives the restart, exactly and in the
-        # column's native dtype
-        adopted_keys, warm, paged = self._reattach(tmp_path)
-        assert adopted_keys == [("hot", None)]
-        for predicate in (
-            narrow,
-            Predicate(Comparison.GE, 0.5 * 2**60),
-            Predicate(Comparison.LT, -(2**58)),
-        ):
-            selection = warm.select_rowids("hot", None, paged, predicate)
-            assert np.array_equal(selection.rowids, brute(data, predicate))
-        adopted = warm.cracker_for("hot", None)
-        assert adopted._values.dtype == np.int64
-        assert adopted.scan_cost_for_range(0.1 * 2**60, 0.12 * 2**60) < len(data) // 8
-
-        # however many snapshots follow, a persisted cracker is two columns
-        # (the "#s<step>" columns are the column's sample hierarchy)
         for step in range(12):
             low = (0.1 + step * 0.01) * 2**60
             manager.select_rowids(
                 "hot", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 2**53)
             )
             assert catalog.persist_index(manager) == [("hot", None)]
-        names = [name for name in catalog.store.column_names if not name.startswith("hot#s")]
-        assert names == ["hot", "hot#crk-r", "hot#crk-v"]
+        assert _perm_columns(catalog) == ["hot#perm"]
+        perm = catalog.store.open_column("hot#perm")
+        assert perm.values.dtype == np.int32 and len(perm) == len(data)
 
-        adopted_keys, warm, paged = self._reattach(tmp_path)
-        assert adopted_keys == [("hot", None)]
-        low = 0.21 * 2**60
+        reopened, runtime = _reopen(tmp_path)
+        warm = IndexManager()
+        assert reopened.attach_index(warm, runtime) == [("hot", None)]
+        paged = runtime.resolve_column("hot")
         for predicate in (
-            Predicate(Comparison.BETWEEN, low, upper=low + 2**53),
+            Predicate(Comparison.BETWEEN, 0.21 * 2**60, upper=0.21 * 2**60 + 2**53),
             Predicate(Comparison.GE, 0.5 * 2**60),
+            Predicate(Comparison.LT, -(2**58)),
         ):
             selection = warm.select_rowids("hot", None, paged, predicate)
             assert np.array_equal(selection.rowids, brute(data, predicate))
+        adopted = warm.cracker_for("hot", None)
+        assert adopted._sorted.lows.dtype == np.int64
+        assert warm.index_bytes == manager.index_bytes
 
-    def test_a_record_with_pending_deltas_is_never_adopted(self, tmp_path):
-        """A delta-chain record (written by an incremental-snapshot build)
-        pairs its base arrays with newer pivots and bounds; adopting it
-        without the deltas would pass every ``from_state`` check and answer
-        wrongly."""
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "valid",
+            "rowid out of range",
+            "duplicated rowid",
+            "adjacent pair swapped",
+            "order of other data",
+            "NaN row included",
+            "a row left out",
+            "float rowids",
+            "num_rows past the column",
+            "legacy two-array record",
+            "record with deltas",
+        ],
+    )
+    def test_adoption_is_exact_or_nothing(self, tmp_path, case):
+        """A persisted permutation is adopted whole only when it is exactly
+        the stable value order of the non-NaN rows it covers; anything else
+        — a corrupt store column, another column's order, a manifest record
+        of an older index format — starts that column cold, and every
+        selection still equals the mask."""
         import json
 
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
-        # keep the seeded (older) arrays under other store names
-        for suffix in ("v", "r"):
-            old = np.asarray(catalog.store.open_column(f"hot#crk-{suffix}").values)
-            catalog.store.write_column(Column(f"old-{suffix}", old), name=f"old-{suffix}")
-        narrow = Predicate(Comparison.BETWEEN, 0.1 * 2**60, upper=0.12 * 2**60)
-        manager.select_rowids("hot", None, column, narrow)
+        rng = np.random.default_rng(43)
+        data = rng.integers(0, 500, size=6_000).astype(np.float64)  # heavy ties
+        data[rng.random(6_000) < 0.05] = np.nan
+        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
+        # 64-row chunks: 94 of them, so warm selections read the permutation
+        catalog.persist_column(Column("hot", data), chunk_rows=64, hierarchy=False)
+        manager = IndexManager()
+        manager.select_rowids("hot", None, Column("hot", data), Predicate(Comparison.LT, 250.0))
         assert catalog.persist_index(manager) == [("hot", None)]
 
+        perm = np.asarray(catalog.store.open_column("hot#perm").values).copy()
+        nan_row = int(np.flatnonzero(np.isnan(data))[0])
+        tampered = {
+            "rowid out of range": lambda p: np.concatenate([p[:-1], [len(data)]]),
+            "duplicated rowid": lambda p: np.concatenate([p[:1], p[:-1]]),
+            "adjacent pair swapped": lambda p: np.concatenate([p[:1000], p[1001:999:-1], p[1002:]]),
+            "order of other data": lambda p: np.argsort(data[::-1], kind="stable")[: p.size],
+            "NaN row included": lambda p: np.concatenate([[nan_row], p[1:]]),
+            "a row left out": lambda p: p[1:],  # still ascending: only the count tells
+            "float rowids": lambda p: p.astype(np.float64),
+        }
+        if case in tampered:
+            bad = tampered[case](perm)
+            assert not np.array_equal(bad, perm) or bad.dtype != perm.dtype
+            catalog.store.write_column(Column("hot#perm", bad), name="hot#perm", replace=True)
         payload = json.loads(catalog.manifest_path.read_text())
         (record,) = payload["indexes"]
-        record.update(
-            values_store="old-v",
-            rowids_store="old-r",
-            deltas=[
-                {"offset": 0, "rows": 1, "values_store": "d0-v", "rowids_store": "d0-r"}
-            ],
-        )
+        appended = rng.integers(0, 500, size=300).astype(np.float64)
+        if case == "num_rows past the column":
+            record["num_rows"] = len(data) + len(appended) + 1
+        elif case in ("legacy two-array record", "record with deltas"):
+            # the formats before this one: two cracked arrays and pieces
+            record.pop("perm_store")
+            record.update(
+                num_valid=int(perm.size),
+                cracks_performed=2,
+                pivots=[250.0],
+                bounds=[0, 100, int(perm.size)],
+                values_store="hot#crk-v",
+                rowids_store="hot#crk-r",
+            )
+            if case == "record with deltas":
+                record["deltas"] = [
+                    {"offset": 0, "rows": 1, "values_store": "d0-v", "rowids_store": "d0-r"}
+                ]
         catalog.manifest_path.write_text(json.dumps(payload))
 
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        assert reopened.index_keys() == []
-        runtime = Catalog()
-        reopened.attach(runtime)
-        warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == []
+        reopened, runtime = _reopen(tmp_path)
         paged = runtime.resolve_column("hot")
-        for predicate in (narrow, Predicate(Comparison.GE, 0.5 * 2**60)):
-            selection = warm.select_rowids("hot", None, paged, predicate)
-            assert np.array_equal(selection.rowids, brute(data, predicate))
-
-    def test_legacy_full_array_records_still_attach(self, tmp_path):
-        import json
-
-        data, catalog, manager, column = self._seeded_catalog(tmp_path)
-        payload = json.loads(catalog.manifest_path.read_text())
-        for record in payload["indexes"]:
-            # pre-delta manifests carry none of the incremental fields
-            record.pop("epoch", None)
-            record.pop("generation", None)
-            record.pop("deltas", None)
-        catalog.manifest_path.write_text(json.dumps(payload))
-
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        runtime = Catalog()
-        reopened.attach(runtime)
+        paged.append_batch(appended)  # rows arriving after the snapshot
+        grown = np.concatenate([data, appended])
         warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == [("hot", None)]
-        predicate = Predicate(Comparison.GE, 0.5 * 2**60)
-        selection = warm.select_rowids(
-            "hot", None, runtime.resolve_column("hot"), predicate
-        )
-        assert np.array_equal(selection.rowids, brute(data, predicate))
+        adopted = reopened.attach_index(warm, runtime)
+        if case == "valid":
+            assert adopted == [("hot", None)]
+            assert warm.cracker_for("hot").tail_rows == len(appended)
+        else:
+            assert adopted == []
+            assert not warm.has_cracker("hot")
+        for predicate in (
+            Predicate(Comparison.BETWEEN, 100.0, upper=300.0),
+            Predicate(Comparison.EQ, float(data[0])),
+            Predicate(Comparison.GT, 450.0),
+        ):
+            selection = warm.select_rowids("hot", None, paged, predicate)
+            assert np.array_equal(selection.rowids, brute(grown, predicate))
+        assert reopened.persist_index(warm) == [("hot", None)]
+        assert _perm_columns(reopened) == ["hot#perm"]
 
 
 class TestSharedIndexServing:
@@ -930,11 +964,14 @@ class TestSharedIndexServing:
             server.execute(sid, ShowColumn(object_name="data", view_name="v"))
         server.execute(first, ChooseAction(view="v", action=scan_action(predicate)))
         server.execute(first, Slide(view="v", duration=0.4))
-        # session 1's gesture cracked the shared index; session 2 benefits
+        assert not server.index_manager.has_cracker("data", None)  # gestures build nothing
+        # session 1's selection builds the shared index; session 2 reads it
+        server.service(first).select_where("v", predicate)
         assert server.index_manager.has_cracker("data", None)
         selection = server.service(second).select_where("v", predicate)
-        assert selection.strategy == "cracker"
+        assert selection.strategy == "index"
         assert selection.rows_scanned < len(data)
+        assert server.index_manager.stats.crackers_built == 1
         assert np.array_equal(selection.rowids, brute(data, predicate))
 
     def test_shared_index_survives_service_reset(self):
@@ -981,7 +1018,7 @@ class TestSharedIndexServing:
                 future.result(timeout=30.0)
             server.drain(timeout=30.0)
             manager = server.index_manager
-            assert manager.stats.refinements >= 1
+            assert not manager.has_cracker("data", None)  # gestures build nothing
             for i in range(4):
                 predicate = Predicate(Comparison.BETWEEN, i * 100, upper=i * 100 + 80)
                 selection = manager.select_rowids(

@@ -1,11 +1,11 @@
-"""Live ingestion: append-capable columns, cracker validity windows, compaction.
+"""Live ingestion: append-capable columns, index validity windows, compaction.
 
 The streaming-append tier lets data arrive *while* exploration is running:
 ``append_batch`` grows columns/tables in place, shown views re-bind via the
-kernel's ``extend_object`` hook, and cracked indexes keep their pieces as a
-valid prefix window — the appended hot tail is scanned until a background
-merge folds it into the cracker.  These tests pin the exactness contract at
-every layer: storage, cracker, manager, paged columns, snapshot compaction,
+kernel's ``extend_object`` hook, and indexes stay valid over their prefix
+window — the appended hot tail is scanned until a background merge folds
+it into the index's window.  These tests pin the exactness contract at
+every layer: storage, index, manager, paged columns, snapshot compaction,
 service, and session.
 """
 
@@ -97,14 +97,14 @@ def test_cracker_window_scan_and_merge_exact(kind):
         tail[rng.random(600) < 0.05] = np.nan
     column = Column("c", base.copy())
     manager = IndexManager()
-    # crack a few ranges, then append
+    # index a few ranges, then append
     for low in (100.0, 400.0, 700.0):
         manager.select_rowids(
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 150)
         )
     cracker = manager.cracker_for("c")
-    pieces_before = cracker.num_pieces
-    assert pieces_before > 1
+    built = cracker._sorted
+    assert built is not None
     column.append_batch(tail)
     assert manager.extend_valid_prefix("c") == 1
     assert cracker.covered_rows == len(base)
@@ -116,67 +116,58 @@ def test_cracker_window_scan_and_merge_exact(kind):
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 200)
         )
         assert np.array_equal(selection.rowids, _mask_rowids(full, low, low + 200))
-    # merging the tail folds every appended row into the pieces, exactly
+    # merging advances the window over every appended row; the index then
+    # rebuilds (600 rows outgrow 1/16 of 4,000) and stays exact
     merged = manager.merge_tails("c")
     assert merged == len(tail)
     assert cracker.tail_rows == 0
-    assert cracker.tail_merges == 1
-    assert cracker.rows_merged_total == len(tail)
     for low in (50.0, 450.0, 820.0):
         selection = manager.select_rowids(
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 200)
         )
         assert np.array_equal(selection.rowids, _mask_rowids(full, low, low + 200))
+    assert cracker._sorted is not built and cracker._sorted.covered == len(full)
     stats = manager.stats_snapshot()
     assert stats["prefix_extensions"] == 1
     assert stats["tail_merges"] == 1
     assert stats["rows_merged_total"] == len(tail)
 
 
-def test_merge_charges_allocated_capacity_and_reports_rows_moved():
-    """The index bytes count the doubled buffers; merges say what they moved."""
+def test_merge_moves_nothing_and_the_gauge_reads_the_permutation():
+    """A merge only advances the window; the index bytes are the
+    permutation's (4 a row) plus its fences, until a rebuild replaces it."""
     rng = np.random.default_rng(17)
     column = Column("c", rng.integers(0, 1_000, 10_000).astype(np.int64))
     manager = IndexManager()
-    for low in (100.0, 400.0, 700.0):
-        manager.select_rowids(
-            "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 150)
-        )
+    manager.select_rowids("c", None, column, Predicate(Comparison.BETWEEN, 100.0, upper=250.0))
     cracker = manager.cracker_for("c")
-    pieces = cracker.num_pieces
-    assert manager.index_bytes == cracker.size_bytes
-    assert cracker.size_bytes == 10_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
-    moved = 0
-    for batch in range(4):
-        column.append_batch(rng.integers(0, 1_000, 500).astype(np.int64))
+    built = cracker._sorted
+    fences = built.lows.nbytes + built.highs.nbytes
+    assert manager.index_bytes == cracker.size_bytes == 10_000 * 4 + fences
+    for _ in range(4):
+        column.append_batch(rng.integers(0, 1_000, 150).astype(np.int64))
         manager.extend_valid_prefix("c")
-        assert manager.merge_tails("c") == 500
-        # a merge touches the tail plus at most one tail's worth per piece —
-        # never the column — and only the first one reallocates (to 2x)
-        step = cracker.rows_moved_total - moved
-        assert 500 <= step <= 500 * pieces and step < len(column) // 2
-        moved += step
-        assert cracker._values.base.shape[0] == cracker._rowids.base.shape[0] == 20_000
-        assert cracker.size_bytes == 20_000 * 16 + cracker._pivots.nbytes + cracker._bounds.nbytes
-        assert manager.index_bytes == cracker.size_bytes
-    stats = manager.stats_snapshot()
-    assert stats["rows_merged_total"] == 2_000
-    assert stats["rows_moved_total"] == cracker.rows_moved_total == moved
-    assert stats["cracker_bytes"] == cracker.size_bytes
+        assert manager.merge_tails("c") == 150
+        assert cracker._sorted is built and manager.index_bytes == 10_000 * 4 + fences
     full = np.asarray(column.values)
     selection = manager.select_rowids(
         "c", None, column, Predicate(Comparison.BETWEEN, 250.0, upper=650.0)
     )
     assert np.array_equal(selection.rowids, _mask_rowids(full, 250.0, 650.0))
-    # export copies the logical arrays, not the capacity
-    assert cracker.export_state().values.shape == (12_000,)
-    # dropping the cracker drops every byte it held, spare capacity included
+    assert cracker._sorted is built  # 600 merged rows are under 1/16 of 10,000: a gap
+    stats = manager.stats_snapshot()
+    assert stats["rows_merged_total"] == 600 and stats["tail_merges"] == 4
+    assert stats["cracker_bytes"] == cracker.size_bytes
+    # the export is the permutation over the rows it sorted, not the window
+    rowids, covered = cracker.export_state()
+    assert covered == 10_000 and rowids is built.rowids
+    # dropping the index drops every byte it held
     manager.clear()
     assert manager.stats.crackers_dropped == 1
     assert manager.index_bytes == 0
 
 
-def test_extend_valid_prefix_keeps_pieces():
+def test_extend_valid_prefix_keeps_the_index():
     """Regression: an append must shrink the validity window, not the index."""
     rng = np.random.default_rng(9)
     column = Column("c", rng.integers(0, 1_000, 5_000).astype(np.int64))
@@ -186,15 +177,14 @@ def test_extend_valid_prefix_keeps_pieces():
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 100)
         )
     cracker = manager.cracker_for("c")
-    pieces = cracker.num_pieces
-    cracks = cracker.cracks_performed
+    built = cracker._sorted
     column.append_batch(rng.integers(0, 1_000, 800).astype(np.int64))
     manager.extend_valid_prefix("c")
     survivor = manager.cracker_for("c")
     assert survivor is cracker  # same index object, not a rebuild
-    assert survivor.num_pieces == pieces
-    assert survivor.cracks_performed == cracks  # no cracks were discarded
+    assert survivor._sorted is built  # its permutation kept, too
     assert survivor.tail_rows == 800
+    assert manager.stats.crackers_built == 1
 
 
 def test_int64_beyond_float_precision_stays_scan_identical():
@@ -223,7 +213,8 @@ def test_int64_beyond_float_precision_stays_scan_identical():
 
 
 def test_merge_tail_forces_full_snapshot_rewrite(tmp_path):
-    """A cracker whose arrays grew through a merge re-snapshots in full."""
+    """An index rebuilt over merged rows re-snapshots in full: the one
+    ``#perm`` column is replaced by the longer permutation."""
     rng = np.random.default_rng(3)
     data = rng.integers(0, 1_000, 3_000).astype(np.int64)
     column = Column("c", data.copy())
@@ -235,8 +226,11 @@ def test_merge_tail_forces_full_snapshot_rewrite(tmp_path):
     column.append_batch(rng.integers(0, 1_000, 400).astype(np.int64))
     manager.extend_valid_prefix("c")
     manager.merge_tails("c")
-    records = catalog.persist_index(manager)
-    assert records  # re-snapshot after merge succeeded (full rewrite path)
+    manager.select_rowids("c", None, column, Predicate(Comparison.LT, 100.0))  # rebuilds
+    assert catalog.persist_index(manager) == [("c", None)]
+    perm = catalog.store.open_column("c#perm")
+    assert len(perm) == 3_400 and catalog.index_keys() == [("c", None)]
+    assert np.array_equal(perm.values, np.argsort(column.values, kind="stable"))
 
 
 # --------------------------------------------------------------------- #
@@ -377,7 +371,7 @@ def test_compact_appends_table_and_hierarchy(tmp_path):
 
 
 def test_persisted_cracker_revives_as_prefix_window(tmp_path):
-    """Cracker state persisted before an append warm-starts as a window."""
+    """A permutation persisted before an append warm-starts as a window."""
     rng = np.random.default_rng(41)
     data = rng.integers(0, 1_000, 4_000).astype(np.int64)
     catalog = StoreCatalog(DiskColumnStore(tmp_path / "store", cache_bytes=1 << 20))
@@ -386,7 +380,7 @@ def test_persisted_cracker_revives_as_prefix_window(tmp_path):
     column = Column("c", data.copy())
     manager.select_rowids("c", None, column, Predicate(Comparison.BETWEEN, 300.0, upper=600.0))
     catalog.persist_index(manager)
-    # rows arrive after the snapshot: the persisted arrays describe a prefix
+    # rows arrive after the snapshot: the persisted permutation covers a prefix
     paged = catalog.load_column("c")
     tail = rng.integers(0, 1_000, 500).astype(np.int64)
     paged.append_batch(tail)
@@ -424,7 +418,7 @@ def test_local_service_append_rows_and_merge():
     service = LocalExplorationService()
     service.load_column("c", rng.integers(0, 100, 1_000).astype(np.int64))
     service.kernel.show_column("c", view_name="v")
-    # crack, append, verify the index survived with a window
+    # index, append, verify the index survived with a window
     service.select_where("v", Predicate(Comparison.BETWEEN, 20.0, upper=60.0))
     fresh = rng.integers(0, 100, 200).astype(np.int64).tolist()
     assert service.append_rows("c", values=fresh) == 1_200
@@ -554,6 +548,11 @@ def _in_process_route(scheduler, route):
     try:
         sid = server.open_session()
         server.load_column(sid, "c", np.arange(20_000, dtype=np.int64) % 1_000)
+        # a selection builds the session's index; the append then widens it
+        service = server.service(sid)
+        service.kernel.index_manager.select_rowids(
+            "c", None, service.catalog.column("c"), Predicate(Comparison.LT, 100.0)
+        )
         _drive_route(
             route,
             _route_script(),
@@ -602,8 +601,9 @@ def test_append_takes_one_route(host, route):
     """Twelve ways to run one script that appends; one answer.
 
     Whichever door the append comes through it is one counted command and
-    its tail merge follows on the background lane — the parity surface has
-    no route-dependent field.
+    the tail merge of an index built before the script follows on the
+    background lane — the parity surface has no route-dependent field.
+    Over the wire no verb selects, so no index exists to merge into.
     """
     from repro.service import SchedulerConfig
 
@@ -614,5 +614,6 @@ def test_append_takes_one_route(host, route):
         counters, index = _in_process_route(scheduler, route)
     reference, _ = _in_process_route(None, "execute")
     assert counters == reference and counters["commands"] == 6
-    assert index["tail_merges"] == 1
-    assert index["rows_merged_total"] == 1_000
+    indexed = host != "wire"
+    assert index["tail_merges"] == int(indexed)
+    assert index["rows_merged_total"] == 1_000 * indexed

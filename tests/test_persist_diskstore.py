@@ -20,7 +20,7 @@ from repro.core.actions import select_where_action
 from repro.core.caching import MemoryBudget, TouchCache
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import PersistError, StorageError
-from repro.indexing.paged import PagedCrackerIndex
+from repro.indexing.sorted_index import SortedIndex
 from repro.persist.diskstore import ChunkCache, DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.storage.column import Column
@@ -355,7 +355,7 @@ class TestGatherThroughTheMapping:
         for name, data, chunk_rows in (("m", values, 32), ("s", np.sort(values), 256)):
             path = store.write_column(Column(name, data), chunk_rows=chunk_rows)
             on_disk = path.read_bytes()
-            index = PagedCrackerIndex(store.open_column(name))
+            index = SortedIndex(store.open_column(name))
             for low, high in ((45.0, 55.0), (-np.inf, 30.0), (70.0, np.inf), (50.0, 50.0)):
                 mask = (data >= low) & (data < high)
                 assert np.array_equal(index.rowids_in_range(low, high), np.nonzero(mask)[0])

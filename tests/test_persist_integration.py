@@ -218,7 +218,7 @@ class TestSharedMemoryBudgetEndToEnd:
         assert budget.used_bytes <= 256 * 1024 + CHUNK_ROWS * 8
         assert budget.used_by(catalog.store.cache._budget_key) > 0
         # exactly two participants: the indexing tier is bounded by its
-        # cracker cap, so a cracker built now moves no budget byte
+        # index cap, so an index built now moves no budget byte
         assert sorted(budget.participants) == sorted(
             [service.kernel.cache._budget_key, catalog.store.cache._budget_key]
         )
@@ -226,7 +226,7 @@ class TestSharedMemoryBudgetEndToEnd:
         service.load_column("hot", np.arange(50_000, dtype=np.int64)[::-1].copy())
         service.run(GestureScript([ShowColumn(object_name="hot", view_name="h", height_cm=10.0)]))
         selection = service.select_where("h", Predicate(Comparison.LT, 1_000))
-        assert selection.strategy == "cracker" and selection.matches == 1_000
+        assert selection.strategy == "index" and selection.matches == 1_000
         assert budget.used_bytes == used
         index_bytes = service.kernel.index_manager.index_bytes
         assert service.index_stats()["cracker_bytes"] == index_bytes > 0

@@ -11,7 +11,7 @@ from repro.core.touch_mapping import TouchMapper
 from repro.engine.aggregate import make_aggregate
 from repro.engine.filter import Comparison, Predicate
 from repro.engine.join import BlockingHashJoin, join_arrays_symmetric
-from repro.indexing.cracking import CrackerIndex
+from repro.indexing.sorted_index import SortedIndex
 from repro.storage.column import Column
 from repro.storage.sample import SampleHierarchy
 from repro.touchio.events import TouchPoint
@@ -161,7 +161,7 @@ class TestCrackerProperties:
     def test_cracked_lookup_matches_scan(self, values, bounds):
         low, high = min(bounds), max(bounds)
         column = Column("c", np.asarray(values))
-        index = CrackerIndex(column)
+        index = SortedIndex(column)
         expected = set(np.nonzero((column.values >= low) & (column.values < high))[0].tolist())
         got = set(index.rowids_in_range(low, high).tolist())
         assert got == expected
@@ -171,14 +171,16 @@ class TestCrackerProperties:
         pivots=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=10),
     )
     def test_pieces_always_partition(self, values, pivots):
-        index = CrackerIndex(Column("c", np.asarray(values)))
+        """The permutation's runs partition the column: every rowid once,
+        in value order, each run's fences inside its neighbours'."""
+        index = SortedIndex(Column("c", np.asarray(values)))
         for pivot in pivots:
-            index.crack(float(pivot))
-        pieces = index.pieces
-        assert pieces[0].start == 0
-        assert pieces[-1].stop == len(values)
-        for a, b in zip(pieces, pieces[1:]):
-            assert a.stop == b.start
+            index.rowids_in_range(float(pivot), float(pivot) + 10.0)
+        runs = index._sorted
+        assert np.array_equal(np.sort(runs.rowids), np.arange(len(values)))
+        assert -(-len(values) // runs.run_rows) == runs.lows.size == runs.highs.size
+        assert (runs.lows <= runs.highs).all()
+        assert (runs.highs[:-1] <= runs.lows[1:]).all()
 
 
 class TestCacheProperties:

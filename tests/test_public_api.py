@@ -81,13 +81,13 @@ class TestTopLevelExports:
             assert not unused, f"{package.__name__}.__all__ exports names nobody uses: {unused}"
 
     def test_index_manager_knows_one_cracker_surface(self):
-        """``indexing/manager.py`` drives every cracker kind through the one
-        ``Cracker`` surface: no ``isinstance`` on a cracker class, no
+        """``indexing/manager.py`` drives every column kind through the one
+        ``SortedIndex`` surface: no ``isinstance`` on an index class, no
         ``getattr(<cracker or column>, name, default)`` probe."""
         source = (
             Path(__file__).resolve().parents[1] / "src" / "repro" / "indexing" / "manager.py"
         ).read_text()
-        assert not re.findall(r"isinstance\([^)]*Cracker\w*", source)
+        assert not re.findall(r"isinstance\([^)]*(?:Cracker|Index)\w*", source)
         probes = re.findall(r"getattr\(\s*(?:\w+\.)*(?:cracker|column)\s*,[^,()]+,[^)]*\)", source)
         assert not probes, f"duck-typed probes are back: {probes}"
 

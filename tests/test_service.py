@@ -297,11 +297,13 @@ class TestMultiSessionServer:
             ),
         )
         server.execute(sid, Slide(view="v", duration=0.5))
+        assert server.index_stats()["crackers_live"] == 0  # a gesture builds nothing
+        server.service(sid).select_where("v")  # the selection builds the index
         stats = server.index_stats()
         assert stats is not None
-        assert stats["cracks_performed"] > 0
+        assert stats["consultations"] == stats["crackers_built"] == 1
         assert stats["crackers_live"] == 1
-        assert stats["piece_count"] >= 2
+        assert stats["cracker_bytes"] >= 60_000 * 4
         assert stats == server.service(sid).index_stats()
         # the parity surface stays index-free
         assert set(server.metrics(sid).counters_snapshot()) == {
@@ -321,8 +323,8 @@ class TestMultiSessionServer:
             server.execute(sid, ShowColumn(object_name="m", view_name="v"))
         stats = server.index_stats()
         assert stats is not None
-        # two private managers, no cracks yet: counters sum to zero
-        assert stats["cracks_performed"] == 0
+        # two private managers, nothing selected yet: counters sum to zero
+        assert stats["consultations"] == stats["crackers_built"] == 0
 
     def test_remote_factory(self):
         def factory():

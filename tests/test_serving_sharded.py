@@ -211,7 +211,7 @@ class TestWireServing:
             assert set(stats["workers"]) == {"0", "1"}
             # the adaptive-index surface rides along, key-summed per shard
             assert isinstance(stats["index"], dict)
-            assert {"consultations", "cracks_performed", "piece_count"} <= set(
+            assert {"consultations", "tail_merges", "cracker_bytes"} <= set(
                 stats["index"]
             )
             for worker_report in stats["workers"].values():
