@@ -16,22 +16,19 @@ example walks the whole streaming-append story on one session:
    runs on the background lane; here we call it directly).  The merged
    rows are now a gap the index scans; this batch is more than 1/16 of
    the sorted rows, so the next selection re-sorts the grown column;
-4. **compact and re-attach** — persist the column and its permutation
-   (one ``sensor#perm`` store column), append more rows, fold the
-   in-memory tail into the chunk files with
-   :meth:`repro.StoreCatalog.compact_appends`, and warm-restart from the
-   snapshot with every appended row present: the persisted permutation is
-   adopted as a prefix window over the grown column and still answers
-   exactly.
+4. **compact and re-attach** — persist the column, append more rows, fold
+   the in-memory tail into the chunk files with
+   :meth:`repro.StoreCatalog.compact_appends`, and restart from the
+   snapshot with every appended row present.  Indexes are not persisted:
+   a fresh manager's first selection on the grown column builds its
+   permutation, exactly as the first selection of step 1 did.
 
 Run it with::
 
     python examples/live_ingestion.py
 
-It exits non-zero if the snapshot holds anything but one ``sensor#perm``
-index column, if the warm restart does not adopt the permutation as a
-prefix window, or if a selection on the grown column differs from a full
-scan.
+It exits non-zero if the snapshot holds an index column (``#perm``), or
+if the selection on the restarted, grown column differs from a full scan.
 """
 
 from __future__ import annotations
@@ -114,55 +111,47 @@ def main() -> int:
     )
 
     # ---------------------------------------------------------------- #
-    # 4. persist, append onto the paged column, compact, re-attach warm
+    # 4. persist, append onto the paged column, compact, re-attach
     # ---------------------------------------------------------------- #
     with tempfile.TemporaryDirectory(prefix="dbtouch-ingest-") as root:
         catalog = StoreCatalog(DiskColumnStore(Path(root)))
         # 1,024-row chunks: the zonemap of an unclustered column keeps every
-        # one of them, so restarted selections read the adopted permutation
+        # one of them, so restarted selections read a permutation
         catalog.persist_column(
             Column("sensor", np.asarray(session.catalog.column("sensor").values)),
             chunk_rows=1_024,
         )
-        persisted = catalog.persist_index(live_index)
-        index_columns = [name for name in catalog.store.column_names if "#" in name]
-        index_columns = [name for name in index_columns if "#s" not in name]
-        print(f"\npersisted indexes     : {persisted}, store columns {index_columns}")
-        if index_columns != ["sensor#perm"]:
-            print("FAILED: the snapshot is not one sensor#perm column", file=sys.stderr)
-            return 1
         paged = catalog.load_column("sensor")
         paged.append_batch(fresh_readings(rng, BATCH_ROWS))
         print(
-            f"paged column: {paged.base_rows:,} rows on disk "
+            f"\npaged column: {paged.base_rows:,} rows on disk "
             f"+ {paged.tail_rows:,} in the in-memory tail"
         )
         compacted = catalog.compact_appends("sensor")
         print(f"compact_appends -> {compacted:,} rows, all in chunk files")
+        index_columns = [name for name in catalog.store.column_names if name.endswith("#perm")]
+        if index_columns:
+            print(f"FAILED: the snapshot holds index columns {index_columns}", file=sys.stderr)
+            return 1
 
-        warm = StoreCatalog(DiskColumnStore(Path(root)))
+        restarted = StoreCatalog(DiskColumnStore(Path(root)))
         runtime = Catalog()
-        warm.attach(runtime)
+        restarted.attach(runtime)
         reopened = runtime.resolve_column("sensor")
         print(
-            f"warm re-attach        : {len(reopened):,} rows, "
+            f"re-attach             : {len(reopened):,} rows, "
             f"tail {reopened.tail_rows} (everything served from chunks)"
         )
         manager = IndexManager()
-        adopted = warm.attach_index(manager, runtime)
-        print(f"adopted indexes       : {adopted}, {window_report(manager, 'sensor')}")
-        index = manager.cracker_for("sensor")
-        if adopted != [("sensor", None)] or index.tail_rows != BATCH_ROWS:
-            print("FAILED: the permutation was not adopted as a prefix window", file=sys.stderr)
-            return 1
         selection = manager.select_rowids("sensor", None, reopened, hot)
+        print(f"index after restart   : {window_report(manager, 'sensor')}")
         expected = np.nonzero(hot.mask(np.asarray(reopened.values)))[0]
         print(
             f"hot range after restart: {len(selection.rowids):,} rows via "
             f"{selection.strategy!r}, scanned {selection.rows_scanned:,}"
         )
         if not np.array_equal(selection.rowids, expected):
-            print("FAILED: the warm selection differs from a full scan", file=sys.stderr)
+            print("FAILED: the selection differs from a full scan", file=sys.stderr)
             return 1
     return 0
 

@@ -19,9 +19,8 @@ wires that bet into the kernel:
   a dropped one costs its next consultation one rebuild and never changes
   an answer; the bytes they hold are read off them (``index_bytes``);
 * :meth:`invalidate` drops every index derived from an object whose data
-  was replace-reloaded, and :meth:`adopt_cracker` revives a persisted
-  permutation from a :class:`repro.persist.snapshot.StoreCatalog` warm
-  start;
+  was replace-reloaded; indexes are never persisted, so after a restart
+  each is rebuilt by its column's first consultation;
 * live appends go through :meth:`extend_valid_prefix` instead of
   invalidation: indexes keep answering for the prefix they cover (their
   *validity window*) while :meth:`select_rowids` scans the appended tail,
@@ -146,7 +145,6 @@ class IndexManagerStats:
     tail_merges: int = 0
     rows_merged_total: int = 0
     crackers_built: int = 0
-    crackers_adopted: int = 0
     crackers_dropped: int = 0
     invalidations: int = 0
     prefix_extensions: int = 0
@@ -300,10 +298,10 @@ class IndexManager:
     def _enforce_cracker_cap(self, keep: _ColumnIndexState) -> None:
         """Drop least-recently-consulted crackers beyond ``max_crackers``.
 
-        The one bound on index memory.  ``keep`` (the state just consulted
-        or adopted) is never the victim.  Unlinking takes no column lock: a
-        lookup holding a reference to the orphaned index completes on it,
-        and the next consultation rebuilds.
+        The one bound on index memory.  ``keep`` (the state just consulted)
+        is never the victim.  Unlinking takes no column lock: a lookup
+        holding a reference to the orphaned index completes on it, and the
+        next consultation rebuilds.
         """
         with self._lock:
             live = [
@@ -317,7 +315,7 @@ class IndexManager:
                 self.stats.crackers_dropped += 1
 
     # ------------------------------------------------------------------ #
-    # building / adopting indexes
+    # building indexes
     # ------------------------------------------------------------------ #
     def _ensure_cracker(self, state: _ColumnIndexState, column: Column) -> SortedIndex | None:
         """Build (or return) the state's index.  Caller holds state.lock.
@@ -337,55 +335,6 @@ class IndexManager:
         with self._lock:
             self.stats.crackers_built += 1
         return cracker
-
-    def adopt_cracker(
-        self,
-        object_name: str,
-        column_name: str | None,
-        column: Column,
-        rowids: np.ndarray,
-        covered: int,
-    ) -> SortedIndex:
-        """Revive a persisted permutation for a live column (warm start).
-
-        Raises :class:`repro.errors.StorageError` unless ``rowids`` is
-        exactly the stable value order of the column's non-NaN rows in
-        ``[0, covered)`` (:meth:`SortedIndex.adopt`); the snapshot attach
-        path treats that as "start cold for this column".
-        """
-        cracker = SortedIndex.adopt(column, rowids, covered)
-        state = self._state_for(object_name, column_name, column)
-        with state.lock:
-            state.cracker = cracker
-            state.cracker_refused = False
-        with self._lock:
-            self.stats.crackers_adopted += 1
-        self._enforce_cracker_cap(keep=state)
-        return cracker
-
-    def cracked_states(self) -> list[tuple[tuple[str, str | None], tuple[np.ndarray, int]]]:
-        """Export every built permutation, with the rows it covers, for
-        snapshot persistence.
-
-        At most one export per (object, column) pair: when several column
-        identities share a name (private per-session copies), the most
-        recently consulted index wins.  An index whose permutation is not
-        built yet (a paged column answered by chunk scans alone) is
-        skipped.
-        """
-        with self._lock:
-            latest: dict[tuple[str, str | None], _ColumnIndexState] = {}
-            for state in self._states.values():  # LRU order: later = fresher
-                if state.cracker is not None:
-                    latest[state.key] = state
-            states = list(latest.values())
-        exported = []
-        for state in states:
-            with state.lock:
-                exported_state = None if state.cracker is None else state.cracker.export_state()
-            if exported_state is not None:
-                exported.append((state.key, exported_state))
-        return exported
 
     def observe_predicate(
         self,

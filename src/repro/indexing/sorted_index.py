@@ -29,11 +29,9 @@ copy of the column's values in RAM.  A lookup takes one of two answers:
 
 Both answers make the comparison ``Predicate.mask`` makes, in the
 column's native dtype, so they agree with it bit for bit.  The
-permutation is the index's only state: when the manager's
-``max_crackers`` cap unlinks the index, the next lookup rebuilds it, and
-a snapshot persists it as one array that a warm start adopts whole only
-when it is exactly the stable value order of the rows it covers
-(:meth:`SortedIndex.adopt`).
+permutation is the index's only state, and it lives in RAM only: when the
+manager's ``max_crackers`` cap unlinks the index, or the process
+restarts, the next lookup rebuilds it.
 
 **Why index scans read ``raw_slice``.**  The index reads straight off the
 column (``column.raw_slice``, and ``column.read_batch`` gathers), which on
@@ -96,17 +94,6 @@ def _cut_runs(
     )
 
 
-def is_chunked(column: Any) -> bool:
-    """Whether ``column`` exposes the paged-column chunk surface.
-
-    Duck-typed (not ``isinstance`` against
-    :class:`repro.persist.paged_column.PagedColumn`): the snapshot module
-    imports this package for warm starts, so the indexing tier must not
-    import the persist package back.
-    """
-    return hasattr(column, "chunks_for_predicate")
-
-
 def _in_range(values: np.ndarray, low: float, high: float) -> np.ndarray:
     """``low <= values < high`` in the values' own dtype — the comparison
     ``Predicate.mask`` makes.  An infinite ``high`` bounds nothing: +inf
@@ -125,54 +112,12 @@ class SortedIndex:
             raise StorageError("an index requires a numeric column")
         self.column = column
         self._num_rows = len(column)
-        self._chunked = is_chunked(column)
+        # a paged column: it exposes the zonemap's chunk surface
+        self._chunked = hasattr(column, "chunks_for_predicate")
         # the value-sorted permutation (built by the first lookup that needs it)
         self._sorted: _SortedRuns | None = None
         #: values inspected by lookups: the measure behind ``RangeSelection.rows_scanned``
         self.values_scanned_total = 0
-
-    @classmethod
-    def adopt(cls, column: Any, rowids: np.ndarray, covered: int) -> "SortedIndex":
-        """An index over ``column`` whose permutation is ``rowids``, covering
-        ``[0, covered)`` — adopted only if it is *exactly* the stable value
-        order of the non-NaN rows there.
-
-        One gather checks it: every rowid lies in ``[0, covered)``, the
-        gathered ``(value, rowid)`` pairs strictly increase (which rules out
-        duplicated rowids and NaN rows) and there are as many as the prefix
-        has non-NaN rows.  The fences are cut from the same gather.  A
-        permutation that does not fit — a snapshot of other data, of a
-        longer column, or malformed — raises
-        :class:`repro.errors.StorageError`; the caller starts cold.
-        """
-        index = cls(column)
-        covered, rowids = int(covered), np.asarray(rowids)
-        if not 0 < covered <= len(column):
-            raise StorageError(
-                f"a permutation of {covered} rows does not fit column "
-                f"{column.name!r} of length {len(column)}"
-            )
-        if rowids.ndim != 1 or rowids.dtype.kind not in "iu":
-            raise StorageError("a permutation must be a 1-D integer array")
-        if rowids.size and (int(rowids.min()) < 0 or int(rowids.max()) >= covered):
-            raise StorageError(f"a permutation rowid lies outside [0, {covered})")
-        values = column.read_batch(rowids)
-        earlier, later = values[:-1], values[1:]
-        ascending = (earlier < later) | ((earlier == later) & (rowids[:-1] < rowids[1:]))
-        # every comparison with NaN is False, so a NaN fails its pair — the
-        # first value of a one-row permutation has none and is checked alone
-        floating = values.dtype.kind == "f"
-        if not ascending.all() or (floating and np.isnan(values[:1]).any()):
-            raise StorageError("a permutation is not the stable value order of its rows")
-        prefix = np.asarray(column.raw_slice(0, covered))
-        valid = covered - (int(np.count_nonzero(np.isnan(prefix))) if floating else 0)
-        if rowids.size != valid:
-            raise StorageError(
-                f"a permutation of {rowids.size} rowids misses non-NaN rows of [0, {covered})"
-            )
-        index._num_rows = covered
-        index._sorted = _cut_runs(rowids, lambda at: values[at], covered)
-        return index
 
     @property
     def size_bytes(self) -> int:
@@ -193,12 +138,6 @@ class SortedIndex:
     def tail_rows(self) -> int:
         """Appended rows beyond the validity window, not yet merged in."""
         return len(self.column) - self._num_rows
-
-    def export_state(self) -> tuple[np.ndarray, int] | None:
-        """The built permutation and the rows it covers, or ``None`` before
-        the first build (a snapshot then has nothing to persist)."""
-        runs = self._sorted
-        return None if runs is None else (runs.rowids, runs.covered)
 
     def merge_tail(self) -> int:
         """Advance the validity window over appended rows; returns them.
@@ -259,7 +198,7 @@ class SortedIndex:
         decoded: 12 bytes a row at the peak.  Any other column takes one
         stable ``np.argsort``, which parks NaN rows last, where they are cut
         off — no range holds a NaN.  Either way the permutation is the
-        stable order, the one form :meth:`adopt` accepts back.
+        stable order.
         """
         runs, covered = self._sorted, self._num_rows
         if runs is not None and covered - runs.covered <= runs.covered * PERMUTATION_GAP_SHARE:

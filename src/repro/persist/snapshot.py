@@ -9,12 +9,10 @@ engine needs to resume exploration instantly*:
   files;
 * standalone columns;
 * every materialized :class:`repro.storage.sample.SampleHierarchy` level,
-  persisted as its own chunked column file;
-* the value-sorted permutations of an
-  :class:`repro.indexing.manager.IndexManager`
-  (:meth:`StoreCatalog.persist_index` / :meth:`StoreCatalog.attach_index`),
-  so the indexes selections built keep paying off after a restart
-  instead of being re-sorted from scratch.
+  persisted as its own chunked column file.
+
+Indexes are not part of a snapshot: after a restart each is built by the
+first selection on its column.
 
 Cold start then costs a manifest read plus a handful of ``mmap`` calls —
 no CSV parsing, no hierarchy re-striding — which is where the >=10x
@@ -34,13 +32,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import CatalogError, SnapshotError, StorageError
+from repro.errors import SnapshotError
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.format import DEFAULT_CHUNK_ROWS, atomic_replace
 from repro.persist.paged_column import PagedColumn
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
-from repro.storage.dtypes import type_from_name
 from repro.storage.sample import SampleHierarchy, SampleLevel
 from repro.storage.table import Table
 
@@ -84,7 +81,6 @@ class StoreCatalog:
         self._tables: dict[str, dict] = {}
         self._columns: dict[str, dict] = {}
         self._hierarchies: dict[tuple[str, str | None], dict] = {}
-        self._indexes: dict[tuple[str, str | None], dict] = {}
         if self.manifest_path.is_file():
             self._read_manifest()
 
@@ -241,11 +237,10 @@ class StoreCatalog:
             self._delete_unreferenced(referenced)
 
     def _drop_object_records(self, object_name: str) -> None:
-        """Forget every hierarchy and index record of a replaced object: all
-        were snapshotted from its previous data, a dropped attribute's too."""
-        for records in (self._hierarchies, self._indexes):
-            for key in [key for key in records if key[0] == object_name]:
-                del records[key]
+        """Forget every hierarchy record of a replaced object: all were
+        snapshotted from its previous data, a dropped attribute's too."""
+        for key in [key for key in self._hierarchies if key[0] == object_name]:
+            del self._hierarchies[key]
 
     def _store_names(self) -> set[str]:
         """Every store column some manifest record names."""
@@ -254,8 +249,6 @@ class StoreCatalog:
             names.update(spec["store_name"] for spec in record["columns"])
         for record in self._hierarchies.values():
             names.update(level["store_name"] for level in record["levels"])
-        for record in self._indexes.values():
-            names.add(record["perm_store"])
         return names
 
     def _delete_unreferenced(self, referenced: set[str]) -> None:
@@ -381,13 +374,9 @@ class StoreCatalog:
         :class:`PagedColumn`'s RAM tail until this folds them into the
         chunked on-disk format, so warm re-attaches keep their mmap-speed
         cold start over the *grown* data.  Hierarchy snapshots for the
-        object are re-persisted over the new length; persisted index
-        permutations are deliberately left alone — appends never permute
-        existing rows, so one revives as a valid *prefix* warm start
-        (:meth:`repro.indexing.sorted_index.SortedIndex.adopt`) whose
-        window the index tier advances on the background lane.  Returns
-        the object's row count after compaction (a no-op when no column
-        has a tail).
+        object are re-persisted over the new length.  Returns the
+        object's row count after compaction (a no-op when no column has a
+        tail).
         """
         self._ensure_writable("compact_appends")
         with self._lock:
@@ -504,98 +493,6 @@ class StoreCatalog:
             return list(self._hierarchies)
 
     # ------------------------------------------------------------------ #
-    # adaptive-index state (built indexes survive restarts)
-    # ------------------------------------------------------------------ #
-    def index_keys(self) -> list[tuple[str, str | None]]:
-        """The ``(object, column)`` pairs with a persisted permutation."""
-        with self._lock:
-            return list(self._indexes)
-
-    def _store_name_for(self, object_name: str, column_name: str | None) -> str:
-        """The store file name backing one persisted (object, column) pair."""
-        if column_name is None:
-            record = self._columns.get(object_name)
-            if record is None:
-                raise SnapshotError(f"no persisted standalone column {object_name!r}")
-            return record["store_name"]
-        table = self._tables.get(object_name)
-        if table is None:
-            raise SnapshotError(f"no persisted table {object_name!r}")
-        for spec in table["columns"]:
-            if spec["name"] == column_name:
-                return spec["store_name"]
-        raise SnapshotError(f"table {object_name!r} has no column {column_name!r}")
-
-    def persist_index(self, manager, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> list:
-        """Snapshot every built permutation of an :class:`IndexManager`.
-
-        Each index is one store column, ``<store>#perm``: its value-sorted
-        rowids in their int32/int64 dtype, replaced in place on every call,
-        and one manifest record naming it with the rows it covers
-        (``num_rows``).  An index whose permutation is not built yet (a
-        paged column answered by chunk scans alone) has nothing to persist.
-        Only indexes whose ``(object, column)`` pair is already persisted
-        in this catalog are snapshotted (one for an unknown object is
-        skipped — there is nothing to warm-start it against).  Returns the
-        persisted keys.
-        """
-        self._ensure_writable("persist_index")
-        persisted = []
-        with self._lock:
-            for (object_name, column_name), (rowids, covered) in manager.cracked_states():
-                try:
-                    base_store = self._store_name_for(object_name, column_name)
-                except SnapshotError:
-                    continue
-                perm_store = f"{base_store}#perm"
-                perm = Column(perm_store, rowids, dtype=type_from_name(str(rowids.dtype)))
-                self.store.write_column(perm, name=perm_store, chunk_rows=chunk_rows, replace=True)
-                key = _hierarchy_key(object_name, column_name)
-                self._indexes[key] = {
-                    "object": object_name,
-                    "column": column_name,
-                    "num_rows": int(covered),
-                    "perm_store": perm_store,
-                }
-                persisted.append(key)
-            if persisted:
-                self._write_manifest()
-        return persisted
-
-    def attach_index(self, manager, catalog: Catalog) -> list:
-        """Warm-start an :class:`IndexManager` from persisted permutations.
-
-        For every snapshotted index whose object is registered in
-        ``catalog`` (typically right after :meth:`attach`), the permutation
-        is loaded and adopted — whole, and only if it is exactly the stable
-        value order of the non-NaN rows it covers — so the first range
-        selection after a restart reads sorted runs instead of sorting the
-        column again.  The adopted permutation lives in RAM (4 bytes a row
-        below 2**31 rows), which is the explicit, opt-in trade the warm
-        start makes.  A permutation that no longer fits the registered data
-        (a reload between snapshot and restart) is skipped; returns the
-        adopted keys.
-        """
-        with self._lock:
-            records = list(self._indexes.values())
-        adopted = []
-        for record in records:
-            object_name = record["object"]
-            column_name = record["column"]
-            try:
-                base = catalog.resolve_column(object_name, column_name)
-            except CatalogError:
-                continue
-            try:
-                # a private copy: a later persist_index replaces the file
-                rowids = np.array(self.store.open_column(record["perm_store"]).values)
-                manager.adopt_cracker(object_name, column_name, base, rowids, record["num_rows"])
-            except StorageError:
-                continue  # stale or malformed state: start cold for this column
-            adopted.append(_hierarchy_key(object_name, column_name))
-        return adopted
-
-    # ------------------------------------------------------------------ #
     # the manifest
     # ------------------------------------------------------------------ #
     def _write_manifest(self) -> None:
@@ -607,13 +504,16 @@ class StoreCatalog:
                 self._hierarchies[key]
                 for key in sorted(self._hierarchies, key=lambda k: (k[0], k[1] or ""))
             ],
-            "indexes": [
-                self._indexes[key]
-                for key in sorted(self._indexes, key=lambda k: (k[0], k[1] or ""))
-            ],
         }
         with atomic_replace(self.manifest_path, "w") as handle:
             handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # index files of older snapshots (``#perm``, ``#crk-*``) that no
+        # record names: a user column called ``x#perm`` is named, so it stays
+        named = self._store_names()
+        for name in self.store.column_names:
+            _, mark, suffix = name.rpartition("#")
+            if mark and (suffix == "perm" or suffix.startswith("crk-")) and name not in named:
+                self.store.delete_column(name)
 
     def _read_manifest(self) -> None:
         try:
@@ -633,14 +533,12 @@ class StoreCatalog:
         tables = payload.get("tables")
         columns = payload.get("columns")
         hierarchies = payload.get("hierarchies")
-        # "indexes" is optional: manifests written before the adaptive
-        # indexing tier simply have no index to warm-start
-        indexes = payload.get("indexes", [])
+        # an "indexes" section (older snapshots persisted index files) is
+        # ignored: every index is built by its first selection
         if (
             not isinstance(tables, dict)
             or not isinstance(columns, dict)
             or not isinstance(hierarchies, list)
-            or not isinstance(indexes, list)
         ):
             raise SnapshotError(
                 f"store manifest {self.manifest_path} is missing required sections"
@@ -683,18 +581,6 @@ class StoreCatalog:
                     ],
                 }
                 for record in hierarchies
-            }
-            self._indexes = {
-                _hierarchy_key(str(record["object"]), record.get("column")): {
-                    "object": str(record["object"]),
-                    "column": record.get("column"),
-                    "num_rows": int(record["num_rows"]),
-                    "perm_store": str(record["perm_store"]),
-                }
-                for record in indexes
-                # a record of an older index format (two cracked arrays, a
-                # delta chain) names no permutation: that column starts cold
-                if "perm_store" in record
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(

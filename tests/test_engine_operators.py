@@ -1,4 +1,4 @@
-"""Unit tests for the base touch operators, group-by, online aggregation and pipelines."""
+"""Unit tests for the base touch operators, group-by and online aggregation."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from repro.errors import ExecutionError
 from repro.engine.groupby import IncrementalGroupBy
 from repro.engine.online_agg import OnlineAggregator
 from repro.engine.operators import LimitOperator, ProjectOperator, ScanOperator
-from repro.engine.aggregate import AvgAggregate
-from repro.engine.filter import Comparison, FilterOperator, Predicate
-from repro.engine.pipeline import TouchPipeline
 
 
 class TestScanOperator:
@@ -157,42 +154,3 @@ class TestOnlineAggregator:
         est = agg.current()
         # finite-population correction collapses the interval when n == N
         assert est.high - est.low == pytest.approx(0.0, abs=1e-9)
-
-
-class TestTouchPipeline:
-    def test_chain_filter_then_aggregate(self):
-        pipeline = TouchPipeline([FilterOperator(Predicate(Comparison.GT, 10)), AvgAggregate()])
-        pipeline.process_touch(0, 20.0)
-        pipeline.process_touch(1, 5.0)  # filtered out
-        result = pipeline.process_touch(2, 40.0)
-        assert result == pytest.approx(30.0)
-        assert pipeline.stats.touches == 3
-        assert pipeline.stats.outputs == 2
-
-    def test_finish_collects_operator_state(self):
-        pipeline = TouchPipeline([ScanOperator(), AvgAggregate()])
-        pipeline.process_touch(0, 4.0)
-        finals = pipeline.finish()
-        assert finals[-1] == pytest.approx(4.0)
-
-    def test_reset(self):
-        pipeline = TouchPipeline([AvgAggregate()])
-        pipeline.process_touch(0, 4.0)
-        pipeline.reset()
-        assert pipeline.stats.touches == 0
-        assert pipeline.finish() == [None]
-
-    def test_latencies_recorded(self):
-        pipeline = TouchPipeline([ScanOperator()])
-        pipeline.process_touch(0, 1)
-        assert len(pipeline.stats.per_touch_seconds) == 1
-        assert pipeline.stats.max_touch_seconds >= 0.0
-        assert pipeline.stats.mean_touch_seconds >= 0.0
-
-    def test_describe(self):
-        pipeline = TouchPipeline([FilterOperator(Predicate(Comparison.GT, 1)), AvgAggregate()])
-        assert pipeline.describe() == "filter -> avg"
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ExecutionError):
-            TouchPipeline([])

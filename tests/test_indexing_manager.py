@@ -36,7 +36,6 @@ from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.service import LocalExplorationService, MultiSessionServer, SchedulerConfig
-from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.dtypes import FLOAT32, INT32
 from repro.storage.table import Table
@@ -209,7 +208,7 @@ class TestManagerStrategies:
 #: The members of :class:`SortedIndex` the manager may use.
 CRACKER_SURFACE = {
     "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
-    "values_scanned_total", "export_state",
+    "values_scanned_total",
 }  # fmt: skip
 
 
@@ -700,250 +699,6 @@ class TestPredicateEdgeCases:
             ).size
             == 512
         )
-
-
-def _reopen(root):
-    """A cold restart: a fresh store catalog and runtime over ``root``."""
-    catalog = StoreCatalog(DiskColumnStore(root, cache_bytes=1 << 22))
-    runtime = Catalog()
-    catalog.attach(runtime)
-    return catalog, runtime
-
-
-def _perm_columns(catalog: StoreCatalog) -> list[str]:
-    return [name for name in catalog.store.column_names if "#" in name and "#s" not in name]
-
-
-class TestSnapshotRoundTrip:
-    def test_persist_and_attach_index(self, tmp_path):
-        rng = np.random.default_rng(23)
-        data = rng.integers(0, 10_000, size=50_000, dtype=np.int64)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 22)
-        catalog = StoreCatalog(store)
-        # 256-row chunks: a uniform range offers all 196, so the warm
-        # selection answers from the adopted permutation
-        catalog.persist_column(Column("hot", data), chunk_rows=256)
-        manager = IndexManager()
-        predicate = Predicate(Comparison.BETWEEN, 2_000, upper=3_000)
-        manager.select_rowids("hot", None, Column("hot", data), predicate)
-        # an index of an object the catalog never persisted has nothing to
-        # warm-start against: skipped
-        manager.select_rowids("scratch", None, Column("scratch", data), predicate)
-        assert catalog.persist_index(manager) == [("hot", None)]
-        assert catalog.index_keys() == [("hot", None)]
-
-        # cold restart: fresh store catalog, fresh runtime, fresh manager
-        reopened, runtime = _reopen(tmp_path)
-        assert reopened.attach_index(IndexManager(), Catalog()) == []  # "hot" not registered
-        warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == [("hot", None)]
-        assert warm.stats.crackers_adopted == 1
-        paged = runtime.resolve_column("hot")
-        selection = warm.select_rowids("hot", None, paged, predicate)
-        assert selection.strategy == "index"
-        assert selection.rows_scanned <= 2 * (math.isqrt(len(paged) - 1) + 1)
-        assert warm.stats.crackers_built == 0  # adopted, not sorted again
-        assert np.array_equal(selection.rowids, brute(data, predicate))
-
-    def test_paged_cracker_is_skipped_and_the_in_memory_one_persists(self, tmp_path):
-        """An index answered by chunk scans alone has built no permutation:
-        ``cracked_states()`` — hence ``persist_index`` — skips it."""
-        rng = np.random.default_rng(21)
-        flux = rng.uniform(0.0, 1_000.0, size=50_000)
-        hot = rng.integers(0, 10_000, size=20_000, dtype=np.int64)
-        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        catalog.persist_column(Column("flux", flux), chunk_rows=4_096)
-        catalog.persist_column(Column("hot", hot), chunk_rows=128)
-        manager = IndexManager()
-        paged = catalog.load_column("flux")  # 13 chunks: every range is a scan
-        narrow = Predicate(Comparison.BETWEEN, 10, upper=20)
-        wide = Predicate(Comparison.BETWEEN, 2_000, upper=3_000)
-        assert manager.select_rowids("flux", None, paged, narrow).strategy == "index"
-        assert manager.select_rowids("hot", None, Column("hot", hot), wide).strategy == "index"
-
-        assert [key for key, _ in manager.cracked_states()] == [("hot", None)]
-        assert catalog.persist_index(manager) == [("hot", None)]
-
-        reopened, runtime = _reopen(tmp_path)
-        warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == [("hot", None)]
-        selection = warm.select_rowids("hot", None, runtime.resolve_column("hot"), wide)
-        assert selection.strategy == "index" and selection.rows_scanned < len(hot)
-        assert np.array_equal(selection.rowids, brute(hot, wide))
-
-        for predicate in (narrow, Predicate(Comparison.GE, 990.0), Predicate(Comparison.LT, 5.0)):
-            selection = manager.select_rowids("flux", None, paged, predicate)
-            assert selection.strategy == "index"
-            assert np.array_equal(selection.rowids, brute(flux, predicate))
-
-    def test_stale_index_state_is_skipped_on_attach(self, tmp_path):
-        data = np.arange(1_000, dtype=np.int64)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
-        catalog = StoreCatalog(store)
-        catalog.persist_column(Column("c", data))
-        manager = IndexManager()
-        manager.select_rowids("c", None, Column("c", data), Predicate(Comparison.LT, 10))
-        catalog.persist_index(manager)
-        # the column is re-persisted with different data BUT the index
-        # record is refreshed by persist_column, so simulate staleness by
-        # attaching against a runtime holding a shorter column
-        runtime = Catalog()
-        runtime.register_column(Column("c", np.arange(10, dtype=np.int64)))
-        warm = IndexManager()
-        assert catalog.attach_index(warm, runtime) == []
-        assert not warm.has_cracker("c", None)
-
-    def test_repersisting_a_column_drops_its_index_record(self, tmp_path):
-        data = np.arange(1_000, dtype=np.int64)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
-        catalog = StoreCatalog(store)
-        catalog.persist_column(Column("c", data))
-        manager = IndexManager()
-        manager.select_rowids("c", None, Column("c", data), Predicate(Comparison.LT, 10))
-        catalog.persist_index(manager)
-        catalog.persist_column(Column("c", data[::2].copy()), replace=True)
-        assert catalog.index_keys() == []
-
-    def test_manifests_without_indexes_section_still_load(self, tmp_path):
-        import json
-
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
-        catalog = StoreCatalog(store)
-        catalog.persist_column(Column("c", np.arange(100, dtype=np.int64)))
-        payload = json.loads(catalog.manifest_path.read_text())
-        payload.pop("indexes")
-        catalog.manifest_path.write_text(json.dumps(payload))
-        reopened = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
-        assert reopened.index_keys() == []
-        assert reopened.column_names == ["c"]
-
-    def test_every_persist_rewrites_the_one_permutation(self, tmp_path):
-        """However many snapshots follow, a persisted index is one
-        ``#perm`` column of int32 rowids (4 bytes a row), adopted back in
-        the column's native dtype."""
-        rng = np.random.default_rng(3)
-        data = rng.integers(-(2**60), 2**60, size=40_000)
-        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        catalog.persist_column(Column("hot", data), chunk_rows=256)
-        manager = IndexManager()
-        column = Column("hot", data)
-        for step in range(12):
-            low = (0.1 + step * 0.01) * 2**60
-            manager.select_rowids(
-                "hot", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 2**53)
-            )
-            assert catalog.persist_index(manager) == [("hot", None)]
-        assert _perm_columns(catalog) == ["hot#perm"]
-        perm = catalog.store.open_column("hot#perm")
-        assert perm.values.dtype == np.int32 and len(perm) == len(data)
-
-        reopened, runtime = _reopen(tmp_path)
-        warm = IndexManager()
-        assert reopened.attach_index(warm, runtime) == [("hot", None)]
-        paged = runtime.resolve_column("hot")
-        for predicate in (
-            Predicate(Comparison.BETWEEN, 0.21 * 2**60, upper=0.21 * 2**60 + 2**53),
-            Predicate(Comparison.GE, 0.5 * 2**60),
-            Predicate(Comparison.LT, -(2**58)),
-        ):
-            selection = warm.select_rowids("hot", None, paged, predicate)
-            assert np.array_equal(selection.rowids, brute(data, predicate))
-        adopted = warm.cracker_for("hot", None)
-        assert adopted._sorted.lows.dtype == np.int64
-        assert warm.index_bytes == manager.index_bytes
-
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "valid",
-            "rowid out of range",
-            "duplicated rowid",
-            "adjacent pair swapped",
-            "order of other data",
-            "NaN row included",
-            "a row left out",
-            "float rowids",
-            "num_rows past the column",
-            "legacy two-array record",
-            "record with deltas",
-        ],
-    )
-    def test_adoption_is_exact_or_nothing(self, tmp_path, case):
-        """A persisted permutation is adopted whole only when it is exactly
-        the stable value order of the non-NaN rows it covers; anything else
-        — a corrupt store column, another column's order, a manifest record
-        of an older index format — starts that column cold, and every
-        selection still equals the mask."""
-        import json
-
-        rng = np.random.default_rng(43)
-        data = rng.integers(0, 500, size=6_000).astype(np.float64)  # heavy ties
-        data[rng.random(6_000) < 0.05] = np.nan
-        catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 22))
-        # 64-row chunks: 94 of them, so warm selections read the permutation
-        catalog.persist_column(Column("hot", data), chunk_rows=64, hierarchy=False)
-        manager = IndexManager()
-        manager.select_rowids("hot", None, Column("hot", data), Predicate(Comparison.LT, 250.0))
-        assert catalog.persist_index(manager) == [("hot", None)]
-
-        perm = np.asarray(catalog.store.open_column("hot#perm").values).copy()
-        nan_row = int(np.flatnonzero(np.isnan(data))[0])
-        tampered = {
-            "rowid out of range": lambda p: np.concatenate([p[:-1], [len(data)]]),
-            "duplicated rowid": lambda p: np.concatenate([p[:1], p[:-1]]),
-            "adjacent pair swapped": lambda p: np.concatenate([p[:1000], p[1001:999:-1], p[1002:]]),
-            "order of other data": lambda p: np.argsort(data[::-1], kind="stable")[: p.size],
-            "NaN row included": lambda p: np.concatenate([[nan_row], p[1:]]),
-            "a row left out": lambda p: p[1:],  # still ascending: only the count tells
-            "float rowids": lambda p: p.astype(np.float64),
-        }
-        if case in tampered:
-            bad = tampered[case](perm)
-            assert not np.array_equal(bad, perm) or bad.dtype != perm.dtype
-            catalog.store.write_column(Column("hot#perm", bad), name="hot#perm", replace=True)
-        payload = json.loads(catalog.manifest_path.read_text())
-        (record,) = payload["indexes"]
-        appended = rng.integers(0, 500, size=300).astype(np.float64)
-        if case == "num_rows past the column":
-            record["num_rows"] = len(data) + len(appended) + 1
-        elif case in ("legacy two-array record", "record with deltas"):
-            # the formats before this one: two cracked arrays and pieces
-            record.pop("perm_store")
-            record.update(
-                num_valid=int(perm.size),
-                cracks_performed=2,
-                pivots=[250.0],
-                bounds=[0, 100, int(perm.size)],
-                values_store="hot#crk-v",
-                rowids_store="hot#crk-r",
-            )
-            if case == "record with deltas":
-                record["deltas"] = [
-                    {"offset": 0, "rows": 1, "values_store": "d0-v", "rowids_store": "d0-r"}
-                ]
-        catalog.manifest_path.write_text(json.dumps(payload))
-
-        reopened, runtime = _reopen(tmp_path)
-        paged = runtime.resolve_column("hot")
-        paged.append_batch(appended)  # rows arriving after the snapshot
-        grown = np.concatenate([data, appended])
-        warm = IndexManager()
-        adopted = reopened.attach_index(warm, runtime)
-        if case == "valid":
-            assert adopted == [("hot", None)]
-            assert warm.cracker_for("hot").tail_rows == len(appended)
-        else:
-            assert adopted == []
-            assert not warm.has_cracker("hot")
-        for predicate in (
-            Predicate(Comparison.BETWEEN, 100.0, upper=300.0),
-            Predicate(Comparison.EQ, float(data[0])),
-            Predicate(Comparison.GT, 450.0),
-        ):
-            selection = warm.select_rowids("hot", None, paged, predicate)
-            assert np.array_equal(selection.rowids, brute(grown, predicate))
-        assert reopened.persist_index(warm) == [("hot", None)]
-        assert _perm_columns(reopened) == ["hot#perm"]
 
 
 class TestSharedIndexServing:

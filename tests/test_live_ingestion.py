@@ -158,9 +158,8 @@ def test_merge_moves_nothing_and_the_gauge_reads_the_permutation():
     stats = manager.stats_snapshot()
     assert stats["rows_merged_total"] == 600 and stats["tail_merges"] == 4
     assert stats["cracker_bytes"] == cracker.size_bytes
-    # the export is the permutation over the rows it sorted, not the window
-    rowids, covered = cracker.export_state()
-    assert covered == 10_000 and rowids is built.rowids
+    # the window covers the merged rows; the permutation still the rows it sorted
+    assert cracker.covered_rows == 10_600 and built.covered == 10_000
     # dropping the index drops every byte it held
     manager.clear()
     assert manager.stats.crackers_dropped == 1
@@ -210,27 +209,6 @@ def test_int64_beyond_float_precision_stays_scan_identical():
             ), f"{phase}: indexed selection drifted from the scan"
         if phase == "window":
             assert manager.merge_tails("c") == len(tail)
-
-
-def test_merge_tail_forces_full_snapshot_rewrite(tmp_path):
-    """An index rebuilt over merged rows re-snapshots in full: the one
-    ``#perm`` column is replaced by the longer permutation."""
-    rng = np.random.default_rng(3)
-    data = rng.integers(0, 1_000, 3_000).astype(np.int64)
-    column = Column("c", data.copy())
-    manager = IndexManager()
-    manager.select_rowids("c", None, column, Predicate(Comparison.BETWEEN, 200.0, upper=500.0))
-    catalog = StoreCatalog(DiskColumnStore(tmp_path / "store"))
-    catalog.persist_column(Column("c", data.copy()), hierarchy=False)
-    catalog.persist_index(manager)
-    column.append_batch(rng.integers(0, 1_000, 400).astype(np.int64))
-    manager.extend_valid_prefix("c")
-    manager.merge_tails("c")
-    manager.select_rowids("c", None, column, Predicate(Comparison.LT, 100.0))  # rebuilds
-    assert catalog.persist_index(manager) == [("c", None)]
-    perm = catalog.store.open_column("c#perm")
-    assert len(perm) == 3_400 and catalog.index_keys() == [("c", None)]
-    assert np.array_equal(perm.values, np.argsort(column.values, kind="stable"))
 
 
 # --------------------------------------------------------------------- #
@@ -368,42 +346,6 @@ def test_compact_appends_table_and_hierarchy(tmp_path):
     assert len(fresh.load_table("t")) == 700
     with pytest.raises(Exception):
         catalog.compact_appends("missing")
-
-
-def test_persisted_cracker_revives_as_prefix_window(tmp_path):
-    """A permutation persisted before an append warm-starts as a window."""
-    rng = np.random.default_rng(41)
-    data = rng.integers(0, 1_000, 4_000).astype(np.int64)
-    catalog = StoreCatalog(DiskColumnStore(tmp_path / "store", cache_bytes=1 << 20))
-    catalog.persist_column(Column("c", data), chunk_rows=512, hierarchy=False)
-    manager = IndexManager()
-    column = Column("c", data.copy())
-    manager.select_rowids("c", None, column, Predicate(Comparison.BETWEEN, 300.0, upper=600.0))
-    catalog.persist_index(manager)
-    # rows arrive after the snapshot: the persisted permutation covers a prefix
-    paged = catalog.load_column("c")
-    tail = rng.integers(0, 1_000, 500).astype(np.int64)
-    paged.append_batch(tail)
-    from repro.storage.catalog import Catalog
-
-    live = Catalog()
-    live.register_column(paged)
-    revived = IndexManager()
-    adopted = catalog.attach_index(revived, live)
-    assert adopted
-    cracker = revived.cracker_for("c")
-    assert cracker.covered_rows == 4_000
-    assert cracker.tail_rows == 500
-    full = np.concatenate([data, tail])
-    selection = revived.select_rowids(
-        "c", None, paged, Predicate(Comparison.BETWEEN, 300.0, upper=600.0)
-    )
-    assert np.array_equal(selection.rowids, _mask_rowids(full, 300.0, 600.0))
-    assert revived.merge_tails("c") == 500
-    selection = revived.select_rowids(
-        "c", None, paged, Predicate(Comparison.BETWEEN, 100.0, upper=800.0)
-    )
-    assert np.array_equal(selection.rowids, _mask_rowids(full, 100.0, 800.0))
 
 
 # --------------------------------------------------------------------- #

@@ -187,15 +187,11 @@ class TestReplace:
         )
         catalog = make_catalog(root)
         catalog.persist_table(old)
-        manager = IndexManager()
-        manager.select_rowids("t", "b", old.column("b"), Predicate(Comparison.LT, 100))
-        assert catalog.persist_index(manager) == [("t", "b")]
         new = Table.from_arrays("t", {"a": np.arange(1_000)})
         catalog.persist_table(new, replace=True)
-        assert catalog.index_keys() == []
         assert list(catalog.iter_hierarchy_keys()) == [("t", "a")]
-        # the dropped attribute's base, levels and index arrays, and the
-        # levels 1k rows no longer have, are gone from the store
+        # the dropped attribute's base and levels, and the levels 1k rows
+        # no longer have, are gone from the store
         assert catalog.store.column_names == ["t/a", "t/a#s4"]
         for snapshot in (catalog, make_catalog(root), StoreCatalog.open_read_only(root)):
             runtime = Catalog()
@@ -203,17 +199,70 @@ class TestReplace:
             assert runtime.table("t").column_names == ["a"]
             assert runtime.hierarchy_for("t", "a").level(1).step == 4
 
-    def test_replacing_an_indexed_column_deletes_its_index_and_levels(self, root):
+    def test_replacing_an_indexed_column_deletes_its_levels(self, root):
         data = np.random.default_rng(4).integers(0, 1_000, 20_000)
         catalog = make_catalog(root)
         catalog.persist_column(Column("c", data))
         manager = IndexManager()
         manager.select_rowids("c", None, Column("c", data), Predicate(Comparison.LT, 100))
-        catalog.persist_index(manager)
-        assert {"c#perm", "c#s4"} <= set(catalog.store.column_names)
+        # the index lives in RAM: the store holds the column and its levels
+        suffixes = [name.partition("#")[2] for name in catalog.store.column_names]
+        assert suffixes == ["", "s16", "s256", "s4", "s64"]
         catalog.persist_column(Column("c", np.arange(500)), hierarchy=False, replace=True)
         assert catalog.store.column_names == ["c"]
         assert np.array_equal(make_catalog(root).load_column("c").values[:], np.arange(500))
+
+
+class TestOlderIndexFiles:
+    """Snapshots written before indexes stopped being persisted still open;
+    the index files they left are deleted by the next manifest write."""
+
+    INDEX_FILES = ["hot#crk-d0", "hot#crk-r", "hot#crk-v", "hot#perm"]
+
+    def test_manifests_without_indexes_section_still_load(self, root):
+        catalog = make_catalog(root)
+        catalog.persist_column(Column("c", np.arange(100, dtype=np.int64)))
+        payload = json.loads(catalog.manifest_path.read_text())
+        assert "indexes" not in payload
+        for snapshot in (make_catalog(root), StoreCatalog.open_read_only(root)):
+            assert snapshot.column_names == ["c"]
+
+    def test_index_files_no_record_names_are_swept(self, root):
+        data = np.random.default_rng(8).integers(0, 1_000, 5_000)
+        catalog = make_catalog(root)
+        catalog.persist_column(Column("hot", data), hierarchy=False)
+        # a user column whose name merely ends like an index file
+        catalog.persist_column(Column("x#perm", np.arange(10)), hierarchy=False)
+        order = np.argsort(data, kind="stable").astype(np.int32)
+        for name in self.INDEX_FILES:
+            catalog.store.write_column(Column(name, order), name=name)
+        # the manifest as older snapshots wrote it: an "indexes" section
+        # naming the permutation, and a record of the two-array format
+        payload = json.loads(catalog.manifest_path.read_text())
+        payload["indexes"] = [
+            {"object": "hot", "column": None, "num_rows": 5_000, "perm_store": "hot#perm"},
+            {"object": "hot", "column": None, "values_store": "hot#crk-v",
+             "rowids_store": "hot#crk-r", "deltas": [{"values_store": "hot#crk-d0"}]},
+        ]  # fmt: skip
+        catalog.manifest_path.write_text(json.dumps(payload))
+        everything = sorted(["hot", "x#perm", *self.INDEX_FILES])
+
+        # a read-only attacher opens it and deletes nothing
+        runtime = Catalog()
+        assert StoreCatalog.open_read_only(root).attach(runtime) == ["hot", "x#perm"]
+        assert np.array_equal(runtime.column("hot").values[:], data)
+        assert catalog.store.column_names == everything
+
+        # a writable reopen's next manifest write sweeps them
+        writable = make_catalog(root)
+        assert writable.store.column_names == everything
+        writable.persist_column(Column("fresh", np.arange(50)), hierarchy=False)
+        assert writable.store.column_names == ["fresh", "hot", "x#perm"]
+        payload = json.loads(writable.manifest_path.read_text())
+        assert sorted(payload) == ["columns", "format_version", "hierarchies", "tables"]
+        runtime = Catalog()
+        assert make_catalog(root).attach(runtime) == ["fresh", "hot", "x#perm"]
+        assert np.array_equal(runtime.column("x#perm").values[:], np.arange(10))
 
 
 class TestBackgroundMaterialization:
