@@ -50,7 +50,7 @@ Subpackages
 ``repro.touchio``
     The simulated touch OS: views, devices, gesture synthesis/recognition.
 ``repro.engine``
-    Touch-driven operators: scans, aggregates, filters, joins, group-by.
+    Touch-driven operators: aggregates, predicates, joins, group-by.
 ``repro.indexing``
     Zone maps, per-sample-level indexes, the value-sorted index and the
     adaptive :class:`~repro.indexing.manager.IndexManager` tier that

@@ -1,9 +1,8 @@
-"""Baselines: the monolithic DBMS and the visual-analytics shim.
+"""Baselines: the monolithic DBMS and its SQL front end.
 
 These are the comparison points the paper positions dbTouch against —
 traditional engines that control the data flow and consume their whole
-input, regardless of whether the queries are typed as SQL or assembled by
-drag-and-drop in a Polaris/Tableau-style interface.
+input before the user sees an answer.
 """
 
 from repro.baseline.engine import MonolithicEngine, QueryResult

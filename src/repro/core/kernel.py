@@ -115,12 +115,6 @@ class KernelConfig:
         are bit-identical with speculation on or off (the differential
         harness's contract); serving deployments usually adopt one shared
         policy via ``MultiSessionServer(speculation=...)`` instead.
-    max_retained_results:
-        Retention bound handed to every view's
-        :class:`repro.core.result_stream.ResultStream`: the oldest
-        (long-faded) displayed values are dropped beyond it.  ``None``
-        (the default) retains the full history; serving deployments set
-        it so unserviced sessions stay memory-bounded.
     memory_budget:
         Optional :class:`repro.core.caching.MemoryBudget` the kernel's
         touched-range cache — and only it — registers with; indexes are
@@ -142,7 +136,6 @@ class KernelConfig:
     sample_factor: int = 4
     fade_seconds: float = 1.5
     batch_execution: bool = True
-    max_retained_results: int | None = None
     memory_budget: MemoryBudget | None = None
     enable_indexing: bool = True
     index_manager: IndexManager | None = None
@@ -281,6 +274,11 @@ class DbTouchKernel:
                 else IndexManager()
             )
         self.speculation = self.config.speculation
+        #: Retention bound handed to every view's result stream: the oldest
+        #: (long-faded) displayed values are dropped beyond it.  ``None``
+        #: retains the full history; the owning service sets it so
+        #: unserviced sessions stay memory-bounded.
+        self.result_retention: int | None = None
         self._states: dict[str, _ObjectState] = {}
         self._joins: dict[frozenset[str], SymmetricHashJoin] = {}
         # deferred import: repro.core.batch imports GestureOutcome from here
@@ -393,7 +391,7 @@ class DbTouchKernel:
     def _make_result_stream(self) -> ResultStream:
         return ResultStream(
             fade_seconds=self.config.fade_seconds,
-            max_retained=self.config.max_retained_results,
+            max_retained=self.result_retention,
         )
 
     def state_of(self, view_name: str) -> _ObjectState:

@@ -3,11 +3,10 @@
 dbTouch cannot optimize a query up front: it does not know how much data
 will be processed, in which order, or which region of the data the gesture
 will visit — the user decides all of that while the query runs.  The
-optimizer therefore works from *observations*: it tracks per-predicate
-selectivities as touches flow, reorders conjunctive predicates so the most
-selective one runs first, picks the sample level that matches the gesture's
-observed stride, and tunes how aggressively to prefetch based on how
-steady the gesture velocity has been.
+optimizer therefore works from *observations*: it picks the sample level
+that matches the gesture's observed stride, shrinks the summary window
+while touches overrun the latency budget, and tunes how aggressively to
+prefetch based on how steady the gesture velocity has been.
 """
 
 from __future__ import annotations
@@ -15,88 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import OptimizationError
-from repro.engine.filter import Predicate
-
-
-@dataclass
-class PredicateStats:
-    """Observed behaviour of one predicate during the running gesture session."""
-
-    predicate: Predicate
-    evaluated: int = 0
-    passed: int = 0
-
-    @property
-    def selectivity(self) -> float:
-        """Observed pass rate; optimistically 1.0 before any observation."""
-        if not self.evaluated:
-            return 1.0
-        return self.passed / self.evaluated
-
-    def record(self, passed: bool) -> None:
-        """Record one evaluation outcome."""
-        self.evaluated += 1
-        if passed:
-            self.passed += 1
-
-
-class AdaptivePredicateOrderer:
-    """Order conjunctive predicates by observed selectivity, adapting online.
-
-    The cheapest strategy for an AND of predicates is to evaluate the most
-    selective (lowest pass-rate) predicate first.  Because different data
-    regions have different properties, the ordering is recomputed after
-    every ``reorder_every`` touches using only observations from the recent
-    window, so the plan follows the gesture into new data areas.
-    """
-
-    def __init__(self, predicates: list[Predicate], reorder_every: int = 64):
-        if not predicates:
-            raise OptimizationError("predicate orderer needs at least one predicate")
-        if reorder_every < 1:
-            raise OptimizationError("reorder_every must be at least 1")
-        self._stats = [PredicateStats(p) for p in predicates]
-        self.reorder_every = reorder_every
-        self._since_reorder = 0
-        self.reorderings = 0
-
-    @property
-    def current_order(self) -> list[Predicate]:
-        """Predicates in their current evaluation order."""
-        return [s.predicate for s in self._stats]
-
-    def evaluate(self, value: float) -> bool:
-        """Evaluate the conjunction on ``value`` with short-circuiting.
-
-        Every predicate actually evaluated updates its statistics; the
-        ordering is refreshed periodically from those statistics.
-        """
-        verdict = True
-        for stat in self._stats:
-            passed = stat.predicate.matches(value)
-            stat.record(passed)
-            if not passed:
-                verdict = False
-                break
-        self._since_reorder += 1
-        if self._since_reorder >= self.reorder_every:
-            self._reorder()
-        return verdict
-
-    def _reorder(self) -> None:
-        previous = [s.predicate for s in self._stats]
-        self._stats.sort(key=lambda s: s.selectivity)
-        self._since_reorder = 0
-        if [s.predicate for s in self._stats] != previous:
-            self.reorderings += 1
-        # decay the window so old regions do not dominate new ones
-        for stat in self._stats:
-            stat.evaluated = max(1, stat.evaluated // 2)
-            stat.passed = max(0, stat.passed // 2)
-
-    def observed_selectivities(self) -> dict[str, float]:
-        """Mapping of predicate description → observed selectivity."""
-        return {s.predicate.describe(): s.selectivity for s in self._stats}
 
 
 @dataclass

@@ -2,9 +2,8 @@
 
 Operators are push-based: the user's touch plays the role of the classic
 ``next()`` call, and every operator does a small, bounded amount of work per
-touch.  The subpackage provides scans, running aggregates, selections,
-non-blocking joins, incremental group-by and online aggregation with
-confidence bounds.
+touch.  The subpackage provides running aggregates, selection predicates,
+non-blocking joins and incremental group-by.
 """
 
 from repro.engine.aggregate import AggregateKind, RunningAggregate, aggregate_window, make_aggregate

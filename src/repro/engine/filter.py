@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.engine.operators import TouchOperator
 
 
 class Comparison(Enum):
@@ -97,122 +96,3 @@ class Predicate:
         if self.comparison is Comparison.BETWEEN:
             return f"{self.operand} <= value <= {self.upper}"
         return f"value {self.comparison.value} {self.operand}"
-
-
-def predicate_from_string(text: str) -> Predicate:
-    """Parse a tiny predicate grammar: ``"> 10"``, ``"<= 3.5"``, ``"between 1 5"``.
-
-    This keeps scripted explorations and the baseline SQL shim readable.
-    """
-    parts = text.strip().split()
-    if not parts:
-        raise QueryError("empty predicate string")
-    op = parts[0].lower()
-    if op == "between":
-        if len(parts) != 3:
-            raise QueryError(f"BETWEEN predicate needs two bounds, got {text!r}")
-        return Predicate(Comparison.BETWEEN, float(parts[1]), float(parts[2]))
-    symbol_map = {c.value: c for c in Comparison if c is not Comparison.BETWEEN}
-    if op not in symbol_map:
-        raise QueryError(f"unknown comparison operator {op!r} in predicate {text!r}")
-    if len(parts) != 2:
-        raise QueryError(f"predicate {text!r} must be '<op> <constant>'")
-    return Predicate(symbol_map[op], float(parts[1]))
-
-
-class FilterOperator(TouchOperator):
-    """Drop touched values that do not satisfy the predicate."""
-
-    name = "filter"
-
-    def __init__(self, predicate: Predicate, attribute: str | None = None):
-        super().__init__()
-        self.predicate = predicate
-        self.attribute = attribute
-
-    def _extract(self, value: Any) -> Any:
-        if self.attribute is None:
-            return value
-        if not isinstance(value, dict) or self.attribute not in value:
-            raise QueryError(
-                f"filter on attribute {self.attribute!r} requires tuples containing it"
-            )
-        return value[self.attribute]
-
-    def on_touch(self, rowid: int, value: Any) -> Any:
-        candidate = self._extract(value)
-        if isinstance(candidate, (list, tuple, np.ndarray)):
-            arr = np.asarray(candidate)
-            kept = arr[self.predicate.mask(arr)]
-            self.stats.record(tuples=len(arr), results=int(kept.size > 0))
-            return kept if kept.size else None
-        if self.predicate.matches(candidate):
-            self.stats.record(tuples=1, results=1)
-            return value
-        self.stats.record(tuples=1, results=0)
-        return None
-
-    def on_batch(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the predicate over a whole array of touched values.
-
-        Returns the boolean keep-mask (one bit per touch) so the batch
-        slide path can drop non-qualifying touches with one vector
-        operation; statistics are recorded as if each value had been a
-        separate touch.  Attribute-scoped filters expect dict-shaped
-        tuples and cannot run on a flat value array.
-        """
-        if self.attribute is not None:
-            raise QueryError(
-                "batched filters require value-level predicates; "
-                f"this filter is scoped to attribute {self.attribute!r}"
-            )
-        arr = np.asarray(values)
-        mask = self.predicate.mask(arr)
-        self.stats.record_batch(
-            touches=int(arr.size), tuples=int(arr.size), results=int(np.sum(mask))
-        )
-        return mask
-
-
-class CompositeFilter(TouchOperator):
-    """Conjunction of several per-attribute predicates (AND semantics)."""
-
-    name = "composite-filter"
-
-    def __init__(self, predicates: Sequence[tuple[str | None, Predicate]]):
-        super().__init__()
-        if not predicates:
-            raise QueryError("composite filter requires at least one predicate")
-        self._filters = [FilterOperator(pred, attribute=attr) for attr, pred in predicates]
-
-    def on_touch(self, rowid: int, value: Any) -> Any:
-        current = value
-        for filt in self._filters:
-            current = filt.on_touch(rowid, value)
-            if current is None:
-                self.stats.record(tuples=1, results=0)
-                return None
-        self.stats.record(tuples=1, results=1)
-        return value
-
-    def on_batch(self, values: np.ndarray) -> np.ndarray:
-        """Conjunction of all member predicates over an array of values.
-
-        Attribute-scoped members expect dict-shaped tuples and therefore
-        cannot run on a flat value array; batch evaluation is only offered
-        for value-level predicates.
-        """
-        arr = np.asarray(values)
-        mask = np.ones(arr.shape[0], dtype=bool)
-        for filt in self._filters:
-            if filt.attribute is not None:
-                raise QueryError(
-                    "batched composite filters require value-level predicates"
-                )
-            mask &= filt.predicate.mask(arr)
-        self.stats.record_batch(
-            touches=int(arr.shape[0]),
-            tuples=int(arr.shape[0]),
-            results=int(np.sum(mask)),
-        )
-        return mask

@@ -15,8 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ExecutionError
-
 
 @dataclass
 class OperatorStats:
@@ -45,7 +43,7 @@ class TouchOperator(ABC):
     Subclasses implement :meth:`on_touch`, which receives the rowid the
     touch mapped to (plus the value(s) read at that rowid) and returns the
     operator's output for this touch, or ``None`` when the touch produces
-    no visible output (e.g. a filtered-out tuple).
+    no visible output.
     """
 
     name: str = "operator"
@@ -60,83 +58,3 @@ class TouchOperator(ABC):
     def reset(self) -> None:
         """Clear all operator state (a new query session starts)."""
         self.stats = OperatorStats()
-
-    def finish(self) -> Any:
-        """Return the operator's final state when the gesture session ends.
-
-        The default returns ``None``; aggregating operators override this to
-        expose their final aggregate.
-        """
-        return None
-
-
-class ScanOperator(TouchOperator):
-    """Plain scan: every touched value is emitted as-is.
-
-    This is the simplest exploratory action — the user sees the raw values
-    pop up under the finger as the slide progresses.
-    """
-
-    name = "scan"
-
-    def on_touch(self, rowid: int, value: Any) -> Any:
-        self.stats.record(tuples=1, results=1)
-        return value
-
-
-class ProjectOperator(TouchOperator):
-    """Project specific attributes out of the tuple delivered by each touch.
-
-    Expects ``value`` to be a mapping of attribute name → value (what a
-    touch on a table object delivers) and emits only the wanted attributes.
-    """
-
-    name = "project"
-
-    def __init__(self, attributes: list[str]):
-        super().__init__()
-        if not attributes:
-            raise ExecutionError("projection requires at least one attribute")
-        self.attributes = list(attributes)
-
-    def on_touch(self, rowid: int, value: Any) -> Any:
-        if not isinstance(value, dict):
-            raise ExecutionError("ProjectOperator expects a tuple (dict) per touch")
-        missing = [a for a in self.attributes if a not in value]
-        if missing:
-            raise ExecutionError(f"tuple is missing projected attributes {missing}")
-        self.stats.record(tuples=1, results=1)
-        return {a: value[a] for a in self.attributes}
-
-
-class LimitOperator(TouchOperator):
-    """Stop emitting results after ``limit`` touches have produced output.
-
-    Useful for bounding how much output a scripted exploration produces.
-    """
-
-    name = "limit"
-
-    def __init__(self, limit: int):
-        super().__init__()
-        if limit < 0:
-            raise ExecutionError("limit must be non-negative")
-        self.limit = limit
-        self._emitted = 0
-
-    def on_touch(self, rowid: int, value: Any) -> Any:
-        if self._emitted >= self.limit:
-            self.stats.record(tuples=1, results=0)
-            return None
-        self._emitted += 1
-        self.stats.record(tuples=1, results=1)
-        return value
-
-    def reset(self) -> None:
-        super().reset()
-        self._emitted = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the limit has been reached."""
-        return self._emitted >= self.limit

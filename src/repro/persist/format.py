@@ -237,20 +237,6 @@ def chunk_min_max(values: np.ndarray) -> tuple[object, object]:
     return values.min(), values.max()
 
 
-def compute_zonemap(values: np.ndarray, fmt: ColumnFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk minima and maxima of ``values`` under ``fmt``'s chunking."""
-    if len(values) != fmt.num_rows:
-        raise PersistFormatError(
-            f"zonemap input has {len(values)} rows, format declares {fmt.num_rows}"
-        )
-    mins = np.empty(fmt.num_chunks, dtype=values.dtype)
-    maxs = np.empty(fmt.num_chunks, dtype=values.dtype)
-    for index in range(fmt.num_chunks):
-        start, stop = fmt.chunk_bounds(index)
-        mins[index], maxs[index] = chunk_min_max(values[start:stop])
-    return mins, maxs
-
-
 def read_zonemap(path: str | Path, fmt: ColumnFormat) -> tuple[np.ndarray, np.ndarray]:
     """Read the (min, max) zonemap arrays from a column file."""
     np_dtype = fmt.dtype.numpy_dtype

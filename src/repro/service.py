@@ -246,6 +246,7 @@ class LocalExplorationService:
         self._shared_index: IndexManager | None = None
         self._speculation: SpeculativePolicy | None = None
         self._pending_speculation: SpeculationPlan | None = None
+        self._result_retention: int | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -253,6 +254,7 @@ class LocalExplorationService:
         self.catalog = Catalog()
         self.device = TouchDevice(self.profile)
         self.kernel = DbTouchKernel(self.catalog, self.device, self.config)
+        self.kernel.result_retention = self._result_retention
         self.synthesizer = GestureSynthesizer(
             self.profile, jitter_cm=self.jitter_cm, seed=self.seed
         )
@@ -627,12 +629,14 @@ class LocalExplorationService:
     def set_result_retention(self, max_retained: int | None) -> None:
         """Bound every result stream (current and future) to ``max_retained``.
 
-        Retention is then enforced at emission time by
+        The bound is the service's own, not its ``KernelConfig``'s, and it
+        survives :meth:`reset`.  Retention is then enforced at emission time by
         :class:`repro.core.result_stream.ResultStream` itself — the
         mechanism :class:`MultiSessionServer` arms once per session at
         ``open_session`` when ``SchedulerConfig.result_retention`` is set.
         """
-        self.kernel.config.max_retained_results = max_retained
+        self._result_retention = max_retained
+        self.kernel.result_retention = max_retained
         for _, stream in self.kernel.iter_result_streams():
             stream.max_retained = max_retained
             stream.trim()

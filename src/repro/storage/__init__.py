@@ -5,7 +5,7 @@ This subpackage provides everything below the dbTouch kernel:
 * :mod:`repro.storage.dtypes` — the fixed-width type system;
 * :mod:`repro.storage.column` — dense, fixed-width columns;
 * :mod:`repro.storage.table` — tables and schemas;
-* :mod:`repro.storage.layout` — row/column/hybrid physical layouts;
+* :mod:`repro.storage.layout` — row/column physical layouts;
 * :mod:`repro.storage.incremental` — incremental layout rotation;
 * :mod:`repro.storage.sample` — Sciborg-style sample hierarchies;
 * :mod:`repro.storage.catalog` — the registry of explorable data objects;

@@ -271,15 +271,3 @@ class Column:
         if not len(self) or not self.is_numeric:
             return None
         return float(self._data.std())
-
-
-def column_from_function(name: str, n: int, fn, dtype: FixedWidthType | None = None) -> Column:
-    """Build a column of ``n`` values where ``values[i] = fn(i)``.
-
-    Convenience used by tests and workload generators for small,
-    deterministic columns.
-    """
-    if n < 0:
-        raise StorageError("column length must be non-negative")
-    values = np.asarray([fn(i) for i in range(n)])
-    return Column(name, values, dtype=dtype)

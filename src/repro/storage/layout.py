@@ -1,22 +1,19 @@
-"""Physical layouts: column-store, row-store and hybrid matrices.
+"""Physical layouts: column-store and row-store matrices.
 
 The paper's prototype stores data in dense fixed-width matrices; each
 matrix holds one or more columns.  The *rotate* gesture switches a table
 between a row-oriented and a column-oriented physical design.  This module
-implements both layouts plus a hybrid (column groups), full conversions
-between them, and cost accounting that the rotation benchmarks use.
+implements both layouts and the cost accounting that the rotation
+benchmarks use; :mod:`repro.storage.incremental` converts between them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from repro.errors import LayoutError
-from repro.storage.column import Column
 from repro.storage.table import Table
 
 
@@ -25,7 +22,6 @@ class LayoutKind(Enum):
 
     COLUMN_STORE = "column-store"
     ROW_STORE = "row-store"
-    HYBRID = "hybrid"
 
 
 class PhysicalLayout(ABC):
@@ -150,103 +146,6 @@ class RowStoreLayout(PhysicalLayout):
         return self._side[column_name][start:stop]
 
 
-class HybridLayout(PhysicalLayout):
-    """Column groups: each group of attributes is stored as its own matrix.
-
-    A group of size one behaves like a column store for that attribute; a
-    single group with every attribute behaves like a row store.
-    """
-
-    kind = LayoutKind.HYBRID
-
-    def __init__(self, table: Table, groups: Sequence[Sequence[str]]):
-        super().__init__(table)
-        flattened = [name for group in groups for name in group]
-        if sorted(flattened) != sorted(table.column_names):
-            raise LayoutError(
-                "hybrid layout groups must partition the table's columns exactly; "
-                f"got {groups} for columns {table.column_names}"
-            )
-        self.groups = [list(group) for group in groups]
-        self._group_of = {name: gi for gi, group in enumerate(self.groups) for name in group}
-        self._group_layouts: list[PhysicalLayout] = []
-        for gi, group in enumerate(self.groups):
-            sub = table.project(group, new_name=f"{table.name}_group{gi}")
-            if len(group) == 1:
-                self._group_layouts.append(ColumnStoreLayout(sub))
-            else:
-                self._group_layouts.append(RowStoreLayout(sub))
-
-    def _layout_for(self, column_name: str) -> PhysicalLayout:
-        if column_name not in self._group_of:
-            raise LayoutError(f"unknown column {column_name!r} in hybrid layout")
-        return self._group_layouts[self._group_of[column_name]]
-
-    def read_cell(self, rowid: int, column_name: str):
-        layout = self._layout_for(column_name)
-        before = layout.cells_touched
-        value = layout.read_cell(rowid, column_name)
-        self.cells_touched += layout.cells_touched - before
-        return value
-
-    def read_tuple(self, rowid: int) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for layout in self._group_layouts:
-            before = layout.cells_touched
-            out.update(layout.read_tuple(rowid))
-            self.cells_touched += layout.cells_touched - before
-        return {name: out[name] for name in self.table.column_names}
-
-    def read_column_range(self, column_name: str, start: int, stop: int) -> np.ndarray:
-        layout = self._layout_for(column_name)
-        before = layout.cells_touched
-        values = layout.read_column_range(column_name, start, stop)
-        self.cells_touched += layout.cells_touched - before
-        return values
-
-
-def build_layout(
-    table: Table, kind: LayoutKind, groups: Sequence[Sequence[str]] | None = None
-) -> PhysicalLayout:
-    """Materialize ``table`` under the requested physical design."""
-    if kind is LayoutKind.COLUMN_STORE:
-        return ColumnStoreLayout(table)
-    if kind is LayoutKind.ROW_STORE:
-        return RowStoreLayout(table)
-    if kind is LayoutKind.HYBRID:
-        if not groups:
-            raise LayoutError("hybrid layout requires explicit column groups")
-        return HybridLayout(table, groups)
-    raise LayoutError(f"unknown layout kind: {kind}")
-
-
-def rotate_layout(layout: PhysicalLayout) -> PhysicalLayout:
-    """Fully convert a layout to its rotated counterpart.
-
-    Rotating a row store projects every attribute into its own array
-    (column store) and vice versa.  The conversion copies the complete
-    table, which is exactly why the paper proposes the *incremental*
-    variant implemented in :mod:`repro.storage.incremental`.
-    """
-    if layout.kind is LayoutKind.ROW_STORE:
-        return ColumnStoreLayout(layout.table)
-    if layout.kind is LayoutKind.COLUMN_STORE:
-        return RowStoreLayout(layout.table)
-    raise LayoutError("only row-store and column-store layouts can be rotated directly")
-
-
 def conversion_cost_cells(table: Table) -> int:
     """Number of cells a full layout conversion must copy (rows × columns)."""
     return len(table) * table.num_columns
-
-
-def table_from_matrix(name: str, matrix: np.ndarray, column_names: Sequence[str]) -> Table:
-    """Build a table from a dense 2-D matrix (one column per matrix column)."""
-    mat = np.asarray(matrix)
-    if mat.ndim != 2:
-        raise LayoutError(f"expected a 2-D matrix, got shape {mat.shape}")
-    if mat.shape[1] != len(column_names):
-        raise LayoutError(
-            f"matrix has {mat.shape[1]} columns but {len(column_names)} names were given"
-        )
-    return Table(name, [Column(n, mat[:, i]) for i, n in enumerate(column_names)])

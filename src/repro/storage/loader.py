@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -24,13 +24,6 @@ from repro.storage.table import Table
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.persist.diskstore import DiskColumnStore
     from repro.persist.paged_column import PagedColumn
-
-
-def load_table_from_arrays(name: str, data: Mapping[str, Iterable]) -> Table:
-    """Build a :class:`Table` from a mapping of column name → values."""
-    if not data:
-        raise StorageError("cannot load a table from an empty mapping")
-    return Table.from_arrays(name, data)
 
 
 def _convert_csv_column(values: list[str]) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Tables and schemas.
 
 A dbTouch table is a named collection of equally long fixed-width columns.
-The table does not prescribe a physical layout; the layout (row-store,
-column-store or hybrid) lives in :mod:`repro.storage.layout` and can be
-changed at runtime with the rotate gesture.
+The table does not prescribe a physical layout; the layout (row-store or
+column-store) lives in :mod:`repro.storage.layout` and can be changed at
+runtime with the rotate gesture.
 """
 
 from __future__ import annotations

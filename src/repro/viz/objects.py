@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import cycle
 
 from repro.errors import VisualizationError
-from repro.storage.catalog import ObjectInfo
 from repro.touchio.views import View
 
 #: Default palette cycled over data objects, mirroring the coloured columns
@@ -97,23 +96,6 @@ class DataObjectShape:
             orientation="horizontal" if self.orientation == "vertical" else "vertical",
             zoom_level=self.zoom_level,
         )
-
-
-def shape_from_info(info: ObjectInfo, color: str, height_cm: float = 10.0) -> DataObjectShape:
-    """Build the default shape for a catalog object description."""
-    if info.kind == "column":
-        width = 2.0
-    else:
-        width = min(12.0, 2.0 * max(1, info.num_columns))
-    return DataObjectShape(
-        name=info.name,
-        kind="column" if info.kind == "column" else "table",
-        width_cm=width,
-        height_cm=height_cm,
-        color=color,
-        num_tuples=info.num_rows,
-        num_attributes=info.num_columns,
-    )
 
 
 def shape_from_view(view: View, color: str) -> DataObjectShape:

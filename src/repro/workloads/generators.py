@@ -188,45 +188,6 @@ def make_pattern_column(
     return Column(name, values), planted
 
 
-def make_clustered_column(
-    name: str,
-    num_rows: int,
-    num_clusters: int = 4,
-    separation: float = 6.0,
-    base_scale: float = 1.0,
-    seed: int = 23,
-) -> tuple[Column, list[PlantedPattern]]:
-    """A column whose values fall into well-separated clusters."""
-    _validate(num_rows, base_scale)
-    if num_clusters < 2:
-        raise WorkloadError("clustered column needs at least 2 clusters")
-    rng = np.random.default_rng(seed)
-    assignments = rng.integers(0, num_clusters, size=num_rows)
-    centers = np.arange(num_clusters) * separation * base_scale
-    values = centers[assignments] + rng.normal(0.0, base_scale, size=num_rows)
-    pattern = PlantedPattern(PatternKind.CLUSTER, name, 0.0, 1.0, separation)
-    return Column(name, values), [pattern]
-
-
-def make_correlated_pair(
-    name_x: str,
-    name_y: str,
-    num_rows: int,
-    correlation: float = 0.9,
-    seed: int = 29,
-) -> tuple[Column, Column, PlantedPattern]:
-    """Two columns with a planted linear correlation."""
-    if not -1.0 <= correlation <= 1.0:
-        raise WorkloadError("correlation must be within [-1, 1]")
-    _validate(num_rows, 1.0)
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, 1.0, size=num_rows)
-    noise = rng.normal(0.0, 1.0, size=num_rows)
-    y = correlation * x + np.sqrt(max(0.0, 1.0 - correlation**2)) * noise
-    pattern = PlantedPattern(PatternKind.CORRELATION, name_y, 0.0, 1.0, correlation)
-    return Column(name_x, x), Column(name_y, y), pattern
-
-
 def make_contest_dataset(
     name: str = "contest",
     num_rows: int = 200_000,

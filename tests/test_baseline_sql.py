@@ -1,11 +1,10 @@
-"""Unit tests for the SQL front-end and the visual-analytics shim."""
+"""Unit tests for the SQL front-end."""
 
 import pytest
 
 from repro.baseline.engine import MonolithicEngine
 from repro.baseline.sql import SqlInterface, parse_sql
-from repro.baseline.visual_analytics import VisualAnalyticsInterface
-from repro.engine.filter import Comparison, Predicate
+from repro.engine.filter import Comparison
 from repro.errors import BaselineError
 
 
@@ -102,63 +101,3 @@ class TestExecution:
 
     def test_case_insensitive(self, sql):
         assert sql.execute("select avg(id) from events").scalar() == pytest.approx(499.5)
-
-
-class TestVisualAnalytics:
-    def test_big_number_card(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.set_measure(sheet, "value", "avg")
-        chart = va.render(sheet)
-        assert chart.chart_type == "big-number"
-        assert chart.marks[0]["avg(value)"] == pytest.approx(999.0)
-
-    def test_bar_chart_groups_by_dimension(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.drag_to_rows(sheet, "category")
-        va.set_measure(sheet, "value", "count")
-        chart = va.render(sheet)
-        assert chart.chart_type == "bar"
-        assert len(chart.marks) == 7
-
-    def test_table_when_no_measure(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.drag_to_rows(sheet, "id")
-        chart = va.render(sheet)
-        assert chart.chart_type == "table"
-        assert chart.query_result.rows_examined == 1000
-
-    def test_filter_shelf(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.set_measure(sheet, "value", "count")
-        va.add_filter(sheet, "id", Predicate(Comparison.LT, 100))
-        chart = va.render(sheet)
-        assert chart.marks[0]["count(value)"] == 100
-
-    def test_unknown_source_rejected(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        with pytest.raises(BaselineError):
-            va.new_sheet("ghost")
-
-    def test_every_render_is_a_full_monolithic_query(self, engine):
-        """The Polaris-style shim inherits the monolithic cost model: each
-        rendered chart scans the full table."""
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.drag_to_rows(sheet, "category")
-        va.set_measure(sheet, "value", "avg")
-        before = engine.total_cells_read
-        va.render(sheet)
-        assert engine.total_cells_read - before >= 2 * 1000
-        assert va.charts_rendered == 1
-
-    def test_heatmap_for_two_dimensions(self, engine):
-        va = VisualAnalyticsInterface(engine)
-        sheet = va.new_sheet("events")
-        va.drag_to_rows(sheet, "category")
-        va.drag_to_columns(sheet, "id")
-        va.set_measure(sheet, "value", "avg")
-        assert va.render(sheet).chart_type == "heatmap"

@@ -11,7 +11,7 @@ from repro.core.actions import (
     scan_action,
     summary_action,
 )
-from repro.core.optimizer import AdaptiveOptimizer, AdaptivePredicateOrderer
+from repro.core.optimizer import AdaptiveOptimizer
 from repro.engine.aggregate import AggregateKind
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import OptimizationError, QueryError
@@ -55,39 +55,6 @@ class TestQueryActions:
         text = action.describe()
         assert "summary" in text and "max" in text and "k=5" in text and "where" in text
         assert "with other" in join_action("other").describe()
-
-
-class TestPredicateOrderer:
-    def test_most_selective_predicate_moves_first(self):
-        # p_loose passes almost everything, p_tight almost nothing
-        p_loose = Predicate(Comparison.GT, -1000)
-        p_tight = Predicate(Comparison.GT, 990)
-        orderer = AdaptivePredicateOrderer([p_loose, p_tight], reorder_every=32)
-        for v in range(200):
-            orderer.evaluate(float(v))
-        assert orderer.current_order[0] is p_tight
-        assert orderer.reorderings >= 1
-
-    def test_conjunction_semantics(self):
-        orderer = AdaptivePredicateOrderer(
-            [Predicate(Comparison.GT, 10), Predicate(Comparison.LT, 20)]
-        )
-        assert orderer.evaluate(15.0)
-        assert not orderer.evaluate(5.0)
-        assert not orderer.evaluate(25.0)
-
-    def test_observed_selectivities_reported(self):
-        orderer = AdaptivePredicateOrderer([Predicate(Comparison.GT, 0)])
-        orderer.evaluate(1.0)
-        orderer.evaluate(-1.0)
-        selectivities = orderer.observed_selectivities()
-        assert selectivities["value > 0"] == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(OptimizationError):
-            AdaptivePredicateOrderer([])
-        with pytest.raises(OptimizationError):
-            AdaptivePredicateOrderer([Predicate(Comparison.GT, 0)], reorder_every=0)
 
 
 class TestAdaptiveOptimizer:

@@ -16,7 +16,7 @@ from repro.core.session import ExplorationSession
 from repro.core.summaries import InteractiveSummarizer
 from repro.core.touch_mapping import TouchMapper
 from repro.engine.aggregate import make_aggregate
-from repro.engine.filter import Comparison, FilterOperator, Predicate
+from repro.engine.filter import Comparison, Predicate
 from repro.errors import VisualizationError
 from repro.storage.column import Column
 from repro.storage.sample import SampleHierarchy
@@ -224,22 +224,6 @@ class TestAggregateOnBatch:
         resumed.on_batch(values[:100])
         resumed.on_batch(values[100:])
         assert resumed.current() == pytest.approx(sequential.current(), abs=1e-6)
-
-
-class TestFilterOnBatch:
-    def test_mask_and_stats(self):
-        operator = FilterOperator(Predicate(Comparison.GE, 10))
-        mask = operator.on_batch(np.array([5, 10, 15]))
-        assert mask.tolist() == [False, True, True]
-        assert operator.stats.touches_processed == 3
-        assert operator.stats.results_emitted == 2
-
-    def test_attribute_scoped_filter_rejected(self):
-        from repro.errors import QueryError
-
-        operator = FilterOperator(Predicate(Comparison.GE, 10), attribute="a")
-        with pytest.raises(QueryError):
-            operator.on_batch(np.array([1.0, 2.0]))
 
 
 # --------------------------------------------------------------------- #

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.engine.filter import (
-    Comparison,
-    CompositeFilter,
-    FilterOperator,
-    Predicate,
-    predicate_from_string,
-)
+from repro.engine.filter import Comparison, Predicate
 
 
 class TestPredicate:
@@ -57,73 +51,3 @@ class TestPredicate:
     def test_describe(self):
         assert Predicate(Comparison.GT, 10).describe() == "value > 10"
         assert "<=" in Predicate(Comparison.BETWEEN, 1, upper=2).describe()
-
-
-class TestPredicateParsing:
-    def test_simple(self):
-        pred = predicate_from_string("> 10")
-        assert pred.comparison is Comparison.GT and pred.operand == 10
-
-    def test_between(self):
-        pred = predicate_from_string("between 1 5")
-        assert pred.comparison is Comparison.BETWEEN and pred.upper == 5
-
-    def test_float_operand(self):
-        assert predicate_from_string("<= 3.5").operand == 3.5
-
-    @pytest.mark.parametrize("text", ["", "~ 5", "> ", "> 1 2", "between 1"])
-    def test_invalid(self, text):
-        with pytest.raises(QueryError):
-            predicate_from_string(text)
-
-
-class TestFilterOperator:
-    def test_passes_matching_values(self):
-        op = FilterOperator(Predicate(Comparison.GT, 10))
-        assert op.on_touch(0, 15) == 15
-        assert op.on_touch(1, 5) is None
-        assert op.stats.results_emitted == 1
-        assert op.stats.touches_processed == 2
-
-    def test_attribute_filter_on_tuples(self):
-        op = FilterOperator(Predicate(Comparison.EQ, 1), attribute="flag")
-        assert op.on_touch(0, {"flag": 1, "x": 9}) == {"flag": 1, "x": 9}
-        assert op.on_touch(1, {"flag": 0, "x": 9}) is None
-
-    def test_attribute_filter_requires_tuple(self):
-        op = FilterOperator(Predicate(Comparison.EQ, 1), attribute="flag")
-        with pytest.raises(QueryError):
-            op.on_touch(0, 3)
-
-    def test_window_filtering(self):
-        op = FilterOperator(Predicate(Comparison.GE, 5))
-        kept = op.on_touch(0, np.array([1, 5, 9]))
-        assert list(kept) == [5, 9]
-        assert op.on_touch(1, np.array([1, 2])) is None
-
-
-class TestCompositeFilter:
-    def test_conjunction(self):
-        composite = CompositeFilter(
-            [
-                (None, Predicate(Comparison.GT, 2)),
-                (None, Predicate(Comparison.LT, 8)),
-            ]
-        )
-        assert composite.on_touch(0, 5) == 5
-        assert composite.on_touch(1, 1) is None
-        assert composite.on_touch(2, 9) is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(QueryError):
-            CompositeFilter([])
-
-    def test_tuple_attributes(self):
-        composite = CompositeFilter(
-            [
-                ("a", Predicate(Comparison.GT, 0)),
-                ("b", Predicate(Comparison.LT, 10)),
-            ]
-        )
-        assert composite.on_touch(0, {"a": 1, "b": 5}) == {"a": 1, "b": 5}
-        assert composite.on_touch(1, {"a": 0, "b": 5}) is None

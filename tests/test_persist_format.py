@@ -11,7 +11,6 @@ from repro.persist.format import (
     ColumnFormat,
     atomic_replace,
     chunk_min_max,
-    compute_zonemap,
     read_format,
 )
 
@@ -86,18 +85,6 @@ class TestFileValidation:
 
 
 class TestZonemap:
-    def test_compute_per_chunk_min_max(self):
-        fmt = ColumnFormat(dtype_name="int64", num_rows=10, chunk_rows=4)
-        values = np.asarray([5, 1, 9, 3, 7, 7, 2, 8, 0, 6])
-        mins, maxs = compute_zonemap(values, fmt)
-        assert mins.tolist() == [1, 2, 0]
-        assert maxs.tolist() == [9, 8, 6]
-
-    def test_length_mismatch_rejected(self):
-        fmt = ColumnFormat(dtype_name="int64", num_rows=10, chunk_rows=4)
-        with pytest.raises(PersistFormatError):
-            compute_zonemap(np.arange(9), fmt)
-
     def test_chunk_min_max_handles_strings(self):
         low, high = chunk_min_max(np.asarray(["pear", "apple", "plum"]))
         assert (low, high) == ("apple", "plum")

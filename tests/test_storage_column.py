@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IngestError, StorageError
-from repro.storage.column import Column, column_from_function
+from repro.storage.column import Column
 from repro.storage.dtypes import FLOAT64
 from repro.storage.table import Table
 
@@ -122,19 +122,6 @@ class TestStats:
 
     def test_is_numeric_for_strings(self):
         assert not Column("s", ["a", "b"]).is_numeric
-
-
-class TestColumnFromFunction:
-    def test_values_follow_function(self):
-        col = column_from_function("sq", 5, lambda i: i * i)
-        assert list(col) == [0, 1, 4, 9, 16]
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(StorageError):
-            column_from_function("bad", -1, lambda i: i)
-
-    def test_zero_length(self):
-        assert len(column_from_function("empty", 0, lambda i: i)) == 0
 
 
 class TestAppendBuffer:

@@ -30,7 +30,7 @@ class TestSetup:
 
     def test_hybrid_source_rejected(self, table):
         with pytest.raises(LayoutError):
-            IncrementalRotation(table, LayoutKind.HYBRID)
+            IncrementalRotation(table, "hybrid")
 
     def test_bad_step_rows(self, table):
         with pytest.raises(LayoutError):

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import LayoutError
 from repro.storage.layout import (
     ColumnStoreLayout,
-    HybridLayout,
-    LayoutKind,
     RowStoreLayout,
-    build_layout,
     conversion_cost_cells,
-    rotate_layout,
-    table_from_matrix,
 )
 from repro.storage.table import Table
 
@@ -90,81 +84,5 @@ class TestRowStore:
         assert list(layout.read_column_range("label", 0, 2)) == ["x", "y"]
 
 
-class TestHybrid:
-    def test_groups_must_partition(self, table):
-        with pytest.raises(LayoutError):
-            HybridLayout(table, [["a"], ["b"]])  # "c" missing
-        with pytest.raises(LayoutError):
-            HybridLayout(table, [["a", "b"], ["b", "c"]])  # duplicate
-
-    def test_single_column_group_behaves_like_column_store(self, table):
-        layout = HybridLayout(table, [["a"], ["b", "c"]])
-        layout.read_cell(0, "a")
-        assert layout.cells_touched == 1
-
-    def test_multi_column_group_behaves_like_row_store(self, table):
-        layout = HybridLayout(table, [["a"], ["b", "c"]])
-        layout.read_cell(0, "b")
-        assert layout.cells_touched == 2
-
-    def test_read_tuple_covers_all_columns(self, table):
-        layout = HybridLayout(table, [["a"], ["b", "c"]])
-        row = layout.read_tuple(7)
-        assert list(row.keys()) == ["a", "b", "c"]
-
-    def test_unknown_column(self, table):
-        layout = HybridLayout(table, [["a"], ["b", "c"]])
-        with pytest.raises(LayoutError):
-            layout.read_cell(0, "zzz")
-
-    def test_range_read(self, table):
-        layout = HybridLayout(table, [["a"], ["b", "c"]])
-        assert len(layout.read_column_range("c", 0, 5)) == 5
-
-
-class TestBuildAndRotate:
-    def test_build_column_store(self, table):
-        assert build_layout(table, LayoutKind.COLUMN_STORE).kind is LayoutKind.COLUMN_STORE
-
-    def test_build_row_store(self, table):
-        assert build_layout(table, LayoutKind.ROW_STORE).kind is LayoutKind.ROW_STORE
-
-    def test_build_hybrid_requires_groups(self, table):
-        with pytest.raises(LayoutError):
-            build_layout(table, LayoutKind.HYBRID)
-
-    def test_rotate_row_to_column(self, table):
-        rotated = rotate_layout(RowStoreLayout(table))
-        assert rotated.kind is LayoutKind.COLUMN_STORE
-
-    def test_rotate_column_to_row(self, table):
-        rotated = rotate_layout(ColumnStoreLayout(table))
-        assert rotated.kind is LayoutKind.ROW_STORE
-
-    def test_rotate_preserves_data(self, table):
-        original = ColumnStoreLayout(table)
-        rotated = rotate_layout(original)
-        assert rotated.read_cell(42, "b") == original.read_cell(42, "b")
-
-    def test_rotate_hybrid_rejected(self, table):
-        with pytest.raises(LayoutError):
-            rotate_layout(HybridLayout(table, [["a"], ["b", "c"]]))
-
-    def test_conversion_cost(self, table):
-        assert conversion_cost_cells(table) == len(table) * table.num_columns
-
-
-class TestTableFromMatrix:
-    def test_round_trip(self):
-        matrix = np.arange(12).reshape(4, 3)
-        table = table_from_matrix("m", matrix, ["x", "y", "z"])
-        assert len(table) == 4
-        assert table.value_at(2, "y") == 7
-
-    def test_shape_mismatch(self):
-        with pytest.raises(LayoutError):
-            table_from_matrix("m", np.zeros((4, 3)), ["x", "y"])
-
-    def test_requires_2d(self):
-        with pytest.raises(LayoutError):
-            table_from_matrix("m", np.zeros(5), ["x"])
+def test_conversion_cost(table):
+    assert conversion_cost_cells(table) == len(table) * table.num_columns

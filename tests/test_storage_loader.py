@@ -7,21 +7,9 @@ from repro.errors import LoaderError, StorageError
 from repro.storage.loader import (
     AdaptiveLoader,
     generate_integer_column,
-    load_table_from_arrays,
     load_table_from_csv_file,
     load_table_from_csv_text,
 )
-
-
-class TestArrayLoading:
-    def test_basic(self):
-        table = load_table_from_arrays("t", {"a": [1, 2], "b": [3.0, 4.0]})
-        assert table.column_names == ["a", "b"]
-        assert len(table) == 2
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(StorageError):
-            load_table_from_arrays("t", {})
 
 
 class TestCsvLoading:

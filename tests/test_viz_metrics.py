@@ -1,18 +1,14 @@
 """Unit tests for visualization shapes/rendering and the metrics helpers."""
 
-import numpy as np
 import pytest
 
 from repro.core.result_stream import ResultStream
 from repro.errors import MetricsError, VisualizationError
 from repro.metrics.reporting import ExperimentSeries, format_comparison
-from repro.storage.catalog import Catalog
-from repro.storage.column import Column
 from repro.touchio.views import make_column_view
 from repro.viz.objects import (
     DataObjectShape,
     assign_colors,
-    shape_from_info,
     shape_from_view,
 )
 from repro.viz.render import (
@@ -48,12 +44,6 @@ class TestShapes:
         shape = DataObjectShape("c", "column", 2.0, 10.0, "blue", 100)
         rotated = shape.rotated()
         assert rotated.width_cm == 10.0 and rotated.orientation == "horizontal"
-
-    def test_shape_from_info(self):
-        catalog = Catalog()
-        catalog.register_column(Column("c", np.arange(10)))
-        shape = shape_from_info(catalog.describe("c"), "green")
-        assert shape.kind == "column" and shape.num_tuples == 10
 
     def test_shape_from_view(self):
         view = make_column_view("v", "obj", num_tuples=50, height_cm=12.0)

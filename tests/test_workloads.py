@@ -7,9 +7,7 @@ from repro.errors import ContestError, WorkloadError
 from repro.workloads.contest import DbTouchExplorer, SqlExplorer, run_contest
 from repro.workloads.generators import (
     PatternKind,
-    make_clustered_column,
     make_contest_dataset,
-    make_correlated_pair,
     make_pattern_column,
 )
 from repro.workloads.scenarios import it_monitoring_scenario, sky_survey_scenario
@@ -66,29 +64,6 @@ class TestPatternColumns:
         _, patterns = make_pattern_column("c", 1000, [PatternKind.LEVEL_SHIFT])
         assert patterns[0].covers(0.9)
         assert not patterns[0].covers(0.1)
-
-
-class TestClusteredAndCorrelated:
-    def test_clusters_are_separated(self):
-        column, patterns = make_clustered_column("c", 10_000, num_clusters=3, separation=10.0)
-        assert patterns[0].kind is PatternKind.CLUSTER
-        hist, _ = np.histogram(column.values, bins=50)
-        # well-separated clusters leave empty bins between the modes
-        assert (hist == 0).sum() > 5
-
-    def test_cluster_validation(self):
-        with pytest.raises(WorkloadError):
-            make_clustered_column("c", 100, num_clusters=1)
-
-    def test_correlation_close_to_requested(self):
-        x, y, pattern = make_correlated_pair("x", "y", 50_000, correlation=0.8)
-        observed = np.corrcoef(x.values, y.values)[0, 1]
-        assert observed == pytest.approx(0.8, abs=0.02)
-        assert pattern.magnitude == 0.8
-
-    def test_correlation_validation(self):
-        with pytest.raises(WorkloadError):
-            make_correlated_pair("x", "y", 100, correlation=1.5)
 
 
 class TestContestDataset:
