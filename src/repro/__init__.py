@@ -45,8 +45,8 @@ Subpackages
     Fixed-width numpy columns, tables, layouts, sample hierarchies.
 ``repro.persist``
     The out-of-core tier: mmap-backed chunked column files, the
-    byte-budgeted chunk cache, snapshot catalogs for warm cold-starts
-    and background sample materialization.
+    byte-budgeted chunk cache and snapshot catalogs for warm
+    cold-starts.
 ``repro.touchio``
     The simulated touch OS: views, devices, gesture synthesis/recognition.
 ``repro.engine``
@@ -110,7 +110,6 @@ from repro.core.commands import (
     ZoomIn,
     ZoomOut,
 )
-from repro.core.caching import MemoryBudget
 from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
 from repro.core.scheduler import GestureScheduler, SchedulerConfig, SchedulerStats
 from repro.core.session import ExplorationSession, SessionSummary
@@ -147,7 +146,6 @@ from repro.obs import (
     trace_span,
 )
 from repro.persist import (
-    BackgroundMaterializer,
     ChunkCache,
     DiskColumnStore,
     PagedColumn,
@@ -178,7 +176,6 @@ __version__ = "0.9.0"
 __all__ = [
     "ActionKind",
     "AdmissionError",
-    "BackgroundMaterializer",
     "Catalog",
     "ChooseAction",
     "ChunkCache",
@@ -203,7 +200,6 @@ __all__ = [
     "KernelConfig",
     "LoaderError",
     "LocalExplorationService",
-    "MemoryBudget",
     "MiningError",
     "ModelCheckpointError",
     "MultiSessionServer",

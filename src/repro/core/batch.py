@@ -55,11 +55,10 @@ reads its where-values with the same ``read_batch`` every other slide
 uses, with or without the touched-range cache.
 
 Mid-gesture cache evictions are replayed, not avoided.  The walk of step
-4 performs every hit's LRU refresh, every insertion and every eviction —
-by capacity or by a shared :class:`~repro.core.caching.MemoryBudget` —
-in the order the per-touch loop would, so an entry evicted and revisited
-within one gesture is a miss here exactly when it is a miss there, and
-the cache's recency order, values, statistics and budget charges end up
+4 performs every hit's LRU refresh, every insertion and every capacity
+eviction in the order the per-touch loop would, so an entry evicted and
+revisited within one gesture is a miss here exactly when it is a miss
+there, and the cache's recency order, values and statistics end up
 identical.  Inserted entries hold a placeholder until the batch reads
 deliver their values (and are dropped again should a read fail).  The
 cost is O(touches x (1 + proposals per touch)) of this gesture,
@@ -72,6 +71,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 
 import numpy as np
 
@@ -130,7 +130,10 @@ class BatchSlideExecutor:
     """
 
     def __init__(self, kernel) -> None:
-        self._kernel = kernel
+        # a proxy, not a reference: the kernel owns its executor, and a
+        # cycle would keep the kernel's columns and indexes alive past
+        # their session until the next full garbage collection
+        self._kernel = weakref.proxy(kernel)
 
     # ------------------------------------------------------------------ #
     # eligibility
@@ -287,10 +290,10 @@ class BatchSlideExecutor:
         :meth:`TouchCache.replay_gesture` walks the reads and prefetch
         proposals once, in event order, against the live LRU — hits
         refresh, misses and absent proposals insert (and evict) — so the
-        recency order, the statistics and the budget end up as the
-        per-touch loop would leave them even when entries are evicted and
-        revisited mid-gesture.  Only then are the values of the inserted
-        entries read: the missed touches in one batch, the proposals that
+        recency order and the statistics end up as the per-touch loop
+        would leave them even when entries are evicted and revisited
+        mid-gesture.  Only then are the values of the inserted entries
+        read: the missed touches in one batch, the proposals that
         landed in another.  Returns ``(values, levels, winners)`` with
         ``winners`` masking the proposals that entered the cache.
         """

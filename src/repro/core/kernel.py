@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.actions import ActionKind, QueryAction
-from repro.core.caching import HashTableCache, MemoryBudget, TouchCache
+from repro.core.caching import HashTableCache, TouchCache
 from repro.core.optimizer import AdaptiveOptimizer
 from repro.core.prefetch import GesturePrefetcher
 from repro.core.result_stream import ResultStream, ResultValue
@@ -115,17 +115,6 @@ class KernelConfig:
         are bit-identical with speculation on or off (the differential
         harness's contract); serving deployments usually adopt one shared
         policy via ``MultiSessionServer(speculation=...)`` instead.
-    memory_budget:
-        Optional :class:`repro.core.caching.MemoryBudget` the kernel's
-        touched-range cache — and only it — registers with; indexes are
-        bounded by ``IndexManager(max_crackers=)``.  Out-of-core
-        deployments hand the same budget to a
-        :class:`repro.persist.diskstore.DiskColumnStore`, so the touch
-        cache and the disk store's chunk cache evict against one shared
-        byte allowance instead of sizing themselves independently.  Note
-        that sharing one budget across *sessions* makes cache-derived
-        outcome counters load-dependent (cross-session reclaims evict
-        mid-trace); see the determinism caveat on ``MemoryBudget``.
     """
 
     latency_budget_s: float = 0.05
@@ -136,7 +125,6 @@ class KernelConfig:
     sample_factor: int = 4
     fade_seconds: float = 1.5
     batch_execution: bool = True
-    memory_budget: MemoryBudget | None = None
     enable_indexing: bool = True
     index_manager: IndexManager | None = None
     speculation: Any | None = None
@@ -259,9 +247,7 @@ class DbTouchKernel:
         self.config = config if config is not None else KernelConfig()
         self.recognizer = GestureRecognizer()
         self.mapper = TouchMapper()
-        self.cache = TouchCache(
-            capacity=self.config.cache_capacity, budget=self.config.memory_budget
-        )
+        self.cache = TouchCache(capacity=self.config.cache_capacity)
         self.hash_table_cache = HashTableCache()
         self.optimizer = AdaptiveOptimizer(
             latency_budget_s=self.config.latency_budget_s,

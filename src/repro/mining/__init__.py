@@ -9,7 +9,7 @@ driving speculative background warm-ups — without ever changing gesture
 results (see :mod:`repro.mining.policy`).
 """
 
-from repro.mining.corpus import CorpusReadReport, TraceCorpus
+from repro.mining.corpus import TraceCorpus
 from repro.mining.model import (
     GestureTransitionModel,
     heldout_hit_rate,
@@ -19,7 +19,6 @@ from repro.mining.model import (
 from repro.mining.policy import SpeculationPlan, SpeculativePolicy
 
 __all__ = [
-    "CorpusReadReport",
     "GestureTransitionModel",
     "SpeculationPlan",
     "SpeculativePolicy",

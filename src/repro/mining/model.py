@@ -46,7 +46,7 @@ from repro.core.commands import (
     ZoomOut,
 )
 from repro.errors import MiningError, ModelCheckpointError
-from repro.mining.corpus import CorpusReadReport, TraceCorpus
+from repro.mining.corpus import TraceCorpus
 from repro.persist.format import atomic_replace
 
 #: Context padding token: "the stream started fewer than k gestures ago".

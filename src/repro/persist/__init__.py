@@ -1,4 +1,4 @@
-"""Out-of-core persistent storage: mmap-backed columns, snapshots, budgets.
+"""Out-of-core persistent storage: mmap-backed columns and snapshots.
 
 Everything in :mod:`repro.storage` lives in process RAM; this subpackage
 is the durable tier beneath it, built for the paper's core access
@@ -10,8 +10,7 @@ what an out-of-core store exploits:
   arithmetic), per-chunk min/max zonemap;
 * :mod:`repro.persist.diskstore` — :class:`DiskColumnStore` writing and
   mapping those files, with one byte-budgeted LRU :class:`ChunkCache`
-  shared by all of a store's columns (optionally sharing a
-  :class:`repro.core.caching.MemoryBudget` with the kernel touch cache);
+  shared by all of a store's columns;
 * :mod:`repro.persist.paged_column` — :class:`PagedColumn`, the
   ``Column`` read surface over a read-only memmap (row-granular
   gathers through the mapping, chunk-granular range reads through the
@@ -19,10 +18,7 @@ what an out-of-core store exploits:
   larger-than-memory data unchanged and bit-identically;
 * :mod:`repro.persist.snapshot` — :class:`StoreCatalog`, the versioned
   JSON manifest snapshotting table schemas *and* materialized sample
-  hierarchies for near-instant warm cold-starts;
-* :mod:`repro.persist.background` — :class:`BackgroundMaterializer`,
-  building hierarchies on the gesture scheduler's background lane so
-  ingest never blocks gesture traffic.
+  hierarchies for near-instant warm cold-starts.
 
 >>> import tempfile
 >>> from repro import Column, DiskColumnStore, StoreCatalog
@@ -36,7 +32,6 @@ what an out-of-core store exploits:
 [7, 99999]
 """
 
-from repro.persist.background import BackgroundMaterializer
 from repro.persist.diskstore import ChunkCache, ChunkCacheStats, DiskColumnStore
 from repro.persist.format import DEFAULT_CHUNK_ROWS, ColumnFormat, read_format
 from repro.persist.paged_column import PagedColumn
@@ -44,7 +39,6 @@ from repro.persist.snapshot import StoreCatalog
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "BackgroundMaterializer",
     "ChunkCache",
     "ChunkCacheStats",
     "ColumnFormat",

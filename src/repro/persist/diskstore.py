@@ -12,11 +12,7 @@ properties make it the serving engine's out-of-core tier:
 * **A byte-budgeted chunk cache.**  All columns of one store share a
   :class:`ChunkCache`: materialized chunks are kept LRU under
   ``cache_bytes``, with hit/miss/eviction counters, so memory use is
-  bounded by the budget, not by dataset size.  Hand the store the same
-  :class:`repro.core.caching.MemoryBudget` as
-  :class:`repro.core.kernel.KernelConfig.memory_budget` and the chunk
-  cache and the kernel's touched-range cache evict against one shared
-  allowance.
+  bounded by the budget, not by dataset size.
 
 Writing is streaming-friendly: :meth:`DiskColumnStore.write_chunks`
 consumes chunks from any iterator (the
@@ -35,7 +31,6 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
-from repro.core.caching import MemoryBudget
 from repro.errors import PersistError
 from repro.persist.format import (
     DEFAULT_CHUNK_ROWS,
@@ -91,36 +86,21 @@ class ChunkCache:
     chunks.  Eviction is LRU by bytes: inserting past
     ``capacity_bytes`` drops least-recently-used chunks until the budget
     holds again (a single chunk larger than the whole budget is admitted
-    alone rather than rejected, so serving stays correct).  With a shared
-    :class:`repro.core.caching.MemoryBudget` attached, every residency
-    change is charged/released against it, and the budget may reclaim
-    chunks when its *other* participants (the kernel touch cache) need
-    room.
+    alone rather than rejected, so serving stays correct).
 
     One chunk cache is shared by every session of a
     :class:`repro.service.MultiSessionServer` exploring the same store,
     and those sessions execute on parallel scheduler workers — so all
-    state lives under an internal lock.  Budget calls are made only while
-    that lock is *not* held (the deadlock-freedom rule documented on
-    :class:`repro.core.caching.MemoryBudget`).
+    state lives under an internal lock.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CACHE_BYTES,
-        budget: MemoryBudget | None = None,
-    ) -> None:
+    def __init__(self, capacity_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if capacity_bytes <= 0:
             raise PersistError("chunk cache capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
         self.stats = ChunkCacheStats()
         self._lock = threading.RLock()
         self._chunks: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        #: the shared memory budget this cache charges (``None``: unshared)
-        self.budget = budget
-        self._budget_key = f"chunk-cache-{id(self):x}"
-        if budget is not None:
-            budget.register(self._budget_key, self._reclaim_bytes)
 
     def __len__(self) -> int:
         with self._lock:
@@ -167,64 +147,34 @@ class ChunkCache:
     def put(self, column_key, chunk_index: int, chunk: np.ndarray) -> None:
         """Insert a materialized chunk, evicting LRU chunks past the budget."""
         key = (column_key, chunk_index)
-        nbytes = int(chunk.nbytes)
-        if self.budget is not None:
-            # charge BEFORE inserting: a concurrent invalidate/clear that
-            # removes the chunk right after insertion releases bytes that
-            # must already be on the books, or usage drifts upward forever
-            self.budget.charge(self._budget_key, nbytes)
         with self._lock:
             # two workers may race to materialize the same chunk; the
             # second insert replaces the first (a swap, not an eviction)
-            replaced = self._remove_locked(key) if key in self._chunks else 0
+            if key in self._chunks:
+                self._remove_locked(key)
             self._chunks[key] = chunk
             self.stats.insertions += 1
-            self.stats.bytes_cached += nbytes
-        if replaced and self.budget is not None:
-            self.budget.release(self._budget_key, replaced)
-        freed = 0
-        with self._lock:
+            self.stats.bytes_cached += int(chunk.nbytes)
             while self.stats.bytes_cached > self.capacity_bytes and len(self._chunks) > 1:
-                freed += self._evict_lru_locked()
-        if freed and self.budget is not None:
-            self.budget.release(self._budget_key, freed)
+                self._remove_locked(next(iter(self._chunks)))
+                self.stats.evictions += 1
 
     def _remove_locked(self, key: tuple) -> int:
         chunk = self._chunks.pop(key)
         self.stats.bytes_cached -= int(chunk.nbytes)
         return int(chunk.nbytes)
 
-    def _evict_lru_locked(self) -> int:
-        key = next(iter(self._chunks))
-        freed = self._remove_locked(key)
-        self.stats.evictions += 1
-        return freed
-
-    def _reclaim_bytes(self, nbytes: int) -> int:
-        """Shared-budget eviction hook (the budget adjusts accounting)."""
-        freed = 0
-        with self._lock:
-            while freed < nbytes and len(self._chunks) > 1:
-                freed += self._evict_lru_locked()
-        return freed
-
     def invalidate_column(self, column_key) -> int:
         """Drop every resident chunk of one column; returns bytes freed."""
         with self._lock:
             doomed = [key for key in self._chunks if key[0] == column_key]
-            freed = sum(self._remove_locked(key) for key in doomed)
-        if self.budget is not None and freed:
-            self.budget.release(self._budget_key, freed)
-        return freed
+            return sum(self._remove_locked(key) for key in doomed)
 
     def clear(self) -> None:
         """Drop every resident chunk and reset statistics."""
         with self._lock:
-            freed = self.stats.bytes_cached
             self._chunks.clear()
             self.stats = ChunkCacheStats()
-        if self.budget is not None and freed:
-            self.budget.release(self._budget_key, freed)
 
 
 class DiskColumnStore:
@@ -238,21 +188,13 @@ class DiskColumnStore:
         :class:`repro.persist.snapshot.StoreCatalog` sits next to them.
     cache_bytes:
         Byte budget of the shared :class:`ChunkCache`.
-    budget:
-        Optional :class:`repro.core.caching.MemoryBudget` shared with the
-        kernel's touch cache (see :mod:`repro.persist.diskstore` docs).
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        budget: MemoryBudget | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path, cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.root = Path(root)
         self._columns_dir = self.root / "columns"
         self._columns_dir.mkdir(parents=True, exist_ok=True)
-        self.cache = ChunkCache(cache_bytes, budget=budget)
+        self.cache = ChunkCache(cache_bytes)
         # open_column/_forget run concurrently (gesture workers vs the
         # background materialization lane); the lock keeps the
         # one-mapping-per-column contract, and the per-name generation

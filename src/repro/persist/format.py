@@ -139,19 +139,6 @@ class ColumnFormat:
         """Expected total file size for this layout."""
         return self.stats_offset + self.stats_bytes
 
-    def chunk_bounds(self, index: int) -> tuple[int, int]:
-        """Half-open row range ``[start, stop)`` of chunk ``index``."""
-        if not 0 <= index < self.num_chunks:
-            raise PersistFormatError(
-                f"chunk {index} out of range; column has {self.num_chunks} chunks"
-            )
-        start = index * self.chunk_rows
-        return start, min(self.num_rows, start + self.chunk_rows)
-
-    def chunk_of(self, rowid: int) -> int:
-        """Index of the chunk holding ``rowid``."""
-        return rowid // self.chunk_rows
-
     # ------------------------------------------------------------------ #
     # header codec
     # ------------------------------------------------------------------ #

@@ -68,10 +68,9 @@ class StoreCatalog:
     An existing manifest in the store root is loaded and validated on
     construction; otherwise the catalog starts empty.  All ``persist_*``
     methods rewrite the manifest atomically after updating the store, and
-    run under an internal lock — a :class:`BackgroundMaterializer`
-    persists hierarchies from a scheduler worker while the ingest thread
-    may be persisting the next table, and neither may lose the other's
-    just-committed records.
+    run under an internal lock — a hierarchy build handed to a scheduler's
+    background lane may persist while the ingest thread persists the next
+    table, and neither may lose the other's just-committed records.
     """
 
     def __init__(self, store: DiskColumnStore, read_only: bool = False) -> None:
@@ -86,18 +85,15 @@ class StoreCatalog:
 
     @classmethod
     def open_read_only(
-        cls,
-        root: str | os.PathLike,
-        cache_bytes: int | None = None,
-        budget=None,
+        cls, root: str | os.PathLike, cache_bytes: int | None = None
     ) -> "StoreCatalog":
         """Attach an already-published snapshot, immutably.
 
         Requires an existing manifest — a read-only catalog over an empty
         root would be a typo'd path silently serving nothing, so it raises
-        :class:`repro.errors.SnapshotError` instead.  ``cache_bytes`` and
-        ``budget`` configure the attacher-private chunk cache (the mapped
-        file bytes themselves are shared between attachers by the OS).
+        :class:`repro.errors.SnapshotError` instead.  ``cache_bytes`` sizes
+        the attacher-private chunk cache (the mapped file bytes themselves
+        are shared between attachers by the OS).
         """
         root = Path(root)
         if not (root / MANIFEST_NAME).is_file():
@@ -106,7 +102,7 @@ class StoreCatalog:
                 "publish the snapshot before attaching read-only"
             )
         kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
-        store = DiskColumnStore(root, budget=budget, **kwargs)
+        store = DiskColumnStore(root, **kwargs)
         return cls(store, read_only=True)
 
     def _ensure_writable(self, operation: str) -> None:
@@ -139,14 +135,6 @@ class StoreCatalog:
         with self._lock:
             return name in self._tables or name in self._columns
 
-    def table_column_names(self, name: str) -> list[str]:
-        """Attribute names of one persisted table, in schema order."""
-        with self._lock:
-            record = self._tables.get(name)
-            if record is None:
-                raise SnapshotError(f"no persisted table {name!r}; known: {self.table_names}")
-            return [spec["name"] for spec in record["columns"]]
-
     def hierarchy_steps(self, object_name: str, column_name: str | None = None) -> list[int]:
         """Steps of the persisted sample levels for one column (may be empty)."""
         with self._lock:
@@ -171,7 +159,7 @@ class StoreCatalog:
 
         ``hierarchy`` may be ``True`` (build one now with ``factor`` /
         ``min_rows``; skipped for non-numeric columns), ``False`` (none —
-        e.g. when a :class:`BackgroundMaterializer` will build it later),
+        e.g. when :meth:`persist_hierarchy` will build it later),
         or an existing :class:`SampleHierarchy` to snapshot as-is.
         """
         self._ensure_writable("persist_column")
@@ -267,11 +255,13 @@ class StoreCatalog:
     ) -> list[int]:
         """Build and snapshot the hierarchy of an already-persisted column.
 
-        This is the deferred-materialization path used by
-        :class:`repro.persist.background.BackgroundMaterializer`: the
-        levels are strided off the *paged* base column (so building never
-        needs the full column in RAM) and appended to the manifest.
-        Returns the persisted level steps.
+        This is the deferred-materialization path, also run by
+        :meth:`compact_appends`; hand it to
+        :meth:`repro.core.scheduler.GestureScheduler.submit_background` to
+        keep it off gesture traffic.  The levels are strided off the
+        *paged* base column (so building never needs the full column in
+        RAM) and appended to the manifest.  Returns the persisted level
+        steps.
         """
         self._ensure_writable("persist_hierarchy")
         with self._lock:

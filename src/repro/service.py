@@ -1125,8 +1125,8 @@ class MultiSessionServer:
                 hierarchy = snapshot.load_hierarchy(*key)
                 if hierarchy is not None:
                     self._shared_hierarchies[key] = hierarchy
-            # keep the catalog itself: its chunk cache and memory budget
-            # are the storage tier's observability surface (storage_stats)
+            # keep the catalog itself: its chunk cache is the storage
+            # tier's observability surface (storage_stats)
             self._shared_stores.append(snapshot)
         return names
 
@@ -1169,7 +1169,7 @@ class MultiSessionServer:
         return self.telemetry.collect("speculation")
 
     def storage_stats(self) -> dict[str, int] | None:
-        """Chunk-cache and memory-budget counters of the attached stores.
+        """Chunk-cache counters of the attached stores.
 
         Key-wise sums over every shared :class:`StoreCatalog` this server
         attached (``None`` when serving purely in-memory) — the storage
@@ -1196,19 +1196,7 @@ class MultiSessionServer:
             caches = [catalog.store.cache for catalog in self._shared_stores]
         if not caches:
             return None
-        # a budget several stores share is counted once
-        budgets = {id(c.budget): c.budget for c in caches if c.budget is not None}
-        return merge_numeric(
-            [cache.stats_snapshot() for cache in caches]
-            + [
-                {
-                    "budget_capacity_bytes": budget.capacity_bytes,
-                    "budget_used_bytes": budget.used_bytes,
-                    "budget_participants": len(budget.participants),
-                }
-                for budget in budgets.values()
-            ]
-        )
+        return merge_numeric([cache.stats_snapshot() for cache in caches])
 
     # ------------------------------------------------------------------ #
     # telemetry: traces and the merged snapshot

@@ -211,17 +211,6 @@ class Table:
         for column in self._columns:
             column.append_batch(casted[column.name])
         return len(self)
-    def project(self, column_names: Sequence[str], new_name: str | None = None) -> "Table":
-        """Return a new, smaller table containing only ``column_names``.
-
-        This is the "drag a column out of a fat table" gesture: the user
-        experiences faster response times by touching only the needed data.
-        """
-        if not column_names:
-            raise SchemaError("projection requires at least one column")
-        cols = [self.column(n) for n in column_names]
-        name = new_name if new_name is not None else f"{self.name}_projection"
-        return Table(name, cols)
 
     def drop(self, column_name: str, new_name: str | None = None) -> "Table":
         """Return a new table without ``column_name``."""
@@ -232,21 +221,6 @@ class Table:
             raise SchemaError("cannot drop the last column of a table")
         name = new_name if new_name is not None else self.name
         return Table(name, remaining)
-
-    def with_column(self, column: Column) -> "Table":
-        """Return a new table with ``column`` appended (drag-and-drop grouping)."""
-        if len(column) != len(self):
-            raise StorageError(
-                f"cannot add column of length {len(column)} to table of length {len(self)}"
-            )
-        if column.name in self:
-            raise SchemaError(f"table {self.name!r} already has column {column.name!r}")
-        return Table(self.name, self._columns + [column])
-
-    @staticmethod
-    def from_columns(name: str, columns: Sequence[Column]) -> "Table":
-        """Build a table from loose columns (the table-placeholder gesture)."""
-        return Table(name, columns)
 
     @staticmethod
     def from_arrays(name: str, data: Mapping[str, Iterable]) -> "Table":

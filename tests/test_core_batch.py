@@ -328,30 +328,19 @@ class TestGestureReplay:
                 cache.put("ns", rowid, (event, rowid), stride)
         return served
 
-    @pytest.mark.parametrize("budget_entries", [None, 9, 1000])
     @pytest.mark.parametrize("capacity", [1, 12, 64])
-    def test_matches_get_contains_put_loop(self, capacity, budget_entries):
-        from repro.core.caching import MemoryBudget
-
+    def test_matches_get_contains_put_loop(self, capacity):
         def make():
-            budget = None
-            if budget_entries is not None:
-                budget = MemoryBudget(256 * budget_entries)
-                # a peer that sheds first, as the chunk cache would
-                peer = TouchCache(capacity=4, budget=budget)
-                for rowid in range(0, 4 * 64, 64):
-                    peer.put("peer", rowid, 0.0, 1)
-                budget.peer = peer  # keep it alive with the budget
-            cache = TouchCache(capacity=capacity, bucket_rows=16, budget=budget)
+            cache = TouchCache(capacity=capacity, bucket_rows=16)
             for rowid in range(0, 96, 16):  # some pre-gesture entries
                 cache.put("ns", rowid, ("old", rowid), 1)
-            return cache, budget
+            return cache
 
         rowids, strides, is_read = self._events(capacity)
-        loop_cache, loop_budget = make()
+        loop_cache = make()
         loop_served = self._loop(loop_cache, rowids, strides, is_read)
 
-        cache, budget = make()
+        cache = make()
         replay = cache.replay_gesture("ns", rowids, strides, is_read)
         values = [(event, int(rowids[event])) for event in replay.written]
         hit_values = cache.settle_replay(replay, values)
@@ -362,23 +351,15 @@ class TestGestureReplay:
         assert list(cache._entries.items()) == list(loop_cache._entries.items())
         assert cache.stats == loop_cache.stats
         assert cache.stats.evictions > 0
-        if budget is not None:
-            assert budget.used_bytes == loop_budget.used_bytes
-            assert budget.used_bytes == 256 * (len(cache) + len(budget.peer))
-            assert budget.used_bytes <= budget.capacity_bytes
 
     def test_abandoned_replay_leaves_no_placeholder(self):
-        from repro.core.caching import MemoryBudget
-
-        budget = MemoryBudget(1 << 20)
-        cache = TouchCache(capacity=8, bucket_rows=16, budget=budget)
+        cache = TouchCache(capacity=8, bucket_rows=16)
         cache.put("ns", 0, "kept", 1)
         rowids, strides, is_read = self._events(3, count=50)
         replay = cache.replay_gesture("ns", rowids, strides, is_read)
         assert replay.written
         cache.settle_replay(replay, None)  # the batch reads failed
         assert all(isinstance(value, str) for value in cache._entries.values())
-        assert budget.used_bytes == 256 * len(cache)
 
 
     def test_failed_batch_read_leaves_no_placeholder_in_the_kernel_cache(self, profile):
@@ -725,7 +706,7 @@ class TestFullCacheParity:
         return steps
 
     @staticmethod
-    def _replay(monkeypatch, profile, steps, batch, capacity, budget_entries):
+    def _replay(monkeypatch, profile, steps, batch, capacity):
         from repro.core.actions import (
             aggregate_action,
             group_by_action,
@@ -734,22 +715,13 @@ class TestFullCacheParity:
             summary_action,
         )
         from repro.core.batch import BatchSlideExecutor
-        from repro.core.caching import MemoryBudget
         from repro.core.kernel import DbTouchKernel
 
-        budget = peer = None
-        if budget_entries is not None:
-            budget = MemoryBudget(256 * budget_entries)
-            # a second participant, charged first and so reclaimed first
-            peer = TouchCache(capacity=16, budget=budget)
-            for rowid in range(0, 16 * 64, 64):
-                peer.put("peer", rowid, 0.0, 1)
         session = ExplorationSession(
             profile=profile,
             config=KernelConfig(
                 batch_execution=batch,
                 cache_capacity=capacity,
-                memory_budget=budget,
                 latency_budget_s=1e6,
                 enable_indexing=False,
             ),
@@ -833,8 +805,6 @@ class TestFullCacheParity:
             stats=cache.stats,
             lru_keys=list(cache._entries.keys()),
             cached_values=[_plain(value) for value in cache._entries.values()],
-            used_bytes=None if budget is None else budget.used_bytes,
-            peer_entries=None if peer is None else len(peer),
             prefetched={
                 name: set(kernel.state_of(view.name).prefetched_rowids)
                 for name, view in views.items()
@@ -843,15 +813,11 @@ class TestFullCacheParity:
             batch_results=batch_results,
         )
 
-    @pytest.mark.parametrize("budgeted", [False, True])
     @pytest.mark.parametrize("capacity", [8, 64, 512, 4096])
-    def test_long_session_on_a_full_cache(self, monkeypatch, profile, capacity, budgeted):
+    def test_long_session_on_a_full_cache(self, monkeypatch, profile, capacity):
         steps = self._script(seed=capacity)
-        # a budget of three quarters of the capacity: once the peer has
-        # been drained, the budget's reclaims (not the capacity) evict
-        budget_entries = capacity * 3 // 4 if budgeted else None
-        loop = self._replay(monkeypatch, profile, steps, False, capacity, budget_entries)
-        batch = self._replay(monkeypatch, profile, steps, True, capacity, budget_entries)
+        loop = self._replay(monkeypatch, profile, steps, False, capacity)
+        batch = self._replay(monkeypatch, profile, steps, True, capacity)
 
         assert len(loop["fields"]) >= 200
         for index, (a, b) in enumerate(zip(loop["fields"], batch["fields"])):
@@ -859,18 +825,42 @@ class TestFullCacheParity:
         assert batch["stats"] == loop["stats"]
         assert batch["lru_keys"] == loop["lru_keys"]
         assert batch["cached_values"] == loop["cached_values"]
-        assert batch["used_bytes"] == loop["used_bytes"]
-        assert batch["peer_entries"] == loop["peer_entries"] == (0 if budgeted else None)
         assert batch["prefetched"] == loop["prefetched"]
         # the session really kept the cache full and evicting
-        limit = budget_entries if budgeted else capacity
-        assert len(batch["lru_keys"]) >= limit - 1
-        assert batch["stats"].evictions > limit
+        assert len(batch["lru_keys"]) >= capacity - 1
+        assert batch["stats"].evictions > capacity
         # every supported slide got an outcome from the executor; only
         # unsupported ones (table scan, group-by) ever reached the loop
         assert batch["batch_results"] and None not in batch["batch_results"]
         assert batch["per_touch_gestures"] and not any(batch["per_touch_gestures"])
         assert not loop["batch_results"]
+
+
+class TestKernelLifetime:
+    def test_a_dropped_session_frees_its_kernel_without_a_collection(self, profile):
+        """Reference counting alone frees a dropped session's kernel, and with
+        it the columns and indexes it holds: nothing waits for the garbage
+        collector's next full pass (the kernel owns its batch executor, so
+        the executor must not own the kernel back)."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            session = ExplorationSession(
+                profile=profile, config=KernelConfig(latency_budget_s=1e6)
+            )
+            session.load_column("c", np.arange(50_000, dtype=np.int64))
+            view = session.show_column("c", height_cm=10.0)
+            session.choose_scan(view)
+            session.slide(view, duration=0.5)  # the batch path
+            session.select_where(view, Predicate(Comparison.LT, 1_000))
+            kernel = weakref.ref(session.kernel)
+            column = weakref.ref(session.kernel.catalog.column("c"))
+            del session, view
+            assert kernel() is None and column() is None
+        finally:
+            gc.enable()
 
 
 class _NeverWalkedDict(OrderedDict):

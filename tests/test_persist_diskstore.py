@@ -17,7 +17,6 @@ from repro import (
     Slide,
 )
 from repro.core.actions import select_where_action
-from repro.core.caching import MemoryBudget, TouchCache
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import PersistError, StorageError
 from repro.indexing.sorted_index import SortedIndex
@@ -426,91 +425,16 @@ class TestConcurrentSharedCache:
         assert store.cache.stats.gathers == 8 * 200
         assert store.cache.stats.rows_gathered == 8 * 200 * 25
 
-    def test_racing_double_put_releases_replaced_budget(self, tmp_path):
-        budget = MemoryBudget(1 << 20)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20, budget=budget)
+    def test_racing_double_put_is_a_swap(self, tmp_path):
+        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20)
         store.write_column(make_column(1024), chunk_rows=512)
         chunk = np.arange(512, dtype=np.int64)
         # two workers materialize the same chunk and both put it
         store.cache.put("m", 0, chunk)
         store.cache.put("m", 0, chunk.copy())
-        assert store.cache.current_bytes == 512 * 8
-        assert budget.used_bytes == 512 * 8  # the replaced copy was released
+        assert store.cache.current_bytes == 512 * 8  # the replaced copy left
+        assert len(store.cache) == 1
         assert store.cache.stats.evictions == 0  # a swap is not an eviction
-
-
-class TestMemoryBudgetLifecycle:
-    def test_unregister_drops_usage(self):
-        budget = MemoryBudget(10_000)
-        budget.register("a", lambda n: 0)
-        budget.charge("a", 4_000)
-        budget.unregister("a")
-        assert budget.used_bytes == 0
-        assert "a" not in budget.participants
-        with pytest.raises(Exception):
-            budget.charge("a", 1)
-
-    def test_dead_participants_pruned_automatically(self):
-        import gc
-
-        budget = MemoryBudget(100_000)
-        cache = TouchCache(capacity=64, budget=budget, entry_cost_bytes=256)
-        for i in range(10):
-            cache.put("obj", i * 64, float(i))
-        key = cache._budget_key
-        assert budget.used_by(key) == 10 * 256
-        del cache  # the session closed; its kernel cache dies with it
-        gc.collect()
-        assert key not in budget.participants
-        assert budget.used_bytes == 0
-
-    def test_session_churn_reuses_ids_without_collision(self):
-        import gc
-
-        budget = MemoryBudget(100_000)
-        # CPython reuses freed object addresses, hence id()-derived budget
-        # keys; register() must prune the dead predecessor, not crash
-        for _ in range(16):
-            cache = TouchCache(capacity=16, budget=budget, entry_cost_bytes=64)
-            cache.put("obj", 0, 1.0)
-            del cache
-            gc.collect()
-        assert budget.used_bytes == 0
-
-
-class TestSharedMemoryBudget:
-    def test_chunk_cache_charges_budget(self, tmp_path):
-        budget = MemoryBudget(1 << 20)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20, budget=budget)
-        store.write_column(make_column(), chunk_rows=1024)
-        store.open_column("m").value_at(0)
-        assert budget.used_bytes == 1024 * 8
-
-    def test_touch_cache_reclaims_for_chunks(self, tmp_path):
-        budget = MemoryBudget(10_000)
-        touch = TouchCache(capacity=64, budget=budget, entry_cost_bytes=256)
-        for i in range(30):
-            touch.put("obj", i * 64, float(i))
-        assert budget.used_bytes == 30 * 256
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20, budget=budget)
-        store.write_column(make_column(), chunk_rows=1024)
-        store.open_column("m").value_at(0)  # 8 KiB chunk forces reclaim
-        assert budget.used_bytes <= 10_000
-        assert len(touch) < 30  # the touch cache shed entries
-        assert store.cache.current_bytes == 1024 * 8  # the chunk stayed
-
-    def test_chunk_cache_reclaims_for_touch_entries(self, tmp_path):
-        budget = MemoryBudget(9 * 1024)
-        store = DiskColumnStore(tmp_path, cache_bytes=1 << 20, budget=budget)
-        store.write_column(make_column(), chunk_rows=512)  # 4 KiB chunks
-        paged = store.open_column("m")
-        paged.value_at(0)
-        paged.value_at(512)
-        assert store.cache.current_bytes == 2 * 512 * 8
-        touch = TouchCache(capacity=64, budget=budget, entry_cost_bytes=2048)
-        touch.put("obj", 0, 1.0)  # overflow: chunk cache must shed its LRU
-        assert budget.used_bytes <= 9 * 1024
-        assert store.cache.current_bytes == 512 * 8
 
 
 class TestAdaptiveLoaderPersistence:

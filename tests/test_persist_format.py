@@ -25,10 +25,6 @@ class TestColumnFormat:
     def test_layout_arithmetic(self):
         fmt = ColumnFormat(dtype_name="int64", num_rows=1000, chunk_rows=128)
         assert fmt.num_chunks == 8
-        assert fmt.chunk_bounds(0) == (0, 128)
-        assert fmt.chunk_bounds(7) == (896, 1000)  # short last chunk
-        assert fmt.chunk_of(0) == 0
-        assert fmt.chunk_of(999) == 7
         assert fmt.data_offset == HEADER_SIZE
         assert fmt.stats_offset == HEADER_SIZE + 1000 * 8
         assert fmt.file_size == fmt.stats_offset + 2 * 8 * 8
@@ -36,11 +32,6 @@ class TestColumnFormat:
     def test_string_dtype_round_trip(self):
         fmt = ColumnFormat(dtype_name="str12", num_rows=10, chunk_rows=4)
         assert ColumnFormat.from_header(fmt.to_header()).dtype.name == "str12"
-
-    def test_chunk_index_out_of_range(self):
-        fmt = ColumnFormat(dtype_name="int64", num_rows=10, chunk_rows=4)
-        with pytest.raises(PersistFormatError):
-            fmt.chunk_bounds(3)
 
     def test_invalid_parameters(self):
         with pytest.raises(PersistFormatError):

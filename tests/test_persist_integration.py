@@ -16,13 +16,11 @@ from repro import (
     GestureScript,
     KernelConfig,
     LocalExplorationService,
-    MemoryBudget,
     MultiSessionServer,
     Rotate,
     ShowColumn,
     ShowTable,
     Slide,
-    Tap,
     ZoomIn,
 )
 from repro.core.actions import select_where_action, summary_action
@@ -190,43 +188,3 @@ class TestSharedStoreServing:
         for expected, actual in zip(private_envelopes, shared_envelopes):
             for key in COUNTER_KEYS:
                 assert getattr(expected, key) == getattr(actual, key)
-
-
-class TestSharedMemoryBudgetEndToEnd:
-    def test_kernel_and_store_split_one_budget(self, snapshot_root):
-        budget = MemoryBudget(256 * 1024)
-        catalog = StoreCatalog(
-            DiskColumnStore(snapshot_root, cache_bytes=1 << 20, budget=budget)
-        )
-        service = LocalExplorationService(
-            config=KernelConfig(latency_budget_s=1e6, memory_budget=budget)
-        )
-        service.load_column("meas", catalog.load_column("meas"))
-        service.run(
-            GestureScript(
-                [
-                    ShowColumn(object_name="meas", view_name="v", height_cm=10.0),
-                    Slide(view="v", duration=1.0, start_fraction=0.0, end_fraction=1.0),
-                    Slide(view="v", duration=1.0, start_fraction=1.0, end_fraction=0.0),
-                    # the slides charge the kernel's share; the store's is a
-                    # range read — a tap's stride-1 summary window
-                    ChooseAction(view="v", action=summary_action(k=10)),
-                    Tap(view="v", fraction=0.5),
-                ]
-            )
-        )
-        assert budget.used_bytes <= 256 * 1024 + CHUNK_ROWS * 8
-        assert budget.used_by(catalog.store.cache._budget_key) > 0
-        # exactly two participants: the indexing tier is bounded by its
-        # index cap, so an index built now moves no budget byte
-        assert sorted(budget.participants) == sorted(
-            [service.kernel.cache._budget_key, catalog.store.cache._budget_key]
-        )
-        used = budget.used_bytes
-        service.load_column("hot", np.arange(50_000, dtype=np.int64)[::-1].copy())
-        service.run(GestureScript([ShowColumn(object_name="hot", view_name="h", height_cm=10.0)]))
-        selection = service.select_where("h", Predicate(Comparison.LT, 1_000))
-        assert selection.strategy == "index" and selection.matches == 1_000
-        assert budget.used_bytes == used
-        index_bytes = service.kernel.index_manager.index_bytes
-        assert service.index_stats()["cracker_bytes"] == index_bytes > 0

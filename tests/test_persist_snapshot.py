@@ -1,4 +1,4 @@
-"""Unit tests for the snapshot catalog and background materialization."""
+"""Unit tests for the snapshot catalog and deferred hierarchy materialization."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.core.scheduler import GestureScheduler, SchedulerConfig
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import SnapshotError
 from repro.indexing.manager import IndexManager
-from repro.persist.background import BackgroundMaterializer
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.storage.catalog import Catalog
@@ -266,22 +265,29 @@ class TestOlderIndexFiles:
 
 
 class TestBackgroundMaterialization:
+    """Hierarchies persisted later: ``persist_hierarchy`` called directly
+    or handed to a scheduler's background lane."""
+
     def test_synchronous_when_no_scheduler(self, root):
         snapshot = make_catalog(root)
         snapshot.persist_column(Column("meas", np.arange(50_000)), hierarchy=False)
         assert snapshot.load_hierarchy("meas") is None
-        materializer = BackgroundMaterializer(snapshot)
-        steps = materializer.schedule_column("meas").result(timeout=0)
+        steps = snapshot.persist_hierarchy("meas")
         assert steps and steps[0] == 4
         assert snapshot.load_hierarchy("meas") is not None
 
     def test_builds_on_scheduler_background_lane(self, root):
         snapshot = make_catalog(root)
-        snapshot.persist_table(make_table(), hierarchies=False, chunk_rows=1024)
+        table = make_table()
+        snapshot.persist_table(table, hierarchies=False, chunk_rows=1024)
         assert snapshot.load_hierarchy("readings", "a") is None
         with GestureScheduler(SchedulerConfig(num_workers=2)) as scheduler:
-            materializer = BackgroundMaterializer(snapshot, scheduler)
-            futures = materializer.schedule_table("readings")
+            futures = {
+                name: scheduler.submit_background(
+                    lambda name=name: snapshot.persist_hierarchy("readings", name)
+                )
+                for name in table.column_names
+            }
             assert sorted(futures) == ["a", "b", "label"]
             steps = {name: future.result(timeout=30) for name, future in futures.items()}
             assert scheduler.session_ids == []  # the lane is not a session
@@ -299,8 +305,12 @@ class TestBackgroundMaterialization:
                 Column(f"col{i}", np.arange(20_000)), hierarchy=False
             )
         with GestureScheduler(SchedulerConfig(num_workers=2)) as scheduler:
-            materializer = BackgroundMaterializer(snapshot, scheduler)
-            futures = [materializer.schedule_column(f"col{i}") for i in range(4)]
+            futures = [
+                scheduler.submit_background(
+                    lambda i=i: snapshot.persist_hierarchy(f"col{i}")
+                )
+                for i in range(4)
+            ]
             # foreground keeps persisting while the lane builds hierarchies
             for i in range(4, 8):
                 snapshot.persist_column(
@@ -317,7 +327,7 @@ class TestBackgroundMaterialization:
         snapshot = make_catalog(root)
         column = Column("meas", np.arange(30_000))
         snapshot.persist_column(column, hierarchy=False)
-        BackgroundMaterializer(snapshot).schedule_column("meas").result(timeout=0)
+        snapshot.persist_hierarchy("meas")
         hierarchy = snapshot.load_hierarchy("meas")
         reference = SampleHierarchy(column)
         for loaded, built in zip(hierarchy.levels, reference.levels):

@@ -28,6 +28,44 @@ def _mentions() -> tuple[set[str], dict[Path, str]]:
     return outside, sources
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never uses (``__future__`` imports and
+    lines marked ``# noqa: F401`` aside)."""
+    text = path.read_text()
+    lines = text.splitlines()
+    imported, used, quoted = [], set(), []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            re.search(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b", line)
+            for line in lines[node.lineno - 1 : node.end_lineno]
+        ):
+            continue
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            quoted.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used |= {
+                    n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+                }
+    for annotation in quoted:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expression = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expression) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
 class TestTopLevelExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -111,6 +149,41 @@ class TestTopLevelExports:
                 if not any(name in w for other, w in words.items() if other != path):
                     callerless.add(name)
         assert callerless == {"join_action", "join_arrays_symmetric", "sky_survey_script"}
+
+    def test_no_unused_imports(self):
+        """pyflakes' F401 (``ruff`` under ``pyproject.toml``'s lint select),
+        without ruff: no module outside an ``__init__`` imports a name it
+        never uses.  A name is used when it appears as an ``ast.Name``,
+        inside a string annotation, or in ``__all__``."""
+        root = Path(__file__).resolve().parents[1]
+        unused = []
+        for directory in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((root / directory).rglob("*.py")):
+                if path.name != "__init__.py":
+                    unused += [
+                        f"{path.relative_to(root)}:{name}" for name in _unused_imports(path)
+                    ]
+        assert unused == []
+
+    def test_kernel_config_fields_are_pinned(self):
+        """Adding a kernel knob is a visible edit of this list."""
+        from dataclasses import fields
+
+        from repro.core.kernel import KernelConfig
+
+        assert [field.name for field in fields(KernelConfig)] == [
+            "latency_budget_s",
+            "enable_prefetch",
+            "enable_cache",
+            "enable_samples",
+            "cache_capacity",
+            "sample_factor",
+            "fade_seconds",
+            "batch_execution",
+            "enable_indexing",
+            "index_manager",
+            "speculation",
+        ]
 
     def test_index_manager_knows_one_cracker_surface(self):
         """``indexing/manager.py`` drives every column kind through the one

@@ -325,6 +325,7 @@ class TestMultiSessionServer:
         assert stats["consultations"] == stats["crackers_built"] == 1
         assert stats["crackers_live"] == 1
         assert stats["cracker_bytes"] >= 60_000 * 4
+        assert stats["cracker_bytes"] == server.index_manager.index_bytes
         assert stats == server.service(sid).index_stats()
         # the parity surface stays index-free
         assert set(server.metrics(sid).counters_snapshot()) == {

@@ -1,6 +1,5 @@
 """Unit tests for tables and schemas."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SchemaError, StorageError
@@ -114,20 +113,6 @@ class TestTableAccess:
 
 
 class TestSchemaGestures:
-    def test_project(self, small_table):
-        projected = small_table.project(["id", "score"])
-        assert projected.column_names == ["id", "score"]
-        assert len(projected) == len(small_table)
-
-    def test_project_empty_rejected(self, small_table):
-        with pytest.raises(SchemaError):
-            small_table.project([])
-
-    def test_project_keeps_data(self, small_table):
-        projected = small_table.project(["value"], new_name="values_only")
-        assert projected.name == "values_only"
-        assert projected.value_at(3, "value") == 6
-
     def test_drop(self, small_table):
         smaller = small_table.drop("category")
         assert "category" not in smaller
@@ -141,21 +126,3 @@ class TestSchemaGestures:
         single = Table("one", [Column("only", [1, 2])])
         with pytest.raises(SchemaError):
             single.drop("only")
-
-    def test_with_column(self, small_table):
-        extra = Column("extra", np.ones(len(small_table)))
-        bigger = small_table.with_column(extra)
-        assert "extra" in bigger
-        assert bigger.num_columns == 5
-
-    def test_with_column_wrong_length(self, small_table):
-        with pytest.raises(StorageError):
-            small_table.with_column(Column("extra", [1, 2, 3]))
-
-    def test_with_column_duplicate_name(self, small_table):
-        with pytest.raises(SchemaError):
-            small_table.with_column(Column("id", np.zeros(len(small_table))))
-
-    def test_from_columns(self):
-        table = Table.from_columns("grouped", [Column("a", [1, 2]), Column("b", [3, 4])])
-        assert table.column_names == ["a", "b"]
