@@ -204,7 +204,7 @@ class BatchSlideExecutor:
         # constant latency list (unquantized, the sum can round 1 ulp up)
         per_touch = math.floor((elapsed / n) * _LATENCY_QUANTUM) / _LATENCY_QUANTUM
         outcome.per_touch_latencies_s = [per_touch] * n
-        kernel.optimizer.observe_batch(strides, per_touch)
+        kernel.optimizer.observe_batch(n, per_touch)
         self._finalize(state, outcome)
         return outcome
 

@@ -149,18 +149,13 @@ class TouchCache:
             self.stats.misses += 1
             return None
 
-    def contains(self, object_name: str, rowid: int, stride: int = 1) -> bool:
-        """Whether a value is cached, without affecting hit/miss statistics."""
-        with self._lock:
-            return self._key(object_name, rowid, stride) in self._entries
-
     def presence_probe(self, object_name: str, stride: int = 1) -> Callable[[int], bool]:
         """A ``rowid -> cached?`` test with the key's constant parts built once.
 
-        Equivalent to ``contains(object_name, rowid, stride)`` per call
-        (no statistics, no LRU refresh); made for the per-touch prefetch
-        loop, which probes a run of proposals under one namespace and one
-        stride.  One dict lookup is atomic, so no lock is taken.
+        A probe touches neither statistics nor LRU order; made for the
+        per-touch prefetch loop, which probes a run of proposals under one
+        namespace and one stride.  One dict lookup is atomic, so no lock is
+        taken.
         """
         entries, bucket_rows = self._entries, self.bucket_rows
         sbucket = self._stride_bucket(stride)

@@ -97,24 +97,10 @@ class KernelConfig:
         column's value-sorted index — built by the first of them — instead
         of scanning the whole column.  Gestures never touch it, so
         ``GestureOutcome`` counters are bit-identical with indexing on or
-        off.  On by default.
-    index_manager:
-        Optional pre-built :class:`~repro.indexing.manager.IndexManager`
-        to use instead of a kernel-private one — the sharing hook for
-        serving deployments where many sessions explore the same base
-        storage by reference and should split one set of indexes (see
-        ``MultiSessionServer(shared_index=...)``).  Ignored when
-        ``enable_indexing`` is off.  Also the way to set the manager's
-        one knob, ``IndexManager(max_crackers=...)``.
-    speculation:
-        Optional mined :class:`repro.mining.policy.SpeculativePolicy`.
-        Every shown object's prefetcher reports gesture progress to the
-        policy, which predicts the object's likely next gesture so the
-        service layer can warm for it in the background.  Strictly
-        observational on the gesture path — ``GestureOutcome`` counters
-        are bit-identical with speculation on or off (the differential
-        harness's contract); serving deployments usually adopt one shared
-        policy via ``MultiSessionServer(speculation=...)`` instead.
+        off.  On by default.  A shared manager or a mined speculation
+        policy is installed after construction, through the service's
+        ``adopt_index_manager`` / ``adopt_speculation`` (serving
+        deployments: ``MultiSessionServer(shared_index=, speculation=)``).
     """
 
     latency_budget_s: float = 0.05
@@ -126,8 +112,6 @@ class KernelConfig:
     fade_seconds: float = 1.5
     batch_execution: bool = True
     enable_indexing: bool = True
-    index_manager: IndexManager | None = None
-    speculation: Any | None = None
 
 
 #: The outcome counters, named once — envelopes, session summaries, metric
@@ -252,14 +236,10 @@ class DbTouchKernel:
         self.optimizer = AdaptiveOptimizer(
             latency_budget_s=self.config.latency_budget_s,
         )
-        self.index_manager: IndexManager | None = None
-        if self.config.enable_indexing:
-            self.index_manager = (
-                self.config.index_manager
-                if self.config.index_manager is not None
-                else IndexManager()
-            )
-        self.speculation = self.config.speculation
+        self.index_manager: IndexManager | None = (
+            IndexManager() if self.config.enable_indexing else None
+        )
+        self.speculation: Any | None = None
         #: Retention bound handed to every view's result stream: the oldest
         #: (long-faded) displayed values are dropped beyond it.  ``None``
         #: retains the full history; the owning service sets it so
@@ -694,7 +674,7 @@ class DbTouchKernel:
             elapsed = time.perf_counter() - started
             if processed:
                 outcome.per_touch_latencies_s.append(elapsed)
-                self.optimizer.observe_touch(stride, elapsed)
+                self.optimizer.observe_touch(elapsed)
                 self._maybe_prefetch(state, event, mapped, stride)
         if state.aggregate is not None:
             outcome.final_aggregate = state.aggregate.current()

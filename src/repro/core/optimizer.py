@@ -1,32 +1,20 @@
-"""Adaptive, on-the-fly optimization decisions.
+"""The latency-bound summary window.
 
 dbTouch cannot optimize a query up front: it does not know how much data
 will be processed, in which order, or which region of the data the gesture
 will visit — the user decides all of that while the query runs.  The
-optimizer therefore works from *observations*: it picks the sample level
-that matches the gesture's observed stride, shrinks the summary window
-while touches overrun the latency budget, and tunes how aggressively to
-prefetch based on how steady the gesture velocity has been.
+optimizer therefore works from *observations* of one thing, each touch's
+processing latency: it halves the summary window ``k`` while touches
+overrun the latency budget and restores it while there is ample slack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import OptimizationError
 
 
-@dataclass
-class OptimizerDecision:
-    """The bundle of adaptive decisions returned for the next touch."""
-
-    sample_stride: int
-    prefetch_horizon_touches: int
-    summary_k: int
-
-
 class AdaptiveOptimizer:
-    """Combine observed gesture behaviour into per-touch execution decisions.
+    """Size the summary window against the per-touch latency budget.
 
     Parameters
     ----------
@@ -45,49 +33,31 @@ class AdaptiveOptimizer:
         self.latency_budget_s = latency_budget_s
         self.base_summary_k = base_summary_k
         self._current_k = base_summary_k
-        self._recent_strides: list[int] = []
-        self._recent_latencies: list[float] = []
-        self._speculated_kind: str | None = None
         self.budget_violations = 0
         self.k_adjustments = 0
 
     # ------------------------------------------------------------------ #
     # observations
     # ------------------------------------------------------------------ #
-    def observe_touch(self, stride: int, latency_s: float) -> None:
-        """Record the stride and processing latency of the latest touch."""
+    def observe_touch(self, latency_s: float) -> None:
+        """Record the processing latency of the latest touch."""
         if latency_s < 0:
             raise OptimizationError("latency cannot be negative")
-        self._recent_strides.append(max(1, stride))
-        self._recent_latencies.append(latency_s)
-        if len(self._recent_strides) > 32:
-            self._recent_strides.pop(0)
-        if len(self._recent_latencies) > 32:
-            self._recent_latencies.pop(0)
         self._adjust_summary_k(latency_s, violations=1)
 
-    def observe_batch(self, strides, latency_s: float) -> None:
+    def observe_batch(self, touches: int, latency_s: float) -> None:
         """Batch equivalent of :meth:`observe_touch` for one whole gesture.
 
-        ``strides`` is the per-touch stride sequence of a gesture executed
-        by the vectorized batch path and ``latency_s`` the amortized
-        per-touch latency (batch wall time / touches).  The stride window
-        is updated exactly as a loop of ``observe_touch`` calls would;
-        the summary window ``k`` is adjusted once per batch rather than
-        once per violating touch, because individual touch latencies do
-        not exist on the batch path.
+        ``touches`` is the number of touches of a gesture executed by the
+        vectorized batch path and ``latency_s`` the amortized per-touch
+        latency (batch wall time / touches).  The summary window ``k`` is
+        adjusted once per batch rather than once per violating touch,
+        because individual touch latencies do not exist on the batch path.
         """
         if latency_s < 0:
             raise OptimizationError("latency cannot be negative")
-        count = len(strides)
-        tail = [max(1, int(s)) for s in strides[-32:]]
-        if not tail:
-            return
-        self._recent_strides.extend(tail)
-        del self._recent_strides[:-32]
-        self._recent_latencies.extend([latency_s] * len(tail))
-        del self._recent_latencies[:-32]
-        self._adjust_summary_k(latency_s, violations=count)
+        if touches:
+            self._adjust_summary_k(latency_s, violations=touches)
 
     def _adjust_summary_k(self, latency_s: float, violations: int) -> None:
         """The shared budget-violation / window-adjustment policy.
@@ -109,45 +79,6 @@ class AdaptiveOptimizer:
             self._current_k = min(self.base_summary_k, self._current_k * 2)
             self.k_adjustments += 1
 
-    def speculation_hint(self, predicted_kind: str | None) -> None:
-        """Advise the optimizer what a mined policy predicts comes next.
-
-        Advisory only: the hint scales the prefetch horizon
-        :meth:`decide` reports (a predicted continued slide justifies a
-        deeper horizon; anything else falls back to the observed-velocity
-        rule) and never touches the summary window or sample stride, so
-        outcome counters are unaffected by hinting.
-        """
-        self._speculated_kind = predicted_kind
-
-    # ------------------------------------------------------------------ #
-    # decisions
-    # ------------------------------------------------------------------ #
-    def decide(self) -> OptimizerDecision:
-        """Return the decisions to use for the next touch."""
-        if self._recent_strides:
-            stride = int(sorted(self._recent_strides)[len(self._recent_strides) // 2])
-        else:
-            stride = 1
-        velocity_steady = self._velocity_is_steady()
-        prefetch_horizon = 32 if velocity_steady else 8
-        if velocity_steady and self._speculated_kind in ("slide", "slide-path"):
-            prefetch_horizon = 64
-        return OptimizerDecision(
-            sample_stride=stride,
-            prefetch_horizon_touches=prefetch_horizon,
-            summary_k=self._current_k,
-        )
-
-    def _velocity_is_steady(self) -> bool:
-        if len(self._recent_strides) < 4:
-            return False
-        window = self._recent_strides[-8:]
-        lo, hi = min(window), max(window)
-        if lo == 0:
-            return False
-        return hi <= 2 * lo
-
     @property
     def current_summary_k(self) -> int:
         """The currently allowed summary half-window."""
@@ -155,9 +86,6 @@ class AdaptiveOptimizer:
 
     def reset(self) -> None:
         """Forget all observations (a new gesture session starts)."""
-        self._recent_strides.clear()
-        self._recent_latencies.clear()
-        self._speculated_kind = None
         self._current_k = self.base_summary_k
         self.budget_violations = 0
         self.k_adjustments = 0

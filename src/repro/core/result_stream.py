@@ -188,21 +188,11 @@ class ResultStream:
         self.total_dropped += overflow
         return overflow
 
-    @property
-    def backlog(self) -> int:
-        """How many result values the stream currently retains."""
-        return len(self._results)
-
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._results)
-
-    @property
-    def all_results(self) -> list[ResultValue]:
-        """Every result emitted so far, oldest first."""
-        return list(self._results)
 
     @property
     def values(self) -> list[Any]:
@@ -226,10 +216,6 @@ class ResultStream:
             if self.opacity_at(r, now) > 0.0
         ]
         return visible[-self.max_visible :]
-
-    def most_recent(self) -> ResultValue | None:
-        """The newest result (the boldest value on screen), if any."""
-        return self._results[-1] if self._results else None
 
     def clear(self) -> None:
         """Forget everything (a new exploration starts)."""

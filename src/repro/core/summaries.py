@@ -115,10 +115,6 @@ class InteractiveSummarizer:
             served_from_level=level,
         )
 
-    def summarize_many(self, rowids: list[int], stride_hint: int = 1) -> list[SummaryResult]:
-        """Summarize a sequence of touched rowids (one result per touch)."""
-        return [self.summarize_at(r, stride_hint=stride_hint) for r in rowids]
-
     # ------------------------------------------------------------------ #
     # batched summaries (the vectorized slide path)
     # ------------------------------------------------------------------ #
@@ -183,19 +179,6 @@ class InteractiveSummarizer:
         self.touches += centers.size
         self.values_read += int(counts.sum())
         return values, counts, levels
-
-    def compare_areas(self, rowid_a: int, rowid_b: int, stride_hint: int = 1) -> float | None:
-        """Difference between the summaries of two touched areas.
-
-        The paper highlights that summaries let the user observe pattern
-        differences across areas of the same object; this helper returns
-        ``summary(a) - summary(b)`` (or None when either window is empty).
-        """
-        a = self.summarize_at(rowid_a, stride_hint=stride_hint)
-        b = self.summarize_at(rowid_b, stride_hint=stride_hint)
-        if a.value is None or b.value is None:
-            return None
-        return a.value - b.value
 
 
 #: Cap on the window-index matrix size (touches x window width) so batched

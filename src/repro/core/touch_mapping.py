@@ -200,33 +200,3 @@ class TouchMapper:
             fractions=fractions,
             timestamps=timestamps,
         )
-
-    def distinct_positions(self, view: View, finger_width_cm: float) -> int:
-        """How many distinct rowids a finger can address on this view.
-
-        Bounded by physics: positions closer than the finger width cannot be
-        distinguished, so a small object can only ever expose a limited
-        sample of a large column — the motivation for zoom-in.
-        """
-        props = view.properties
-        if props is None:
-            raise MappingError(f"view {view.name!r} has no data-object properties attached")
-        if finger_width_cm <= 0:
-            raise MappingError("finger width must be positive")
-        extent = view.height if props.orientation == "vertical" else view.width
-        positions = max(1, int(extent / finger_width_cm))
-        return min(props.num_tuples, positions)
-
-    def expected_stride(self, view: View, num_touches: int) -> int:
-        """Distance in rowids between consecutive touches of an even slide.
-
-        A slide that registers ``num_touches`` locations over the whole
-        object visits roughly every ``n / num_touches``-th tuple; the sample
-        hierarchy uses this stride to pick the level to feed from.
-        """
-        props = view.properties
-        if props is None:
-            raise MappingError(f"view {view.name!r} has no data-object properties attached")
-        if num_touches <= 0:
-            return props.num_tuples
-        return max(1, props.num_tuples // num_touches)

@@ -61,11 +61,6 @@ class IncrementalGroupBy(TouchOperator):
     # ------------------------------------------------------------------ #
     # state inspection
     # ------------------------------------------------------------------ #
-    @property
-    def num_groups(self) -> int:
-        """Number of distinct group keys seen so far."""
-        return len(self._groups)
-
     def group(self, key: Hashable) -> GroupResult:
         """Return the current snapshot of one group."""
         if key not in self._groups:

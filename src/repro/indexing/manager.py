@@ -235,10 +235,6 @@ class IndexManager:
         )
         return data
 
-    def has_cracker(self, object_name: str, column_name: str | None = None) -> bool:
-        """Whether any live index exists for the pair."""
-        return self.cracker_for(object_name, column_name) is not None
-
     def cracker_for(
         self, object_name: str, column_name: str | None = None
     ) -> SortedIndex | None:

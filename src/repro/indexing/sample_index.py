@@ -52,16 +52,6 @@ class SampleLevelIndex:
             self.builds += 1
         return self._sorted_orders[level.level]
 
-    @property
-    def levels_indexed(self) -> list[int]:
-        """Which levels have a materialized index so far."""
-        return sorted(self._sorted_orders)
-
-    def build_all(self) -> None:
-        """Eagerly index every level (normally they are built on demand)."""
-        for level in self.hierarchy.levels:
-            self._order_for(level)
-
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #
@@ -92,11 +82,3 @@ class SampleLevelIndex:
             sample_rowids=sample_rowids,
             base_rowids=base_rowids,
         )
-
-    def estimate_selectivity(self, low: float, high: float, stride_hint: int = 1) -> float:
-        """Fraction of entries (at the chosen level) within ``[low, high]``."""
-        result = self.lookup_range(low, high, stride_hint)
-        level = self.hierarchy.level_for_stride(stride_hint)
-        if not level.num_rows:
-            return 0.0
-        return result.count / level.num_rows

@@ -111,27 +111,12 @@ class ZoneMap:
         """All zones, in rowid order."""
         return list(self._zones)
 
-    @property
-    def num_zones(self) -> int:
-        """Number of blocks summarized."""
-        return len(self._zones)
-
-    def zone_for(self, rowid: int) -> Zone:
-        """The zone covering ``rowid``."""
-        if not 0 <= rowid < len(self.column):
-            raise StorageError(f"rowid {rowid} out of range")
-        return self._zones[rowid // self.block_rows]
-
     # ------------------------------------------------------------------ #
     # pruning
     # ------------------------------------------------------------------ #
     def candidate_zones(self, predicate: Predicate) -> list[Zone]:
         """Zones that may contain matches for ``predicate``."""
         return [z for z in self._zones if z.may_contain(predicate)]
-
-    def candidate_rowid_ranges(self, predicate: Predicate) -> list[tuple[int, int]]:
-        """Rowid ranges (half-open) that may contain matches."""
-        return [(z.start, z.stop) for z in self.candidate_zones(predicate)]
 
     def pruned_fraction(self, predicate: Predicate) -> float:
         """Fraction of rows that can be skipped outright for ``predicate``."""
@@ -140,11 +125,3 @@ class ZoneMap:
             return 0.0
         kept = sum(z.num_rows for z in self.candidate_zones(predicate))
         return 1.0 - kept / total
-
-    def count_matches(self, predicate: Predicate) -> int:
-        """Exact match count, scanning only non-pruned zones."""
-        count = 0
-        values = self.column.values
-        for start, stop in self.candidate_rowid_ranges(predicate):
-            count += int(predicate.mask(values[start:stop]).sum())
-        return count

@@ -155,39 +155,6 @@ class GestureTransitionModel:
         self.traces_observed += 1
 
     # ------------------------------------------------------------------ #
-    # inspection (the property-test surface)
-    # ------------------------------------------------------------------ #
-    @property
-    def scopes(self) -> list[str]:
-        """Every scope with counts (objects plus the global stream)."""
-        return sorted(self._counts)
-
-    def context_counts(self, scope: str, context: Sequence[str]) -> dict[str, int]:
-        """Raw next-kind counts for one exact context (no back-off)."""
-        table = self._counts.get(scope, {})
-        return dict(table.get(tuple(context), {}))
-
-    def contexts(self, scope: str, length: int | None = None) -> list[tuple[str, ...]]:
-        """Every context key of one scope, optionally filtered by length."""
-        table = self._counts.get(scope, {})
-        keys = table.keys()
-        if length is not None:
-            keys = (key for key in keys if len(key) == length)
-        return sorted(keys)
-
-    def distribution(self, scope: str, context: Sequence[str]) -> dict[str, float]:
-        """The context's next-kind distribution, normalized to sum to 1.
-
-        Uses the same suffix back-off as :meth:`predict`; empty when the
-        scope has no counts at all.
-        """
-        bucket = self._backoff_bucket(scope, context)
-        total = sum(bucket.values())
-        if total <= 0:
-            return {}
-        return {kind: count / total for kind, count in sorted(bucket.items())}
-
-    # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
     def _backoff_bucket(

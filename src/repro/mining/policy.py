@@ -184,16 +184,6 @@ class SpeculativePolicy:
             while len(self._staged) > self.max_staged_levels:
                 self._staged.popitem(last=False)
 
-    def staged_level(self, object_name: str, stride: int) -> np.ndarray | None:
-        """Fetch a staged level, counting the hit; ``None`` when absent."""
-        key = (object_name, max(1, int(stride)))
-        with self._lock:
-            values = self._staged.get(key)
-            if values is not None:
-                self._staged.move_to_end(key)
-                self._counters["staged_level_hits"] += 1
-            return values
-
     # ------------------------------------------------------------------ #
     # job accounting (called by the executing service layer)
     # ------------------------------------------------------------------ #
@@ -235,11 +225,3 @@ class SpeculativePolicy:
             misses = self._counters["mined_misses"]
         total = hits + misses
         return hits / total if total else 0.0
-
-    def reset_runtime(self) -> None:
-        """Forget per-object runtime state; counters and model survive."""
-        with self._lock:
-            self._contexts.clear()
-            self._predictions.clear()
-            self._progress.clear()
-            self._staged.clear()

@@ -8,8 +8,8 @@ Three pieces, one story per gesture:
   across scheduler threads and the sharded wire, and
   :func:`stitch_traces` reassembles distributed span trees.
 * :mod:`repro.obs.registry` — the :class:`TelemetryRegistry` of
-  counters/gauges/histograms plus scrape-time collectors wrapping the
-  pre-existing stats islands, exported as one merged snapshot and as
+  scrape-time collectors wrapping the pre-existing stats islands, plus
+  histograms, exported as one merged snapshot and as
   Prometheus text exposition.
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder` ring of the
   last N completed traces with a threshold-triggered slow-gesture log.
@@ -19,7 +19,7 @@ counters and the parity contracts built on them are untouched.
 """
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import Counter, TelemetryRegistry, merge_numeric, render_exposition
+from repro.obs.registry import TelemetryRegistry, merge_numeric, render_exposition
 from repro.obs.stats import nearest_rank
 from repro.obs.trace import (
     Trace,
@@ -33,7 +33,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
     "FlightRecorder",
     "TelemetryRegistry",
     "Trace",

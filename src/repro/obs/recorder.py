@@ -71,11 +71,6 @@ class FlightRecorder:
         with self._lock:
             return len(self._traces)
 
-    def peek(self) -> list[Trace]:
-        """The buffered traces, oldest first, without consuming them."""
-        with self._lock:
-            return list(self._traces)
-
     def drain(self) -> list[Trace]:
         """Empty the ring and return its traces, oldest first."""
         with self._lock:

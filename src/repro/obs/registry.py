@@ -3,13 +3,13 @@
 The system already measures itself in islands — ``SchedulerStats``,
 ``IndexManager.stats_snapshot()``, ``ChunkCacheStats``, per-session
 ``SessionMetrics`` — each reachable only by poking the owning object.
-:class:`TelemetryRegistry` federates them: components either create
-first-class instruments (:class:`Counter` / :class:`Gauge` /
-:class:`Histogram`) or register a **collector** — a zero-argument
-callable returning a flat-ish mapping of numbers, polled at scrape time.
-Collectors are the integration idiom here: the existing snapshot methods
-plug in unchanged, keeping the registry free of references into every
-subsystem's internals.
+:class:`TelemetryRegistry` federates them: components register a
+**collector** — a zero-argument callable returning a flat-ish mapping of
+numbers, polled at scrape time — or, for a latency distribution, create a
+:class:`Histogram` (the tracer's ``trace_root_seconds``).  Collectors are
+the integration idiom here: the existing snapshot methods plug in
+unchanged, keeping the registry free of references into every subsystem's
+internals.
 
 ``snapshot()`` returns one flat ``{metric_name: value}`` dict (the shape
 the ``telemetry`` wire verb ships and :func:`merge_numeric` sums across a
@@ -26,8 +26,6 @@ import threading
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "TelemetryRegistry",
     "merge_numeric",
@@ -62,54 +60,6 @@ def sanitize_metric_name(name: str) -> str:
     if not cleaned or not _VALID_METRIC.match(cleaned):
         cleaned = "_" + cleaned
     return cleaned
-
-
-class Counter:
-    """A monotonically-increasing count (thread-safe)."""
-
-    __slots__ = ("name", "help", "_lock", "_value")
-
-    def __init__(self, name: str, help_: str = "") -> None:
-        self.name = name
-        self.help = help_
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A value that goes up and down (thread-safe)."""
-
-    __slots__ = ("name", "help", "_lock", "_value")
-
-    def __init__(self, name: str, help_: str = "") -> None:
-        self.name = name
-        self.help = help_
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:
@@ -150,46 +100,23 @@ class Histogram:
 
 
 class TelemetryRegistry:
-    """Create-or-get instruments plus scrape-time collectors.
-
-    Instrument names are unique across kinds: asking for a counter named
-    like an existing gauge raises ``ValueError`` — silent shadowing would
-    make two subsystems fight over one exposition line.
-    """
+    """Create-or-get histograms plus scrape-time collectors."""
 
     def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
         self._lock = threading.Lock()
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, Callable[[], Mapping[str, Any] | None]] = {}
-
-    # ------------------------------------------------------------------ #
-    # instruments
-    # ------------------------------------------------------------------ #
-    def _instrument(self, kind: type, name: str, **kwargs: Any):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, kind):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}, not {kind.__name__}"
-                    )
-                return existing
-            instrument = kind(name, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
-
-    def counter(self, name: str, help_: str = "") -> Counter:
-        return self._instrument(Counter, name, help_=help_)
-
-    def gauge(self, name: str, help_: str = "") -> Gauge:
-        return self._instrument(Gauge, name, help_=help_)
 
     def histogram(
         self, name: str, buckets: Iterable[float] | None = None, help_: str = ""
     ) -> Histogram:
-        return self._instrument(Histogram, name, buckets=buckets, help_=help_)
+        """The histogram named ``name``, created on first request."""
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = Histogram(name, buckets, help_)
+            return histogram
 
     # ------------------------------------------------------------------ #
     # collectors
@@ -207,10 +134,6 @@ class TelemetryRegistry:
         """
         with self._lock:
             self._collectors[name] = fn
-
-    def unregister_collector(self, name: str) -> None:
-        with self._lock:
-            self._collectors.pop(name, None)
 
     @property
     def collector_names(self) -> list[str]:
@@ -240,15 +163,12 @@ class TelemetryRegistry:
         what the numbers mean).
         """
         with self._lock:
-            instruments = list(self._instruments.values())
+            histograms = list(self._histograms.values())
         merged: dict[str, float] = {}
-        for instrument in instruments:
-            if isinstance(instrument, Histogram):
-                data = instrument.snapshot()
-                merged[f"{instrument.name}_count"] = float(data["count"])
-                merged[f"{instrument.name}_sum"] = float(data["sum"])
-            else:
-                merged[instrument.name] = float(instrument.value)
+        for histogram in histograms:
+            data = histogram.snapshot()
+            merged[f"{histogram.name}_count"] = float(data["count"])
+            merged[f"{histogram.name}_sum"] = float(data["sum"])
         for prefix in self.collector_names:
             try:
                 values = self.collect(prefix)
@@ -261,33 +181,22 @@ class TelemetryRegistry:
     def exposition(self) -> str:
         """The registry in Prometheus text exposition format."""
         with self._lock:
-            instruments = sorted(self._instruments.values(), key=lambda i: i.name)
+            histograms = sorted(self._histograms.values(), key=lambda h: h.name)
         lines: list[str] = []
         covered: set[str] = set()
-        for instrument in instruments:
-            full = f"{self.namespace}_{sanitize_metric_name(instrument.name)}"
-            if instrument.help:
-                lines.append(f"# HELP {full} {instrument.help}")
-            if isinstance(instrument, Counter):
-                lines.append(f"# TYPE {full} counter")
-                lines.append(f"{full} {_format_value(instrument.value)}")
-                covered.add(instrument.name)
-            elif isinstance(instrument, Gauge):
-                lines.append(f"# TYPE {full} gauge")
-                lines.append(f"{full} {_format_value(instrument.value)}")
-                covered.add(instrument.name)
-            else:
-                data = instrument.snapshot()
-                lines.append(f"# TYPE {full} histogram")
-                for bound, count in data["buckets"]:  # counts are cumulative
-                    lines.append(
-                        f'{full}_bucket{{le="{_format_value(bound)}"}} {count}'
-                    )
-                lines.append(f'{full}_bucket{{le="+Inf"}} {data["count"]}')
-                lines.append(f"{full}_sum {_format_value(data['sum'])}")
-                lines.append(f"{full}_count {data['count']}")
-                covered.add(f"{instrument.name}_count")
-                covered.add(f"{instrument.name}_sum")
+        for histogram in histograms:
+            full = f"{self.namespace}_{sanitize_metric_name(histogram.name)}"
+            if histogram.help:
+                lines.append(f"# HELP {full} {histogram.help}")
+            data = histogram.snapshot()
+            lines.append(f"# TYPE {full} histogram")
+            for bound, count in data["buckets"]:  # counts are cumulative
+                lines.append(f'{full}_bucket{{le="{_format_value(bound)}"}} {count}')
+            lines.append(f'{full}_bucket{{le="+Inf"}} {data["count"]}')
+            lines.append(f"{full}_sum {_format_value(data['sum'])}")
+            lines.append(f"{full}_count {data['count']}")
+            covered.add(f"{histogram.name}_count")
+            covered.add(f"{histogram.name}_sum")
         collected = {
             name: value for name, value in self.snapshot().items() if name not in covered
         }

@@ -48,7 +48,6 @@ __all__ = [
     "TraceConfig",
     "TraceContext",
     "Tracer",
-    "active_trace_id",
     "current_trace_context",
     "stitch_traces",
     "trace_event",
@@ -211,9 +210,6 @@ class Trace:
     def find(self, name: str) -> list[Span]:
         """Every span named ``name``, in recorded order."""
         return [span for span in self.spans if span.name == name]
-
-    def children_of(self, span_id: str) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]
 
     def tree(self) -> list[dict[str, Any]]:
         """The span forest as nested ``{"span", "children"}`` dicts."""
@@ -424,12 +420,6 @@ def current_trace_context() -> TraceContext | None:
     return TraceContext(trace_id=active.trace_id, parent_id=active.stack[-1], sampled=True)
 
 
-def active_trace_id() -> str | None:
-    """The ambient trace id, for log correlation (``None`` if untraced)."""
-    active = _CURRENT.get()
-    return active.trace_id if active is not None else None
-
-
 class RootSpan:
     """An explicitly-managed root span: :meth:`start`, then :meth:`finish`.
 
@@ -531,11 +521,6 @@ class Tracer:
     @property
     def enabled(self) -> bool:
         return self.config.enabled
-
-    @staticmethod
-    def disabled() -> "Tracer":
-        """A permanently-off tracer (every ``begin`` returns ``None``)."""
-        return Tracer(TraceConfig(enabled=False))
 
     def sample(self) -> bool:
         """The deterministic sampling decision for a locally-rooted trace."""

@@ -15,9 +15,9 @@ properties make it the serving engine's out-of-core tier:
   bounded by the budget, not by dataset size.
 
 Writing is streaming-friendly: :meth:`DiskColumnStore.write_chunks`
-consumes chunks from any iterator (the
-:class:`repro.storage.loader.AdaptiveLoader` persistence path), computing
-the zonemap as it goes, and commits atomically via a temp-file rename.
+consumes chunks from any iterator, so a column never has to be resident
+whole, computes the zonemap as it goes, and commits atomically via a
+temp-file rename.
 """
 
 from __future__ import annotations
@@ -105,11 +105,6 @@ class ChunkCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._chunks)
-
-    @property
-    def current_bytes(self) -> int:
-        """Bytes of chunk data currently resident."""
-        return self.stats.bytes_cached
 
     def stats_snapshot(self) -> dict[str, int]:
         """Counters and byte gauges under the names telemetry reports."""

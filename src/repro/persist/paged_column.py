@@ -16,9 +16,8 @@ its data lives on disk:
   one fancy index, O(rows read) whatever the chunk, cache or column size
   — the mapped file already is the shared cache, so nothing is copied
   but the rows asked for.
-* Range reads (:meth:`PagedColumn.slice`: per-touch summary windows,
-  ``head``, the adaptive loader) and the
-  per-touch :meth:`PagedColumn.value_at` route through the store's
+* Range reads (:meth:`PagedColumn.slice`: per-touch summary windows) and
+  the per-touch :meth:`PagedColumn.value_at` route through the store's
   :class:`repro.persist.diskstore.ChunkCache` at *chunk* granularity: a
   materialised contiguous chunk is their product, revisits are cache
   hits, and the cache's byte budget bounds how much is resident.
@@ -338,10 +337,6 @@ class PagedColumn(Column):
                 f"rowids out of range for column {self.name!r} of length {len(self)}"
             )
         return self.read_batch(idx)
-
-    def head(self, n: int = 10) -> np.ndarray:
-        """First ``n`` values, served through the chunk cache."""
-        return self.slice(0, max(0, n))
 
     # ------------------------------------------------------------------ #
     # statistics from the zonemap (no data pages faulted)

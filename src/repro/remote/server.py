@@ -92,12 +92,6 @@ class RemoteServer:
         with self._lock:
             return name in self._columns
 
-    @property
-    def hosted_columns(self) -> list[str]:
-        """Names of hosted columns."""
-        with self._lock:
-            return sorted(self._columns)
-
     def small_sample(self, name: str, max_rows: int = 4096) -> Column:
         """Produce the small sample a device keeps locally for ``name``.
 

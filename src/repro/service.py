@@ -319,7 +319,6 @@ class LocalExplorationService:
         if not object_name:
             return
         policy.observe_command(object_name, command.kind)
-        self.kernel.optimizer.speculation_hint(policy.prediction(object_name))
         plan = policy.speculation_plan(object_name)
         if plan is not None:
             self._pending_speculation = plan
@@ -1126,7 +1125,7 @@ class MultiSessionServer:
                 if hierarchy is not None:
                     self._shared_hierarchies[key] = hierarchy
             # keep the catalog itself: its chunk cache is the storage
-            # tier's observability surface (storage_stats)
+            # tier's observability surface (the "storage" collector)
             self._shared_stores.append(snapshot)
         return names
 
@@ -1167,18 +1166,6 @@ class MultiSessionServer:
         parity surface.
         """
         return self.telemetry.collect("speculation")
-
-    def storage_stats(self) -> dict[str, int] | None:
-        """Chunk-cache counters of the attached stores.
-
-        Key-wise sums over every shared :class:`StoreCatalog` this server
-        attached (``None`` when serving purely in-memory) — the storage
-        tier's observability surface, reachable here and through the
-        sharded ``stats``/``telemetry`` verbs instead of only by poking
-        the store object directly.  Load-dependent like
-        :meth:`index_stats`; never part of the parity surface.
-        """
-        return self.telemetry.collect("storage")
 
     def _pooled_sessions(self, report: str) -> dict[str, float] | None:
         """The open sessions' private islands as one: ``merge_numeric``

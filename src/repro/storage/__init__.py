@@ -9,7 +9,7 @@ This subpackage provides everything below the dbTouch kernel:
 * :mod:`repro.storage.incremental` — incremental layout rotation;
 * :mod:`repro.storage.sample` — Sciborg-style sample hierarchies;
 * :mod:`repro.storage.catalog` — the registry of explorable data objects;
-* :mod:`repro.storage.loader` — eager and adaptive data loading.
+* :mod:`repro.storage.loader` — CSV and generated-column loading.
 """
 
 from repro.storage.catalog import Catalog, ObjectInfo
@@ -23,13 +23,12 @@ from repro.storage.layout import (
     RowStoreLayout,
     conversion_cost_cells,
 )
-from repro.storage.loader import AdaptiveLoader, generate_integer_column, load_table_from_csv_file
+from repro.storage.loader import generate_integer_column, load_table_from_csv_file
 from repro.storage.sample import SampleHierarchy, SampleLevel
 from repro.storage.table import Schema, Table
 
 __all__ = [
     "CACHE_LINE_VALUES",
-    "AdaptiveLoader",
     "Catalog",
     "Column",
     "ColumnStoreLayout",

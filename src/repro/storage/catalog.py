@@ -61,16 +61,6 @@ class Catalog:
             raise CatalogError(f"name {column.name!r} already used by a table")
         self._columns[column.name] = column
 
-    def unregister(self, name: str) -> None:
-        """Remove the table or column registered under ``name``."""
-        if name in self._tables:
-            del self._tables[name]
-        elif name in self._columns:
-            del self._columns[name]
-        else:
-            raise CatalogError(f"no data object named {name!r}")
-        self.drop_hierarchies_for(name)
-
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
@@ -189,10 +179,6 @@ class Catalog:
             )
         key = (object_name, column_name if column_name is not None else object_name)
         self._hierarchies[key] = hierarchy
-
-    def drop_hierarchies(self) -> None:
-        """Discard every cached sample hierarchy (frees auxiliary storage)."""
-        self._hierarchies.clear()
 
     def drop_hierarchies_for(self, object_name: str) -> None:
         """Discard the cached hierarchies of one object (its data changed)."""

@@ -164,10 +164,6 @@ class Column:
         """
         return self._data[np.asarray(rowids, dtype=np.int64)]
 
-    def head(self, n: int = 10) -> np.ndarray:
-        """Return the first ``n`` values (for quick inspection)."""
-        return self._data[: max(0, n)]
-
     # ------------------------------------------------------------------ #
     # live ingestion
     # ------------------------------------------------------------------ #

@@ -164,14 +164,6 @@ class IncrementalRotation:
     def _is_converted(self, rowid: int) -> bool:
         return any(rowid in r for r in self._converted)
 
-    def read_cell(self, rowid: int, column_name: str):
-        """Read one cell, preferring the target layout when already converted."""
-        if self._is_converted(rowid):
-            self.progress.reads_from_target += 1
-            return self.target.read_cell(rowid, column_name)
-        self.progress.reads_from_source += 1
-        return self.source.read_cell(rowid, column_name)
-
     def read_tuple(self, rowid: int) -> dict[str, object]:
         """Read a full tuple, preferring the target layout when converted."""
         if self._is_converted(rowid):
@@ -179,21 +171,3 @@ class IncrementalRotation:
             return self.target.read_tuple(rowid)
         self.progress.reads_from_source += 1
         return self.source.read_tuple(rowid)
-
-    def ensure_converted(self, rowid: int) -> None:
-        """Pull the range containing ``rowid`` across if it is still missing.
-
-        Used when the user zooms into a region of the new object that has
-        not been converted yet: more data is retrieved from the old layout.
-        """
-        if self._is_converted(rowid) or not 0 <= rowid < self.progress.total_rows:
-            return
-        start = (rowid // self.step_rows) * self.step_rows
-        stop = min(self.progress.total_rows, start + self.step_rows)
-        self._converted.append(_ConvertedRange(start, stop))
-        self.progress.steps_taken += 1
-        self.progress.cells_copied += (stop - start) * self.table.num_columns
-        self.progress.converted_rows = min(
-            self.progress.total_rows,
-            max(self.progress.converted_rows, stop),
-        )

@@ -27,10 +27,9 @@ class LayoutKind(Enum):
 class PhysicalLayout(ABC):
     """Common interface over materialized physical designs.
 
-    A layout answers point and range reads in terms of tuple identifiers
-    and attribute names, and reports how many *cells* (fixed-width fields)
-    each access touches so benchmarks can compare designs without relying
-    on wall-clock noise alone.
+    A layout answers tuple reads by tuple identifier and reports how many
+    *cells* (fixed-width fields) each access touches so benchmarks can
+    compare designs without relying on wall-clock noise alone.
     """
 
     kind: LayoutKind
@@ -49,21 +48,9 @@ class PhysicalLayout(ABC):
         """Number of attributes stored."""
         return self.table.num_columns
 
-    def reset_counters(self) -> None:
-        """Zero the access accounting counters."""
-        self.cells_touched = 0
-
-    @abstractmethod
-    def read_cell(self, rowid: int, column_name: str):
-        """Read one attribute value of one tuple."""
-
     @abstractmethod
     def read_tuple(self, rowid: int) -> dict[str, object]:
         """Read a full tuple (all attributes of one rowid)."""
-
-    @abstractmethod
-    def read_column_range(self, column_name: str, start: int, stop: int) -> np.ndarray:
-        """Read a contiguous rowid range of a single attribute."""
 
 
 class ColumnStoreLayout(PhysicalLayout):
@@ -75,22 +62,10 @@ class ColumnStoreLayout(PhysicalLayout):
         super().__init__(table)
         self._arrays = {c.name: c.values for c in table.columns}
 
-    def read_cell(self, rowid: int, column_name: str):
-        self.cells_touched += 1
-        return self._arrays[column_name][rowid]
-
     def read_tuple(self, rowid: int) -> dict[str, object]:
         # tuple reconstruction touches one cell per attribute, in separate arrays
         self.cells_touched += self.num_columns
         return {name: arr[rowid] for name, arr in self._arrays.items()}
-
-    def read_column_range(self, column_name: str, start: int, stop: int) -> np.ndarray:
-        start = max(0, start)
-        stop = min(self.num_rows, stop)
-        if stop <= start:
-            return self._arrays[column_name][:0]
-        self.cells_touched += stop - start
-        return self._arrays[column_name][start:stop]
 
 
 class RowStoreLayout(PhysicalLayout):
@@ -118,13 +93,6 @@ class RowStoreLayout(PhysicalLayout):
         self._numeric_index = {n: i for i, n in enumerate(self._numeric_names)}
         self._side = {n: table.column(n).values for n in self._other_names}
 
-    def read_cell(self, rowid: int, column_name: str):
-        # a row store must fetch the whole row to extract one field
-        self.cells_touched += self.num_columns
-        if column_name in self._numeric_index:
-            return self._matrix[rowid, self._numeric_index[column_name]]
-        return self._side[column_name][rowid]
-
     def read_tuple(self, rowid: int) -> dict[str, object]:
         self.cells_touched += self.num_columns
         out: dict[str, object] = {
@@ -133,17 +101,6 @@ class RowStoreLayout(PhysicalLayout):
         for name in self._other_names:
             out[name] = self._side[name][rowid]
         return {name: out[name] for name in self.table.column_names}
-
-    def read_column_range(self, column_name: str, start: int, stop: int) -> np.ndarray:
-        start = max(0, start)
-        stop = min(self.num_rows, stop)
-        if stop <= start:
-            return np.empty(0)
-        # scanning one attribute in a row store drags the full rows through
-        self.cells_touched += (stop - start) * self.num_columns
-        if column_name in self._numeric_index:
-            return self._matrix[start:stop, self._numeric_index[column_name]]
-        return self._side[column_name][start:stop]
 
 
 def conversion_cost_cells(table: Table) -> int:

@@ -125,11 +125,9 @@ class SampleHierarchy:
         """A hierarchy over the same materialized levels, privately listed.
 
         Multi-session serving attaches one snapshot hierarchy to many
-        sessions; sharing the *level list* would let one session's
-        :meth:`materialize_level_for` mutate every other session's view of
-        the hierarchy.  ``share`` hands each session its own list over the
+        sessions; ``share`` hands each session its own level list over the
         same (read-only by convention) sample columns — zero data copies,
-        no cross-session mutation.
+        and no session holds another's list.
         """
         return SampleHierarchy.from_levels(
             self.base, self._levels[1:], factor=self.factor, min_rows=self.min_rows
@@ -251,26 +249,3 @@ class SampleHierarchy:
         start = max(0, center - half)
         stop = min(lvl.num_rows, center + half + 1)
         return lvl.column.slice(start, stop), lvl
-
-    def materialize_level_for(self, requested_stride: int) -> SampleLevel:
-        """Create (and remember) a sample level matched to ``requested_stride``.
-
-        The caching discussion in the paper suggests building new sample
-        copies on demand when a user repeatedly explores at a granularity
-        that no existing level serves well.  If a level with the exact
-        stride already exists it is returned unchanged.
-        """
-        stride = max(1, int(requested_stride))
-        for lvl in self._levels:
-            if lvl.step == stride:
-                return lvl
-        sampled = self.base.take_every(stride)
-        self._levels.append(SampleLevel(level=self.num_levels, step=stride, column=sampled))
-        self._levels.sort(key=lambda lvl: lvl.step)
-        # renumber so level(i).level == i survives mid-stride insertions;
-        # served-level reporting counts by these numbers
-        self._levels = [
-            lvl if lvl.level == i else replace(lvl, level=i)
-            for i, lvl in enumerate(self._levels)
-        ]
-        return next(lvl for lvl in self._levels if lvl.step == stride)

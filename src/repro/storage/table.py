@@ -72,11 +72,6 @@ class Schema:
         """Return the :class:`ColumnSpec` for attribute ``name``."""
         return self._specs[self.index_of(name)]
 
-    @property
-    def row_width_bytes(self) -> int:
-        """Total bytes of one tuple under a fixed-width row layout."""
-        return sum(s.dtype.width_bytes for s in self._specs)
-
 
 class Table:
     """A named set of equally long columns.
@@ -212,21 +207,7 @@ class Table:
             column.append_batch(casted[column.name])
         return len(self)
 
-    def drop(self, column_name: str, new_name: str | None = None) -> "Table":
-        """Return a new table without ``column_name``."""
-        remaining = [c for c in self._columns if c.name != column_name]
-        if len(remaining) == len(self._columns):
-            raise SchemaError(f"table {self.name!r} has no column {column_name!r}")
-        if not remaining:
-            raise SchemaError("cannot drop the last column of a table")
-        name = new_name if new_name is not None else self.name
-        return Table(name, remaining)
-
     @staticmethod
     def from_arrays(name: str, data: Mapping[str, Iterable]) -> "Table":
         """Build a table from a mapping of column name → values."""
         return Table(name, [Column(k, v) for k, v in data.items()])
-
-    def head(self, n: int = 5) -> list[dict[str, object]]:
-        """Return the first ``n`` tuples (for quick inspection / tests)."""
-        return [self.tuple_at(i) for i in range(min(n, len(self)))]

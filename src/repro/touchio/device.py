@@ -54,12 +54,6 @@ class DeviceProfile:
             return 1
         return max(1, int(round(seconds * self.sampling_rate_hz)))
 
-    def max_distinct_positions(self, length_cm: float) -> int:
-        """Upper bound on distinguishable positions along ``length_cm``."""
-        if length_cm <= 0:
-            return 1
-        return max(1, int(length_cm / self.finger_width_cm))
-
 
 #: The paper's device: a 1st-generation iPad (9.7" screen, ~60 Hz digitizer).
 IPAD1 = DeviceProfile(
@@ -116,7 +110,6 @@ class TouchDevice:
         self.root = View(
             name="screen",
             frame=Rect(0.0, 0.0, profile.screen_width_cm, profile.screen_height_cm),
-            allowed_gestures=(),
         )
         self._clock = 0.0
 
@@ -142,10 +135,6 @@ class TouchDevice:
         """Find a view on the screen by name."""
         return self.root.find(name)
 
-    def hit_test(self, x: float, y: float) -> View | None:
-        """Return the deepest view under screen point ``(x, y)``."""
-        return self.root.hit_test(x, y)
-
     # ------------------------------------------------------------------ #
     # clock
     # ------------------------------------------------------------------ #
@@ -160,7 +149,3 @@ class TouchDevice:
             raise TouchError("cannot advance the clock backwards")
         self._clock += seconds
         return self._clock
-
-    def reset_clock(self) -> None:
-        """Reset the simulated clock to zero."""
-        self._clock = 0.0

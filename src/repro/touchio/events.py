@@ -68,13 +68,6 @@ class TouchEvent:
         return self.points[0]
 
     @property
-    def centroid(self) -> tuple[float, float]:
-        """Mean location of all touch points (used by zoom/rotate handling)."""
-        xs = sum(p.x for p in self.points) / len(self.points)
-        ys = sum(p.y for p in self.points) / len(self.points)
-        return xs, ys
-
-    @property
     def spread(self) -> float:
         """Largest pairwise distance between touch points (pinch distance)."""
         if len(self.points) < 2:

@@ -62,11 +62,6 @@ class RecognizedGesture:
     angle: float = 0.0
     translation: tuple[float, float] = (0.0, 0.0)
 
-    @property
-    def num_touches(self) -> int:
-        """Number of registered touch locations within the gesture."""
-        return len(self.events)
-
 
 #: Maximum movement (cm) and duration (s) for a touch sequence to count as a tap.
 TAP_MAX_MOVEMENT_CM = 0.3
@@ -94,10 +89,6 @@ class GestureRecognizer:
         if max_fingers >= 2:
             return self._recognize_two_finger(stream)
         return self._recognize_single_finger(stream)
-
-    def recognize_all(self, streams: list[TouchStream]) -> list[RecognizedGesture]:
-        """Recognize a gesture for each stream in order."""
-        return [self.recognize(stream) for stream in streams]
 
     # ------------------------------------------------------------------ #
     # single finger: tap, slide or pan

@@ -2,8 +2,8 @@
 
 Views are the bridge between the touch OS and dbTouch: each visualized
 data object corresponds to one view.  A view knows its physical size (in
-centimeters), its position inside its master view, its rotation, and which
-gestures it accepts.  dbTouch attaches extra properties to each view (the
+centimeters), its position inside its master view and its rotation.
+dbTouch attaches extra properties to each view (the
 number of tuples in the underlying object, the data types, the data size)
 so that a touch location inside the view can be translated to a tuple
 identifier with simple arithmetic.
@@ -29,15 +29,6 @@ class Rect:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ViewError(f"rectangle must have positive size, got {self.width}x{self.height}")
-
-    def contains(self, x: float, y: float) -> bool:
-        """Whether the point ``(x, y)`` lies inside the rectangle."""
-        return self.x <= x <= self.x + self.width and self.y <= y <= self.y + self.height
-
-    @property
-    def area(self) -> float:
-        """Area in square centimeters."""
-        return self.width * self.height
 
 
 @dataclass
@@ -86,12 +77,10 @@ class View:
         name: str,
         frame: Rect,
         properties: DataObjectProperties | None = None,
-        allowed_gestures: tuple[str, ...] = ("tap", "slide", "zoom", "rotate", "pan"),
     ) -> None:
         self.name = name
         self.frame = frame
         self.properties = properties
-        self.allowed_gestures = tuple(allowed_gestures)
         self.subviews: list["View"] = []
         self.master: "View" | None = None
 
@@ -109,13 +98,6 @@ class View:
             raise ViewError(f"view {view.name!r} already has a master view")
         view.master = self
         self.subviews.append(view)
-
-    def remove_subview(self, view: "View") -> None:
-        """Detach ``view`` from this view."""
-        if view not in self.subviews:
-            raise ViewError(f"view {view.name!r} is not a subview of {self.name!r}")
-        self.subviews.remove(view)
-        view.master = None
 
     def walk(self) -> Iterator["View"]:
         """Yield this view and every descendant, depth first."""
@@ -142,30 +124,6 @@ class View:
     def height(self) -> float:
         """View height in centimeters."""
         return self.frame.height
-
-    def hit_test(self, x: float, y: float) -> "View | None":
-        """Return the deepest descendant containing the master-view point.
-
-        Coordinates are in this view's master coordinate system (or screen
-        coordinates when called on the root view).
-        """
-        if not self.frame.contains(x, y):
-            return None
-        local_x = x - self.frame.x
-        local_y = y - self.frame.y
-        for sub in reversed(self.subviews):  # front-most subview wins
-            found = sub.hit_test(local_x, local_y)
-            if found is not None:
-                return found
-        return self
-
-    def to_local(self, x: float, y: float) -> tuple[float, float]:
-        """Convert master-view coordinates to this view's local coordinates."""
-        return x - self.frame.x, y - self.frame.y
-
-    def accepts(self, gesture_name: str) -> bool:
-        """Whether this view accepts the named gesture."""
-        return gesture_name in self.allowed_gestures
 
     # ------------------------------------------------------------------ #
     # resizing and rotation (zoom-in/out and rotate gestures act here)

@@ -66,37 +66,6 @@ class DataObjectShape:
             scale += f" x {self.num_attributes} attrs"
         return f"{self.name} ({scale})"
 
-    def zoomed(self, factor: float) -> "DataObjectShape":
-        """Return a copy scaled by ``factor`` with the zoom level adjusted."""
-        if factor <= 0:
-            raise VisualizationError("zoom factor must be positive")
-        step = 1 if factor > 1 else -1
-        return DataObjectShape(
-            name=self.name,
-            kind=self.kind,
-            width_cm=self.width_cm * factor,
-            height_cm=self.height_cm * factor,
-            color=self.color,
-            num_tuples=self.num_tuples,
-            num_attributes=self.num_attributes,
-            orientation=self.orientation,
-            zoom_level=self.zoom_level + step,
-        )
-
-    def rotated(self) -> "DataObjectShape":
-        """Return a copy with width/height swapped and orientation flipped."""
-        return DataObjectShape(
-            name=self.name,
-            kind=self.kind,
-            width_cm=self.height_cm,
-            height_cm=self.width_cm,
-            color=self.color,
-            num_tuples=self.num_tuples,
-            num_attributes=self.num_attributes,
-            orientation="horizontal" if self.orientation == "vertical" else "vertical",
-            zoom_level=self.zoom_level,
-        )
-
 
 def shape_from_view(view: View, color: str) -> DataObjectShape:
     """Build a shape mirroring the current geometry of a kernel view."""

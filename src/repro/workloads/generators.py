@@ -79,10 +79,6 @@ class PlantedPattern:
     end_fraction: float
     magnitude: float
 
-    def covers(self, fraction: float) -> bool:
-        """Whether a position (fraction of the column) lies inside the pattern."""
-        return self.start_fraction <= fraction <= self.end_fraction
-
 
 @dataclass
 class GeneratedDataset:

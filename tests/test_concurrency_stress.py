@@ -365,7 +365,7 @@ class TestResultBackpressure:
             # retention is enforced at emission time, so the backlog never
             # exceeds the bound even mid-command
             streams = service.kernel.iter_result_streams()
-            assert sum(stream.backlog for _, stream in streams) <= 25
+            assert sum(len(stream) for _, stream in streams) <= 25
             assert service.result_drops() > 0
             assert server.aggregate_metrics()["results_dropped"] == float(
                 service.result_drops()

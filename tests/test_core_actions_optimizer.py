@@ -61,37 +61,22 @@ class TestAdaptiveOptimizer:
     def test_budget_violations_shrink_summary_window(self):
         optimizer = AdaptiveOptimizer(latency_budget_s=0.01, base_summary_k=8)
         for _ in range(4):
-            optimizer.observe_touch(stride=1, latency_s=0.05)
+            optimizer.observe_touch(latency_s=0.05)
         assert optimizer.current_summary_k < 8
         assert optimizer.budget_violations == 4
 
     def test_window_recovers_with_slack(self):
         optimizer = AdaptiveOptimizer(latency_budget_s=0.01, base_summary_k=8)
-        optimizer.observe_touch(stride=1, latency_s=0.05)
+        optimizer.observe_touch(latency_s=0.05)
         shrunk = optimizer.current_summary_k
         for _ in range(8):
-            optimizer.observe_touch(stride=1, latency_s=0.001)
+            optimizer.observe_touch(latency_s=0.001)
         assert optimizer.current_summary_k > shrunk
         assert optimizer.current_summary_k <= 8
 
-    def test_decision_uses_median_stride(self):
-        optimizer = AdaptiveOptimizer()
-        for stride in (10, 10, 10, 500):
-            optimizer.observe_touch(stride=stride, latency_s=0.001)
-        assert optimizer.decide().sample_stride == 10
-
-    def test_prefetch_horizon_depends_on_steadiness(self):
-        steady = AdaptiveOptimizer()
-        for _ in range(8):
-            steady.observe_touch(stride=10, latency_s=0.001)
-        erratic = AdaptiveOptimizer()
-        for stride in (1, 500, 3, 900, 2, 700, 5, 1000):
-            erratic.observe_touch(stride=stride, latency_s=0.001)
-        assert steady.decide().prefetch_horizon_touches > erratic.decide().prefetch_horizon_touches
-
     def test_reset(self):
         optimizer = AdaptiveOptimizer(latency_budget_s=0.01)
-        optimizer.observe_touch(stride=1, latency_s=0.1)
+        optimizer.observe_touch(latency_s=0.1)
         optimizer.reset()
         assert optimizer.budget_violations == 0
         assert optimizer.current_summary_k == optimizer.base_summary_k
@@ -103,4 +88,4 @@ class TestAdaptiveOptimizer:
             AdaptiveOptimizer(base_summary_k=-1)
         optimizer = AdaptiveOptimizer()
         with pytest.raises(OptimizationError):
-            optimizer.observe_touch(stride=1, latency_s=-0.1)
+            optimizer.observe_touch(latency_s=-0.1)

@@ -38,8 +38,9 @@ class TestTouchCache:
     def test_contains_does_not_affect_stats(self):
         cache = TouchCache()
         cache.put("a", 0, 1)
-        assert cache.contains("a", 0)
-        assert not cache.contains("a", 10_000)
+        probe = cache.presence_probe("a")
+        assert probe(0)
+        assert not probe(10_000)
         assert cache.stats.lookups == 0
 
     def test_lru_eviction(self):

@@ -13,7 +13,6 @@ class TestEmission:
         stream.emit(2.0, rowid=20, position_fraction=0.2, timestamp=0.5)
         assert len(stream) == 2
         assert stream.values == [1.0, 2.0]
-        assert stream.most_recent().value == 2.0
 
     def test_position_validation(self):
         stream = ResultStream()
@@ -25,9 +24,6 @@ class TestEmission:
         stream.emit(1.0, 0, 0.0, timestamp=1.0)
         with pytest.raises(VisualizationError):
             stream.emit(2.0, 0, 0.0, timestamp=0.5)
-
-    def test_most_recent_empty(self):
-        assert ResultStream().most_recent() is None
 
     def test_clear(self):
         stream = ResultStream()

@@ -82,20 +82,3 @@ class TestSummariesOverSamples:
         summarizer = InteractiveSummarizer(column, k=4, hierarchy=hierarchy)
         result = summarizer.summarize_at(500, stride_hint=1)
         assert result.served_from_level == 0
-
-
-class TestMultiTouchHelpers:
-    def test_summarize_many(self, column):
-        summarizer = InteractiveSummarizer(column, k=1)
-        results = summarizer.summarize_many([10, 20, 30])
-        assert [r.rowid for r in results] == [10, 20, 30]
-
-    def test_compare_areas_detects_difference(self):
-        values = np.concatenate([np.zeros(500), np.full(500, 100.0)])
-        summarizer = InteractiveSummarizer(Column("c", values), k=5)
-        diff = summarizer.compare_areas(800, 200)
-        assert diff == pytest.approx(100.0)
-
-    def test_compare_areas_equal_regions(self, column):
-        summarizer = InteractiveSummarizer(column, k=0)
-        assert summarizer.compare_areas(5, 5) == pytest.approx(0.0)

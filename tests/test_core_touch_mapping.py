@@ -105,24 +105,3 @@ class TestGranularity:
     def test_invalid_granularity(self):
         with pytest.raises(MappingError):
             TouchMapper(granularity=0)
-
-
-class TestPhysicalLimits:
-    def test_distinct_positions_bounded_by_finger(self, column_view):
-        mapper = TouchMapper()
-        positions = mapper.distinct_positions(column_view, finger_width_cm=0.1)
-        assert positions == 100
-
-    def test_distinct_positions_bounded_by_tuples(self):
-        tiny = make_column_view("v", "col", num_tuples=5, height_cm=10.0)
-        assert TouchMapper().distinct_positions(tiny, 0.1) == 5
-
-    def test_distinct_positions_invalid_finger(self, column_view):
-        with pytest.raises(MappingError):
-            TouchMapper().distinct_positions(column_view, 0.0)
-
-    def test_expected_stride(self, column_view):
-        mapper = TouchMapper()
-        stride = mapper.expected_stride(column_view, num_touches=100)
-        assert stride == 100_000
-        assert mapper.expected_stride(column_view, num_touches=0) == 10_000_000

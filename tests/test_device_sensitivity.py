@@ -1,18 +1,15 @@
 """Device-profile sensitivity: the physical limits that shape Figure 4.
 
 The number of data entries a gesture can expose is bounded by the device's
-touch sampling rate and by how many distinct positions a finger can address
-on an object of a given size.  These tests pin those relationships across
-the built-in device profiles, independently of the benchmarks.
+touch sampling rate.  These tests pin that relationship across the built-in
+device profiles, independently of the benchmarks.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.session import ExplorationSession
-from repro.core.touch_mapping import TouchMapper
 from repro.touchio.device import IPAD1, IPAD1_PROTOTYPE, MODERN_TABLET, PHONE
-from repro.touchio.views import make_column_view
 
 
 class TestSamplingRateScaling:
@@ -44,29 +41,3 @@ class TestSamplingRateScaling:
         outcome = session.slide(view, duration=1.0)
         assert outcome.entries_returned > 5
         assert outcome.max_touch_latency_s < 0.05
-
-
-class TestFingerWidthLimits:
-    def test_distinct_positions_scale_with_object_size(self):
-        mapper = TouchMapper()
-        small = make_column_view("s", "o", num_tuples=10**7, height_cm=2.0)
-        large = make_column_view("l", "o", num_tuples=10**7, height_cm=20.0)
-        positions_small = mapper.distinct_positions(small, IPAD1.finger_width_cm)
-        positions_large = mapper.distinct_positions(large, IPAD1.finger_width_cm)
-        assert positions_large == 10 * positions_small
-
-    def test_distinct_positions_scale_with_finger_width(self):
-        mapper = TouchMapper()
-        view = make_column_view("v", "o", num_tuples=10**7, height_cm=10.0)
-        coarse_finger = mapper.distinct_positions(view, 0.2)
-        fine_finger = mapper.distinct_positions(view, 0.05)
-        assert fine_finger == 4 * coarse_finger
-
-    def test_small_object_exposes_only_a_sample(self):
-        """A few-centimeter object physically cannot address every tuple of a
-        large column — the core motivation for zoom-in and sample storage."""
-        mapper = TouchMapper()
-        view = make_column_view("v", "o", num_tuples=10**7, height_cm=10.0)
-        for profile in (IPAD1, MODERN_TABLET, PHONE):
-            positions = mapper.distinct_positions(view, profile.finger_width_cm)
-            assert positions < 10**7 * 0.001

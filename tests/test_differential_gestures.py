@@ -205,10 +205,8 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
     catalog = StoreCatalog(store)
     catalog.persist_column(Column("data", data), chunk_rows=256)  # 118 chunks
     manager = IndexManager()
-    on = ExplorationSession(
-        profile=FAST_PROFILE,
-        config=KernelConfig(enable_indexing=True, index_manager=manager),
-    )
+    on = ExplorationSession(profile=FAST_PROFILE, config=KernelConfig(enable_indexing=True))
+    on.service.adopt_index_manager(manager)
     off = ExplorationSession(
         profile=FAST_PROFILE, config=KernelConfig(enable_indexing=False)
     )
@@ -279,7 +277,7 @@ def test_select_where_table_scripts_bit_identical(seed, with_cache):
         results.append(fingerprints)
     assert results[0] == results[1]
     # the slides left the where-attribute unindexed: gestures build nothing
-    assert not on.kernel.index_manager.has_cracker("orders", "amount")
+    assert on.kernel.index_manager.cracker_for("orders", "amount") is None
 
 
 @pytest.mark.parametrize("kind", ["int64", "float64-nan"])

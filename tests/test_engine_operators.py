@@ -13,7 +13,7 @@ class TestIncrementalGroupBy:
         op.on_touch(1, ("a", 4.0))
         result = op.on_touch(2, ("b", 10.0))
         assert result.key == "b" and result.value == 10.0
-        assert op.num_groups == 2
+        assert len(op.snapshot()) == 2
         assert op.group("a").value == pytest.approx(3.0)
         assert op.group("a").count == 2
 
@@ -39,4 +39,4 @@ class TestIncrementalGroupBy:
         op = IncrementalGroupBy()
         op.on_touch(0, ("a", 1.0))
         op.reset()
-        assert op.num_groups == 0
+        assert op.snapshot() == []

@@ -176,7 +176,7 @@ class TestManagerStrategies:
                 selection = manager.select_rowids("big", None, column, predicate)
                 assert selection is not None and selection.strategy == "index"
                 assert np.array_equal(selection.rowids, brute(data, predicate))
-        assert manager.has_cracker("big", None)
+        assert manager.cracker_for("big", None) is not None
 
     def test_empty_column_has_no_strategy(self, manager):
         column = Column("e", np.empty(0, dtype=np.int64))
@@ -196,7 +196,7 @@ class TestManagerStrategies:
         assert np.array_equal(selection.rowids, brute(data, predicate))
         # zonemap pruning still bounds the work: only overlapping chunks
         assert selection.rows_scanned <= 2 * 1024
-        assert manager.has_cracker("sorted", None)
+        assert manager.cracker_for("sorted", None) is not None
         # a scan of the kept chunks holds no index state at all
         assert manager.index_bytes == 0
         # repeat consultations scan the same chunks, no more
@@ -472,8 +472,9 @@ class TestManagerLifecycle:
             manager.select_rowids(f"c{i}", None, column, predicate)
         assert manager.stats.crackers_built == 3
         assert manager.stats.crackers_dropped == 1
-        assert not manager.has_cracker("c0", None)  # the LRU victim
-        assert manager.has_cracker("c1", None) and manager.has_cracker("c2", None)
+        assert manager.cracker_for("c0", None) is None  # the LRU victim
+        assert manager.cracker_for("c1", None) is not None
+        assert manager.cracker_for("c2", None) is not None
         # the dropped column still answers correctly (cracker rebuilt)
         selection = manager.select_rowids("c0", None, columns[0], predicate)
         assert np.array_equal(selection.rowids, np.arange(10))
@@ -588,7 +589,7 @@ class TestKernelSelectWhere:
         predicate = Predicate(Comparison.BETWEEN, 250, upper=260)
         session.choose_action(view, scan_action(predicate))
         session.slide(view, duration=0.4)
-        assert not session.kernel.index_manager.has_cracker("c", None)
+        assert session.kernel.index_manager.cracker_for("c", None) is None
         selection = session.select_where(view)
         assert selection.strategy == "index"
         assert selection.rows_scanned < len(random_data)
@@ -610,10 +611,10 @@ class TestKernelSelectWhere:
         view = session.show_column("c")
         predicate = Predicate(Comparison.BETWEEN, 0, upper=500)
         session.select_where(view, predicate)
-        assert session.kernel.index_manager.has_cracker("c", None)
+        assert session.kernel.index_manager.cracker_for("c", None) is not None
         reloaded = (random_data + 7_000).astype(np.int64)
         session.load_column("c", reloaded, replace=True)
-        assert not session.kernel.index_manager.has_cracker("c", None)
+        assert session.kernel.index_manager.cracker_for("c", None) is None
         selection = session.select_where(view, predicate)
         assert np.array_equal(selection.rowids, brute(reloaded, predicate))
 
@@ -663,9 +664,9 @@ class TestPredicateEdgeCases:
         data[100] = 50.0
         zonemap = ZoneMap(Column("z", data), block_rows=64)
         predicate = Predicate(Comparison.EQ, 50.0)
-        candidates = zonemap.candidate_rowid_ranges(predicate)
+        candidates = [(zone.start, zone.stop) for zone in zonemap.candidate_zones(predicate)]
         assert (64, 128) in candidates
-        assert zonemap.count_matches(predicate) == 1
+        assert sum(int(predicate.mask(data[a:b]).sum()) for a, b in candidates) == 1
 
     def test_empty_range_returns_nothing_everywhere(self, tmp_path):
         data = np.arange(1_000, dtype=np.int64)
@@ -719,10 +720,10 @@ class TestSharedIndexServing:
             server.execute(sid, ShowColumn(object_name="data", view_name="v"))
         server.execute(first, ChooseAction(view="v", action=scan_action(predicate)))
         server.execute(first, Slide(view="v", duration=0.4))
-        assert not server.index_manager.has_cracker("data", None)  # gestures build nothing
+        assert server.index_manager.cracker_for("data", None) is None  # gestures build nothing
         # session 1's selection builds the shared index; session 2 reads it
         server.service(first).select_where("v", predicate)
-        assert server.index_manager.has_cracker("data", None)
+        assert server.index_manager.cracker_for("data", None) is not None
         selection = server.service(second).select_where("v", predicate)
         assert selection.strategy == "index"
         assert selection.rows_scanned < len(data)
@@ -773,7 +774,7 @@ class TestSharedIndexServing:
                 future.result(timeout=30.0)
             server.drain(timeout=30.0)
             manager = server.index_manager
-            assert not manager.has_cracker("data", None)  # gestures build nothing
+            assert manager.cracker_for("data", None) is None  # gestures build nothing
             for i in range(4):
                 predicate = Predicate(Comparison.BETWEEN, i * 100, upper=i * 100 + 80)
                 selection = manager.select_rowids(

@@ -7,9 +7,7 @@ fails on the pre-fix code:
 * the never-populated join hash-table cache,
 * ``TouchCache.invalidate`` matching nothing against composite kernel keys
   (and never being called),
-* interactive-summary cache entries surviving adaptive ``k`` changes,
-* ``SampleHierarchy.materialize_level_for`` breaking the level-numbering
-  invariant.
+* interactive-summary cache entries surviving adaptive ``k`` changes.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from repro.core.caching import TouchCache
 from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
-from repro.storage.column import Column
-from repro.storage.sample import SampleHierarchy
 from repro.storage.table import Table
 from repro.touchio.device import DeviceProfile
 
@@ -318,7 +314,7 @@ class TestSummaryCacheTracksEffectiveK:
         optimizer = session.kernel.optimizer
         optimizer.latency_budget_s = 1e-9
         while optimizer.current_summary_k > 1:
-            optimizer.observe_touch(1, optimizer.latency_budget_s * 10)
+            optimizer.observe_touch(optimizer.latency_budget_s * 10)
         k_eff = session.kernel._effective_summary_k(session.kernel.state_of(view.name))
         assert k_eff < 10
 
@@ -329,33 +325,3 @@ class TestSummaryCacheTracksEffectiveK:
         assert second.cache_hits == 0
         assert second.entries_returned > 0
         assert second.tuples_examined == (2 * k_eff + 1) * second.entries_returned
-
-
-class TestMaterializeLevelInvariant:
-    """materialize_level_for must keep level(i).level == i."""
-
-    def test_mid_stride_level_is_renumbered(self):
-        column = Column("c", np.arange(4096, dtype=np.int64))
-        hierarchy = SampleHierarchy(column, factor=4, min_rows=64)
-        steps_before = [lvl.step for lvl in hierarchy.levels]
-        assert steps_before == sorted(steps_before)
-        new_level = hierarchy.materialize_level_for(8)  # between steps 4 and 16
-        assert new_level.step == 8
-        steps_after = [lvl.step for lvl in hierarchy.levels]
-        assert steps_after == sorted(steps_after)
-        for index in range(hierarchy.num_levels):
-            assert hierarchy.level(index).level == index
-        # lookups through the hierarchy resolve to the new level
-        value, served = hierarchy.read_at(100, stride_hint=8)
-        assert served.step == 8
-        assert hierarchy.level(served.level) is served
-
-    def test_rematerializing_existing_stride_is_stable(self):
-        column = Column("c", np.arange(4096, dtype=np.int64))
-        hierarchy = SampleHierarchy(column, factor=4, min_rows=64)
-        before = hierarchy.num_levels
-        again = hierarchy.materialize_level_for(4)
-        assert hierarchy.num_levels == before
-        assert again.step == 4
-        for index in range(hierarchy.num_levels):
-            assert hierarchy.level(index).level == index

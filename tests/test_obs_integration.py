@@ -227,7 +227,7 @@ class TestServerTelemetry:
                     ]
                 ),
             )
-            storage = server.storage_stats()
+            storage = server.telemetry.collect("storage")
             assert storage is not None
             assert storage["rows_gathered"] > 0
             assert storage["chunk_misses"] > 0
@@ -245,7 +245,7 @@ class TestServerTelemetry:
     def test_storage_stats_none_without_stores(self):
         server = MultiSessionServer()
         try:
-            assert server.storage_stats() is None
+            assert server.telemetry.collect("storage") is None
             assert "storage_chunk_misses" not in server.telemetry_snapshot()
         finally:
             server.shutdown()
@@ -281,7 +281,7 @@ class TestServerTelemetry:
             server.submit(
                 sid, ShowColumn(object_name="data", view_name="v")
             ).result(timeout=30.0)
-            assert len(server.flight_recorder.peek()) == 1
+            assert len(server.flight_recorder) == 1
             slow = server.drain_slow_traces()
             assert len(slow) == 1  # threshold 0: everything is "slow"
             assert server.drain_slow_traces() == []

@@ -23,7 +23,6 @@ from repro.indexing.sorted_index import SortedIndex
 from repro.persist.diskstore import ChunkCache, DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.storage.column import Column
-from repro.storage.loader import AdaptiveLoader
 from repro.storage.table import Table
 
 
@@ -115,6 +114,14 @@ class TestWriteOpenRoundTrip:
         with pytest.raises(PersistError, match="losslessly"):
             store.write_chunks("s", string_type(2), 4, chunks, chunk_rows=2)
 
+    def test_lossy_dtype_drift_rejected(self, store):
+        from repro.storage.dtypes import INT64
+
+        chunks = iter([np.arange(512, dtype=np.int64), np.linspace(0.0, 1.0, 512)])
+        with pytest.raises(PersistError, match="losslessly"):
+            store.write_chunks("drift", INT64, 1024, chunks, chunk_rows=512)
+        assert not store.has_column("drift")
+
     def test_replace_reload_isolates_stale_readers(self, store):
         store.write_column(make_column(1000), chunk_rows=256)
         stale = store.open_column("m")
@@ -173,7 +180,7 @@ class TestChunkCache:
         paged = store.open_column("m")
         for chunk in range(5):
             paged.value_at(chunk * 1024)
-        assert store.cache.current_bytes <= 3 * 1024 * 8
+        assert store.cache.stats_snapshot()["bytes_cached"] <= 3 * 1024 * 8
         assert store.cache.stats.evictions >= 2
         assert paged.chunks_touched == 5
 
@@ -432,55 +439,6 @@ class TestConcurrentSharedCache:
         # two workers materialize the same chunk and both put it
         store.cache.put("m", 0, chunk)
         store.cache.put("m", 0, chunk.copy())
-        assert store.cache.current_bytes == 512 * 8  # the replaced copy left
+        assert store.cache.stats_snapshot()["bytes_cached"] == 512 * 8  # the replaced copy left
         assert len(store.cache) == 1
         assert store.cache.stats.evictions == 0  # a swap is not an eviction
-
-
-class TestAdaptiveLoaderPersistence:
-    @staticmethod
-    def _generator(start, stop):
-        return np.arange(start, stop, dtype=np.int64)
-
-    def test_persist_to_streams_chunks(self, store):
-        loader = AdaptiveLoader("lazy", 5000, self._generator, chunk_rows=512)
-        paged = loader.persist_to(store)
-        assert store.has_column("lazy")
-        assert paged.chunk_rows == 512
-        assert np.array_equal(paged.values[:], np.arange(5000))
-        # streaming: persisting must not leave the column resident in the
-        # loader — that is the whole point of a larger-than-RAM ingest
-        assert loader.fraction_loaded == 0.0
-
-    def test_persist_to_reuses_already_loaded_chunks(self, store):
-        loader = AdaptiveLoader("lazy", 2000, self._generator, chunk_rows=512)
-        loader.value_at(600)  # chunk 1 becomes resident
-        assert loader.chunks_loaded == 1
-        loader.persist_to(store)
-        assert loader.chunks_loaded == 1  # nothing new retained
-        assert np.array_equal(store.open_column("lazy").values[:], np.arange(2000))
-
-    def test_persist_to_rejects_lossy_dtype_drift(self, store):
-        def drifting(start, stop):
-            if start == 0:
-                return np.arange(start, stop, dtype=np.int64)
-            return np.linspace(0.0, 1.0, stop - start)
-
-        loader = AdaptiveLoader("drift", 1024, drifting, chunk_rows=512)
-        with pytest.raises(PersistError, match="losslessly"):
-            loader.persist_to(store)
-        assert not store.has_column("drift")
-
-    def test_load_from_faults_chunks_through_store(self, store):
-        AdaptiveLoader("lazy", 5000, self._generator, chunk_rows=512).persist_to(store)
-        loader = AdaptiveLoader.load_from(store, "lazy")
-        assert loader.num_rows == 5000
-        assert loader.chunks_loaded == 0
-        assert loader.value_at(4321) == 4321
-        assert loader.chunks_loaded == 1
-        assert store.open_column("lazy").chunks_touched == 1
-
-    def test_empty_loader_cannot_persist(self, store):
-        loader = AdaptiveLoader("lazy", 0, self._generator)
-        with pytest.raises(StorageError):
-            loader.persist_to(store)

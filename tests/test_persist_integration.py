@@ -140,7 +140,7 @@ class TestOutOfCoreParity:
         _, catalog = run_paged(snapshot_root)
         cache = catalog.store.cache
         # one oversized chunk may be admitted alone; otherwise the budget holds
-        assert cache.current_bytes <= max(CACHE_BYTES, CHUNK_ROWS * 8)
+        assert cache.stats_snapshot()["bytes_cached"] <= max(CACHE_BYTES, CHUNK_ROWS * 8)
 
     def test_session_facade_accepts_paged_columns(self, snapshot_root):
         from repro import ExplorationSession
@@ -174,9 +174,6 @@ class TestSharedStoreServing:
         h_b = server.service(second).catalog.hierarchy_for("meas")
         assert h_a is not h_b  # private level lists...
         assert h_a.level(1).column is h_b.level(1).column  # ...shared levels
-        h_a.materialize_level_for(100)
-        assert 100 in [lvl.step for lvl in h_a.levels]
-        assert 100 not in [lvl.step for lvl in h_b.levels]
 
     def test_shared_store_counters_match_private_loads(self, snapshot_root):
         script = exploration_script()

@@ -164,7 +164,7 @@ class TestSharedRemoteServerHosting:
         # a second session offering the same name reuses the hosted data
         again = server.ensure_hosted(Column("shared", np.arange(1_000) * 2))
         assert again is first
-        assert server.hosted_columns == ["shared"]
+        assert server.hosts("shared")
 
     def test_host_column_replace_swaps_data_and_hierarchy(self):
         server = RemoteServer()
@@ -194,7 +194,7 @@ class TestSharedRemoteServerHosting:
         for thread in threads:
             thread.join()
         assert not errors
-        assert len(server.hosted_columns) == 4
+        assert all(server.hosts(f"col-{index}") for index in range(4))
         assert server.requests_served == 8 * 50
 
 

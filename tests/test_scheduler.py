@@ -435,7 +435,7 @@ class TestResultStreamRetention:
         stream = ResultStream()
         for i in range(100):
             stream.emit(i, i, 0.5, float(i))
-        assert stream.backlog == 100
+        assert len(stream) == 100
         assert stream.total_emitted == 100
         assert stream.total_dropped == 0
 
@@ -443,12 +443,12 @@ class TestResultStreamRetention:
         stream = ResultStream(max_retained=10)
         for i in range(25):
             stream.emit(i, i, 0.5, float(i))
-        assert stream.backlog == 10
+        assert len(stream) == 10
         assert stream.total_emitted == 25
         assert stream.total_dropped == 15
-        assert [r.value for r in stream.all_results] == list(range(15, 25))
+        assert stream.values == list(range(15, 25))
         # the newest value is untouched by retention
-        assert stream.most_recent().value == 24
+        assert stream.values[-1] == 24
 
     def test_emit_batch_respects_retention(self):
         stream = ResultStream(max_retained=5)
@@ -458,16 +458,16 @@ class TestResultStreamRetention:
             [0.5] * 12,
             [float(i) for i in range(12)],
         )
-        assert stream.backlog == 5
+        assert len(stream) == 5
         assert stream.total_dropped == 7
-        assert [r.value for r in stream.all_results] == list(range(7, 12))
+        assert stream.values == list(range(7, 12))
 
     def test_manual_trim(self):
         stream = ResultStream()
         for i in range(20):
             stream.emit(i, i, 0.5, float(i))
         assert stream.trim(8) == 12
-        assert stream.backlog == 8
+        assert len(stream) == 8
         assert stream.trim(8) == 0
         with pytest.raises(VisualizationError):
             stream.trim(0)
@@ -482,7 +482,7 @@ class TestResultStreamRetention:
         for i in range(5):
             stream.emit(i, i, 0.5, float(i))
         stream.clear()
-        assert stream.backlog == 0
+        assert len(stream) == 0
         assert stream.total_emitted == 0
         assert stream.total_dropped == 0
 

@@ -123,7 +123,7 @@ class TestDistributedTracing:
             assert len(runs) == 1
             trace = runs[0]
             # every command's gesture span hangs off the one script root
-            kinds = [span.name for span in trace.children_of(trace.root.span_id)]
+            kinds = [child["span"].name for child in trace.tree()[0]["children"]]
             assert kinds.count("slide") == 2 and "show-column" in kinds
 
     def test_streamed_script_is_one_trace(self, server):

@@ -39,19 +39,6 @@ class TestRegistration:
         with pytest.raises(CatalogError):
             catalog.register_table(Table.from_arrays("small", {"x": [1]}))
 
-    def test_unregister_table(self, catalog):
-        catalog.unregister("events")
-        assert "events" not in catalog
-
-    def test_unregister_column(self, catalog):
-        catalog.unregister("small")
-        assert "small" not in catalog
-
-    def test_unregister_unknown(self, catalog):
-        with pytest.raises(CatalogError):
-            catalog.unregister("ghost")
-
-
 class TestLookups:
     def test_contains_and_iter(self, catalog):
         assert "events" in catalog
@@ -113,14 +100,3 @@ class TestHierarchies:
     def test_hierarchy_for_table_column(self, catalog):
         h = catalog.hierarchy_for("events", "value")
         assert h.base.name == "value"
-
-    def test_drop_hierarchies(self, catalog):
-        h1 = catalog.hierarchy_for("small")
-        catalog.drop_hierarchies()
-        h2 = catalog.hierarchy_for("small")
-        assert h1 is not h2
-
-    def test_unregister_drops_table_hierarchies(self, catalog):
-        catalog.hierarchy_for("events", "value")
-        catalog.unregister("events")
-        assert "events" not in catalog

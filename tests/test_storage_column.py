@@ -71,9 +71,6 @@ class TestAccess:
     def test_gather_empty(self, small_column):
         assert len(small_column.gather([])) == 0
 
-    def test_head(self, small_column):
-        assert list(small_column.head(3)) == [0, 1, 2]
-
     def test_iteration(self):
         assert list(Column("c", [3, 1, 2])) == [3, 1, 2]
 

@@ -94,7 +94,7 @@ class TestReadsDuringConversion:
     def test_converted_rows_read_from_target(self, table):
         rot = IncrementalRotation(table, LayoutKind.ROW_STORE, step_rows=1000)
         rot.convert_step()
-        value = rot.read_cell(10, "b")
+        value = rot.read_tuple(10)["b"]
         assert value == 30
         assert rot.progress.reads_from_target == 1
         assert rot.progress.reads_from_source == 0
@@ -102,7 +102,7 @@ class TestReadsDuringConversion:
     def test_unconverted_rows_read_from_source(self, table):
         rot = IncrementalRotation(table, LayoutKind.ROW_STORE, step_rows=1000)
         rot.convert_step()
-        value = rot.read_cell(5000, "b")
+        value = rot.read_tuple(5000)["b"]
         assert value == 15000
         assert rot.progress.reads_from_source == 1
 
@@ -113,21 +113,3 @@ class TestReadsDuringConversion:
         assert rot.read_tuple(5000)["a"] == 5000
         assert rot.progress.reads_from_target == 1
         assert rot.progress.reads_from_source == 1
-
-    def test_ensure_converted_pulls_region(self, table):
-        rot = IncrementalRotation(table, LayoutKind.ROW_STORE, step_rows=1000)
-        rot.ensure_converted(5500)
-        rot.read_cell(5500, "a")
-        assert rot.progress.reads_from_target == 1
-
-    def test_ensure_converted_ignores_out_of_range(self, table):
-        rot = IncrementalRotation(table, LayoutKind.ROW_STORE)
-        rot.ensure_converted(10 * len(table))
-        assert rot.progress.cells_copied == 0
-
-    def test_ensure_converted_idempotent(self, table):
-        rot = IncrementalRotation(table, LayoutKind.ROW_STORE, step_rows=1000)
-        rot.ensure_converted(100)
-        copied = rot.progress.cells_copied
-        rot.ensure_converted(100)
-        assert rot.progress.cells_copied == copied

@@ -1,11 +1,9 @@
-"""Unit tests for data loading (eager, CSV and adaptive)."""
+"""Unit tests for data loading (CSV and generated columns)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import LoaderError, StorageError
 from repro.storage.loader import (
-    AdaptiveLoader,
     generate_integer_column,
     load_table_from_csv_file,
     load_table_from_csv_text,
@@ -68,52 +66,6 @@ class TestCsvLoading:
 
     def test_loader_error_is_a_storage_error(self):
         assert issubclass(LoaderError, StorageError)
-
-
-class TestAdaptiveLoader:
-    @staticmethod
-    def _generator(start: int, stop: int) -> np.ndarray:
-        return np.arange(start, stop, dtype=np.int64)
-
-    def test_nothing_loaded_up_front(self):
-        loader = AdaptiveLoader("lazy", 1000, self._generator, chunk_rows=100)
-        assert loader.chunks_loaded == 0
-        assert loader.fraction_loaded == 0.0
-
-    def test_first_access_loads_one_chunk(self):
-        loader = AdaptiveLoader("lazy", 1000, self._generator, chunk_rows=100)
-        assert loader.value_at(250) == 250
-        assert loader.chunks_loaded == 1
-        assert loader.fraction_loaded == pytest.approx(0.1)
-
-    def test_same_chunk_not_reloaded(self):
-        loader = AdaptiveLoader("lazy", 1000, self._generator, chunk_rows=100)
-        loader.value_at(5)
-        loader.value_at(7)
-        assert loader.chunks_loaded == 1
-
-    def test_out_of_range(self):
-        loader = AdaptiveLoader("lazy", 1000, self._generator)
-        with pytest.raises(StorageError):
-            loader.value_at(1000)
-
-    def test_materialize(self):
-        loader = AdaptiveLoader("lazy", 250, self._generator, chunk_rows=100)
-        column = loader.materialize()
-        assert len(column) == 250
-        assert column.value_at(249) == 249
-        assert loader.fraction_loaded == 1.0
-
-    def test_bad_generator_length_detected(self):
-        loader = AdaptiveLoader("bad", 100, lambda start, stop: np.arange(3), chunk_rows=50)
-        with pytest.raises(StorageError):
-            loader.value_at(0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(StorageError):
-            AdaptiveLoader("bad", -1, self._generator)
-        with pytest.raises(StorageError):
-            AdaptiveLoader("bad", 10, self._generator, chunk_rows=0)
 
 
 class TestGeneratedColumn:

@@ -124,25 +124,3 @@ class TestReads:
         coarse, lvl = h.read_window(5000, half_window=8, stride_hint=256)
         assert lvl.step > 1
         assert len(coarse) <= len(fine)
-
-
-class TestMaterializeLevel:
-    def test_creates_exact_stride(self, column):
-        h = SampleHierarchy(column, factor=4)
-        before = h.num_levels
-        lvl = h.materialize_level_for(10)
-        assert lvl.step == 10
-        assert h.num_levels == before + 1
-
-    def test_existing_stride_reused(self, column):
-        h = SampleHierarchy(column, factor=4)
-        before = h.num_levels
-        lvl = h.materialize_level_for(4)
-        assert lvl.step == 4
-        assert h.num_levels == before
-
-    def test_levels_stay_sorted(self, column):
-        h = SampleHierarchy(column, factor=4)
-        h.materialize_level_for(10)
-        steps = [lvl.step for lvl in h.levels]
-        assert steps == sorted(steps)

@@ -28,10 +28,6 @@ class TestSchema:
         assert "a" in schema
         assert "b" not in schema
 
-    def test_row_width(self):
-        schema = Schema([ColumnSpec("a", INT64), ColumnSpec("b", FLOAT64)])
-        assert schema.row_width_bytes == 16
-
     def test_equality(self):
         s1 = Schema([ColumnSpec("a", INT64)])
         s2 = Schema([ColumnSpec("a", INT64)])
@@ -102,27 +98,6 @@ class TestTableAccess:
         assert list(out["id"]) == [1, 3]
         assert list(out["value"]) == [2, 6]
 
-    def test_head(self, small_table):
-        rows = small_table.head(2)
-        assert len(rows) == 2
-        assert rows[0]["id"] == 0
-
     def test_contains(self, small_table):
         assert "id" in small_table
         assert "nope" not in small_table
-
-
-class TestSchemaGestures:
-    def test_drop(self, small_table):
-        smaller = small_table.drop("category")
-        assert "category" not in smaller
-        assert smaller.num_columns == 3
-
-    def test_drop_unknown(self, small_table):
-        with pytest.raises(SchemaError):
-            small_table.drop("missing")
-
-    def test_drop_last_column_rejected(self):
-        single = Table("one", [Column("only", [1, 2])])
-        with pytest.raises(SchemaError):
-            single.drop("only")

@@ -29,10 +29,6 @@ class TestDeviceProfile:
         assert IPAD1.max_touches_for_duration(0.0) == 1
         assert IPAD1.max_touches_for_duration(-1.0) == 1
 
-    def test_max_distinct_positions(self):
-        assert IPAD1.max_distinct_positions(10.0) == int(10.0 / IPAD1.finger_width_cm)
-        assert IPAD1.max_distinct_positions(0.0) == 1
-
     def test_builtin_profiles_are_distinct(self):
         names = {p.name for p in (IPAD1, IPAD1_PROTOTYPE, MODERN_TABLET, PHONE)}
         assert len(names) == 4
@@ -62,20 +58,11 @@ class TestTouchDevice:
         with pytest.raises(TouchError):
             device.add_view(too_wide)
 
-    def test_hit_test_finds_view(self):
-        device = TouchDevice(IPAD1)
-        view = make_column_view("col", "obj", num_tuples=10, height_cm=10, width_cm=2, x=3, y=2)
-        device.add_view(view)
-        assert device.hit_test(4.0, 5.0) is view
-        assert device.hit_test(15.0, 14.0) is device.root
-
     def test_clock(self):
         device = TouchDevice(IPAD1)
         assert device.now == 0.0
         device.advance_clock(1.5)
         assert device.now == 1.5
-        device.reset_clock()
-        assert device.now == 0.0
 
     def test_clock_cannot_go_backwards(self):
         device = TouchDevice(IPAD1)

@@ -30,10 +30,6 @@ class TestTouchEvent:
         assert event.primary.x == 1
         assert event.num_fingers == 2
 
-    def test_centroid(self):
-        event = TouchEvent(0.0, TouchPhase.MOVED, (TouchPoint(0, 0), TouchPoint(2, 4)))
-        assert event.centroid == (1.0, 2.0)
-
     def test_spread_single_finger_is_zero(self):
         event = TouchEvent(0.0, TouchPhase.MOVED, (TouchPoint(1, 1),))
         assert event.spread == 0.0

@@ -33,7 +33,7 @@ class TestSingleFinger:
     def test_slide_recognized(self, recognizer, synth, view):
         gesture = recognizer.recognize(synth.slide(view, duration=1.0))
         assert gesture.gesture_type is GestureType.SLIDE
-        assert gesture.num_touches > 10
+        assert len(gesture.events) > 10
         assert gesture.duration == pytest.approx(1.0, rel=0.1)
 
     def test_slide_translation_sign(self, recognizer, synth, view):
@@ -91,12 +91,6 @@ class TestStreamHandling:
     def test_empty_stream_rejected(self, recognizer):
         with pytest.raises(GestureError):
             recognizer.recognize(TouchStream("v"))
-
-    def test_recognize_all(self, recognizer, synth, view):
-        gestures = recognizer.recognize_all(
-            [synth.tap(view), synth.slide(view, duration=0.5)]
-        )
-        assert [g.gesture_type for g in gestures] == [GestureType.TAP, GestureType.SLIDE]
 
     def test_view_name_propagated(self, recognizer, synth, view):
         gesture = recognizer.recognize(synth.tap(view))

@@ -31,20 +31,6 @@ class TestShapes:
         shape = DataObjectShape("sales", "table", 8.0, 10.0, "blue", 1_000_000, 5)
         assert "sales" in shape.label and "1,000,000" in shape.label and "5 attrs" in shape.label
 
-    def test_zoomed(self):
-        shape = DataObjectShape("c", "column", 2.0, 10.0, "blue", 100)
-        zoomed = shape.zoomed(2.0)
-        assert zoomed.height_cm == 20.0 and zoomed.zoom_level == 1
-        shrunk = zoomed.zoomed(0.5)
-        assert shrunk.zoom_level == 0
-        with pytest.raises(VisualizationError):
-            shape.zoomed(0.0)
-
-    def test_rotated(self):
-        shape = DataObjectShape("c", "column", 2.0, 10.0, "blue", 100)
-        rotated = shape.rotated()
-        assert rotated.width_cm == 10.0 and rotated.orientation == "horizontal"
-
     def test_shape_from_view(self):
         view = make_column_view("v", "obj", num_tuples=50, height_cm=12.0)
         shape = shape_from_view(view, "red")

@@ -60,11 +60,6 @@ class TestPatternColumns:
         with pytest.raises(WorkloadError):
             make_pattern_column("c", 10, [], base_scale=0.0)
 
-    def test_pattern_covers(self):
-        _, patterns = make_pattern_column("c", 1000, [PatternKind.LEVEL_SHIFT])
-        assert patterns[0].covers(0.9)
-        assert not patterns[0].covers(0.1)
-
 
 class TestContestDataset:
     def test_columns_and_patterns(self):
