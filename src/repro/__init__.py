@@ -73,8 +73,7 @@ Subpackages
     Trace mining: the append-only :class:`~repro.TraceCorpus` of recorded
     gesture sessions, the offline order-k Markov
     :class:`~repro.GestureTransitionModel` miner with JSON checkpoints,
-    and the :class:`~repro.SpeculativePolicy` that drives speculative
-    background warm-ups from mined predictions.
+    and its held-out scoring against the persistence baseline.
 ``repro.obs``
     The telemetry plane: per-gesture distributed tracing
     (:class:`~repro.Tracer`), the central
@@ -128,8 +127,6 @@ from repro.errors import (
 from repro.indexing import IndexManager, RangeSelection
 from repro.mining import (
     GestureTransitionModel,
-    SpeculationPlan,
-    SpeculativePolicy,
     TraceCorpus,
     heldout_hit_rate,
     mine_corpus,
@@ -224,8 +221,6 @@ __all__ = [
     "Slide",
     "SlidePath",
     "SnapshotError",
-    "SpeculationPlan",
-    "SpeculativePolicy",
     "StoreCatalog",
     "Table",
     "Tap",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -97,10 +96,9 @@ class KernelConfig:
         column's value-sorted index — built by the first of them — instead
         of scanning the whole column.  Gestures never touch it, so
         ``GestureOutcome`` counters are bit-identical with indexing on or
-        off.  On by default.  A shared manager or a mined speculation
-        policy is installed after construction, through the service's
-        ``adopt_index_manager`` / ``adopt_speculation`` (serving
-        deployments: ``MultiSessionServer(shared_index=, speculation=)``).
+        off.  On by default.  A shared manager is installed after
+        construction, through the service's ``adopt_index_manager``
+        (serving deployments: ``MultiSessionServer(shared_index=)``).
     """
 
     latency_budget_s: float = 0.05
@@ -239,7 +237,6 @@ class DbTouchKernel:
         self.index_manager: IndexManager | None = (
             IndexManager() if self.config.enable_indexing else None
         )
-        self.speculation: Any | None = None
         #: Retention bound handed to every view's result stream: the oldest
         #: (long-faded) displayed values are dropped beyond it.  ``None``
         #: retains the full history; the owning service sets it so
@@ -294,7 +291,7 @@ class DbTouchKernel:
             column_name=column_name,
             hierarchy=hierarchy,
             results=self._make_result_stream(),
-            prefetcher=self._make_prefetcher(object_name),
+            prefetcher=self._make_prefetcher(),
         )
         return view
 
@@ -330,29 +327,13 @@ class DbTouchKernel:
             column=None,
             table=table,
             results=self._make_result_stream(),
-            prefetcher=self._make_prefetcher(table_name),
+            prefetcher=self._make_prefetcher(),
         )
         return view
 
-    def _make_prefetcher(self, object_name: str) -> GesturePrefetcher | None:
-        """One prefetcher per shown object, policy-bound when speculating."""
-        if not self.config.enable_prefetch:
-            return None
-        prefetcher = GesturePrefetcher()
-        if self.speculation is not None:
-            prefetcher.bind_policy(self.speculation, object_name)
-        return prefetcher
-
-    def adopt_speculation(self, policy: Any) -> None:
-        """Install a mined speculation policy (the serving adoption hook).
-
-        Already-shown objects get their prefetchers bound too, so a
-        policy adopted mid-session starts observing immediately.
-        """
-        self.speculation = policy
-        for state in self._states.values():
-            if state.prefetcher is not None:
-                state.prefetcher.bind_policy(policy, state.object_name)
+    def _make_prefetcher(self) -> GesturePrefetcher | None:
+        """One prefetcher per shown object."""
+        return GesturePrefetcher() if self.config.enable_prefetch else None
 
     def _make_result_stream(self) -> ResultStream:
         return ResultStream(

@@ -72,31 +72,6 @@ class GesturePrefetcher:
         self.max_prefetch = max_prefetch
         self._observations: deque[tuple[float, int]] = deque(maxlen=history)
         self.prefetches_issued = 0
-        self._policy = None
-        self._policy_object: str | None = None
-
-    # ------------------------------------------------------------------ #
-    # mined-policy binding
-    # ------------------------------------------------------------------ #
-    def bind_policy(self, policy, object_name: str) -> None:
-        """Report this prefetcher's gesture progress to a mined policy.
-
-        ``policy`` is a :class:`repro.mining.policy.SpeculativePolicy` (or
-        anything with its ``observe_progress`` method).  The binding is
-        strictly observational: :meth:`propose` / :meth:`propose_batch`
-        return exactly the same proposals with or without a policy, so
-        prefetch-derived outcome counters stay bit-identical — the policy
-        only learns where the gesture is, to aim speculative background
-        warm-ups at the rows a predicted next gesture would touch.
-        """
-        self._policy = policy
-        self._policy_object = object_name
-
-    def _report_progress(self, rowid: int, direction: int, stride: int, num_tuples: int) -> None:
-        if self._policy is not None and self._policy_object is not None:
-            self._policy.observe_progress(
-                self._policy_object, rowid, direction, stride, num_tuples
-            )
 
     # ------------------------------------------------------------------ #
     # observation and estimation
@@ -141,7 +116,6 @@ class GesturePrefetcher:
         if not est.confident or est.direction == 0:
             return []
         stride = max(1, int(stride))
-        self._report_progress(est.last_rowid, est.direction, stride, num_tuples)
         lookahead_rows = abs(est.velocity_rows_per_s) * self.horizon_seconds
         count = min(self.max_prefetch, max(1, int(lookahead_rows / stride)))
         proposals = []
@@ -227,12 +201,6 @@ class GesturePrefetcher:
         tail = min(self.history, n)
         self._observations.extend(zip(t[-tail:].tolist(), r[-tail:].tolist()))
         self.prefetches_issued += total
-        # same progress report the sequential loop's last active propose()
-        # would have made (observation only, see bind_policy: the returned
-        # proposals are unaffected)
-        if np.any(active):
-            last = int(np.flatnonzero(active)[-1])
-            self._report_progress(int(r[last]), int(direction[last]), int(s[last]), num_tuples)
         if total == 0:
             return empty
         proposer = np.repeat(np.arange(n), counts)

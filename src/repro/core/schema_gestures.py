@@ -116,7 +116,10 @@ class SchemaGestures:
         if len(column_object_names) < 2:
             raise QueryError("grouping needs at least two columns")
         columns = [self._kernel.catalog.column(name) for name in column_object_names]
-        table = Table(table_name, [c.copy() for c in columns])
+        # views, not copies: columns only ever grow, and a grown column
+        # reallocates its own buffer, so the table and the standalone
+        # objects cannot see each other's appends
+        table = Table(table_name, [c.rename(c.name) for c in columns])
         self._kernel.catalog.register_table(table)
         self._kernel.show_table(
             table_name, x=x, y=y, height_cm=height_cm, width_cm=width_cm

@@ -170,13 +170,6 @@ class ExplorationSession:
             self._last_trace_t = time.monotonic()
         if isinstance(envelope.payload, GestureOutcome):
             self._record(envelope.payload)
-        take = getattr(self._service, "take_speculation", None)
-        if take is not None:
-            # a session has no background lane: run the mined warm-up
-            # inline (cache-only work; outcome counters are unaffected)
-            job = take()
-            if job is not None:
-                job()
         return envelope
 
     # ------------------------------------------------------------------ #
@@ -224,33 +217,6 @@ class ExplorationSession:
         trace, self._trace = self._trace, None
         self._last_trace_t = None
         return trace
-
-    # ------------------------------------------------------------------ #
-    # mined speculation
-    # ------------------------------------------------------------------ #
-    def adopt_speculation(self, policy) -> None:
-        """Drive this session's speculation from a mined policy.
-
-        Convenience pass-through to
-        :meth:`repro.service.LocalExplorationService.adopt_speculation`
-        for sessions over a local backend — traces recorded with
-        :meth:`record_trace`, mined into a
-        :class:`repro.mining.model.GestureTransitionModel` and wrapped in
-        a :class:`repro.mining.policy.SpeculativePolicy` close the loop
-        back into the session that recorded them.
-        """
-        adopt = getattr(self._service, "adopt_speculation", None)
-        if adopt is None:
-            raise QueryError(
-                f"the {getattr(self._service, 'backend', '?')!r} backend "
-                "does not support speculation adoption"
-            )
-        adopt(policy)
-
-    def speculation_stats(self) -> dict[str, int] | None:
-        """Mined-speculation counters (``None`` without an adopted policy)."""
-        stats = getattr(self._service, "speculation_stats", None)
-        return stats() if callable(stats) else None
 
     def run(self, script: GestureScript) -> list[OutcomeEnvelope]:
         """Replay a script through this session (outcomes land in history)."""

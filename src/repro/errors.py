@@ -133,7 +133,7 @@ class ContestError(WorkloadError):
 
 
 class MiningError(DbTouchError):
-    """The trace-mining tier failed (corpus, model or speculation policy)."""
+    """The trace-mining tier failed (corpus or transition model)."""
 
 
 class TraceCorpusError(MiningError):

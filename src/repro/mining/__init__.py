@@ -1,12 +1,12 @@
-"""Trace mining: learn gesture policies from recorded session corpora.
+"""Trace mining: learn gesture-transition models from recorded session corpora.
 
-The fleet-scale adaptive loop.  :class:`TraceCorpus` stores recorded
-traces as append-only JSONL; :func:`mine_corpus` folds a corpus into a
-per-object order-k Markov :class:`GestureTransitionModel` (a versioned
-JSON checkpoint artifact); :class:`SpeculativePolicy` ships the mined
-model back into serving, predicting each object's next gesture and
-driving speculative background warm-ups — without ever changing gesture
-results (see :mod:`repro.mining.policy`).
+An offline loop.  :class:`TraceCorpus` stores recorded traces as
+append-only JSONL; :func:`mine_corpus` folds a corpus into a per-object
+order-k Markov :class:`GestureTransitionModel` (a versioned JSON
+checkpoint artifact); :func:`heldout_hit_rate` scores the model's
+next-gesture predictions on unseen traces against the
+:func:`persistence_hit_rate` baseline (assume the last gesture kind
+repeats).
 """
 
 from repro.mining.corpus import TraceCorpus
@@ -16,12 +16,9 @@ from repro.mining.model import (
     mine_corpus,
     persistence_hit_rate,
 )
-from repro.mining.policy import SpeculationPlan, SpeculativePolicy
 
 __all__ = [
     "GestureTransitionModel",
-    "SpeculationPlan",
-    "SpeculativePolicy",
     "TraceCorpus",
     "heldout_hit_rate",
     "mine_corpus",

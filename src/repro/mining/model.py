@@ -255,8 +255,8 @@ class GestureTransitionModel:
         """Write the checkpoint artifact as JSON; returns the path."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # atomically: a worker loading ``speculation_checkpoint`` must never
-        # read a half-written model
+        # atomically: a process loading the checkpoint must never read a
+        # half-written model
         with atomic_replace(path, "w") as handle:
             handle.write(json.dumps(self.to_dict(), indent=2))
         return path

@@ -31,11 +31,8 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future
-from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
-
-import numpy as np
 
 from repro.core.commands import (
     AppendCommand,
@@ -68,8 +65,6 @@ from repro.core.schema_gestures import SchemaGestures
 from repro.engine.filter import Predicate
 from repro.errors import IngestError, ServiceError
 from repro.indexing.manager import IndexManager, RangeSelection
-from repro.mining.model import GestureTransitionModel
-from repro.mining.policy import SpeculationPlan, SpeculativePolicy
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import TelemetryRegistry, merge_numeric
 from repro.obs.stats import nearest_rank
@@ -244,8 +239,6 @@ class LocalExplorationService:
         self.jitter_cm = jitter_cm
         self.seed = seed
         self._shared_index: IndexManager | None = None
-        self._speculation: SpeculativePolicy | None = None
-        self._pending_speculation: SpeculationPlan | None = None
         self._result_retention: int | None = None
         self.reset()
 
@@ -261,8 +254,6 @@ class LocalExplorationService:
         self.schema_gestures = SchemaGestures(self.kernel)
         if self._shared_index is not None and self.kernel.config.enable_indexing:
             self.kernel.index_manager = self._shared_index
-        if self._speculation is not None:
-            self.kernel.adopt_speculation(self._speculation)
 
     def adopt_index_manager(self, manager: IndexManager) -> None:
         """Serve this session's adaptive indexing from a shared manager.
@@ -278,125 +269,6 @@ class LocalExplorationService:
         self._shared_index = manager
         if self.kernel.config.enable_indexing:
             self.kernel.index_manager = manager
-
-    def adopt_speculation(self, policy: "SpeculativePolicy") -> None:
-        """Drive this session's speculation from a mined policy.
-
-        The speculation twin of :meth:`adopt_index_manager`: serving
-        layers install one shared :class:`repro.mining.policy.
-        SpeculativePolicy` per server, and the adoption survives
-        :meth:`reset` (the rebuilt kernel re-adopts the same policy).
-        The policy only observes gestures and aims background warm-ups —
-        gesture results and their counters are unchanged by adopting it.
-        """
-        self._speculation = policy
-        self.kernel.adopt_speculation(policy)
-
-    def speculation_stats(self) -> dict[str, int] | None:
-        """Counters of the mined speculation policy, if one is active.
-
-        Mined prediction hits/misses, scheduled/completed warm-up jobs,
-        rows warmed and staged sample levels — load-dependent
-        observability like :meth:`index_stats`, never part of the
-        counter-parity surface.  ``None`` without a policy.
-        """
-        policy = self.kernel.speculation
-        snapshot = getattr(policy, "stats_snapshot", None)
-        return snapshot() if callable(snapshot) else None
-
-    # ------------------------------------------------------------------ #
-    # speculative execution (background warm-ups, post-outcome)
-    # ------------------------------------------------------------------ #
-    def _observe_speculation(
-        self, policy: "SpeculativePolicy", command: GestureCommand, envelope: OutcomeEnvelope
-    ) -> None:
-        """Feed one executed command to the policy and park its plan.
-
-        Runs strictly after the outcome is computed, so observation can
-        never perturb the gesture's counters.
-        """
-        object_name = envelope.object_name
-        if not object_name:
-            return
-        policy.observe_command(object_name, command.kind)
-        plan = policy.speculation_plan(object_name)
-        if plan is not None:
-            self._pending_speculation = plan
-
-    def take_speculation(self) -> Callable[[], int] | None:
-        """Pop the pending speculative job as a zero-arg thunk.
-
-        Serving layers call this after each executed command and run the
-        thunk on the scheduler's background lane (inline in serial mode).
-        ``None`` when the last command produced no actionable prediction.
-        """
-        plan = self._pending_speculation
-        if plan is None:
-            return None
-        self._pending_speculation = None
-        policy = self.kernel.speculation
-        if policy is None:
-            return None
-        policy.note_scheduled()
-        return lambda: self.run_speculation(plan)
-
-    def run_speculation(self, plan: "SpeculationPlan") -> int:
-        """Execute one speculation plan; returns the rows warmed.
-
-        Pre-reads the rows the predicted gesture would touch — for paged
-        columns this faults their mapped pages into the page cache, the
-        real speculative win — and stages predicted-zoom sample levels in
-        the policy's private store.  Never touches kernel-visible state
-        (views, hierarchies, touch caches), so outcome counters stay
-        bit-identical; failures are counted on the policy, never raised
-        into the background lane.
-        """
-        policy = self.kernel.speculation
-        if policy is None:
-            return 0
-        try:
-            warmed = self._warm_for_plan(policy, plan)
-        except Exception:  # noqa: BLE001 - background lane must never throw
-            policy.note_error()
-            return 0
-        policy.note_completed(warmed)
-        return warmed
-
-    def _warm_for_plan(self, policy: "SpeculativePolicy", plan: "SpeculationPlan") -> int:
-        if plan.object_name not in self.catalog.column_names:
-            return 0  # tables: no single column to warm; plan is a no-op
-        column = self.catalog.column(plan.object_name)
-        num_tuples = len(column)
-        if num_tuples == 0:
-            return 0
-        window = policy.warm_window
-        stride = max(1, plan.stride)
-        kind = plan.predicted_kind
-        if kind in ("slide", "slide-path"):
-            # warm the forward window the extrapolated slide would touch
-            anchor = plan.rowid if 0 <= plan.rowid < num_tuples else 0
-            direction = plan.direction if plan.direction != 0 else 1
-            rowids = anchor + direction * stride * np.arange(1, window + 1)
-        elif kind == "tap":
-            anchor = plan.rowid if 0 <= plan.rowid < num_tuples else num_tuples // 2
-            rowids = anchor + np.arange(-(window // 2), window // 2 + 1)
-        elif kind in ("zoom-in", "zoom-out"):
-            factor = max(2, self.kernel.config.sample_factor)
-            if kind == "zoom-out":
-                next_stride = stride * factor
-            else:
-                next_stride = max(1, stride // factor)
-            rowids = np.arange(0, num_tuples, next_stride)[:window]
-            values = column.read_batch(rowids.astype(np.int64))
-            policy.stage_level(plan.object_name, next_stride, values)
-            return int(rowids.size)
-        else:
-            return 0
-        rowids = rowids[(rowids >= 0) & (rowids < num_tuples)].astype(np.int64)
-        if rowids.size == 0:
-            return 0
-        column.read_batch(rowids)
-        return int(rowids.size)
 
     def index_stats(self) -> dict[str, int] | None:
         """Counters and gauges of the adaptive indexing tier.
@@ -500,21 +372,7 @@ class LocalExplorationService:
     # the service protocol
     # ------------------------------------------------------------------ #
     def execute(self, command: GestureCommand) -> OutcomeEnvelope:
-        """Execute one gesture command against the in-process kernel.
-
-        With a speculation policy adopted, the executed command is also
-        reported to the policy *after* its outcome is computed, and the
-        policy's next warm-up plan is parked for :meth:`take_speculation`
-        — outcome counters are a pure function of the command sequence
-        either way.
-        """
-        envelope = self._execute_command(command)
-        policy = self.kernel.speculation
-        if policy is not None:
-            self._observe_speculation(policy, command, envelope)
-        return envelope
-
-    def _execute_command(self, command: GestureCommand) -> OutcomeEnvelope:
+        """Execute one gesture command against the in-process kernel."""
         if isinstance(command, ShowColumn):
             view = self.kernel.show_column(
                 command.object_name,
@@ -822,26 +680,6 @@ def _as_trace_context(trace: TraceContext | Mapping[str, Any] | None) -> TraceCo
     return TraceContext.from_dict(trace)
 
 
-def _as_speculation_policy(
-    speculation: "SpeculativePolicy | GestureTransitionModel | str | Path | bool | None",
-) -> SpeculativePolicy | None:
-    """Coerce the server's ``speculation`` knob into a policy (or None)."""
-    if speculation is None or speculation is False:
-        return None
-    if speculation is True:
-        return SpeculativePolicy(GestureTransitionModel())
-    if isinstance(speculation, SpeculativePolicy):
-        return speculation
-    if isinstance(speculation, GestureTransitionModel):
-        return SpeculativePolicy(speculation)
-    if isinstance(speculation, (str, Path)):
-        return SpeculativePolicy(GestureTransitionModel.load(speculation))
-    raise ServiceError(
-        "speculation= takes a SpeculativePolicy, a GestureTransitionModel, "
-        f"a checkpoint path, or a bool — not {type(speculation).__name__}"
-    )
-
-
 class MultiSessionServer:
     """Hosts N independent exploration sessions behind the service protocol.
 
@@ -859,8 +697,7 @@ class MultiSessionServer:
       :class:`repro.core.scheduler.InlineLane` runs each item at once on the
       calling thread.  One thread serves everyone, so a session's
       think-time (the pause between a user's gestures) stalls the whole
-      server, and background work (tail merges, speculative warm-ups)
-      runs inline.
+      server, and background work (tail merges) runs inline.
     * ``scheduler=SchedulerConfig(...)`` or a worker count: a
       :class:`repro.core.scheduler.GestureScheduler` queues items per
       session and runs them on a worker pool — different sessions in
@@ -874,7 +711,7 @@ class MultiSessionServer:
     lane serves the same traces.
 
     **One plane.**  Every stat island (scheduler, index, storage, server,
-    speculation, tracer, flight recorder) is registered once, here, as a
+    tracer, flight recorder) is registered once, here, as a
     collector on :attr:`telemetry`; ``index_stats()`` and its siblings are
     views of one collector each, and a new island reaches
     :meth:`telemetry_snapshot`, :meth:`exposition` and the sharded
@@ -897,23 +734,12 @@ class MultiSessionServer:
         scheduler: SchedulerConfig | int | None = None,
         shared_index: IndexManager | bool | None = None,
         tracing: Tracer | TraceConfig | bool | None = None,
-        speculation: SpeculativePolicy
-        | GestureTransitionModel
-        | str
-        | Path
-        | bool
-        | None = None,
     ) -> None:
         self._factory = service_factory if service_factory is not None else LocalExplorationService
         if shared_index is True:
             shared_index = IndexManager()
         elif shared_index is False:
             shared_index = None
-        #: one mined speculation policy adopted by every session: the
-        #: ``speculation`` knob takes a ready policy, a trained
-        #: transition model, a checkpoint path (the worker-config route),
-        #: or True for an untrained placeholder policy
-        self._speculation: SpeculativePolicy | None = _as_speculation_policy(speculation)
         #: one adaptive-index manager adopted by every session that
         #: attaches the shared base storage: an index built by one
         #: session's selection shrinks every session's selections (the
@@ -950,8 +776,8 @@ class MultiSessionServer:
             # even a disabled tracer registers its (all-zero) counters, so
             # an untraced deployment still scrapes a complete schema
             self.tracer = Tracer(TraceConfig(enabled=False), registry=self.telemetry)
-        # every stat island, registered once: a shared manager/policy
-        # reports for itself, private per-session ones are pooled
+        # every stat island, registered once: a shared manager reports
+        # for itself, private per-session ones are pooled
         if self._scheduler is not None:
             self.telemetry.register_collector("scheduler", self._scheduler.stats.snapshot)
         self.telemetry.register_collector(
@@ -962,12 +788,6 @@ class MultiSessionServer:
         )
         self.telemetry.register_collector("storage", self._storage_report)
         self.telemetry.register_collector("server", self.aggregate_metrics)
-        self.telemetry.register_collector(
-            "speculation",
-            self._speculation.stats_snapshot
-            if self._speculation is not None
-            else lambda: self._pooled_sessions("speculation_stats"),
-        )
         if self.tracer.recorder is not None:
             self.telemetry.register_collector(
                 "flight_recorder", self.tracer.recorder.stats_snapshot
@@ -1151,22 +971,6 @@ class MultiSessionServer:
         """
         return self.telemetry.collect("index")
 
-    @property
-    def speculation(self) -> SpeculativePolicy | None:
-        """The shared mined speculation policy (``None`` when not enabled)."""
-        return self._speculation
-
-    def speculation_stats(self) -> dict[str, int] | None:
-        """Mined-speculation counters for this server.
-
-        With a shared policy, its snapshot; otherwise the key-wise sum
-        over every open session's private policy (``None`` when no
-        session speculates).  Load-dependent observability like
-        :meth:`index_stats`, kept out of the :meth:`counters_report`
-        parity surface.
-        """
-        return self.telemetry.collect("speculation")
-
     def _pooled_sessions(self, report: str) -> dict[str, float] | None:
         """The open sessions' private islands as one: ``merge_numeric``
         over each service's ``report()`` (``None`` when none has one)."""
@@ -1227,11 +1031,6 @@ class MultiSessionServer:
             adopt = getattr(service, "adopt_index_manager", None)
             if adopt is not None:
                 adopt(self._shared_index)
-        if self._speculation is not None:
-            adopt_policy = getattr(service, "adopt_speculation", None)
-            if adopt_policy is not None:
-                adopt_policy(self._speculation)
-
     # ------------------------------------------------------------------ #
     # data loading and execution
     # ------------------------------------------------------------------ #
@@ -1354,20 +1153,7 @@ class MultiSessionServer:
             self._lane.submit_background(
                 lambda: self._merge_tails(session_id, command.object_name, merge_ctx)
             )
-        self._schedule_speculation(service)
         return envelope
-
-    def _schedule_speculation(self, service: ExplorationService) -> None:
-        """Hand the session's pending speculative warm-up, if any, to the
-        background lane, so on a worker pool gestures never wait on warming
-        (warm-ups only touch caches and the policy's staging store: wherever
-        they run, the command stream's counters are unaffected)."""
-        take = getattr(service, "take_speculation", None)
-        if take is None:
-            return
-        job = take()
-        if job is not None:
-            self._lane.submit_background(job)
 
     def execute(
         self,

@@ -300,9 +300,8 @@ class ShardManager:
         island: whatever mapping-valued sections the workers report are
         key-wise summed with :func:`repro.obs.registry.merge_numeric`, so
         an island a worker registers shows up here under its collector
-        name with no change to this file.  ``index``, ``storage`` and
-        ``speculation`` are always present, ``None`` when no shard
-        reports them.
+        name with no change to this file.  ``index`` and ``storage`` are
+        always present, ``None`` when no shard reports them.
         """
         replies = self._fan_out("stats", timeout=timeout)
         sessions: dict[str, dict[str, int]] = {}
@@ -320,7 +319,6 @@ class ShardManager:
             # former, never the latter
             "index": None,
             "storage": None,
-            "speculation": None,
             **{name: merge_numeric(parts) for name, parts in sections.items()},
             "num_workers": len(self.workers),
             "alive_workers": self.alive_workers,

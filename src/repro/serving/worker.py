@@ -72,9 +72,6 @@ class WorkerConfig:
         The default pins it effectively-infinite so outcome counters stay
         a pure function of the command sequence — the cross-process parity
         contract; pass ``None`` to keep the kernel's adaptive default.
-    shared_index:
-        Whether sessions on this worker share one adaptive
-        :class:`repro.indexing.manager.IndexManager`.
     cache_bytes:
         Chunk-cache byte budget for the attached snapshot's store.
     trace_sample_rate:
@@ -86,13 +83,6 @@ class WorkerConfig:
     slow_trace_threshold_s / flight_recorder_capacity:
         The worker-local flight recorder's slow-log threshold and ring
         size (drained by the ``telemetry`` op).
-    speculation_checkpoint:
-        Optional path to a mined
-        :class:`repro.mining.model.GestureTransitionModel` checkpoint.
-        The worker loads it at build time and serves with one shared
-        :class:`repro.mining.policy.SpeculativePolicy`, so every shard of
-        a fleet speculates from the same offline mining pass; its hit/miss
-        counters ride the ``stats`` and ``telemetry`` verbs.
     """
 
     snapshot_path: str | None = None
@@ -101,12 +91,10 @@ class WorkerConfig:
     max_session_pending: int = 512
     result_retention: int | None = 4096
     latency_budget_s: float | None = 1e6
-    shared_index: bool = False
     cache_bytes: int = 64 << 20
     trace_sample_rate: float | None = None
     slow_trace_threshold_s: float | None = None
     flight_recorder_capacity: int = 64
-    speculation_checkpoint: str | None = None
 
 
 def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServer:
@@ -134,9 +122,7 @@ def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServe
             max_session_pending=config.max_session_pending,
             result_retention=config.result_retention,
         ),
-        shared_index=config.shared_index,
         tracing=tracing,
-        speculation=config.speculation_checkpoint,
     )
     if config.snapshot_path is not None:
         snapshot = StoreCatalog.open_read_only(

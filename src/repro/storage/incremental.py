@@ -16,6 +16,7 @@ falling back to the source layout for not-yet-converted rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from repro.storage.layout import (
     conversion_cost_cells,
 )
 from repro.storage.table import Table
+
+
+def _layout(kind: LayoutKind, table: Table) -> PhysicalLayout:
+    return RowStoreLayout(table) if kind is LayoutKind.ROW_STORE else ColumnStoreLayout(table)
 
 
 @dataclass
@@ -96,21 +101,26 @@ class IncrementalRotation:
             else LayoutKind.ROW_STORE
         )
         self.step_rows = step_rows
-        self.source: PhysicalLayout = (
-            RowStoreLayout(table)
-            if source_kind is LayoutKind.ROW_STORE
-            else ColumnStoreLayout(table)
-        )
-        # The target layout is materialized over the same logical table; the
-        # simulation models *when* data becomes readable from the target by
-        # tracking converted ranges rather than physically re-copying bytes.
-        self.target: PhysicalLayout = (
-            ColumnStoreLayout(table)
-            if self.target_kind is LayoutKind.COLUMN_STORE
-            else RowStoreLayout(table)
-        )
         self.progress = RotationProgress(total_rows=len(table))
         self._converted: list[_ConvertedRange] = []
+
+    # ------------------------------------------------------------------ #
+    # the two layouts, built on first read
+    # ------------------------------------------------------------------ #
+    # The target layout is materialized over the same logical table; the
+    # simulation models *when* data becomes readable from the target by
+    # tracking converted ranges rather than physically re-copying bytes.
+    # Neither layout is built by the rotate gesture itself: a row store
+    # packs the whole table into one matrix, a copy the size of the table.
+    @cached_property
+    def source(self) -> PhysicalLayout:
+        """The layout being rotated away from."""
+        return _layout(self.source_kind, self.table)
+
+    @cached_property
+    def target(self) -> PhysicalLayout:
+        """The layout being rotated into."""
+        return _layout(self.target_kind, self.table)
 
     # ------------------------------------------------------------------ #
     # conversion

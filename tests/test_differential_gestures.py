@@ -422,133 +422,6 @@ def test_append_mid_script_bit_identical(tmp_path, kind, paged):
     assert stats["invalidations"] == 0
 
 
-def trained_speculation_policy(seed: int, object_name: str = "data"):
-    """A policy mined from synthetic slide-heavy traces over one object."""
-    from repro.core.commands import ShowColumn, Slide, Tap, ZoomIn
-    from repro.mining import GestureTransitionModel, SpeculativePolicy
-
-    model = GestureTransitionModel(order=2, seed=seed)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        commands = [ShowColumn(object_name=object_name, view_name="v")]
-        for _ in range(12):
-            roll = rng.random()
-            if roll < 0.6:
-                commands.append(
-                    Slide(view="v", duration=0.4, start_fraction=0.1, end_fraction=0.9)
-                )
-            elif roll < 0.85:
-                commands.append(Tap(view="v", fraction=float(rng.random())))
-            else:
-                commands.append(ZoomIn(view="v", duration=0.3))
-        model.observe_trace(commands)
-    return SpeculativePolicy(model)
-
-
-@pytest.mark.parametrize("kind", ["int64", "float64-nan"])
-@pytest.mark.parametrize("paged", [False, True])
-@pytest.mark.parametrize("seed", [19, 43])
-def test_speculation_scripts_bit_identical(tmp_path, kind, paged, seed):
-    """Mined speculation on vs. off replays seeded scripts bit for bit.
-
-    The speculative policy only warms chunk caches and stages arrays in
-    its private store — never the kernel's touch cache or sample levels —
-    so every observable outcome counter must be identical to the
-    speculation-free replay, in-memory and paged alike.
-    """
-    data = make_column_data(np.random.default_rng(seed), kind, 30_000)
-    on = ExplorationSession(profile=FAST_PROFILE)
-    off = ExplorationSession(profile=FAST_PROFILE)
-    policy = trained_speculation_policy(seed)
-    on.adopt_speculation(policy)
-    results = []
-    for arm, session in enumerate((on, off)):
-        if paged:
-            store = DiskColumnStore(tmp_path / f"spec-{arm}", cache_bytes=1 << 20)
-            catalog = StoreCatalog(store)
-            catalog.persist_column(Column("data", data.copy()), chunk_rows=2048)
-            session.service.catalog.register_column(catalog.load_column("data"))
-        else:
-            session.load_column("data", data.copy())
-        view = session.show_column("data")
-        results.append(drive_column_script(session, view, np.random.default_rng(seed + 1)))
-    assert results[0] == results[1]
-    # the speculation arm actually predicted, scheduled and ran warm-ups
-    stats = on.speculation_stats()
-    assert stats is not None
-    assert stats["mined_predictions"] > 0
-    assert stats["speculations_scheduled"] > 0
-    assert stats["speculations_completed"] == stats["speculations_scheduled"]
-    assert stats["speculation_errors"] == 0
-    assert off.speculation_stats() is None
-
-
-def test_serial_vs_concurrent_speculation_counters():
-    """Speculation under the concurrent scheduler keeps counters identical.
-
-    A serial speculation-free server and a concurrent server running the
-    mined policy's warm-ups on the background lane replay the same
-    per-session command sequences, and every deterministic counter must
-    match exactly — speculative work never leaks into outcomes.
-    """
-    from repro.core.commands import ChooseAction, ShowColumn, Slide, Tap
-    from repro.service import (
-        LocalExplorationService,
-        MultiSessionServer,
-        SchedulerConfig,
-    )
-
-    rng = np.random.default_rng(7)
-    data = rng.integers(0, 1_000, size=30_000, dtype=np.int64)
-
-    def commands_for(seed: int):
-        script_rng = np.random.default_rng(seed)
-        commands = [ShowColumn(object_name="data", view_name="v")]
-        for _ in range(6):
-            commands.append(
-                ChooseAction(view="v", action=scan_action(random_predicate(script_rng)))
-            )
-            a, b = script_rng.random(), script_rng.random()
-            commands.append(
-                Slide(
-                    view="v",
-                    duration=0.4,
-                    start_fraction=min(a, b),
-                    end_fraction=max(a, b),
-                )
-            )
-            commands.append(Tap(view="v", fraction=float(script_rng.random())))
-        return commands
-
-    def run(server: MultiSessionServer) -> dict[str, dict]:
-        server.load_shared_column("data", Column("data", data))
-        counters = {}
-        sessions = [server.open_session(f"s{i}") for i in range(4)]
-        for offset, sid in enumerate(sessions):
-            for command in commands_for(100 + offset):
-                server.execute(sid, command)
-        server.drain(timeout=30.0)
-        for sid in sessions:
-            counters[sid] = server.metrics(sid).counters_snapshot()
-        server.shutdown()
-        return counters
-
-    serial = run(
-        MultiSessionServer(
-            service_factory=lambda: LocalExplorationService(profile=FAST_PROFILE)
-        )
-    )
-    speculative_server = MultiSessionServer(
-        service_factory=lambda: LocalExplorationService(profile=FAST_PROFILE),
-        scheduler=SchedulerConfig(num_workers=4),
-        speculation=trained_speculation_policy(7).model,
-    )
-    concurrent = run(speculative_server)
-    assert serial == concurrent
-    stats = speculative_server.speculation_stats()
-    assert stats is not None and stats["speculations_scheduled"] > 0
-
-
 @pytest.mark.parametrize("kind", ["int64", "float64-nan"])
 def test_preload_vs_incremental_append_converge(kind):
     """Preloading everything vs. arriving incrementally: same end state.

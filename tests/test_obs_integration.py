@@ -267,8 +267,8 @@ class TestServerTelemetry:
         assert server.index_stats() == server.telemetry.collect("index")
         # nothing registered, nothing to report: the None cases
         assert server.scheduler_stats() is None
-        assert server.speculation_stats() is None
         assert server.telemetry.collect("no-such-island") is None
+        assert "speculation" not in server.telemetry.collector_names
 
     def test_flight_recorder_property_and_slow_log(self):
         server = MultiSessionServer(

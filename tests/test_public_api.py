@@ -172,7 +172,6 @@ CALLERLESS = {
     "IndexManager.tracked_keys",
     "PagedColumn.chunk_range",
     "RemoteExplorationClient.local_sample",
-    "SpeculativePolicy.prediction",
     "ZoneMap.zones",
 }
 
@@ -344,6 +343,25 @@ class TestTopLevelExports:
             "fade_seconds",
             "batch_execution",
             "enable_indexing",
+        ]
+
+    def test_worker_config_fields_are_pinned(self):
+        """Adding a worker knob is a visible edit of this list."""
+        from dataclasses import fields
+
+        from repro.serving.worker import WorkerConfig
+
+        assert [field.name for field in fields(WorkerConfig)] == [
+            "snapshot_path",
+            "scheduler_workers",
+            "max_pending",
+            "max_session_pending",
+            "result_retention",
+            "latency_budget_s",
+            "cache_bytes",
+            "trace_sample_rate",
+            "slow_trace_threshold_s",
+            "flight_recorder_capacity",
         ]
 
     def test_index_manager_knows_one_cracker_surface(self):

@@ -114,7 +114,6 @@ class TestHoldsNoBaseData:
             "load_table",
             "select_where",
             "adopt_index_manager",
-            "take_speculation",
             "merge_index_tails",
             "set_result_retention",
             "result_drops",

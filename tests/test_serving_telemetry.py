@@ -285,7 +285,7 @@ class TestFanOut:
         assert stats["demo"] == {"x": 4}  # an island shards.py never heard of
         assert stats["sessions"] == {"a": {"commands": 1}, "b": {"commands": 3}}
         assert stats["index"] is None and stats["storage"] is None
-        assert stats["speculation"] is None
+        assert "speculation" not in stats  # no default for an island nobody registers
         assert stats["num_workers"] == 3
         # the failing shard is reported as data and skipped by the merge
         assert stats["workers"]["2"] == {"error": "worker 2 died mid-request"}
