@@ -24,7 +24,6 @@ Headline numbers land in ``benchmark.extra_info``.
 from __future__ import annotations
 
 import functools
-import math
 import time
 
 import numpy as np
@@ -239,10 +238,10 @@ def test_adaptive_indexing_speedup_paged_gate(paged_run):
 def test_index_bytes_bounded_under_predicate_storm(benchmark):
     """10,000 distinct range predicates: one index, a fixed footprint.
 
-    The first selection builds the value-sorted permutation and no later
-    one adds to it, so a long adaptive session's index stays at its 4
-    bytes a row (plus ⌈√n⌉ fences of each kind), while every answer stays
-    exact.
+    The first selection sorts the column into one packed run and no later
+    one adds to it, so a long adaptive session's index stays at its 8
+    bytes a row (the sorted keys, nothing beside them), while every answer
+    stays exact.
     """
     from repro.indexing.manager import IndexManager
 
@@ -274,6 +273,4 @@ def test_index_bytes_bounded_under_predicate_storm(benchmark):
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["cracker_bytes"] = stats["cracker_bytes"]
     assert stats["crackers_built"] == 1
-    run_rows = math.isqrt(len(data) - 1) + 1
-    fences = 2 * 8 * -(-len(data) // run_rows)  # an int64 low and high per run
-    assert stats["cracker_bytes"] == 4 * len(data) + fences
+    assert stats["cracker_bytes"] == 8 * len(data)

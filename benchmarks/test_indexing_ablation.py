@@ -63,7 +63,7 @@ def run_index_series(column: Column) -> ExperimentSeries:
     for i, (low, high) in enumerate(RANGE_QUERIES, start=1):
         built = index.size_bytes > 0
         before = index.values_scanned_total
-        index.rowids_in_range(low, high)  # the first one sorts the column
+        index.rows_in_range(low, high)  # the first one sorts the column
         read = index.values_scanned_total - before + (0 if built else len(column))
         series.add(i, index_scan=read, full_scan=len(column))
     return series

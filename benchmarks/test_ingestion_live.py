@@ -38,6 +38,7 @@ from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.engine.filter import Comparison, Predicate
 from repro.indexing.manager import IndexManager
+from repro.indexing.sorted_index import MAX_RUNS
 from repro.metrics.reporting import format_comparison
 from repro.storage.column import Column
 from repro.touchio.device import IPAD1_PROTOTYPE as IPAD1
@@ -187,11 +188,12 @@ def test_ingest_cost_independent_of_column_size():
     """The same append/merge script costs the same over 250k and 2M rows.
 
     A count, not a clock: per column at most one buffer reallocation (the
-    doubling that makes room for the whole script), no merge rebuilds the
-    permutation, and a selection after the script inspects at most two
-    runs of ⌈√n⌉ rows plus the rows the script appended.  An
-    ``append_batch`` that re-concatenates reallocates 16 times; a merge or
-    a selection that re-sorts or scans the column reads ``n`` rows.
+    doubling that makes room for the whole script), no merge touches run 0
+    (each sorts its own rows into a tail run, at most ``MAX_RUNS`` of them),
+    and a selection after the script inspects at most 2 * ⌈√n⌉ values —
+    binary searches of every run, no gap.  An ``append_batch`` that
+    re-concatenates reallocates 16 times; a merge or a selection that
+    re-sorts or scans the column reads ``n`` rows.
     """
     script_batches, script_rows = 16, 2_000
 
@@ -207,12 +209,14 @@ def test_ingest_cost_independent_of_column_size():
                 "stream", None, column, Predicate(Comparison.BETWEEN, low, upper=high)
             )
         cracker = manager.cracker_for("stream")
-        built, buffers = cracker._sorted, set()
+        (built,), buffers = cracker._runs, set()
         for _ in range(script_batches):
             column.append_batch(rng.integers(0, 1_000_000, size=script_rows, dtype=np.int64))
             manager.extend_valid_prefix("stream")
             assert manager.merge_tails("stream") == script_rows
-            assert cracker._sorted is built  # a merge advances the window, nothing more
+            runs = cracker._runs  # a merge sorts tail rows, never run 0
+            assert runs[0] is built and 2 <= len(runs) <= MAX_RUNS + 1
+            assert runs[1].start == rows and runs[-1].stop == len(column)
             buffers.add(address(column.values))
         low, high = HOT_RANGES[0]
         selection = manager.select_rowids(
@@ -227,4 +231,4 @@ def test_ingest_cost_independent_of_column_size():
         assert buffers == 1  # one column buffer after the first growth
         assert stats["tail_merges"] == script_batches
         assert stats["rows_merged_total"] == script_batches * script_rows
-        assert scanned <= 2 * (math.isqrt(n - 1) + 1) + script_batches * script_rows
+        assert scanned <= 2 * (math.isqrt(n - 1) + 1)

@@ -261,17 +261,17 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
     4M — on every layout.
 
     ``uniform``: the zonemap cannot prune a paged column not clustered on
-    the key, so a 1 %-wide range inspects at most two runs of the
-    value-sorted permutation — 2 * ceil(sqrt(n)) values — where a chunk
-    path would visit every chunk.  ``clustered`` (the same values, sorted):
+    the key, so a 1 %-wide range binary-searches the value-sorted run —
+    at most 2 * ceil(sqrt(n)) values inspected — where a chunk path would
+    visit every chunk.  ``clustered`` (the same values, sorted):
     a range holding about one chunk's worth of rows scans the at most two
     chunks the zonemap keeps — 2 * 4,096 values — and holds no index state.
     ``in_memory`` (the uniform values as a plain ``Column``, which has no
-    zonemap): the permutation answers, and after n/32 rows are appended and
-    merged a selection inspects the two runs plus that merged gap.  The
-    first selection, which builds any permutation, allocates at most 12
-    bytes a row (8-byte sort keys, 4-byte rowids), traced.  Counts, not a
-    clock.
+    zonemap): the sorted runs answer, and after n/32 rows are appended and
+    merged into a run of their own a selection still inspects no more (no
+    gap is scanned).  The first selection, which sorts run 0, allocates at
+    most 12 bytes a row (8-byte sort keys, 4-byte rowids), traced.  Counts,
+    not a clock.
     """
     chunk_rows = 4_096
     layouts = ("uniform", "clustered", "in_memory")
@@ -303,7 +303,7 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
         assert peak <= 12 * rows * 1.01, f"{layout} {rows}: {peak / rows:.2f} B/row"
         warm = manager.select_rowids("flux", None, column, predicate)
         assert np.array_equal(warm.rowids, np.nonzero(predicate.mask(data))[0])
-        runs = 2 * (math.isqrt(rows - 1) + 1)  # two runs of ceil(sqrt(n)) rows
+        runs = 2 * (math.isqrt(rows - 1) + 1)  # the square-root law, as a bound
         if layout == "clustered":
             assert warm.rows_scanned <= 2 * chunk_rows
             assert manager.cracker_for("flux").size_bytes == 0
@@ -317,7 +317,7 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
             merged = manager.select_rowids("flux", None, column, predicate)
             grown = np.concatenate([data, appended])
             assert np.array_equal(merged.rowids, np.nonzero(predicate.mask(grown))[0])
-            assert merged.rows_scanned <= runs + rows // 32
+            assert merged.rows_scanned <= runs
         assert manager.stats_snapshot()["crackers_built"] == 1
 
 

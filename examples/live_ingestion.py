@@ -4,24 +4,25 @@ The dbTouch promise does not pause for the data to finish loading.  This
 example walks the whole streaming-append story on one session:
 
 1. **load and explore** — show a sensor column and run a few range
-   selections: the first sorts the column once into a value-sorted rowid
-   permutation (adaptive indexing as a side effect of what is touched),
-   every later one reads two runs of it;
+   selections: the first sorts the column once into run 0 (adaptive
+   indexing as a side effect of what is touched; a float column's run is
+   a value-sorted rowid permutation), and every later one reads at most
+   two ⌈√n⌉-row pieces of it;
 2. **append mid-session** — new readings land via
    :meth:`repro.ExplorationSession.append` (a recorded, replayable
-   gesture command).  The index is *not* thrown away: its permutation
-   keeps answering for the frozen prefix through a validity window while
+   gesture command).  The index is *not* thrown away: its sorted runs
+   keep answering for the frozen prefix through a validity window while
    the appended hot tail is scanned;
 3. **merge the tail** — advance the window over the tail (on a server this
-   runs on the background lane; here we call it directly).  The merged
-   rows are now a gap the index scans; this batch is more than 1/16 of
-   the sorted rows, so the next selection re-sorts the grown column;
+   runs on the background lane; here we call it directly).  The merge
+   sorts only the merged rows, into a run of their own behind run 0, so
+   the next selection searches two runs and re-sorts nothing;
 4. **compact and re-attach** — persist the column, append more rows, fold
    the in-memory tail into the chunk files with
    :meth:`repro.StoreCatalog.compact_appends`, and restart from the
    snapshot with every appended row present.  Indexes are not persisted:
-   a fresh manager's first selection on the grown column builds its
-   permutation, exactly as the first selection of step 1 did.
+   a fresh manager's first selection on the grown column sorts its run 0,
+   exactly as the first selection of step 1 did.
 
 Run it with::
 
@@ -87,7 +88,7 @@ def main() -> int:
     print(f"index after exploring : {window_report(live_index, 'sensor')}")
 
     # ---------------------------------------------------------------- #
-    # 2. rows arrive mid-session: the index keeps its permutation
+    # 2. rows arrive mid-session: the index keeps its sorted runs
     # ---------------------------------------------------------------- #
     new_length = session.append("sensor", values=fresh_readings(rng, BATCH_ROWS).tolist())
     print(f"\nappended {BATCH_ROWS:,} rows -> column holds {new_length:,}")
@@ -99,7 +100,7 @@ def main() -> int:
     )
 
     # ---------------------------------------------------------------- #
-    # 3. merge the hot tail into the window; the next selection re-sorts
+    # 3. merge the hot tail into the window: it becomes a sorted run
     # ---------------------------------------------------------------- #
     merged = session.service.merge_index_tails()
     print(f"\nmerged {merged:,} tail rows into the index's window")
@@ -107,7 +108,7 @@ def main() -> int:
     selection = session.select_where(view.name, hot)
     print(
         f"hot range after merge : {len(selection.rowids):,} rows, "
-        f"scanned {selection.rows_scanned:,} (the permutation was re-sorted)"
+        f"scanned {selection.rows_scanned:,} (two runs searched, nothing re-sorted)"
     )
 
     # ---------------------------------------------------------------- #
@@ -116,7 +117,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="dbtouch-ingest-") as root:
         catalog = StoreCatalog(DiskColumnStore(Path(root)))
         # 1,024-row chunks: the zonemap of an unclustered column keeps every
-        # one of them, so restarted selections read a permutation
+        # one of them, so restarted selections read the sorted runs
         catalog.persist_column(
             Column("sensor", np.asarray(session.catalog.column("sensor").values)),
             chunk_rows=1_024,

@@ -8,12 +8,15 @@ wires that bet into the kernel:
   :class:`repro.indexing.sorted_index.SortedIndex` for every numeric
   column, in memory or out of core (a scan of the chunks a paged column's
   persisted zonemap leaves, where it leaves at most ``SCAN_MAX_CHUNKS``;
-  otherwise, and always for an in-memory column, one value-sorted rowid
-  permutation of the column);
+  otherwise, and always for an in-memory column, the column's
+  value-sorted runs);
 * bulk range selections (:meth:`repro.core.kernel.DbTouchKernel.select_where`)
   *consult* the tier via :meth:`select_rowids`, scanning only the
-  zonemap-kept chunks or the sorted runs that can overlap the predicate
-  instead of the whole column; the first consultation builds the index;
+  zonemap-kept chunks or binary-searching the sorted runs instead of the
+  whole column, and get back the matching rowids and — from packed runs,
+  a chunk scan and the tail scan — their values, so the kernel gathers
+  only what the index did not return; the first consultation builds the
+  index;
 * indexes are bounded by count alone (``max_crackers``), dropped
   least-recently-consulted first: an index is a side effect of touches, so
   a dropped one costs its next consultation one rebuild and never changes
@@ -25,8 +28,10 @@ wires that bet into the kernel:
   invalidation: indexes keep answering for the prefix they cover (their
   *validity window*) while :meth:`select_rowids` scans the appended tail,
   and :meth:`merge_tails` — run on the background lane — advances the
-  windows over the tails in O(1) each; the index scans merged rows as a
-  gap until it rebuilds.
+  windows over the tails, each index sorting only its merged rows into a
+  new run (compacting past ``MAX_RUNS`` tail runs, folding them into run
+  0 past ``FOLD_SHARE`` of it), so no selection builds, rebuilds or scans
+  a gap.
 
 **Concurrency.**  One manager may be shared by every session of a
 :class:`repro.service.MultiSessionServer` whose sessions attach the same
@@ -40,12 +45,13 @@ completes on the orphaned (still self-consistent) index.
 
 **Exactness.**  Indexed selections must agree bit-for-bit with
 ``Predicate.mask`` over the base data.  Three guards make that hold: NaN
-rows are left out of the permutation; inclusive/exclusive predicate
+rows are left out of the sorted runs; inclusive/exclusive predicate
 bounds are mapped onto the index's half-open ranges with ``np.nextafter``
-in the dtype the column compares in; and every comparison is made on the
-column's native values, so membership is decided by the *same* numpy
-promotion ``Predicate.mask`` performs — int64 columns answer exactly even
-beyond 2**53.
+in the dtype the column compares in; and membership is decided by the
+*same* numpy promotion ``Predicate.mask`` performs — on the column's
+native values, or, for packed keys, on integer thresholds found with that
+comparison — so int64 columns answer exactly even beyond 2**53, and the
+values returned are bit-identical to a gather of the rowids.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ class RangeSelection:
 
     ``strategy`` records how the rowids were found: ``"index"`` (the
     column's :class:`~repro.indexing.sorted_index.SortedIndex`: a scan of a
-    paged column's zonemap-kept chunks, or the value-sorted permutation)
+    paged column's zonemap-kept chunks, or the value-sorted runs)
     or ``"scan"`` (the kernel's full scan of the base data).
     ``rows_scanned`` is how many values were actually inspected — the
     adaptive win is this number shrinking while ``rowids`` stays exactly
@@ -221,7 +227,7 @@ class IndexManager:
 
         Gauges (``crackers_live``, ``cracker_bytes``) are read off the live
         indexes without column locks — ``size_bytes`` is a single-attribute
-        read of an atomically swapped permutation, so a concurrent build
+        read of an atomically swapped tuple of runs, so a concurrent build
         can skew the gauge by one index but never tear it.  This is the
         observability surface the session metrics and the fleet ``stats``
         verb expose.
@@ -360,7 +366,9 @@ class IndexManager:
         or column (non-range predicate, non-numeric or empty column) —
         the caller then runs the full scan itself.  The returned
         rowids are always sorted and bit-identical to
-        ``np.nonzero(predicate.mask(column.values))[0]``.
+        ``np.nonzero(predicate.mask(column.values))[0]``; ``values`` holds
+        ``column.read_batch(rowids)`` when the index could answer it from
+        its own keys or scans, ``None`` when a permutation run answered.
         """
         with self._lock:
             self.stats.consultations += 1
@@ -375,7 +383,7 @@ class IndexManager:
             if cracker is None:
                 return None
             scanned_before = cracker.values_scanned_total
-            rowids = cracker.rowids_in_range(*bounds)
+            rowids, values = cracker.rows_in_range(*bounds)
             rows_scanned = cracker.values_scanned_total - scanned_before
             covered = cracker.covered_rows
             n = len(column)
@@ -389,9 +397,11 @@ class IndexManager:
                 # and never evicts the gestures' chunks.
                 with trace_span("tail_scan", object=object_name, rows=n - covered):
                     tail = np.asarray(column.raw_slice(covered, n))
-                    hits = np.nonzero(predicate.mask(tail))[0].astype(np.int64)
+                    hits = np.flatnonzero(predicate.mask(tail))
                     if hits.size:
                         rowids = np.concatenate([rowids, hits + covered])
+                        if values is not None:
+                            values = np.concatenate([values, tail[hits]])
                     rows_scanned += int(tail.shape[0])
         self._enforce_cracker_cap(keep=state)
         with self._lock:
@@ -403,6 +413,7 @@ class IndexManager:
             rowids=rowids,
             strategy="index",
             rows_scanned=rows_scanned,
+            values=values,
         )
 
     # ------------------------------------------------------------------ #
@@ -453,8 +464,8 @@ class IndexManager:
         appended tail.
 
         Returns total rows folded.  This is the background-lane entry
-        point; each index's merge is O(1) under its own column lock, so
-        lookups on *other* columns never wait.
+        point; each index sorts its merged rows into a run under its own
+        column lock, so lookups on *other* columns never wait.
         """
         merged = 0
         for state in self._states_matching(object_name, column_name):

@@ -92,6 +92,7 @@ class PagedColumn(Column):
         self._tail = self._tail_buffer = np.empty(0, dtype=data.dtype)
         self._zone_mins = self._zone_min_buffer = chunk_mins
         self._zone_maxs = self._zone_max_buffer = chunk_maxs
+        self._zones_shared = False  # with a rename's clone, until one appends
         self._values_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -156,6 +157,10 @@ class PagedColumn(Column):
         envelopes of the chunks they land in: O(batch + chunks it spans)."""
         chunk_rows, base, n = self.chunk_rows, self.base_rows, len(self)
         known, total = self._zone_mins.shape[0], -(-n // chunk_rows)
+        if self._zones_shared:  # a rename's clone reads these arrays too
+            self._zone_min_buffer = self._zone_mins.copy()
+            self._zone_max_buffer = self._zone_maxs.copy()
+            self._zones_shared = False
         mins = self._zone_min_buffer = grown_buffer(self._zone_min_buffer, known, total)
         maxs = self._zone_max_buffer = grown_buffer(self._zone_max_buffer, known, total)
         for index in range(start // chunk_rows, total):
@@ -168,6 +173,32 @@ class PagedColumn(Column):
                 lo, hi = np.minimum(lo, mins[index]), np.maximum(hi, maxs[index])
             mins[index], maxs[index] = lo, hi
         self._zone_mins, self._zone_maxs = mins[:total], maxs[:total]
+
+    def rename(self, name: str) -> "PagedColumn":
+        """A view of this column under ``name``: the same mapping, plus the
+        append tail as it holds now.
+
+        Like :meth:`Column.rename`'s clone it appends independently: rows
+        appended to either column later belong to that column alone (the
+        clone's tail is a full view, so its first append reallocates).
+        Nothing is copied here; because an append widens the straddling
+        chunk's zone envelope in place, whichever of the two appends first
+        copies the zone arrays it shares (16 bytes a chunk).
+        """
+        clone = PagedColumn.__new__(PagedColumn)
+        clone.__dict__.update(self.__dict__)
+        clone.name = name
+        clone._tail_buffer = self._tail
+        clone._touched_chunks = set()
+        clone._values_cache = None
+        self._zones_shared = clone._zones_shared = True
+        return clone
+
+    def copy(self) -> "PagedColumn":
+        """An independent copy: the mapped rows are immutable and appended
+        rows are never rewritten, so a :meth:`rename` to the same name is
+        one, and nothing is read into RAM."""
+        return self.rename(self.name)
 
     # ------------------------------------------------------------------ #
     # chunk plumbing
@@ -213,7 +244,7 @@ class PagedColumn(Column):
             )
         return self._zone_mins[index], self._zone_maxs[index]
 
-    def chunks_for_predicate(self, low, high) -> list[int]:
+    def chunks_for_predicate(self, low, high) -> np.ndarray:
         """Chunk indices whose ``[min, max]`` overlaps ``[low, high]``.
 
         The zonemap pruning primitive: a select-where over a paged column
@@ -224,7 +255,7 @@ class PagedColumn(Column):
         participate through their incrementally extended zones.
         """
         excluded = (self._zone_maxs < low) | (self._zone_mins > high)
-        return np.nonzero(~excluded)[0].tolist()
+        return np.flatnonzero(~excluded)
 
     def _chunk(self, index: int) -> np.ndarray:
         """Return logical chunk ``index``, faulting it into the chunk cache.

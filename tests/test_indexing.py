@@ -111,24 +111,27 @@ class TestCrackerIndex:
     def test_range_lookup_correct(self, random_column):
         index = SortedIndex(random_column)
         expected = np.nonzero((random_column.values >= 100) & (random_column.values < 200))[0]
-        result = index.rowids_in_range(100, 200)
+        result = index.rows_in_range(100, 200)[0]
         assert np.array_equal(result, expected)
 
     def test_lookup_without_cracking(self, random_column):
-        """A lookup reorders nothing: its only state is the permutation,
-        exactly the stable argsort, beside an untouched column."""
+        """A lookup reorders nothing: its only state is run 0's packed keys,
+        whose low bits are exactly the stable argsort, beside an untouched
+        column."""
         before = random_column.values.copy()
         index = SortedIndex(random_column)
-        result = index.rowids_in_range(100, 200)
+        result = index.rows_in_range(100, 200)[0]
         expected = np.nonzero((random_column.values >= 100) & (random_column.values < 200))[0]
         assert np.array_equal(result, expected)
         assert np.array_equal(random_column.values, before)
-        assert np.array_equal(index._sorted.rowids, np.argsort(before, kind="stable"))
+        (run,) = index._runs
+        rowids = run.keys & np.uint64((1 << run.bits) - 1)
+        assert np.array_equal(rowids, np.argsort(before, kind="stable"))
 
     def test_invalid_range(self, random_column):
         index = SortedIndex(random_column)
         with pytest.raises(StorageError):
-            index.rowids_in_range(200, 100)
+            index.rows_in_range(200, 100)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(StorageError):

@@ -31,7 +31,7 @@ from repro.indexing.manager import (
     IndexManager,
     predicate_range,
 )
-from repro.indexing.sorted_index import PERMUTATION_GAP_SHARE, SortedIndex
+from repro.indexing.sorted_index import FOLD_SHARE, SortedIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -52,6 +52,14 @@ FAST_PROFILE = DeviceProfile(
 
 def brute(data: np.ndarray, predicate: Predicate) -> np.ndarray:
     return np.nonzero(predicate.mask(data))[0]
+
+
+def run_order(run) -> np.ndarray:
+    """A sorted run's rowids in value order, whatever its kind: a packed
+    run's keys carry them in their low ``bits``."""
+    if hasattr(run, "keys"):
+        return (run.keys & np.uint64((1 << run.bits) - 1)).astype(np.int64)
+    return run.rowids.astype(np.int64)
 
 
 @pytest.fixture
@@ -207,7 +215,7 @@ class TestManagerStrategies:
 
 #: The members of :class:`SortedIndex` the manager may use.
 CRACKER_SURFACE = {
-    "rowids_in_range", "merge_tail", "covered_rows", "size_bytes",
+    "rows_in_range", "merge_tail", "covered_rows", "size_bytes",
     "values_scanned_total",
 }  # fmt: skip
 
@@ -238,7 +246,7 @@ class TestCrackerSurface:
     def test_member_present_with_one_arity_on_both_kinds(self, crackers, member):
         in_memory, paged = crackers
         for cracker in crackers:
-            cracker.rowids_in_range(100.0, 200.0)
+            cracker.rows_in_range(100.0, 200.0)
             assert hasattr(cracker, member), f"{type(cracker).__name__} lacks {member!r}"
         if callable(getattr(in_memory, member)):
             signatures = [inspect.signature(getattr(cracker, member)) for cracker in crackers]
@@ -248,15 +256,15 @@ class TestCrackerSurface:
 
     def test_one_ledger_counts_a_paged_index(self, crackers):
         _, paged = crackers
-        paged.rowids_in_range(100.0, 200.0)
+        paged.rows_in_range(100.0, 200.0)
         assert paged.values_scanned_total > 0
         assert paged.size_bytes == 0  # eight chunks: scanned, nothing built
 
 
 class TestPagedPermutation:
     """Lookups on a uniform paged column — the zonemap offers every chunk,
-    more than ``SCAN_MAX_CHUNKS`` — answer from one value-sorted rowid
-    permutation: exact, two runs inspected, nothing cracked."""
+    more than ``SCAN_MAX_CHUNKS`` — answer from the value-sorted runs:
+    exact, binary-searched, nothing cracked."""
 
     @staticmethod
     def uniform(tmp_path, rows: int):
@@ -278,7 +286,7 @@ class TestPagedPermutation:
             assert selection.strategy == "index"
             assert np.array_equal(selection.rowids, brute(data, predicate))
             assert selection.rows_scanned <= 2 * (math.isqrt(rows - 1) + 1)  # 2 * ceil(sqrt(n))
-        assert manager.cracker_for("u")._sorted is not None
+        assert manager.cracker_for("u")._runs  # run 0, built by the first selection
 
     def test_refinement_over_cap_builds_nothing(self, tmp_path):
         _, paged = self.uniform(tmp_path, 20_000)
@@ -295,34 +303,46 @@ class TestPagedPermutation:
         assert after["crackers_built"] == 1
         assert after["cracker_bytes"] == before["cracker_bytes"] > 0
 
-    def test_appends_are_a_scanned_gap_until_the_permutation_rebuilds(self, tmp_path):
-        _, paged = self.uniform(tmp_path, 20_000)
+    def test_appends_become_sorted_runs_until_a_merge_folds_them(self, tmp_path):
+        """A merge sorts only the rows it merges into a run behind run 0, so
+        no selection scans a gap or rebuilds; the merge that takes the
+        tail runs past ``FOLD_SHARE`` of run 0 folds them back into one."""
+        rows = 20_000
+        _, paged = self.uniform(tmp_path, rows)
         manager = IndexManager()
         predicate = Predicate(Comparison.BETWEEN, 300_000, upper=320_000)
         rng = np.random.default_rng(8)
+        bound = 2 * (math.isqrt(rows - 1) + 1)
 
-        def append(rows: int) -> None:
-            paged.append_batch(rng.integers(0, 1_000_000, size=rows, dtype=np.int64))
+        def append(count: int) -> None:
+            paged.append_batch(rng.integers(0, 1_000_000, size=count, dtype=np.int64))
             manager.extend_valid_prefix("u")
 
         def select():
             selection = manager.select_rowids("u", None, paged, predicate)
             assert np.array_equal(selection.rowids, brute(np.asarray(paged.values), predicate))
+            assert np.array_equal(selection.values, np.asarray(paged.values)[selection.rowids])
             return selection
 
         select()
         cracker = manager.cracker_for("u")
-        built = cracker._sorted
+        (built,) = cracker._runs
         append(700)
-        select()  # the manager scans the unmerged tail
+        assert select().rows_scanned >= 700  # the manager scans the unmerged tail
         assert manager.merge_tails("u") == 700 and cracker.covered_rows == 20_700
-        assert select().rows_scanned <= 2 * built.run_rows + 700  # the permutation's gap
-        assert cracker._sorted is built  # no merge pays a rebuild
-        assert 700 <= 20_000 * PERMUTATION_GAP_SHARE < 2_700
-        append(2_000)
+        assert select().rows_scanned <= bound  # binary searches: no gap is scanned
+        assert cracker._runs[0] is built and len(cracker._runs) == 2
+        assert (cracker._runs[1].start, cracker._runs[1].stop) == (20_000, 20_700)
+        append(rows // 4 - 700)  # the tail runs reach FOLD_SHARE of run 0, not past it
         manager.merge_tails("u")
-        select()
-        assert cracker._sorted is not built and cracker._sorted.covered == 22_700
+        assert cracker._runs[0] is built and len(cracker._runs) == 3
+        assert select().rows_scanned <= bound
+        assert rows * FOLD_SHARE == rows // 4
+        append(1)
+        manager.merge_tails("u")  # one row past the share: the merge rebuilds run 0
+        (folded,) = cracker._runs
+        assert folded is not built and (folded.start, folded.stop) == (0, len(paged))
+        assert select().rows_scanned <= bound
 
     @pytest.mark.parametrize(
         "kind", ["int64 heavy ties", "int64 negative", "int32", "int64 at the packing limit"]
@@ -353,23 +373,24 @@ class TestPagedPermutation:
         predicate = Predicate(Comparison.BETWEEN, float(low), upper=float(high))
         selection = manager.select_rowids("u", None, paged, predicate)
         assert np.array_equal(selection.rowids, brute(data, predicate))
-        runs = manager.cracker_for("u")._sorted
-        assert np.array_equal(runs.rowids, np.argsort(data, kind="stable"))
+        (run,) = manager.cracker_for("u")._runs
+        assert np.array_equal(run_order(run), np.argsort(data, kind="stable"))
+        assert manager.index_bytes == 8 * rows  # the keys, nothing beside them
         # an in-memory column of the same data packs its min/max range alike
         in_memory = IndexManager()
         found = in_memory.select_rowids("u", None, Column("u", data, dtype=dtype), predicate)
         assert np.array_equal(found.rowids, brute(data, predicate))
-        assert np.array_equal(in_memory.cracker_for("u")._sorted.rowids, runs.rowids)
-        starts = np.arange(0, rows, runs.run_rows)
-        lasts = np.minimum(starts + runs.run_rows, rows) - 1
-        assert runs.lows.dtype == runs.highs.dtype == data.dtype
-        assert np.array_equal(runs.lows, data[runs.rowids[starts]])
-        assert np.array_equal(runs.highs, data[runs.rowids[lasts]])
+        assert np.array_equal(in_memory.cracker_for("u")._runs[0].keys, run.keys)
+        # the keys' high bits decode to the values in sorted order
+        decoded = ((run.keys >> np.uint64(run.bits)) + np.uint64(run.lo % 2**64)).astype(data.dtype)
+        assert np.array_equal(decoded, np.sort(data))
+        assert np.array_equal(found.values, data[found.rowids])
+        assert found.values.dtype == data.dtype
 
     def test_a_rebuild_over_merged_appends_holds_twelve_bytes_a_row(self, tmp_path):
-        """The rebuild past ``PERMUTATION_GAP_SHARE`` packs base and tail
-        straight into its keys: no int64 copy of the column sits beside the
-        sort (20 bytes a row when it did)."""
+        """The merge that folds the tail runs into run 0 drops the old runs
+        first and packs base and tail straight into its keys: no int64 copy
+        of the column sits beside the sort (20 bytes a row when it did)."""
         rows, rng = 1_000_000, np.random.default_rng(31)
         data = rng.integers(0, 1_000_000, size=rows)
         catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
@@ -378,16 +399,18 @@ class TestPagedPermutation:
         manager = IndexManager()
         predicate = Predicate(Comparison.BETWEEN, 420_000, upper=430_000)
         manager.select_rowids("u", None, paged, predicate)  # the first build
-        paged.append_batch(rng.integers(0, 1_000_000, size=rows // 8))
+        paged.append_batch(rng.integers(0, 1_000_000, size=rows // 3))
         manager.extend_valid_prefix("u")
-        assert manager.merge_tails("u") == rows // 8
+        assert rows // 3 > rows * FOLD_SHARE  # so the merge folds
         tracemalloc.start()
         try:
-            selection = manager.select_rowids("u", None, paged, predicate)  # rebuilds
+            assert manager.merge_tails("u") == rows // 3  # rebuilds run 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert manager.cracker_for("u")._sorted.covered == len(paged)
+        (run,) = manager.cracker_for("u")._runs
+        assert run.stop == len(paged)
+        selection = manager.select_rowids("u", None, paged, predicate)
         assert np.array_equal(selection.rowids, brute(np.asarray(paged.values), predicate))
         assert peak <= 12 * len(paged) * 1.01
 
@@ -530,7 +553,7 @@ class TestManagerLifecycle:
             t.join()
         assert errors == []
         cracker = manager.cracker_for("c", None)
-        assert np.array_equal(cracker._sorted.rowids, np.argsort(random_data, kind="stable"))
+        assert np.array_equal(run_order(cracker._runs[0]), np.argsort(random_data, kind="stable"))
 
 
 class TestKernelSelectWhere:
@@ -681,7 +704,7 @@ class TestPredicateEdgeCases:
             Predicate(Comparison.BETWEEN, 10.0, upper=5.0)
         index = SortedIndex(Column("c", np.arange(10)))
         with pytest.raises(StorageError):
-            index.rowids_in_range(10.0, 5.0)
+            index.rows_in_range(10.0, 5.0)
 
     def test_all_rows_match(self, tmp_path):
         data = np.arange(1_000, dtype=np.int64)

@@ -103,8 +103,7 @@ def test_cracker_window_scan_and_merge_exact(kind):
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 150)
         )
     cracker = manager.cracker_for("c")
-    built = cracker._sorted
-    assert built is not None
+    (built,) = cracker._runs
     column.append_batch(tail)
     assert manager.extend_valid_prefix("c") == 1
     assert cracker.covered_rows == len(base)
@@ -116,8 +115,8 @@ def test_cracker_window_scan_and_merge_exact(kind):
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 200)
         )
         assert np.array_equal(selection.rowids, _mask_rowids(full, low, low + 200))
-    # merging advances the window over every appended row; the index then
-    # rebuilds (600 rows outgrow 1/16 of 4,000) and stays exact
+    # merging advances the window over every appended row and sorts them
+    # into a run behind run 0 (600 rows stay under 1/4 of 4,000: no fold)
     merged = manager.merge_tails("c")
     assert merged == len(tail)
     assert cracker.tail_rows == 0
@@ -126,40 +125,43 @@ def test_cracker_window_scan_and_merge_exact(kind):
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 200)
         )
         assert np.array_equal(selection.rowids, _mask_rowids(full, low, low + 200))
-    assert cracker._sorted is not built and cracker._sorted.covered == len(full)
+    assert cracker._runs[0] is built and len(cracker._runs) == 2
+    assert (cracker._runs[1].start, cracker._runs[1].stop) == (len(base), len(full))
     stats = manager.stats_snapshot()
     assert stats["prefix_extensions"] == 1
     assert stats["tail_merges"] == 1
     assert stats["rows_merged_total"] == len(tail)
 
 
-def test_merge_moves_nothing_and_the_gauge_reads_the_permutation():
-    """A merge only advances the window; the index bytes are the
-    permutation's (4 a row) plus its fences, until a rebuild replaces it."""
+def test_a_merge_sorts_its_rows_and_the_gauge_reads_the_runs():
+    """A merge sorts only its rows into a run behind run 0; the index bytes
+    are the runs' packed keys, 8 a row, until the index is dropped."""
     rng = np.random.default_rng(17)
     column = Column("c", rng.integers(0, 1_000, 10_000).astype(np.int64))
     manager = IndexManager()
     manager.select_rowids("c", None, column, Predicate(Comparison.BETWEEN, 100.0, upper=250.0))
     cracker = manager.cracker_for("c")
-    built = cracker._sorted
-    fences = built.lows.nbytes + built.highs.nbytes
-    assert manager.index_bytes == cracker.size_bytes == 10_000 * 4 + fences
-    for _ in range(4):
+    (built,) = cracker._runs
+    assert manager.index_bytes == cracker.size_bytes == 10_000 * 8
+    for merged in range(1, 5):
         column.append_batch(rng.integers(0, 1_000, 150).astype(np.int64))
         manager.extend_valid_prefix("c")
         assert manager.merge_tails("c") == 150
-        assert cracker._sorted is built and manager.index_bytes == 10_000 * 4 + fences
+        assert cracker._runs[0] is built and len(cracker._runs) == 1 + merged
+        assert (cracker._runs[-1].start, cracker._runs[-1].stop) == (len(column) - 150, len(column))
+        assert manager.index_bytes == (10_000 + 150 * merged) * 8
     full = np.asarray(column.values)
     selection = manager.select_rowids(
         "c", None, column, Predicate(Comparison.BETWEEN, 250.0, upper=650.0)
     )
     assert np.array_equal(selection.rowids, _mask_rowids(full, 250.0, 650.0))
-    assert cracker._sorted is built  # 600 merged rows are under 1/16 of 10,000: a gap
+    assert np.array_equal(selection.values, full[selection.rowids])
+    assert selection.rows_scanned <= 5 * 2 * (10_000).bit_length()  # binary searches only
     stats = manager.stats_snapshot()
     assert stats["rows_merged_total"] == 600 and stats["tail_merges"] == 4
     assert stats["cracker_bytes"] == cracker.size_bytes
-    # the window covers the merged rows; the permutation still the rows it sorted
-    assert cracker.covered_rows == 10_600 and built.covered == 10_000
+    # the window covers the merged rows; run 0 still the rows it sorted
+    assert cracker.covered_rows == 10_600 and built.stop == 10_000
     # dropping the index drops every byte it held
     manager.clear()
     assert manager.stats.crackers_dropped == 1
@@ -176,12 +178,12 @@ def test_extend_valid_prefix_keeps_the_index():
             "c", None, column, Predicate(Comparison.BETWEEN, low, upper=low + 100)
         )
     cracker = manager.cracker_for("c")
-    built = cracker._sorted
+    built = cracker._runs
     column.append_batch(rng.integers(0, 1_000, 800).astype(np.int64))
     manager.extend_valid_prefix("c")
     survivor = manager.cracker_for("c")
     assert survivor is cracker  # same index object, not a rebuild
-    assert survivor._sorted is built  # its permutation kept, too
+    assert survivor._runs is built  # its sorted runs kept, too
     assert survivor.tail_rows == 800
     assert manager.stats.crackers_built == 1
 
@@ -346,6 +348,66 @@ def test_compact_appends_table_and_hierarchy(tmp_path):
     assert len(fresh.load_table("t")) == 700
     with pytest.raises(Exception):
         catalog.compact_appends("missing")
+
+
+def test_schema_gestures_on_a_grown_paged_table_keep_its_appended_rows(tmp_path):
+    """Drag-out, group and ungroup of a paged table after an append see all
+    of its rows: a renamed paged column is the same mapping plus the append
+    tail as it was, and appends on either side stay that side's own."""
+    from repro.core.commands import (
+        AppendCommand,
+        DragColumnOut,
+        GroupColumns,
+        ShowTable,
+        UngroupTable,
+    )
+    from repro.service import LocalExplorationService
+    from repro.touchio.device import DeviceProfile
+
+    rng = np.random.default_rng(37)
+    grid = {"a": rng.integers(0, 1_000, 1_000), "b": rng.normal(size=1_000)}
+    catalog = StoreCatalog(DiskColumnStore(tmp_path / "store"))
+    catalog.persist_table(Table.from_arrays("grid", grid), chunk_rows=256)
+    profile = DeviceProfile(
+        name="ingest-device",
+        screen_width_cm=20.0,
+        screen_height_cm=15.0,
+        sampling_rate_hz=20.0,
+        finger_width_cm=0.08,
+    )
+    service = LocalExplorationService(profile=profile)
+    StoreCatalog.open_read_only(tmp_path / "store", cache_bytes=1 << 20).attach(service.catalog)
+    service.execute(ShowTable(table_name="grid", view_name="t", x=3.0, width_cm=6.0))
+    extra = {"a": rng.integers(0, 1_000, 100), "b": rng.normal(size=100)}
+    service.execute(AppendCommand.of("grid", columns=extra))
+    grown = {name: np.concatenate([grid[name], extra[name]]) for name in grid}
+    service.execute(
+        DragColumnOut(table_view="t", column_name="b", new_object_name="b_out", x=11.0)
+    )
+    service.execute(UngroupTable(table_view="t", height_cm=4.0))
+    service.execute(
+        GroupColumns(
+            column_object_names=("grid_a", "b_out"), table_name="pair", width_cm=4.0, height_cm=4.0
+        )
+    )
+    objects = service.catalog
+    views = {
+        "drag-out": objects.column("b_out"),
+        "ungroup a": objects.column("grid_a"),
+        "ungroup b": objects.column("grid_b"),
+        "group a": objects.table("pair").column("grid_a"),
+        "group b": objects.table("pair").column("b_out"),
+    }
+    for view, column in views.items():
+        expected = grown["a" if view.endswith("a") else "b"]
+        assert len(column) == 1_100, view
+        assert np.array_equal(np.asarray(column.values), expected), view
+    # a later append to the table reaches none of the clones, and back
+    service.execute(AppendCommand.of("grid", columns={"a": [1], "b": [0.5]}))
+    objects.column("b_out").append_batch([7.0])
+    assert len(objects.table("grid")) == 1_101 and len(objects.column("grid_b")) == 1_100
+    assert np.array_equal(np.asarray(objects.table("grid").column("b").values[:1_100]), grown["b"])
+    assert len(objects.column("b_out")) == 1_101 and len(views["group b"]) == 1_100
 
 
 # --------------------------------------------------------------------- #

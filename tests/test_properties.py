@@ -163,7 +163,7 @@ class TestCrackerProperties:
         column = Column("c", np.asarray(values))
         index = SortedIndex(column)
         expected = set(np.nonzero((column.values >= low) & (column.values < high))[0].tolist())
-        got = set(index.rowids_in_range(low, high).tolist())
+        got = set(index.rows_in_range(low, high)[0].tolist())
         assert got == expected
 
     @given(
@@ -171,16 +171,17 @@ class TestCrackerProperties:
         pivots=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=10),
     )
     def test_pieces_always_partition(self, values, pivots):
-        """The permutation's runs partition the column: every rowid once,
-        in value order, each run's fences inside its neighbours'."""
+        """Run 0 partitions the column: every rowid once, in value order —
+        its packed keys decode to the rowids of the sorted values."""
         index = SortedIndex(Column("c", np.asarray(values)))
         for pivot in pivots:
-            index.rowids_in_range(float(pivot), float(pivot) + 10.0)
-        runs = index._sorted
-        assert np.array_equal(np.sort(runs.rowids), np.arange(len(values)))
-        assert -(-len(values) // runs.run_rows) == runs.lows.size == runs.highs.size
-        assert (runs.lows <= runs.highs).all()
-        assert (runs.highs[:-1] <= runs.lows[1:]).all()
+            index.rows_in_range(float(pivot), float(pivot) + 10.0)
+        (run,) = index._runs
+        rowids = (run.keys & np.uint64((1 << run.bits) - 1)).astype(np.int64)
+        assert np.array_equal(np.sort(rowids), np.arange(len(values)))
+        ordered = np.asarray(values)[rowids]
+        assert (ordered[:-1] <= ordered[1:]).all()
+        assert np.array_equal(run.keys, np.sort(run.keys))
 
 
 class TestCacheProperties:

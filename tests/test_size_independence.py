@@ -73,8 +73,10 @@ SIZES = (N, 16 * N)
 CHUNK_ROWS = 256
 #: How much more a step's traced peak may be at ``16 * N``.  The largest
 #: growth outside the allow-list is a paged warm selection's zonemap pass,
-#: which is linear in the chunk count (1,250 chunks at ``16 * N``): +45 KiB.
-SLACK_BYTES = 64 << 10
+#: which is linear in the chunk count (1,250 chunks at ``16 * N``): its
+#: candidate array, +10.4 KiB (+33 KiB while it was a Python list); next
+#: is an in-memory ungroup, +8.8 KiB.  The rest is margin for the allocator.
+SLACK_BYTES = 16 << 10
 #: Rows a selection matches, at either size (the column is a permutation).
 MATCHES = 32
 SEED = 13
