@@ -8,7 +8,7 @@ both on the same workload:
   ``GestureOutcome`` counters (the index is a side effect, never a
   result change);
 * **Repeated range predicates get cheap** — repeated ``select_where``
-  range queries answer from the value-sorted permutation (in-memory,
+  range queries answer from the value-sorted runs (in-memory,
   built by the first selection) or from a scan of the chunks the zonemap
   keeps (an out-of-core paged column clustered on the key) at least
   ``MIN_SPEEDUP``x faster than the full scans the indexing-disabled
@@ -107,7 +107,7 @@ def compare_backends(indexed: ExplorationSession, reference: ExplorationSession,
     reference_fp = drive_gestures(reference, view_name)
     assert indexed_fp == reference_fp, "indexing changed gesture outcome counters"
 
-    # warm-up consult: the first indexed query pays the permutation's build
+    # warm-up consult: the first indexed query pays the index's build
     for predicate in hot_predicates():
         indexed.select_where(view_name, predicate)
 
@@ -192,7 +192,7 @@ def paged_run(tmp_path_factory):
 
 
 def test_adaptive_indexing_speedup_in_memory(benchmark, in_memory_run):
-    """In-memory selections answer from the value-sorted permutation,
+    """In-memory selections answer from the value-sorted runs,
     bit-identically; the speedup is reported here and gated by the
     ``_gate`` test."""
     comparison, speedup, strategy, stats = benchmark.pedantic(

@@ -296,7 +296,7 @@ def test_paged_select_cost_independent_of_column_size(tmp_path):
         manager = IndexManager()
         tracemalloc.start()
         try:
-            manager.select_rowids("flux", None, column, predicate)  # builds any permutation
+            manager.select_rowids("flux", None, column, predicate)  # builds any run
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,8 +6,8 @@ example walks the whole streaming-append story on one session:
 1. **load and explore** — show a sensor column and run a few range
    selections: the first sorts the column once into run 0 (adaptive
    indexing as a side effect of what is touched; a float column's run is
-   a value-sorted rowid permutation), and every later one reads at most
-   two ⌈√n⌉-row pieces of it;
+   one ``uint64`` sort of order-keeping keys, like an integer column's),
+   and every later one binary-searches it;
 2. **append mid-session** — new readings land via
    :meth:`repro.ExplorationSession.append` (a recorded, replayable
    gesture command).  The index is *not* thrown away: its sorted runs

@@ -687,18 +687,18 @@ class DbTouchKernel:
         clustered on the key offers more than ``SCAN_MAX_CHUNKS`` candidate
         chunks), and always on an in-memory column, it answers instead from
         the column's value-sorted runs: run 0, sorted by the first such
-        selection (packed ``(value, rowid)`` keys on an integer column, 8
-        bytes a row held, 12 at the build's peak), and one run per merged
-        tail.  A later selection binary-searches each run and sorts only
+        selection, and one run per merged tail (``uint64`` ``(image, rowid)``
+        keys whatever the dtype, 8 bytes a row held, 12 at the build's
+        peak).  A later selection binary-searches each run and sorts only
         its hits, so its cost follows the result, not the column.
 
         For a table shown with a SELECT_WHERE action the predicate
         restricts the action's where-attribute and the action's selected
         attributes are projected into ``selected``; for a column object
-        the matching values are returned in ``values`` — decoded from a
-        packed index's keys, and gathered from the column only when the
-        index did not return them.  ``predicate`` defaults to the one
-        attached to the view's action.
+        the matching values are returned in ``values`` — decoded from the
+        index's keys where they keep the whole value, and gathered from the
+        column only when the index did not return them.  ``predicate``
+        defaults to the one attached to the view's action.
         """
         state = self.state_of(view_name)
         action = state.action
@@ -742,7 +742,7 @@ class DbTouchKernel:
                     name: state.table.column(name).read_batch(selection.rowids)
                     for name in select_names
                 }
-        elif selection.values is None:  # a scan, or a permutation run answered
+        elif selection.values is None:  # a scan, or runs whose keys lose values
             selection.values = column.read_batch(selection.rowids)
         selection.duration_s = time.perf_counter() - started
         return selection

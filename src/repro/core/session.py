@@ -385,7 +385,7 @@ class ExplorationSession:
         """Whole-object range selection over the object shown in ``view``.
 
         Delegates to the backend's ``select_where`` extra (local backends
-        only): the adaptive indexing tier — a value-sorted permutation
+        only): the adaptive indexing tier — value-sorted runs, run 0
         built by the first selection on a column — answers range
         predicates from its sorted runs or zonemap-pruned chunks instead of
         full scans.  Not a gesture, so it is neither recorded nor counted in

@@ -13,10 +13,10 @@ wires that bet into the kernel:
 * bulk range selections (:meth:`repro.core.kernel.DbTouchKernel.select_where`)
   *consult* the tier via :meth:`select_rowids`, scanning only the
   zonemap-kept chunks or binary-searching the sorted runs instead of the
-  whole column, and get back the matching rowids and — from packed runs,
-  a chunk scan and the tail scan — their values, so the kernel gathers
-  only what the index did not return; the first consultation builds the
-  index;
+  whole column, and get back the matching rowids and — from lossless
+  runs, a chunk scan and the tail scan — their values, so the kernel
+  gathers only what the index did not return; the first consultation
+  builds the index;
 * indexes are bounded by count alone (``max_crackers``), dropped
   least-recently-consulted first: an index is a side effect of touches, so
   a dropped one costs its next consultation one rebuild and never changes
@@ -45,18 +45,19 @@ completes on the orphaned (still self-consistent) index.
 
 **Exactness.**  Indexed selections must agree bit-for-bit with
 ``Predicate.mask`` over the base data.  Three guards make that hold: NaN
-rows are left out of the sorted runs; inclusive/exclusive predicate
-bounds are mapped onto the index's half-open ranges with ``np.nextafter``
-in the dtype the column compares in; and membership is decided by the
-*same* numpy promotion ``Predicate.mask`` performs — on the column's
-native values, or, for packed keys, on integer thresholds found with that
-comparison — so int64 columns answer exactly even beyond 2**53, and the
-values returned are bit-identical to a gather of the rowids.
+rows take an image past every range; inclusive bounds are mapped onto
+the index's half-open ranges in the dtype the column compares in
+(``np.nextafter``, or + 1 for an int operand on an integer column); and
+membership is decided by the *same* numpy promotion ``Predicate.mask``
+performs — on the column's native values, or on image thresholds found
+with that comparison — so int64 columns answer exactly even beyond
+2**53, and the values returned are bit-identical to a gather of the rowids.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import weakref
 from collections import OrderedDict
@@ -81,22 +82,31 @@ def predicate_range(
     A float32 column compares in float32 (numpy casts a Python float
     operand to the array's dtype), so its bounds step from the operand
     rounded to float32, in float32; integer and float64 columns step in
-    float64.  Returns ``None`` for predicates that are not a contiguous
-    range (``NE``) or whose operands are NaN/infinite — those fall back to
-    a full scan.
+    float64; an int operand on an integer column stays an exact int (at
+    most one past the dtype's range) and steps by 1.  Returns ``None`` for
+    predicates that are not a contiguous range (``NE``) or whose operands
+    are NaN/infinite — those fall back to a full scan.
     """
     dtype = np.dtype(dtype)
     step = dtype if dtype.kind == "f" else np.dtype(np.float64)
 
+    def exact(value) -> int | float:
+        if dtype.kind in "iu" and isinstance(value, numbers.Integral):
+            info = np.iinfo(dtype)
+            return min(max(int(value), info.min - 1), info.max + 1)
+        return float(value)
+
     def above(value: float) -> float:
+        if isinstance(value, int):
+            return value + 1
         return float(np.nextafter(step.type(value), step.type(math.inf)))
 
-    operand = float(predicate.operand)
+    operand = exact(predicate.operand)
     if not math.isfinite(operand):
         return None
     comparison = predicate.comparison
     if comparison is Comparison.BETWEEN:
-        upper = float(predicate.upper)
+        upper = exact(predicate.upper)
         if not math.isfinite(upper):
             return None
         return operand, above(upper)
@@ -368,7 +378,8 @@ class IndexManager:
         rowids are always sorted and bit-identical to
         ``np.nonzero(predicate.mask(column.values))[0]``; ``values`` holds
         ``column.read_batch(rowids)`` when the index could answer it from
-        its own keys or scans, ``None`` when a permutation run answered.
+        its own keys or scans, ``None`` when the runs' keys could not give
+        them.
         """
         with self._lock:
             self.stats.consultations += 1

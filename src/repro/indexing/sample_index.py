@@ -3,9 +3,10 @@
 The paper suggests that when a hierarchy of samples exists, dbTouch can
 maintain a separate index for each sample level, treating each copy
 independently depending on how often index support is needed for that
-copy.  The :class:`SampleLevelIndex` below wraps a sorted index per level,
-built lazily on first use, and answers value-range lookups at whichever
-granularity the gesture is currently exploring.
+copy.  The :class:`SampleLevelIndex` below keeps one
+:class:`~repro.indexing.sorted_index.SortedIndex` per level, built lazily
+on first use, and answers value-range lookups at whichever granularity
+the gesture is currently exploring.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.filter import Comparison, Predicate
 from repro.errors import SampleError
-from repro.storage.sample import SampleHierarchy, SampleLevel
+from repro.indexing.manager import predicate_range
+from repro.indexing.sorted_index import SortedIndex
+from repro.storage.sample import SampleHierarchy
 
 
 @dataclass(frozen=True)
@@ -38,30 +42,16 @@ class SampleLevelIndex:
 
     def __init__(self, hierarchy: SampleHierarchy):
         self.hierarchy = hierarchy
-        self._sorted_orders: dict[int, np.ndarray] = {}
+        self._indexes: dict[int, SortedIndex] = {}
         self.builds = 0
 
-    # ------------------------------------------------------------------ #
-    # index construction
-    # ------------------------------------------------------------------ #
-    def _order_for(self, level: SampleLevel) -> np.ndarray:
-        if level.level not in self._sorted_orders:
-            self._sorted_orders[level.level] = np.argsort(
-                level.column.values, kind="stable"
-            )
-            self.builds += 1
-        return self._sorted_orders[level.level]
-
-    # ------------------------------------------------------------------ #
-    # lookups
-    # ------------------------------------------------------------------ #
     def lookup_range(
         self,
         low: float,
         high: float,
         stride_hint: int = 1,
     ) -> RangeLookupResult:
-        """Find sample entries with values in ``[low, high]``.
+        """Find sample entries with values in ``[low, high]`` (finite bounds).
 
         The lookup is served by the sample level matching ``stride_hint``,
         i.e. the same level a slide at that granularity would read, so the
@@ -70,15 +60,19 @@ class SampleLevelIndex:
         if high < low:
             raise SampleError("lookup_range requires low <= high")
         level = self.hierarchy.level_for_stride(stride_hint)
-        order = self._order_for(level)
-        values_sorted = level.column.values[order]
-        left = int(np.searchsorted(values_sorted, low, side="left"))
-        right = int(np.searchsorted(values_sorted, high, side="right"))
-        sample_rowids = np.sort(order[left:right])
-        base_rowids = sample_rowids * level.step
+        bounds = predicate_range(
+            Predicate(Comparison.BETWEEN, low, upper=high), level.column.dtype.numpy_dtype
+        )
+        if bounds is None:
+            raise SampleError("lookup_range requires finite bounds")
+        index = self._indexes.get(level.level)
+        if index is None:
+            index = self._indexes[level.level] = SortedIndex(level.column)
+            self.builds += 1
+        sample_rowids = index.rows_in_range(*bounds)[0]
         return RangeLookupResult(
             level=level.level,
             step=level.step,
             sample_rowids=sample_rowids,
-            base_rowids=base_rowids,
+            base_rowids=sample_rowids * level.step,
         )

@@ -19,26 +19,31 @@ copy of the column's values in RAM.  A lookup takes one of two answers:
   later :meth:`SortedIndex.merge_tail` sorts only the rows it merges into
   a new run behind it, so the runs cover adjacent rowid ranges in rowid
   order (adaptive merging, Graefe & Kuno, EDBT 2010; the log-structured
-  merge-tree, O'Neil et al., 1996).  A run is one of two kinds:
+  merge-tree, O'Neil et al., 1996).
 
-  - *packed*: an integer column whose value range packs beside the
-    rowid bits keeps its sorted ``uint64`` keys ``(value - lo) << bits |
-    rowid`` — 8 bytes a row, 12 at the build's peak (the keys and the
-    ``uint32`` rowids ORed into them).  Ties sort in rowid order, so the
-    keys are the stable value order.  Tail runs share run 0's ``(lo,
-    bits)``; ``bits`` leaves room for the :data:`FOLD_SHARE` more rows a
-    merge may add before it folds.  A lookup binary-searches every run
-    for its range's key bounds and rotates only the hits to ``rowid <<
-    (64 - bits) | (value - lo)``: one sort of the hits yields the rowids
-    *and* their values in rowid order, and the column is not read.
-  - *permutation*: any other column — floats, integers whose range is
-    too wide, and appended rows whose values leave run 0's window —
-    keeps its non-NaN rowids in stable value order (one stable
-    ``np.argsort``, which parks NaN rows last, where they are cut off),
-    in pieces of ⌈√n⌉ rowids fenced by their first and last value.  A
-    lookup takes interior pieces whole and filters at most two edge
-    pieces by gathering their values; the caller gathers the values of
-    the hits.
+  Every run, whatever the dtype, is one ``uint64`` sort of keys
+  ``(image(value) >> drop) << bits | rowid`` — 8 bytes a row, 12 at the
+  build's peak (the keys and the ``uint32`` rowids ORed into them), with
+  its own ``(lo, drop, bits)``: ``bits`` is 32 when the image fits the
+  other 32, else those of its last rowid.  The *image* keeps the
+  values' order (key normalisation, Graefe, *Implementing sorting in
+  database systems*, ACM CSUR 2006): ``value - lo`` for an integer; for a
+  float, widened to float64, its bits with −0.0 made +0.0, a negative
+  value's every bit flipped and any other's sign bit set — and all ones
+  for NaN, past every range.  ``drop`` is the least shift that fits the
+  image beside the rowid bits: 0 for an integer run whose value range
+  fits, more for floats and wider integers, whose rows of equal truncated
+  image form a *bucket*.  Ties sort in rowid order.
+
+  A lookup maps its bounds to images with the comparison
+  ``Predicate.mask`` makes (a float bound rounded to the column's dtype
+  first), binary-searches every run for them, takes the buckets between
+  them whole and filters only a bucket a bound falls inside, on values
+  gathered off the column.  A run that drops nothing has no such bucket;
+  when no run does, the hits of all runs are rotated to ``rowid << (64 -
+  bits) | image`` and sorted once, which yields the rowids *and* their
+  values in rowid order without reading the column; otherwise the caller
+  gathers the values.
 
   The merge that would keep more than :data:`MAX_RUNS` tail runs sorts
   theirs and its own rows into one; once the tail runs hold more than
@@ -46,13 +51,12 @@ copy of the column's values in RAM.  A lookup takes one of two answers:
   whole window instead.  So a lookup sorts at most its hits, and no
   lookup builds, rebuilds or scans a gap.
 
-Both answers make the comparison ``Predicate.mask`` makes: a permutation
-or chunk scan compares the column's native values, and a packed run maps
-the bounds to integer thresholds with that same comparison (an integer
-column against a Python float compares in float64, also beyond 2**53),
-so they agree with it bit for bit.  The runs are the index's only state,
-and they live in RAM only: when the manager's ``max_crackers`` cap
-unlinks the index, or the process restarts, the next lookup rebuilds it.
+Both answers compare the column's native values, or images found with
+that comparison, so they agree with ``Predicate.mask`` bit for bit (an
+integer column against a Python float compares in float64, past 2**53).
+The runs are the index's only state, and they live in RAM only: when the
+manager's ``max_crackers`` cap unlinks the index, or the process
+restarts, the next lookup rebuilds it.
 
 **Why index scans read ``raw_slice``.**  The index reads straight off the
 column (``column.raw_slice``, and ``column.read_batch`` gathers), which on
@@ -86,14 +90,15 @@ FOLD_SHARE = 1 / 4
 
 
 @dataclass(frozen=True)
-class _PackedRun:
+class _Run:
     """Rows ``[start, stop)`` as sorted ``uint64`` keys
-    ``(value - lo) << bits | rowid``."""
+    ``(image(value) >> drop) << bits | rowid``."""
 
     start: int
     stop: int
     keys: np.ndarray
     lo: int
+    drop: int
     bits: int
 
     @property
@@ -101,50 +106,45 @@ class _PackedRun:
         return int(self.keys.nbytes)
 
 
-@dataclass(frozen=True)
-class _PermutationRun:
-    """The non-NaN rowids of ``[start, stop)`` in stable value order, in
-    pieces of ``piece_rows`` fenced by each piece's first (``lows``) and
-    last (``highs``) value in the column's native dtype."""
-
-    start: int
-    stop: int
-    rowids: np.ndarray
-    piece_rows: int
-    lows: np.ndarray
-    highs: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.rowids.nbytes + self.lows.nbytes + self.highs.nbytes)
+def _float_images(values: np.ndarray) -> np.ndarray:
+    """The order-keeping ``uint64`` images of float64 ``values``, made in
+    place: −0.0 is +0.0, a negative value has every bit flipped and any
+    other its sign bit set, and NaN takes the all-ones image."""
+    nan = np.isnan(values)
+    values += 0.0  # -0.0 + 0.0 is +0.0
+    negative = np.signbit(values)
+    images = values.view(np.uint64)
+    images ^= np.uint64(1 << 63)
+    np.bitwise_xor(images, np.uint64((1 << 63) - 1), out=images, where=negative)
+    del negative
+    np.copyto(images, np.uint64(2**64 - 1), where=nan)
+    return images
 
 
-def _pack(parts: list[np.ndarray], start: int, stop: int, lo: int, bits: int) -> _PackedRun:
-    """Sort rows ``[start, stop)`` (their values, in ``parts``) as packed
-    keys: the values are cast straight into the keys, never joined into a
-    copy first, and the ``uint32`` rowids live only until they are ORed in."""
-    keys = np.concatenate(parts, dtype=np.uint64, casting="unsafe")
-    keys -= np.uint64(lo % 2**64)
+def _sort_run(parts: list[np.ndarray], start: int, stop: int) -> _Run:
+    """Sort rows ``[start, stop)`` (their values, in ``parts``) into one run:
+    one copy of the values turned into their images in place, shifted and
+    ORed with the ``uint32`` rowids, then one ``uint64`` sort."""
+    kind = parts[0].dtype.kind
+    if kind == "f":
+        keys = _float_images(np.concatenate(parts, dtype=np.float64))
+        lo, width = 0, 64
+    else:
+        values = np.concatenate(parts, dtype=np.uint64 if kind == "u" else np.int64)
+        lo, hi = int(values.min()), int(values.max())
+        keys = values.view(np.uint64)
+        keys -= np.uint64(lo % 2**64)
+        width = (hi - lo).bit_length()
+    # the rowids take 32 bits beside an image that fits the rest, so such
+    # runs share one layout; else as few as the last rowid needs
+    bits = 32 if width <= 32 and stop <= 2**32 else max(1, (stop - 1).bit_length())
+    drop = max(0, width - (64 - bits))
+    if drop:
+        keys >>= np.uint64(drop)
     keys <<= np.uint64(bits)
-    keys |= np.arange(start, stop, dtype=np.uint32)
+    keys |= np.arange(start, stop, dtype=np.uint32 if stop <= 2**32 else np.uint64)
     keys.sort()
-    return _PackedRun(start, stop, keys, lo, bits)
-
-
-def _permute(parts: list[np.ndarray], start: int, stop: int) -> _PermutationRun:
-    """Rows ``[start, stop)`` (their values, in ``parts``) in stable value
-    order, NaN rows cut off, fenced every ⌈√n⌉ rowids."""
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    order = np.argsort(values, kind="stable")
-    if np.issubdtype(values.dtype, np.floating):
-        order = order[: order.size - int(np.count_nonzero(np.isnan(values)))]
-    n = int(order.size)
-    piece_rows = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
-    starts = np.arange(0, n, piece_rows)
-    lows, highs = values[order[starts]], values[order[np.minimum(starts + piece_rows, n) - 1]]
-    rowids = order.astype(np.int32 if stop < 2**31 else np.int64)
-    rowids += start
-    return _PermutationRun(start, stop, rowids, piece_rows, lows, highs)
+    return _Run(start, stop, keys, lo, drop, bits)
 
 
 def _in_range(values: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -159,8 +159,8 @@ def _in_range(values: np.ndarray, low: float, high: float) -> np.ndarray:
 
 def _least_at_least(dtype: np.dtype, bound: float) -> int:
     """The least value of integer ``dtype`` that compares ``>= bound`` the
-    way numpy compares the dtype with a Python float, or the dtype's
-    maximum + 1 when none does.
+    way numpy compares the dtype with a Python float (or int), or the
+    dtype's maximum + 1 when none does.
 
     Within 2**53 of zero that is ``ceil(bound)``; past it float64 rounds
     an integer by up to half its spacing (1,024 just below 2**64), so the
@@ -194,7 +194,7 @@ class SortedIndex:
         self._chunked = hasattr(column, "chunks_for_predicate")
         # the sorted runs, covering [0, covered_rows) once the first lookup
         # that needs them has built run 0
-        self._runs: tuple[_PackedRun | _PermutationRun, ...] = ()
+        self._runs: tuple[_Run, ...] = ()
         #: values inspected by lookups: the measure behind ``RangeSelection.rows_scanned``
         self.values_scanned_total = 0
 
@@ -221,40 +221,16 @@ class SortedIndex:
     # ------------------------------------------------------------------ #
     # building runs
     # ------------------------------------------------------------------ #
-    def _parts(self, start: int, stop: int) -> list[np.ndarray]:
-        """Rows ``[start, stop)`` off ``raw_slice``: a paged column's mapped
-        and appended rows as two pieces, never joined into a copy."""
+    def _sorted(self, start: int, stop: int) -> _Run:
+        """Rows ``[start, stop)`` as a run, read off ``raw_slice``: a paged
+        column's mapped and appended rows as two pieces, never joined into
+        a copy before the one the sort makes."""
         edges = [start, stop]
         if self._chunked and start < self.column.base_rows < stop:
             edges.insert(1, self.column.base_rows)
-        return [self.column.raw_slice(a, b) for a, b in zip(edges, edges[1:])]
-
-    def _build_first(self, covered: int) -> _PackedRun | _PermutationRun:
-        """Run 0 over ``[0, covered)``: packed when the column's value range
-        (a paged column's zonemap, an in-memory column's min/max — either
-        a superset of the window's) fits beside the bits of the rowids the
-        window may reach before a fold."""
-        parts = self._parts(0, covered)
-        if self.column.dtype.numpy_dtype.kind in "iu":
-            room = covered + int(covered * FOLD_SHARE)
-            bits = max(1, (room - 1).bit_length())
-            lo, hi = int(self.column.min()), int(self.column.max())
-            if room <= 2**32 and hi - lo < 1 << (64 - bits):
-                return _pack(parts, 0, covered, lo, bits)
-        return _permute(parts, 0, covered)
-
-    def _build_tail(
-        self, first: _PackedRun | _PermutationRun, start: int, stop: int
-    ) -> _PackedRun | _PermutationRun:
-        """A tail run over ``[start, stop)``, packed with run 0's ``(lo,
-        bits)`` when its values fit them (its rowids do until a fold)."""
-        parts = self._parts(start, stop)
-        if isinstance(first, _PackedRun):
-            lo = min(int(part.min()) for part in parts)
-            hi = max(int(part.max()) for part in parts)
-            if lo >= first.lo and hi - first.lo < 1 << (64 - first.bits):
-                return _pack(parts, start, stop, first.lo, first.bits)
-        return _permute(parts, start, stop)
+        return _sort_run(
+            [self.column.raw_slice(a, b) for a, b in zip(edges, edges[1:])], start, stop
+        )
 
     def merge_tail(self) -> int:
         """Advance the validity window over appended rows; returns them.
@@ -278,11 +254,11 @@ class SortedIndex:
             if stop - first.stop > first.stop * FOLD_SHARE:
                 del runs, first  # no reference left: the rebuild's peak is its own
                 self._runs = ()
-                self._runs = (self._build_first(stop),)
+                self._runs = (self._sorted(0, stop),)
             elif len(runs) > MAX_RUNS:
-                self._runs = (first, self._build_tail(first, runs[1].start, stop))
+                self._runs = (first, self._sorted(runs[1].start, stop))
             else:
-                self._runs = runs + (self._build_tail(first, start, stop),)
+                self._runs = runs + (self._sorted(start, stop),)
         return stop - start
 
     # ------------------------------------------------------------------ #
@@ -318,76 +294,94 @@ class SortedIndex:
             values.append(scanned[hits])
         return np.concatenate(rowids), np.concatenate(values)
 
-    def _permutation_hits(self, run: _PermutationRun, low: float, high: float) -> np.ndarray:
-        """``[low, high)`` of one permutation run, in value order."""
-        rowids, size = run.rowids, run.piece_rows
-        # on real values, in value order, the matches are one contiguous
-        # stretch, so the pieces it touches are contiguous and all but the
-        # end two whole (an infinite high bounds nothing, as in _in_range)
-        open_top = high == math.inf
-        touched = np.flatnonzero((run.highs >= low) & ((run.lows < high) | open_top))
-        if not touched.size:
-            return rowids[:0]
-        whole = (run.lows >= low) & ((run.highs < high) | open_top)
-        first, last = int(touched[0]), int(touched[-1])
-        inner_first = first if whole[first] else first + 1
-        inner_last = last if whole[last] else last - 1
-        parts = [rowids[inner_first * size : (inner_last + 1) * size]]
-        for piece in sorted({first, last}):
-            if not whole[piece]:
-                edge = rowids[piece * size : (piece + 1) * size]
-                values = self.column.read_batch(edge)  # one gather, no chunk cache
-                self.values_scanned_total += int(edge.size)
-                parts.append(edge[_in_range(values, low, high)])
-        return np.concatenate(parts)
+    def _run_hits(
+        self, run: _Run, least: int, past: int | None, low: float, high: float
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``[low, high)`` of one run, whose values' images before its ``lo``
+        lie in ``[least, past)`` (``past`` ``None``: all but NaN): the keys of
+        the buckets it takes whole, and the matching rowids of a bucket a
+        bound falls inside, filtered on values gathered off the column."""
+        keys, drop, bits, size = run.keys, run.drop, run.bits, int(run.keys.size)
+
+        def first(bucket: int) -> int:  # where the keys of ``bucket`` start
+            key = bucket << bits
+            return int(keys.searchsorted(np.uint64(key))) if key < 2**64 else size
+
+        at_low = min(max(least - run.lo, 0), 2**64)
+        if past is None:  # NaN's bucket starts past every value
+            at_high = (2**64 - 1) >> drop << drop
+        else:
+            at_high = min(max(past - run.lo, 0), 2**64)
+        low_bucket, high_bucket = at_low >> drop, at_high >> drop
+        start, stop = first(low_bucket), first(high_bucket)
+        self.values_scanned_total += 2 * size.bit_length()
+        if not drop:  # every bound starts its bucket
+            return keys[start:stop], []
+        # a bound inside its bucket leaves that bucket to a filter
+        edges = []
+        if at_low != low_bucket << drop:
+            edges.append((start, start := first(low_bucket + 1)))
+        if at_high != high_bucket << drop and (high_bucket > low_bucket or not edges):
+            edges.append((stop, first(high_bucket + 1)))
+        matched = []
+        for a, b in edges:
+            edge = (keys[a:b] & np.uint64((1 << bits) - 1)).view(np.int64)
+            self.values_scanned_total += size.bit_length() + b - a
+            matched.append(edge[_in_range(self.column.read_batch(edge), low, high)])
+        return keys[start:stop], matched
 
     def _runs_lookup(self, low: float, high: float) -> tuple[np.ndarray, np.ndarray | None]:
         """``[low, high)`` from the sorted runs: rowids sorted, with their
-        values when every run is packed (``None`` otherwise)."""
+        values when every run keeps the whole value (``None`` otherwise)."""
         runs = self._runs
         if not runs:
-            runs = self._runs = (self._build_first(self._num_rows),)
-        first, dtype = runs[0], self.column.dtype.numpy_dtype
-        if not isinstance(first, _PackedRun):  # so is every tail run
-            permuted = [self._permutation_hits(run, low, high) for run in runs]
-            return np.sort(np.concatenate(permuted).astype(np.int64)), None
-        # the range as value offsets from lo, made with the mask's comparison
-        # and clamped to the value bits: an offset of ``span`` is past every key
-        lo, bits = first.lo, first.bits
-        span = 1 << (64 - bits)
-        low_at, high_at = (
-            min(max(_least_at_least(dtype, bound) - lo, 0), span) for bound in (low, high)
-        )
-        keys: list[np.ndarray] = []
-        permuted = []
+            runs = self._runs = (self._sorted(0, self._num_rows),)
+        dtype = self.column.dtype.numpy_dtype
+        if dtype.kind == "f":
+            # the mask compares in the column's dtype: round each bound to it
+            with np.errstate(over="ignore"):
+                images = _float_images(np.array([dtype.type(low), dtype.type(high)], np.float64))
+            least = 0 if low == -math.inf else int(images[0])
+            past = None if high == math.inf else int(images[1])
+        else:
+            compared = np.dtype(np.uint8) if dtype.kind == "b" else dtype
+            least, past = (_least_at_least(compared, bound) for bound in (low, high))
+        # values come from the keys when every run keeps the whole value and
+        # its images fit beside the widest rowids
+        top = max(run.bits for run in runs)
+        whole = not any(run.drop or int(run.keys[-1]) >> run.bits >> (64 - top) for run in runs)
+        hits, matched = [], []
         for run in runs:
-            if isinstance(run, _PermutationRun):  # appended values outside run 0's window
-                permuted.append(self._permutation_hits(run, low, high))
-            elif low_at < high_at:
-                start, stop = (
-                    int(run.keys.searchsorted(np.uint64(at << bits))) if at < span else None
-                    for at in (low_at, high_at)
+            keys, edges = self._run_hits(run, least, past, low, high)
+            matched += edges
+            if not whole:  # rowids only: the caller gathers the values
+                keys = (keys & np.uint64((1 << run.bits) - 1)).view(np.int64)
+            elif run.bits < top:  # re-key as image << top | rowid
+                keys = (keys >> np.uint64(run.bits) << np.uint64(top)) | (
+                    keys & np.uint64((1 << run.bits) - 1)
                 )
-                keys.append(run.keys[start:stop])
-                self.values_scanned_total += 2 * int(run.keys.size).bit_length()
-        # rotate each hit to rowid << value_bits | (value - lo): one sort of
-        # the hits is their rowid order, with their values beside them
-        value_bits = np.uint64(64 - bits)
-        hits = keys[0] if len(keys) == 1 else np.concatenate([first.keys[:0], *keys])
-        turned = hits << value_bits
-        turned |= hits >> np.uint64(bits)
+            hits.append(keys)
+        if not whole:
+            return np.sort(np.concatenate(hits + matched)), None
+        keys = hits[0] if len(hits) == 1 else np.concatenate(hits)
+        # rotate each hit to rowid << value_bits | image: one sort of the hits
+        # is their rowid order, with their images beside them; each run's
+        # hits stay together, in run order, so its lo is added after
+        value_bits = np.uint64(64 - top)
+        turned = keys << value_bits
+        turned |= keys >> np.uint64(top)
         turned.sort()
         rowids = (turned >> value_bits).view(np.int64)
-        if permuted:
-            return np.sort(np.concatenate([rowids, *permuted]).astype(np.int64)), None
-        turned &= np.uint64(span - 1)
-        turned += np.uint64(lo % 2**64)
+        turned &= np.uint64((1 << (64 - top)) - 1)
+        los = [run.lo % 2**64 for run in runs]
+        sizes = [keys.size for keys in hits]
+        turned += np.repeat(np.array(los, np.uint64), sizes) if len(set(los)) > 1 else los[0]
         return rowids, turned.view(dtype) if dtype.itemsize == 8 else turned.astype(dtype)
 
     def rows_in_range(self, low: float, high: float) -> tuple[np.ndarray, np.ndarray | None]:
         """Rowids of the validity window whose values lie in ``[low, high)``,
-        sorted, and their values (``None`` where a permutation run answered:
-        the caller gathers them).
+        sorted, and their values (``None`` where the runs' keys cannot give
+        them: the caller gathers them).
 
         On a chunked column at most :data:`SCAN_MAX_CHUNKS` zonemap
         candidates are scanned; more — a huge predicate, or any range over a

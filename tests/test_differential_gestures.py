@@ -198,7 +198,7 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
     served by an IndexManager, replays seeded scripts bit-identically to the
     indexing-off reference, and bulk selections stay exact on both answers
     of its index — narrow ranges scan the chunks the zonemap keeps, ranges
-    over more than ``SCAN_MAX_CHUNKS`` chunks read the permutation."""
+    over more than ``SCAN_MAX_CHUNKS`` chunks read the sorted runs."""
     rng = np.random.default_rng(seed)
     data = np.sort(rng.integers(0, 1_000_000, size=30_000, dtype=np.int64))
     store = DiskColumnStore(tmp_path / "store", cache_bytes=1 << 20)
@@ -217,7 +217,7 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
         results.append(drive_column_script(session, view, np.random.default_rng(seed + 1)))
     assert results[0] == results[1]
     # narrow bulk selections walk the key space a chunk or two at a time:
-    # scans, no index state; then ranges over 70+ chunks: the permutation
+    # scans, no index state; then ranges over 70+ chunks: the sorted runs
     script_rng = np.random.default_rng(seed + 2)
     for width, cracker_bytes_held in ((5_000.0, False), (600_000.0, True)):
         for _ in range(15):

@@ -6,7 +6,7 @@ kernel/service/session wiring (``select_where``, replace-reloads, shared
 managers on a multi-session server), the snapshot round-trip, and the
 predicate edge cases uncovered while wiring the index into the hot path:
 NaN values, empty/inverted ranges, all-rows-match and single-value
-columns through ``select_where``, the permutation and zonemap pruning.
+columns through ``select_where``, the sorted runs and zonemap pruning.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.storage.column import Column
 from repro.storage.dtypes import FLOAT32, INT32
 from repro.storage.table import Table
 from repro.touchio.device import DeviceProfile
+from test_indexing_properties import assert_run_holds
 
 FAST_PROFILE = DeviceProfile(
     name="idx-device",
@@ -52,14 +53,6 @@ FAST_PROFILE = DeviceProfile(
 
 def brute(data: np.ndarray, predicate: Predicate) -> np.ndarray:
     return np.nonzero(predicate.mask(data))[0]
-
-
-def run_order(run) -> np.ndarray:
-    """A sorted run's rowids in value order, whatever its kind: a packed
-    run's keys carry them in their low ``bits``."""
-    if hasattr(run, "keys"):
-        return (run.keys & np.uint64((1 << run.bits) - 1)).astype(np.int64)
-    return run.rowids.astype(np.int64)
 
 
 @pytest.fixture
@@ -293,7 +286,7 @@ class TestPagedPermutation:
         manager = IndexManager()
         wide = Predicate(Comparison.BETWEEN, 200_000, upper=500_000)
         assert not manager.observe_predicate("u", None, paged, wide)
-        assert manager.stats_snapshot()["cracker_bytes"] == 0  # not even the permutation
+        assert manager.stats_snapshot()["cracker_bytes"] == 0  # not even run 0
         manager.select_rowids("u", None, paged, wide)
         before = manager.stats_snapshot()
         for low in range(0, 900_000, 100_000):
@@ -348,10 +341,10 @@ class TestPagedPermutation:
         "kind", ["int64 heavy ties", "int64 negative", "int32", "int64 at the packing limit"]
     )
     def test_the_packed_build_is_the_stable_order(self, tmp_path, kind):
-        """An integer column whose zonemap range packs beside the rowid bits
-        is sorted as (value, rowid) keys: ties come out in rowid order, so
-        the permutation is exactly the stable argsort, and the fences decoded
-        from the keys are the values at each run's first and last rowid."""
+        """An integer column whose value range fits beside the rowid bits
+        is sorted as (value - lo, rowid) keys with nothing dropped: ties
+        come out in rowid order, so the keys' rowids are exactly the
+        stable argsort, and their high bits decode to the sorted values."""
         rows, rng = 200_000, np.random.default_rng(29)
         bits = (rows - 1).bit_length()
         dtype = None
@@ -374,9 +367,10 @@ class TestPagedPermutation:
         selection = manager.select_rowids("u", None, paged, predicate)
         assert np.array_equal(selection.rowids, brute(data, predicate))
         (run,) = manager.cracker_for("u")._runs
-        assert np.array_equal(run_order(run), np.argsort(data, kind="stable"))
+        assert run.drop == 0
+        assert np.array_equal(assert_run_holds(run, data), np.argsort(data, kind="stable"))
         assert manager.index_bytes == 8 * rows  # the keys, nothing beside them
-        # an in-memory column of the same data packs its min/max range alike
+        # an in-memory column of the same data makes the same keys
         in_memory = IndexManager()
         found = in_memory.select_rowids("u", None, Column("u", data, dtype=dtype), predicate)
         assert np.array_equal(found.rowids, brute(data, predicate))
@@ -414,10 +408,41 @@ class TestPagedPermutation:
         assert np.array_equal(selection.rowids, brute(np.asarray(paged.values), predicate))
         assert peak <= 12 * len(paged) * 1.01
 
+    @pytest.mark.parametrize("paged", [False, True], ids=["in_memory", "paged"])
+    def test_a_float_build_holds_twelve_bytes_a_row(self, tmp_path, paged):
+        """A float64 column's first build is the integer build: one copy of
+        the values turned into their images in place, the ``uint32`` row
+        offsets ORed in, one ``uint64`` sort — 12 bytes a row at the peak
+        and 8 held, traced; ±0.0, ±inf and NaN rows included."""
+        rows, rng = 1_000_000, np.random.default_rng(37)
+        data = rng.normal(0.0, 1.0, size=rows)
+        data[rng.integers(0, rows, 5_000)] = np.nan
+        data[rng.integers(0, rows, 5_000)] = -0.0
+        data[rng.integers(0, rows, 500)] = np.inf
+        data[rng.integers(0, rows, 500)] = -np.inf
+        column = Column("f", data)
+        if paged:
+            catalog = StoreCatalog(DiskColumnStore(tmp_path, cache_bytes=1 << 20))
+            catalog.persist_column(column, chunk_rows=4_096, hierarchy=False)
+            column = catalog.load_column("f")
+        manager = IndexManager()
+        predicate = Predicate(Comparison.BETWEEN, -0.25, upper=0.0)
+        tracemalloc.start()
+        try:
+            selection = manager.select_rowids("f", None, column, predicate)  # the first build
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slack is fixed: numpy's ufunc cast buffers (64 KiB each)
+        assert peak <= 12 * rows + 128 * 1024, f"{peak / rows:.2f} B/row"
+        assert np.array_equal(selection.rowids, brute(data, predicate))
+        assert selection.values is None  # a lossy run: the kernel gathers
+        assert manager.index_bytes == 8 * rows
+
     def test_concurrent_lookups_survive_reclaims_exactly(self, tmp_path):
         """Selections and refinements race a thread that keeps unlinking
         the shared paged index: lookups in flight finish on their own
-        reference, the next ones rebuild the permutation, and every answer
+        reference, the next ones rebuild the runs, and every answer
         stays exact."""
         import sys
 
@@ -460,7 +485,7 @@ class TestPagedPermutation:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in (*selectors, squeezer))
         assert errors == []
-        assert manager.stats.crackers_dropped > 0  # dropped permutations were rebuilt
+        assert manager.stats.crackers_dropped > 0  # dropped indexes were rebuilt
         assert manager.stats_snapshot()["cracker_bytes"] == manager.index_bytes
 
 
@@ -552,8 +577,10 @@ class TestManagerLifecycle:
         for t in threads:
             t.join()
         assert errors == []
-        cracker = manager.cracker_for("c", None)
-        assert np.array_equal(run_order(cracker._runs[0]), np.argsort(random_data, kind="stable"))
+        (run,) = manager.cracker_for("c", None)._runs
+        assert run.drop == 0
+        rowids = assert_run_holds(run, random_data)
+        assert np.array_equal(rowids, np.argsort(random_data, kind="stable"))
 
 
 class TestKernelSelectWhere:
@@ -648,9 +675,9 @@ class TestPredicateEdgeCases:
     _stores = 0
 
     def run_all_strategies(self, data: np.ndarray, predicate: Predicate, tmp_path):
-        """The same predicate through the permutation, zonemap-chunks and scan."""
+        """The same predicate through the sorted runs, zonemap-chunks and scan."""
         expected = brute(data, predicate)
-        # the permutation (in-memory, indexing on)
+        # the sorted runs (in-memory, indexing on)
         manager = IndexManager()
         indexed = manager.select_rowids("d", None, Column("d", data), predicate)
         if indexed is not None:

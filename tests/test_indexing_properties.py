@@ -5,13 +5,15 @@ randomized (but seeded, hence reproducible) columns and lookup sequences
 and checks what the whole adaptive tier rests on:
 
 * the sorted runs partition the validity window in rowid order, and each
-  holds its rows in the stable value order, NaN rows cut off: a packed
-  run's keys decode to the sorted values, a permutation run's fences are
-  the values at each piece's ends;
+  is one sort of ``uint64`` keys whose high bits are each row's image
+  shifted right by the run's ``drop`` — the stable argsort where nothing
+  is dropped — with NaN rows in the all-ones image, past every range;
 * range lookups return exactly the rowids a brute-force scan returns, and
-  the values beside them — NaN rows never, across appends, merges,
-  compactions and folds, for every integer width, uint64 and floats, with
-  bounds at ±2**53, at the dtype limits and at ±inf;
+  the values beside them — NaN rows never, across appends (also outside
+  run 0's range), merges, compactions and folds, for every integer width,
+  uint64 and floats (±0.0, ±inf, subnormals, ties), lossless and lossy
+  runs, with bounds at ±2**53, at the dtype limits and at ±inf, and
+  Python int operands compared exactly;
 * a lookup inspects a bounded number of values however often it repeats.
 """
 
@@ -49,30 +51,44 @@ def random_column(rng: np.random.Generator) -> Column:
     return Column("c", values)
 
 
-def assert_stable_order(index: SortedIndex, column: Column) -> None:
+def image(values: np.ndarray, lo: int) -> np.ndarray:
+    """The order-keeping ``uint64`` image of each value, computed apart from
+    the index: ``value - lo`` for an integer; for a float, widened to
+    float64, its bits with −0.0 made +0.0, every bit of a negative value
+    flipped and the sign bit of any other set — and all ones for NaN."""
+    if values.dtype.kind == "f":
+        wide = values.astype(np.float64) + 0.0
+        raw = wide.view(np.uint64)
+        flipped = np.where(np.signbit(wide), ~raw, raw | np.uint64(1 << 63))
+        return np.where(np.isnan(wide), np.uint64(2**64 - 1), flipped)
+    return np.array([int(value) - lo for value in values.tolist()], dtype=np.uint64)
+
+
+def assert_run_holds(run, values: np.ndarray) -> np.ndarray:
+    """The one-run invariant over rows ``[run.start, run.stop)``: the keys
+    are sorted, their low ``bits`` name every row of the run once, their
+    high bits are the row's image shifted right by ``drop``, and a run
+    that drops nothing is the stable argsort.  Returns the run's rowids
+    in key order."""
+    part = values[run.start : run.stop]
+    rowids = (run.keys & np.uint64((1 << run.bits) - 1)).astype(np.int64)
+    assert (run.keys[:-1] <= run.keys[1:]).all()
+    assert np.array_equal(np.sort(rowids), np.arange(run.start, run.stop))
+    shifted = image(values[rowids], run.lo) >> np.uint64(run.drop)
+    assert np.array_equal(run.keys >> np.uint64(run.bits), shifted)
+    if run.drop == 0:
+        assert np.array_equal(rowids - run.start, np.argsort(part, kind="stable"))
+    return rowids
+
+
+def assert_runs_hold(index: SortedIndex, column: Column) -> None:
     """The built runs partition ``[0, covered)`` in rowid order, and each
-    holds the stable argsort of its non-NaN rows: a packed run's keys
-    decode to them and their sorted values, a permutation run is fenced by
-    the values at each piece's first and last rowid."""
+    holds the one-run invariant."""
     values = np.asarray(column.values)
     assert [run.start for run in index._runs] == [0] + [run.stop for run in index._runs[:-1]]
     assert index._runs[-1].stop == index.covered_rows
     for run in index._runs:
-        part = values[run.start : run.stop]
-        order = np.argsort(part, kind="stable")
-        order = order[: part.size - int(np.count_nonzero(part != part))]
-        if hasattr(run, "keys"):
-            rowids = run.keys & np.uint64((1 << run.bits) - 1)
-            assert np.array_equal(rowids, order + run.start)
-            offsets = run.keys >> np.uint64(run.bits)
-            decoded = (offsets + np.uint64(run.lo % 2**64)).astype(values.dtype)
-            assert np.array_equal(decoded, part[order])
-            continue
-        assert np.array_equal(run.rowids, order + run.start)
-        starts = np.arange(0, order.size, run.piece_rows)
-        lasts = np.minimum(starts + run.piece_rows, order.size) - 1
-        assert np.array_equal(run.lows, part[order[starts]])
-        assert np.array_equal(run.highs, part[order[lasts]])
+        assert_run_holds(run, values)
 
 
 def brute_force(column: Column, low: float, high: float) -> np.ndarray:
@@ -90,7 +106,7 @@ def test_lookups_equal_brute_force_scan(seed):
             a, b = sorted(rng.normal(0.0, 300.0, size=2))
             result = index.rows_in_range(float(a), float(b))[0]
             assert np.array_equal(result, brute_force(column, a, b))
-        assert_stable_order(index, column)
+        assert_runs_hold(index, column)
         # open-ended and empty ranges agree too
         assert np.array_equal(
             index.rows_in_range(-np.inf, np.inf)[0],
@@ -149,7 +165,7 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
     """Both answers of the paged index agree with ``Predicate.mask`` for
     every comparison: a sorted column whose every range keeps at most
     ``SCAN_MAX_CHUNKS`` zonemap candidates is scanned, a uniform one whose
-    ranges offer more answers from the value-sorted permutation — and so do
+    ranges offer more answers from the value-sorted runs — and so do
     rows appended past a validity window that ends mid-chunk, before and
     after the merge that folds them in."""
     from repro.indexing.manager import IndexManager, predicate_range
@@ -158,11 +174,14 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
 
     rng = np.random.default_rng(17)
     if kind == "int64 around 2**53":
-        # float64 cannot tell 2**53 from 2**53 + 1: the native comparison must
+        # float64 cannot tell 2**53 from 2**53 + 1: the native comparison must;
+        # a Python int operand compares exactly, as the mask compares it
         data = 2**53 + rng.integers(-300, 300, size=6_000)
         operands = [float(2**53), float(2**53 - 1), float(2**53 + 2), 2.0**53 - 400, 2.0**53 + 400]
+        operands += [2**53 + 1, 2**53 - 1, 2**53 + 3, 2**53 - 301, 2**53 + 299]
     elif kind == "int64 spanning 2**62":
-        # too wide to pack beside the rowid bits: the permutation is an argsort
+        # too wide to keep beside the rowid bits: a lossy run filters its
+        # boundary buckets
         data = rng.integers(-(2**62), 2**62, size=6_000)
         operands = [-1e18, -3.5, 0.0, 1e18, 2.0**61]
     elif kind == "float32 tenths":
@@ -179,7 +198,7 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
         operands = [-100.5, -3.25, 0.0, 99.0]
     finite = data[np.isfinite(data)]
     operands += [float(value) for value in finite[:4]]  # exact hits for EQ / LE / GE
-    width = 0.2 if kind == "float32 tenths" else 150.0
+    width = 0.2 if kind == "float32 tenths" else 150  # an int operand keeps an int upper
     predicates = [
         Predicate(comparison, operand, upper=operand + width)
         for operand in operands
@@ -218,23 +237,49 @@ def test_over_cap_paged_lookups_equal_the_mask(kind, tmp_path):
     lookups_equal_the_mask()  # the manager scans the tail past the window
     assert manager.merge_tails() == 200
     lookups_equal_the_mask()
-    assert manager.cracker_for("sorted").size_bytes == 0  # scanned, never permuted
-    assert manager.cracker_for("uniform").size_bytes > 0  # the permutation
+    assert manager.cracker_for("sorted").size_bytes == 0  # scanned, never sorted
+    assert manager.cracker_for("uniform").size_bytes > 0  # the runs
+
+
+def test_float_images_keep_the_order():
+    """The float image the runs sort by orders every float64 and float32
+    value as ``<`` does: −0.0 and +0.0 share an image, subnormals and
+    infinities sit where they belong, and NaN takes the all-ones image."""
+    from repro.indexing.sorted_index import _float_images
+
+    for kind in ("float64", "float32"):
+        info = np.finfo(kind)
+        sub = info.smallest_subnormal
+        ordered = np.array(
+            [-np.inf, info.min, -1.5, -sub, -0.0, 0.0, sub, info.tiny, 1.0, 1.5, info.max, np.inf],
+            dtype=kind,
+        )
+        images = _float_images(ordered.astype(np.float64))
+        assert np.array_equal(images, image(ordered, 0))
+        assert (images[:-1] < images[1:]).sum() == ordered.size - 2  # only ±0.0 tie
+        assert images[4] == images[5]
+        nan = _float_images(np.array([np.nan, -np.nan]))
+        assert (nan == np.uint64(2**64 - 1)).all() and images[-1] < nan[0]
 
 
 def test_nan_rows_never_returned_even_from_fully_covered_pieces():
-    """Regression: NaNs must not ride along with a run taken whole."""
+    """Regression: NaNs must not ride along with buckets taken whole."""
     values = np.array([1.0, np.nan, 2.0, np.nan, 3.0, 0.0])
     column = Column("c", values)
     index = SortedIndex(column)
-    # a range covering every real value takes each run whole
+    # a range covering every real value takes each bucket whole
     result = index.rows_in_range(0.0, 4.0)[0]
     assert np.array_equal(result, np.array([0, 2, 4, 5]))
-    assert index._runs[0].rowids.size == 4  # the NaN rows are cut off
-    # an all-NaN column has an empty permutation and empty lookups
+    assert np.array_equal(index.rows_in_range(-np.inf, np.inf)[0], result)
+    (run,) = index._runs
+    nan_bucket = np.uint64((2**64 - 1) >> run.drop)
+    assert np.array_equal(assert_run_holds(run, values)[-2:], [1, 3])  # NaN sorts last
+    assert np.count_nonzero(run.keys >> np.uint64(run.bits) == nan_bucket) == 2
+    # an all-NaN column keeps every row in that bucket and answers nothing
     all_nan = SortedIndex(Column("n", np.full(16, np.nan)))
     assert all_nan.rows_in_range(-np.inf, np.inf)[0].size == 0
-    assert all_nan._runs[0].rowids.size == 0
+    (run,) = all_nan._runs
+    assert (run.keys >> np.uint64(run.bits) == np.uint64((2**64 - 1) >> run.drop)).all()
 
 
 # --------------------------------------------------------------------- #
@@ -253,16 +298,27 @@ def column_type(kind: str) -> FixedWidthType:
     return type_from_name(kind)
 
 
-def _offsets(kind: str) -> list[int]:
+def _offsets(kind: str) -> list[int | str]:
     """Where a kind's value grid may sit: near zero, past 2**53 (where
-    float64 cannot tell neighbours apart) and at the dtype's limits."""
+    float64 cannot tell neighbours apart) and at the dtype's limits; for
+    64-bit integers also ``"wide"``, cells 2**42 apart (too wide for 32
+    rowid bits, whole beside as many as the run's last rowid needs, which
+    differ between runs), and ``"full"``, the dtype's whole range (int64
+    past ±2**62, uint64 from 0 to 2**64 − 1): a lossy run."""
     if kind.startswith("float"):
         return [0]
     info = np.iinfo(kind)
     near = [0 if info.min < 0 else 6, info.min + 6, info.max - 6]
     if info.max > 2**53:
-        near += [2**53, 2**60] + ([-(2**53)] if info.min < 0 else [2**63])
+        near += [2**53, 2**60, "wide", "full"] + ([-(2**53)] if info.min < 0 else [2**63])
     return near
+
+
+def _float_specials(kind: str) -> list[float]:
+    """Float cells where an order-keeping image can go wrong: ±0.0, ±inf
+    and the least subnormals of either sign."""
+    tiny = float(np.finfo(kind).smallest_subnormal)
+    return [0.0, -0.0, math.inf, -math.inf, tiny, -tiny]
 
 
 def _special_bounds(kind: str) -> list[float]:
@@ -270,7 +326,9 @@ def _special_bounds(kind: str) -> list[float]:
     dtype limits as floats (2**63 and 2**64 compare equal to the largest
     int64 / uint64) and ±inf."""
     bounds = [-math.inf, math.inf, 2.0**53, -(2.0**53), 2.0**53 + 2]
-    if not kind.startswith("float"):
+    if kind.startswith("float"):
+        bounds += _float_specials(kind)
+    else:
         info = np.iinfo(kind)
         bounds += [float(info.min), float(info.max), float(info.max) - 0.5, float(info.min) + 0.5]
     return bounds
@@ -282,32 +340,44 @@ def merge_cases(draw):
 
     The grid makes duplicate values and exact bound hits common; floats
     sit at ``cell / 10`` (inexact in binary, and differently so in
-    float32) with bounds a hair either side of a *stored* value; an
-    integer grid sits at one of :func:`_offsets`.  Up to a dozen tails
-    drive the merges through compaction and folds.
+    float32) or at one of :func:`_float_specials`, with bounds a hair
+    either side of a *stored* value; an integer grid sits at one of
+    :func:`_offsets`.  The base draws from the grid's middle and the
+    tails from all of it, so appends often fall outside run 0's range.
+    Up to a dozen tails drive the merges through compaction and folds.
     """
     kind = draw(st.sampled_from(KINDS))
     floating = kind.startswith("float")
     offset = draw(st.sampled_from(_offsets(kind)))
-    cell = st.integers(-6, 6)
-    if floating:
-        cell = st.one_of(cell, cell, cell, st.none())  # None is a NaN row
+    info = None if floating else np.iinfo(kind)
+
+    def cells(reach: int):
+        cell = st.integers(-reach, reach)
+        if floating:  # None is a NaN row
+            return st.one_of(cell, cell, cell, st.none(), st.sampled_from(_float_specials(kind)))
+        return cell
+
+    def number(c):
+        if floating:
+            return math.nan if c is None else c if isinstance(c, float) else c / 10
+        if offset == "full":
+            return info.min + (info.max - info.min) * (c + 6) // 12
+        if offset == "wide":
+            return (c + 6) * 2**42
+        return offset + c
 
     def array(cells) -> np.ndarray:
-        if floating:
-            grid = [np.nan if c is None else c / 10 for c in cells]
-            return np.asarray(grid, dtype=kind)
-        return np.asarray([offset + c for c in cells], dtype=kind)
+        return np.asarray([number(c) for c in cells], dtype=kind)
 
     def bound(c: int, nudge: float) -> float:  # past the grid's ends too
-        return (float(array([c])[0]) if floating else float(offset + c)) + nudge
+        return (float(array([c])[0]) if floating else float(number(c))) + nudge
 
     nudges = st.sampled_from([0.0, 1e-12, -1e-12] if floating else [0.0, 0.5, -0.5])
     bounds = st.one_of(
         st.builds(bound, st.integers(-7, 7), nudges), st.sampled_from(_special_bounds(kind))
     )
-    base = array(draw(st.lists(cell, min_size=1, max_size=60)))
-    tails = draw(st.lists(st.lists(cell, min_size=1, max_size=40), min_size=1, max_size=12))
+    base = array(draw(st.lists(cells(3), min_size=1, max_size=60)))
+    tails = draw(st.lists(st.lists(cells(6), min_size=1, max_size=40), min_size=1, max_size=12))
     tails = [array(cells) for cells in tails]
     pairs = draw(st.lists(st.tuples(bounds, bounds), min_size=1, max_size=4))
     ranges = [tuple(sorted(pair)) for pair in pairs]
@@ -348,7 +418,7 @@ def test_merged_runs_lookups_equal_the_mask(case):
         else:
             assert runs[:-1] == before and runs[-1].start == covered
         assert len(runs) <= MAX_RUNS + 1 and index.covered_rows == full.shape[0]
-        assert_stable_order(index, column)
+        assert_runs_hold(index, column)
         for low, high in ranges:
             expected = np.flatnonzero(_mask(full, low, high))
             rowids, values = index.rows_in_range(low, high)
@@ -356,22 +426,34 @@ def test_merged_runs_lookups_equal_the_mask(case):
             if values is not None:
                 assert values.dtype == full.dtype
                 assert np.array_equal(values, full[expected])
-            # packed runs answer the values themselves; a permutation run
-            # (floats, or appended values below run 0's lo) leaves the gather
-            assert (values is None) == any(hasattr(run, "rowids") for run in index._runs)
+            # runs that drop nothing answer the values themselves when their
+            # images fit beside the widest rowid bits; a lossy run (floats,
+            # integers too wide for their rowid bits) leaves the gather
+            top = max(run.bits for run in index._runs)
+            whole = all(
+                not run.drop and int(run.keys[-1]) >> run.bits < 2 ** (64 - top)
+                for run in index._runs
+            )
+            assert (values is None) != whole
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=merge_cases(), data=st.data())
 def test_manager_selections_equal_the_mask_with_values(case, data):
     """Every comparison through the manager — unmerged tail included —
-    returns the mask's rowids, and the values a gather of them returns."""
+    returns the mask's rowids, and the values a gather of them returns;
+    on an integer column a Python int operand (and upper) compares
+    exactly, also past 2**53, as the mask compares it."""
     kind, base, tails, ranges = case
     column = Column("c", base.copy(), dtype=column_type(kind))
     manager = IndexManager()
     operands = [low for low, _ in ranges if math.isfinite(low)] or [0.0]
+    if not kind.startswith("float"):
+        operands += base[:2].tolist()
+    widths = st.sampled_from([0, 1.5, 3])  # 0 and 3 keep an int operand's upper an int
     predicates = [
-        Predicate(comparison, operand, upper=operand + data.draw(st.sampled_from([0.0, 1.5, 3.0])))
+        # an int plus a float rounds in float64, maybe below the operand
+        Predicate(comparison, operand, upper=max(operand, operand + data.draw(widths)))
         for operand in operands
         for comparison in Comparison
         if comparison is not Comparison.NE

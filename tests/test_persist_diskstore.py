@@ -355,7 +355,7 @@ class TestGatherThroughTheMapping:
     def test_scan_only_paged_cracker_masks_a_view_not_a_copy(self, store):
         rng = np.random.default_rng(9)
         values = rng.normal(50.0, 10.0, 4096)
-        # unclustered in 128 chunks: the permutation answers (45, 55) at
+        # unclustered in 128 chunks: the sorted runs answer (45, 55) at
         # least; sorted into 16 chunks, every lookup scans the chunks the
         # zonemap keeps
         for name, data, chunk_rows in (("m", values, 32), ("s", np.sort(values), 256)):
@@ -365,7 +365,7 @@ class TestGatherThroughTheMapping:
             for low, high in ((45.0, 55.0), (-np.inf, 30.0), (70.0, np.inf), (50.0, 50.0)):
                 mask = (data >= low) & (data < high)
                 assert np.array_equal(index.rows_in_range(low, high)[0], np.nonzero(mask)[0])
-            assert (index.size_bytes > 0) == (name == "m")  # only "m" built the permutation
+            assert (index.size_bytes > 0) == (name == "m")  # only "m" built a run
             assert path.read_bytes() == on_disk  # the mapping is intact
             assert store.cache.stats.lookups == 0  # never through the budgeted cache
 

@@ -69,7 +69,7 @@ from repro.touchio.synthesizer import SlideSegment
 N = 20_000
 SIZES = (N, 16 * N)
 #: Rows per chunk of the paged layout: 79 chunks at ``N``, so both sizes
-#: answer selections from the permutation rather than a chunk scan.
+#: answer selections from the sorted runs rather than a chunk scan.
 CHUNK_ROWS = 256
 #: How much more a step's traced peak may be at ``16 * N``.  The largest
 #: growth outside the allow-list is a paged warm selection's zonemap pass,
@@ -84,8 +84,8 @@ SEED = 13
 #: Steps whose peak or work grows with the column, and what removes each.
 #: This list may only shrink.
 KNOWN_O_N = {
-    # directions 2 (no index build on a touch) and 8 (one packed sort):
-    # the first selection builds the column's value-sorted permutation
+    # direction 2(a) (no index build on a touch): the first selection
+    # sorts the column into its first run
     "select-first",
     # direction 10 (an append costs its batch): an in-memory append copies
     # the column into a doubled buffer, a paged one rebuilds the shown

@@ -2,15 +2,16 @@
 
 64 append → merge → select cycles run through
 :class:`~repro.service.LocalExplorationService`, on an in-memory and a
-paged column, at ``N`` and ``16 * N`` rows.  Every sort the index makes
-goes through one of its two run builders, so the test wraps both and
-counts the rows each sorts — a count, not a clock:
+paged column of int64 and of float64 values, at ``N`` and ``16 * N``
+rows.  Every sort the index makes goes through its one run builder, so
+the test wraps it and counts the rows it sorts — a count, not a clock:
 
-* one full sort per index, the first selection's;
+* one full sort per index, the first selection's, and no ``np.argsort``;
 * each merge sorts exactly the rows it merges, plus, when it would keep
   more than ``MAX_RUNS`` tail runs, the tail runs it compacts;
 * a selection builds nothing: it binary-searches every run (its
-  ``rows_scanned`` counts the probes) and sorts only its hits;
+  ``rows_scanned`` counts the probes and the rows of a bucket a bound
+  falls inside) and sorts only its hits;
 * never more than ``MAX_RUNS + 1`` runs;
 * rowids equal ``Predicate.mask``, and values equal a gather of them.
 """
@@ -52,22 +53,29 @@ PROFILE = DeviceProfile(
 
 
 @pytest.fixture
-def sorts(monkeypatch) -> list[int]:
-    """Rows sorted by each run build, in call order."""
+def sorts(monkeypatch):
+    """Rows sorted by each run build, in call order; fails the test if
+    anything calls ``np.argsort``."""
     counted: list[int] = []
-    for name in ("_pack", "_permute"):
-        build = getattr(sorted_index, name)
+    build, argsort = sorted_index._sort_run, np.argsort
+    argsorts: list[int] = []
 
-        def counting(parts, start, stop, *args, _build=build):
-            counted.append(stop - start)
-            return _build(parts, start, stop, *args)
+    def counting(parts, start, stop):
+        counted.append(stop - start)
+        return build(parts, start, stop)
 
-        monkeypatch.setattr(sorted_index, name, counting)
-    return counted
+    def counting_argsort(*args, **kwargs):
+        argsorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(sorted_index, "_sort_run", counting)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    yield counted
+    assert argsorts == []
 
 
-def open_service(n: int, paged: bool, root) -> LocalExplorationService:
-    values = np.random.default_rng(n).permutation(n).astype(np.int64)
+def open_service(n: int, paged: bool, dtype, root) -> LocalExplorationService:
+    values = np.random.default_rng(n).permutation(n).astype(dtype)
     service = LocalExplorationService(profile=PROFILE, config=KernelConfig(latency_budget_s=1e6))
     if paged:
         catalog = StoreCatalog(DiskColumnStore(root))
@@ -82,8 +90,20 @@ def open_service(n: int, paged: bool, root) -> LocalExplorationService:
 @pytest.mark.parametrize("rows", [N, 16 * N])
 @pytest.mark.parametrize("paged", [False, True], ids=["in_memory", "paged"])
 def test_a_selection_sorts_only_its_hits(sorts, tmp_path, rows, paged):
+    """Over int64 values, whose runs keep the whole value."""
+    cycle(sorts, tmp_path, rows, paged, np.int64)
+
+
+@pytest.mark.parametrize("rows", [N, 16 * N])
+@pytest.mark.parametrize("paged", [False, True], ids=["in_memory", "paged"])
+def test_a_float_selection_sorts_only_its_hits(sorts, tmp_path, rows, paged):
+    """Over float64 values, whose runs drop the image's low bits."""
+    cycle(sorts, tmp_path, rows, paged, np.float64)
+
+
+def cycle(sorts: list[int], tmp_path, rows: int, paged: bool, dtype) -> None:
     assert CYCLES * BATCH <= N * FOLD_SHARE
-    service = open_service(rows, paged, tmp_path)
+    service = open_service(rows, paged, dtype, tmp_path)
     column = service.catalog.column("col")
     manager = service.kernel.index_manager
     rng = np.random.default_rng(7)
@@ -98,9 +118,9 @@ def test_a_selection_sorts_only_its_hits(sorts, tmp_path, rows, paged):
         assert selection.values.dtype == values.dtype
         assert np.array_equal(selection.values, column.read_batch(selection.rowids))
         assert selection.strategy == "index"
-        return sorts[before:], selection
+        return sorts[before:], selection, np.count_nonzero(values == predicate.upper)
 
-    built, _ = select()
+    built, _, _ = select()
     assert built == [rows]  # the one full sort
     index = manager.cracker_for("col")
     for _ in range(CYCLES):
@@ -110,8 +130,16 @@ def test_a_selection_sorts_only_its_hits(sorts, tmp_path, rows, paged):
         compacted = sum(run.stop - run.start for run in runs[1:]) if len(runs) > MAX_RUNS else 0
         assert sorts[before:] == [BATCH + compacted]
         assert index._runs[0] is runs[0] and len(index._runs) <= MAX_RUNS + 1
-        built, selection = select()
+        built, selection, at_upper = select()
         assert built == []  # nothing sorted but the hits
-        probes = sum(2 * (run.stop - run.start).bit_length() for run in index._runs)
-        assert selection.rows_scanned == probes  # binary searches, no gap, no tail
+        if dtype is np.int64:  # nothing dropped: two binary searches a run
+            expected = sum(2 * (run.stop - run.start).bit_length() for run in index._runs)
+        else:
+            # an integral float's image ends in zero bits, so the lower bound
+            # starts a bucket; the upper one, stepped past ``upper`` by
+            # nextafter, falls inside the bucket of the rows equal to
+            # ``upper``: one more search a run, and those rows filtered
+            expected = sum(3 * (run.stop - run.start).bit_length() for run in index._runs)
+            expected += at_upper
+        assert selection.rows_scanned == expected  # binary searches, no gap, no tail
     assert sum(sorts) - rows <= CYCLES * BATCH * (1 + MAX_RUNS)
