@@ -3,17 +3,19 @@
 The paper proposes (a) maintaining a separate index per sample level, so an
 index-supported slide can be served at whatever granularity the gesture
 uses, and (b) exploiting adaptive indexing, where the columns users
-select on earn an index as a side effect.  The adaptive index here is one
-value-sorted rowid permutation per column, built by the first selection
-(Schuhknecht et al., *The Uncracked Pieces in Database Cracking*: a cheap
-sort beats cracking once its first-query cost is paid).
+select on earn an index as a side effect.  The adaptive index here is a
+column's value-sorted runs: run 0, sorted by the first selection, and one
+run per merged tail, each one sorted ``uint64`` array of packed
+``image(value) << bits | rowid`` keys (Schuhknecht et al., *The Uncracked
+Pieces in Database Cracking*: a cheap sort beats cracking once its
+first-query cost is paid).
 
 Two ablations:
 
 * **zone-map / sorted index vs full scan** — how much data must be scanned
   to answer the same value-range selection as the user keeps issuing
   similar range restrictions (the first one sorts the column, every later
-  one inspects at most two runs of ⌈√n⌉ rows);
+  one binary-searches each run for its two bounds);
 * **per-sample-level index** — an index lookup at a coarse granularity
   touches only the matching sample level, not the base data.
 """
@@ -53,7 +55,7 @@ def build_column() -> Column:
 
 def run_index_series(column: Column) -> ExperimentSeries:
     """Values read per query by the sorted index: the first query's build
-    reads the whole column, every later lookup only its boundary runs."""
+    reads the whole column, every later lookup only its binary-search probes."""
     series = ExperimentSeries(
         "E-index: values scanned per range selection",
         "query_number",
@@ -71,7 +73,7 @@ def run_index_series(column: Column) -> ExperimentSeries:
 
 def test_sorted_index_reduces_scan_cost_after_the_first_query(benchmark):
     """Once the first range selection has sorted the column, a similar one
-    inspects at most two runs of ⌈√n⌉ rows."""
+    inspects only its probes of the run, well under 2·⌈√n⌉ values."""
     column = build_column()
     series = benchmark.pedantic(run_index_series, args=(column,), rounds=1, iterations=1)
     print_series(series)
@@ -79,7 +81,7 @@ def test_sorted_index_reduces_scan_cost_after_the_first_query(benchmark):
     scanned = series.ys("index_scan")
     # the first query reads everything (the build sorts the whole column)
     assert scanned[0] >= ROWS
-    # every later one reads at most its two boundary runs
+    # every later one reads only its probes, at most 2 * ceil(sqrt(n))
     assert all(cost <= 2 * (math.isqrt(ROWS - 1) + 1) for cost in scanned[1:])
     # a drop of far more than 10x
     assert scanned[-1] * 10 <= scanned[0]

@@ -11,7 +11,8 @@ blows the per-touch latency budget on interpreter overhead alone.
 passes over whole arrays:
 
 1. :meth:`repro.core.touch_mapping.TouchMapper.map_batch` converts the
-   entire event stream to rowid/fraction arrays in one Rule-of-Three pass;
+   stream's location arrays to rowid/fraction arrays in one Rule-of-Three
+   pass (the stream is arrays from the synthesizer on: no event object);
 2. :func:`dedupe_slide_batch` removes paused-finger duplicates and derives
    the per-touch stride sequence with ``np.diff``;
 3. sample-hierarchy reads, summary windows, predicates and running
@@ -175,7 +176,7 @@ class BatchSlideExecutor:
             duration_s=gesture.duration,
         )
         started = time.perf_counter()
-        batch = kernel.mapper.map_batch(state.view, gesture.events, active_only=True)
+        batch = kernel.mapper.map_batch(state.view, gesture.stream, active_only=True)
         if len(batch) == 0:
             self._finalize(state, outcome)
             return outcome
@@ -215,10 +216,10 @@ class BatchSlideExecutor:
 
     @staticmethod
     def _count_levels(outcome, levels: np.ndarray) -> None:
-        unique_levels, counts = np.unique(levels, return_counts=True)
+        counts = np.bincount(levels + 1)  # level -1 (cache-served) counts at 0
         served = outcome.served_level_counts
-        for level, count in zip(unique_levels.tolist(), counts.tolist()):
-            served[level] = served.get(level, 0) + count
+        for slot in np.flatnonzero(counts).tolist():
+            served[slot - 1] = served.get(slot - 1, 0) + int(counts[slot])
 
     # ------------------------------------------------------------------ #
     # reading values through cache / samples / prefetch

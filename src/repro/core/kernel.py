@@ -606,8 +606,9 @@ class DbTouchKernel:
     # tap: reveal one value or one tuple
     # ------------------------------------------------------------------ #
     def _handle_tap(self, state: _ObjectState, gesture: RecognizedGesture) -> GestureOutcome:
-        event = gesture.events[-1]
-        mapped = self.mapper.map_touch(state.view, event.primary)
+        stream = gesture.stream
+        x, y = float(stream.xs[-1, 0]), float(stream.ys[-1, 0])
+        mapped = self.mapper.map_touch(state.view, x, y)
         outcome = GestureOutcome(
             gesture_type=GestureType.TAP,
             view_name=gesture.view_name,
@@ -624,7 +625,9 @@ class DbTouchKernel:
             outcome.tuples_examined += 1
         outcome.rowids_touched.append(mapped.rowid)
         outcome.entries_returned = 1
-        result = state.results.emit(value, mapped.rowid, mapped.fraction, event.timestamp)
+        result = state.results.emit(
+            value, mapped.rowid, mapped.fraction, float(stream.timestamps[-1])
+        )
         outcome.results.append(result)
         return outcome
 
@@ -649,7 +652,7 @@ class DbTouchKernel:
             if event.phase is TouchPhase.ENDED or event.phase is TouchPhase.CANCELLED:
                 continue
             started = time.perf_counter()
-            mapped = self.mapper.map_touch(state.view, event.primary)
+            mapped = self.mapper.map_touch(state.view, event.primary.x, event.primary.y)
             stride = self._update_stride(state, mapped.rowid)
             processed = self._process_touch(state, mapped, event, stride, outcome, join)
             elapsed = time.perf_counter() - started

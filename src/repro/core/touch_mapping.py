@@ -12,12 +12,11 @@ object view's own coordinate system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import MappingError
-from repro.touchio.events import TouchEvent, TouchPhase, TouchPoint
+from repro.touchio.events import ENDED_CODE, TouchStream
 from repro.touchio.views import View
 
 
@@ -45,7 +44,7 @@ class MappedTouch:
 class MappedBatch:
     """A whole touch stream mapped onto a data object in one numpy pass.
 
-    Parallel arrays, one entry per input event: ``rowids`` (int64),
+    Parallel arrays, one entry per mapped event: ``rowids`` (int64),
     ``attribute_indices`` (int64), ``fractions`` (float64) and the event
     ``timestamps`` (float64).  Element ``i`` equals what
     :meth:`TouchMapper.map_touch` returns for event ``i``.
@@ -93,8 +92,8 @@ class TouchMapper:
     # ------------------------------------------------------------------ #
     # mapping against views
     # ------------------------------------------------------------------ #
-    def map_touch(self, view: View, point: TouchPoint) -> MappedTouch:
-        """Map a touch point (view-local coordinates, cm) to a tuple id.
+    def map_touch(self, view: View, x: float, y: float) -> MappedTouch:
+        """Map a touch location (view-local coordinates, cm) to a tuple id.
 
         For a vertically oriented object the view height is the tuple axis
         and the width (if the object is a table) selects the attribute; a
@@ -104,11 +103,11 @@ class TouchMapper:
         if props is None:
             raise MappingError(f"view {view.name!r} has no data-object properties attached")
         if props.orientation == "vertical":
-            tuple_location, tuple_extent = point.y, view.height
-            attr_location, attr_extent = point.x, view.width
+            tuple_location, tuple_extent = y, view.height
+            attr_location, attr_extent = x, view.width
         else:
-            tuple_location, tuple_extent = point.x, view.width
-            attr_location, attr_extent = point.y, view.height
+            tuple_location, tuple_extent = x, view.width
+            attr_location, attr_extent = y, view.height
         if not 0.0 <= tuple_location <= tuple_extent + 1e-9:
             raise MappingError(
                 f"touch at {tuple_location:.3f} cm is outside the object extent "
@@ -125,55 +124,32 @@ class TouchMapper:
         fraction = tuple_location / tuple_extent if tuple_extent else 0.0
         return MappedTouch(rowid=rowid, attribute_index=attribute_index, fraction=fraction)
 
-    def map_batch(
-        self,
-        view: View,
-        events: Sequence[TouchEvent],
-        active_only: bool = False,
-    ) -> MappedBatch:
-        """Map a whole event sequence to tuple identifiers in one pass.
+    def map_batch(self, view: View, stream: TouchStream, active_only: bool = False) -> MappedBatch:
+        """Map a whole touch stream to tuple identifiers in one pass.
 
-        This is the vectorized Rule of Three: the primary touch point of
-        every event is converted to (rowid, attribute index, fraction)
-        with numpy arithmetic, producing exactly the values a loop of
-        :meth:`map_touch` calls would, at a fraction of the per-event cost.
-        With ``active_only``, ENDED/CANCELLED events are dropped during
-        extraction (the slide path's filter, fused to avoid a second pass
-        over the event objects).
+        This is the vectorized Rule of Three: the primary finger's location
+        in every event is converted to (rowid, attribute index, fraction)
+        with numpy arithmetic straight off the stream's arrays, producing
+        exactly the values a loop of :meth:`map_touch` calls would.  With
+        ``active_only``, ENDED/CANCELLED events are dropped first (the
+        slide path's filter).
         """
         props = view.properties
         if props is None:
             raise MappingError(f"view {view.name!r} has no data-object properties attached")
-        x_list: list[float] = []
-        y_list: list[float] = []
-        t_list: list[float] = []
-        ended, cancelled = TouchPhase.ENDED, TouchPhase.CANCELLED
-        for event in events:
-            if active_only:
-                phase = event.phase
-                if phase is ended or phase is cancelled:
-                    continue
-            point = event.points[0]
-            x_list.append(point.x)
-            y_list.append(point.y)
-            t_list.append(event.timestamp)
-        n = len(x_list)
-        xs = np.asarray(x_list, dtype=np.float64)
-        ys = np.asarray(y_list, dtype=np.float64)
-        timestamps = np.asarray(t_list, dtype=np.float64)
+        xs, ys, timestamps = stream.xs[:, 0], stream.ys[:, 0], stream.timestamps
+        if active_only:
+            active = stream.phases < ENDED_CODE
+            xs, ys, timestamps = xs[active], ys[active], timestamps[active]
+        n = timestamps.size
         if props.orientation == "vertical":
             tuple_locations, tuple_extent = ys, view.height
             attr_locations, attr_extent = xs, view.width
         else:
             tuple_locations, tuple_extent = xs, view.width
             attr_locations, attr_extent = ys, view.height
-        if n and (
-            tuple_locations.min() < 0.0
-            or tuple_locations.max() > tuple_extent + 1e-9
-        ):
-            raise MappingError(
-                f"touch is outside the object extent of {tuple_extent:.3f} cm"
-            )
+        if n and (tuple_locations.min() < 0.0 or tuple_locations.max() > tuple_extent + 1e-9):
+            raise MappingError(f"touch is outside the object extent of {tuple_extent:.3f} cm")
         if props.num_tuples <= 0:
             raise MappingError("data object has no tuples to map to")
         if tuple_extent <= 0:
@@ -186,17 +162,10 @@ class TouchMapper:
         attribute_indices = np.zeros(n, dtype=np.int64)
         if props.num_attributes > 1 and attr_extent > 0:
             attr_raw = (props.num_attributes * attr_locations / attr_extent).astype(np.int64)
-            attribute_indices = np.minimum(
-                props.num_attributes - 1, np.maximum(0, attr_raw)
-            )
-        fractions = (
-            tuple_locations / tuple_extent
-            if tuple_extent
-            else np.zeros(n, dtype=np.float64)
-        )
+            attribute_indices = np.minimum(props.num_attributes - 1, np.maximum(0, attr_raw))
         return MappedBatch(
             rowids=rowids,
             attribute_indices=attribute_indices,
-            fractions=fractions,
+            fractions=tuple_locations / tuple_extent,  # the extent is positive here
             timestamps=timestamps,
         )

@@ -389,10 +389,10 @@ class SortedIndex:
         column answer from the sorted runs instead, so no lookup visits the
         whole column.
         """
-        if math.isnan(low) or math.isnan(high):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=self.column.dtype.numpy_dtype)
         if high < low:
             raise StorageError("range lookup requires low <= high")
+        if math.isnan(low) or math.isnan(high) or not self._num_rows:  # no row can match
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=self.column.dtype.numpy_dtype)
         if self._chunked:
             candidates = self._candidates(low, high)
             if candidates.size <= SCAN_MAX_CHUNKS:

@@ -305,12 +305,13 @@ class RemoteExplorationService:
         if gesture.gesture_type is GestureType.TAP:
             # a tap asks for the exact value under the finger and, like
             # the local kernel, leaves the slide-tracking state untouched
-            mapped = kernel.mapper.map_touch(state.view, gesture.events[-1].primary)
+            x, y = float(stream.xs[-1, 0]), float(stream.ys[-1, 0])
+            mapped = kernel.mapper.map_touch(state.view, x, y)
             self._answer_touch(state, client, mapped.rowid, 1, outcome)
         else:
             # the whole slide is mapped and deduplicated in one numpy pass, as
             # in the local kernel; each touch is then answered under the policy
-            mapped_batch = kernel.mapper.map_batch(state.view, gesture.events, active_only=True)
+            mapped_batch = kernel.mapper.map_batch(state.view, stream, active_only=True)
             if len(mapped_batch):
                 keep, strides = dedupe_slide_batch(
                     mapped_batch.rowids, state.last_rowid, state.current_stride

@@ -8,7 +8,7 @@ recognized gestures.
 """
 
 from repro.touchio.device import IPAD1, IPAD1_PROTOTYPE, DeviceProfile, TouchDevice
-from repro.touchio.events import TouchEvent, TouchPhase, TouchPoint, TouchStream
+from repro.touchio.events import TouchEvent, TouchPhase, TouchStream
 from repro.touchio.recognizer import (
     GestureRecognizer,
     GestureType,
@@ -30,7 +30,6 @@ __all__ = [
     "TouchDevice",
     "TouchEvent",
     "TouchPhase",
-    "TouchPoint",
     "TouchStream",
     "View",
     "make_column_view",

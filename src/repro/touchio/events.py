@@ -4,12 +4,20 @@ A touch event is what iOS would deliver to a view: one or more finger
 contact points, each with a location (in the view's coordinate system, in
 centimeters), a phase (began / moved / ended) and a timestamp.  The dbTouch
 kernel consumes nothing but this stream.
+
+A :class:`TouchStream` holds numpy arrays (timestamps, phase codes, each
+finger's x and y) that the synthesizer, the recognizer and the batch mapper
+build and read whole, so a slide or a tap makes no :class:`TouchEvent` or
+:class:`TouchPoint`; the per-touch reference loop and two-finger
+recognition walk event objects built from the arrays on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from repro.errors import TouchError
 
@@ -22,6 +30,12 @@ class TouchPhase(Enum):
     STATIONARY = "stationary"
     ENDED = "ended"
     CANCELLED = "cancelled"
+
+
+#: A stream's ``phases`` hold each event's position in ``PHASES``; ENDED and
+#: CANCELLED come last, so a code below ``ENDED_CODE`` is an active touch.
+PHASES = tuple(TouchPhase)
+ENDED_CODE = PHASES.index(TouchPhase.ENDED)
 
 
 @dataclass(frozen=True)
@@ -80,34 +94,66 @@ class TouchEvent:
         return best
 
 
-@dataclass
 class TouchStream:
-    """An ordered sequence of touch events destined for one view.
+    """An ordered sequence of touch events destined for one view, as arrays.
 
-    The stream enforces monotonically non-decreasing timestamps, which the
-    gesture recognizer and the prefetcher rely on when estimating gesture
-    velocity.
+    Event ``i`` is ``timestamps[i]``, phase ``PHASES[phases[i]]`` and finger
+    ``j`` at ``(xs[i, j], ys[i, j])`` — NaN where the event has fewer
+    fingers than the stream's widest.  :attr:`events` is the same stream
+    as :class:`TouchEvent` objects, built on first use and cached.
+    Timestamps must be non-negative and non-decreasing, which the gesture
+    recognizer and the prefetcher rely on when estimating gesture velocity.
     """
 
-    view_name: str = ""
-    events: list[TouchEvent] = field(default_factory=list)
+    def __init__(self, view_name: str = "", timestamps=(), phases=(), xs=(), ys=()) -> None:
+        self.view_name = view_name
+        self.timestamps = t = np.asarray(timestamps, dtype=np.float64)
+        if t.size and t[0] < 0:
+            raise TouchError("timestamps must be non-negative")
+        if t.size > 1 and (t[1:] < t[:-1]).any():
+            i = int(np.argmax(t[1:] < t[:-1]))
+            raise TouchError(
+                f"touch events must have non-decreasing timestamps ({t[i + 1]} after {t[i]})"
+            )
+        self.phases = np.asarray(phases, dtype=np.int8)
+        self.xs = np.asarray(xs, dtype=np.float64).reshape(t.size, -1 if t.size else 1)
+        self.ys = np.asarray(ys, dtype=np.float64).reshape(t.size, -1 if t.size else 1)
+        self._events: tuple[TouchEvent, ...] | None = None
 
     def append(self, event: TouchEvent) -> None:
         """Append an event, validating timestamp monotonicity."""
-        if self.events and event.timestamp < self.events[-1].timestamp:
-            raise TouchError(
-                "touch events must have non-decreasing timestamps "
-                f"({event.timestamp} after {self.events[-1].timestamp})"
-            )
-        self.events.append(event)
+        events = self.events + (event,)
+        xys = np.full((2, len(events), max(e.num_fingers for e in events)), np.nan)
+        for i, each in enumerate(events):
+            xys[:, i, : each.num_fingers] = np.transpose([(p.x, p.y) for p in each.points])
+        codes = [PHASES.index(e.phase) for e in events]
+        self.__init__(self.view_name, [e.timestamp for e in events], codes, *xys)
+        self._events = events
 
     def extend(self, events: list[TouchEvent]) -> None:
         """Append several events in order."""
         for event in events:
             self.append(event)
 
+    @property
+    def events(self) -> tuple[TouchEvent, ...]:
+        """The stream as :class:`TouchEvent` objects; a derived point's
+        ``finger`` is its column."""
+        if self._events is None:
+            rows = zip(*(a.tolist() for a in (self.timestamps, self.phases, self.xs, self.ys)))
+            self._events = tuple(
+                TouchEvent(
+                    t,
+                    PHASES[code],
+                    tuple(TouchPoint(x, y, j) for j, (x, y) in enumerate(zip(xs, ys)) if x == x),
+                    self.view_name,
+                )
+                for t, code, xs, ys in rows
+            )
+        return self._events
+
     def __len__(self) -> int:
-        return len(self.events)
+        return self.timestamps.size
 
     def __iter__(self):
         return iter(self.events)
@@ -118,11 +164,11 @@ class TouchStream:
     @property
     def duration(self) -> float:
         """Elapsed time between the first and last event, in seconds."""
-        if len(self.events) < 2:
+        if len(self) < 2:
             return 0.0
-        return self.events[-1].timestamp - self.events[0].timestamp
+        return float(self.timestamps[-1] - self.timestamps[0])
 
     @property
     def is_empty(self) -> bool:
         """Whether the stream holds no events."""
-        return not self.events
+        return not len(self)

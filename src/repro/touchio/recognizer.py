@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from repro.errors import GestureError
 from repro.touchio.events import TouchEvent, TouchStream
 
@@ -40,10 +42,10 @@ class RecognizedGesture:
         Which gesture was recognized.
     view_name:
         The view the gesture was applied to.
-    events:
-        The single-finger touch events that make up the gesture, in order.
-        For slides this is the full sequence of registered locations, which
-        downstream becomes one operator invocation per event.
+    stream:
+        The touch stream that makes up the gesture.  For slides this is the
+        full sequence of registered locations, which downstream becomes one
+        operator invocation per event.
     duration:
         Wall-clock length of the gesture in seconds.
     scale:
@@ -56,11 +58,16 @@ class RecognizedGesture:
 
     gesture_type: GestureType
     view_name: str
-    events: tuple[TouchEvent, ...]
+    stream: TouchStream
     duration: float
     scale: float = 1.0
     angle: float = 0.0
     translation: tuple[float, float] = (0.0, 0.0)
+
+    @property
+    def events(self) -> tuple[TouchEvent, ...]:
+        """The gesture's events as objects, derived from :attr:`stream`."""
+        return self.stream.events
 
 
 #: Maximum movement (cm) and duration (s) for a touch sequence to count as a tap.
@@ -85,8 +92,7 @@ class GestureRecognizer:
         """
         if stream.is_empty:
             raise GestureError("cannot recognize a gesture from an empty touch stream")
-        max_fingers = max(event.num_fingers for event in stream)
-        if max_fingers >= 2:
+        if stream.xs.shape[1] >= 2:
             return self._recognize_two_finger(stream)
         return self._recognize_single_finger(stream)
 
@@ -94,17 +100,14 @@ class GestureRecognizer:
     # single finger: tap, slide or pan
     # ------------------------------------------------------------------ #
     def _recognize_single_finger(self, stream: TouchStream) -> RecognizedGesture:
-        events = tuple(stream)
-        first, last = events[0], events[-1]
-        dx = last.primary.x - first.primary.x
-        dy = last.primary.y - first.primary.y
-        path_length = self._path_length(events)
+        xs, ys = stream.xs[:, 0], stream.ys[:, 0]
         duration = stream.duration
-        if path_length <= TAP_MAX_MOVEMENT_CM and duration <= TAP_MAX_DURATION_S:
+        # the path length only decides when the duration admits a tap
+        if duration <= TAP_MAX_DURATION_S and self._path_length(xs, ys) <= TAP_MAX_MOVEMENT_CM:
             return RecognizedGesture(
                 gesture_type=GestureType.TAP,
                 view_name=stream.view_name,
-                events=events,
+                stream=stream,
                 duration=duration,
             )
         # single-finger movement over a data object is a slide; the distinction
@@ -114,18 +117,20 @@ class GestureRecognizer:
         return RecognizedGesture(
             gesture_type=GestureType.SLIDE,
             view_name=stream.view_name,
-            events=events,
+            stream=stream,
             duration=duration,
-            translation=(dx, dy),
+            translation=(float(xs[-1] - xs[0]), float(ys[-1] - ys[0])),
         )
 
     @staticmethod
-    def _path_length(events: tuple[TouchEvent, ...]) -> float:
+    def _path_length(xs: np.ndarray, ys: np.ndarray) -> float:
+        """The finger's path: each step's ``math.dist``, added in order —
+        ``np.hypot`` can differ from it in the last bit on a diagonal step,
+        and ``sum`` compensates its additions on Python 3.12+."""
+        points = list(zip(xs.tolist(), ys.tolist()))
         total = 0.0
-        for prev, cur in zip(events, events[1:]):
-            total += math.dist(
-                (prev.primary.x, prev.primary.y), (cur.primary.x, cur.primary.y)
-            )
+        for step in map(math.dist, points, points[1:]):
+            total += step
         return total
 
     # ------------------------------------------------------------------ #
@@ -140,28 +145,15 @@ class GestureRecognizer:
         final_spread = max(last.spread, 1e-6)
         scale = final_spread / initial_spread
         angle = self._rotation_angle(first, last)
-        duration = stream.duration
-        events = tuple(stream)
-        if abs(angle) >= ROTATE_MIN_ANGLE and abs(scale - 1.0) < ZOOM_MIN_SCALE_CHANGE:
-            return RecognizedGesture(
-                gesture_type=GestureType.ROTATE,
-                view_name=stream.view_name,
-                events=events,
-                duration=duration,
-                angle=angle,
-            )
-        if scale >= 1.0 + ZOOM_MIN_SCALE_CHANGE:
+        rotates = abs(angle) >= ROTATE_MIN_ANGLE
+        if rotates and abs(scale - 1.0) < ZOOM_MIN_SCALE_CHANGE:
+            gesture_type = GestureType.ROTATE
+        elif scale >= 1.0 + ZOOM_MIN_SCALE_CHANGE:
             gesture_type = GestureType.ZOOM_IN
         elif scale <= 1.0 - ZOOM_MIN_SCALE_CHANGE:
             gesture_type = GestureType.ZOOM_OUT
-        elif abs(angle) >= ROTATE_MIN_ANGLE:
-            return RecognizedGesture(
-                gesture_type=GestureType.ROTATE,
-                view_name=stream.view_name,
-                events=events,
-                duration=duration,
-                angle=angle,
-            )
+        elif rotates:
+            gesture_type = GestureType.ROTATE
         else:
             raise GestureError(
                 "two-finger gesture is neither a zoom nor a rotation "
@@ -170,9 +162,9 @@ class GestureRecognizer:
         return RecognizedGesture(
             gesture_type=gesture_type,
             view_name=stream.view_name,
-            events=events,
-            duration=duration,
-            scale=scale,
+            stream=stream,
+            duration=stream.duration,
+            scale=1.0 if gesture_type is GestureType.ROTATE else scale,
             angle=angle,
         )
 

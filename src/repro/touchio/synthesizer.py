@@ -6,6 +6,12 @@ synthesizer stands in for the finger: given a device profile and a view,
 it emits exactly the stream of touch events the digitizer would register —
 sampled at the device's touch rate, bounded by the finger width, with
 optional pauses, direction reversals and positional jitter.
+
+Every gesture is built as whole arrays (:class:`TouchStream`'s timestamps,
+phase codes and finger locations) with ``np.linspace`` / ``np.repeat``,
+never one event object per location.  Jitter takes all of a gesture's
+draws from the synthesizer's ``Generator`` in one call, which yields the
+same values, in the same order, as one scalar draw per location would.
 """
 
 from __future__ import annotations
@@ -17,8 +23,13 @@ import numpy as np
 
 from repro.errors import GestureError
 from repro.touchio.device import DeviceProfile, IPAD1
-from repro.touchio.events import TouchEvent, TouchPhase, TouchPoint, TouchStream
+from repro.touchio.events import PHASES, TouchPhase, TouchStream
 from repro.touchio.views import View
+
+_BEGAN, _MOVED, _STATIONARY, _ENDED = (
+    PHASES.index(phase)
+    for phase in (TouchPhase.BEGAN, TouchPhase.MOVED, TouchPhase.STATIONARY, TouchPhase.ENDED)
+)
 
 
 @dataclass(frozen=True)
@@ -73,17 +84,29 @@ class GestureSynthesizer:
             return view.width
         raise GestureError(f"unknown slide axis {axis!r}")
 
-    def _point_on_axis(
-        self, view: View, axis: str, fraction: float, cross_fraction: float
-    ) -> TouchPoint:
-        jitter = float(self._rng.normal(0.0, self.jitter_cm)) if self.jitter_cm else 0.0
-        if axis == "vertical":
-            y = min(view.height, max(0.0, fraction * view.height + jitter))
-            x = cross_fraction * view.width
-        else:
-            x = min(view.width, max(0.0, fraction * view.width + jitter))
-            y = cross_fraction * view.height
-        return TouchPoint(x=x, y=y)
+    def _on_axis(
+        self, view: View, axis: str, fractions, cross_fraction: float, repeats=1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The locations at ``fractions`` along ``axis``, each repeated
+        ``repeats`` times and clipped to the view: one jitter draw per
+        fraction, in order, from one call."""
+        vertical = axis == "vertical"
+        extent = view.height if vertical else view.width
+        fractions = np.asarray(fractions, dtype=np.float64)
+        jitter = self._rng.normal(0.0, self.jitter_cm, fractions.size) if self.jitter_cm else 0.0
+        along = np.repeat(fractions * extent + jitter, repeats)
+        np.minimum(np.maximum(along, 0.0, out=along), extent, out=along)
+        across = np.full(along.size, cross_fraction * (view.width if vertical else view.height))
+        return (across, along) if vertical else (along, across)
+
+    def _lifted(self, view: View, times: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+        """The stream of a finger (or two) down at ``times`` and lifted one
+        sampling interval after the last, where it last was."""
+        phases = np.full(times.size + 1, _MOVED)
+        phases[0], phases[-1] = _BEGAN, _ENDED
+        times = np.append(times, float(times[-1]) + 1.0 / self.profile.sampling_rate_hz)
+        xs, ys = (np.concatenate([a, a[-1:]]) for a in (xs, ys))
+        return TouchStream(view.name, times, phases, xs, ys)
 
     # ------------------------------------------------------------------ #
     # tap
@@ -97,11 +120,8 @@ class GestureSynthesizer:
         start_time: float = 0.0,
     ) -> TouchStream:
         """Synthesize a single tap at the given fractional position."""
-        point = self._point_on_axis(view, axis, fraction, cross_fraction)
-        stream = TouchStream(view_name=view.name)
-        stream.append(TouchEvent(start_time, TouchPhase.BEGAN, (point,), view.name))
-        stream.append(TouchEvent(start_time + 0.05, TouchPhase.ENDED, (point,), view.name))
-        return stream
+        xs, ys = self._on_axis(view, axis, [fraction], cross_fraction, 2)
+        return TouchStream(view.name, [start_time, start_time + 0.05], [_BEGAN, _ENDED], xs, ys)
 
     # ------------------------------------------------------------------ #
     # slide
@@ -137,40 +157,47 @@ class GestureSynthesizer:
         cross_fraction: float = 0.5,
         start_time: float = 0.0,
     ) -> TouchStream:
-        """Synthesize a multi-leg slide (speed changes, reversals, pauses)."""
+        """Synthesize a multi-leg slide (speed changes, reversals, pauses).
+
+        Each leg's samples, each pause's resting location and the lifting
+        location are drawn in that order (one jitter draw each); a pause
+        repeats its location once per stationary event.
+        """
         if not segments:
             raise GestureError("a slide needs at least one segment")
         extent = self._axis_extent(view, axis)
         if extent <= 0:
             raise GestureError("cannot slide over a view with no extent")
         interval = 1.0 / self.profile.sampling_rate_hz
-        stream = TouchStream(view_name=view.name)
+        # per drawn location its fraction and how many events it makes; per
+        # event its time and phase code
+        fractions, repeats, times, phases = [], [], [], []
         time = start_time
-        first = True
-        last_fraction = segments[0].start_fraction
         for segment in segments:
-            n_samples = max(2, self.profile.max_touches_for_duration(segment.duration))
-            fractions = np.linspace(segment.start_fraction, segment.end_fraction, n_samples)
-            times = np.linspace(time, time + segment.duration, n_samples)
-            for i, (frac, t) in enumerate(zip(fractions, times)):
-                phase = TouchPhase.BEGAN if first else TouchPhase.MOVED
-                first = False
-                point = self._point_on_axis(view, axis, float(frac), cross_fraction)
-                stream.append(TouchEvent(float(t), phase, (point,), view.name))
-            time = float(times[-1])
-            last_fraction = segment.end_fraction
+            n = max(2, self.profile.max_touches_for_duration(segment.duration))
+            fractions.append(np.linspace(segment.start_fraction, segment.end_fraction, n))
+            repeats.append(np.ones(n, dtype=np.int64))
+            times.append(np.linspace(time, time + segment.duration, n))
+            phases.append(np.full(n, _MOVED))
+            time = float(times[-1][-1])
             if segment.pause_after > 0:
                 # a paused finger produces stationary events at the sampling rate
-                n_pause = self.profile.max_touches_for_duration(segment.pause_after)
-                point = self._point_on_axis(view, axis, last_fraction, cross_fraction)
-                for j in range(1, n_pause + 1):
-                    stream.append(
-                        TouchEvent(time + j * interval, TouchPhase.STATIONARY, (point,), view.name)
-                    )
+                n = self.profile.max_touches_for_duration(segment.pause_after)
+                fractions.append([segment.end_fraction])
+                repeats.append([n])
+                times.append(time + np.arange(1, n + 1) * interval)
+                phases.append(np.full(n, _STATIONARY))
                 time += segment.pause_after
-        end_point = self._point_on_axis(view, axis, last_fraction, cross_fraction)
-        stream.append(TouchEvent(time + interval, TouchPhase.ENDED, (end_point,), view.name))
-        return stream
+        fractions.append([segments[-1].end_fraction])
+        repeats.append([1])
+        times.append([time + interval])
+        phases.append([_ENDED])
+        phases = np.concatenate(phases)
+        phases[0] = _BEGAN
+        xs, ys = self._on_axis(
+            view, axis, np.concatenate(fractions), cross_fraction, np.concatenate(repeats)
+        )
+        return TouchStream(view.name, np.concatenate(times), phases, xs, ys)
 
     # ------------------------------------------------------------------ #
     # zoom (two-finger pinch)
@@ -198,23 +225,8 @@ class GestureSynthesizer:
             else np.linspace(max_half, 0.2, n_samples)
         )
         times = np.linspace(start_time, start_time + duration, n_samples)
-        stream = TouchStream(view_name=view.name)
-        for i, (half, t) in enumerate(zip(spreads, times)):
-            phase = TouchPhase.BEGAN if i == 0 else TouchPhase.MOVED
-            points = (
-                TouchPoint(x=cx, y=max(0.0, cy - half), finger=0),
-                TouchPoint(x=cx, y=min(view.height, cy + half), finger=1),
-            )
-            stream.append(TouchEvent(float(t), phase, points, view.name))
-        stream.append(
-            TouchEvent(
-                float(times[-1]) + 1.0 / self.profile.sampling_rate_hz,
-                TouchPhase.ENDED,
-                stream[-1].points,
-                view.name,
-            )
-        )
-        return stream
+        ys = np.column_stack([np.maximum(0.0, cy - spreads), np.minimum(view.height, cy + spreads)])
+        return self._lifted(view, times, np.full((n_samples, 2), cx), ys)
 
     # ------------------------------------------------------------------ #
     # rotate (two-finger twist)
@@ -228,24 +240,10 @@ class GestureSynthesizer:
         n_samples = max(3, self.profile.max_touches_for_duration(duration))
         angles = np.linspace(0.0, np.pi / 2.0, n_samples)
         times = np.linspace(start_time, start_time + duration, n_samples)
-        stream = TouchStream(view_name=view.name)
-        for i, (angle, t) in enumerate(zip(angles, times)):
-            phase = TouchPhase.BEGAN if i == 0 else TouchPhase.MOVED
-            dx, dy = radius * np.cos(angle), radius * np.sin(angle)
-            points = (
-                TouchPoint(x=cx + dx, y=cy + dy, finger=0),
-                TouchPoint(x=cx - dx, y=cy - dy, finger=1),
-            )
-            stream.append(TouchEvent(float(t), phase, points, view.name))
-        stream.append(
-            TouchEvent(
-                float(times[-1]) + 1.0 / self.profile.sampling_rate_hz,
-                TouchPhase.ENDED,
-                stream[-1].points,
-                view.name,
-            )
-        )
-        return stream
+        dx, dy = radius * np.cos(angles), radius * np.sin(angles)
+        xs = np.column_stack([cx + dx, cx - dx])
+        ys = np.column_stack([cy + dy, cy - dy])
+        return self._lifted(view, times, xs, ys)
 
     # ------------------------------------------------------------------ #
     # pan (drag an object around the screen)
@@ -266,16 +264,4 @@ class GestureSynthesizer:
         xs = np.linspace(cx, cx + dx_cm, n_samples)
         ys = np.linspace(cy, cy + dy_cm, n_samples)
         times = np.linspace(start_time, start_time + duration, n_samples)
-        stream = TouchStream(view_name=view.name)
-        for i, (x, y, t) in enumerate(zip(xs, ys, times)):
-            phase = TouchPhase.BEGAN if i == 0 else TouchPhase.MOVED
-            stream.append(TouchEvent(float(t), phase, (TouchPoint(float(x), float(y)),), view.name))
-        stream.append(
-            TouchEvent(
-                float(times[-1]) + 1.0 / self.profile.sampling_rate_hz,
-                TouchPhase.ENDED,
-                stream[-1].points,
-                view.name,
-            )
-        )
-        return stream
+        return self._lifted(view, times, xs, ys)

@@ -50,9 +50,9 @@ class TestMapBatch:
         view = make_column_view("v", "c", num_tuples=123_457, height_cm=10.0, width_cm=2.0)
         stream = self._stream(view, profile)
         mapper = TouchMapper()
-        batch = mapper.map_batch(view, stream.events)
+        batch = mapper.map_batch(view, stream)
         for i, event in enumerate(stream.events):
-            mapped = mapper.map_touch(view, event.primary)
+            mapped = mapper.map_touch(view, event.primary.x, event.primary.y)
             assert batch.rowids[i] == mapped.rowid
             assert batch.attribute_indices[i] == mapped.attribute_index
             assert batch.fractions[i] == mapped.fraction
@@ -64,9 +64,9 @@ class TestMapBatch:
         )
         stream = self._stream(view, profile)
         mapper = TouchMapper()
-        batch = mapper.map_batch(view, stream.events)
+        batch = mapper.map_batch(view, stream)
         for i, event in enumerate(stream.events):
-            mapped = mapper.map_touch(view, event.primary)
+            mapped = mapper.map_touch(view, event.primary.x, event.primary.y)
             assert batch.rowids[i] == mapped.rowid
             assert batch.attribute_indices[i] == mapped.attribute_index
 
@@ -74,10 +74,10 @@ class TestMapBatch:
         view = make_column_view("v", "c", num_tuples=10_000, height_cm=10.0, width_cm=2.0)
         stream = self._stream(view, profile)
         mapper = TouchMapper(granularity=16)
-        batch = mapper.map_batch(view, stream.events)
+        batch = mapper.map_batch(view, stream)
         assert np.all(batch.rowids % 16 == 0)
         for i, event in enumerate(stream.events):
-            assert batch.rowids[i] == mapper.map_touch(view, event.primary).rowid
+            assert batch.rowids[i] == mapper.map_touch(view, event.primary.x, event.primary.y).rowid
 
 
 class TestDedupeSlideBatch:

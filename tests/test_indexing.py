@@ -9,6 +9,7 @@ from repro.indexing.sample_index import SampleLevelIndex
 from repro.indexing.sorted_index import SortedIndex
 from repro.indexing.zonemap import ZoneMap
 from repro.storage.column import Column
+from repro.storage.dtypes import FixedWidthType, TypeKind
 from repro.storage.sample import SampleHierarchy
 
 
@@ -136,6 +137,21 @@ class TestCrackerIndex:
     def test_non_numeric_rejected(self):
         with pytest.raises(StorageError):
             SortedIndex(Column("s", ["a", "b"]))
+
+    @pytest.mark.parametrize("kind", ["int64", "uint64", "float64"])
+    def test_empty_column_matches_nothing(self, kind):
+        """No row to sort: a lookup answers empty rowids and values (it
+        raised numpy's zero-size ``min`` error on an integer column)."""
+        dtype = np.dtype(kind)
+        # the type system names no uint64: the index is driven over one built here
+        storage = FixedWidthType(kind, TypeKind.INTEGER, dtype) if kind == "uint64" else None
+        index = SortedIndex(Column("e", np.empty(0, dtype=dtype), dtype=storage))
+        rowids, values = index.rows_in_range(0, 10)
+        assert rowids.dtype == np.int64 and rowids.size == 0
+        assert values.dtype == dtype and values.size == 0
+        assert index.size_bytes == 0
+        with pytest.raises(StorageError):
+            index.rows_in_range(10, 0)
 
 
 class TestSampleLevelIndex:

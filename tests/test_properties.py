@@ -14,7 +14,6 @@ from repro.engine.join import BlockingHashJoin, join_arrays_symmetric
 from repro.indexing.sorted_index import SortedIndex
 from repro.storage.column import Column
 from repro.storage.sample import SampleHierarchy
-from repro.touchio.events import TouchPoint
 from repro.touchio.views import make_column_view
 
 # keep hypothesis fast and deterministic inside the test suite
@@ -46,7 +45,7 @@ class TestRuleOfThreeProperties:
         view = make_column_view("v", "o", num_tuples=n, height_cm=10.0)
         mapper = TouchMapper()
         ordered = sorted(fractions)
-        rowids = [mapper.map_touch(view, TouchPoint(1.0, f * 10.0)).rowid for f in ordered]
+        rowids = [mapper.map_touch(view, 1.0, f * 10.0).rowid for f in ordered]
         assert rowids == sorted(rowids)
 
     @given(
@@ -57,9 +56,9 @@ class TestRuleOfThreeProperties:
         """The same *fractional* position maps to the same rowid at any zoom."""
         view = make_column_view("v", "o", num_tuples=n, height_cm=10.0)
         mapper = TouchMapper()
-        before = mapper.map_touch(view, TouchPoint(1.0, fraction * view.height)).rowid
+        before = mapper.map_touch(view, 1.0, fraction * view.height).rowid
         view.resize(2.0)
-        after = mapper.map_touch(view, TouchPoint(1.0, fraction * view.height)).rowid
+        after = mapper.map_touch(view, 1.0, fraction * view.height).rowid
         assert abs(after - before) <= max(1, n // 1000)
 
 
