@@ -21,14 +21,11 @@ passes over whole arrays:
    :meth:`~repro.core.summaries.InteractiveSummarizer.summarize_batch`,
    :meth:`~repro.engine.filter.Predicate.mask`,
    :meth:`~repro.engine.aggregate.RunningAggregate.on_batch`);
-4. the cache/prefetch feedback loop is replayed exactly: every read and
-   every extrapolated prefetch proposal is given its position on one
-   sequential event timeline, and
-   :meth:`~repro.core.caching.TouchCache.replay_gesture` walks that
-   timeline once against the live LRU — one dict lookup per event — to
-   settle which touches the per-touch loop would have served from the
-   cache, which proposals would have landed and what they evicted; the
-   values the walk found missing are then read in two batches.
+4. the cache/prefetch feedback loop is settled exactly: every read and
+   every extrapolated prefetch proposal gets its position on one event
+   timeline, :meth:`~repro.core.caching.TouchCache.plan` settles from one
+   stable sort by direct-mapped slot which touches hit and which events
+   write their slot, and the missing values are read in two batches.
 
 The executor produces the same deterministic
 :class:`~repro.core.kernel.GestureOutcome` fields as the reference loop —
@@ -55,17 +52,14 @@ down.  Slides never *consult* the index either: a select-where slide
 reads its where-values with the same ``read_batch`` every other slide
 uses, with or without the touched-range cache.
 
-Mid-gesture cache evictions are replayed, not avoided.  The walk of step
-4 performs every hit's LRU refresh, every insertion and every capacity
-eviction in the order the per-touch loop would, so an entry evicted and
-revisited within one gesture is a miss here exactly when it is a miss
-there, and the cache's recency order, values and statistics end up
-identical.  Inserted entries hold a placeholder until the batch reads
-deliver their values (and are dropped again should a read fail).  The
-cost is O(touches x (1 + proposals per touch)) of this gesture,
-independent of what the cache or the prefetched-rowid set has
-accumulated, so no supported slide ever leaves the batch path:
-``execute`` always returns an outcome.
+Mid-gesture cache evictions are settled, not avoided: a key has one slot,
+and the events on a slot in time order decide every hit, write and
+eviction exactly as the per-touch loop's calls do, so the slots, their
+values and the statistics end up identical.  Nothing is committed until
+the batch reads have delivered their values.  The cache costs a handful
+of array passes over this gesture's events — no Python per event,
+nothing proportional to its capacity — so no supported slide ever leaves
+the batch path: ``execute`` always returns an outcome.
 """
 
 from __future__ import annotations
@@ -286,19 +280,15 @@ class BatchSlideExecutor:
         self, state, namespace, rowids, strides, read_pos,
         prop_rows, prop_strides, prop_pos, is_read, outcome,
     ):
-        """Replay the gesture's cache events exactly, then read in batches.
+        """Settle the gesture's cache events with array passes, then read.
 
-        :meth:`TouchCache.replay_gesture` walks the reads and prefetch
-        proposals once, in event order, against the live LRU — hits
-        refresh, misses and absent proposals insert (and evict) — so the
-        recency order and the statistics end up as the per-touch loop
-        would leave them even when entries are evicted and revisited
-        mid-gesture.  Only then are the values of the inserted entries
-        read: the missed touches in one batch, the proposals that
-        landed in another.  Returns ``(values, levels, winners)`` with
-        ``winners`` masking the proposals that entered the cache.
+        :meth:`TouchCache.plan` marks the events that write their slot;
+        only their values are read — the missed touches in one batch, the
+        proposals that landed in another — and the plan's ``settle`` then
+        serves the hits and commits the slots (a failed read never gets
+        there).  Returns ``(values, levels, winners)`` with ``winners``
+        masking the proposals that entered the cache.
         """
-        cache = self._kernel.cache
         n = int(rowids.size)
         num_events = int(is_read.size)
         event_rows = np.empty(num_events, dtype=np.int64)
@@ -307,31 +297,23 @@ class BatchSlideExecutor:
         event_strides = np.empty(num_events, dtype=np.int64)
         event_strides[read_pos] = strides
         event_strides[prop_pos] = prop_strides
-        replay = cache.replay_gesture(namespace, event_rows, event_strides, is_read.tolist())
+        written, num_hits, settle = self._kernel.cache.plan(
+            namespace, event_rows, event_strides, is_read
+        )
 
-        wrote = np.zeros(num_events, dtype=bool)
-        wrote[replay.written] = True
-        miss_mask = wrote[read_pos]
-        winners = wrote[prop_pos]
+        miss_mask = written[read_pos]
+        winners = written[prop_pos]
         event_values = np.empty(num_events, dtype=self._value_dtype(state))
-        written_values = None
-        try:
-            miss_vals, miss_counts, miss_levels = self._read_rows(
-                state, rowids[miss_mask], strides[miss_mask]
-            )
-            pf_vals, _, _ = self._read_rows(
-                state, prop_rows[winners], prop_strides[winners], prefetch=True
-            )
-            event_values[read_pos[miss_mask]] = miss_vals
-            event_values[prop_pos[winners]] = pf_vals
-            written_values = list(event_values[wrote])
-        finally:
-            # also on a failed read: placeholders must not outlive the gesture
-            hit_values = cache.settle_replay(replay, written_values)
-        if replay.hits:
-            event_values[replay.hits] = hit_values
+        miss_vals, miss_counts, miss_levels = self._read_rows(
+            state, rowids[miss_mask], strides[miss_mask]
+        )
+        pf_vals, _, _ = self._read_rows(
+            state, prop_rows[winners], prop_strides[winners], prefetch=True
+        )
+        event_values[read_pos[miss_mask]] = miss_vals
+        event_values[prop_pos[winners]] = pf_vals
+        settle(event_values)
 
-        num_hits = len(replay.hits)
         outcome.cache_hits += num_hits
         outcome.cache_misses += n - num_hits
         outcome.tuples_examined += int(miss_counts.sum())

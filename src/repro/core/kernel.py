@@ -78,7 +78,7 @@ class KernelConfig:
     enable_prefetch / enable_cache / enable_samples:
         Feature switches used by the ablation benchmarks.
     cache_capacity:
-        Entries kept in the touched-range cache.
+        Slots of the direct-mapped touched-range cache (one entry each).
     sample_factor:
         Down-sampling factor between consecutive sample-hierarchy levels.
     fade_seconds:
@@ -644,7 +644,7 @@ class DbTouchKernel:
         join = self._join_for(gesture.view_name)
         if self.config.batch_execution and self._batch_executor.supports(state, join):
             # every supported slide stays on the batch path, whatever the
-            # cache holds: mid-gesture evictions are replayed exactly there
+            # cache holds: mid-gesture evictions are settled exactly there
             return self._batch_executor.execute(state, gesture)
         # joins, group-bys and attribute-dependent table scans (and the
         # differential oracle, with batch_execution off): the per-touch loop

@@ -45,13 +45,14 @@ class MappedBatch:
     """A whole touch stream mapped onto a data object in one numpy pass.
 
     Parallel arrays, one entry per mapped event: ``rowids`` (int64),
-    ``attribute_indices`` (int64), ``fractions`` (float64) and the event
-    ``timestamps`` (float64).  Element ``i`` equals what
-    :meth:`TouchMapper.map_touch` returns for event ``i``.
+    ``fractions`` (float64) and the event ``timestamps`` (float64).
+    Element ``i`` equals what :meth:`TouchMapper.map_touch` returns for
+    event ``i``.  There is no attribute index: the batch path serves
+    column objects and select-where slides, whose attribute is the
+    action's, not the touch's.
     """
 
     rowids: np.ndarray
-    attribute_indices: np.ndarray
     fractions: np.ndarray
     timestamps: np.ndarray
 
@@ -128,27 +129,26 @@ class TouchMapper:
         """Map a whole touch stream to tuple identifiers in one pass.
 
         This is the vectorized Rule of Three: the primary finger's location
-        in every event is converted to (rowid, attribute index, fraction)
-        with numpy arithmetic straight off the stream's arrays, producing
-        exactly the values a loop of :meth:`map_touch` calls would.  With
+        in every event is converted to (rowid, fraction) with numpy
+        arithmetic straight off the stream's arrays, producing exactly the
+        rowids and fractions a loop of :meth:`map_touch` calls would.  With
         ``active_only``, ENDED/CANCELLED events are dropped first (the
         slide path's filter).
         """
         props = view.properties
         if props is None:
             raise MappingError(f"view {view.name!r} has no data-object properties attached")
-        xs, ys, timestamps = stream.xs[:, 0], stream.ys[:, 0], stream.timestamps
+        if props.orientation == "vertical":
+            tuple_locations, tuple_extent = stream.ys[:, 0], view.height
+        else:
+            tuple_locations, tuple_extent = stream.xs[:, 0], view.width
+        timestamps = stream.timestamps
         if active_only:
             active = stream.phases < ENDED_CODE
-            xs, ys, timestamps = xs[active], ys[active], timestamps[active]
-        n = timestamps.size
-        if props.orientation == "vertical":
-            tuple_locations, tuple_extent = ys, view.height
-            attr_locations, attr_extent = xs, view.width
-        else:
-            tuple_locations, tuple_extent = xs, view.width
-            attr_locations, attr_extent = ys, view.height
-        if n and (tuple_locations.min() < 0.0 or tuple_locations.max() > tuple_extent + 1e-9):
+            tuple_locations, timestamps = tuple_locations[active], timestamps[active]
+        if tuple_locations.size and (
+            tuple_locations.min() < 0.0 or tuple_locations.max() > tuple_extent + 1e-9
+        ):
             raise MappingError(f"touch is outside the object extent of {tuple_extent:.3f} cm")
         if props.num_tuples <= 0:
             raise MappingError("data object has no tuples to map to")
@@ -159,13 +159,8 @@ class TouchMapper:
         if self.granularity > 1:
             rowids = (rowids // self.granularity) * self.granularity
             rowids = np.minimum(props.num_tuples - 1, rowids)
-        attribute_indices = np.zeros(n, dtype=np.int64)
-        if props.num_attributes > 1 and attr_extent > 0:
-            attr_raw = (props.num_attributes * attr_locations / attr_extent).astype(np.int64)
-            attribute_indices = np.minimum(props.num_attributes - 1, np.maximum(0, attr_raw))
         return MappedBatch(
             rowids=rowids,
-            attribute_indices=attribute_indices,
             fractions=tuple_locations / tuple_extent,  # the extent is positive here
             timestamps=timestamps,
         )

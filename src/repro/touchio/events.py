@@ -130,11 +130,6 @@ class TouchStream:
         self.__init__(self.view_name, [e.timestamp for e in events], codes, *xys)
         self._events = events
 
-    def extend(self, events: list[TouchEvent]) -> None:
-        """Append several events in order."""
-        for event in events:
-            self.append(event)
-
     @property
     def events(self) -> tuple[TouchEvent, ...]:
         """The stream as :class:`TouchEvent` objects; a derived point's

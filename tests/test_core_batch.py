@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +54,6 @@ class TestMapBatch:
         for i, event in enumerate(stream.events):
             mapped = mapper.map_touch(view, event.primary.x, event.primary.y)
             assert batch.rowids[i] == mapped.rowid
-            assert batch.attribute_indices[i] == mapped.attribute_index
             assert batch.fractions[i] == mapped.fraction
             assert batch.timestamps[i] == event.timestamp
 
@@ -68,7 +67,6 @@ class TestMapBatch:
         for i, event in enumerate(stream.events):
             mapped = mapper.map_touch(view, event.primary.x, event.primary.y)
             assert batch.rowids[i] == mapped.rowid
-            assert batch.attribute_indices[i] == mapped.attribute_index
 
     def test_granularity_snapping(self, profile):
         view = make_column_view("v", "c", num_tuples=10_000, height_cm=10.0, width_cm=2.0)
@@ -232,14 +230,14 @@ class TestAggregateOnBatch:
 class TestCacheBulkOps:
     def test_stride_buckets_match_scalar_rule(self):
         strides = np.array([1, 2, 3, 4, 7, 8, 1023, 1024], dtype=np.int64)
-        buckets = TouchCache.stride_buckets(strides)
-        expected = [TouchCache._stride_bucket(int(s)) for s in strides]
-        assert buckets.tolist() == expected
+        exponents = TouchCache._stride_exponents(strides)
+        expected = [TouchCache._stride_exponent(int(s)) for s in strides]
+        assert exponents.tolist() == expected
 
     def test_presence_probe_round_trip(self):
-        # the probe must agree with contains() for tuple namespaces whose
-        # object names embed ":" — and leave the statistics and the
-        # recency order alone
+        # the probe must agree with the slot state for tuple namespaces
+        # whose object names embed ":" — and leave the statistics and the
+        # slots alone
         cache = TouchCache(capacity=256, bucket_rows=16)
         namespaces = [
             ("sales:2024", "scan"),
@@ -253,7 +251,7 @@ class TestCacheBulkOps:
             strides = rng.integers(1, 600, size=20)
             for rowid, stride in zip(rowids.tolist(), strides.tolist()):
                 cache.put(namespace, rowid, float(rowid), stride)
-        order_before = list(cache._entries)
+        keys_before, values_before = cache._keys.copy(), cache._values.copy()
         lookups_before = cache.stats.lookups
         probe_rowids = rng.integers(0, 5_000, size=300)
         present = absent = 0
@@ -261,12 +259,14 @@ class TestCacheBulkOps:
             for stride in (1, 3, 40, 511, 512):
                 probe = cache.presence_probe(namespace, stride)
                 for rowid in probe_rowids.tolist():
-                    expected = cache._key(namespace, rowid, stride) in cache._entries
+                    key = cache._key(namespace, rowid, stride)
+                    expected = bool(cache._keys[cache._slot(key)] == key)
                     assert probe(rowid) is expected
                     present += expected
                     absent += not expected
         assert present > 0 and absent > 0
-        assert list(cache._entries) == order_before
+        assert np.array_equal(cache._keys, keys_before)
+        assert cache._values.tolist() == values_before.tolist()
         assert cache.stats.lookups == lookups_before
 
     def test_stride_bucket_matches_doubling_loop(self):
@@ -278,37 +278,48 @@ class TestCacheBulkOps:
             return bucket
 
         strides = list(range(-2, 4_100))
-        for exponent in range(12, 41):
+        for exponent in range(12, 53):
             strides += [2**exponent - 1, 2**exponent, 2**exponent + 1]
-        assert [TouchCache._stride_bucket(s) for s in strides] == [
+        assert [1 << TouchCache._stride_exponent(s) for s in strides] == [
             doubling_loop(s) for s in strides
         ]
-        assert TouchCache.stride_buckets(np.array(strides)).tolist() == [
-            doubling_loop(s) for s in strides
-        ]
+        exponents = TouchCache._stride_exponents(np.array(strides, dtype=np.int64))
+        assert [1 << e for e in exponents.tolist()] == [doubling_loop(s) for s in strides]
+        # past 2**52 rows (no column is that long) every stride shares one bucket
+        huge = [2**52, 2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1]
+        assert [TouchCache._stride_exponent(s) for s in huge] == [52] * len(huge)
+        assert TouchCache._stride_exponents(np.array(huge)).tolist() == [52] * len(huge)
 
     def test_bulk_ops_match_loop_semantics(self):
-        # a put loop past capacity keeps the newest entries, oldest first
+        # a put loop past capacity leaves each slot its last key and value,
+        # and evicts exactly when a put lands on a slot another key holds
         cache = TouchCache(capacity=8, bucket_rows=4)
         rowids = list(range(0, 48, 4))  # 12 distinct buckets > capacity
+        model = {}  # slot -> (key, value)
+        evictions = 0
         for rowid in rowids:
             cache.put("o", rowid, float(rowid), 1)
-        assert len(cache) == 8
-        assert cache.stats.evictions == 4
-        assert list(cache._entries.items()) == [
-            (("o", r // 4, 1), float(r)) for r in rowids[4:]
-        ]
+            key = cache._key("o", rowid, 1)
+            slot = cache._slot(key)
+            evictions += slot in model and model[slot][0] != key
+            model[slot] = (key, float(rowid))
+        assert len(cache) == len(model) <= 8
+        assert cache.stats.evictions == evictions == len(rowids) - len(model)
+        assert {slot: (int(cache._keys[slot]), cache._values[slot]) for slot in model} == model
+        assert sorted(cache._keys[cache._keys >= 0].tolist()) == sorted(
+            key for key, _ in model.values()
+        )
 
 
 class TestGestureReplay:
-    """``replay_gesture`` + ``settle_replay`` ≡ the per-touch call sequence."""
+    """``plan`` and its ``settle`` ≡ the per-touch call sequence."""
 
     @staticmethod
     def _events(seed, count=400):
         rng = np.random.default_rng(seed)
         rowids = rng.integers(0, 40 * 16, size=count)  # 40 buckets, revisits
         strides = rng.choice([1, 2, 5, 64], size=count)
-        is_read = (rng.random(count) < 0.4).tolist()
+        is_read = rng.random(count) < 0.4
         return rowids, strides, is_read
 
     @staticmethod
@@ -316,61 +327,64 @@ class TestGestureReplay:
         """What the kernel's per-touch loop does, event by event."""
         served = []
         for event, (rowid, stride, read) in enumerate(
-            zip(rowids.tolist(), strides.tolist(), is_read)
+            zip(rowids.tolist(), strides.tolist(), is_read.tolist())
         ):
             if read:
                 value = cache.get("ns", rowid, stride)
                 if value is None:
-                    value = (event, rowid)
+                    value = float(event)
                     cache.put("ns", rowid, value, stride)
                 served.append(value)
             elif not cache.presence_probe("ns", stride)(rowid):
-                cache.put("ns", rowid, (event, rowid), stride)
+                cache.put("ns", rowid, float(event), stride)
         return served
+
+    @staticmethod
+    def _make(capacity):
+        cache = TouchCache(capacity=capacity, bucket_rows=16)
+        for rowid in range(0, 96, 16):  # some pre-gesture entries
+            cache.put("ns", rowid, -1.0 - rowid, 1)
+        return cache
 
     @pytest.mark.parametrize("capacity", [1, 12, 64])
     def test_matches_get_contains_put_loop(self, capacity):
-        def make():
-            cache = TouchCache(capacity=capacity, bucket_rows=16)
-            for rowid in range(0, 96, 16):  # some pre-gesture entries
-                cache.put("ns", rowid, ("old", rowid), 1)
-            return cache
-
         rowids, strides, is_read = self._events(capacity)
-        loop_cache = make()
+        loop_cache = self._make(capacity)
         loop_served = self._loop(loop_cache, rowids, strides, is_read)
 
-        cache = make()
-        replay = cache.replay_gesture("ns", rowids, strides, is_read)
-        values = [(event, int(rowids[event])) for event in replay.written]
-        hit_values = cache.settle_replay(replay, values)
-        served = dict(zip(replay.written, values)) | dict(zip(replay.hits, hit_values))
-        reads = [event for event, read in enumerate(is_read) if read]
+        cache = self._make(capacity)
+        written, num_hits, settle = cache.plan("ns", rowids, strides, is_read)
+        values = np.full(rowids.size, np.nan)
+        values[written] = np.flatnonzero(written)  # a write's value: its event
+        settle(values)
 
-        assert [served[event] for event in reads] == loop_served
-        assert list(cache._entries.items()) == list(loop_cache._entries.items())
+        assert values[is_read].tolist() == loop_served
+        assert num_hits == loop_cache.stats.hits  # _make only puts
+        assert np.array_equal(cache._keys, loop_cache._keys)
+        assert cache._values.tolist() == loop_cache._values.tolist()
         assert cache.stats == loop_cache.stats
         assert cache.stats.evictions > 0
 
-    def test_abandoned_replay_leaves_no_placeholder(self):
-        cache = TouchCache(capacity=8, bucket_rows=16)
-        cache.put("ns", 0, "kept", 1)
+    def test_abandoned_plan_commits_nothing(self):
+        cache = self._make(8)
         rowids, strides, is_read = self._events(3, count=50)
-        replay = cache.replay_gesture("ns", rowids, strides, is_read)
-        assert replay.written
-        cache.settle_replay(replay, None)  # the batch reads failed
-        assert all(isinstance(value, str) for value in cache._entries.values())
+        keys, values, stats = cache._keys.copy(), cache._values.copy(), replace(cache.stats)
+        written, _, _ = cache.plan("ns", rowids, strides, is_read)
+        assert written.any()  # the batch reads fail: settle is never called
+        assert np.array_equal(cache._keys, keys)
+        assert cache._values.tolist() == values.tolist()
+        assert cache.stats == stats
 
-
-    def test_failed_batch_read_leaves_no_placeholder_in_the_kernel_cache(self, profile):
-        from repro.core.caching import _PendingValue
-
+    def test_failed_batch_read_leaves_slots_and_stats_unchanged(self, profile):
         session = ExplorationSession(profile=profile, config=KernelConfig())
         session.load_column("c", np.arange(50_000, dtype=np.int64))
         view = session.show_column("c", height_cm=10.0)
         session.choose_scan(view)
         session.slide(view, duration=0.5)
         column = session.kernel.state_of(view.name).column
+        cache = session.kernel.cache
+        keys, values, stats = cache._keys.copy(), cache._values.copy(), replace(cache.stats)
+        assert len(cache) > 0
 
         def broken_read(rowids):
             raise OSError("chunk file vanished")
@@ -378,8 +392,9 @@ class TestGestureReplay:
         column.read_batch = broken_read
         with pytest.raises(OSError):
             session.slide(view, duration=0.5, start_fraction=1.0, end_fraction=0.0)
-        entries = session.kernel.cache._entries
-        assert entries and not any(type(v) is _PendingValue for v in entries.values())
+        assert np.array_equal(cache._keys, keys)
+        assert cache._values.tolist() == values.tolist()
+        assert cache.stats == stats
 
 
 class TestProposeBatch:
@@ -537,9 +552,9 @@ class TestBatchSlideParity:
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_lru_end_state_matches_reference_loop(self, profile, prefetch):
-        # the recency order decides which entries later gestures evict, so
-        # a multi-gesture session on a tiny cache must see identical
-        # counters AND an identical final LRU key order on both paths
+        # the slot state decides what later gestures hit, so a
+        # multi-gesture session on a tiny cache must see identical counters
+        # AND identical final slot keys and values on both paths
         rng = np.random.default_rng(21)
         legs = [
             (float(a), float(b), float(d))
@@ -568,12 +583,14 @@ class TestBatchSlideParity:
             counters = [
                 (o.cache_hits, o.cache_misses, o.prefetch_hits) for o in outcomes
             ]
-            return counters, list(session.kernel.cache._entries)
+            cache = session.kernel.cache
+            return counters, cache._keys.tolist(), [_plain(v) for v in cache._values]
 
-        loop_counters, loop_keys = run(False)
-        batch_counters, batch_keys = run(True)
+        loop_counters, loop_keys, loop_values = run(False)
+        batch_counters, batch_keys, batch_values = run(True)
         assert loop_counters == batch_counters
         assert loop_keys == batch_keys
+        assert loop_values == batch_values
 
     @pytest.mark.parametrize("capacity", [8, 64, 512])
     def test_parity_survives_tiny_cache_capacities(self, profile, capacity):
@@ -803,8 +820,9 @@ class TestFullCacheParity:
         return dict(
             fields=fields,
             stats=cache.stats,
-            lru_keys=list(cache._entries.keys()),
-            cached_values=[_plain(value) for value in cache._entries.values()],
+            slot_keys=cache._keys.tolist(),
+            cached_values=[_plain(value) for value in cache._values],
+            occupied=len(cache),
             prefetched={
                 name: set(kernel.state_of(view.name).prefetched_rowids)
                 for name, view in views.items()
@@ -823,11 +841,15 @@ class TestFullCacheParity:
         for index, (a, b) in enumerate(zip(loop["fields"], batch["fields"])):
             assert a == b, f"gesture {index} diverged"
         assert batch["stats"] == loop["stats"]
-        assert batch["lru_keys"] == loop["lru_keys"]
+        assert batch["slot_keys"] == loop["slot_keys"]
         assert batch["cached_values"] == loop["cached_values"]
         assert batch["prefetched"] == loop["prefetched"]
-        # the session really kept the cache full and evicting
-        assert len(batch["lru_keys"]) >= capacity - 1
+        # the session really kept the cache full and evicting: every
+        # insertion filled an empty slot or evicted, and a direct-mapped slot
+        # is empty only while no key of the session has hashed to it
+        stats = batch["stats"]
+        assert batch["occupied"] == stats.insertions - stats.evictions
+        assert batch["occupied"] >= 0.9 * capacity
         assert batch["stats"].evictions > capacity
         # every supported slide got an outcome from the executor; only
         # unsupported ones (table scan, group-by) ever reached the loop
@@ -863,13 +885,38 @@ class TestKernelLifetime:
             gc.enable()
 
 
-class _NeverWalkedDict(OrderedDict):
-    """An ``OrderedDict`` that may be probed but not iterated."""
+class _CountedSlots(np.ndarray):
+    """A slot array that counts the elements each access reads or writes.
 
-    def _refuse(self, *args, **kwargs):
-        raise AssertionError("the slide hot path walked TouchCache._entries")
+    Indexing counts the elements it selects; a ufunc or an array function
+    that takes the whole array counts all of it, so a pass over the slots
+    shows up as ``capacity`` reads."""
 
-    __iter__ = keys = values = items = copy = _refuse
+    counts: dict
+
+    def __getitem__(self, index):
+        out = self.view(np.ndarray)[index]
+        self.counts["read"] += int(np.size(out))
+        return out
+
+    def __setitem__(self, index, value):
+        plain = self.view(np.ndarray)
+        self.counts["written"] += int(np.size(plain[index]))
+        plain[index] = value
+
+    def _plain(self, args):
+        for arg in args:
+            if isinstance(arg, _CountedSlots):
+                self.counts["read"] += arg.size
+                yield arg.view(np.ndarray)
+            else:
+                yield arg
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*self._plain(inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        return func(*self._plain(args), **kwargs)
 
 
 class _NeverWalkedSet(set):
@@ -882,13 +929,20 @@ class _NeverWalkedSet(set):
 
 
 class TestHotPathNeverWalksContainers:
-    """Deterministic cost guard: a slide looks keys up, it never iterates."""
+    """Deterministic cost guard: a slide looks slots up, it never iterates."""
 
     @pytest.mark.parametrize("batch", [True, False])
     def test_slide_only_probes_cache_and_prefetched_set(self, profile, batch):
+        # at 32 slots the cache evicts; at 65,536 a pass over the slots
+        # would dwarf the gesture's events
+        for capacity in (32, 1 << 16):
+            self._check(profile, batch, capacity)
+
+    @staticmethod
+    def _check(profile, batch, capacity):
         session = ExplorationSession(
             profile=profile,
-            config=KernelConfig(batch_execution=batch, cache_capacity=32),
+            config=KernelConfig(batch_execution=batch, cache_capacity=capacity),
         )
         session.load_column("c", np.arange(200_000, dtype=np.int64))
         view = session.show_column("c", height_cm=10.0)
@@ -896,14 +950,19 @@ class TestHotPathNeverWalksContainers:
         session.slide(view, duration=0.8)  # fills the cache, leaves prefetched rowids
         kernel = session.kernel
         state = kernel.state_of(view.name)
-        assert len(kernel.cache) == 32 and state.prefetched_rowids
+        cache = kernel.cache
+        assert len(cache) > 0 and state.prefetched_rowids
+        evictions_before = cache.stats.evictions
 
-        kernel.cache._entries = _NeverWalkedDict(kernel.cache._entries)
+        counts = {"read": 0, "written": 0}
+        for name in ("_keys", "_values"):
+            counted = getattr(cache, name).view(_CountedSlots)
+            counted.counts = counts
+            setattr(cache, name, counted)
         state.prefetched_rowids = _NeverWalkedSet(state.prefetched_rowids)
         with pytest.raises(AssertionError):
-            list(kernel.cache._entries)
-        with pytest.raises(AssertionError):
             list(state.prefetched_rowids)
+        proposals_before = state.prefetcher.prefetches_issued
 
         outcomes = [
             session.slide(view, duration=0.8),
@@ -918,6 +977,14 @@ class TestHotPathNeverWalksContainers:
         ]
         assert sum(o.cache_hits for o in outcomes) > 0
         assert sum(o.prefetch_hits for o in outcomes) > 0
+        # a cache event reads at most two slot elements and writes at most
+        # two (its key and its value), whatever the capacity
+        reads = sum(o.cache_hits + o.cache_misses for o in outcomes)
+        events = reads + state.prefetcher.prefetches_issued - proposals_before
+        assert 0 < counts["read"] <= 2 * events
+        assert 0 < counts["written"] <= 2 * events
+        assert 2 * events < 1 << 16
+        assert (cache.stats.evictions > evictions_before) is (capacity == 32)
         # still the guarded containers: updated in place, never rebuilt
-        assert type(kernel.cache._entries) is _NeverWalkedDict
+        assert type(cache._keys) is _CountedSlots and type(cache._values) is _CountedSlots
         assert type(state.prefetched_rowids) is _NeverWalkedSet

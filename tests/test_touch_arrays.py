@@ -297,7 +297,6 @@ def test_map_batch_equals_map_touch_on_each_event(stream, granularity):
             for i, event in enumerate(events):
                 mapped = mapper.map_touch(view, event.primary.x, event.primary.y)
                 assert batch.rowids[i] == mapped.rowid
-                assert batch.attribute_indices[i] == mapped.attribute_index
                 assert batch.fractions[i] == mapped.fraction
                 assert batch.timestamps[i] == event.timestamp
 

@@ -62,14 +62,10 @@ class TestTouchStream:
         stream.append(self._event(1.0))
         assert len(stream) == 2
 
-    def test_extend(self):
-        stream = TouchStream("v")
-        stream.extend([self._event(0.0), self._event(0.2)])
-        assert len(stream) == 2
-
     def test_duration(self):
         stream = TouchStream("v")
-        stream.extend([self._event(1.0), self._event(3.5)])
+        for timestamp in (1.0, 3.5):
+            stream.append(self._event(timestamp))
         assert stream.duration == pytest.approx(2.5)
 
     def test_duration_of_single_event_is_zero(self):
@@ -85,5 +81,6 @@ class TestTouchStream:
 
     def test_iteration(self):
         stream = TouchStream("v")
-        stream.extend([self._event(0.0), self._event(0.1)])
+        for timestamp in (0.0, 0.1):
+            stream.append(self._event(timestamp))
         assert [e.timestamp for e in stream] == [0.0, 0.1]
