@@ -173,7 +173,7 @@ def test_out_of_core_narrow_slide_residency_and_parity(benchmark, dataset):
         assert paged.tuples_examined == reference.tuples_examined
         assert paged.cache_hits == reference.cache_hits
         assert paged.prefetch_hits == reference.prefetch_hits
-        assert paged.rowids_touched == reference.rowids_touched
+        assert paged.rowids_touched.tolist() == reference.rowids_touched.tolist()
         assert paged.max_touch_latency_s < LATENCY_BOUND_S
 
     mag = catalog.load_table("sky").column("mag")

@@ -40,7 +40,7 @@ from repro.core.actions import ActionKind, QueryAction
 from repro.core.caching import HashTableCache, TouchCache
 from repro.core.optimizer import AdaptiveOptimizer
 from repro.core.prefetch import GesturePrefetcher
-from repro.core.result_stream import ResultStream, ResultValue
+from repro.core.result_stream import ResultColumns, ResultStream, ResultValue
 from repro.core.summaries import InteractiveSummarizer
 from repro.core.touch_mapping import MappedTouch, TouchMapper
 from repro.engine.aggregate import RunningAggregate, make_aggregate
@@ -123,19 +123,37 @@ OUTCOME_COUNTERS = DETERMINISTIC_COUNTERS + ("duration_s", "max_touch_latency_s"
 LINK_COUNTERS = ("remote_requests", "network_seconds")
 
 
-@dataclass
+#: What an outcome that touched nothing holds (shared, read-only).
+_NO_ROWIDS = np.empty(0, dtype=np.int64)
+_NO_LATENCIES = np.empty(0, dtype=np.float64)
+_NO_ROWIDS.flags.writeable = _NO_LATENCIES.flags.writeable = False
+
+
+@dataclass(eq=False)
 class GestureOutcome:
-    """Everything a gesture produced, for display and for measurement."""
+    """Everything a gesture produced, for display and for measurement.
+
+    ``rowids_touched`` is an ``int64`` array.  A batch slide hands over its
+    emitted results as ``result_columns`` (the
+    :class:`~repro.core.result_stream.ResultColumns` chunk its result
+    stream also holds); :attr:`results` is their :class:`ResultValue`
+    view, built on first read — the per-touch paths fill it as they emit.
+    ``per_touch_latencies_s`` is a ``float64`` array: measured per touch on
+    the per-touch paths, the one amortized latency per touch on the batch
+    path.
+    Outcomes compare by identity (arrays have no single truth value);
+    compare their fields.
+    """
 
     gesture_type: GestureType
     view_name: str
     object_name: str
     entries_returned: int = 0
     tuples_examined: int = 0
-    rowids_touched: list[int] = field(default_factory=list)
-    results: list[ResultValue] = field(default_factory=list)
+    rowids_touched: np.ndarray = field(default_factory=lambda: _NO_ROWIDS)
+    result_columns: ResultColumns | None = None
     duration_s: float = 0.0
-    per_touch_latencies_s: list[float] = field(default_factory=list)
+    per_touch_latencies_s: np.ndarray = field(default_factory=lambda: _NO_LATENCIES)
     cache_hits: int = 0
     cache_misses: int = 0
     prefetch_hits: int = 0
@@ -145,18 +163,27 @@ class GestureOutcome:
     layout_kind: LayoutKind | None = None
     zoom_scale: float = 1.0
     revealed_tuple: dict[str, object] | None = None
+    _results: list[ResultValue] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def results(self) -> list[ResultValue]:
+        """The displayed results, in emission order."""
+        if self._results is None:
+            columns = self.result_columns
+            self._results = [] if columns is None else list(columns)
+        return self._results
 
     @property
     def max_touch_latency_s(self) -> float:
         """The slowest single touch in this gesture."""
-        return max(self.per_touch_latencies_s, default=0.0)
+        latencies = self.per_touch_latencies_s
+        return float(latencies.max()) if latencies.size else 0.0
 
     @property
     def mean_touch_latency_s(self) -> float:
         """Mean per-touch processing latency."""
-        if not self.per_touch_latencies_s:
-            return 0.0
-        return sum(self.per_touch_latencies_s) / len(self.per_touch_latencies_s)
+        latencies = self.per_touch_latencies_s
+        return float(latencies.mean()) if latencies.size else 0.0
 
     def counters(self) -> dict[str, float]:
         """The outcome's metric counters, keyed by outcome-envelope field.
@@ -613,6 +640,7 @@ class DbTouchKernel:
             gesture_type=GestureType.TAP,
             view_name=gesture.view_name,
             object_name=state.object_name,
+            rowids_touched=np.array([mapped.rowid], dtype=np.int64),
             duration_s=gesture.duration,
         )
         if state.table is not None:
@@ -623,12 +651,10 @@ class DbTouchKernel:
         else:
             value = state.column.value_at(mapped.rowid)
             outcome.tuples_examined += 1
-        outcome.rowids_touched.append(mapped.rowid)
         outcome.entries_returned = 1
-        result = state.results.emit(
-            value, mapped.rowid, mapped.fraction, float(stream.timestamps[-1])
-        )
-        outcome.results.append(result)
+        outcome._results = [
+            state.results.emit(value, mapped.rowid, mapped.fraction, float(stream.timestamps[-1]))
+        ]
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -648,6 +674,7 @@ class DbTouchKernel:
             return self._batch_executor.execute(state, gesture)
         # joins, group-bys and attribute-dependent table scans (and the
         # differential oracle, with batch_execution off): the per-touch loop
+        touched, latencies = [], []
         for event in gesture.events:
             if event.phase is TouchPhase.ENDED or event.phase is TouchPhase.CANCELLED:
                 continue
@@ -657,9 +684,12 @@ class DbTouchKernel:
             processed = self._process_touch(state, mapped, event, stride, outcome, join)
             elapsed = time.perf_counter() - started
             if processed:
-                outcome.per_touch_latencies_s.append(elapsed)
+                touched.append(mapped.rowid)
+                latencies.append(elapsed)
                 self.optimizer.observe_touch(elapsed)
                 self._maybe_prefetch(state, event, mapped, stride)
+        outcome.rowids_touched = np.array(touched, dtype=np.int64)
+        outcome.per_touch_latencies_s = np.array(latencies, dtype=np.float64)
         if state.aggregate is not None:
             outcome.final_aggregate = state.aggregate.current()
         if join is not None:
@@ -783,7 +813,6 @@ class DbTouchKernel:
             return False
         state.last_rowid = mapped.rowid
         state.last_timestamp = event.timestamp
-        outcome.rowids_touched.append(mapped.rowid)
         if mapped.rowid in state.prefetched_rowids:
             outcome.prefetch_hits += 1
             state.prefetched_rowids.discard(mapped.rowid)

@@ -10,7 +10,6 @@ and produces the list of rowids to warm in the cache.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,11 @@ class GestureEstimate:
     last_rowid: int
     last_timestamp: float
     confident: bool
+
+
+#: ``propose_batch``'s answer when nothing is proposed (read-only, shared)
+_NO_PROPOSALS = (np.empty(0, dtype=np.int64),) * 2
+_NO_PROPOSALS[0].flags.writeable = False
 
 
 class GesturePrefetcher:
@@ -70,7 +74,13 @@ class GesturePrefetcher:
         self.history = history
         self.horizon_seconds = horizon_seconds
         self.max_prefetch = max_prefetch
-        self._observations: deque[tuple[float, int]] = deque(maxlen=history)
+        # the observation window, oldest first, padded in front: the slots
+        # before the oldest of the ``_count`` observations repeat it, so the
+        # fit's first observation is always slot 0 and a gesture's window
+        # starts are one slice of the window followed by its touches
+        self._times = np.zeros(history, dtype=np.float64)
+        self._rowids = np.zeros(history, dtype=np.int64)
+        self._count = 0
         self.prefetches_issued = 0
 
     # ------------------------------------------------------------------ #
@@ -78,26 +88,34 @@ class GesturePrefetcher:
     # ------------------------------------------------------------------ #
     def observe(self, timestamp: float, rowid: int) -> None:
         """Record that the gesture touched ``rowid`` at ``timestamp``."""
-        if self._observations and timestamp < self._observations[-1][0]:
+        if self._count and timestamp < self._times[-1]:
             raise OptimizationError("gesture observations must have non-decreasing timestamps")
-        self._observations.append((timestamp, rowid))
+        if self._count:
+            self._times[:-1] = self._times[1:]
+            self._rowids[:-1] = self._rowids[1:]
+            self._times[-1] = timestamp
+            self._rowids[-1] = rowid
+        else:
+            self._times.fill(timestamp)
+            self._rowids.fill(rowid)
+        self._count = min(self.history, self._count + 1)
 
     def estimate(self) -> GestureEstimate:
         """Fit a constant-velocity model to the recent observations."""
-        if len(self._observations) < 2:
-            last_t, last_r = self._observations[-1] if self._observations else (0.0, 0)
+        last_t = float(self._times[-1]) if self._count else 0.0
+        last_r = int(self._rowids[-1]) if self._count else 0
+        if self._count < 2:
             return GestureEstimate(0.0, 0, last_r, last_t, confident=False)
-        (t0, r0), (t1, r1) = self._observations[0], self._observations[-1]
-        dt = t1 - t0
+        dt = last_t - float(self._times[0])
         if dt <= 1e-9:
-            return GestureEstimate(0.0, 0, r1, t1, confident=False)
-        velocity = (r1 - r0) / dt
+            return GestureEstimate(0.0, 0, last_r, last_t, confident=False)
+        velocity = (last_r - int(self._rowids[0])) / dt
         direction = 0
         if velocity > 1e-9:
             direction = 1
         elif velocity < -1e-9:
             direction = -1
-        return GestureEstimate(velocity, direction, r1, t1, confident=True)
+        return GestureEstimate(velocity, direction, last_r, last_t, confident=True)
 
     # ------------------------------------------------------------------ #
     # prefetch proposals
@@ -134,86 +152,77 @@ class GesturePrefetcher:
         rowids: np.ndarray,
         strides: np.ndarray,
         num_tuples: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized replay of per-touch ``observe()`` + ``propose()``.
 
         Given the (timestamp, rowid, stride) sequence of one gesture's
         processed touches, this produces every rowid the sequential loop
-        would have proposed, flattened as three parallel arrays:
+        would have proposed, flattened as two parallel arrays:
 
         ``proposal_rowids``
-            the proposed rowids;
+            the proposed rowids, each touch's nearest first;
         ``proposer_index``
-            index (into the input arrays) of the touch that proposed each;
-        ``proposal_rank``
-            1-based position of the proposal within its touch's proposal
-            list (sequential proposals are emitted nearest-first).
+            index (into the input arrays) of the touch that proposed each.
 
-        The observation history and ``prefetches_issued`` are updated as
-        if the touches had been observed one at a time.
+        The observation window and ``prefetches_issued`` are updated as if
+        the touches had been observed one at a time.  The cost is a fixed
+        number of array operations, whatever the touch count: the window
+        is padded (see ``__init__``), so touch ``j``'s fit starts at slot
+        ``j + 1`` of the window followed by the touches — one slice, no
+        gather — and direction, count and room are fused passes.
         """
         t = np.asarray(timestamps, dtype=np.float64)
         r = np.asarray(rowids, dtype=np.int64)
-        s = np.maximum(1, np.asarray(strides, dtype=np.int64))
         n = r.size
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
         if n == 0:
-            return empty
-        if self._observations and t[0] < self._observations[-1][0]:
+            return _NO_PROPOSALS
+        if (self._count and t[0] < self._times[-1]) or (t[1:] < t[:-1]).any():
             raise OptimizationError("gesture observations must have non-decreasing timestamps")
-        if n > 1 and np.any(np.diff(t) < 0):
-            raise OptimizationError("gesture observations must have non-decreasing timestamps")
+        if not self._count:
+            self._times.fill(t[0])
+            self._rowids.fill(r[0])
+        window_t = np.concatenate((self._times, t))
+        window_r = np.concatenate((self._rowids, r))
+        self._times, self._rowids = window_t[-self.history :], window_r[-self.history :]
+        self._count = min(self.history, self._count + n)
+        if num_tuples <= 0:
+            return _NO_PROPOSALS
 
-        prior_t = np.asarray([obs[0] for obs in self._observations], dtype=np.float64)
-        prior_r = np.asarray([obs[1] for obs in self._observations], dtype=np.int64)
-        all_t = np.concatenate([prior_t, t])
-        all_r = np.concatenate([prior_r, r])
-        # after observing touch j the history window is the deque's contents:
-        # the last `history` observations ending at global index g
-        g = prior_t.size + np.arange(n)
-        w = np.maximum(0, g - (self.history - 1))
-        dt = all_t[g] - all_t[w]
-        velocity = np.zeros(n, dtype=np.float64)
-        confident = (g >= 1) & (dt > 1e-9)
-        np.divide(
-            (all_r[g] - all_r[w]).astype(np.float64), dt, out=velocity, where=confident
-        )
-        direction = np.zeros(n, dtype=np.int64)
-        direction[velocity > 1e-9] = 1
-        direction[velocity < -1e-9] = -1
-        active = confident & (direction != 0) & (num_tuples > 0)
-
-        lookahead = np.abs(velocity) * self.horizon_seconds
-        counts = np.minimum(
-            self.max_prefetch,
-            np.maximum(1, np.floor(lookahead / s).astype(np.int64)),
-        )
-        # the sequential loop stops at the first out-of-range rowid
-        room = np.where(direction > 0, (num_tuples - 1 - r) // s, r // s)
-        counts = np.where(active, np.minimum(counts, np.maximum(0, room)), 0)
+        s = np.maximum(strides, 1, dtype=np.int64)
+        dt = t - window_t[1 : n + 1]
+        velocity = np.divide(r - window_r[1 : n + 1], dt, out=np.zeros(n), where=dt > 1e-9)
+        direction = np.subtract(velocity > 1e-9, velocity < -1e-9, dtype=np.int64)
+        # count = min(max_prefetch, max(1, floor(|v| * horizon / stride))) for
+        # a touch with a direction, 0 without, cut at the first rowid out of
+        # range; clipping at max_prefetch before the cast keeps a huge
+        # velocity from overflowing int64
+        ahead = velocity * direction  # |v|, or 0 without a direction
+        ahead *= self.horizon_seconds
+        ahead /= s
+        np.minimum(ahead, self.max_prefetch, out=ahead)
+        counts = ahead.astype(np.int64)
+        np.maximum(counts, direction != 0, out=counts)
+        np.minimum(counts, np.where(direction > 0, num_tuples - 1 - r, r) // s, out=counts)
+        np.maximum(counts, 0, out=counts)
 
         total = int(counts.sum())
-        # the deque ends up exactly as a sequential loop would leave it
-        tail = min(self.history, n)
-        self._observations.extend(zip(t[-tail:].tolist(), r[-tail:].tolist()))
         self.prefetches_issued += total
         if total == 0:
-            return empty
-        proposer = np.repeat(np.arange(n), counts)
-        offsets = np.cumsum(counts) - counts
-        rank = np.arange(total) - np.repeat(offsets, counts) + 1
-        proposal_rowids = r[proposer] + direction[proposer] * s[proposer] * rank
-        return proposal_rowids, proposer, rank
+            return _NO_PROPOSALS
+        # a touch's proposals step from its rowid: one running sum of the
+        # signed strides, restarted at each touch by subtracting the sums
+        # of the touches before it
+        step = direction * s
+        run = counts * step
+        base = r - (run.cumsum() - run)
+        proposal_rowids = step.repeat(counts).cumsum() + base.repeat(counts)
+        return proposal_rowids, np.arange(n).repeat(counts)
 
     def reset(self) -> None:
         """Forget the gesture history (a new gesture starts)."""
-        self._observations.clear()
+        self._count = 0
 
     @property
     def num_observations(self) -> int:
         """Number of observations currently in the history window."""
-        return len(self._observations)
+        return self._count

@@ -5,11 +5,26 @@ produced it, stays bold for a moment and then fades out to make room for
 newer results.  The result stream models that behaviour with simulated
 timestamps so the front-end (and the tests) can ask "what is visible right
 now, and how faded is it?".
+
+The stream stores results as columns, not objects: each batch emission
+(one slide's results) is one :class:`ResultColumns` chunk of four arrays —
+value, rowid, position fraction, timestamp — kept as the kernel handed
+them over.  Single emissions (taps, the per-touch loop) build their
+:class:`ResultValue` for the caller anyway, so they append it to one open
+list chunk: no array grows per emission.  A batch chunk's
+:class:`ResultValue` objects are views, built when the chunk is first read
+as a sequence: iterating the stream, its ``values``, or a
+:class:`~repro.core.kernel.GestureOutcome`'s ``results``.  Emitting a
+slide's results therefore costs a few vectorized checks, whatever the
+result count, and :meth:`ResultStream.visible_at` reads the timestamp
+column of the newest ``max_visible`` results only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -47,6 +62,60 @@ class VisibleResult:
     opacity: float
 
 
+class ResultColumns:
+    """One batch emission's results as four parallel columns.
+
+    ``values`` is an array or a list (select-where rows are dicts);
+    ``rowids`` is ``int64``, ``fractions`` and ``timestamps`` ``float64``.
+    As a sequence it yields :class:`ResultValue` views, built on first read
+    and kept.  A chunk is never modified once emitted — the stream and a
+    gesture outcome share it — so the stream drops its oldest results by
+    an offset into it.
+    """
+
+    __slots__ = ("values", "rowids", "fractions", "timestamps", "_views")
+
+    def __init__(self, values, rowids, fractions, timestamps, views=None) -> None:
+        self.values = values
+        self.rowids = rowids
+        self.fractions = fractions
+        self.timestamps = timestamps
+        self._views: list[ResultValue] | None = views
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __iter__(self):
+        if self._views is None:
+            values = self.values
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            # __new__ + a direct __dict__ fill skips the frozen dataclass
+            # __init__ (four object.__setattr__ calls per result)
+            new = ResultValue.__new__
+            views = []
+            for value, rowid, fraction, timestamp in zip(
+                values, self.rowids.tolist(), self.fractions.tolist(), self.timestamps.tolist()
+            ):
+                result = new(ResultValue)
+                result.__dict__.update(
+                    value=value, rowid=rowid, position_fraction=fraction, timestamp=timestamp
+                )
+                views.append(result)
+            self._views = views
+        return iter(self._views)
+
+    def __getitem__(self, index: slice) -> "ResultColumns":
+        views = None if self._views is None else self._views[index]
+        return ResultColumns(
+            self.values[index],
+            self.rowids[index],
+            self.fractions[index],
+            self.timestamps[index],
+            views,
+        )
+
+
 class ResultStream:
     """Time-ordered stream of result values with a fade-out model.
 
@@ -66,6 +135,9 @@ class ResultStream:
         never serviced cannot grow its stream without bound.  ``None``
         (the default) retains everything, preserving the single-user
         behaviour.
+
+    Iterating the stream yields its retained history, oldest first, as
+    :class:`ResultValue` views.
 
     Threading: a stream is single-writer by contract.  Under the
     concurrent serving engine the :class:`repro.core.scheduler.GestureScheduler`
@@ -90,7 +162,7 @@ class ResultStream:
         self.max_retained = max_retained
         self.total_emitted = 0
         self.total_dropped = 0
-        self._results: list[ResultValue] = []
+        self.clear()
 
     # ------------------------------------------------------------------ #
     # emission
@@ -101,7 +173,7 @@ class ResultStream:
         """Record a new result value appearing on screen."""
         if not 0.0 <= position_fraction <= 1.0:
             raise VisualizationError("position_fraction must be within [0, 1]")
-        if self._results and timestamp < self._results[-1].timestamp:
+        if timestamp < self._last_timestamp:
             raise VisualizationError("result timestamps must be non-decreasing")
         result = ResultValue(
             value=value,
@@ -109,66 +181,67 @@ class ResultStream:
             position_fraction=position_fraction,
             timestamp=timestamp,
         )
-        self._results.append(result)
+        if self._open is None:
+            self._open = []
+            self._chunks.append(self._open)
+        self._open.append(result)
+        self._size += 1
+        self._last_timestamp = timestamp
         self.total_emitted += 1
         self._enforce_retention()
         return result
 
-    def emit_batch(self, values, rowids, position_fractions, timestamps) -> list[ResultValue]:
+    def emit_batch(self, values, rowids, position_fractions, timestamps) -> ResultColumns:
         """Record a whole gesture's result values in one call.
 
         Semantically a loop of :meth:`emit` calls: the same validation is
         applied (fractions within [0, 1], non-decreasing timestamps,
-        including against the last already-recorded result), but the checks
-        run vectorized before any object is created, so a batch either
-        lands completely or not at all.  Accepts numpy arrays or plain
-        sequences for every argument.
+        including against the last already-recorded result), vectorized
+        and before anything is stored, so a batch either lands completely
+        or not at all.  Accepts numpy arrays or plain sequences for every
+        argument; the stream keeps the arrays it is given as one
+        :class:`ResultColumns` chunk, which it also returns.  No
+        :class:`ResultValue` is built until the chunk is read.
         """
         fraction_arr = np.asarray(position_fractions, dtype=np.float64)
         time_arr = np.asarray(timestamps, dtype=np.float64)
-        if fraction_arr.size == 0:
-            return []
+        chunk = ResultColumns(values, np.asarray(rowids, dtype=np.int64), fraction_arr, time_arr)
+        if not len(chunk):
+            return chunk
         if fraction_arr.min() < 0.0 or fraction_arr.max() > 1.0:
             raise VisualizationError("position_fraction must be within [0, 1]")
-        previous = self._results[-1].timestamp if self._results else None
-        if (previous is not None and time_arr[0] < previous) or (
-            time_arr.size > 1 and bool(np.any(np.diff(time_arr) < 0))
-        ):
+        if time_arr[0] < self._last_timestamp or (time_arr[1:] < time_arr[:-1]).any():
             raise VisualizationError("result timestamps must be non-decreasing")
-        value_list = values.tolist() if isinstance(values, np.ndarray) else values
-        rowid_list = (
-            rowids.tolist() if isinstance(rowids, np.ndarray) else [int(r) for r in rowids]
-        )
-        # bulk construction: __new__ + direct __dict__ fill skips the frozen
-        # dataclass __init__ (4 object.__setattr__ calls per result), which
-        # dominates dense-gesture emission
-        new = ResultValue.__new__
-        emitted: list[ResultValue] = []
-        append = emitted.append
-        for value, rowid, fraction, timestamp in zip(
-            value_list, rowid_list, fraction_arr.tolist(), time_arr.tolist()
-        ):
-            result = new(ResultValue)
-            result.__dict__["value"] = value
-            result.__dict__["rowid"] = rowid
-            result.__dict__["position_fraction"] = fraction
-            result.__dict__["timestamp"] = timestamp
-            append(result)
-        self._results.extend(emitted)
-        self.total_emitted += len(emitted)
+        self._chunks.append(chunk)
+        self._open = None
+        self._size += len(chunk)
+        self._last_timestamp = float(time_arr[-1])
+        self.total_emitted += len(chunk)
         self._enforce_retention()
-        return emitted
+        return chunk
 
     def _enforce_retention(self) -> int:
         """Drop the oldest values beyond ``max_retained``; returns the count."""
         if self.max_retained is None:
             return 0
-        overflow = len(self._results) - self.max_retained
-        if overflow <= 0:
-            return 0
-        del self._results[:overflow]
-        self.total_dropped += overflow
-        return overflow
+        overflow = self._size - self.max_retained
+        return self._drop_oldest(overflow) if overflow > 0 else 0
+
+    def _drop_oldest(self, count: int) -> int:
+        """Drop the ``count`` (> 0) oldest results."""
+        self._size -= count
+        self.total_dropped += count
+        chunks = self._chunks
+        left = self._head + count
+        while left >= len(chunks[0]):
+            left -= len(chunks[0])
+            if chunks.pop(0) is self._open:
+                self._open = None
+        if left and isinstance(chunks[0], list):  # single emits: the stream's own list
+            del chunks[0][:left]
+            left = 0
+        self._head = left
+        return count
 
     def trim(self, max_retained: int | None = None) -> int:
         """Trim the retained history to ``max_retained`` values (or the
@@ -181,23 +254,23 @@ class ResultStream:
             return self._enforce_retention()
         if max_retained < 1:
             raise VisualizationError("max_retained must be at least 1")
-        overflow = len(self._results) - max_retained
-        if overflow <= 0:
-            return 0
-        del self._results[:overflow]
-        self.total_dropped += overflow
-        return overflow
+        overflow = self._size - max_retained
+        return self._drop_oldest(overflow) if overflow > 0 else 0
 
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._results)
+        return self._size
+
+    def __iter__(self):
+        for index, chunk in enumerate(self._chunks):
+            yield from islice(chunk, self._head, None) if index == 0 else chunk
 
     @property
     def values(self) -> list[Any]:
         """Just the emitted values, oldest first."""
-        return [r.value for r in self._results]
+        return [r.value for r in self]
 
     def opacity_at(self, result: ResultValue, now: float) -> float:
         """Opacity of ``result`` at simulated time ``now`` (1 = fresh, 0 = gone)."""
@@ -209,16 +282,49 @@ class ResultStream:
         return 1.0 - age / self.fade_seconds
 
     def visible_at(self, now: float) -> list[VisibleResult]:
-        """Results still visible at ``now``, newest last, with opacities."""
-        visible = [
-            VisibleResult(result=r, opacity=self.opacity_at(r, now))
-            for r in self._results
-            if self.opacity_at(r, now) > 0.0
-        ]
-        return visible[-self.max_visible :]
+        """Results still visible at ``now``, newest last, with opacities.
+
+        Timestamps never decrease along the history, so ages never
+        increase and the visible results are a suffix of it: only the
+        newest ``max_visible`` can show.  Their ages come from the
+        timestamp column (``now - timestamp``, the subtraction
+        :meth:`opacity_at` makes), and one ``searchsorted`` finds the first
+        younger than ``fade_seconds``; only the results shown get an
+        opacity.  Results stamped after ``now`` show at opacity 1.0.
+        """
+        pieces = []
+        need = self.max_visible
+        chunks = self._chunks
+        for index in range(len(chunks) - 1, -1, -1):
+            chunk = chunks[index]
+            start = max(self._head if index == 0 else 0, len(chunk) - need)
+            piece = chunk[start:] if start else chunk
+            pieces.append(piece)
+            need -= len(piece)
+            if need <= 0:
+                break
+        if not pieces:
+            return []
+        pieces.reverse()
+        ages = now - np.concatenate(
+            [
+                piece.timestamps
+                if isinstance(piece, ResultColumns)
+                else np.array([r.timestamp for r in piece], dtype=np.float64)
+                for piece in pieces
+            ]
+        )
+        first = int(np.searchsorted(-ages, -self.fade_seconds, side="right"))
+        tail = [result for piece in pieces for result in piece][first:]
+        return [VisibleResult(result=r, opacity=self.opacity_at(r, now)) for r in tail]
 
     def clear(self) -> None:
         """Forget everything (a new exploration starts)."""
-        self._results.clear()
+        # batch chunks, and lists of single emits' results, oldest first
+        self._chunks: list[ResultColumns | list[ResultValue]] = []
+        self._open: list[ResultValue] | None = None  # the list single emits append to
+        self._head = 0  # results of a first batch chunk already dropped
+        self._size = 0
+        self._last_timestamp = -math.inf
         self.total_emitted = 0
         self.total_dropped = 0

@@ -166,7 +166,7 @@ class InteractiveSummarizer:
                 )
             if np.any(sampled):
                 level_indices = self.hierarchy.level_index_for_strides(strides)
-                for index in np.unique(level_indices[sampled]):
+                for index in np.bincount(level_indices[sampled]).nonzero()[0]:
                     lvl = self.hierarchy.level(int(index))
                     mask = sampled & (level_indices == index)
                     lvl_centers = np.minimum(lvl.num_rows - 1, centers[mask] // lvl.step)

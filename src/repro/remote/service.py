@@ -307,21 +307,27 @@ class RemoteExplorationService:
             # the local kernel, leaves the slide-tracking state untouched
             x, y = float(stream.xs[-1, 0]), float(stream.ys[-1, 0])
             mapped = kernel.mapper.map_touch(state.view, x, y)
-            self._answer_touch(state, client, mapped.rowid, 1, outcome)
+            outcome.rowids_touched = np.array([mapped.rowid], dtype=np.int64)
+            latencies = [self._answer_touch(state, client, mapped.rowid, 1, outcome)]
         else:
             # the whole slide is mapped and deduplicated in one numpy pass, as
             # in the local kernel; each touch is then answered under the policy
+            latencies = []
             mapped_batch = kernel.mapper.map_batch(state.view, stream, active_only=True)
             if len(mapped_batch):
                 keep, strides = dedupe_slide_batch(
                     mapped_batch.rowids, state.last_rowid, state.current_stride
                 )
                 kept = mapped_batch.rowids[keep]
-                for rowid, stride in zip(kept.tolist(), strides.tolist()):
+                outcome.rowids_touched = kept
+                latencies = [
                     self._answer_touch(state, client, rowid, stride, outcome)
+                    for rowid, stride in zip(kept.tolist(), strides.tolist())
+                ]
                 if kept.size:
                     state.last_rowid = int(kept[-1])
                     state.current_stride = int(strides[-1])
+        outcome.per_touch_latencies_s = np.array(latencies, dtype=np.float64)
         if state.aggregate is not None:
             outcome.final_aggregate = state.aggregate.current()
         return OutcomeEnvelope(
@@ -335,9 +341,9 @@ class RemoteExplorationService:
             **outcome.counters(),
         )
 
-    def _answer_touch(self, state, client, rowid: int, stride: int, outcome) -> None:
+    def _answer_touch(self, state, client, rowid: int, stride: int, outcome) -> float:
+        """Answer one touch under the policy; returns its response time."""
         action = state.action
-        outcome.rowids_touched.append(rowid)
         if action.kind is ActionKind.SUMMARY:
             value, examined, response_s = client.summary_touch(
                 rowid, action.summary_k, stride, _SUMMARY_FUNCS[action.aggregate]
@@ -352,9 +358,9 @@ class RemoteExplorationService:
             examined = 1
             response_s = answer.response_time_s
         outcome.tuples_examined += examined
-        outcome.per_touch_latencies_s.append(response_s)
         if action.predicate is not None and not action.predicate.matches(value):
-            return
+            return response_s
         if state.aggregate is not None:
             state.aggregate.on_touch(rowid, value)
         outcome.entries_returned += 1
+        return response_s

@@ -24,6 +24,8 @@ import socket
 import threading
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from repro.core.commands import AppendCommand, GestureCommand, GestureScript, encode_value
 from repro.core.kernel import DETERMINISTIC_COUNTERS, GestureOutcome
 from repro.errors import MalformedFrameError, ProtocolError, ServiceError
@@ -288,13 +290,14 @@ def _envelope_of(payload: dict[str, Any], what: str) -> OutcomeEnvelope:
     gesture_type = _GESTURE_TYPES.get(envelope.command_kind)
     if gesture_type is None:
         return envelope
-    latency = envelope.max_touch_latency_s
-    envelope.payload = GestureOutcome(
+    outcome = GestureOutcome(
         gesture_type=gesture_type,
         view_name=envelope.view_name or "",
         object_name=envelope.object_name or "",
         duration_s=envelope.duration_s,
-        per_touch_latencies_s=[latency] if latency > 0 else [],
         **{name: getattr(envelope, name) for name in DETERMINISTIC_COUNTERS},
     )
+    if envelope.max_touch_latency_s > 0:
+        outcome.per_touch_latencies_s = np.array([envelope.max_touch_latency_s])
+    envelope.payload = outcome
     return envelope

@@ -224,7 +224,7 @@ class SampleHierarchy:
         indices = self.level_index_for_strides(stride_hints)
         values = np.empty(rowids.size, dtype=self.base.values.dtype)
         level_numbers = np.empty(rowids.size, dtype=np.int64)
-        for index in np.unique(indices):
+        for index in np.bincount(indices).nonzero()[0]:  # the levels in use
             lvl = self._levels[index]
             mask = indices == index
             sample_rowids = np.minimum(lvl.num_rows - 1, rowids[mask] // lvl.step)

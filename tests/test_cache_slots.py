@@ -1,12 +1,20 @@
 """The touch cache is arrays: a slide's cache events cost no Python each.
 
-Two guards:
+Three guards:
 
 * **Counted, no clock.**  Under ``sys.settrace``, the line events executed
   in ``repro/core/caching.py`` during one batch ``Slide`` through
   :meth:`LocalExplorationService.execute` are counted for a 40-touch and a
   400-touch stream, in memory and paged.  The counts are equal: the cache
   settles a gesture with whole-array passes, whatever its event count.
+* **No Python per touch on the slide, but for one walk.**  The same count
+  over ``core/batch.py``, ``core/prefetch.py``, ``core/result_stream.py``
+  and ``core/caching.py`` — the executor, the proposal pass and the
+  columnar result emission — is equal for the two streams too.  The
+  prefetched-set walk (``BatchSlideExecutor._prefetch_membership``, one set
+  lookup per read) is left out: it is the one per-touch loop the slide
+  keeps, because at the sizes slides have it is cheaper than its sort-based
+  replacement.
 * **Exactness** (hypothesis).  On random event streams, namespaces and
   capacities (1, 7, 4,096 and 131,075 slots — past 2**16 the slots sort as
   ``int64``), :meth:`TouchCache.plan` and the ``settle`` it returns equal
@@ -25,7 +33,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch
 import repro.core.caching as caching
+import repro.core.prefetch as prefetch
+import repro.core.result_stream as result_stream
 from repro.core.caching import TouchCache
 from repro.core.actions import scan_action
 from repro.core.commands import ChooseAction, ShowColumn, Slide
@@ -63,18 +74,23 @@ def _service(paged: bool, root) -> LocalExplorationService:
     return service
 
 
-def _traced_slide(service, touches: int, start: float, end: float):
-    """One slide of ``touches`` samples; returns (outcome, caching.py lines)."""
-    lines = 0
+def _traced_slide(
+    service, touches: int, start: float, end: float, modules=(caching,), skip=frozenset()
+):
+    """One slide of ``touches`` samples; returns (outcome, {file: lines run}).
+
+    Lines of the functions whose code objects are in ``skip`` are not counted.
+    """
+    lines = {module.__file__: 0 for module in modules}
 
     def count_lines(frame, event, arg):
-        nonlocal lines
         if event == "line":
-            lines += 1
+            lines[frame.f_code.co_filename] += 1
         return count_lines
 
     def on_call(frame, event, arg):
-        return count_lines if frame.f_code.co_filename == caching.__file__ else None
+        code = frame.f_code
+        return count_lines if code.co_filename in lines and code not in skip else None
 
     command = Slide(
         view="c",
@@ -101,8 +117,30 @@ def test_a_slide_runs_the_same_cache_lines_for_40_and_400_touches(paged, tmp_pat
         reads = outcome.cache_hits + outcome.cache_misses
         assert reads == len(outcome.rowids_touched) >= 0.9 * touches
         assert outcome.cache_misses > 0
-        counted[touches] = lines
+        counted[touches] = lines[caching.__file__]
     assert counted[40] > 0
+    assert counted[40] == counted[400]
+
+
+SLIDE_MODULES = (batch, prefetch, result_stream, caching)
+PER_TOUCH_WALK = frozenset({batch.BatchSlideExecutor._prefetch_membership.__code__})
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["in_memory", "paged"])
+def test_a_slide_runs_the_same_python_lines_for_40_and_400_touches(paged, tmp_path):
+    service = _service(paged, tmp_path)
+    service.execute(Slide(view="c", duration=0.5))  # first use of the namespace
+    counted = {}
+    for touches, start, end in ((40, 0.1, 0.4), (400, 0.9, 0.05)):
+        outcome, lines = _traced_slide(
+            service, touches, start, end, SLIDE_MODULES, PER_TOUCH_WALK
+        )
+        assert len(outcome.rowids_touched) >= 0.9 * touches
+        assert len(outcome.results) == outcome.entries_returned > 0
+        # proposals landed, so the proposal pass ran in full
+        assert service.kernel.state_of("c").prefetched_rowids
+        counted[touches] = lines
+    assert all(counted[40].values()), counted[40]  # every module ran
     assert counted[40] == counted[400]
 
 

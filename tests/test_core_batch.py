@@ -408,16 +408,18 @@ class TestProposeBatch:
 
         sequential = GesturePrefetcher()
         expected = []
-        for t, r, s in zip(timestamps, rowids, strides):
+        for touch, (t, r, s) in enumerate(zip(timestamps, rowids, strides)):
             sequential.observe(float(t), int(r))
-            for rank, proposal in enumerate(sequential.propose(num_tuples, stride=int(s)), start=1):
-                expected.append((proposal, rank))
+            for proposal in sequential.propose(num_tuples, stride=int(s)):
+                expected.append((proposal, touch))  # nearest first
 
         batched = GesturePrefetcher()
-        rows, src, rank = batched.propose_batch(timestamps, rowids, strides, num_tuples)
-        assert list(zip(rows.tolist(), rank.tolist())) == expected
+        rows, src = batched.propose_batch(timestamps, rowids, strides, num_tuples)
+        assert list(zip(rows.tolist(), src.tolist())) == expected
         assert batched.prefetches_issued == sequential.prefetches_issued
-        assert list(batched._observations) == list(sequential._observations)
+        assert batched.num_observations == sequential.num_observations
+        assert batched._times.tolist() == sequential._times.tolist()
+        assert batched._rowids.tolist() == sequential._rowids.tolist()
 
     def test_continues_across_gestures(self):
         sequential = GesturePrefetcher()
@@ -427,7 +429,7 @@ class TestProposeBatch:
             prefetcher.observe(0.1, 200)
         sequential.observe(0.2, 300)
         expected = sequential.propose(10_000, stride=100)
-        rows, _, _ = batched.propose_batch(
+        rows, _ = batched.propose_batch(
             np.array([0.2]), np.array([300]), np.array([100]), 10_000
         )
         assert rows.tolist() == expected
@@ -444,8 +446,8 @@ class TestEmitBatch:
         emitted = batch_stream.emit_batch(values, rowids, fractions, times)
         for v, r, f, t in zip(values, rowids, fractions, times):
             loop_stream.emit(v, r, f, t)
-        assert emitted == loop_stream._results
-        assert batch_stream._results == loop_stream._results
+        assert list(emitted) == list(loop_stream)
+        assert list(batch_stream) == list(loop_stream)
 
     def test_validates_before_mutating(self):
         stream = ResultStream()
@@ -471,7 +473,7 @@ CONFIG_MATRIX = [
 
 def _deterministic_fields(outcome):
     return dict(
-        rowids=outcome.rowids_touched,
+        rowids=outcome.rowids_touched.tolist(),
         tuples=outcome.tuples_examined,
         entries=outcome.entries_returned,
         cache_hits=outcome.cache_hits,

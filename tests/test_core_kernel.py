@@ -79,7 +79,7 @@ class TestSlideScan:
         session, view = column_session
         session.choose_scan(view)
         outcome = session.slide(view, duration=0.5)
-        rowids = outcome.rowids_touched
+        rowids = outcome.rowids_touched.tolist()
         assert rowids == sorted(rowids)
         assert rowids[0] < 100_000 and rowids[-1] > 900_000
 
@@ -87,7 +87,7 @@ class TestSlideScan:
         session, view = column_session
         session.choose_scan(view)
         outcome = session.slide(view, duration=0.5, start_fraction=1.0, end_fraction=0.0)
-        rowids = outcome.rowids_touched
+        rowids = outcome.rowids_touched.tolist()
         assert rowids == sorted(rowids, reverse=True)
 
     def test_partial_slide_touches_partial_range(self, column_session):

@@ -166,7 +166,7 @@ class TestRebind:
         again = service.execute(Slide(view=VIEW, duration=0.5))
         fresh = shown_service(rows).execute(Slide(view=VIEW, duration=0.5))
         assert again.remote_requests == fresh.remote_requests == 1  # stride 1 refines
-        assert again.payload.rowids_touched == fresh.payload.rowids_touched
+        assert again.payload.rowids_touched.tolist() == fresh.payload.rowids_touched.tolist()
         assert again.payload.final_aggregate == fresh.payload.final_aggregate
 
     def test_replace_reload_with_a_different_length(self):

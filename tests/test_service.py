@@ -189,7 +189,10 @@ class TestRemoteService:
             if local_env.command_kind != "slide":
                 continue
             assert local_env.entries_returned == remote_env.entries_returned
-            assert local_env.payload.rowids_touched == remote_env.payload.rowids_touched
+            assert (
+                local_env.payload.rowids_touched.tolist()
+                == remote_env.payload.rowids_touched.tolist()
+            )
 
     def test_remote_summary_values_track_local_summaries(self):
         """Hybrid summaries answer from samples: close to the local answer,
@@ -380,5 +383,6 @@ class TestTapSlideParity:
         remote_envs = remote.run(script)
         assert local_envs[-1].entries_returned == remote_envs[-1].entries_returned
         assert (
-            local_envs[-1].payload.rowids_touched == remote_envs[-1].payload.rowids_touched
+            local_envs[-1].payload.rowids_touched.tolist()
+            == remote_envs[-1].payload.rowids_touched.tolist()
         )
