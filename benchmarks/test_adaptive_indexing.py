@@ -70,9 +70,6 @@ def gesture_fingerprint(outcome) -> tuple:
     return (
         outcome.entries_returned,
         outcome.tuples_examined,
-        outcome.cache_hits,
-        outcome.cache_misses,
-        outcome.prefetch_hits,
         tuple(outcome.rowids_touched),
         tuple(sorted(outcome.served_level_counts.items())),
     )

@@ -11,7 +11,7 @@ contract:
 
 * **parity** — the batch path produces identical deterministic
   ``GestureOutcome`` counters (rowids touched, tuples examined, entries
-  returned, cache/prefetch hits, served levels, final aggregate) across
+  returned, served levels, final aggregate, displayed values) across
   feature configurations;
 * **speed** — the batch path completes the gesture at least 5x faster
   than the per-touch loop.
@@ -47,11 +47,11 @@ MIN_TOUCH_EVENTS = 10_000
 REQUIRED_SPEEDUP = 5.0
 
 CONFIGS = {
-    "bare scan": (dict(enable_cache=False, enable_prefetch=False, enable_samples=False), "scan"),
-    "scan + cache": (dict(enable_prefetch=False, enable_samples=False), "scan"),
-    "scan + cache + prefetch + samples": (dict(), "scan"),
-    "running avg": (dict(enable_cache=False, enable_prefetch=False, enable_samples=False), "avg"),
-    "summary k=10 + cache": (dict(enable_prefetch=False, enable_samples=False), "summary"),
+    "bare scan": (dict(enable_samples=False), "scan"),
+    "scan + samples": (dict(), "scan"),
+    "running avg": (dict(enable_samples=False), "avg"),
+    "summary k=10": (dict(enable_samples=False), "summary"),
+    "summary k=10 + samples": (dict(), "summary"),
 }
 
 
@@ -94,9 +94,6 @@ def _deterministic_fields(outcome) -> dict:
         rowids=tuple(outcome.rowids_touched),
         tuples=outcome.tuples_examined,
         entries=outcome.entries_returned,
-        cache_hits=outcome.cache_hits,
-        cache_misses=outcome.cache_misses,
-        prefetch_hits=outcome.prefetch_hits,
         levels=tuple(sorted(outcome.served_level_counts.items())),
         final=outcome.final_aggregate,
         values=tuple(r.value for r in outcome.results),
@@ -124,11 +121,7 @@ def test_batch_slide_speedup(batch_column):
     # warm both paths once (numpy ufunc dispatch caches, lazy imports)
     # before taking measurements
     for batch_execution in (False, True):
-        _drive_gesture(
-            batch_column, batch_execution,
-            dict(enable_cache=False, enable_prefetch=False, enable_samples=False),
-            "scan",
-        )
+        _drive_gesture(batch_column, batch_execution, dict(enable_samples=False), "scan")
     report: dict[str, dict[str, float]] = {}
     speedups: dict[str, float] = {}
     for label, (config_kwargs, action) in CONFIGS.items():

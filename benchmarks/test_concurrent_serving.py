@@ -167,13 +167,11 @@ def test_concurrent_serving_three_x_throughput(benchmark, workload, serving_run)
             == concurrent_server.metrics(session_id).counters_snapshot()
         ), session_id
         serial_counters = [
-            (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits,
-             e.duration_s)
+            (e.entries_returned, e.tuples_examined, e.duration_s)
             for e in measured.serial_envelopes[session_id]
         ]
         concurrent_counters = [
-            (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits,
-             e.duration_s)
+            (e.entries_returned, e.tuples_examined, e.duration_s)
             for e in measured.concurrent_envelopes[session_id]
         ]
         assert serial_counters == concurrent_counters, session_id

@@ -41,14 +41,9 @@ def run_speed_sweep(column) -> ExperimentSeries:
         ["entries_returned", "tuples_examined"],
     )
     for duration in GESTURE_DURATIONS_S:
-        # caching and prefetching are disabled so tuples_examined reflects the
-        # window each summary actually aggregates (2k+1 values per entry)
-        session = make_fig4_session(
-            column,
-            config=KernelConfig(
-                enable_cache=False, enable_prefetch=False, enable_samples=False
-            ),
-        )
+        # the sample hierarchy is disabled so tuples_examined reflects the
+        # base window each summary aggregates (2k+1 values per entry)
+        session = make_fig4_session(column, config=KernelConfig(enable_samples=False))
         view = session.show_column(column.name, height_cm=FIG4_OBJECT_HEIGHT_CM)
         session.choose_summary(view, k=FIG4_SUMMARY_K, aggregate="avg")
         outcome = session.slide(view, duration=duration)

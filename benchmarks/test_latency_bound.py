@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baseline.engine import MonolithicEngine
-from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.metrics.reporting import ExperimentSeries
 from repro.storage.loader import generate_integer_column
@@ -36,10 +35,7 @@ def run_latency_sweep() -> ExperimentSeries:
     )
     for size in COLUMN_SIZES:
         column = generate_integer_column("c", size, seed=size % 97)
-        session = ExplorationSession(
-            profile=IPAD1_PROTOTYPE,
-            config=KernelConfig(enable_cache=False, enable_prefetch=False),
-        )
+        session = ExplorationSession(profile=IPAD1_PROTOTYPE)
         session.load_column("c", column)
         view = session.show_column("c", height_cm=10.0)
         session.choose_summary(view, k=10, aggregate="avg")
@@ -77,10 +73,7 @@ def test_per_touch_latency_is_flat_in_data_size(benchmark):
 
 def test_single_touch_latency_benchmark(fig4_column, benchmark):
     """Time one complete touch (map + summary + emit) on the 10^7 column."""
-    session = ExplorationSession(
-        profile=IPAD1_PROTOTYPE,
-        config=KernelConfig(enable_cache=False, enable_prefetch=False),
-    )
+    session = ExplorationSession(profile=IPAD1_PROTOTYPE)
     session.load_column(fig4_column.name, fig4_column)
     view = session.show_column(fig4_column.name, height_cm=10.0)
     session.choose_summary(view, k=10)

@@ -85,10 +85,7 @@ def script_for(index: int) -> GestureScript:
 
 
 def counters_of(envelopes) -> list[tuple]:
-    return [
-        (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits)
-        for e in envelopes
-    ]
+    return [(e.entries_returned, e.tuples_examined) for e in envelopes]
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,8 @@
 A fleet of synthetic sessions is generated from a planted second-order
 gesture process (zoom-out-after-two-slides habits, tap-then-reslide
 loops) that a *persistence* predictor — assume the last gesture kind
-repeats, exactly what the live prefetcher's extrapolation embodies —
-cannot capture.  The corpus is split into train/held-out halves, mined
+repeats, the naive extrapolation of the current gesture — cannot
+capture.  The corpus is split into train/held-out halves, mined
 into an order-2 :class:`GestureTransitionModel`, and scored on the
 held-out hit rate: the mined model must beat the persistence baseline on unseen traces by at least ``MIN_LIFT`` (the lift is the value
 the fleet's recorded corpus added), and keep its score exactly across a

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro import ExplorationSession, IPAD1
 from repro.baseline import MonolithicEngine, SqlInterface
-from repro.core.kernel import KernelConfig
 from repro.workloads import sky_survey_scenario
 
 
@@ -33,11 +32,7 @@ def main() -> None:
     print(scenario.description)
     print(f"catalog: {len(scenario.table):,} sky objects, columns {scenario.table.column_names}")
 
-    # caching/prefetching off so the "data touched" report reflects the
-    # exploration itself
-    session = ExplorationSession(
-        profile=IPAD1, config=KernelConfig(enable_cache=False, enable_prefetch=False)
-    )
+    session = ExplorationSession(profile=IPAD1)
     session.load_table("sky_survey", scenario.table)
 
     # ---------------------------------------------------------------- #

@@ -5,7 +5,7 @@ all of them against a live 2-shard fleet:
 
 * **distributed tracing** — every forwarded gesture opens a front-door
   root span and ships its context to the worker, whose kernel records
-  ``queue_wait`` / ``kernel_exec`` / ``chunk_fault`` / ``cache_lookup``
+  ``queue_wait`` / ``kernel_exec`` / ``chunk_fault`` / ``tail_scan``
   child spans; draining the fleet and stitching the partials yields one
   span tree per gesture, annotated with the site each span ran on,
 * **the telemetry registry** — scheduler, index, chunk cache and tracer

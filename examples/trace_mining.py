@@ -14,8 +14,7 @@ This example runs the offline loop:
    loaded back;
 3. tomorrow's session is recorded, and the reloaded model's next-gesture
    hit rate on it (:func:`repro.heldout_hit_rate`) is compared against the
-   persistence baseline (the "last gesture repeats" assumption the live
-   prefetcher embodies).
+   persistence baseline (the "last gesture repeats" assumption).
 
 Run it with::
 

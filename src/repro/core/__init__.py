@@ -6,8 +6,7 @@ The core subpackage maps touch gestures onto query-processing actions:
 * :mod:`repro.core.actions` — declarative query actions bound to objects;
 * :mod:`repro.core.commands` — serializable gesture commands and scripts;
 * :mod:`repro.core.summaries` — interactive summaries;
-* :mod:`repro.core.caching` / :mod:`repro.core.prefetch` — touched-range
-  caching and gesture-extrapolating prefetching;
+* :mod:`repro.core.caching` — join hash-table reuse;
 * :mod:`repro.core.optimizer` — adaptive, on-the-fly optimization;
 * :mod:`repro.core.result_stream` — in-place, fading result presentation;
 * :mod:`repro.core.kernel` — the kernel that executes gestures;
@@ -25,7 +24,7 @@ from repro.core.actions import (
     select_where_action,
     summary_action,
 )
-from repro.core.caching import HashTableCache, TouchCache
+from repro.core.caching import HashTableCache
 from repro.core.commands import (
     ChooseAction,
     DragColumnOut,
@@ -46,7 +45,6 @@ from repro.core.commands import (
 )
 from repro.core.kernel import DbTouchKernel, GestureOutcome, KernelConfig
 from repro.core.optimizer import AdaptiveOptimizer
-from repro.core.prefetch import GesturePrefetcher
 from repro.core.result_stream import ResultStream, ResultValue
 from repro.core.scheduler import GestureScheduler, SchedulerConfig, SchedulerStats
 from repro.core.schema_gestures import SchemaGestureOutcome, SchemaGestures
@@ -63,7 +61,6 @@ __all__ = [
     "ExplorationSession",
     "GestureCommand",
     "GestureOutcome",
-    "GesturePrefetcher",
     "GestureScheduler",
     "GestureScript",
     "GroupColumns",
@@ -87,7 +84,6 @@ __all__ = [
     "SlidePath",
     "Tap",
     "TimedCommand",
-    "TouchCache",
     "TouchMapper",
     "UngroupTable",
     "ZoomIn",

@@ -2,7 +2,7 @@
 
 The per-touch reference path in :class:`repro.core.kernel.DbTouchKernel`
 executes a slide one event at a time: map the touch, detect the stride,
-probe the cache, read the value, fold the aggregate, emit the result.
+read the value, fold the aggregate, emit the result.
 That loop is pure Python and its cost per touch dwarfs the cost of the
 actual data access, so a fast digitizer (thousands of events per gesture)
 blows the per-touch latency budget on interpreter overhead alone.
@@ -21,26 +21,20 @@ passes over whole arrays:
    :meth:`~repro.core.summaries.InteractiveSummarizer.summarize_batch`,
    :meth:`~repro.engine.filter.Predicate.mask`,
    :meth:`~repro.engine.aggregate.RunningAggregate.on_batch`);
-4. the cache/prefetch feedback loop is settled exactly: every read and
-   every extrapolated prefetch proposal
-   (:meth:`~repro.core.prefetch.GesturePrefetcher.propose_batch`, a fixed
-   number of array operations per gesture) gets its position on one event
-   timeline, :meth:`~repro.core.caching.TouchCache.plan` settles from one
-   stable sort by direct-mapped slot which touches hit and which events
-   write their slot, and the missing values are read in two batches;
-5. the prefetched-rowid set is replayed against the reads by
-   :meth:`BatchSlideExecutor._prefetch_membership`, a walk of one set
-   lookup per read — the one step whose Python grows with the touches;
-6. the displayed values land in the result stream as one
+4. the displayed values land in the result stream as one
    :class:`~repro.core.result_stream.ResultColumns` chunk, which the
    outcome shares: ``rowids_touched`` is the kept rowid array, and no
    :class:`~repro.core.result_stream.ResultValue` is built until someone
    reads ``outcome.results``.
 
+Every touch reads its own row: a slide's reads are one batched read of
+its kept rowids (:meth:`BatchSlideExecutor._read_rows`), with no cache
+in front of it — a gather costs less than the bookkeeping that would
+avoid it.
+
 The executor produces the same deterministic
 :class:`~repro.core.kernel.GestureOutcome` fields as the reference loop —
 ``rowids_touched``, ``tuples_examined``, ``entries_returned``,
-``cache_hits``/``cache_misses``, ``prefetch_hits``,
 ``served_level_counts`` and (for exactly-representable inputs)
 ``final_aggregate`` — while being an order of magnitude faster on dense
 gestures.  Two documented deviations from the reference path: per-touch
@@ -61,21 +55,11 @@ invariant the differential gesture harness
 (``tests/test_differential_gestures.py``) replays seeded scripts to lock
 down.  Slides never *consult* the index either: a select-where slide
 reads its where-values with the same ``read_batch`` every other slide
-uses, with or without the touched-range cache.
+uses.
 
-Mid-gesture cache evictions are settled, not avoided: a key has one slot,
-and the events on a slot in time order decide every hit, write and
-eviction exactly as the per-touch loop's calls do, so the slots, their
-values and the statistics end up identical.  Nothing is committed until
-the batch reads have delivered their values.  The cache costs a handful
-of array passes over this gesture's events — no Python per event,
-nothing proportional to its capacity — so no supported slide ever leaves
-the batch path: ``execute`` always returns an outcome.
-
-Only the prefetched-set walk runs Python per touch: under
-``sys.settrace``, ``tests/test_cache_slots.py`` counts the lines this
-module (outside that walk), the prefetcher, the result stream and the
-cache execute for a 40-touch and a 400-touch slide, and they are equal.
+No step runs Python per touch: under ``sys.settrace``,
+``tests/test_slide_arrays.py`` counts the lines this module and the result
+stream execute for a 40-touch and a 400-touch slide, and they are equal.
 """
 
 from __future__ import annotations
@@ -87,7 +71,6 @@ import weakref
 import numpy as np
 
 from repro.core.actions import ActionKind
-from repro.obs.trace import trace_span
 from repro.touchio.recognizer import GestureType
 
 #: Per-touch latencies are quantized to multiples of 2^-40 s (~1 ps): n
@@ -173,8 +156,7 @@ class BatchSlideExecutor:
         """Execute one recognized slide gesture and return its outcome.
 
         Always an outcome, for every gesture :meth:`supports` accepted:
-        there is no cache state under which the gesture is handed back to
-        the per-touch loop.
+        no gesture is handed back to the per-touch loop.
         """
         from repro.core.kernel import GestureOutcome
 
@@ -202,7 +184,7 @@ class BatchSlideExecutor:
         timestamps = batch.timestamps[keep]
         n = int(rowids.size)
 
-        values, levels = self._serve_values(state, rowids, strides, timestamps, outcome)
+        values, levels = self._serve_values(state, rowids, strides, outcome)
         outcome.rowids_touched = rowids
         self._count_levels(outcome, levels)
         self._apply_action(state, outcome, rowids, values, fractions, timestamps)
@@ -226,115 +208,22 @@ class BatchSlideExecutor:
 
     @staticmethod
     def _count_levels(outcome, levels: np.ndarray) -> None:
-        counts = np.bincount(levels + 1)  # level -1 (cache-served) counts at 0
+        counts = np.bincount(levels)
         served = counts.nonzero()[0]
-        outcome.served_level_counts = dict(zip((served - 1).tolist(), counts[served].tolist()))
+        outcome.served_level_counts = dict(zip(served.tolist(), counts[served].tolist()))
 
     # ------------------------------------------------------------------ #
-    # reading values through cache / samples / prefetch
+    # reading values through samples / summaries / base data
     # ------------------------------------------------------------------ #
-    def _serve_values(self, state, rowids, strides, timestamps, outcome):
-        """Serve one value per processed touch, replaying the cache and
-        prefetch feedback loop in event order.  Returns ``(values, levels)``
-        with level ``-1`` marking cache-served touches, and updates the
-        outcome's cache/prefetch/tuple counters."""
-        kernel = self._kernel
-        config = kernel.config
-        action = state.action
-        n = int(rowids.size)
-        num_tuples = len(state.column) if state.column is not None else len(state.table)
-        if action.kind is ActionKind.SUMMARY:
-            state.summarizer.k = kernel._effective_summary_k(state)
-        namespace = kernel._cache_namespace(state)
-
-        # --- extrapolated prefetch proposals, placed on the event timeline:
-        # each read is followed by its own proposals, nearest first, then
-        # by the next read — the interleaving of the per-touch loop.
-        # propose_batch returns the proposals grouped by proposing touch in
-        # exactly that order, so a proposal's position is its index plus
-        # the number of reads up to and including its proposer's.
-        prefetcher = state.prefetcher
-        if prefetcher is not None:
-            prop_rows, prop_src = prefetcher.propose_batch(
-                timestamps, rowids, strides, num_tuples
-            )
-        else:
-            prop_rows = prop_src = np.empty(0, dtype=np.int64)
-        prop_strides = strides[prop_src]
-        prop_pos = np.arange(prop_rows.size, dtype=np.int64) + prop_src + 1
-        is_read = np.ones(n + prop_rows.size, dtype=bool)
-        is_read[prop_pos] = False
-        read_pos = is_read.nonzero()[0]
-
-        if config.enable_cache:
-            with trace_span("cache_lookup", touches=n) as span:
-                values, levels, winners = self._serve_with_cache(
-                    state, namespace, rowids, strides, read_pos,
-                    prop_rows, prop_strides, prop_pos, is_read, outcome,
-                )
-                if span is not None:
-                    span.tags["hits"] = outcome.cache_hits
-                    span.tags["misses"] = outcome.cache_misses
-            add_rows, add_pos = prop_rows[winners], prop_pos[winners]
-        else:
-            values, tuples, levels = self._read_rows(state, rowids, strides)
-            outcome.tuples_examined += tuples
-            # without a cache the sequential loop still computes a value for
-            # every proposal (same side effects, e.g. summarizer counters)
-            # and remembers every proposed rowid
-            if prop_rows.size:
-                self._read_rows(state, prop_rows, prop_strides, prefetch=True)
-            add_rows, add_pos = prop_rows, prop_pos
-
-        outcome.prefetch_hits += self._prefetch_membership(
-            state, rowids, read_pos, add_rows, add_pos
-        )
+    def _serve_values(self, state, rowids, strides, outcome):
+        """Serve one value per processed touch, each from its own row, in
+        one batched read.  Returns ``(values, levels)`` and counts the
+        tuples read into the outcome."""
+        if state.action.kind is ActionKind.SUMMARY:
+            state.summarizer.k = self._kernel._effective_summary_k(state)
+        values, tuples, levels = self._read_rows(state, rowids, strides)
+        outcome.tuples_examined += tuples
         return values, levels
-
-    def _serve_with_cache(
-        self, state, namespace, rowids, strides, read_pos,
-        prop_rows, prop_strides, prop_pos, is_read, outcome,
-    ):
-        """Settle the gesture's cache events with array passes, then read.
-
-        :meth:`TouchCache.plan` marks the events that write their slot;
-        only their values are read — the missed touches in one batch, the
-        proposals that landed in another — and the plan's ``settle`` then
-        serves the hits and commits the slots (a failed read never gets
-        there).  Returns ``(values, levels, winners)`` with ``winners``
-        masking the proposals that entered the cache.
-        """
-        n = int(rowids.size)
-        num_events = int(is_read.size)
-        event_rows = np.empty(num_events, dtype=np.int64)
-        event_rows[read_pos] = rowids
-        event_rows[prop_pos] = prop_rows
-        event_strides = np.empty(num_events, dtype=np.int64)
-        event_strides[read_pos] = strides
-        event_strides[prop_pos] = prop_strides
-        written, num_hits, settle = self._kernel.cache.plan(
-            namespace, event_rows, event_strides, is_read
-        )
-
-        miss_mask = written[read_pos]
-        winners = written[prop_pos]
-        event_values = np.empty(num_events, dtype=self._value_dtype(state))
-        miss_vals, miss_tuples, miss_levels = self._read_rows(
-            state, rowids[miss_mask], strides[miss_mask]
-        )
-        pf_vals, _, _ = self._read_rows(
-            state, prop_rows[winners], prop_strides[winners], prefetch=True
-        )
-        event_values[read_pos[miss_mask]] = miss_vals
-        event_values[prop_pos[winners]] = pf_vals
-        settle(event_values)
-
-        outcome.cache_hits += num_hits
-        outcome.cache_misses += n - num_hits
-        outcome.tuples_examined += miss_tuples
-        levels = np.full(n, -1, dtype=np.int64)
-        levels[miss_mask] = miss_levels
-        return event_values[read_pos], levels, winners
 
     # ------------------------------------------------------------------ #
     # applying the query action
@@ -376,63 +265,21 @@ class BatchSlideExecutor:
         )
         outcome.entries_returned += int(pass_rowids.size)
 
-    def _read_rows(self, state, rowids, strides, prefetch: bool = False):
+    def _read_rows(self, state, rowids, strides):
         """Read values for an array of rowids the way the per-touch path
         would: summaries through the summarizer, select-where through the
-        where attribute, column scans through the sample hierarchy — or,
-        for prefetch reads, through the base column (mirroring
-        ``_maybe_prefetch``).  Returns ``(values, tuples_read, levels)``,
-        ``tuples_read`` the total over the rowids."""
-        config = self._kernel.config
+        where attribute, column scans through the sample hierarchy.
+        Returns ``(values, tuples_read, levels)``, ``tuples_read`` the
+        total over the rowids."""
         action = state.action
-        m = int(np.asarray(rowids).size)
-        if m == 0:
-            return np.empty(0, dtype=self._value_dtype(state)), 0, np.zeros(0, dtype=np.int64)
         if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
             values, counts, levels = state.summarizer.summarize_batch(rowids, strides)
             return values, int(counts.sum()), levels
-        if (
-            not prefetch
-            and state.hierarchy is not None  # only column objects carry one
-            and config.enable_samples
-        ):
+        m = int(rowids.size)
+        if state.hierarchy is not None and self._kernel.config.enable_samples:
+            # only column objects carry a hierarchy
             values, levels = state.hierarchy.read_batch(rowids, strides)
             return values, m, levels
         # reads go through Column.read_batch (not raw fancy indexing) so
         # out-of-core paged columns gather through mapping *and* append tail
         return state.read_target()[0].read_batch(rowids), m, np.zeros(m, dtype=np.int64)
-
-    def _value_dtype(self, state):
-        if state.action.kind is ActionKind.SUMMARY:
-            return np.dtype(np.float64)
-        return state.read_target()[0].values.dtype
-
-    # ------------------------------------------------------------------ #
-    # prefetched-rowid bookkeeping
-    # ------------------------------------------------------------------ #
-    def _prefetch_membership(self, state, rowids, read_times, add_rows, add_times) -> int:
-        """Replay the prefetched-rowid set against this gesture's touches.
-
-        A touch is a prefetch hit when its rowid is in the set at touch
-        time (carried over from earlier gestures or added by an earlier
-        proposal of this gesture); a hit consumes the rowid.  This is the
-        per-touch loop's own walk over the gesture's timeline: before each
-        touch, the proposals that landed ahead of it join the set.
-        Updates ``state.prefetched_rowids`` and returns the hit count.
-        """
-        prefetched: set = state.prefetched_rowids  # updated in place, never walked
-        if not prefetched and not add_rows.size:
-            return 0
-        adds = add_rows.tolist()
-        add_at = add_times.tolist()  # ascending: proposals are in event order
-        num_adds = len(adds)
-        landed = hits = 0
-        for rowid, read_at in zip(rowids.tolist(), read_times.tolist()):
-            while landed < num_adds and add_at[landed] < read_at:
-                prefetched.add(adds[landed])
-                landed += 1
-            if rowid in prefetched:
-                hits += 1
-                prefetched.remove(rowid)
-        prefetched.update(adds[landed:])
-        return hits

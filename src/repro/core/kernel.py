@@ -5,8 +5,10 @@ The kernel sits between the simulated touch OS and the storage engine
 kernel maps each touch to a tuple identifier, executes the query action
 attached to the touched data object, and emits result values that appear
 in place and fade away.  It also hosts the adaptive machinery: sample
-hierarchies, the touched-range cache, the gesture-extrapolating prefetcher,
-the per-touch latency budget and incremental layout rotation.
+hierarchies, the per-touch latency budget and incremental layout rotation.
+Every touch reads its own row: there is no touched-range cache and no
+prefetcher, because a read here is one gather, cheaper than the
+bookkeeping that would avoid it.
 
 Slide gestures have two execution strategies.  The per-touch loop
 (`_handle_slide` → `_process_touch`) is the reference implementation and
@@ -19,14 +21,6 @@ produces the same deterministic outcome counters at a fraction of the
 per-touch interpreter cost (see :mod:`repro.core.batch` for the two
 timing-dependent deviations: amortized per-touch latencies, and summary
 windows adapting per gesture rather than per violating touch).
-
-Touched-range cache keys are namespaced per object *and* per logical read
-as ``(object, read-descriptor)`` tuples: the descriptor is the action
-kind, extended with ``:a<attribute>`` for attribute-dependent table reads
-and ``:k<effective-k>`` for interactive summaries (so values computed
-before the adaptive optimizer resized the summary window are never served
-for the new window).  See :mod:`repro.core.caching` for the full key
-scheme.
 """
 
 from __future__ import annotations
@@ -37,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.actions import ActionKind, QueryAction
-from repro.core.caching import HashTableCache, TouchCache
+from repro.core.caching import HashTableCache
 from repro.core.optimizer import AdaptiveOptimizer
-from repro.core.prefetch import GesturePrefetcher
 from repro.core.result_stream import ResultColumns, ResultStream, ResultValue
 from repro.core.summaries import InteractiveSummarizer
 from repro.core.touch_mapping import MappedTouch, TouchMapper
@@ -49,7 +42,7 @@ from repro.engine.groupby import IncrementalGroupBy
 from repro.engine.join import SymmetricHashJoin
 from repro.errors import ExecutionError, QueryError
 from repro.indexing.manager import IndexManager, RangeSelection
-from repro.obs.trace import trace_event, trace_span
+from repro.obs.trace import trace_span
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.incremental import IncrementalRotation
@@ -75,10 +68,9 @@ class KernelConfig:
     latency_budget_s:
         Maximum per-touch processing time the kernel aims for; the adaptive
         optimizer shrinks the summary window when the budget is violated.
-    enable_prefetch / enable_cache / enable_samples:
-        Feature switches used by the ablation benchmarks.
-    cache_capacity:
-        Slots of the direct-mapped touched-range cache (one entry each).
+    enable_samples:
+        Serve coarse slides from the sample hierarchy (the ablation
+        benchmarks switch it off).
     sample_factor:
         Down-sampling factor between consecutive sample-hierarchy levels.
     fade_seconds:
@@ -102,10 +94,7 @@ class KernelConfig:
     """
 
     latency_budget_s: float = 0.05
-    enable_prefetch: bool = True
-    enable_cache: bool = True
     enable_samples: bool = True
-    cache_capacity: int = 4096
     sample_factor: int = 4
     fade_seconds: float = 1.5
     batch_execution: bool = True
@@ -118,7 +107,7 @@ class KernelConfig:
 #: sequence (the parity surface); ``OUTCOME_COUNTERS`` adds the two clock
 #: readings; ``LINK_COUNTERS`` are the envelope's link accounting, which only
 #: a remote backend fills in (zero on the local path).
-DETERMINISTIC_COUNTERS = ("entries_returned", "tuples_examined", "cache_hits", "prefetch_hits")
+DETERMINISTIC_COUNTERS = ("entries_returned", "tuples_examined")
 OUTCOME_COUNTERS = DETERMINISTIC_COUNTERS + ("duration_s", "max_touch_latency_s")
 LINK_COUNTERS = ("remote_requests", "network_seconds")
 
@@ -154,9 +143,6 @@ class GestureOutcome:
     result_columns: ResultColumns | None = None
     duration_s: float = 0.0
     per_touch_latencies_s: np.ndarray = field(default_factory=lambda: _NO_LATENCIES)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    prefetch_hits: int = 0
     served_level_counts: dict[int, int] = field(default_factory=dict)
     final_aggregate: float | None = None
     join_matches: int = 0
@@ -164,6 +150,11 @@ class GestureOutcome:
     zoom_scale: float = 1.0
     revealed_tuple: dict[str, object] | None = None
     _results: list[ResultValue] | None = field(default=None, init=False, repr=False)
+
+    #: Always 0: no touch is served from a cache or a prefetch any more.
+    #: The ledger (``ledger/harness.py``) is their last reader; they go
+    #: together with its ``core.cache_hit_frac`` / ``core.prefetch_hit_frac``.
+    cache_hits = cache_misses = prefetch_hits = 0
 
     @property
     def results(self) -> list[ResultValue]:
@@ -211,8 +202,6 @@ class _ObjectState:
     aggregate: RunningAggregate | None = None
     group_by: IncrementalGroupBy | None = None
     results: ResultStream | None = None
-    prefetcher: GesturePrefetcher | None = None
-    prefetched_rowids: set[int] = field(default_factory=set)
     last_rowid: int | None = None
     last_timestamp: float | None = None
     current_stride: int = 1
@@ -224,8 +213,8 @@ class _ObjectState:
     ) -> tuple[Column, str | None] | None:
         """The ``(column, column-name)`` a touch reads under this action.
 
-        The one answer every reader shares — the per-touch loop, the
-        prefetcher, the batch executor and bulk selection.  A column object
+        The one answer every reader shares — the per-touch loop, the batch
+        executor and bulk selection.  A column object
         reads itself; a select-where plan reads its where attribute wherever
         the finger is; any other table action reads the attribute under the
         finger — so with no ``attribute_index`` it has no single column, and
@@ -256,7 +245,6 @@ class DbTouchKernel:
         self.config = config if config is not None else KernelConfig()
         self.recognizer = GestureRecognizer()
         self.mapper = TouchMapper()
-        self.cache = TouchCache(capacity=self.config.cache_capacity)
         self.hash_table_cache = HashTableCache()
         self.optimizer = AdaptiveOptimizer(
             latency_budget_s=self.config.latency_budget_s,
@@ -318,7 +306,6 @@ class DbTouchKernel:
             column_name=column_name,
             hierarchy=hierarchy,
             results=self._make_result_stream(),
-            prefetcher=self._make_prefetcher(),
         )
         return view
 
@@ -354,13 +341,8 @@ class DbTouchKernel:
             column=None,
             table=table,
             results=self._make_result_stream(),
-            prefetcher=self._make_prefetcher(),
         )
         return view
-
-    def _make_prefetcher(self) -> GesturePrefetcher | None:
-        """One prefetcher per shown object."""
-        return GesturePrefetcher() if self.config.enable_prefetch else None
 
     def _make_result_stream(self) -> ResultStream:
         return ResultStream(
@@ -389,46 +371,30 @@ class DbTouchKernel:
     # ------------------------------------------------------------------ #
     # object-data mutation hooks
     # ------------------------------------------------------------------ #
-    def invalidate_object(self, object_name: str) -> int:
-        """Drop every cached read derived from ``object_name``.
-
-        Called whenever an object's data or physical representation
-        mutates (reloads, layout rotations); returns how many cache
-        entries were dropped.  Prefetched-rowid bookkeeping is cleared
-        alongside, since it tracks exactly those cache entries.
-        """
-        dropped = self.cache.invalidate(object_name)
-        for state in self._states.values():
-            if state.object_name == object_name:
-                state.prefetched_rowids.clear()
-        return dropped
-
-    def refresh_object(self, object_name: str) -> int:
+    def refresh_object(self, object_name: str) -> None:
         """Re-bind shown views of ``object_name`` after its data changed.
 
         Used by the data-reload path: the catalog already holds the new
         table/column under the same name; this re-resolves every shown
-        state's storage references, rebuilds sample hierarchies and
-        operators, and invalidates the touched-range cache so no stale
-        value survives the reload.
+        state's storage references and rebuilds sample hierarchies and
+        operators, so no touch reads the replaced data.
         """
-        return self._rebind_object(object_name, grew=False)
+        self._rebind_object(object_name, grew=False)
 
-    def extend_object(self, object_name: str) -> int:
+    def extend_object(self, object_name: str) -> None:
         """Re-bind shown views after rows were *appended* to ``object_name``.
 
         The growth twin of :meth:`refresh_object`: appends never mutate
         existing rows, so indexes stay valid over their prefix window
         (:meth:`IndexManager.extend_valid_prefix`) instead of being
-        discarded.  Every other effect — touched-range cache,
-        hierarchies, joins, operators, view properties — is identical to
-        a reload, which is what keeps gesture outcomes bit-identical
-        between preloaded and incrementally appended data.
+        discarded.  Every other effect — hierarchies, joins, operators,
+        view properties — is identical to a reload, which is what keeps
+        gesture outcomes bit-identical between preloaded and incrementally
+        appended data.
         """
-        return self._rebind_object(object_name, grew=True)
+        self._rebind_object(object_name, grew=True)
 
-    def _rebind_object(self, object_name: str, grew: bool) -> int:
-        dropped = self.invalidate_object(object_name)
+    def _rebind_object(self, object_name: str, grew: bool) -> None:
         # the catalog caches hierarchies per (object, column); they sample
         # the pre-change arrays and must be rebuilt from the new data
         self.catalog.drop_hierarchies_for(object_name)
@@ -489,7 +455,6 @@ class DbTouchKernel:
                     properties.size_bytes = state.column.size_bytes
             # rebuild the action's operators against the new data
             self.set_action(view_name, state.action)
-        return dropped
 
     # ------------------------------------------------------------------ #
     # configuring actions
@@ -596,7 +561,7 @@ class DbTouchKernel:
 
         The whole dispatch runs under an ambient ``kernel_exec`` span (a
         no-op unless a sampled trace is active on this thread), so the
-        deeper ``chunk_fault``/``tail_scan``/``cache_lookup``
+        deeper ``chunk_fault``/``tail_scan``
         spans attach under one kernel step per gesture.  Tracing measures
         wall time only — outcome counters are untouched.
         """
@@ -669,8 +634,6 @@ class DbTouchKernel:
         )
         join = self._join_for(gesture.view_name)
         if self.config.batch_execution and self._batch_executor.supports(state, join):
-            # every supported slide stays on the batch path, whatever the
-            # cache holds: mid-gesture evictions are settled exactly there
             return self._batch_executor.execute(state, gesture)
         # joins, group-bys and attribute-dependent table scans (and the
         # differential oracle, with batch_execution off): the per-touch loop
@@ -687,19 +650,12 @@ class DbTouchKernel:
                 touched.append(mapped.rowid)
                 latencies.append(elapsed)
                 self.optimizer.observe_touch(elapsed)
-                self._maybe_prefetch(state, event, mapped, stride)
         outcome.rowids_touched = np.array(touched, dtype=np.int64)
         outcome.per_touch_latencies_s = np.array(latencies, dtype=np.float64)
         if state.aggregate is not None:
             outcome.final_aggregate = state.aggregate.current()
         if join is not None:
             outcome.join_matches = join.num_matches
-        if self.config.enable_cache:
-            # the reference loop probes the cache touch by touch; the trace
-            # gets one aggregate annotation instead of per-touch spans
-            trace_event(
-                "cache_lookup", hits=outcome.cache_hits, misses=outcome.cache_misses
-            )
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -813,12 +769,9 @@ class DbTouchKernel:
             return False
         state.last_rowid = mapped.rowid
         state.last_timestamp = event.timestamp
-        if mapped.rowid in state.prefetched_rowids:
-            outcome.prefetch_hits += 1
-            state.prefetched_rowids.discard(mapped.rowid)
 
         action = state.action
-        value, tuples_read, level = self._read_value(state, mapped, stride, outcome)
+        value, tuples_read, level = self._read_value(state, mapped, stride)
         outcome.tuples_examined += tuples_read
         outcome.served_level_counts[level] = outcome.served_level_counts.get(level, 0) + 1
 
@@ -887,46 +840,17 @@ class DbTouchKernel:
         allowance = self.optimizer.current_summary_k / max(1, self.optimizer.base_summary_k)
         return max(1, int(round(state.action.summary_k * allowance)))
 
-    def _cache_namespace(self, state: _ObjectState, attribute_index: int = 0):
-        """Cache namespace for one logical read (see module docstring).
-
-        The namespace is a ``(object_name, read_descriptor)`` tuple — the
-        object segment stays a separate component so
-        :meth:`TouchCache.invalidate` can match it exactly even when
-        object names themselves contain ``":"``.  Interactive summaries
-        embed the *effective* half-window in the descriptor so entries
-        computed at a different ``k`` are never served; attribute-dependent
-        table reads embed the attribute index so sliding over different
-        attributes of one table cannot poison each other.
-        """
-        action = state.action
-        descriptor = action.kind.value
-        if action.kind is ActionKind.SUMMARY:
-            descriptor = f"{descriptor}:k{self._effective_summary_k(state)}"
-        elif state.table is not None and action.kind is not ActionKind.SELECT_WHERE:
-            descriptor = f"{descriptor}:a{attribute_index}"
-        return (state.object_name, descriptor)
-
     def _read_value(
         self,
         state: _ObjectState,
         mapped: MappedTouch,
         stride: int,
-        outcome: GestureOutcome,
     ) -> tuple[object, int, int]:
-        """Read the data a touch points at, via cache / samples / base data.
+        """Read the data a touch points at, via samples or base data.
 
         Returns (value, tuples_read, sample_level_served_from).
         """
         action = state.action
-        cache_key_object = self._cache_namespace(state, mapped.attribute_index)
-        if self.config.enable_cache:
-            cached = self.cache.get(cache_key_object, mapped.rowid, stride)
-            if cached is not None:
-                outcome.cache_hits += 1
-                return cached, 0, -1  # -1 marks "served from cache"
-            outcome.cache_misses += 1
-
         level, tuples_read = 0, 1
         if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
             state.summarizer.k = self._effective_summary_k(state)
@@ -941,45 +865,7 @@ class DbTouchKernel:
         else:
             value = state.read_target(mapped.attribute_index)[0].value_at(mapped.rowid)
 
-        if self.config.enable_cache:
-            self.cache.put(cache_key_object, mapped.rowid, value, stride)
         return value, tuples_read, level
-
-    def _maybe_prefetch(
-        self,
-        state: _ObjectState,
-        event: TouchEvent,
-        mapped: MappedTouch,
-        stride: int,
-    ) -> None:
-        if state.prefetcher is None:
-            return
-        state.prefetcher.observe(event.timestamp, mapped.rowid)
-        num_tuples = (
-            len(state.column) if state.column is not None else len(state.table)
-        )
-        proposals = state.prefetcher.propose(num_tuples, stride=stride)
-        action = state.action
-        # prefetch warms the cache with exactly the column _read_value will
-        # read under the same namespace: both ask the state's read_target
-        cache_key_object = self._cache_namespace(state, mapped.attribute_index)
-        # namespace and stride bucket are the same for every proposal of
-        # this touch: bind them once, probe per proposal
-        cached = (
-            self.cache.presence_probe(cache_key_object, stride)
-            if self.config.enable_cache
-            else None
-        )
-        for rowid in proposals:
-            if cached is not None and cached(rowid):
-                continue
-            if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
-                value = state.summarizer.summarize_at(rowid, stride_hint=stride).value
-            else:
-                value = state.read_target(mapped.attribute_index)[0].value_at(rowid)
-            if self.config.enable_cache:
-                self.cache.put(cache_key_object, rowid, value, stride)
-            state.prefetched_rowids.add(rowid)
 
     # ------------------------------------------------------------------ #
     # zoom: change the object size, hence the touch granularity
@@ -1019,9 +905,6 @@ class DbTouchKernel:
             state.rotation = IncrementalRotation(state.table, source_kind=source)
             state.rotation.convert_rows_for_sample(_ROTATION_SAMPLE_FRACTION)
             state.layout_kind = new_kind
-            # the physical representation is mutating incrementally from
-            # here on; cached reads of the old layout must not survive
-            self.invalidate_object(state.object_name)
         return GestureOutcome(
             gesture_type=GestureType.ROTATE,
             view_name=gesture.view_name,

@@ -10,7 +10,7 @@ safe for the dbTouch kernel:
 **Per-session FIFO.**  Work submitted for one session executes in
 submission order, one item at a time.  A session is dispatched to at most
 one worker at any moment (session affinity), so per-session kernel state —
-touch caches, sample hierarchies, slide-stride tracking, result streams —
+sample hierarchies, slide-stride tracking, result streams —
 is only ever touched by a single thread at a time and needs no internal
 locking.
 

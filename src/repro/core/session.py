@@ -73,8 +73,6 @@ class SessionSummary:
     gestures: int = 0
     entries_returned: int = 0
     tuples_examined: int = 0
-    cache_hits: int = 0
-    prefetch_hits: int = 0
     max_touch_latency_s: float = 0.0
 
 
@@ -86,8 +84,8 @@ class ExplorationSession:
     profile:
         The simulated device profile (defaults to the paper's iPad 1).
     config:
-        Kernel configuration; the defaults enable samples, caching and
-        prefetching.
+        Kernel configuration; the defaults enable samples, batch slides
+        and the adaptive index.
     jitter_cm:
         Positional noise added to synthesized gestures, for more
         human-like touch streams (0 = perfectly straight finger).
@@ -275,7 +273,7 @@ class ExplorationSession:
         """Register a standalone column on the backend (host-side, not recorded).
 
         ``replace`` reloads an already-registered column: shown views are
-        re-bound and stale caches invalidated (local backends only).
+        re-bound to the new data (local backends only).
         """
         if replace:
             return self._replace_loader("load_column")(name, values, replace=True)

@@ -206,7 +206,7 @@ def _aggregate_windows(
         part = centers[start : start + chunk]
         idx = part[:, None] + offsets[None, :]
         valid = (idx >= 0) & (idx < n)
-        window = data[np.clip(idx, 0, n - 1)].astype(np.float64, copy=False)
+        window = data[np.minimum(np.maximum(idx, 0), n - 1)].astype(np.float64, copy=False)
         cnt = valid.sum(axis=1)
         safe_cnt = np.maximum(1, cnt)
         if kind is AggregateKind.COUNT:

@@ -377,9 +377,9 @@ def persistence_hit_rate(
 ) -> HitRateReport:
     """The unmined baseline: predict that the last gesture kind repeats.
 
-    This is exactly the assumption the live-session prefetcher embodies —
-    extrapolate the current gesture — so the lift of the mined model over
-    this baseline is the value the fleet's corpus added.
+    This is the naive extrapolation of the current gesture, so the lift of
+    the mined model over this baseline is the value the fleet's corpus
+    added.
     """
     hits = total = 0
     for _, context, actual in _scorable_events(traces):

@@ -28,7 +28,6 @@ from repro.obs.trace import (
     Tracer,
     current_trace_context,
     stitch_traces,
-    trace_event,
     trace_span,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "nearest_rank",
     "render_exposition",
     "stitch_traces",
-    "trace_event",
     "trace_span",
 ]

@@ -3,7 +3,7 @@
 The tracing model is deliberately small.  A **trace** is the story of one
 gesture (or one script) identified by a ``trace_id``; a **span** is one
 timed step of that story (``queue_wait``, ``kernel_exec``, ``chunk_fault``,
-``cache_lookup``, ``tail_scan``, ...) linked to its parent by
+``tail_scan``, ...) linked to its parent by
 id.  Three pieces make it work end to end:
 
 * :class:`Tracer` owns the policy — on/off, a deterministic
@@ -11,12 +11,12 @@ id.  Three pieces make it work end to end:
   with :meth:`Tracer.begin` / :meth:`Tracer.gesture`.  Finished traces go
   to a :class:`repro.obs.recorder.FlightRecorder`.
 * Deep layers (kernel, indexing, paged storage) never see the tracer.
-  They call the module-level :func:`trace_span` / :func:`trace_event`
-  helpers, which look up the ambient active trace in a
-  :class:`contextvars.ContextVar`.  With no active trace the helpers
-  return a shared no-op context manager — the disabled cost is one
-  context-variable read per call site, which is why instrumentation sits
-  at gesture/fault/scan granularity and never inside per-touch loops.
+  They call the module-level :func:`trace_span` helper, which looks up
+  the ambient active trace in a :class:`contextvars.ContextVar`.  With no
+  active trace it returns a shared no-op context manager — the disabled
+  cost is one context-variable read per call site, which is why
+  instrumentation sits at gesture/fault/scan granularity and never inside
+  per-touch loops.
 * :class:`TraceContext` is the propagation capsule: ``(trace_id,
   parent_id, sampled)``.  It crosses scheduler threads explicitly (the
   submitting thread captures it, the worker thunk re-activates it) and
@@ -50,7 +50,6 @@ __all__ = [
     "Tracer",
     "current_trace_context",
     "stitch_traces",
-    "trace_event",
     "trace_span",
 ]
 
@@ -398,13 +397,6 @@ def trace_span(name: str, **tags: Any) -> "_SpanContext | _NullSpanContext":
     if active is None:
         return _NULL_SPAN
     return _SpanContext(active, name, tags)
-
-
-def trace_event(name: str, duration_s: float = 0.0, **tags: Any) -> None:
-    """Record an instant (or pre-timed) annotation span, if traced."""
-    active = _CURRENT.get()
-    if active is not None:
-        active.record_completed(name, duration_s, tags)
 
 
 def current_trace_context() -> TraceContext | None:

@@ -116,7 +116,7 @@ class ChunkCache:
                 "chunk_insertions": stats.insertions,
                 "chunk_evictions": stats.evictions,
                 "bytes_cached": stats.bytes_cached,
-                "cache_capacity_bytes": self.capacity_bytes,
+                "chunk_budget_bytes": self.capacity_bytes,
                 "gathers": stats.gathers,
                 "rows_gathered": stats.rows_gathered,
             }

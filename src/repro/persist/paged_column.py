@@ -11,8 +11,8 @@ its data lives on disk:
   :class:`repro.persist.diskstore.DiskColumnStore` shares the single
   mapping — N users over one dataset cost one copy of nothing.
 * Batched gathers (:meth:`PagedColumn.read_batch`, hence ``gather``, the
-  batch slide executor, select-where projection, sample-hierarchy and
-  prefetcher base reads) read through the mapping at *row* granularity:
+  batch slide executor, select-where projection, sample-hierarchy
+  base reads) read through the mapping at *row* granularity:
   one fancy index, O(rows read) whatever the chunk, cache or column size
   — the mapped file already is the shared cache, so nothing is copied
   but the rows asked for.

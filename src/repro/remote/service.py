@@ -100,8 +100,6 @@ class RemoteExplorationService:
             profile=profile,
             config=KernelConfig(
                 enable_samples=False,
-                enable_cache=False,
-                enable_prefetch=False,
                 enable_indexing=False,
             ),
             jitter_cm=jitter_cm,

@@ -98,13 +98,16 @@ class OutcomeEnvelope:
     object_name: str | None = None
     entries_returned: int = 0
     tuples_examined: int = 0
-    cache_hits: int = 0
-    prefetch_hits: int = 0
     duration_s: float = 0.0
     max_touch_latency_s: float = 0.0
     remote_requests: int = 0
     network_seconds: float = 0.0
     payload: Any = None
+
+    #: Always 0, and not on the wire: no touch is served from a cache or a
+    #: prefetch any more.  The ledger (``ledger/harness.py``) is their last
+    #: reader.
+    cache_hits = prefetch_hits = 0
 
     def to_dict(self) -> dict[str, Any]:
         """The envelope's wire format: metrics only, no live objects.
@@ -292,8 +295,7 @@ class LocalExplorationService:
 
         With ``replace``, an already-registered column of the same name is
         overwritten (a data reload): stale sample hierarchies are dropped,
-        shown views are re-bound to the new data and every touched-range
-        cache entry derived from the object is invalidated.
+        and shown views are re-bound to the new data.
         """
         column = _as_named_column(name, values)
         self.catalog.register_column(column, replace=replace)
@@ -569,7 +571,7 @@ class SessionMetrics:
     """Per-session accounting kept by :class:`MultiSessionServer`.
 
     The deterministic counters (``commands``, ``entries_returned``,
-    ``tuples_examined``, ``cache_hits``, ``prefetch_hits``) depend only on
+    ``tuples_examined``) depend only on
     the session's command sequence, so a concurrent run must reproduce a
     serial run's values exactly; the wall-clock fields
     (latencies, throughput) describe host-side performance.  All mutation
@@ -587,8 +589,6 @@ class SessionMetrics:
     commands: int = 0
     entries_returned: int = 0
     tuples_examined: int = 0
-    cache_hits: int = 0
-    prefetch_hits: int = 0
     remote_requests: int = 0
     network_seconds: float = 0.0
     simulated_seconds: float = 0.0
@@ -722,7 +722,7 @@ class MultiSessionServer:
     every subsequently opened session *by reference*: N sessions over the
     same 1M-row dataset share one numpy buffer instead of copying it N
     times.  Shared objects are read-only by convention; everything mutable
-    (views, sample hierarchies, touch caches, result streams) stays
+    (views, sample hierarchies, result streams) stays
     private per session.  A session that ``load_column(replace=True)``-s a
     shared name merely rebinds its *private* catalog entry — other
     sessions keep the shared data.

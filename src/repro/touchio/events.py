@@ -102,7 +102,7 @@ class TouchStream:
     fingers than the stream's widest.  :attr:`events` is the same stream
     as :class:`TouchEvent` objects, built on first use and cached.
     Timestamps must be non-negative and non-decreasing, which the gesture
-    recognizer and the prefetcher rely on when estimating gesture velocity.
+    recognizer relies on when estimating gesture velocity.
     """
 
     def __init__(self, view_name: str = "", timestamps=(), phases=(), xs=(), ys=()) -> None:

@@ -110,16 +110,12 @@ class DbTouchExplorer:
         self.profile = profile
         self.deviation_threshold = deviation_threshold
         self.summary_k = summary_k
-        # caching/prefetching are disabled so tuples_examined reflects the data
-        # the exploration itself needed, making the comparison with the SQL
-        # explorer conservative for dbTouch; the sample hierarchy is disabled
-        # so every summary aggregates the full 2k+1 base entries (low-variance
-        # summaries are what lets the explorer spot subtle patterns)
+        # the sample hierarchy is disabled so every summary aggregates the
+        # full 2k+1 base entries (low-variance summaries are what lets the
+        # explorer spot subtle patterns), and tuples_examined counts the
+        # base data the exploration itself read
         self.session = ExplorationSession(
-            profile=profile,
-            config=KernelConfig(
-                enable_cache=False, enable_prefetch=False, enable_samples=False
-            ),
+            profile=profile, config=KernelConfig(enable_samples=False)
         )
         self.session.load_column(column.name, column)
 

@@ -60,12 +60,12 @@ def session(fast_profile) -> ExplorationSession:
 
 @pytest.fixture
 def bare_session(fast_profile) -> ExplorationSession:
-    """A session with caching, prefetching and samples disabled.
+    """A session with the sample hierarchy disabled.
 
     Useful when a test needs tuples_examined to reflect exactly the touches
     that were processed.
     """
-    config = KernelConfig(enable_cache=False, enable_prefetch=False, enable_samples=False)
+    config = KernelConfig(enable_samples=False)
     return ExplorationSession(profile=fast_profile, config=config)
 
 

@@ -7,10 +7,10 @@ The guarantees under test are the ones the ISSUE's north star depends on:
   serving modes;
 * *no lost updates* — a ``load_column(replace=True)`` reload submitted
   mid-traffic lands at its exact position in the session's FIFO order and
-  every later gesture sees the new data (stale caches included);
-* *no cross-session cache bleed* — sessions exploring same-named objects
-  with different data never serve each other's values (cache keys stay
-  session-scoped);
+  every later gesture sees the new data (stale sample hierarchies
+  included);
+* *no cross-session bleed* — sessions exploring same-named objects with
+  different data never serve each other's values;
 * *thread-safe accounting* — many client threads hammering one server
   lose no metrics and leave the scheduler's books balanced.
 """
@@ -79,13 +79,11 @@ class TestSerialVsConcurrentParity:
                     == server.metrics(session_id).counters_snapshot()
                 ), session_id
                 serial_counters = [
-                    (e.entries_returned, e.tuples_examined, e.cache_hits,
-                     e.prefetch_hits, e.duration_s)
+                    (e.entries_returned, e.tuples_examined, e.duration_s)
                     for e in serial_envelopes[session_id]
                 ]
                 concurrent_counters = [
-                    (e.entries_returned, e.tuples_examined, e.cache_hits,
-                     e.prefetch_hits, e.duration_s)
+                    (e.entries_returned, e.tuples_examined, e.duration_s)
                     for e in concurrent_envelopes[session_id]
                 ]
                 assert serial_counters == concurrent_counters, session_id
@@ -176,7 +174,7 @@ class TestReplaceReloadMidTraffic:
 
             assert after == before * 3, (
                 "the tap queued after the reload must see the new data "
-                "(stale touched-range cache entries must not survive)"
+                "(no value read from the replaced data may survive)"
             )
 
     def test_synchronous_replace_reload_orders_after_queued_commands(self):
@@ -236,8 +234,7 @@ class TestCrossSessionIsolation:
                 sessions[session_id] = scale
 
             # hammer all sessions with interleaved slides over the same
-            # rowid ranges so their (session-scoped) caches fill with
-            # entries for identical (object, rowid, stride) coordinates
+            # rowid ranges of their same-named objects
             futures = []
             for _ in range(6):
                 for session_id in sessions:
@@ -247,23 +244,13 @@ class TestCrossSessionIsolation:
             for future in futures:
                 future.result(timeout=60)
 
-            # every session's cached values must still be its own
+            # every session's values must still be its own
             baseline = None
             for session_id, scale in sessions.items():
                 value = tap_value(server, session_id, "v", 0.5)
                 if baseline is None:
                     baseline = value / scale
                 assert value == baseline * scale, session_id
-
-    def test_private_touch_caches_per_session(self):
-        with concurrent_server() as server:
-            a = server.open_session("a")
-            b = server.open_session("b")
-            for session_id in (a, b):
-                server.load_column(session_id, "data", np.arange(1000))
-            assert (
-                server.service(a).kernel.cache is not server.service(b).kernel.cache
-            )
 
 
 class TestThreadsHammeringOneServer:

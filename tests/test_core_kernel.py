@@ -228,39 +228,12 @@ class TestGroupBy:
 
 
 class TestAdaptiveFeatures:
-    def test_cache_serves_revisited_area(self, fast_profile):
-        from repro.core.session import ExplorationSession
-
-        session = ExplorationSession(
-            profile=fast_profile,
-            config=KernelConfig(enable_prefetch=False, enable_samples=False),
-        )
-        session.load_column("c", np.arange(100_000, dtype=np.int64))
-        view = session.show_column("c")
-        session.choose_scan(view)
-        session.slide(view, duration=1.0)
-        second = session.slide(view, duration=1.0)
-        assert second.cache_hits > 0
-
-    def test_prefetcher_warms_upcoming_rows(self, fast_profile):
-        from repro.core.session import ExplorationSession
-
-        session = ExplorationSession(
-            profile=fast_profile,
-            config=KernelConfig(enable_cache=True, enable_prefetch=True, enable_samples=False),
-        )
-        session.load_column("c", np.arange(1_000_000, dtype=np.int64))
-        view = session.show_column("c")
-        session.choose_scan(view)
-        outcome = session.slide(view, duration=2.0)
-        assert outcome.prefetch_hits > 0
-
     def test_sample_hierarchy_serves_coarse_slides(self, fast_profile):
         from repro.core.session import ExplorationSession
 
         session = ExplorationSession(
             profile=fast_profile,
-            config=KernelConfig(enable_cache=False, enable_prefetch=False, enable_samples=True),
+            config=KernelConfig(enable_samples=True),
         )
         session.load_column("c", np.arange(1_000_000, dtype=np.int64))
         view = session.show_column("c")

@@ -116,8 +116,6 @@ class TestGestureConvenience:
         assert summary.gestures == len(session.history)
         assert summary.entries_returned == sum(o.entries_returned for o in session.history)
         assert summary.tuples_examined == sum(o.tuples_examined for o in session.history)
-        assert summary.cache_hits == sum(o.cache_hits for o in session.history)
-        assert summary.prefetch_hits == sum(o.prefetch_hits for o in session.history)
         assert summary.max_touch_latency_s == max(
             o.max_touch_latency_s for o in session.history
         )

@@ -79,9 +79,6 @@ def outcome_fingerprint(outcome) -> dict:
         "object_name": outcome.object_name,
         "entries_returned": outcome.entries_returned,
         "tuples_examined": outcome.tuples_examined,
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-        "prefetch_hits": outcome.prefetch_hits,
         "rowids_touched": list(outcome.rowids_touched),
         "served_level_counts": dict(outcome.served_level_counts),
         "final_aggregate": normalize(outcome.final_aggregate),
@@ -232,13 +229,13 @@ def test_disk_resident_cracker_scripts_bit_identical(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", [5, 23])
-@pytest.mark.parametrize("with_cache", [True, False])
-def test_select_where_table_scripts_bit_identical(seed, with_cache):
+@pytest.mark.parametrize("batch", [True, False])
+def test_select_where_table_scripts_bit_identical(seed, batch):
     """Seeded select-where slides over tables are unchanged by indexing.
 
-    The ``with_cache=False`` arm is the same proof for uncached slides,
-    whose every where-value is read: every counter — ``tuples_examined``
-    included — must equal the indexing-off replay's.
+    Every where-value a slide shows is read, on the batch path and on the
+    per-touch loop alike: every counter — ``tuples_examined`` included —
+    must equal the indexing-off replay's.
     """
     rng = np.random.default_rng(seed)
     n = 5_000
@@ -250,7 +247,7 @@ def test_select_where_table_scripts_bit_identical(seed, with_cache):
     sessions = [
         ExplorationSession(
             profile=FAST_PROFILE,
-            config=KernelConfig(enable_indexing=enabled, enable_cache=with_cache),
+            config=KernelConfig(enable_indexing=enabled, batch_execution=batch),
         )
         for enabled in (True, False)
     ]
@@ -442,7 +439,7 @@ def test_preload_vs_incremental_append_converge(kind):
     def fresh_session():
         return ExplorationSession(
             profile=FAST_PROFILE,
-            config=KernelConfig(enable_indexing=True, enable_cache=False),
+            config=KernelConfig(enable_indexing=True),
         )
 
     results = []

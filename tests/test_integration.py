@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.kernel import KernelConfig
 from repro.core.session import ExplorationSession
 from repro.core.actions import group_by_action, join_action
 from repro.baseline import MonolithicEngine, SqlInterface
@@ -52,9 +51,7 @@ class TestAstronomerWorkflow:
 
     def test_exploration_touches_only_a_sample(self):
         scenario = sky_survey_scenario(num_objects=100_000)
-        session = ExplorationSession(
-            profile=PROFILE, config=KernelConfig(enable_cache=False, enable_prefetch=False)
-        )
+        session = ExplorationSession(profile=PROFILE)
         session.load_table("sky_survey", scenario.table)
         view = session.show_column("sky_survey", column_name="magnitude")
         session.choose_summary(view, k=10)
@@ -113,9 +110,7 @@ class TestDbTouchVersusBaselineCost:
         rng = np.random.default_rng(4)
         data = rng.normal(100, 10, size=n)
         # dbTouch side
-        session = ExplorationSession(
-            profile=PROFILE, config=KernelConfig(enable_cache=False, enable_prefetch=False)
-        )
+        session = ExplorationSession(profile=PROFILE)
         session.load_column("m", data)
         view = session.show_column("m")
         session.choose_summary(view, k=10)

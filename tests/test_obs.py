@@ -23,7 +23,6 @@ from repro.obs import (
     nearest_rank,
     render_exposition,
     stitch_traces,
-    trace_event,
     trace_span,
 )
 from repro.obs.registry import Histogram
@@ -63,7 +62,6 @@ class TestTracer:
     def test_untraced_span_helpers_are_noops(self):
         with trace_span("kernel_exec", object="c") as span:
             assert span is None
-        trace_event("cache_lookup", hits=3)  # must not raise
         assert current_trace_context() is None
 
     def test_root_and_children_form_a_tree(self):
@@ -72,12 +70,13 @@ class TestTracer:
             with trace_span("kernel_exec", gesture="slide") as kexec:
                 with trace_span("crack", column="c"):
                     pass
-            trace_event("cache_lookup", hits=2, misses=1)
+            with trace_span("tail_scan", rows=2):
+                pass
         trace = tracer.recorder.drain()[0]
         assert trace.root.name == "slide"
         assert trace.root.tags == {"session": "s1"}
         names = {span.name for span in trace.spans}
-        assert names == {"slide", "kernel_exec", "crack", "cache_lookup"}
+        assert names == {"slide", "kernel_exec", "crack", "tail_scan"}
         (crack,) = trace.find("crack")
         assert crack.parent_id == kexec.span_id
         assert trace.tree()[0]["children"]

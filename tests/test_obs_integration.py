@@ -232,7 +232,7 @@ class TestServerTelemetry:
             assert storage["rows_gathered"] > 0
             assert storage["chunk_misses"] > 0
             assert storage["bytes_cached"] > 0
-            assert storage["cache_capacity_bytes"] == 1 << 20
+            assert storage["chunk_budget_bytes"] == 1 << 20
             telemetry = server.telemetry_snapshot()
             assert telemetry["storage_chunk_misses"] == storage["chunk_misses"]
             # the paged tier shows up inside the tap's trace too

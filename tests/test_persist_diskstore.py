@@ -340,10 +340,7 @@ class TestGatherThroughTheMapping:
             envelopes = service.run(script)
             selection = service.select_where("v")
             results[label] = (
-                [
-                    (e.entries_returned, e.tuples_examined, e.cache_hits, e.prefetch_hits)
-                    for e in envelopes
-                ],
+                [(e.entries_returned, e.tuples_examined) for e in envelopes],
                 selection.rowids.tolist(),
                 selection.selected["b"].tobytes(),
             )

@@ -35,7 +35,7 @@ CHUNK_ROWS = 4096
 #: Chunk-cache budget (bytes) deliberately far below the dataset size.
 CACHE_BYTES = 64 * 1024
 
-COUNTER_KEYS = ("entries_returned", "tuples_examined", "cache_hits", "prefetch_hits")
+COUNTER_KEYS = ("entries_returned", "tuples_examined")
 
 
 def make_data():

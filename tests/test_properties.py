@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.caching import TouchCache
 from repro.core.result_stream import ResultStream
 from repro.core.touch_mapping import TouchMapper
 from repro.engine.aggregate import make_aggregate
@@ -181,32 +180,6 @@ class TestCrackerProperties:
         ordered = np.asarray(values)[rowids]
         assert (ordered[:-1] <= ordered[1:]).all()
         assert np.array_equal(run.keys, np.sort(run.keys))
-
-
-class TestCacheProperties:
-    @given(
-        operations=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=64)
-            ),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    def test_cache_size_never_exceeds_capacity(self, operations):
-        cache = TouchCache(capacity=16, bucket_rows=4)
-        for rowid, stride in operations:
-            cache.put("obj", rowid, rowid, stride)
-        assert len(cache) <= 16
-        assert cache.stats.insertions == len(operations)
-
-    @given(rowids=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=100))
-    def test_get_after_put_always_hits(self, rowids):
-        cache = TouchCache(capacity=10_000, bucket_rows=1)
-        for rowid in rowids:
-            cache.put("obj", rowid, rowid * 2)
-        for rowid in rowids:
-            assert cache.get("obj", rowid) == rowid * 2
 
 
 class TestResultStreamProperties:

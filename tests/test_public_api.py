@@ -168,7 +168,6 @@ CALLERLESS = {
     # read-only observers a test needs and no live API replaces
     "ExplorationSession.recording",
     "FrameDecoder.pending_bytes",
-    "GesturePrefetcher.num_observations",
     "IndexManager.tracked_keys",
     "PagedColumn.chunk_range",
     "RemoteExplorationClient.local_sample",
@@ -335,10 +334,7 @@ class TestTopLevelExports:
 
         assert [field.name for field in fields(KernelConfig)] == [
             "latency_budget_s",
-            "enable_prefetch",
-            "enable_cache",
             "enable_samples",
-            "cache_capacity",
             "sample_factor",
             "fade_seconds",
             "batch_execution",

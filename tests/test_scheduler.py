@@ -499,8 +499,6 @@ class TestSessionMetricsConcurrency:
             backend="local",
             entries_returned=entries,
             tuples_examined=tuples,
-            cache_hits=1,
-            prefetch_hits=1,
             duration_s=0.5,
         )
 
@@ -548,8 +546,6 @@ class TestSessionMetricsConcurrency:
             "commands": 1,
             "entries_returned": 3,
             "tuples_examined": 7,
-            "cache_hits": 1,
-            "prefetch_hits": 1,
         }
 
 

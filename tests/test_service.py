@@ -335,8 +335,6 @@ class TestMultiSessionServer:
             "commands",
             "entries_returned",
             "tuples_examined",
-            "cache_hits",
-            "prefetch_hits",
         }
 
     def test_index_stats_sums_private_managers(self):

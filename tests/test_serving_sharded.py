@@ -190,8 +190,6 @@ class TestWireServing:
         for wire, local in zip(got, expected):
             assert wire.entries_returned == local.entries_returned
             assert wire.tuples_examined == local.tuples_examined
-            assert wire.cache_hits == local.cache_hits
-            assert wire.prefetch_hits == local.prefetch_hits
 
     def test_stats_aggregates_across_workers(self, server):
         sessions = [f"stats-{i}" for i in range(6)]

@@ -1,7 +1,7 @@
 """The north star as a property: no command's work grows with the column.
 
 dbTouch answers every touch from a bounded amount of data — a sample
-level, a summary window, a cached entry — so what a command costs should
+level, a summary window, one row per touch — so what a command costs should
 depend on the gesture, not on how many rows sit behind the view.  This
 guard runs one seeded script covering every registered
 :class:`~repro.core.commands.GestureCommand` kind (plus a first and a
@@ -17,11 +17,7 @@ each step to two rules:
   square-root law: at most ``2 * (isqrt(n - 1) + 1)`` values inspected, and
   nothing gathered beyond them and the matches.
 
-Peaks are traced with the default kernel (every cache on).  Work is
-counted on a second run with the touch cache and the prefetcher off:
-which touches those serve depends on where touch positions round to
-rowids, and that rounding moves the count by a few tuples either way
-between sizes (4 vs 6 tuples examined on this script's slide path).
+Peaks and work come from one run of the default kernel at each size.
 
 Steps known to grow with the column are listed in :data:`KNOWN_O_N`, each
 with the change that removes it.  The list can only shrink: an entry that
@@ -170,9 +166,8 @@ class Step:
     rows_scanned: int = 0
 
 
-#: The run whose traced peaks are compared, and the run whose work is.
-TRACED = KernelConfig(latency_budget_s=1e6)
-COUNTED = KernelConfig(latency_budget_s=1e6, enable_cache=False, enable_prefetch=False)
+#: The kernel every run uses.
+CONFIG = KernelConfig(latency_budget_s=1e6)
 
 
 def open_service(
@@ -267,17 +262,16 @@ def violations(tmp_path_factory) -> dict[str, dict[str, list[str]]]:
         paged = layout == "paged"
         # one small run first, so one-off process costs (lazy imports,
         # first-use caches) land on neither measured size
-        measure(2_000, paged, tmp_path_factory.mktemp(f"{layout}-warm"), TRACED)
-        traced, counted = (
-            [measure(n, paged, tmp_path_factory.mktemp(f"{layout}-{n}"), config) for n in SIZES]
-            for config in (TRACED, COUNTED)
+        measure(2_000, paged, tmp_path_factory.mktemp(f"{layout}-warm"), CONFIG)
+        small, large = (
+            measure(n, paged, tmp_path_factory.mktemp(f"{layout}-{n}"), CONFIG) for n in SIZES
         )
         found[layout] = {
             name: why
-            for name in traced[0]
+            for name in small
             if (
-                why := peak_growth(traced[0][name], traced[1][name])
-                + work_growth(counted[0][name], counted[1][name], N)
+                why := peak_growth(small[name], large[name])
+                + work_growth(small[name], large[name], N)
             )
         }
     return found

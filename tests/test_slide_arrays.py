@@ -1,8 +1,14 @@
-"""A slide's bookkeeping is arrays: each array pass equals the loop it replaced.
+"""A slide's bookkeeping is arrays: no Python runs per touch.
+
+* **Counted, no clock.**  Under ``sys.settrace``, the line events executed
+  in ``core/batch.py`` and ``core/result_stream.py`` during one batch
+  ``Slide`` through :meth:`LocalExplorationService.execute` are counted for
+  a 40-touch and a 400-touch stream, in memory and paged.  The counts are
+  equal, with no function left out: the executor reads, filters and emits
+  with whole-array passes, whatever the touch count.
 
 Hypothesis properties, one per pass the batch slide path runs instead of a
-Python loop per touch (the settrace guard in ``tests/test_cache_slots.py``
-counts that no such loop is left but the prefetched-set walk):
+Python loop per touch:
 
 * **Columnar emission.**  :meth:`ResultStream.emit_batch` followed by the
   derived :class:`ResultValue` view equals a loop of :meth:`ResultStream.emit`
@@ -11,21 +17,98 @@ counts that no such loop is left but the prefetched-set walk):
   rejection of a bad batch.
 * **Visible window.**  :meth:`ResultStream.visible_at` equals the walk over
   the whole history it replaced, in order, results and opacities.
-* **Proposal pass.**  :meth:`GesturePrefetcher.propose_batch` equals
-  ``observe`` + ``propose`` per touch over gestures that carry the
-  observation window across, for every history length.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.prefetch import GesturePrefetcher
+import repro.core.batch as batch
+import repro.core.result_stream as result_stream
+from repro.core.actions import scan_action
+from repro.core.commands import ChooseAction, ShowColumn, Slide
+from repro.core.kernel import KernelConfig
 from repro.core.result_stream import ResultStream, ResultValue, VisibleResult
 from repro.errors import VisualizationError
+from repro.persist.diskstore import DiskColumnStore
+from repro.persist.snapshot import StoreCatalog
+from repro.service import LocalExplorationService
+from repro.storage.column import Column
+from repro.touchio.device import DeviceProfile
+
+# --------------------------------------------------------------------- #
+# counted: a slide's Python work does not grow with its touches
+# --------------------------------------------------------------------- #
+PROFILE = DeviceProfile(
+    name="slide-arrays",
+    screen_width_cm=20.0,
+    screen_height_cm=15.0,
+    sampling_rate_hz=60.0,
+    finger_width_cm=0.08,
+)
+ROWS = 200_000
+SLIDE_MODULES = (batch, result_stream)
+
+
+def _service(paged: bool, root) -> LocalExplorationService:
+    values = np.random.default_rng(3).integers(0, 1_000_000, ROWS, dtype=np.int64)
+    service = LocalExplorationService(profile=PROFILE, config=KernelConfig(latency_budget_s=1e6))
+    if paged:
+        catalog = StoreCatalog(DiskColumnStore(root))
+        catalog.persist_column(Column("col", values), chunk_rows=1024)
+        StoreCatalog.open_read_only(root, cache_bytes=1 << 20).attach(service.catalog)
+    else:
+        service.load_column("col", values)
+    service.execute(ShowColumn(object_name="col", view_name="c"))
+    service.execute(ChooseAction(view="c", action=scan_action()))
+    return service
+
+
+def _traced_slide(service, touches: int, start: float, end: float):
+    """One slide of ``touches`` samples; returns (outcome, {file: lines run})."""
+    lines = {module.__file__: 0 for module in SLIDE_MODULES}
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code.co_filename] += 1
+        return count_lines
+
+    def on_call(frame, event, arg):
+        return count_lines if frame.f_code.co_filename in lines else None
+
+    command = Slide(
+        view="c",
+        duration=(touches - 1) / PROFILE.sampling_rate_hz,
+        start_fraction=start,
+        end_fraction=end,
+    )
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        envelope = service.execute(command)
+    finally:
+        sys.settrace(previous)
+    return envelope.payload, lines
+
+
+@pytest.mark.parametrize("paged", [False, True], ids=["in_memory", "paged"])
+def test_a_slide_runs_the_same_python_lines_for_40_and_400_touches(paged, tmp_path):
+    service = _service(paged, tmp_path)
+    service.execute(Slide(view="c", duration=0.5))
+    counted = {}
+    for touches, start, end in ((40, 0.1, 0.4), (400, 0.9, 0.05)):
+        outcome, lines = _traced_slide(service, touches, start, end)
+        assert len(outcome.rowids_touched) >= 0.9 * touches
+        assert len(outcome.results) == outcome.entries_returned > 0
+        counted[touches] = lines
+    assert all(counted[40].values()), counted[40]  # every module ran
+    assert counted[40] == counted[400]
+
 
 # --------------------------------------------------------------------- #
 # columnar emission: emit_batch + the derived view equal an emit loop
@@ -170,44 +253,3 @@ def test_visible_at_equals_the_history_walk(
     for rowid, step in enumerate(sorted(singles)):  # then an open chunk of single emits
         stream.emit(f"v{rowid}", rowid, 0.5, times[-1] + step if times else step)
     assert stream.visible_at(now) == _walk_visible(stream, list(stream), now)
-
-
-# --------------------------------------------------------------------- #
-# the proposal pass equals observe + propose per touch
-# --------------------------------------------------------------------- #
-TOUCH = st.tuples(
-    st.sampled_from([0.0, 0.0, 1e-10, 0.01, 0.03, 0.2]),  # time step, pauses included
-    st.integers(-400, 400),  # rowid step
-    st.integers(-2, 300),  # stride, including the clamp to 1
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    history=st.sampled_from([2, 3, 8]),
-    num_tuples=st.sampled_from([0, 1, 500, 100_000]),
-    gestures=st.lists(st.lists(TOUCH, min_size=1, max_size=30), min_size=1, max_size=4),
-)
-def test_propose_batch_equals_observe_and_propose(history, num_tuples, gestures):
-    sequential = GesturePrefetcher(history=history, max_prefetch=16)
-    batched = GesturePrefetcher(history=history, max_prefetch=16)
-    clock, rowid = 0.0, max(0, num_tuples // 2)
-    for gesture in gestures:
-        times, rowids, strides = [], [], []
-        for step_t, step_r, stride in gesture:
-            clock += step_t
-            rowid = min(max(0, rowid + step_r), max(0, num_tuples - 1))
-            times.append(clock)
-            rowids.append(rowid)
-            strides.append(stride)
-        expected = []
-        for touch, (t, r, s) in enumerate(zip(times, rowids, strides)):
-            sequential.observe(t, r)
-            expected += [(p, touch) for p in sequential.propose(num_tuples, stride=s)]
-        rows, proposer = batched.propose_batch(
-            np.array(times), np.array(rowids), np.array(strides), num_tuples
-        )
-        assert list(zip(rows.tolist(), proposer.tolist())) == expected
-        assert batched.prefetches_issued == sequential.prefetches_issued
-        assert batched.estimate() == sequential.estimate()
-        assert batched.num_observations == sequential.num_observations
