@@ -91,7 +91,7 @@ def serving_run(workload):
         serial_server = MultiSessionServer(service_factory=pinned_factory)
         concurrent_server = MultiSessionServer(
             service_factory=pinned_factory,
-            scheduler=SchedulerConfig(num_workers=WORKERS, result_retention=4096),
+            scheduler=SchedulerConfig(num_workers=WORKERS),
         )
         servers.extend([serial_server, concurrent_server])
         serial_wall, serial_envelopes = replay(serial_server, workload)

@@ -108,7 +108,7 @@ def run_inprocess(snapshot_root, scripts) -> tuple[float, dict]:
         service_factory=lambda: LocalExplorationService(
             config=KernelConfig(latency_budget_s=1e6)
         ),
-        scheduler=SchedulerConfig(num_workers=SHARDS, result_retention=8192),
+        scheduler=SchedulerConfig(num_workers=SHARDS),
     )
     server.load_shared_store(StoreCatalog.open_read_only(snapshot_root))
     try:

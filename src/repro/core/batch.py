@@ -184,10 +184,10 @@ class BatchSlideExecutor:
         timestamps = batch.timestamps[keep]
         n = int(rowids.size)
 
-        values, levels = self._serve_values(state, rowids, strides, outcome)
+        values, levels, read_rowids = self._serve_values(state, rowids, strides, outcome)
         outcome.rowids_touched = rowids
         self._count_levels(outcome, levels)
-        self._apply_action(state, outcome, rowids, values, fractions, timestamps)
+        self._apply_action(state, outcome, read_rowids, values, fractions, timestamps)
 
         state.last_rowid = int(rowids[-1])
         state.current_stride = int(strides[-1])
@@ -217,13 +217,13 @@ class BatchSlideExecutor:
     # ------------------------------------------------------------------ #
     def _serve_values(self, state, rowids, strides, outcome):
         """Serve one value per processed touch, each from its own row, in
-        one batched read.  Returns ``(values, levels)`` and counts the
-        tuples read into the outcome."""
+        one batched read.  Returns ``(values, levels, rowids_read)`` and
+        counts the tuples read into the outcome."""
         if state.action.kind is ActionKind.SUMMARY:
             state.summarizer.k = self._kernel._effective_summary_k(state)
-        values, tuples, levels = self._read_rows(state, rowids, strides)
+        values, tuples, levels, read_rowids = self._read_rows(state, rowids, strides)
         outcome.tuples_examined += tuples
-        return values, levels
+        return values, levels, read_rowids
 
     # ------------------------------------------------------------------ #
     # applying the query action
@@ -235,7 +235,8 @@ class BatchSlideExecutor:
         touches without results, select-where projects the qualifying
         tuples' selected attributes, running aggregates display their
         evolving value, and every displayed value is emitted into the
-        result stream at the touch's position and timestamp.
+        result stream at the touch's position and timestamp, tagged with
+        the row it was read from (``rowids``).
         """
         action = state.action
         if action.predicate is not None:
@@ -269,17 +270,19 @@ class BatchSlideExecutor:
         """Read values for an array of rowids the way the per-touch path
         would: summaries through the summarizer, select-where through the
         where attribute, column scans through the sample hierarchy.
-        Returns ``(values, tuples_read, levels)``, ``tuples_read`` the
-        total over the rowids."""
+        Returns ``(values, tuples_read, levels, rowids_read)``,
+        ``tuples_read`` the total over the rowids and ``rowids_read`` the
+        row each value came from: ``r - r % step`` for a sample level of
+        that step, the touched rowid for a summary window."""
         action = state.action
         if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
             values, counts, levels = state.summarizer.summarize_batch(rowids, strides)
-            return values, int(counts.sum()), levels
+            return values, int(counts.sum()), levels, rowids
         m = int(rowids.size)
         if state.hierarchy is not None and self._kernel.config.enable_samples:
             # only column objects carry a hierarchy
             values, levels = state.hierarchy.read_batch(rowids, strides)
-            return values, m, levels
+            return values, m, levels, rowids - rowids % state.hierarchy.steps[levels]
         # reads go through Column.read_batch (not raw fancy indexing) so
         # out-of-core paged columns gather through mapping *and* append tail
-        return state.read_target()[0].read_batch(rowids), m, np.zeros(m, dtype=np.int64)
+        return state.read_target()[0].read_batch(rowids), m, np.zeros(m, dtype=np.int64), rowids

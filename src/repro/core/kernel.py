@@ -73,8 +73,6 @@ class KernelConfig:
         benchmarks switch it off).
     sample_factor:
         Down-sampling factor between consecutive sample-hierarchy levels.
-    fade_seconds:
-        How long a displayed result value stays visible.
     batch_execution:
         Execute eligible slide gestures as one vectorized batch
         (:class:`repro.core.batch.BatchSlideExecutor`) instead of the
@@ -96,7 +94,6 @@ class KernelConfig:
     latency_budget_s: float = 0.05
     enable_samples: bool = True
     sample_factor: int = 4
-    fade_seconds: float = 1.5
     batch_execution: bool = True
     enable_indexing: bool = True
 
@@ -124,9 +121,12 @@ class GestureOutcome:
 
     ``rowids_touched`` is an ``int64`` array.  A batch slide hands over its
     emitted results as ``result_columns`` (the
-    :class:`~repro.core.result_stream.ResultColumns` chunk its result
-    stream also holds); :attr:`results` is their :class:`ResultValue`
-    view, built on first read — the per-touch paths fill it as they emit.
+    :class:`~repro.core.result_stream.ResultColumns` chunk it handed its
+    result stream, which keeps only the newest ``max_visible``);
+    :attr:`results` is their :class:`ResultValue` view, built on first
+    read — the per-touch paths fill it as they emit.  A result's rowid is
+    the row its value was read from: at stride > 1 the sample row that
+    served it, which ``rowids_touched`` does not report.
     ``per_touch_latencies_s`` is a ``float64`` array: measured per touch on
     the per-touch paths, the one amortized latency per touch on the batch
     path.
@@ -252,11 +252,6 @@ class DbTouchKernel:
         self.index_manager: IndexManager | None = (
             IndexManager() if self.config.enable_indexing else None
         )
-        #: Retention bound handed to every view's result stream: the oldest
-        #: (long-faded) displayed values are dropped beyond it.  ``None``
-        #: retains the full history; the owning service sets it so
-        #: unserviced sessions stay memory-bounded.
-        self.result_retention: int | None = None
         self._states: dict[str, _ObjectState] = {}
         self._joins: dict[frozenset[str], SymmetricHashJoin] = {}
         # deferred import: repro.core.batch imports GestureOutcome from here
@@ -305,7 +300,7 @@ class DbTouchKernel:
             table=None,
             column_name=column_name,
             hierarchy=hierarchy,
-            results=self._make_result_stream(),
+            results=ResultStream(),
         )
         return view
 
@@ -340,33 +335,15 @@ class DbTouchKernel:
             object_name=table_name,
             column=None,
             table=table,
-            results=self._make_result_stream(),
+            results=ResultStream(),
         )
         return view
-
-    def _make_result_stream(self) -> ResultStream:
-        return ResultStream(
-            fade_seconds=self.config.fade_seconds,
-            max_retained=self.result_retention,
-        )
 
     def state_of(self, view_name: str) -> _ObjectState:
         """Return the kernel state attached to a view (primarily for tests)."""
         if view_name not in self._states:
             raise ExecutionError(f"no data object is shown under view {view_name!r}")
         return self._states[view_name]
-
-    def iter_result_streams(self):
-        """Yield ``(view_name, ResultStream)`` for every shown data object.
-
-        The serving layer uses this for result-stream backpressure: after a
-        session's command executes (still under the scheduler's session
-        affinity, so no lock is needed) the server trims each stream to the
-        configured retention bound.
-        """
-        for view_name, state in self._states.items():
-            if state.results is not None:
-                yield view_name, state.results
 
     # ------------------------------------------------------------------ #
     # object-data mutation hooks
@@ -771,7 +748,7 @@ class DbTouchKernel:
         state.last_timestamp = event.timestamp
 
         action = state.action
-        value, tuples_read, level = self._read_value(state, mapped, stride)
+        value, tuples_read, level, read_rowid = self._read_value(state, mapped, stride)
         outcome.tuples_examined += tuples_read
         outcome.served_level_counts[level] = outcome.served_level_counts.get(level, 0) + 1
 
@@ -811,7 +788,7 @@ class DbTouchKernel:
 
         if display_value is not None:
             result = state.results.emit(
-                display_value, mapped.rowid, mapped.fraction, event.timestamp
+                display_value, read_rowid, mapped.fraction, event.timestamp
             )
             outcome.results.append(result)
             outcome.entries_returned += 1
@@ -845,13 +822,16 @@ class DbTouchKernel:
         state: _ObjectState,
         mapped: MappedTouch,
         stride: int,
-    ) -> tuple[object, int, int]:
+    ) -> tuple[object, int, int, int]:
         """Read the data a touch points at, via samples or base data.
 
-        Returns (value, tuples_read, sample_level_served_from).
+        Returns (value, tuples_read, sample_level_served_from, rowid_read):
+        a sample level of step ``s`` serves rowid ``r`` from row
+        ``r - r % s``; a summary's rowid is the touched one, the centre of
+        its window.
         """
         action = state.action
-        level, tuples_read = 0, 1
+        level, tuples_read, rowid = 0, 1, mapped.rowid
         if action.kind is ActionKind.SUMMARY and state.summarizer is not None:
             state.summarizer.k = self._effective_summary_k(state)
             summary = state.summarizer.summarize_at(mapped.rowid, stride_hint=stride)
@@ -862,10 +842,11 @@ class DbTouchKernel:
             # only column objects carry a sample hierarchy
             value, sample_level = state.hierarchy.read_at(mapped.rowid, stride)
             level = sample_level.level
+            rowid -= rowid % sample_level.step
         else:
             value = state.read_target(mapped.attribute_index)[0].value_at(mapped.rowid)
 
-        return value, tuples_read, level
+        return value, tuples_read, level, rowid
 
     # ------------------------------------------------------------------ #
     # zoom: change the object size, hence the touch granularity

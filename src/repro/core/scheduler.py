@@ -28,10 +28,9 @@ see the README's "Serving many users" section.)
 :class:`repro.errors.AdmissionError` once the global pending count reaches
 ``max_pending`` (load shedding), and a full per-session queue blocks the
 submitting producer for up to ``submit_block_s`` before rejecting
-(backpressure).  The hosting server pairs this with a retention bound on
-each session's :class:`repro.core.result_stream.ResultStream`
-(``result_retention``, armed once per session), so an unserviced display
-stream cannot grow without bound either.
+(backpressure).  What a session holds needs no such bound: each view's
+:class:`repro.core.result_stream.ResultStream` is a fixed ring of the
+results its screen can show, so an unserviced display cannot grow either.
 
 Think-time pacing: every work item carries a ``think_s`` delay — the gap a
 user leaves between receiving one result and issuing the next gesture.
@@ -80,19 +79,12 @@ class SchedulerConfig:
         ``submit_block_s`` elapses, then raises ``AdmissionError``.
     submit_block_s:
         How long a backpressured submit may block before being rejected.
-    result_retention:
-        When set, the hosting server bounds each session's result streams
-        to at most this many retained values — armed once at session open
-        and enforced by the streams at emission time (per-session
-        backpressure on the display stream).  ``None`` leaves streams
-        unbounded.
     """
 
     num_workers: int = 4
     max_pending: int = 4096
     max_session_pending: int = 512
     submit_block_s: float = 5.0
-    result_retention: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -103,8 +95,6 @@ class SchedulerConfig:
             raise ServiceError("max_session_pending must be at least 1")
         if self.submit_block_s < 0:
             raise ServiceError("submit_block_s cannot be negative")
-        if self.result_retention is not None and self.result_retention < 1:
-            raise ServiceError("result_retention must be at least 1 (or None)")
 
 
 @dataclass

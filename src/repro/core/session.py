@@ -14,8 +14,8 @@ serializable :class:`repro.core.commands.GestureCommand` and calls
 session speaks commands, any interactive run can be recorded with
 :meth:`record` and replayed later as a :class:`GestureScript` on any
 backend.  The session also keeps a running :class:`SessionSummary`,
-updated per gesture, so :meth:`summary` is O(1) regardless of history
-length.
+updated per gesture, and the last outcome: what it holds does not grow
+with the number of gestures, and :meth:`summary` is O(1).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ExplorationSession:
                 profile=profile, config=config, jitter_cm=jitter_cm, seed=seed
             )
         self._service = service
-        self.history: list[GestureOutcome] = []
+        self._last: GestureOutcome | None = None
         self._summary = SessionSummary()
         self._recording: GestureScript | None = None
         self._trace: list[TimedCommand] | None = None
@@ -217,7 +217,7 @@ class ExplorationSession:
         return trace
 
     def run(self, script: GestureScript) -> list[OutcomeEnvelope]:
-        """Replay a script through this session (outcomes land in history)."""
+        """Replay a script through this session (outcomes land in its summary)."""
         commands = list(script)
         if script is self._recording:
             # replaying the live recording: suspend recording so the replayed
@@ -233,7 +233,7 @@ class ExplorationSession:
     # session lifecycle
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Recycle the session: fresh backend state, empty history/summary.
+        """Recycle the session: fresh backend state, empty summary.
 
         Long-running drivers can reuse one session object for many
         independent explorations without leaking catalog or view state.
@@ -243,7 +243,7 @@ class ExplorationSession:
         """
         if self._owns_service:
             self._service.reset()
-        self.history = []
+        self._last = None
         self._summary = SessionSummary()
         self._recording = None
         self._trace = None
@@ -405,7 +405,7 @@ class ExplorationSession:
         return view.name if isinstance(view, View) else view
 
     def _record(self, outcome: GestureOutcome) -> GestureOutcome:
-        self.history.append(outcome)
+        self._last = outcome
         summary = self._summary
         summary.gestures += 1
         for name in DETERMINISTIC_COUNTERS:
@@ -545,12 +545,12 @@ class ExplorationSession:
         """Aggregate statistics over every gesture executed so far.
 
         The summary is maintained incrementally as gestures execute, so
-        this is O(1) in the length of the history.
+        this is O(1) in the number of gestures.
         """
         return replace(self._summary)
 
     def last_outcome(self) -> GestureOutcome:
         """The most recent gesture outcome."""
-        if not self.history:
+        if self._last is None:
             raise QueryError("no gestures have been executed in this session yet")
-        return self.history[-1]
+        return self._last

@@ -242,7 +242,6 @@ class LocalExplorationService:
         self.jitter_cm = jitter_cm
         self.seed = seed
         self._shared_index: IndexManager | None = None
-        self._result_retention: int | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -250,7 +249,6 @@ class LocalExplorationService:
         self.catalog = Catalog()
         self.device = TouchDevice(self.profile)
         self.kernel = DbTouchKernel(self.catalog, self.device, self.config)
-        self.kernel.result_retention = self._result_retention
         self.synthesizer = GestureSynthesizer(
             self.profile, jitter_cm=self.jitter_cm, seed=self.seed
         )
@@ -475,30 +473,6 @@ class LocalExplorationService:
         bit-identical to a full scan either way.
         """
         return self.kernel.select_where(view, predicate)
-
-    # ------------------------------------------------------------------ #
-    # result-stream backpressure (used by the concurrent serving engine)
-    # ------------------------------------------------------------------ #
-    def result_drops(self) -> int:
-        """Total result values dropped by retention across all shown views."""
-        return sum(
-            stream.total_dropped for _, stream in self.kernel.iter_result_streams()
-        )
-
-    def set_result_retention(self, max_retained: int | None) -> None:
-        """Bound every result stream (current and future) to ``max_retained``.
-
-        The bound is the service's own, not its ``KernelConfig``'s, and it
-        survives :meth:`reset`.  Retention is then enforced at emission time by
-        :class:`repro.core.result_stream.ResultStream` itself — the
-        mechanism :class:`MultiSessionServer` arms once per session at
-        ``open_session`` when ``SchedulerConfig.result_retention`` is set.
-        """
-        self._result_retention = max_retained
-        self.kernel.result_retention = max_retained
-        for _, stream in self.kernel.iter_result_streams():
-            stream.max_retained = max_retained
-            stream.trim()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -755,7 +729,6 @@ class MultiSessionServer:
         self._shared_stores: list[StoreCatalog] = []
         if isinstance(scheduler, int):
             scheduler = SchedulerConfig(num_workers=scheduler)
-        self._scheduler_config = scheduler
         self._scheduler: GestureScheduler | None = (
             GestureScheduler(config=scheduler) if scheduler is not None else None
         )
@@ -835,13 +808,6 @@ class MultiSessionServer:
             service = self._factory()
             if attach_shared:
                 self._attach_shared(service)
-            config = self._scheduler_config
-            if config is not None and config.result_retention is not None:
-                set_retention = getattr(service, "set_result_retention", None)
-                if set_retention is not None:
-                    # result backpressure: streams enforce the bound at
-                    # emission time for the session's whole lifetime
-                    set_retention(config.result_retention)
             self._services[session_id] = service
             self._metrics[session_id] = SessionMetrics()
         try:
@@ -1292,7 +1258,6 @@ class MultiSessionServer:
         """Totals, latency percentiles and throughput across open sessions."""
         with self._lock:
             sessions = list(self._metrics.values())
-            services = list(self._services.values())
         pooled: list[float] = []
         firsts: list[float] = []
         lasts: list[float] = []
@@ -1308,13 +1273,6 @@ class MultiSessionServer:
                 name: float(sum(getattr(m, name) for m in sessions))
                 for name in ("commands", *_SESSION_TOTALS, "wall_seconds")
             },
-            "results_dropped": float(
-                sum(
-                    drops()
-                    for s in services
-                    if (drops := getattr(s, "result_drops", None)) is not None
-                )
-            ),
             "max_command_wall_s": max(
                 (m.max_command_wall_s for m in sessions), default=0.0
             ),

@@ -12,7 +12,10 @@ topology.  :func:`worker_main` runs in a child process spawned by
   the page cache instead of holding N copies;
 * **host a scheduler-mode** :class:`repro.service.MultiSessionServer` —
   sessions pinned to this worker run concurrently on its thread pool with
-  the usual per-session FIFO and admission guarantees;
+  the usual per-session FIFO and admission guarantees; a session's state
+  does not grow with its length (its result streams are fixed rings of
+  what the screen shows), so a long-lived session costs a worker no more
+  memory than a short one;
 * **serve the command pipe** — requests arrive as plain dicts over a
   :mod:`multiprocessing` pipe, gesture work is queued on the scheduler
   (the pipe loop never blocks on a gesture), and responses are written
@@ -64,9 +67,6 @@ class WorkerConfig:
         The worker-local :class:`repro.core.scheduler.SchedulerConfig`
         knobs; admission here is the per-shard backstop behind the front
         door's shed layer.
-    result_retention:
-        Per-session result-stream bound (``None`` leaves streams
-        unbounded).
     latency_budget_s:
         Pin for :attr:`repro.core.kernel.KernelConfig.latency_budget_s`.
         The default pins it effectively-infinite so outcome counters stay
@@ -89,7 +89,6 @@ class WorkerConfig:
     scheduler_workers: int = 4
     max_pending: int = 4096
     max_session_pending: int = 512
-    result_retention: int | None = 4096
     latency_budget_s: float | None = 1e6
     cache_bytes: int = 64 << 20
     trace_sample_rate: float | None = None
@@ -120,7 +119,6 @@ def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServe
             num_workers=config.scheduler_workers,
             max_pending=config.max_pending,
             max_session_pending=config.max_session_pending,
-            result_retention=config.result_retention,
         ),
         tracing=tracing,
     )

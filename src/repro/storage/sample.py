@@ -75,6 +75,8 @@ class SampleHierarchy:
         self.min_rows = min_rows
         self._levels: list[SampleLevel] = [SampleLevel(0, 1, column)]
         self._build()
+        #: each level's step, finest (the base's 1) first
+        self.steps = np.array([lvl.step for lvl in self._levels], dtype=np.int64)
 
     def _build(self) -> None:
         step = self.factor
@@ -119,6 +121,7 @@ class SampleHierarchy:
             lvl if lvl.level == i else replace(lvl, level=i)
             for i, lvl in enumerate(combined)
         ]
+        hierarchy.steps = np.array(steps, dtype=np.int64)
         return hierarchy
 
     def share(self) -> "SampleHierarchy":
@@ -198,13 +201,12 @@ class SampleHierarchy:
     def level_index_for_strides(self, strides: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`level_for_stride`: one level index per stride.
 
-        ``_levels`` is kept sorted by step (the base level has step 1), so
-        the coarsest level whose step still resolves each stride is found
-        with one ``searchsorted`` pass.
+        ``steps`` is sorted (the base level has step 1), so the coarsest
+        level whose step still resolves each stride is found with one
+        ``searchsorted`` pass.
         """
-        steps = np.asarray([lvl.step for lvl in self._levels], dtype=np.int64)
         wanted = np.maximum(1, np.asarray(strides, dtype=np.int64))
-        return np.maximum(0, np.searchsorted(steps, wanted, side="right") - 1)
+        return np.maximum(0, np.searchsorted(self.steps, wanted, side="right") - 1)
 
     def read_batch(
         self, base_rowids: np.ndarray, stride_hints: np.ndarray

@@ -212,17 +212,20 @@ class GestureSynthesizer:
         """Synthesize a two-finger pinch gesture over the view's center.
 
         A zoom-in spreads the fingers apart (growing spread); a zoom-out
-        pinches them together (shrinking spread).
+        pinches them together (shrinking spread).  The pinch spans a factor
+        of at least 4, so the 0.5 cm side a zoom-out leaves can be zoomed
+        back in.
         """
         if duration <= 0:
             raise GestureError("zoom duration must be positive")
         cx, cy = view.width / 2.0, view.height / 2.0
         max_half = max(0.2, min(view.width, view.height) / 2.5)
+        min_half = min(0.2, max_half / 4.0)
         n_samples = max(3, self.profile.max_touches_for_duration(duration))
         spreads = (
-            np.linspace(0.2, max_half, n_samples)
+            np.linspace(min_half, max_half, n_samples)
             if zoom_in
-            else np.linspace(max_half, 0.2, n_samples)
+            else np.linspace(max_half, min_half, n_samples)
         )
         times = np.linspace(start_time, start_time + duration, n_samples)
         ys = np.column_stack([np.maximum(0.0, cy - spreads), np.minimum(view.height, cy + spreads)])

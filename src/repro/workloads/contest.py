@@ -129,12 +129,13 @@ class DbTouchExplorer:
         fractions, values = self._result_series(coarse)
         candidate = self._most_deviant_region(fractions, values)
         if candidate is None:
+            summary = self.session.summary()
             return ExplorerReport(
                 explorer="dbtouch",
                 found=False,
                 reported_interval=(0.0, 0.0),
-                tuples_examined=self._tuples_examined(),
-                interactions=len(self.session.history),
+                tuples_examined=summary.tuples_examined,
+                interactions=summary.gestures,
             )
 
         # phase 2: zoom in and re-slide only the suspicious neighbourhood
@@ -146,12 +147,13 @@ class DbTouchExplorer:
         refined = self._most_deviant_region(fine_fracs, fine_values)
         center = refined if refined is not None else candidate
         interval = (max(0.0, center - 0.03), min(1.0, center + 0.03))
+        summary = self.session.summary()
         return ExplorerReport(
             explorer="dbtouch",
             found=True,
             reported_interval=interval,
-            tuples_examined=self._tuples_examined(),
-            interactions=len(self.session.history),
+            tuples_examined=summary.tuples_examined,
+            interactions=summary.gestures,
         )
 
     def _result_series(self, outcome) -> tuple[np.ndarray, np.ndarray]:
@@ -195,9 +197,6 @@ class DbTouchExplorer:
             # centre the candidate on the transition between the two summaries
             return float((fractions[worst_jump] + fractions[worst_jump + 1]) / 2.0)
         return float(fractions[worst])
-
-    def _tuples_examined(self) -> int:
-        return sum(o.tuples_examined for o in self.session.history)
 
 
 class SqlExplorer:

@@ -154,6 +154,14 @@ class TestZoomAndGranularity:
         session.zoom_out(view)
         assert view.height < before
 
+    def test_a_zoomed_out_view_zooms_back_in(self, column_session):
+        """A zoom-out leaves the view's short side at 0.5 cm; the next pinch
+        still spans a zoom, so a user can zoom in and out indefinitely."""
+        session, view = column_session
+        for _ in range(3):
+            assert session.zoom_in(view).zoom_scale > 1.0
+            assert session.zoom_out(view).zoom_scale < 1.0
+
     def test_same_speed_slide_after_zoom_in_sees_finer_detail(self, column_session):
         """Figure 2: after zoom-in, the same slide speed returns results with a
         smaller rowid stride (more detail)."""

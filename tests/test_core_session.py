@@ -44,11 +44,9 @@ class TestGestureHistory:
         session.load_column("c", np.arange(10_000))
         view = session.show_column("c")
         session.choose_scan(view)
-        session.slide(view, duration=0.5)
-        session.tap(view)
-        session.zoom_in(view)
-        assert len(session.history) == 3
-        assert session.last_outcome() is session.history[-1]
+        outcomes = [session.slide(view, duration=0.5), session.tap(view), session.zoom_in(view)]
+        assert session.summary().gestures == 3
+        assert session.last_outcome() is outcomes[-1]
 
     def test_last_outcome_empty_history(self, session):
         with pytest.raises(QueryError):
@@ -58,11 +56,10 @@ class TestGestureHistory:
         session.load_column("c", np.arange(10_000))
         view = session.show_column("c")
         session.choose_scan(view)
-        session.slide(view, duration=0.5)
-        session.slide(view, duration=0.5)
+        outcomes = [session.slide(view, duration=0.5), session.slide(view, duration=0.5)]
         summary = session.summary()
         assert summary.gestures == 2
-        assert summary.entries_returned == sum(o.entries_returned for o in session.history)
+        assert summary.entries_returned == sum(o.entries_returned for o in outcomes)
 
     def test_clock_advances_with_gestures(self, session):
         session.load_column("c", np.arange(1000))
@@ -108,17 +105,17 @@ class TestGestureConvenience:
         session.load_column("c", np.arange(50_000))
         view = session.show_column("c")
         session.choose_summary(view, k=10)
-        session.slide(view, duration=0.5)
-        session.tap(view)
-        session.zoom_in(view)
-        session.slide(view, duration=0.3)
+        outcomes = [
+            session.slide(view, duration=0.5),
+            session.tap(view),
+            session.zoom_in(view),
+            session.slide(view, duration=0.3),
+        ]
         summary = session.summary()
-        assert summary.gestures == len(session.history)
-        assert summary.entries_returned == sum(o.entries_returned for o in session.history)
-        assert summary.tuples_examined == sum(o.tuples_examined for o in session.history)
-        assert summary.max_touch_latency_s == max(
-            o.max_touch_latency_s for o in session.history
-        )
+        assert summary.gestures == len(outcomes)
+        assert summary.entries_returned == sum(o.entries_returned for o in outcomes)
+        assert summary.tuples_examined == sum(o.tuples_examined for o in outcomes)
+        assert summary.max_touch_latency_s == max(o.max_touch_latency_s for o in outcomes)
 
     def test_summary_returns_a_snapshot(self, session):
         session.load_column("c", np.arange(1000))
@@ -150,7 +147,8 @@ class TestSessionLifecycle:
         session.choose_scan(view)
         session.slide(view, duration=0.3)
         session.reset()
-        assert session.history == []
+        with pytest.raises(QueryError):
+            session.last_outcome()
         assert session.summary().gestures == 0
         assert "c" not in session.catalog
         assert session.device.now == 0.0
@@ -166,7 +164,9 @@ class TestSessionLifecycle:
             view = session.show_column("c")
             session.choose_scan(view)
             session.slide(view, duration=0.3)
-        assert session.history == []
+        assert session.summary().gestures == 0
+        with pytest.raises(QueryError):
+            session.last_outcome()
         assert "c" not in session.catalog
 
     def test_context_manager_does_not_swallow_exceptions(self):
@@ -212,8 +212,9 @@ class TestRecording:
         session.load_column("c", np.arange(10_000))
         envelopes = session.run(script)
         assert len(envelopes) == 3
-        assert len(session.history) == 1  # only the slide yields an outcome
-        assert session.summary().gestures == 1
+        assert session.summary().gestures == 1  # only the slide yields an outcome
+        assert session.last_outcome() is envelopes[-1].payload
+        assert session.summary().entries_returned == envelopes[-1].entries_returned > 0
 
     def test_reset_discards_live_recording(self, session):
         session.record()
@@ -256,7 +257,9 @@ class TestInjectedService:
             session.choose_scan(view)
             session.slide(view, duration=0.3)
         # the session-side state is gone, the shared backend survives
-        assert session.history == []
+        assert session.summary().gestures == 0
+        with pytest.raises(QueryError):
+            session.last_outcome()
         assert "shared-data" in shared.catalog
         assert shared.device.now > 0.0
 

@@ -336,7 +336,6 @@ class TestTopLevelExports:
             "latency_budget_s",
             "enable_samples",
             "sample_factor",
-            "fade_seconds",
             "batch_execution",
             "enable_indexing",
         ]
@@ -352,7 +351,6 @@ class TestTopLevelExports:
             "scheduler_workers",
             "max_pending",
             "max_session_pending",
-            "result_retention",
             "latency_budget_s",
             "cache_bytes",
             "trace_sample_rate",

@@ -115,8 +115,6 @@ class TestHoldsNoBaseData:
             "select_where",
             "adopt_index_manager",
             "merge_index_tails",
-            "set_result_retention",
-            "result_drops",
         ):
             assert not hasattr(service, probe), probe
 

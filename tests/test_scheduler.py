@@ -40,8 +40,6 @@ class TestSchedulerConfig:
             SchedulerConfig(max_session_pending=0)
         with pytest.raises(ServiceError):
             SchedulerConfig(submit_block_s=-1.0)
-        with pytest.raises(ServiceError):
-            SchedulerConfig(result_retention=0)
 
 
 class TestSchedulerOrdering:
@@ -431,64 +429,53 @@ class TestSchedulerLifecycle:
 
 
 class TestResultStreamRetention:
-    def test_unbounded_by_default(self):
+    """A stream retains the newest ``max_visible`` results: a fixed ring."""
+
+    def test_bounded_by_max_visible_by_default(self):
         stream = ResultStream()
         for i in range(100):
             stream.emit(i, i, 0.5, float(i))
-        assert len(stream) == 100
+        assert stream.max_visible == 50
+        assert len(stream) == 50
         assert stream.total_emitted == 100
-        assert stream.total_dropped == 0
+        assert stream.values == list(range(50, 100))
 
-    def test_max_retained_drops_oldest(self):
-        stream = ResultStream(max_retained=10)
+    def test_the_ring_drops_oldest(self):
+        stream = ResultStream(max_visible=10)
         for i in range(25):
             stream.emit(i, i, 0.5, float(i))
         assert len(stream) == 10
         assert stream.total_emitted == 25
-        assert stream.total_dropped == 15
         assert stream.values == list(range(15, 25))
-        # the newest value is untouched by retention
+        assert [r.rowid for r in stream] == list(range(15, 25))
+        # the newest value is untouched by the bound
         assert stream.values[-1] == 24
 
     def test_emit_batch_respects_retention(self):
-        stream = ResultStream(max_retained=5)
-        stream.emit_batch(
+        stream = ResultStream(max_visible=5)
+        stream.emit(-1, 0, 0.5, 0.0)
+        emitted = stream.emit_batch(
             list(range(12)),
             list(range(12)),
             [0.5] * 12,
             [float(i) for i in range(12)],
         )
         assert len(stream) == 5
-        assert stream.total_dropped == 7
+        assert stream.total_emitted == 13
         assert stream.values == list(range(7, 12))
-
-    def test_manual_trim(self):
-        stream = ResultStream()
-        for i in range(20):
-            stream.emit(i, i, 0.5, float(i))
-        assert stream.trim(8) == 12
-        assert len(stream) == 8
-        assert stream.trim(8) == 0
-        with pytest.raises(VisualizationError):
-            stream.trim(0)
-
-    def test_trim_without_bound_is_noop(self):
-        stream = ResultStream()
-        stream.emit(1, 0, 0.5, 0.0)
-        assert stream.trim() == 0
+        # the gesture keeps its whole batch; only the stream is bounded
+        assert [r.value for r in emitted] == list(range(12))
 
     def test_clear_resets_counters(self):
-        stream = ResultStream(max_retained=3)
+        stream = ResultStream(max_visible=3)
         for i in range(5):
             stream.emit(i, i, 0.5, float(i))
         stream.clear()
         assert len(stream) == 0
         assert stream.total_emitted == 0
-        assert stream.total_dropped == 0
-
-    def test_invalid_retention_rejected(self):
-        with pytest.raises(VisualizationError):
-            ResultStream(max_retained=0)
+        assert list(stream) == []
+        stream.emit(9, 9, 0.5, 0.0)  # no timestamp is left to be behind
+        assert stream.values == [9]
 
 
 class TestSessionMetricsConcurrency:

@@ -18,7 +18,7 @@ from repro.core.commands import (
     UngroupTable,
     ZoomIn,
 )
-from repro.core.kernel import GestureOutcome, KernelConfig
+from repro.core.kernel import GestureOutcome
 from repro.errors import RemoteError, ServiceError
 from repro.remote.client import RemotePolicy
 from repro.remote.network import LAN, WAN, SimulatedLink
@@ -119,27 +119,6 @@ class TestLocalService:
         assert append.to_dict()["payload"] == {"num_rows": 1003}
         assert OutcomeEnvelope.from_dict(append.to_dict()).payload == {"num_rows": 1003}
         assert OutcomeEnvelope.from_dict(slide.to_dict()).payload is None
-
-    def test_result_retention_is_the_services_own(self):
-        """Retention set on one service binds neither a peer built from the
-        same ``KernelConfig`` nor that config, and survives ``reset()``."""
-        config = KernelConfig()
-        bounded = LocalExplorationService(config=config)
-        peer = LocalExplorationService(config=config)
-        bounded.set_result_retention(8)
-
-        def drops(service):
-            service.load_column("m", np.arange(100_000))
-            service.execute(ShowColumn(object_name="m", view_name="v"))
-            service.execute(ChooseAction(view="v", action=scan_action()))
-            service.execute(Slide(view="v", duration=2.0))
-            return service.result_drops()
-
-        assert drops(peer) == 0
-        assert config == KernelConfig()
-        assert drops(bounded) > 0
-        bounded.reset()
-        assert drops(bounded) > 0
 
 
 class TestRemoteService:

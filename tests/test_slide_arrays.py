@@ -12,11 +12,12 @@ Python loop per touch:
 
 * **Columnar emission.**  :meth:`ResultStream.emit_batch` followed by the
   derived :class:`ResultValue` view equals a loop of :meth:`ResultStream.emit`
-  calls on a list-backed model of the stream: history, values, retention,
-  ``trim``, ``total_emitted`` / ``total_dropped``, and the all-or-nothing
+  calls on a list-backed model of the stream bounded by ``max_visible``:
+  the kept results, values, ``total_emitted``, and the all-or-nothing
   rejection of a bad batch.
-* **Visible window.**  :meth:`ResultStream.visible_at` equals the walk over
-  the whole history it replaced, in order, results and opacities.
+* **Visible window.**  :meth:`ResultStream.visible_at` on the ring equals
+  the walk over the whole history, kept by an unbounded list, in order,
+  results and opacities.
 """
 
 from __future__ import annotations
@@ -114,12 +115,13 @@ def test_a_slide_runs_the_same_python_lines_for_40_and_400_touches(paged, tmp_pa
 # columnar emission: emit_batch + the derived view equal an emit loop
 # --------------------------------------------------------------------- #
 class _ListStream:
-    """The list-backed stream the columns replaced: one object per result."""
+    """A list-backed stream: one object per result, the newest ``bound``
+    kept (``None`` keeps them all)."""
 
-    def __init__(self, max_retained):
-        self.max_retained = max_retained
+    def __init__(self, bound):
+        self.bound = bound
         self.history: list[ResultValue] = []
-        self.total_emitted = self.total_dropped = 0
+        self.total_emitted = 0
 
     def emit(self, value, rowid, fraction, timestamp):
         if not 0.0 <= fraction <= 1.0:
@@ -128,14 +130,8 @@ class _ListStream:
             raise VisualizationError("result timestamps must be non-decreasing")
         self.history.append(ResultValue(value, rowid, fraction, timestamp))
         self.total_emitted += 1
-        if self.max_retained is not None:
-            self.trim(self.max_retained)
-
-    def trim(self, bound):
-        overflow = max(0, len(self.history) - bound)
-        del self.history[:overflow]
-        self.total_dropped += overflow
-        return overflow
+        if self.bound is not None:
+            del self.history[: max(0, len(self.history) - self.bound)]
 
 
 RESULT = st.tuples(
@@ -150,7 +146,6 @@ REWIND = st.sampled_from(["none", "inside", "before"])
 OP = st.one_of(
     st.tuples(st.just("emit"), RESULT),
     st.tuples(st.just("batch"), st.lists(RESULT, max_size=12), REWIND),
-    st.tuples(st.just("trim"), st.integers(1, 20)),
 )
 
 
@@ -168,10 +163,10 @@ def _results_at(clock: float, items, rewind: str):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(max_retained=st.sampled_from([None, 1, 5, 17]), ops=st.lists(OP, max_size=25))
-def test_emit_batch_and_its_view_equal_an_emit_loop(max_retained, ops):
-    stream = ResultStream(max_retained=max_retained)
-    model = _ListStream(max_retained)
+@given(max_visible=st.sampled_from([1, 5, 17, 50]), ops=st.lists(OP, max_size=25))
+def test_emit_batch_and_its_view_equal_an_emit_loop(max_visible, ops):
+    stream = ResultStream(max_visible=max_visible)
+    model = _ListStream(max_visible)
     clock = 0.0
     for op in ops:
         if op[0] == "emit":
@@ -186,12 +181,12 @@ def test_emit_batch_and_its_view_equal_an_emit_loop(max_retained, ops):
                 assert stream.emit(value, rowid, fraction, clock) == model.history[-1]
         elif op[0] == "batch":
             columns = _results_at(clock, op[1], op[2])
-            before = list(model.history), model.total_emitted, model.total_dropped
+            before = list(model.history), model.total_emitted
             try:
                 for item in zip(*columns):
                     model.emit(*item)
             except VisualizationError:
-                model.history, model.total_emitted, model.total_dropped = before
+                model.history, model.total_emitted = before
                 with pytest.raises(VisualizationError):
                     stream.emit_batch(*columns)
             else:
@@ -199,17 +194,14 @@ def test_emit_batch_and_its_view_equal_an_emit_loop(max_retained, ops):
                 assert list(emitted) == [ResultValue(*item) for item in zip(*columns)]
                 if columns[3]:
                     clock = columns[3][-1]
-        else:
-            assert stream.trim(op[1]) == model.trim(op[1])
         assert list(stream) == model.history
         assert len(stream) == len(model.history)
         assert stream.values == [r.value for r in model.history]
         assert stream.total_emitted == model.total_emitted
-        assert stream.total_dropped == model.total_dropped
 
 
 # --------------------------------------------------------------------- #
-# the visible window equals the walk over the whole history
+# the ring's visible window equals the walk over the whole history
 # --------------------------------------------------------------------- #
 def _walk_visible(stream: ResultStream, history, now: float):
     visible = [
@@ -227,29 +219,35 @@ TIME = st.floats(0.0, 100.0, allow_nan=False)
 @given(
     fade=st.floats(1e-3, 50.0),
     max_visible=st.integers(1, 12),
-    max_retained=st.sampled_from([None, 3, 30]),
     batches=st.lists(st.lists(TIME, min_size=1, max_size=15), max_size=6),
     singles=st.lists(TIME, max_size=10),
     now=st.floats(-5.0, 160.0, allow_nan=False),
 )
 @example(  # results exactly at the fade edge, and stamped after now
-    fade=1.0, max_visible=5, max_retained=None,
+    fade=1.0, max_visible=5,
     batches=[[1.0, 1.0, 2.0, 2.0, 3.5]], singles=[], now=3.0,
 )
 @example(  # now - timestamp < fade, but timestamp > now - fade rounds the other way
-    fade=2.739139176060388, max_visible=5, max_retained=None,
+    fade=2.739139176060388, max_visible=5,
     batches=[[4.393563215942336, 5.393563215942336, 6.0]], singles=[], now=8.132702392002724,
 )
-def test_visible_at_equals_the_history_walk(
-    fade, max_visible, max_retained, batches, singles, now
-):
-    stream = ResultStream(fade_seconds=fade, max_visible=max_visible, max_retained=max_retained)
+def test_visible_at_equals_the_history_walk(fade, max_visible, batches, singles, now):
+    stream = ResultStream(fade_seconds=fade, max_visible=max_visible)
+    kept, everything = _ListStream(max_visible), _ListStream(None)
     times = sorted(t for batch in batches for t in batch)
     cut = 0
-    for batch in batches:  # batch chunks, in time order
+    for batch in batches:  # batches, in time order
         chunk = times[cut : cut + len(batch)]
         cut += len(batch)
-        stream.emit_batch(np.arange(len(chunk)), np.arange(len(chunk)), [0.5] * len(chunk), chunk)
-    for rowid, step in enumerate(sorted(singles)):  # then an open chunk of single emits
-        stream.emit(f"v{rowid}", rowid, 0.5, times[-1] + step if times else step)
-    assert stream.visible_at(now) == _walk_visible(stream, list(stream), now)
+        columns = (np.arange(len(chunk)), np.arange(len(chunk)), [0.5] * len(chunk), chunk)
+        stream.emit_batch(*columns)
+        for model in (kept, everything):
+            for item in zip(*columns):
+                model.emit(item[0].item(), *item[1:])
+    for rowid, step in enumerate(sorted(singles)):  # then single emits
+        result = (f"v{rowid}", rowid, 0.5, times[-1] + step if times else step)
+        stream.emit(*result)
+        for model in (kept, everything):
+            model.emit(*result)
+    assert list(stream) == kept.history
+    assert stream.visible_at(now) == _walk_visible(stream, everything.history, now)

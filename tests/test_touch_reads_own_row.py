@@ -8,8 +8,12 @@ each other's rows (out, back, and across the middle), on an in-memory and
 a paged object, on the batch path and on the per-touch loop.
 
 The sample hierarchy serves coarse scan slides from a strided sample by
-design, so the scan check runs with samples off; a table has no
-hierarchy, so the select-where check runs on the defaults.
+design: a touch at stride > 1 reads the sample row ``r - r % step``, so
+its result names that row, not the touched one.  The scan check therefore
+runs twice — with samples off, where every result names its touched row,
+and with samples on, where some results come from a sample level and each
+still shows ``column[result.rowid]``.  A table has no hierarchy, so the
+select-where check runs on the defaults.
 """
 
 from __future__ import annotations
@@ -56,11 +60,10 @@ def _slides(session, view):
     ]
 
 
-@LAYOUTS
-@PATHS
-def test_a_scan_slide_shows_each_rows_own_value(paged, batch, tmp_path):
+def _scan_slides(paged: bool, batch: bool, samples: bool, tmp_path):
+    """Three scan slides over a random column; returns (column, outcomes)."""
     values = np.random.default_rng(5).integers(0, 1_000_000, ROWS, dtype=np.int64)
-    session = _session(batch, enable_samples=False)
+    session = _session(batch, enable_samples=samples)
     if paged:
         StoreCatalog(DiskColumnStore(tmp_path)).persist_column(
             Column("c", values), chunk_rows=1024
@@ -70,12 +73,38 @@ def test_a_scan_slide_shows_each_rows_own_value(paged, batch, tmp_path):
         session.load_column("c", values)
     view = session.show_column("c", height_cm=10.0)
     session.choose_action(view, scan_action())
+    return values, _slides(session, view)
 
-    shown = [result for outcome in _slides(session, view) for result in outcome.results]
+
+def _assert_each_value_is_its_rows(values, outcomes):
+    shown = [result for outcome in outcomes for result in outcome.results]
     assert len(shown) > 150
     rowids = np.array([result.rowid for result in shown])
     wrong = np.array([result.value for result in shown]) != values[rowids]
     assert not wrong.any(), f"{int(wrong.sum())} of {len(shown)} values are another row's"
+    return rowids
+
+
+@LAYOUTS
+@PATHS
+def test_a_scan_slide_shows_each_rows_own_value(paged, batch, tmp_path):
+    values, outcomes = _scan_slides(paged, batch, False, tmp_path)
+    rowids = _assert_each_value_is_its_rows(values, outcomes)
+    touched = np.concatenate([outcome.rowids_touched for outcome in outcomes])
+    assert rowids.tolist() == touched.tolist()
+
+
+@LAYOUTS
+@PATHS
+def test_a_coarse_scan_slide_names_the_sample_row_it_shows(paged, batch, tmp_path):
+    values, outcomes = _scan_slides(paged, batch, True, tmp_path)
+    rowids = _assert_each_value_is_its_rows(values, outcomes)
+    # the arm is coarse: sample levels served touches, and the rows they
+    # read are not the rows touched
+    assert any(level > 0 for outcome in outcomes for level in outcome.served_level_counts)
+    touched = np.concatenate([outcome.rowids_touched for outcome in outcomes])
+    assert rowids.size == touched.size and (rowids != touched).any()
+    assert (rowids <= touched).all()
 
 
 @LAYOUTS
