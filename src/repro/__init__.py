@@ -52,9 +52,9 @@ Subpackages
 ``repro.engine``
     Touch-driven operators: aggregates, predicates, joins, group-by.
 ``repro.indexing``
-    Zone maps, per-sample-level indexes, the value-sorted index and the
-    adaptive :class:`~repro.indexing.manager.IndexManager` tier that
-    builds one per column consulted by bulk range selections.
+    The value-sorted index and the adaptive
+    :class:`~repro.indexing.manager.IndexManager` tier that builds one per
+    column consulted by bulk range selections.
 ``repro.baseline``
     The monolithic "traditional DBMS" comparison engine.
 ``repro.remote``
@@ -69,11 +69,6 @@ Subpackages
     Data-object shapes and text rendering of the screen.
 ``repro.metrics``
     Collectors and reporters used by the benchmark harness.
-``repro.mining``
-    Trace mining: the append-only :class:`~repro.TraceCorpus` of recorded
-    gesture sessions, the offline order-k Markov
-    :class:`~repro.GestureTransitionModel` miner with JSON checkpoints,
-    and its held-out scoring against the persistence baseline.
 ``repro.obs``
     The telemetry plane: per-gesture distributed tracing
     (:class:`~repro.Tracer`), the central
@@ -116,22 +111,12 @@ from repro.errors import (
     AdmissionError,
     DbTouchError,
     LoaderError,
-    MiningError,
-    ModelCheckpointError,
     PersistError,
     ProtocolError,
     SnapshotError,
-    TraceCorpusError,
     WorkerCrashedError,
 )
 from repro.indexing import IndexManager, RangeSelection
-from repro.mining import (
-    GestureTransitionModel,
-    TraceCorpus,
-    heldout_hit_rate,
-    mine_corpus,
-    persistence_hit_rate,
-)
 from repro.obs import (
     FlightRecorder,
     TelemetryRegistry,
@@ -189,7 +174,6 @@ __all__ = [
     "GestureOutcome",
     "GestureScheduler",
     "GestureScript",
-    "GestureTransitionModel",
     "GroupColumns",
     "IPAD1",
     "IndexManager",
@@ -197,8 +181,6 @@ __all__ = [
     "KernelConfig",
     "LoaderError",
     "LocalExplorationService",
-    "MiningError",
-    "ModelCheckpointError",
     "MultiSessionServer",
     "OutcomeEnvelope",
     "PagedColumn",
@@ -229,8 +211,6 @@ __all__ = [
     "Trace",
     "TraceConfig",
     "TraceContext",
-    "TraceCorpus",
-    "TraceCorpusError",
     "Tracer",
     "UngroupTable",
     "WorkerConfig",
@@ -239,9 +219,6 @@ __all__ = [
     "ZoomOut",
     "aggregate_action",
     "group_by_action",
-    "heldout_hit_rate",
-    "mine_corpus",
-    "persistence_hit_rate",
     "scan_action",
     "select_where_action",
     "shard_for_session",

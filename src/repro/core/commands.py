@@ -404,21 +404,6 @@ class TimedCommand:
         if self.think_s < 0:
             raise CommandError("think_s cannot be negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        """Encode the paced command as plain JSON-compatible data."""
-        return {"command": self.command.to_dict(), "think_s": self.think_s}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "TimedCommand":
-        """Rebuild a paced command from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "command" not in payload:
-            raise CommandError("timed-command payload must contain a 'command'")
-        try:
-            think_s = float(payload.get("think_s", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise CommandError(f"malformed think_s {payload.get('think_s')!r}") from exc
-        return cls(command=GestureCommand.from_dict(payload["command"]), think_s=think_s)
-
 
 # --------------------------------------------------------------------- #
 # scripts

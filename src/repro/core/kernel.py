@@ -275,7 +275,6 @@ class DbTouchKernel:
         """Place a column-shaped data object on the device screen."""
         column = self.catalog.resolve_column(object_name, column_name)
         name = view_name if view_name is not None else f"{object_name}-view"
-        self._forget_view(name)
         view = make_column_view(
             name=name,
             object_name=object_name,
@@ -288,6 +287,7 @@ class DbTouchKernel:
             size_bytes=column.size_bytes,
         )
         self.device.add_view(view)
+        self._forget_view(name)
         hierarchy = None
         if self.config.enable_samples and column.is_numeric:
             hierarchy = self.catalog.hierarchy_for(
@@ -316,7 +316,6 @@ class DbTouchKernel:
         """Place a fat-rectangle table object on the device screen."""
         table = self.catalog.table(table_name)
         name = view_name if view_name is not None else f"{table_name}-view"
-        self._forget_view(name)
         view = make_table_view(
             name=name,
             object_name=table_name,
@@ -330,6 +329,7 @@ class DbTouchKernel:
             size_bytes=table.size_bytes,
         )
         self.device.add_view(view)
+        self._forget_view(name)
         self._states[name] = _ObjectState(
             view=view,
             object_name=table_name,
@@ -506,15 +506,18 @@ class DbTouchKernel:
                 self.hash_table_cache.put(names[0], names[1], join.hash_table_snapshot())
 
     def _forget_view(self, view_name: str) -> None:
-        """Drop join state tied to a view being re-bound to a new object.
+        """Drop the view and join state a re-shown view name replaces.
 
-        Cached hash-table snapshots are keyed by view names; when a view
-        name is reused for a different data object, both the live joins
-        and the snapshots built from the previously shown data would
-        otherwise leak into the next join attached under that name.
+        The replaced :class:`View` leaves the screen, so the device holds
+        one view per name.  Cached hash-table snapshots are keyed by view
+        names; when a view name is reused for a different data object,
+        both the live joins and the snapshots built from the previously
+        shown data would otherwise leak into the next join attached under
+        that name.
         """
         if view_name not in self._states:
             return
+        self._states[view_name].view.remove_from_master()
         for key in [k for k in self._joins if view_name in k]:
             del self._joins[key]
         self.hash_table_cache.invalidate_participant(view_name)

@@ -20,7 +20,6 @@ with the number of gestures, and :meth:`summary` is O(1).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -44,7 +43,6 @@ from repro.core.commands import (
     Slide,
     SlidePath,
     Tap,
-    TimedCommand,
     UngroupTable,
     ZoomIn,
     ZoomOut,
@@ -114,8 +112,6 @@ class ExplorationSession:
         self._last: GestureOutcome | None = None
         self._summary = SessionSummary()
         self._recording: GestureScript | None = None
-        self._trace: list[TimedCommand] | None = None
-        self._last_trace_t: float | None = None
 
     # ------------------------------------------------------------------ #
     # the backing service
@@ -157,15 +153,9 @@ class ExplorationSession:
         failed gesture (typo'd view name, bad geometry) never poisons the
         script for replay.
         """
-        think_s = 0.0
-        if self._trace is not None and self._last_trace_t is not None:
-            think_s = max(0.0, time.monotonic() - self._last_trace_t)
         envelope = self._service.execute(command)
         if self._recording is not None:
             self._recording.append(command)
-        if self._trace is not None:
-            self._trace.append(TimedCommand(command=command, think_s=think_s))
-            self._last_trace_t = time.monotonic()
         if isinstance(envelope.payload, GestureOutcome):
             self._record(envelope.payload)
         return envelope
@@ -193,28 +183,6 @@ class ExplorationSession:
         """Stop recording and return the finished script."""
         script, self._recording = self._recording, None
         return script
-
-    def record_trace(self) -> list[TimedCommand]:
-        """Start recording a *paced* trace: commands plus real think-times.
-
-        Like :meth:`record`, but each accepted command is captured as a
-        :class:`repro.core.commands.TimedCommand` whose ``think_s`` is the
-        wall-clock gap since the previous command completed — the pacing a
-        human (or driver) actually left between gestures.  The resulting
-        trace replays on a :class:`repro.service.MultiSessionServer` via
-        ``replay_traces``, turning one interactive exploration into a
-        serving workload.  The returned list is live and grows as the
-        session executes commands.
-        """
-        self._trace = []
-        self._last_trace_t = None
-        return self._trace
-
-    def stop_trace(self) -> list[TimedCommand] | None:
-        """Stop trace recording and return the finished paced trace."""
-        trace, self._trace = self._trace, None
-        self._last_trace_t = None
-        return trace
 
     def run(self, script: GestureScript) -> list[OutcomeEnvelope]:
         """Replay a script through this session (outcomes land in its summary)."""
@@ -246,8 +214,6 @@ class ExplorationSession:
         self._last = None
         self._summary = SessionSummary()
         self._recording = None
-        self._trace = None
-        self._last_trace_t = None
 
     def __enter__(self) -> "ExplorationSession":
         return self

@@ -132,18 +132,6 @@ class ContestError(WorkloadError):
     """The exploration-contest harness was misconfigured."""
 
 
-class MiningError(DbTouchError):
-    """The trace-mining tier failed (corpus or transition model)."""
-
-
-class TraceCorpusError(MiningError):
-    """A trace-corpus file is missing, malformed, truncated or of a foreign version."""
-
-
-class ModelCheckpointError(MiningError):
-    """A mined-model checkpoint artifact is malformed or of a foreign version."""
-
-
 class VisualizationError(DbTouchError):
     """A visualization object could not be built or rendered."""
 

@@ -246,7 +246,7 @@ class Column:
         return clone
 
     # ------------------------------------------------------------------ #
-    # statistics helpers (used by zone maps and the contest harness)
+    # statistics helpers
     # ------------------------------------------------------------------ #
     def min(self):
         """Minimum value, or ``None`` for an empty column."""

@@ -99,6 +99,12 @@ class View:
         view.master = self
         self.subviews.append(view)
 
+    def remove_from_master(self) -> None:
+        """Detach this view from its master view, if it has one."""
+        if self.master is not None:
+            self.master.subviews.remove(self)
+            self.master = None
+
     def walk(self) -> Iterator["View"]:
         """Yield this view and every descendant, depth first."""
         yield self

@@ -9,7 +9,7 @@ from repro.core.actions import (
     scan_action,
 )
 from repro.core.kernel import KernelConfig
-from repro.errors import ExecutionError, QueryError
+from repro.errors import ExecutionError, QueryError, TouchError
 from repro.storage.layout import LayoutKind
 from repro.touchio.recognizer import GestureType
 
@@ -42,6 +42,28 @@ class TestShowObjects:
         state = session.kernel.state_of(view.name)
         assert state.table is not None
         assert view.properties.num_attributes == 4
+
+    def test_reshowing_a_view_name_replaces_its_view(self, bare_session, small_table):
+        """The device holds one view per name: a re-show detaches the view
+        it replaces, and a re-show the screen rejects leaves it in place."""
+        session, kernel = bare_session, bare_session.kernel
+        session.load_column("big", np.arange(1_000, dtype=np.int64))
+        session.load_column("small", np.arange(10, dtype=np.int64))
+        for _ in range(5):
+            session.show_column("big", view_name="v")
+        named_v = [view for view in session.device.root.subviews if view.name == "v"]
+        assert len(named_v) == 1
+        shown = session.show_column("small", view_name="v")
+        assert session.device.view("v") is kernel.state_of("v").view is shown
+        assert shown.properties.num_tuples == 10
+        assert [view.name for view in session.device.root.subviews] == ["v"]
+        with pytest.raises(TouchError):
+            session.show_column("big", view_name="v", height_cm=1_000.0)
+        assert session.device.view("v") is kernel.state_of("v").view is shown
+        session.load_table("events", small_table)
+        table_view = session.show_table("events", view_name="v")
+        assert session.device.root.subviews == [table_view]
+        assert session.device.view("v") is kernel.state_of("v").view
 
     def test_unknown_view_rejected(self, bare_session):
         with pytest.raises(ExecutionError):

@@ -32,7 +32,6 @@ from repro.indexing.manager import (
     predicate_range,
 )
 from repro.indexing.sorted_index import FOLD_SHARE, SortedIndex
-from repro.indexing.zonemap import ZoneMap
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.service import LocalExplorationService, MultiSessionServer, SchedulerConfig
@@ -707,16 +706,6 @@ class TestPredicateEdgeCases:
         ):
             expected = self.run_all_strategies(data, predicate, tmp_path)
             assert not np.isnan(data[expected]).any()
-
-    def test_zonemap_never_prunes_nan_blocks(self):
-        # regression: a NaN-poisoned zone envelope used to be pruned outright
-        data = np.full(256, np.nan)
-        data[100] = 50.0
-        zonemap = ZoneMap(Column("z", data), block_rows=64)
-        predicate = Predicate(Comparison.EQ, 50.0)
-        candidates = [(zone.start, zone.stop) for zone in zonemap.candidate_zones(predicate)]
-        assert (64, 128) in candidates
-        assert sum(int(predicate.mask(data[a:b]).sum()) for a, b in candidates) == 1
 
     def test_empty_range_returns_nothing_everywhere(self, tmp_path):
         data = np.arange(1_000, dtype=np.int64)

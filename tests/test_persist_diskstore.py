@@ -19,6 +19,7 @@ from repro import (
 from repro.core.actions import select_where_action
 from repro.engine.filter import Comparison, Predicate
 from repro.errors import PersistError, StorageError
+from repro.indexing.manager import predicate_range
 from repro.indexing.sorted_index import SortedIndex
 from repro.persist.diskstore import ChunkCache, DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
@@ -162,6 +163,34 @@ class TestZonemaps:
         # chunk 0 has NaN zonemap bounds: it must be included, not pruned
         assert paged.chunks_for_predicate(0.0, 10.0).tolist() == [0]
         assert paged.chunks_for_predicate(150.0, 250.0).tolist() == [0, 1]
+
+    def test_chunk_ranges_keep_the_column_dtype(self, store):
+        # int64 envelopes stay exact past 2**53, float ones stay floats
+        store.write_column(Column("big", np.arange(2**60, 2**60 + 100)), chunk_rows=100)
+        low, high = store.open_column("big").chunk_range(0)
+        assert low.dtype == high.dtype == np.int64
+        assert int(low) == 2**60 and int(high) == 2**60 + 99
+        rng = np.random.default_rng(3)
+        store.write_column(Column("f", rng.normal(size=1000)), chunk_rows=500)
+        paged = store.open_column("f")
+        assert all(paged.chunk_range(i)[0].dtype == np.float64 for i in range(2))
+
+    def test_no_false_prune_beyond_2_to_53(self, store):
+        # 2**53 + 1 is not float64-representable, and a chunk of nothing
+        # but 2**53 + 1 must stay a candidate for GT 2**53
+        boundary = 2**53
+        store.write_column(Column("edge", np.full(256, boundary + 1)), chunk_rows=256)
+        paged = store.open_column("edge")
+        low, high = predicate_range(Predicate(Comparison.GT, boundary), paged.dtype.numpy_dtype)
+        assert paged.chunks_for_predicate(low, high).tolist() == [0]
+
+    def test_eq_at_2_to_53_keeps_only_its_chunk(self, store):
+        value = 2**53 + 1
+        data = np.repeat(np.asarray([2**53 - 1, value]), 128)
+        store.write_column(Column("eq", data), chunk_rows=128)
+        paged = store.open_column("eq")
+        low, high = predicate_range(Predicate(Comparison.EQ, value), paged.dtype.numpy_dtype)
+        assert paged.chunks_for_predicate(low, high).tolist() == [1]
 
 
 class TestChunkCache:

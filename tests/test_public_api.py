@@ -171,7 +171,6 @@ CALLERLESS = {
     "IndexManager.tracked_keys",
     "PagedColumn.chunk_range",
     "RemoteExplorationClient.local_sample",
-    "ZoneMap.zones",
 }
 
 

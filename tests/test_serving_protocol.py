@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.commands import GestureCommand, GestureScript, Slide, TimedCommand
+from repro.core.commands import GestureCommand, GestureScript, Slide
 from repro.errors import (
     AdmissionError,
     CommandError,
@@ -213,14 +213,6 @@ class TestCommandDeserializationHardening:
     def test_garbage_script_payloads(self, payload):
         with pytest.raises(CommandError):
             GestureScript.from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "payload",
-        [None, {}, {"command": None}, {"command": {"kind": "slide"}, "think_s": "soon"}],
-    )
-    def test_garbage_timed_command_payloads(self, payload):
-        with pytest.raises(CommandError):
-            TimedCommand.from_dict(payload)
 
     def test_valid_command_still_round_trips(self):
         command = Slide(view="v", duration=1.5, start_fraction=0.2, end_fraction=0.9)
