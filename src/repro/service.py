@@ -1134,7 +1134,7 @@ class MultiSessionServer:
         preserved).  ``trace`` optionally continues a distributed trace (a
         :class:`repro.obs.trace.TraceContext` or its wire dict).
         """
-        return self._submit(session_id, command, trace=trace).result()
+        return self.submit(session_id, command, trace=trace).result()
 
     def submit(
         self,
@@ -1142,30 +1142,15 @@ class MultiSessionServer:
         command: GestureCommand,
         think_s: float = 0.0,
         trace: TraceContext | Mapping[str, Any] | None = None,
-    ):
-        """Queue one command for asynchronous execution; returns its future.
+    ) -> Future:
+        """Put one command on the session's lane; returns its future.
 
         ``think_s`` is the user's pause before this command (enforced from
-        the completion of the session's previous command).  Concurrent
-        mode only: inline, the "future" could only come back resolved.
+        the completion of the session's previous command).  Inline, the
+        command runs now and the future comes back resolved.  Where a
+        queue exists the submit time is captured here, so a sampled trace
+        records the scheduler ``queue_wait`` as its first child span.
         """
-        if self._scheduler is None:
-            raise ServiceError(
-                "submit() needs a concurrent server; construct "
-                "MultiSessionServer(scheduler=SchedulerConfig(...))"
-            )
-        return self._submit(session_id, command, think_s=think_s, trace=trace)
-
-    def _submit(
-        self,
-        session_id: str,
-        command: GestureCommand,
-        think_s: float = 0.0,
-        trace: TraceContext | Mapping[str, Any] | None = None,
-    ) -> Future:
-        """Put one command on the session's lane.  Where a queue exists the
-        submit time is captured here, so a sampled trace records the
-        scheduler ``queue_wait`` as its first child span."""
         ctx = _as_trace_context(trace)
         queued = time.perf_counter() if self.concurrent and self.tracer.enabled else None
         return self._lane.submit(
@@ -1216,7 +1201,7 @@ class MultiSessionServer:
             for sid, timed in zip(traces, step):
                 if timed is not None:
                     futures[sid].append(
-                        self._submit(sid, timed.command, think_s=timed.think_s)
+                        self.submit(sid, timed.command, think_s=timed.think_s)
                     )
         return {sid: [f.result() for f in pending] for sid, pending in futures.items()}
 

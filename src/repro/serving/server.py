@@ -19,8 +19,9 @@ bytes never reach a worker process, which is what the fuzz suites in
 ``tests/test_serving_protocol.py`` and ``tests/test_serving_sharded.py``
 pin down.
 
-The asyncio loop runs on a background thread so blocking clients and
-tests can drive the server without owning an event loop.
+The asyncio loop runs on a background thread — the one thread the front
+door starts: it reads the client sockets and every worker pipe — so
+blocking clients and tests can drive the server without owning a loop.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import asyncio
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any
 
 from repro.errors import (
@@ -152,6 +154,8 @@ class ShardedServer:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        for handle in self.shards.workers:  # the loop reads every pipe itself
+            handle.attach(loop)
 
         async def bootstrap() -> None:
             try:
@@ -173,6 +177,8 @@ class ShardedServer:
             task.cancel()
         if pending:
             loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
+        for handle in self.shards.workers:  # stop() reads its own answer
+            handle.detach()
         loop.close()
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -252,7 +258,6 @@ class ShardedServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder(max_bytes=self.config.max_frame_bytes)
-        write_lock = asyncio.Lock()  # responses interleave from many tasks
         try:
             while True:
                 data = await reader.read(64 * 1024)
@@ -263,10 +268,10 @@ class ShardedServer:
                 except ProtocolError as exc:
                     # undecodable stream: answer once (id 0), then hang up —
                     # resynchronizing inside a corrupt byte stream is a lie
-                    await self._send(writer, write_lock, Response.failure(0, exc))
+                    await self._send(writer, Response.failure(0, exc))
                     return
                 for frame in frames:
-                    if not await self._handle_frame(frame, writer, write_lock):
+                    if not await self._handle_frame(frame, writer):
                         return
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
@@ -279,9 +284,15 @@ class ShardedServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: Response
-    ) -> None:
+    async def _send(self, writer: asyncio.StreamWriter, response: Response) -> None:
+        self._post(writer, response)
+        await writer.drain()
+
+    def _post(self, writer: asyncio.StreamWriter, response: Response) -> None:
+        """Write ``response`` as one whole frame, so answers written from
+        many callbacks never interleave (nor go to a closed connection)."""
+        if writer.is_closing():
+            return
         try:
             data = encode_frame(response.to_dict(), max_bytes=self.config.max_frame_bytes)
         except ProtocolError as exc:
@@ -290,13 +301,9 @@ class ShardedServer:
                 Response.failure(response.id, exc).to_dict(),
                 max_bytes=self.config.max_frame_bytes,
             )
-        async with write_lock:
-            writer.write(data)
-            await writer.drain()
+        writer.write(data)
 
-    async def _handle_frame(
-        self, frame: dict, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> bool:
+    async def _handle_frame(self, frame: dict, writer: asyncio.StreamWriter) -> bool:
         """Answer one decoded frame; ``False`` drops the connection."""
         try:
             request = Request.from_dict(frame)
@@ -304,22 +311,18 @@ class ShardedServer:
             # a malformed envelope may still carry a usable id to answer on
             request_id = frame.get("id")
             if not isinstance(request_id, int) or isinstance(request_id, bool) or request_id < 0:
-                await self._send(writer, write_lock, Response.failure(0, exc))
+                await self._send(writer, Response.failure(0, exc))
                 return False  # no id the client could match: drop the line
-            await self._send(writer, write_lock, Response.failure(request_id, exc))
+            await self._send(writer, Response.failure(request_id, exc))
             return True
-        await self._handle_request(request, writer, write_lock)
+        await self._handle_request(request, writer)
         return True
 
-    async def _handle_request(
-        self, request: Request, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    async def _handle_request(self, request: Request, writer: asyncio.StreamWriter) -> None:
         loop = asyncio.get_running_loop()
         try:
             if request.verb == "hello":
-                await self._send(
-                    writer, write_lock, Response.success(request.id, self._hello_payload())
-                )
+                await self._send(writer, Response.success(request.id, self._hello_payload()))
                 return
             if request.verb in ("stats", "telemetry"):
                 stats = request.verb == "stats"
@@ -329,7 +332,7 @@ class ShardedServer:
                     payload = await loop.run_in_executor(None, report)
                 finally:
                     self._release()
-                await self._send(writer, write_lock, Response.success(request.id, payload))
+                await self._send(writer, Response.success(request.id, payload))
                 return
             if request.verb == "drain":
                 timeout = request.payload.get("timeout")
@@ -344,9 +347,7 @@ class ShardedServer:
                         "drain 'timeout' must be a non-negative number of seconds or null"
                     )
                 drained = await loop.run_in_executor(None, self.drain, timeout)
-                await self._send(
-                    writer, write_lock, Response.success(request.id, {"drained": drained})
-                )
+                await self._send(writer, Response.success(request.id, {"drained": drained}))
                 return
             # everything else is session-scoped and runs on a shard
             if request.session is None:
@@ -354,7 +355,7 @@ class ShardedServer:
             self._admit()
             if request.verb == "run-script":
                 try:
-                    self._stream_script(request, writer, write_lock, loop)
+                    self._stream_script(request, writer)
                 except BaseException:
                     self._release()
                     raise
@@ -372,9 +373,9 @@ class ShardedServer:
                     root.finish(error=exc)
                 self._release()
                 raise
-            self._stream_back(future, request.id, writer, write_lock, loop, root=root)
+            self._stream_back(future, request.id, writer, root=root)
         except DbTouchError as exc:
-            await self._send(writer, write_lock, Response.failure(request.id, exc))
+            await self._send(writer, Response.failure(request.id, exc))
 
     def _begin_root(self, request: Request, **tags: Any) -> tuple[RootSpan | None, dict | None]:
         """Open the front-door root span of an ``execute`` or ``run-script``.
@@ -430,16 +431,14 @@ class ShardedServer:
         future: Future,
         request_id: int,
         writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        loop: asyncio.AbstractEventLoop,
         root: RootSpan | None = None,
     ) -> None:
         """Forward a shard future's outcome to the connection when it lands.
 
-        The callback fires on a shard reader thread; the actual socket
-        write is marshalled back onto the event loop, so many outstanding
-        gestures stream back in completion order without blocking the
-        connection's read loop.
+        The callback fires on the event loop's own thread, where the loop
+        read the shard's reply off the pipe, and writes the answer there
+        and then, so many outstanding gestures stream back in completion
+        order without blocking the connection's read loop.
         """
 
         def deliver(done: Future) -> None:
@@ -454,22 +453,11 @@ class ShardedServer:
                 if root is not None:
                     root.finish()
                 response = Response.success(request_id, payload)
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._send(writer, write_lock, response), loop
-                )
-            except RuntimeError:
-                pass  # loop already closed mid-shutdown: nobody to answer
+            self._post(writer, response)
 
         future.add_done_callback(deliver)
 
-    def _stream_script(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
+    def _stream_script(self, request: Request, writer: asyncio.StreamWriter) -> None:
         """Answer a ``run-script``: one partial frame per completed gesture.
 
         A script is its commands: it is decomposed into per-command
@@ -489,26 +477,18 @@ class ShardedServer:
                 "run-script needs a 'script' object with a 'commands' list"
             )
         total = len(commands)
-        state = {"closed": False}
-        state_lock = threading.Lock()
+        closed = False  # every callback below runs on the loop's thread
+        post = partial(self._post, writer)
         # one front-door root covers the whole script: every
         # per-command span on the shard attaches under it, so a script is
         # one distributed trace, not N
         root, capsule = self._begin_root(request, commands=total)
 
-        def post(response: Response) -> None:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._send(writer, write_lock, response), loop
-                )
-            except RuntimeError:
-                pass  # loop already closed mid-shutdown: nobody to answer
-
         def close(response: Response, error: BaseException | None = None) -> None:
-            with state_lock:
-                if state["closed"]:
-                    return
-                state["closed"] = True
+            nonlocal closed
+            if closed:
+                return
+            closed = True
             if root is not None:
                 root.finish(error=error)
             self._release()
@@ -518,40 +498,25 @@ class ShardedServer:
             close(Response.success(request.id, {"done": True, "total": 0}))
             return
 
-        def deliver(seq: int):
-            def callback(done: Future) -> None:
-                try:
-                    payload = done.result()
-                except Exception as exc:  # noqa: BLE001 - typed onto the wire
-                    close(Response.failure(request.id, exc), error=exc)
-                    return
-                with state_lock:
-                    if state["closed"]:
-                        return
-                post(
-                    Response.success(
-                        request.id,
-                        {
-                            "partial": True,
-                            "seq": seq,
-                            "envelope": payload.get("envelope"),
-                        },
-                    )
-                )
-                if seq == total - 1:
-                    close(Response.success(request.id, {"done": True, "total": total}))
+        def deliver(seq: int, done: Future) -> None:
+            try:
+                payload = done.result()
+            except Exception as exc:  # noqa: BLE001 - typed onto the wire
+                close(Response.failure(request.id, exc), error=exc)
+                return
+            if closed:
+                return
+            frame = {"partial": True, "seq": seq, "envelope": payload.get("envelope")}
+            post(Response.success(request.id, frame))
+            if seq == total - 1:
+                close(Response.success(request.id, {"done": True, "total": total}))
 
-            return callback
-
-        try:
-            for seq, command in enumerate(commands):
-                payload: dict[str, Any] = {"command": command}
-                if capsule is not None:
-                    payload["trace"] = capsule
-                future = self.shards.submit("execute", request.session, payload)
-                future.add_done_callback(deliver(seq))
-        except DbTouchError as exc:
-            close(Response.failure(request.id, exc), error=exc)
+        for seq, command in enumerate(commands):  # a dead shard fails each future
+            payload: dict[str, Any] = {"command": command}
+            if capsule is not None:
+                payload["trace"] = capsule
+            future = self.shards.submit("execute", request.session, payload)
+            future.add_done_callback(partial(deliver, seq))
 
     def _hello_payload(self) -> dict[str, Any]:
         return {

@@ -9,21 +9,23 @@ kernel, so per-session outcome counters stay bit-identical to a serial
 replay no matter how many shards serve the fleet.
 
 :class:`ShardManager` owns the fleet: it spawns every worker process
-*before* starting any thread (fork safety — forking a multi-threaded
-parent is how deadlocks are born), then runs one reader thread per pipe
-to match responses to pending futures.  A worker death is detected as
-pipe EOF and converted into :class:`repro.errors.WorkerCrashedError` on
-every pending and future request routed to that shard — sessions pinned
-to a dead shard fail loudly and immediately while the surviving shards
-keep serving, which is the blast-radius story of sharding in the first
-place.
+and starts no thread (fork safety — forking a multi-threaded parent is
+how deadlocks are born).  Each pipe has one reader: the event loop it is
+attached to (the front door's) or, while none is, whoever waits for a
+reply.  A worker death is detected as pipe EOF and converted into
+:class:`repro.errors.WorkerCrashedError` on every pending and future
+request routed to that shard — sessions pinned to a dead shard fail
+loudly and immediately while the surviving shards keep serving, which is
+the blast-radius story of sharding in the first place.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import multiprocessing as mp
 import threading
+import time
 from concurrent.futures import Future
 from typing import Any
 
@@ -46,6 +48,24 @@ def shard_for_session(session_id: str, num_workers: int) -> int:
     return int.from_bytes(digest[:8], "big") % num_workers
 
 
+class _Reply(Future):
+    """A worker's answer: waiting on it while no event loop reads the pipe
+    reads the pipe (the ready handshake, ``stop``, a fan-out before start)."""
+
+    def __init__(self, handle: "WorkerHandle") -> None:
+        super().__init__()
+        self._handle = handle
+
+    def result(self, timeout: float | None = None) -> Any:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.done() and self._handle._loop is None:
+            left = 1.0 if deadline is None else deadline - time.monotonic()
+            if left <= 0:
+                break
+            self._handle.read_ready(min(left, 0.05))  # then look for a loop again
+        return super().result(None if deadline is None else max(0.0, deadline - time.monotonic()))
+
+
 class WorkerHandle:
     """Parent-side handle of one worker process: pipe, futures, liveness."""
 
@@ -54,10 +74,13 @@ class WorkerHandle:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
         self._lock = threading.Lock()
+        self._read_lock = threading.Lock()  # one message, one reader
+        self._loop: asyncio.AbstractEventLoop | None = None  # reading the pipe,
+        self._loop_thread: int | None = None  # on this thread
         self._pending: dict[int, Future] = {}
         self._next_id = 0
         self._alive = False
-        self._ready: Future = Future()
+        self._ready: Future = _Reply(self)
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, worker_id, config),
@@ -67,18 +90,10 @@ class WorkerHandle:
         self.process.start()
         child_conn.close()  # the child's end lives in the child now
         self._alive = True
-        self._reader: threading.Thread | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def start_reader(self) -> None:
-        """Start the response-reader thread (after ALL workers are forked)."""
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"repro-shard-{self.worker_id}-reader", daemon=True
-        )
-        self._reader.start()
-
     def wait_ready(self, timeout: float = DEFAULT_READY_TIMEOUT_S) -> None:
         """Block until the worker's ready handshake (or typed setup error)."""
         self._ready.result(timeout=timeout)
@@ -89,12 +104,27 @@ class WorkerHandle:
         with self._lock:
             return self._alive
 
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Let ``loop`` read the pipe from now on (call on the loop's thread)."""
+        self._loop, self._loop_thread = loop, threading.get_ident()
+        loop.add_reader(self._conn.fileno(), self.read_ready)
+
+    def detach(self) -> None:
+        """Take the pipe back from its loop (on the loop's thread)."""
+        loop, self._loop, self._loop_thread = self._loop, None, None
+        if loop is not None:
+            loop.remove_reader(self._conn.fileno())
+
     # ------------------------------------------------------------------ #
     # request/response plumbing
     # ------------------------------------------------------------------ #
     def submit(self, op: str, session: str | None = None, payload: dict | None = None) -> Future:
         """Send one op to the worker; the future resolves with its payload."""
-        future: Future = Future()
+        if self._loop_thread == threading.get_ident():
+            # a worker blocked writing replies reads no request: the loop,
+            # this pipe's reader, empties it before a send could block on it
+            self.read_ready()
+        future: Future = _Reply(self)
         with self._lock:
             if not self._alive:
                 future.set_exception(
@@ -132,14 +162,22 @@ class WorkerHandle:
         """Synchronous :meth:`submit` (raises the typed error on failure)."""
         return self.submit(op, session=session, payload=payload).result(timeout=timeout)
 
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self._conn.recv()
-            except (EOFError, OSError):
-                self._on_crash()
-                return
-            self._dispatch(message)
+    def read_ready(self, wait: float = 0.0) -> None:
+        """Dispatch every message in the pipe (waiting up to ``wait`` s for
+        the first); at EOF the worker is gone: fail what waits, stop reading."""
+        try:
+            while True:
+                with self._read_lock:
+                    if not self._conn.poll(wait):
+                        return
+                    message = self._conn.recv()
+                wait = 0.0
+                self._dispatch(message)
+        except (EOFError, OSError):
+            # fail what waits first: once detached, no reply's own wait may
+            # find a pending reply and read the EOF off the loop's thread
+            self._on_crash()
+            self.detach()
 
     def _dispatch(self, message: Any) -> None:
         if not isinstance(message, dict):
@@ -196,8 +234,7 @@ class WorkerHandle:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=timeout)
-        with self._lock:
-            self._alive = False
+        self._on_crash()  # nothing answers from here on: fail what still waits
         try:
             self._conn.close()
         except OSError:
@@ -217,8 +254,8 @@ class ShardManager:
         modulo the sessions hashed onto them).
 
     Workers start with the platform's default ``multiprocessing`` method
-    (fork on Linux).  All processes are spawned before any reader thread
-    starts, so forking is safe here by construction.
+    (fork on Linux).  The manager starts no thread, so a front door that
+    builds it before its event-loop thread forks safely by construction.
     """
 
     def __init__(
@@ -231,12 +268,8 @@ class ShardManager:
             raise ServiceError("num_workers must be positive")
         self.config = config if config is not None else WorkerConfig()
         ctx = mp.get_context()
-        # phase 1: fork/spawn every process while this process is still
-        # effectively single-threaded...
+        # fork every process first, then read each one's handshake
         self.workers = [WorkerHandle(i, self.config, ctx) for i in range(num_workers)]
-        # ...phase 2: only then start reader threads and wait for handshakes
-        for handle in self.workers:
-            handle.start_reader()
         try:
             for handle in self.workers:
                 handle.wait_ready(timeout=ready_timeout_s)

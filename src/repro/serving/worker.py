@@ -10,17 +10,17 @@ topology.  :func:`worker_main` runs in a child process spawned by
   same on-disk chunk files every sibling worker maps (the ILDG "publish
   once, attach everywhere" pattern), so N workers share base data through
   the page cache instead of holding N copies;
-* **host a scheduler-mode** :class:`repro.service.MultiSessionServer` —
-  sessions pinned to this worker run concurrently on its thread pool with
-  the usual per-session FIFO and admission guarantees; a session's state
+* **host a** :class:`repro.service.MultiSessionServer` — on a thread pool
+  (per-session FIFO, admission) when ``scheduler_workers >= 2``, inline
+  on the pipe thread in arrival order when it is 1; a session's state
   does not grow with its length (its result streams are fixed rings of
   what the screen shows), so a long-lived session costs a worker no more
   memory than a short one;
 * **serve the command pipe** — requests arrive as plain dicts over a
-  :mod:`multiprocessing` pipe, gesture work is queued on the scheduler
-  (the pipe loop never blocks on a gesture), and responses are written
-  back from completion callbacks under a send lock, tagged with the
-  request id so the parent can match them out of order.  There are nine
+  :mod:`multiprocessing` pipe, a pooled worker queues gesture work on the
+  scheduler (its pipe loop never blocks on a gesture), and responses are
+  written back under a send lock, tagged with the request id so the
+  parent can match them out of order.  There are nine
   ops (``open``, ``close``, ``execute``, ``load-column``, ``stats``,
   ``telemetry``, ``drain``, ``ping``, ``stop``) and one of them,
   ``execute``, carries all session work: a script reaches a worker as its
@@ -66,7 +66,8 @@ class WorkerConfig:
     scheduler_workers / max_pending / max_session_pending:
         The worker-local :class:`repro.core.scheduler.SchedulerConfig`
         knobs; admission here is the per-shard backstop behind the front
-        door's shed layer.
+        door's shed layer.  ``scheduler_workers == 1`` builds no pool: each
+        gesture runs on the pipe thread, admitted by ``max_inflight`` alone.
     latency_budget_s:
         Pin for :attr:`repro.core.kernel.KernelConfig.latency_budget_s`.
         The default pins it effectively-infinite so outcome counters stay
@@ -113,15 +114,14 @@ def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServe
             flight_recorder_capacity=config.flight_recorder_capacity,
             site=f"worker-{worker_id}",
         )
-    server = MultiSessionServer(
-        service_factory=factory,
-        scheduler=SchedulerConfig(
+    scheduler = None  # one pool thread would only hand each gesture over
+    if config.scheduler_workers != 1:
+        scheduler = SchedulerConfig(
             num_workers=config.scheduler_workers,
             max_pending=config.max_pending,
             max_session_pending=config.max_session_pending,
-        ),
-        tracing=tracing,
-    )
+        )
+    server = MultiSessionServer(service_factory=factory, scheduler=scheduler, tracing=tracing)
     if config.snapshot_path is not None:
         snapshot = StoreCatalog.open_read_only(
             config.snapshot_path, cache_bytes=config.cache_bytes
@@ -144,8 +144,8 @@ class _WorkerRuntime:
     # responses
     # ------------------------------------------------------------------ #
     def _send(self, message: dict[str, Any]) -> None:
-        # completion callbacks run on scheduler worker threads while the
-        # pipe loop may be answering an inline op: one pipe, one lock
+        # a pooled worker's completion callbacks run on scheduler threads
+        # while the pipe loop may be answering an inline op: one pipe, one lock
         with self._send_lock:
             try:
                 self.conn.send(message)

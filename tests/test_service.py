@@ -19,7 +19,7 @@ from repro.core.commands import (
     ZoomIn,
 )
 from repro.core.kernel import GestureOutcome
-from repro.errors import RemoteError, ServiceError
+from repro.errors import DbTouchError, RemoteError, ServiceError
 from repro.remote.client import RemotePolicy
 from repro.remote.network import LAN, WAN, SimulatedLink
 from repro.remote.server import RemoteServer
@@ -327,6 +327,33 @@ class TestMultiSessionServer:
         assert stats is not None
         # two private managers, nothing selected yet: counters sum to zero
         assert stats["consultations"] == stats["crackers_built"] == 0
+
+    def test_inline_submit_returns_a_resolved_future(self):
+        """With no pool ``submit`` runs the command now: its future is done,
+        carries what ``execute`` returns for the same sequence, and its
+        ``result()`` re-raises the typed error ``execute`` raises."""
+        server = MultiSessionServer()
+        submitted, executed = server.open_session(), server.open_session()
+        for sid in (submitted, executed):
+            server.load_column(sid, "m", np.arange(50_000))
+        for command in browse_script():
+            future = server.submit(submitted, command)
+            assert future.done()
+            envelope = future.result().to_dict()
+            expected = server.execute(executed, command).to_dict()
+            for wire in (envelope, expected):
+                del wire["max_touch_latency_s"]  # wall time
+            assert envelope == expected
+        bad = Slide(view="never-shown", duration=0.5)
+        with pytest.raises(DbTouchError) as raised:
+            server.execute(executed, bad)
+        future = server.submit(submitted, bad)
+        assert future.done()
+        with pytest.raises(type(raised.value)) as again:
+            future.result()
+        assert str(again.value) == str(raised.value)
+        counters = server.metrics(submitted).counters_snapshot()
+        assert counters == server.metrics(executed).counters_snapshot()
 
     def test_remote_factory(self):
         def factory():

@@ -6,7 +6,9 @@ workers or drain the fleet build their own private servers so they cannot
 poison the shared one.
 """
 
+import asyncio
 import json
+import signal
 import socket
 import time
 
@@ -397,6 +399,67 @@ class TestWorkerCrash:
             )
             with pytest.raises(WorkerCrashedError):
                 ShardedClient("127.0.0.1", server.port, session_id=sid)
+
+
+class TestOneReaderPerPipe:
+    """Each pipe has one reader at a time: the loop while it runs, the
+    waiting caller before and after — so ``stop`` is answered, not forced."""
+
+    def test_every_worker_answers_stop(self, snapshot_root):
+        fleets = [
+            ShardedServer(server_config(snapshot_root)).start(),  # the loop reads
+            ShardedServer(server_config(snapshot_root)),  # stop() reads, never a loop
+        ]
+        for fleet in fleets:
+            fleet.shutdown()
+        exitcodes = [[handle.process.exitcode for handle in f.shards.workers] for f in fleets]
+        assert exitcodes == [[0, 0], [0, 0]]
+
+    def test_killed_shard_leaves_the_loop_and_the_survivor_stops_cleanly(self, snapshot_root):
+        async def pipes_read_by_the_loop() -> list[bool]:
+            watched = asyncio.get_running_loop()._selector.get_map()
+            return [handle._conn.fileno() in watched for handle in (dead, survivor)]
+
+        def read_by_the_loop() -> list[bool]:
+            probe = pipes_read_by_the_loop()
+            return asyncio.run_coroutine_threadsafe(probe, server._loop).result(10)
+
+        # one-thread workers: the killed shard ran its gestures on its pipe thread
+        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1)
+        server = ShardedServer(ShardedServerConfig(num_workers=2, worker=worker)).start()
+        dead, survivor = server.shards.workers
+        try:
+            assert read_by_the_loop() == [True, True]
+            dead.process.kill()
+            deadline = time.monotonic() + 10
+            while dead.alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not dead.alive
+            assert read_by_the_loop() == [False, True]
+            stats = server.shards.stats()
+            assert stats["alive_workers"] == [1]
+            assert stats["workers"]["1"]["worker"] == 1
+        finally:
+            server.shutdown()
+        assert survivor.process.exitcode == 0
+        assert dead.process.exitcode == -signal.SIGKILL
+
+    def test_a_long_script_on_a_one_thread_worker_finishes(self, snapshot_root):
+        """A one-thread worker blocked writing its replies reads no request,
+        so the loop reads a pipe before it sends on it: without that, a
+        thousand-gesture script leaves both ends blocked on full pipes."""
+        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1)
+        server = ShardedServer(ShardedServerConfig(num_workers=1, worker=worker)).start()
+        script = GestureScript([Slide(view="v", duration=0.1) for _ in range(1000)])
+        try:
+            with ShardedClient("127.0.0.1", server.port, timeout_s=15) as client:
+                client.execute(ShowColumn(object_name="telemetry", view_name="v"))
+                assert len(client.run(script)) == 1000
+        except BaseException:
+            server.shards.workers[0].process.kill()  # unblocks a stuck send
+            raise
+        finally:
+            server.shutdown()
 
 
 class TestDrainAndAdmission:
