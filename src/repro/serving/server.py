@@ -20,15 +20,16 @@ bytes never reach a worker process, which is what the fuzz suites in
 pin down.
 
 The asyncio loop runs on a background thread — the one thread the front
-door starts: it reads the client sockets and every worker pipe — so
-blocking clients and tests can drive the server without owning a loop.
+door starts: it serves the client sockets and every worker pipe and
+blocks on none of them — so blocking clients and tests can drive the
+server without owning a loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any
@@ -50,7 +51,7 @@ from repro.serving.protocol import (
     Response,
     encode_frame,
 )
-from repro.serving.shards import ShardManager, shard_for_session
+from repro.serving.shards import ShardManager, all_drained, replies_of, shard_for_session
 from repro.serving.worker import WorkerConfig
 
 
@@ -118,8 +119,8 @@ class ShardedServer:
         self._lock = threading.Lock()
         self._inflight = 0
         self._draining = False
-        self._idle = threading.Event()
-        self._idle.set()
+        self._idle: Future = Future()  # resolves each time nothing is in flight
+        self._idle.set_result(None)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -187,12 +188,31 @@ class ShardedServer:
         Returns ``True`` when every admitted request was answered and
         every shard finished its queued gestures within ``timeout``.
         """
+        finished, _ = wait([self._begin_drain()], timeout=timeout)
+        return self.shards.drain(timeout=timeout) and bool(finished)
+
+    async def _drain(self, timeout: float | None) -> bool:
+        """:meth:`drain` on the loop: it awaits what it waits for."""
+        idle = asyncio.wrap_future(self._begin_drain())
+        finished, _ = await asyncio.wait([idle], timeout=timeout)
+        replies = await self._gather("drain", {"timeout": timeout}, timeout)
+        return all_drained(replies) and bool(finished)
+
+    def _begin_drain(self) -> Future:
+        """Admit nothing from now on; the future resolves once idle."""
         with self._lock:
             self._draining = True
-            if self._inflight == 0:
-                self._idle.set()
-        finished = self._idle.wait(timeout=timeout)
-        return self.shards.drain(timeout=timeout) and finished
+            return self._idle
+
+    async def _gather(
+        self, op: str, payload: dict | None = None, timeout: float | None = 30.0
+    ) -> dict[str, dict[str, Any]]:
+        """Fan ``op`` out to every live shard and await the replies on the
+        loop, which reads them off the pipes (see :func:`replies_of`)."""
+        futures = self.shards.submit_all(op, payload)
+        if futures:
+            await asyncio.wait([asyncio.wrap_future(f) for f in futures.values()], timeout=timeout)
+        return replies_of(futures)
 
     def shutdown(self) -> None:
         """Close the listen socket, stop the loop, stop every worker."""
@@ -228,14 +248,15 @@ class ShardedServer:
                 raise AdmissionError(
                     f"server is at its in-flight limit ({limit}); retry later"
                 )
+            if self._inflight == 0:
+                self._idle = Future()
             self._inflight += 1
-            self._idle.clear()
 
     def _release(self) -> None:
         with self._lock:
             self._inflight -= 1
             if self._inflight == 0:
-                self._idle.set()
+                self._idle.set_result(None)
 
     @property
     def inflight(self) -> int:
@@ -319,19 +340,20 @@ class ShardedServer:
         return True
 
     async def _handle_request(self, request: Request, writer: asyncio.StreamWriter) -> None:
-        loop = asyncio.get_running_loop()
         try:
             if request.verb == "hello":
                 await self._send(writer, Response.success(request.id, self._hello_payload()))
                 return
             if request.verb in ("stats", "telemetry"):
-                stats = request.verb == "stats"
-                report = self.shards.stats if stats else self._telemetry_report
                 self._admit()
                 try:
-                    payload = await loop.run_in_executor(None, report)
+                    replies = await self._gather(request.verb)
                 finally:
                     self._release()
+                if request.verb == "stats":
+                    payload = self.shards.merge_stats(replies)
+                else:
+                    payload = self._telemetry_report(self.shards.merge_telemetry(replies))
                 await self._send(writer, Response.success(request.id, payload))
                 return
             if request.verb == "drain":
@@ -346,7 +368,7 @@ class ShardedServer:
                     raise MalformedFrameError(
                         "drain 'timeout' must be a non-negative number of seconds or null"
                     )
-                drained = await loop.run_in_executor(None, self.drain, timeout)
+                drained = await self._drain(timeout)
                 await self._send(writer, Response.success(request.id, {"drained": drained}))
                 return
             # everything else is session-scoped and runs on a shard
@@ -396,17 +418,17 @@ class ShardedServer:
         )
         return root, (root.context().to_dict() if root is not None else request.trace)
 
-    def _telemetry_report(self) -> dict[str, Any]:
+    def _telemetry_report(self, fleet: dict[str, Any]) -> dict[str, Any]:
         """Fleet-wide telemetry: merged metrics, drained traces, exposition.
 
-        ``metrics`` key-wise sums every worker's snapshot with the front
-        door's own (:func:`repro.obs.registry.merge_numeric`), ``traces``
+        ``fleet`` is :meth:`ShardManager.merge_telemetry` of the workers'
+        replies.  ``metrics`` key-wise sums every worker's snapshot with the
+        front door's own (:func:`repro.obs.registry.merge_numeric`), ``traces``
         concatenates every site's drained partials (stitch them client-side
         with :func:`repro.obs.trace.stitch_traces`), and ``exposition`` is
         the merged view in Prometheus text format.  Per-worker detail stays
         under ``workers``.
         """
-        fleet = self.shards.telemetry()
         front_metrics = self.telemetry.snapshot()
         recorder = self.tracer.recorder
         front_traces = [t.to_dict() for t in recorder.drain()] if recorder else []

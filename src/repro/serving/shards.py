@@ -10,9 +10,10 @@ replay no matter how many shards serve the fleet.
 
 :class:`ShardManager` owns the fleet: it spawns every worker process
 and starts no thread (fork safety — forking a multi-threaded parent is
-how deadlocks are born).  Each pipe has one reader: the event loop it is
-attached to (the front door's) or, while none is, whoever waits for a
-reply.  A worker death is detected as pipe EOF and converted into
+how deadlocks are born).  Each pipe has one reader and one writer: the
+event loop it is attached to (the front door's), which never blocks on
+it, or, while none is, whoever waits for a reply.  A worker death is
+detected as pipe EOF and converted into
 :class:`repro.errors.WorkerCrashedError` on every pending and future
 request routed to that shard — sessions pinned to a dead shard fail
 loudly and immediately while the surviving shards keep serving, which is
@@ -24,9 +25,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import multiprocessing as mp
+import socket
+import struct
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.reduction import ForkingPickler
 from typing import Any
 
 from repro.errors import ServiceError, WorkerCrashedError
@@ -48,9 +52,30 @@ def shard_for_session(session_id: str, num_workers: int) -> int:
     return int.from_bytes(digest[:8], "big") % num_workers
 
 
+def replies_of(futures: dict[str, Future]) -> dict[str, dict[str, Any]]:
+    """Each shard's reply payload by worker id; a shard that failed, died
+    or has not answered yet reads ``{"error": ...}`` as data, never raised
+    (a half-dead fleet can still describe itself)."""
+    replies: dict[str, dict[str, Any]] = {}
+    for worker_id, future in futures.items():
+        if not future.done():
+            replies[worker_id] = {"error": f"worker {worker_id} did not answer in time"}
+        elif future.exception() is not None:
+            replies[worker_id] = {"error": str(future.exception())}
+        else:
+            replies[worker_id] = future.result()
+    return replies
+
+
+def all_drained(replies: dict[str, dict[str, Any]]) -> bool:
+    """Whether every shard's ``drain`` reply says it finished."""
+    return all(bool(report.get("drained")) for report in replies.values())
+
+
 class _Reply(Future):
-    """A worker's answer: waiting on it while no event loop reads the pipe
-    reads the pipe (the ready handshake, ``stop``, a fan-out before start)."""
+    """A worker's answer.  While no event loop serves the pipe, waiting on it
+    writes the queued requests and reads the replies itself (the ready
+    handshake, ``stop``, a fan-out before start)."""
 
     def __init__(self, handle: "WorkerHandle") -> None:
         super().__init__()
@@ -62,6 +87,7 @@ class _Reply(Future):
             left = 1.0 if deadline is None else deadline - time.monotonic()
             if left <= 0:
                 break
+            self._handle.flush()
             self._handle.read_ready(min(left, 0.05))  # then look for a loop again
         return super().result(None if deadline is None else max(0.0, deadline - time.monotonic()))
 
@@ -73,10 +99,15 @@ class WorkerHandle:
         self.worker_id = worker_id
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
+        # requests leave through a second descriptor of the same socket, a
+        # frame at a time as ``Connection.send`` frames it, never blocking
+        self._sock = socket.fromfd(parent_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM)
+        self._out = bytearray()  # framed requests the pipe has not taken yet
         self._lock = threading.Lock()
         self._read_lock = threading.Lock()  # one message, one reader
-        self._loop: asyncio.AbstractEventLoop | None = None  # reading the pipe,
+        self._loop: asyncio.AbstractEventLoop | None = None  # serving the pipe,
         self._loop_thread: int | None = None  # on this thread
+        self._writing = False  # the loop waits for room to write
         self._pending: dict[int, Future] = {}
         self._next_id = 0
         self._alive = False
@@ -105,25 +136,24 @@ class WorkerHandle:
             return self._alive
 
     def attach(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Let ``loop`` read the pipe from now on (call on the loop's thread)."""
+        """Let ``loop`` serve the pipe from now on (call on the loop's thread)."""
         self._loop, self._loop_thread = loop, threading.get_ident()
         loop.add_reader(self._conn.fileno(), self.read_ready)
+        self.flush()
 
     def detach(self) -> None:
         """Take the pipe back from its loop (on the loop's thread)."""
         loop, self._loop, self._loop_thread = self._loop, None, None
         if loop is not None:
             loop.remove_reader(self._conn.fileno())
+            loop.remove_writer(self._sock.fileno())
+        self._writing = False
 
     # ------------------------------------------------------------------ #
     # request/response plumbing
     # ------------------------------------------------------------------ #
     def submit(self, op: str, session: str | None = None, payload: dict | None = None) -> Future:
-        """Send one op to the worker; the future resolves with its payload."""
-        if self._loop_thread == threading.get_ident():
-            # a worker blocked writing replies reads no request: the loop,
-            # this pipe's reader, empties it before a send could block on it
-            self.read_ready()
+        """Queue one op for the worker; the future resolves with its payload."""
         future: Future = _Reply(self)
         with self._lock:
             if not self._alive:
@@ -142,25 +172,47 @@ class WorkerHandle:
                 message["session"] = session
             if payload:
                 message["payload"] = payload
+            frame = ForkingPickler.dumps(message)
+            size = len(frame)  # a 4-byte length, or -1 and an 8-byte one
+            self._out += struct.pack("!i", size) if size < 2**31 else struct.pack("!iQ", -1, size)
+            self._out += frame
+        loop = self._loop
+        if loop is None or self._loop_thread == threading.get_ident():
+            self.flush()
+        else:
             try:
-                self._conn.send(message)
-            except (OSError, ValueError, BrokenPipeError):
-                del self._pending[request_id]
-                self._alive = False
-                future.set_exception(
-                    WorkerCrashedError(f"worker {self.worker_id} pipe is closed")
-                )
+                loop.call_soon_threadsafe(self.flush)
+            except RuntimeError:
+                pass  # the loop just closed: the reply's own wait writes it
         return future
 
-    def request(
-        self,
-        op: str,
-        session: str | None = None,
-        payload: dict | None = None,
-        timeout: float | None = None,
-    ) -> dict:
-        """Synchronous :meth:`submit` (raises the typed error on failure)."""
-        return self.submit(op, session=session, payload=payload).result(timeout=timeout)
+    def flush(self) -> None:
+        """Write as much of the queued requests as the pipe takes now.
+
+        Never blocks: a worker busy writing replies reads no request, and
+        the loop that would drain those replies must not wait on it.  On
+        the loop's thread, what is left waits for room with ``add_writer``.
+        """
+        broken = False
+        with self._lock:
+            try:
+                while self._out:
+                    del self._out[: self._sock.send(self._out, socket.MSG_DONTWAIT)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                broken = True
+                self._out.clear()
+            waiting = bool(self._out)
+        loop = self._loop
+        if loop is not None and self._loop_thread == threading.get_ident():
+            if waiting and not self._writing:
+                loop.add_writer(self._sock.fileno(), self.flush)
+            elif not waiting and self._writing:
+                loop.remove_writer(self._sock.fileno())
+            self._writing = waiting
+        if broken:
+            self._on_crash()  # the worker is gone: fail what waits on it
 
     def read_ready(self, wait: float = 0.0) -> None:
         """Dispatch every message in the pipe (waiting up to ``wait`` s for
@@ -235,10 +287,11 @@ class WorkerHandle:
             self.process.terminate()
             self.process.join(timeout=timeout)
         self._on_crash()  # nothing answers from here on: fail what still waits
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        for end in (self._conn, self._sock):
+            try:
+                end.close()
+            except OSError:
+                pass
 
 
 class ShardManager:
@@ -302,27 +355,25 @@ class ShardManager:
     # ------------------------------------------------------------------ #
     # fleet-wide operations
     # ------------------------------------------------------------------ #
+    def submit_all(self, op: str, payload: dict | None = None) -> dict[str, Future]:
+        """Send ``op`` to every live shard at once; futures by worker id."""
+        return {
+            str(handle.worker_id): handle.submit(op, payload=payload)
+            for handle in self.workers
+            if handle.alive
+        }
+
     def _fan_out(
         self, op: str, payload: dict | None = None, timeout: float | None = 30.0
     ) -> dict[str, dict[str, Any]]:
-        """Send ``op`` to every live shard at once; replies by worker id.
-
-        A shard that fails or dies mid-request answers ``{"error": ...}``
-        as data, never raised — a half-dead fleet can still describe
-        itself, and no gather below needs its own error handling.
-        """
-        futures = [
-            (handle.worker_id, handle.submit(op, payload=payload))
-            for handle in self.workers
-            if handle.alive
-        ]
-        replies: dict[str, dict[str, Any]] = {}
-        for worker_id, future in futures:
+        """:meth:`submit_all`, then wait for each reply (see :func:`replies_of`)."""
+        futures = self.submit_all(op, payload)
+        for future in futures.values():
             try:
-                replies[str(worker_id)] = future.result(timeout=timeout)
-            except Exception as exc:  # noqa: BLE001 - reported as data
-                replies[str(worker_id)] = {"error": str(exc)}
-        return replies
+                future.result(timeout=timeout)
+            except Exception:  # noqa: BLE001 - reported as data below
+                pass
+        return replies_of(futures)
 
     def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
         """Aggregate every live shard's stats.
@@ -336,7 +387,10 @@ class ShardManager:
         name with no change to this file.  ``index`` and ``storage`` are
         always present, ``None`` when no shard reports them.
         """
-        replies = self._fan_out("stats", timeout=timeout)
+        return self.merge_stats(self._fan_out("stats", timeout=timeout))
+
+    def merge_stats(self, replies: dict[str, dict[str, Any]]) -> dict[str, Any]:
+        """The fleet's :meth:`stats` from every shard's ``stats`` reply."""
         sessions: dict[str, dict[str, int]] = {}
         sections: dict[str, list[dict[str, Any]]] = {}
         for report in replies.values():
@@ -368,7 +422,10 @@ class ShardManager:
         (including each worker's own Prometheus exposition text).  Like
         :meth:`stats`, a dead shard is reported as data, never raised.
         """
-        replies = self._fan_out("telemetry", timeout=timeout)
+        return self.merge_telemetry(self._fan_out("telemetry", timeout=timeout))
+
+    def merge_telemetry(self, replies: dict[str, dict[str, Any]]) -> dict[str, Any]:
+        """The fleet's :meth:`telemetry` from every shard's reply."""
         drained: dict[str, list[dict[str, Any]]] = {"traces": [], "slow_traces": []}
         for report in replies.values():
             for key, into in drained.items():
@@ -385,17 +442,9 @@ class ShardManager:
 
     def drain(self, timeout: float | None = None) -> bool:
         """Finish every in-flight gesture on every live shard."""
-        replies = self._fan_out("drain", {"timeout": timeout}, timeout)
-        return all(bool(report.get("drained")) for report in replies.values())
+        return all_drained(self._fan_out("drain", {"timeout": timeout}, timeout))
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop every worker process (idempotent)."""
         for handle in self.workers:
             handle.stop(timeout=timeout)
-
-    def __enter__(self) -> "ShardManager":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        self.shutdown()
-        return False

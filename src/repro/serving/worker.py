@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing.connection import Connection
 from typing import Any, Callable
 
 from repro.core.commands import GestureCommand
 from repro.core.kernel import KernelConfig
 from repro.core.scheduler import SchedulerConfig
-from repro.errors import DbTouchError, MalformedFrameError, UnknownVerbError
+from repro.errors import DbTouchError, MalformedFrameError, ServiceError, UnknownVerbError
 from repro.obs.trace import TraceConfig
 from repro.persist.snapshot import StoreCatalog
 from repro.serving.protocol import error_payload
@@ -67,7 +67,9 @@ class WorkerConfig:
         The worker-local :class:`repro.core.scheduler.SchedulerConfig`
         knobs; admission here is the per-shard backstop behind the front
         door's shed layer.  ``scheduler_workers == 1`` builds no pool: each
-        gesture runs on the pipe thread, admitted by ``max_inflight`` alone.
+        gesture runs on the pipe thread, admitted by ``max_inflight`` alone,
+        so such a worker reads neither bound and refuses one set off its
+        default rather than ignore it.
     latency_budget_s:
         Pin for :attr:`repro.core.kernel.KernelConfig.latency_budget_s`.
         The default pins it effectively-infinite so outcome counters stay
@@ -95,6 +97,15 @@ class WorkerConfig:
     trace_sample_rate: float | None = None
     slow_trace_threshold_s: float | None = None
     flight_recorder_capacity: int = 64
+
+    def __post_init__(self) -> None:
+        pool_bounds = fields(self)[2:4]  # max_pending, max_session_pending
+        unread = [f.name for f in pool_bounds if getattr(self, f.name) != f.default]
+        if self.scheduler_workers == 1 and unread:
+            raise ServiceError(
+                f"{' and '.join(unread)} bound a worker's pool, and scheduler_workers=1 "
+                "builds none; bound the front door's max_inflight"
+            )
 
 
 def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServer:

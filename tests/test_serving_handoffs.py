@@ -1,7 +1,8 @@
 """The hand-offs of a fleet gesture, counted rather than timed.
 
 A gesture on the sharded path crosses the front door's one event loop,
-which reads the client sockets *and* the worker pipes, and a worker with
+which serves the client sockets *and* the worker pipes (``stats``,
+``telemetry`` and ``drain`` await their fan-out there too), and a worker with
 ``scheduler_workers=1`` runs it on its own pipe thread.  These tests count
 the threads and the stats sections that design leaves, so a return of a
 per-shard reader thread or of a one-thread worker pool fails here by
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import ChooseAction, ShowColumn, Slide, Tap, summary_action
+from repro.errors import ServiceError
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.serving import (
@@ -70,9 +72,12 @@ def test_the_front_door_adds_one_thread_and_no_pipe_reader(snapshot_root):
             for i in range(GESTURES - 2 * len(clients)):
                 gesture = Tap(view="v", fraction=0.5) if i % 3 else Slide(view="v", duration=0.1)
                 clients[i % 2].execute(gesture)
-            assert new_threads(before) == ["repro-sharded-server"]
-            sessions = server.shards.stats()["sessions"]
+            # the fan-out verbs await the shards' replies on the loop too
+            sessions = clients[0].stats()["sessions"]
             assert sum(counters["commands"] for counters in sessions.values()) == GESTURES
+            assert clients[1].telemetry()["alive_workers"] == [0, 1]
+            assert clients[0].drain(timeout=10.0) is True
+            assert new_threads(before) == ["repro-sharded-server"]
         finally:
             for client in clients:
                 client.close()
@@ -84,3 +89,10 @@ def test_only_a_multi_thread_worker_has_a_scheduler(snapshot_root, scheduler_wor
         stats = server.shards.stats()
         assert ["scheduler" in stats["workers"][w] for w in ("0", "1")] == [pooled, pooled]
         assert ("scheduler" in stats) is pooled
+
+
+def test_a_one_thread_worker_refuses_the_pool_bounds():
+    for bound in ("max_pending", "max_session_pending"):
+        with pytest.raises(ServiceError, match=bound):
+            WorkerConfig(scheduler_workers=1, **{bound: 8})
+        assert getattr(WorkerConfig(scheduler_workers=2, **{bound: 8}), bound) == 8

@@ -8,6 +8,7 @@ poison the shared one.
 
 import asyncio
 import json
+import os
 import signal
 import socket
 import time
@@ -35,10 +36,12 @@ from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.serving import (
     PROTOCOL_VERSION,
+    FrameDecoder,
     ShardedClient,
     ShardedServer,
     ShardedServerConfig,
     WorkerConfig,
+    encode_frame,
     shard_for_session,
 )
 from repro.storage.column import Column
@@ -444,22 +447,105 @@ class TestOneReaderPerPipe:
         assert survivor.process.exitcode == 0
         assert dead.process.exitcode == -signal.SIGKILL
 
-    def test_a_long_script_on_a_one_thread_worker_finishes(self, snapshot_root):
-        """A one-thread worker blocked writing its replies reads no request,
-        so the loop reads a pipe before it sends on it: without that, a
-        thousand-gesture script leaves both ends blocked on full pipes."""
-        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1)
+    @pytest.mark.parametrize("scheduler_workers", [1, 2])
+    def test_a_long_script_finishes(self, snapshot_root, scheduler_workers):
+        """5,000 gestures fill both pipes: the worker's replies pile up while
+        the front door still has requests to write.  The loop never blocks
+        writing a pipe, so it keeps reading the replies and the run ends."""
+        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=scheduler_workers)
         server = ShardedServer(ShardedServerConfig(num_workers=1, worker=worker)).start()
-        script = GestureScript([Slide(view="v", duration=0.1) for _ in range(1000)])
+        script = GestureScript([Slide(view="v", duration=0.1) for _ in range(5000)])
         try:
-            with ShardedClient("127.0.0.1", server.port, timeout_s=15) as client:
+            with ShardedClient("127.0.0.1", server.port, timeout_s=30) as client:
                 client.execute(ShowColumn(object_name="telemetry", view_name="v"))
-                assert len(client.run(script)) == 1000
+                assert len(client.run(script)) == 5000
         except BaseException:
             server.shards.workers[0].process.kill()  # unblocks a stuck send
             raise
         finally:
             server.shutdown()
+
+    def test_the_loop_answers_while_a_big_request_waits_for_a_stopped_worker(self, snapshot_root):
+        """A stopped worker reads nothing, so a ~0.5 MB request waits for
+        room in the pipe; the loop that would write it goes on serving."""
+        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1)
+        server = ShardedServer(ShardedServerConfig(num_workers=1, worker=worker)).start()
+        pid = server.shards.workers[0].process.pid
+        values = [i + 0.5 for i in range(60_000)]
+        answers: dict[int, dict] = {}
+
+        def read_until(conn, decoder, request_id: int) -> None:
+            while request_id not in answers:
+                for reply in decoder.feed(conn.recv(1 << 16)):
+                    assert reply["ok"], reply
+                    answers[reply["id"]] = reply["payload"]
+
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=10) as conn:
+                decoder = FrameDecoder()
+                conn.sendall(encode_frame({"id": 1, "verb": "open-session", "session": "big"}))
+                read_until(conn, decoder, 1)
+                os.kill(pid, signal.SIGSTOP)
+                load = {"id": 2, "verb": "load-column", "session": "big"}
+                load["payload"] = {"name": "big", "values": values}
+                conn.sendall(encode_frame(load) + encode_frame({"id": 3, "verb": "hello"}))
+                read_until(conn, decoder, 3)  # answered with the worker stopped
+                assert 2 not in answers
+                os.kill(pid, signal.SIGCONT)
+                read_until(conn, decoder, 2)
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            server.shutdown()
+        assert answers[2] == {"name": "big", "rows": 60_000}
+
+    def test_a_big_request_behind_a_long_script_finishes(self, snapshot_root):
+        """A ~0.5 MB ``load-column`` queued on a one-thread shard behind a
+        1,000-gesture script: the request waits for room in the pipe while
+        the worker writes a reply per queued gesture, and the loop, which
+        never blocks on the write, reads those replies until both finish."""
+        worker = WorkerConfig(snapshot_path=str(snapshot_root), scheduler_workers=1)
+        server = ShardedServer(ShardedServerConfig(num_workers=1, worker=worker)).start()
+        script = GestureScript(
+            [ShowColumn(object_name="telemetry", view_name="v")]
+            + [Slide(view="v", duration=0.1) for _ in range(999)]
+        )
+        values = [i + 0.5 for i in range(60_000)]
+        frames = [
+            {"id": 1, "verb": "open-session", "session": "long"},
+            {"id": 2, "verb": "open-session", "session": "big"},
+            {
+                "id": 3,
+                "verb": "run-script",
+                "session": "long",
+                "payload": {"script": script.to_dict()},
+            },
+            {
+                "id": 4,
+                "verb": "load-column",
+                "session": "big",
+                "payload": {"name": "big", "values": values},
+            },
+        ]
+        partials, answers = 0, {}
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as conn:
+                conn.sendall(b"".join(encode_frame(frame) for frame in frames))
+                decoder = FrameDecoder()
+                while len(answers) < 4:
+                    for reply in decoder.feed(conn.recv(1 << 16)):
+                        assert reply["ok"], reply
+                        if reply["payload"].get("partial"):
+                            partials += 1
+                        else:
+                            answers[reply["id"]] = reply["payload"]
+        except BaseException:
+            server.shards.workers[0].process.kill()  # unblocks a stuck send
+            raise
+        finally:
+            server.shutdown()
+        assert partials == 1000
+        assert answers[3] == {"done": True, "total": 1000}
+        assert answers[4] == {"name": "big", "rows": 60_000}
 
 
 class TestDrainAndAdmission:
