@@ -606,17 +606,17 @@ class DbTouchKernel:
     # slide: the main query-processing gesture
     # ------------------------------------------------------------------ #
     def _handle_slide(self, state: _ObjectState, gesture: RecognizedGesture) -> GestureOutcome:
+        join = self._join_for(gesture.view_name)
+        if self.config.batch_execution and self._batch_executor.supports(state, join):
+            return self._batch_executor.execute(state, gesture)
+        # joins, group-bys and attribute-dependent table scans (and the
+        # differential oracle, with batch_execution off): the per-touch loop
         outcome = GestureOutcome(
             gesture_type=GestureType.SLIDE,
             view_name=gesture.view_name,
             object_name=state.object_name,
             duration_s=gesture.duration,
         )
-        join = self._join_for(gesture.view_name)
-        if self.config.batch_execution and self._batch_executor.supports(state, join):
-            return self._batch_executor.execute(state, gesture)
-        # joins, group-bys and attribute-dependent table scans (and the
-        # differential oracle, with batch_execution off): the per-touch loop
         touched, latencies = [], []
         for event in gesture.events:
             if event.phase is TouchPhase.ENDED or event.phase is TouchPhase.CANCELLED:

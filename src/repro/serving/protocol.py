@@ -29,11 +29,19 @@ string maps back to the same exception classes on the client side via
 :func:`exception_from_payload`, so a :class:`repro.errors.AdmissionError`
 shed at the front door is raised as an ``AdmissionError`` in the client
 process too.
+
+Behind the front door, a shard's pipe carries the same JSON under a
+binary header (:func:`pipe_frame`, :class:`PipeBuffer`).  A request body
+is the request's wire form, so the front door forwards a client's frame
+as it arrived; an answer body is a response without its id, encoded once
+by the worker, which the front door writes out under the client's request
+id without decoding it (:func:`answer_frame`).
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -123,18 +131,27 @@ def exception_from_payload(payload: Any) -> DbTouchError:
 # --------------------------------------------------------------------- #
 
 
-def encode_frame(payload: dict[str, Any], max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
-    """Encode one JSON object as a newline-terminated frame."""
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def encode_json(payload: dict[str, Any]) -> bytes:
+    """Encode one JSON object compactly, with no newline."""
     try:
-        line = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        return _ENCODER.encode(payload).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise MalformedFrameError(f"payload is not JSON-encodable: {exc}") from exc
-    data = line.encode("utf-8") + b"\n"
-    if len(data) > max_bytes:
-        raise FrameTooLargeError(
-            f"encoded frame is {len(data)} bytes (limit {max_bytes})"
-        )
-    return data
+
+
+def bounded(frame: bytes, max_bytes: int) -> bytes:
+    """``frame``, unless it is longer than ``max_bytes``."""
+    if len(frame) > max_bytes:
+        raise FrameTooLargeError(f"encoded frame is {len(frame)} bytes (limit {max_bytes})")
+    return frame
+
+
+def encode_frame(payload: dict[str, Any], max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+    """Encode one JSON object as a newline-terminated frame."""
+    return bounded(encode_json(payload) + b"\n", max_bytes)
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:
@@ -180,8 +197,13 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[dict[str, Any]]:
         """Buffer ``data`` and return every frame it completed."""
+        return [decode_frame(line) for line in self.lines(data)]
+
+    def lines(self, data: bytes) -> list[bytes]:
+        """Buffer ``data`` and return every frame line it completed, undecoded
+        (keep-alive newlines dropped)."""
         self._buffer.extend(data)
-        frames: list[dict[str, Any]] = []
+        frames: list[bytes] = []
         while True:
             newline = self._buffer.find(b"\n")
             if newline < 0:
@@ -197,9 +219,8 @@ class FrameDecoder:
                 raise FrameTooLargeError(
                     f"frame is {len(line)} bytes (limit {self.max_bytes})"
                 )
-            if not line.strip():
-                continue  # bare keep-alive newline
-            frames.append(decode_frame(line))
+            if line.strip():  # else a bare keep-alive newline
+                frames.append(line)
 
 
 # --------------------------------------------------------------------- #
@@ -326,3 +347,90 @@ class Response:
         if self.ok:
             return self.payload
         raise exception_from_payload(self.error)
+
+
+# --------------------------------------------------------------------- #
+# the shard pipe
+# --------------------------------------------------------------------- #
+
+#: A pipe message's header: its id (``-1`` is a worker's ready handshake)
+#: and its JSON body's length.
+_PIPE_HEADER = struct.Struct("!qI")
+_OK = b'{"ok":true,'
+_ENVELOPE = b'{"ok":true,"payload":{"envelope":'
+
+
+def pipe_frame(ident: int, body: bytes) -> bytes:
+    """One pipe message: the header, then the body."""
+    return _PIPE_HEADER.pack(ident, len(body)) + body
+
+
+class PipeBuffer:
+    """Reassembles pipe messages from whatever each ``recv`` returned: a
+    message cut anywhere, in its header or its body, waits until whole."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
+        """Buffer ``data`` and return every ``(id, body)`` it completed."""
+        buffer = self._buffer
+        buffer += data
+        messages, start, size = [], 0, _PIPE_HEADER.size
+        while len(buffer) - start >= size:
+            ident, length = _PIPE_HEADER.unpack_from(buffer, start)
+            end = start + size + length
+            if end > len(buffer):
+                break
+            messages.append((ident, bytes(buffer[start + size : end])))
+            start = end
+        del buffer[:start]
+        return messages
+
+
+def request_body(
+    verb: str, session: str | None = None, payload: dict | None = None, trace: Any = None
+) -> bytes:
+    """A pipe request the front door makes itself, in the wire's form."""
+    return encode_json(Request(0, verb, session, payload or {}, trace).to_dict())
+
+
+def answer_body(payload: dict[str, Any]) -> bytes:
+    """A success answer; a payload JSON cannot carry becomes its typed error."""
+    try:
+        return encode_json({"ok": True, "payload": payload})
+    except ProtocolError as exc:
+        return error_body(exc)
+
+
+def error_body(exc: BaseException) -> bytes:
+    """A typed failure answer."""
+    return encode_json({"ok": False, "error": error_payload(exc)})
+
+
+def answer_error(body: bytes) -> DbTouchError | None:
+    """The typed error an answer carries (decoded only if it is one)."""
+    if body.startswith(_OK):
+        return None
+    return exception_from_payload(decode_frame(body).get("error"))
+
+
+def answer_payload(body: bytes) -> dict[str, Any]:
+    """An answer's payload, or raise the typed error it carries."""
+    return Response.from_dict({**decode_frame(body), "id": 0}).raise_if_error()
+
+
+def answer_frame(request_id: int, body: bytes) -> bytes:
+    """The wire frame of an answer: its body under ``request_id``, id first —
+    the bytes ``encode_frame`` makes of the same :class:`Response`."""
+    return b'{"id":%d,%b\n' % (request_id, body[1:])
+
+
+def partial_frame(request_id: int, seq: int, body: bytes) -> bytes:
+    """A ``run-script`` partial frame made from an ``execute`` success answer."""
+    envelope = body[len(_ENVELOPE) :]
+    return b'{"id":%d,"ok":true,"payload":{"partial":true,"seq":%d,"envelope":%b\n' % (
+        request_id,
+        seq,
+        envelope,
+    )

@@ -3,9 +3,18 @@
 :class:`ShardedServer` accepts connections, decodes newline-delimited
 JSON frames (:mod:`repro.serving.protocol`), validates each request
 envelope, and routes session-scoped verbs to the pinned shard via
-:class:`repro.serving.shards.ShardManager`.  Responses stream back
-per-connection in completion order — slow gestures from one session never
-head-of-line-block another session sharing the socket.
+:class:`repro.serving.shards.ShardManager`.  Each connection is an
+:class:`asyncio.Protocol` whose ``data_received`` decodes every frame
+once and dispatches it on the spot: a session verb's frame goes to its
+shard as the client's own bytes, and the worker's answer, encoded once
+in the worker, comes back onto the socket under the request id without
+being decoded (a ``run-script`` is sent command by command and answered
+frame by frame).  Only ``stats``, ``telemetry`` and ``drain`` become
+tasks, because they await a fan-out to every shard; their replies, and
+``hello``'s, the front door decodes, merges and encodes itself.
+Responses stream back per-connection in completion order — slow gestures
+from one session never head-of-line-block another session sharing the
+socket.
 
 The front door is also the shed layer: a server-wide bound on in-flight
 requests reuses the existing :class:`repro.errors.AdmissionError`
@@ -32,7 +41,7 @@ import threading
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any
+from typing import Any, Awaitable
 
 from repro.errors import (
     AdmissionError,
@@ -49,7 +58,14 @@ from repro.serving.protocol import (
     FrameDecoder,
     Request,
     Response,
+    answer_error,
+    answer_frame,
+    bounded,
+    decode_frame,
     encode_frame,
+    encode_json,
+    partial_frame,
+    request_body,
 )
 from repro.serving.shards import ShardManager, all_drained, replies_of, shard_for_session
 from repro.serving.worker import WorkerConfig
@@ -78,7 +94,7 @@ class ShardedServerConfig:
         Front-door :class:`repro.obs.trace.TraceConfig` (``None`` serves
         untraced).  When set, every ``execute`` and every ``run-script``
         opens one front-door root span and ships its context to the shard
-        on the pipe payload's ``trace`` key, so the ``telemetry`` verb can
+        as the request's ``trace``, so the ``telemetry`` verb can
         stitch one distributed trace per gesture (per script).  The config's
         ``site`` is overridden to ``"front-door"``; enable the *workers'*
         tracers via :attr:`WorkerConfig.trace_sample_rate`.
@@ -113,14 +129,15 @@ class ShardedServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.Server | None = None
+        self._connections: set[_Connection] = set()
+        self._tasks: set[asyncio.Task] = set()  # fan-out verbs awaiting their shards
         self._port: int | None = None
         self._started = threading.Event()
         self._start_error: BaseException | None = None
         self._lock = threading.Lock()
         self._inflight = 0
         self._draining = False
-        self._idle: Future = Future()  # resolves each time nothing is in flight
-        self._idle.set_result(None)
+        self._idle: Future = Future()  # resolves once draining and nothing is in flight
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -160,8 +177,8 @@ class ShardedServer:
 
         async def bootstrap() -> None:
             try:
-                self._server = await asyncio.start_server(
-                    self._serve_connection, self.config.host, self.config.port
+                self._server = await loop.create_server(
+                    lambda: _Connection(self), self.config.host, self.config.port
                 )
                 self._port = self._server.sockets[0].getsockname()[1]
             except OSError as exc:
@@ -172,7 +189,11 @@ class ShardedServer:
         loop.run_until_complete(bootstrap())
         if self._start_error is None:
             loop.run_forever()
-        # cancel whatever the stop left behind, then close down cleanly
+        # hang up on every client, cancel whatever the stop left behind,
+        # then close down cleanly
+        for connection in list(self._connections):
+            connection.transport.close()
+        loop.run_until_complete(asyncio.sleep(0))  # their close callbacks
         pending = asyncio.all_tasks(loop)
         for task in pending:
             task.cancel()
@@ -191,17 +212,19 @@ class ShardedServer:
         finished, _ = wait([self._begin_drain()], timeout=timeout)
         return self.shards.drain(timeout=timeout) and bool(finished)
 
-    async def _drain(self, timeout: float | None) -> bool:
-        """:meth:`drain` on the loop: it awaits what it waits for."""
-        idle = asyncio.wrap_future(self._begin_drain())
-        finished, _ = await asyncio.wait([idle], timeout=timeout)
+    async def _drain(self, idle: Future, timeout: float | None) -> dict[str, bool]:
+        """:meth:`drain` on the loop, once :meth:`_begin_drain` gave ``idle``:
+        it awaits what it waits for."""
+        finished, _ = await asyncio.wait([asyncio.wrap_future(idle)], timeout=timeout)
         replies = await self._gather("drain", {"timeout": timeout}, timeout)
-        return all_drained(replies) and bool(finished)
+        return {"drained": all_drained(replies) and bool(finished)}
 
     def _begin_drain(self) -> Future:
         """Admit nothing from now on; the future resolves once idle."""
         with self._lock:
             self._draining = True
+            if self._inflight == 0 and not self._idle.done():
+                self._idle.set_result(None)
             return self._idle
 
     async def _gather(
@@ -248,14 +271,12 @@ class ShardedServer:
                 raise AdmissionError(
                     f"server is at its in-flight limit ({limit}); retry later"
                 )
-            if self._inflight == 0:
-                self._idle = Future()
             self._inflight += 1
 
     def _release(self) -> None:
         with self._lock:
             self._inflight -= 1
-            if self._inflight == 0:
+            if self._inflight == 0 and self._draining and not self._idle.done():
                 self._idle.set_result(None)
 
     @property
@@ -273,58 +294,52 @@ class ShardedServer:
         }
 
     # ------------------------------------------------------------------ #
-    # per-connection protocol loop
+    # per-connection protocol
     # ------------------------------------------------------------------ #
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder(max_bytes=self.config.max_frame_bytes)
+    def _connected(self, connection: "_Connection", transport: asyncio.Transport) -> None:
+        connection.transport = transport
+        # a client that does not read its answers is not read either
+        connection.pause_writing = transport.pause_reading
+        connection.resume_writing = transport.resume_reading
+        self._connections.add(connection)
+
+    def _receive(self, connection: "_Connection", data: bytes) -> None:
+        """Decode every frame ``data`` completed, then answer each in turn."""
+        transport = connection.transport
         try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    # undecodable stream: answer once (id 0), then hang up —
-                    # resynchronizing inside a corrupt byte stream is a lie
-                    await self._send(writer, Response.failure(0, exc))
-                    return
-                for frame in frames:
-                    if not await self._handle_frame(frame, writer):
-                        return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            return  # shutdown cancelled us mid-read: close quietly below
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            lines = connection.decoder.lines(data)
+            frames = [(line, decode_frame(line)) for line in lines]
+        except ProtocolError as exc:
+            # undecodable stream: answer once (id 0), then hang up —
+            # resynchronizing inside a corrupt byte stream is a lie
+            self._post(transport, Response.failure(0, exc))
+            transport.close()
+            return
+        for line, frame in frames:
+            if not self._handle_frame(line, frame, transport):
+                transport.close()
+                return
 
-    async def _send(self, writer: asyncio.StreamWriter, response: Response) -> None:
-        self._post(writer, response)
-        await writer.drain()
-
-    def _post(self, writer: asyncio.StreamWriter, response: Response) -> None:
+    def _post(self, transport: asyncio.Transport, response: Response) -> None:
         """Write ``response`` as one whole frame, so answers written from
         many callbacks never interleave (nor go to a closed connection)."""
-        if writer.is_closing():
-            return
         try:
-            data = encode_frame(response.to_dict(), max_bytes=self.config.max_frame_bytes)
-        except ProtocolError as exc:
-            # a response too large for the wire degrades to a typed error
-            data = encode_frame(
-                Response.failure(response.id, exc).to_dict(),
-                max_bytes=self.config.max_frame_bytes,
-            )
-        writer.write(data)
+            frame = encode_json(response.to_dict()) + b"\n"
+        except ProtocolError as exc:  # unencodable: its typed error instead
+            frame = encode_frame(Response.failure(response.id, exc).to_dict())
+        self._relay(transport, response.id, frame)
 
-    async def _handle_frame(self, frame: dict, writer: asyncio.StreamWriter) -> bool:
+    def _relay(self, transport: asyncio.Transport, request_id: int, frame: bytes) -> None:
+        """Write one whole frame; one too large for the wire degrades to a
+        typed error."""
+        try:
+            bounded(frame, self.config.max_frame_bytes)
+        except ProtocolError as exc:
+            frame = encode_frame(Response.failure(request_id, exc).to_dict())
+        if not transport.is_closing():
+            transport.write(frame)
+
+    def _handle_frame(self, line: bytes, frame: dict, transport: asyncio.Transport) -> bool:
         """Answer one decoded frame; ``False`` drops the connection."""
         try:
             request = Request.from_dict(frame)
@@ -332,72 +347,102 @@ class ShardedServer:
             # a malformed envelope may still carry a usable id to answer on
             request_id = frame.get("id")
             if not isinstance(request_id, int) or isinstance(request_id, bool) or request_id < 0:
-                await self._send(writer, Response.failure(0, exc))
+                self._post(transport, Response.failure(0, exc))
                 return False  # no id the client could match: drop the line
-            await self._send(writer, Response.failure(request_id, exc))
+            self._post(transport, Response.failure(request_id, exc))
             return True
-        await self._handle_request(request, writer)
+        try:
+            self._handle_request(request, line, transport)
+        except DbTouchError as exc:
+            self._post(transport, Response.failure(request.id, exc))
         return True
 
-    async def _handle_request(self, request: Request, writer: asyncio.StreamWriter) -> None:
-        try:
-            if request.verb == "hello":
-                await self._send(writer, Response.success(request.id, self._hello_payload()))
-                return
-            if request.verb in ("stats", "telemetry"):
-                self._admit()
-                try:
-                    replies = await self._gather(request.verb)
-                finally:
-                    self._release()
-                if request.verb == "stats":
-                    payload = self.shards.merge_stats(replies)
-                else:
-                    payload = self._telemetry_report(self.shards.merge_telemetry(replies))
-                await self._send(writer, Response.success(request.id, payload))
-                return
-            if request.verb == "drain":
-                timeout = request.payload.get("timeout")
-                # validated before the drain starts: a bad frame must not
-                # leave the server refusing work (NaN fails both bounds)
-                if timeout is not None and not (
-                    isinstance(timeout, (int, float))
-                    and not isinstance(timeout, bool)
-                    and 0 <= timeout <= threading.TIMEOUT_MAX
-                ):
-                    raise MalformedFrameError(
-                        "drain 'timeout' must be a non-negative number of seconds or null"
-                    )
-                drained = await self._drain(timeout)
-                await self._send(writer, Response.success(request.id, {"drained": drained}))
-                return
-            # everything else is session-scoped and runs on a shard
-            if request.session is None:
-                raise MalformedFrameError(f"verb {request.verb!r} needs a 'session'")
+    def _handle_request(self, request: Request, line: bytes, transport: asyncio.Transport) -> None:
+        if request.verb == "hello":
+            self._post(transport, Response.success(request.id, self._hello_payload()))
+            return
+        if request.verb in ("stats", "telemetry"):
             self._admit()
-            if request.verb == "run-script":
-                try:
-                    self._stream_script(request, writer)
-                except BaseException:
-                    self._release()
-                    raise
-                return
-            root, payload = None, request.payload
-            if request.verb == "execute":
-                root, capsule = self._begin_root(request)
-                if capsule is not None:
-                    payload = {**payload, "trace": capsule}
+            self._spawn(request.id, transport, self._report(request.verb))
+            return
+        if request.verb == "drain":
+            timeout = request.payload.get("timeout")
+            # validated before the drain starts: a bad frame must not
+            # leave the server refusing work (NaN fails both bounds)
+            if timeout is not None and not (
+                isinstance(timeout, (int, float))
+                and not isinstance(timeout, bool)
+                and 0 <= timeout <= threading.TIMEOUT_MAX
+            ):
+                raise MalformedFrameError(
+                    "drain 'timeout' must be a non-negative number of seconds or null"
+                )
+            self._spawn(request.id, transport, self._drain(self._begin_drain(), timeout))
+            return
+        # everything else is session-scoped and runs on a shard
+        if request.session is None:
+            raise MalformedFrameError(f"verb {request.verb!r} needs a 'session'")
+        self._admit()
+        if request.verb == "run-script":
             try:
-                # pipe ops carry the wire verbs' names: forward one-to-one
-                future = self.shards.submit(request.verb, request.session, payload)
-            except BaseException as exc:
-                if root is not None:
-                    root.finish(error=exc)
+                self._stream_script(request, transport)
+            except BaseException:
                 self._release()
                 raise
-            self._stream_back(future, request.id, writer, root=root)
-        except DbTouchError as exc:
-            await self._send(writer, Response.failure(request.id, exc))
+            return
+        root = None
+        if request.verb == "execute":
+            root, capsule = self._begin_root(request)
+            if root is not None:  # the shard's spans go under the front door's
+                line = encode_json(replace(request, trace=capsule).to_dict())
+        # pipe ops carry the wire verbs' names: the client's frame is the request
+        shard = self.shards.worker_for_session(request.session)
+        shard.send(line, partial(self._answer, transport, request.id, root))
+
+    def _answer(
+        self,
+        transport: asyncio.Transport,
+        request_id: int,
+        root: RootSpan | None,
+        answer: bytes | BaseException,
+    ) -> None:
+        """Relay a shard's answer to the connection when it lands.
+
+        The callback fires on the event loop's own thread, where the loop
+        read the shard's answer off the pipe, and writes it there and then,
+        so many outstanding gestures stream back in completion order.
+        """
+        self._release()
+        if root is not None:
+            root.finish(error=_error_of(answer))
+        self._relay(transport, request_id, _frame_of(request_id, answer))
+
+    def _spawn(
+        self, request_id: int, transport: asyncio.Transport, work: Awaitable[dict[str, Any]]
+    ) -> None:
+        """Answer a fan-out verb once ``work`` has its payload."""
+
+        async def answer() -> None:
+            try:
+                payload = await work
+            except DbTouchError as exc:
+                self._post(transport, Response.failure(request_id, exc))
+            else:
+                self._post(transport, Response.success(request_id, payload))
+
+        task = asyncio.get_running_loop().create_task(answer())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _report(self, verb: str) -> dict[str, Any]:
+        """The fleet's ``stats`` or ``telemetry`` (admitted by the caller)."""
+        try:
+            replies = await self._gather(verb)
+        finally:
+            self._release()
+        if verb == "stats":
+            return self.shards.merge_stats(replies)
+        return self._telemetry_report(self.shards.merge_telemetry(replies))
 
     def _begin_root(self, request: Request, **tags: Any) -> tuple[RootSpan | None, dict | None]:
         """Open the front-door root span of an ``execute`` or ``run-script``.
@@ -409,6 +454,8 @@ class ShardedServer:
         client's capsule untouched, because the front door never blocks
         someone else's trace.
         """
+        if not self.tracer.enabled:
+            return None, request.trace
         root = self.tracer.begin(
             request.verb,
             ctx=TraceContext.from_dict(request.trace),
@@ -448,38 +495,7 @@ class ShardedServer:
             "workers": fleet["workers"],
         }
 
-    def _stream_back(
-        self,
-        future: Future,
-        request_id: int,
-        writer: asyncio.StreamWriter,
-        root: RootSpan | None = None,
-    ) -> None:
-        """Forward a shard future's outcome to the connection when it lands.
-
-        The callback fires on the event loop's own thread, where the loop
-        read the shard's reply off the pipe, and writes the answer there
-        and then, so many outstanding gestures stream back in completion
-        order without blocking the connection's read loop.
-        """
-
-        def deliver(done: Future) -> None:
-            self._release()
-            try:
-                payload = done.result()
-            except Exception as exc:  # noqa: BLE001 - typed onto the wire
-                if root is not None:
-                    root.finish(error=exc)
-                response = Response.failure(request_id, exc)
-            else:
-                if root is not None:
-                    root.finish()
-                response = Response.success(request_id, payload)
-            self._post(writer, response)
-
-        future.add_done_callback(deliver)
-
-    def _stream_script(self, request: Request, writer: asyncio.StreamWriter) -> None:
+    def _stream_script(self, request: Request, transport: asyncio.Transport) -> None:
         """Answer a ``run-script``: one partial frame per completed gesture.
 
         A script is its commands: it is decomposed into per-command
@@ -487,10 +503,11 @@ class ShardedServer:
         queue, so gesture order (and outcome parity with issuing the
         commands one ``execute`` at a time) is preserved.  Each completed
         gesture streams back as a success frame tagged ``partial`` with
-        its sequence number, and the run closes with a ``done`` frame; the
-        first failing gesture instead closes the run with that typed
-        error, after which later results are dropped.  One front-door
-        admission (already taken by the caller) covers the whole run.
+        its sequence number, spliced from the worker's answer, and the run
+        closes with a ``done`` frame; the first failing gesture instead
+        closes the run with that typed error, after which later results
+        are dropped.  One front-door admission (already taken by the
+        caller) covers the whole run.
         """
         script = request.payload.get("script")
         commands = script.get("commands") if isinstance(script, dict) else None
@@ -500,13 +517,12 @@ class ShardedServer:
             )
         total = len(commands)
         closed = False  # every callback below runs on the loop's thread
-        post = partial(self._post, writer)
         # one front-door root covers the whole script: every
         # per-command span on the shard attaches under it, so a script is
         # one distributed trace, not N
         root, capsule = self._begin_root(request, commands=total)
 
-        def close(response: Response, error: BaseException | None = None) -> None:
+        def close(frame: bytes, error: BaseException | None = None) -> None:
             nonlocal closed
             if closed:
                 return
@@ -514,31 +530,28 @@ class ShardedServer:
             if root is not None:
                 root.finish(error=error)
             self._release()
-            post(response)
+            self._relay(transport, request.id, frame)
 
+        done = encode_frame(Response.success(request.id, {"done": True, "total": total}).to_dict())
         if total == 0:
-            close(Response.success(request.id, {"done": True, "total": 0}))
+            close(done)
             return
 
-        def deliver(seq: int, done: Future) -> None:
-            try:
-                payload = done.result()
-            except Exception as exc:  # noqa: BLE001 - typed onto the wire
-                close(Response.failure(request.id, exc), error=exc)
+        def deliver(seq: int, answer: bytes | BaseException) -> None:
+            error = _error_of(answer)
+            if error is not None:
+                close(_frame_of(request.id, answer), error=error)
                 return
             if closed:
                 return
-            frame = {"partial": True, "seq": seq, "envelope": payload.get("envelope")}
-            post(Response.success(request.id, frame))
+            self._relay(transport, request.id, partial_frame(request.id, seq, answer))
             if seq == total - 1:
-                close(Response.success(request.id, {"done": True, "total": total}))
+                close(done)
 
-        for seq, command in enumerate(commands):  # a dead shard fails each future
-            payload: dict[str, Any] = {"command": command}
-            if capsule is not None:
-                payload["trace"] = capsule
-            future = self.shards.submit("execute", request.session, payload)
-            future.add_done_callback(partial(deliver, seq))
+        shard = self.shards.worker_for_session(request.session)
+        for seq, command in enumerate(commands):  # a dead shard fails each one
+            body = request_body("execute", request.session, {"command": command}, capsule)
+            shard.send(body, partial(deliver, seq))
 
     def _hello_payload(self) -> dict[str, Any]:
         return {
@@ -547,6 +560,30 @@ class ShardedServer:
             "alive_workers": self.shards.alive_workers,
             "max_frame_bytes": self.config.max_frame_bytes,
         }
+
+
+def _error_of(answer: bytes | BaseException) -> BaseException | None:
+    """The error a shard's answer carries, if any."""
+    return answer if isinstance(answer, BaseException) else answer_error(answer)
+
+
+def _frame_of(request_id: int, answer: bytes | BaseException) -> bytes:
+    """The wire frame of a shard's answer to ``request_id``."""
+    if isinstance(answer, BaseException):
+        return encode_frame(Response.failure(request_id, answer).to_dict())
+    return answer_frame(request_id, answer)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection.  asyncio calls a protocol's callbacks by name;
+    here each is the front door's handler, bound to this connection."""
+
+    def __init__(self, server: ShardedServer) -> None:
+        self.decoder = FrameDecoder(max_bytes=server.config.max_frame_bytes)
+        self.transport: asyncio.Transport | None = None
+        self.connection_made = partial(server._connected, self)
+        self.data_received = partial(server._receive, self)
+        self.connection_lost = lambda exc: server._connections.discard(self)
 
 
 __all__ = ["ShardedServer", "ShardedServerConfig", "shard_for_session"]

@@ -10,10 +10,15 @@ replay no matter how many shards serve the fleet.
 
 :class:`ShardManager` owns the fleet: it spawns every worker process
 and starts no thread (fork safety — forking a multi-threaded parent is
-how deadlocks are born).  Each pipe has one reader and one writer: the
-event loop it is attached to (the front door's), which never blocks on
-it, or, while none is, whoever waits for a reply.  A worker death is
-detected as pipe EOF and converted into
+how deadlocks are born).  A worker's pipe is a non-blocking socket pair
+carrying JSON under a binary header (:mod:`repro.serving.protocol`).  It
+has one reader and one writer: the event loop it is attached to (the
+front door's), which reads it through a buffer with one ``recv`` per
+readiness and writes what the socket takes, or, while no loop is
+attached, whoever waits for a reply (a :class:`_Reply`).  An answer
+reaches whoever asked as its body, undecoded, so the front door can
+relay it; a :class:`_Reply` decodes it for the callers that read it.  A
+worker death is detected as pipe EOF and converted into
 :class:`repro.errors.WorkerCrashedError` on every pending and future
 request routed to that shard — sessions pinned to a dead shard fail
 loudly and immediately while the surviving shards keep serving, which is
@@ -25,17 +30,16 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import multiprocessing as mp
+import select
 import socket
-import struct
 import threading
 import time
 from concurrent.futures import Future
-from multiprocessing.reduction import ForkingPickler
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import ServiceError, WorkerCrashedError
+from repro.errors import DbTouchError, ServiceError, WorkerCrashedError
 from repro.obs.registry import merge_numeric
-from repro.serving.protocol import exception_from_payload
+from repro.serving.protocol import PipeBuffer, answer_payload, pipe_frame, request_body
 from repro.serving.worker import WorkerConfig, worker_main
 
 #: How long ShardManager waits for each worker's ready handshake.
@@ -72,14 +76,29 @@ def all_drained(replies: dict[str, dict[str, Any]]) -> bool:
     return all(bool(report.get("drained")) for report in replies.values())
 
 
+#: What gets a worker's answer: its body, or the shard's crash error.
+Deliver = Callable[[bytes | BaseException], None]
+
+
 class _Reply(Future):
-    """A worker's answer.  While no event loop serves the pipe, waiting on it
-    writes the queued requests and reads the replies itself (the ready
-    handshake, ``stop``, a fan-out before start)."""
+    """A worker's decoded answer.  While no event loop serves the pipe,
+    waiting on it writes the queued requests and reads the replies itself
+    (the ready handshake, ``stop``, a fan-out before start)."""
 
     def __init__(self, handle: "WorkerHandle") -> None:
         super().__init__()
         self._handle = handle
+
+    def deliver(self, answer: bytes | BaseException) -> None:
+        """Resolve with the answer's payload, or its typed error."""
+        if self.done():
+            return  # cancelled by whoever stopped waiting
+        try:
+            if isinstance(answer, BaseException):
+                raise answer
+            self.set_result(answer_payload(answer))
+        except DbTouchError as exc:
+            self.set_exception(exc)
 
     def result(self, timeout: float | None = None) -> Any:
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -93,25 +112,23 @@ class _Reply(Future):
 
 
 class WorkerHandle:
-    """Parent-side handle of one worker process: pipe, futures, liveness."""
+    """Parent-side handle of one worker process: pipe, pending answers, liveness."""
 
     def __init__(self, worker_id: int, config: WorkerConfig, ctx: mp.context.BaseContext):
         self.worker_id = worker_id
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self._conn = parent_conn
-        # requests leave through a second descriptor of the same socket, a
-        # frame at a time as ``Connection.send`` frames it, never blocking
-        self._sock = socket.fromfd(parent_conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM)
+        self._conn, child_conn = socket.socketpair()
+        self._conn.setblocking(False)  # read when readable, written as it takes
+        self._in = PipeBuffer()
         self._out = bytearray()  # framed requests the pipe has not taken yet
         self._lock = threading.Lock()
-        self._read_lock = threading.Lock()  # one message, one reader
+        self._read_lock = threading.Lock()  # one buffer, one reader
         self._loop: asyncio.AbstractEventLoop | None = None  # serving the pipe,
         self._loop_thread: int | None = None  # on this thread
         self._writing = False  # the loop waits for room to write
-        self._pending: dict[int, Future] = {}
+        self._ready = _Reply(self)
+        self._pending: dict[int, Deliver] = {-1: self._ready.deliver}  # by message id
         self._next_id = 0
         self._alive = False
-        self._ready: Future = _Reply(self)
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, worker_id, config),
@@ -146,7 +163,7 @@ class WorkerHandle:
         loop, self._loop, self._loop_thread = self._loop, None, None
         if loop is not None:
             loop.remove_reader(self._conn.fileno())
-            loop.remove_writer(self._sock.fileno())
+            loop.remove_writer(self._conn.fileno())
         self._writing = False
 
     # ------------------------------------------------------------------ #
@@ -154,28 +171,27 @@ class WorkerHandle:
     # ------------------------------------------------------------------ #
     def submit(self, op: str, session: str | None = None, payload: dict | None = None) -> Future:
         """Queue one op for the worker; the future resolves with its payload."""
-        future: Future = _Reply(self)
+        future = _Reply(self)
+        self.send(request_body(op, session, payload), future.deliver)
+        return future
+
+    def send(self, body: bytes, deliver: Deliver) -> None:
+        """Queue one request body (JSON in the wire's request form) for the
+        worker; ``deliver`` gets the answer's body, or the crash error."""
         with self._lock:
-            if not self._alive:
-                future.set_exception(
-                    WorkerCrashedError(
-                        f"worker {self.worker_id} is down; sessions pinned to this "
-                        "shard are lost"
-                    )
+            alive = self._alive
+            if alive:
+                ident = self._next_id
+                self._next_id += 1
+                self._pending[ident] = deliver
+                self._out += pipe_frame(ident, body)
+        if not alive:
+            deliver(
+                WorkerCrashedError(
+                    f"worker {self.worker_id} is down; sessions pinned to this shard are lost"
                 )
-                return future
-            request_id = self._next_id
-            self._next_id += 1
-            self._pending[request_id] = future
-            message: dict[str, Any] = {"id": request_id, "op": op}
-            if session is not None:
-                message["session"] = session
-            if payload:
-                message["payload"] = payload
-            frame = ForkingPickler.dumps(message)
-            size = len(frame)  # a 4-byte length, or -1 and an 8-byte one
-            self._out += struct.pack("!i", size) if size < 2**31 else struct.pack("!iQ", -1, size)
-            self._out += frame
+            )
+            return
         loop = self._loop
         if loop is None or self._loop_thread == threading.get_ident():
             self.flush()
@@ -184,7 +200,6 @@ class WorkerHandle:
                 loop.call_soon_threadsafe(self.flush)
             except RuntimeError:
                 pass  # the loop just closed: the reply's own wait writes it
-        return future
 
     def flush(self) -> None:
         """Write as much of the queued requests as the pipe takes now.
@@ -197,7 +212,7 @@ class WorkerHandle:
         with self._lock:
             try:
                 while self._out:
-                    del self._out[: self._sock.send(self._out, socket.MSG_DONTWAIT)]
+                    del self._out[: self._conn.send(self._out)]
             except BlockingIOError:
                 pass
             except OSError:
@@ -207,49 +222,38 @@ class WorkerHandle:
         loop = self._loop
         if loop is not None and self._loop_thread == threading.get_ident():
             if waiting and not self._writing:
-                loop.add_writer(self._sock.fileno(), self.flush)
+                loop.add_writer(self._conn.fileno(), self.flush)
             elif not waiting and self._writing:
-                loop.remove_writer(self._sock.fileno())
+                loop.remove_writer(self._conn.fileno())
             self._writing = waiting
         if broken:
             self._on_crash()  # the worker is gone: fail what waits on it
 
     def read_ready(self, wait: float = 0.0) -> None:
-        """Dispatch every message in the pipe (waiting up to ``wait`` s for
-        the first); at EOF the worker is gone: fail what waits, stop reading."""
-        try:
-            while True:
-                with self._read_lock:
-                    if not self._conn.poll(wait):
-                        return
-                    message = self._conn.recv()
-                wait = 0.0
-                self._dispatch(message)
-        except (EOFError, OSError):
+        """Read the pipe once (waiting up to ``wait`` s for it) and deliver
+        every answer it completed; at EOF the worker is gone: fail what
+        waits, stop reading."""
+        with self._read_lock:
+            try:
+                if wait and not select.select([self._conn], [], [], wait)[0]:
+                    return
+                data = self._conn.recv(1 << 16)
+            except BlockingIOError:
+                return
+            except (OSError, ValueError):
+                data = b""  # closed under us: as good as EOF
+            answers = self._in.feed(data) if data else None
+        if answers is None:
             # fail what waits first: once detached, no reply's own wait may
             # find a pending reply and read the EOF off the loop's thread
             self._on_crash()
             self.detach()
-
-    def _dispatch(self, message: Any) -> None:
-        if not isinstance(message, dict):
-            return  # a worker never sends these; ignore rather than die
-        request_id = message.get("id")
-        if request_id == -1:  # ready handshake (or setup failure)
-            if not self._ready.done():
-                if message.get("ok"):
-                    self._ready.set_result(message.get("payload", {}))
-                else:
-                    self._ready.set_exception(exception_from_payload(message.get("error")))
             return
         with self._lock:
-            future = self._pending.pop(request_id, None)
-        if future is None:
-            return  # late response for an abandoned request
-        if message.get("ok"):
-            future.set_result(message.get("payload", {}))
-        else:
-            future.set_exception(exception_from_payload(message.get("error")))
+            delivers = [(self._pending.pop(ident, None), body) for ident, body in answers]
+        for deliver, body in delivers:
+            if deliver is not None:  # else a late answer to an abandoned request
+                deliver(body)
 
     # ------------------------------------------------------------------ #
     # crash handling
@@ -258,21 +262,17 @@ class WorkerHandle:
         """Pipe EOF: fail everything pending with a typed crash error."""
         with self._lock:
             self._alive = False
-            pending = list(self._pending.values())
-            self._pending.clear()
+            pending = self._pending
+            self._pending = {}
         exitcode = self.process.exitcode
         detail = f" (exit code {exitcode})" if exitcode not in (None, 0) else ""
-        for future in pending:
-            if not future.done():
-                future.set_exception(
-                    WorkerCrashedError(
-                        f"worker {self.worker_id} died mid-request{detail}; "
-                        "sessions pinned to this shard are lost"
-                    )
+        for ident, deliver in pending.items():
+            what = "exited before serving" if ident < 0 else "died mid-request"  # -1: ready
+            deliver(
+                WorkerCrashedError(
+                    f"worker {self.worker_id} {what}{detail}; "
+                    "sessions pinned to this shard are lost"
                 )
-        if not self._ready.done():
-            self._ready.set_exception(
-                WorkerCrashedError(f"worker {self.worker_id} exited before serving{detail}")
             )
 
     def stop(self, timeout: float = 5.0) -> None:
@@ -287,11 +287,7 @@ class WorkerHandle:
             self.process.terminate()
             self.process.join(timeout=timeout)
         self._on_crash()  # nothing answers from here on: fail what still waits
-        for end in (self._conn, self._sock):
-            try:
-                end.close()
-            except OSError:
-                pass
+        self._conn.close()
 
 
 class ShardManager:
@@ -340,12 +336,6 @@ class ShardManager:
         gets the typed crash error from the handle, not a routing error).
         """
         return self.workers[shard_for_session(session_id, len(self.workers))]
-
-    def submit(
-        self, op: str, session: str, payload: dict | None = None
-    ) -> Future:
-        """Route one session-scoped op to its shard."""
-        return self.worker_for_session(session).submit(op, session=session, payload=payload)
 
     @property
     def alive_workers(self) -> list[int]:

@@ -16,13 +16,18 @@ topology.  :func:`worker_main` runs in a child process spawned by
   does not grow with its length (its result streams are fixed rings of
   what the screen shows), so a long-lived session costs a worker no more
   memory than a short one;
-* **serve the command pipe** — requests arrive as plain dicts over a
-  :mod:`multiprocessing` pipe, a pooled worker queues gesture work on the
-  scheduler (its pipe loop never blocks on a gesture), and responses are
-  written back under a send lock, tagged with the request id so the
-  parent can match them out of order.  There are nine
-  ops (``open``, ``close``, ``execute``, ``load-column``, ``stats``,
-  ``telemetry``, ``drain``, ``ping``, ``stop``) and one of them,
+* **serve the command pipe** — a socket pair to the front door carrying
+  JSON under a binary header (:func:`repro.serving.protocol.pipe_frame`):
+  each request is a wire request, often the client's own frame, read
+  through a :class:`~repro.serving.protocol.PipeBuffer` with one blocking
+  ``recv`` at a time; a pooled worker queues gesture work on the
+  scheduler (its pipe loop never blocks on a gesture); and each answer is
+  encoded once, here, as ``{"ok": ..., "payload" | "error": ...}`` and
+  written back under a send lock, tagged with the pipe message's id so
+  the parent can match it out of order and the front door can relay it to
+  the client without decoding it.  There are nine
+  ops (``open-session``, ``close-session``, ``execute``, ``load-column``,
+  ``stats``, ``telemetry``, ``drain``, ``ping``, ``stop``) and one of them,
   ``execute``, carries all session work: a script reaches a worker as its
   commands, an append as an :class:`repro.core.commands.AppendCommand`.
 
@@ -34,10 +39,10 @@ hostile requests can never take the process down with them.
 
 from __future__ import annotations
 
+import socket
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, fields
-from multiprocessing.connection import Connection
 from typing import Any, Callable
 
 from repro.core.commands import GestureCommand
@@ -46,7 +51,13 @@ from repro.core.scheduler import SchedulerConfig
 from repro.errors import DbTouchError, MalformedFrameError, ServiceError, UnknownVerbError
 from repro.obs.trace import TraceConfig
 from repro.persist.snapshot import StoreCatalog
-from repro.serving.protocol import error_payload
+from repro.serving.protocol import (
+    PipeBuffer,
+    answer_body,
+    decode_frame,
+    error_body,
+    pipe_frame,
+)
 from repro.service import LocalExplorationService, MultiSessionServer
 
 
@@ -144,7 +155,7 @@ def _build_server(config: WorkerConfig, worker_id: int = 0) -> MultiSessionServe
 class _WorkerRuntime:
     """The in-process state of one worker: server, pipe, send lock."""
 
-    def __init__(self, conn: Connection, worker_id: int, config: WorkerConfig) -> None:
+    def __init__(self, conn: socket.socket, worker_id: int, config: WorkerConfig) -> None:
         self.conn = conn
         self.worker_id = worker_id
         self.config = config
@@ -154,20 +165,20 @@ class _WorkerRuntime:
     # ------------------------------------------------------------------ #
     # responses
     # ------------------------------------------------------------------ #
-    def _send(self, message: dict[str, Any]) -> None:
+    def _send(self, request_id: int, body: bytes) -> None:
         # a pooled worker's completion callbacks run on scheduler threads
         # while the pipe loop may be answering an inline op: one pipe, one lock
         with self._send_lock:
             try:
-                self.conn.send(message)
-            except (OSError, ValueError, BrokenPipeError):
+                self.conn.sendall(pipe_frame(request_id, body))
+            except OSError:
                 pass  # parent is gone; the loop will notice EOF and exit
 
     def _reply(self, request_id: int, payload: dict[str, Any]) -> None:
-        self._send({"id": request_id, "ok": True, "payload": payload})
+        self._send(request_id, answer_body(payload))
 
     def _reply_error(self, request_id: int, exc: BaseException) -> None:
-        self._send({"id": request_id, "ok": False, "error": error_payload(exc)})
+        self._send(request_id, error_body(exc))
 
     # ------------------------------------------------------------------ #
     # ops
@@ -262,21 +273,15 @@ class _WorkerRuntime:
         "ping": (_op_ping, False),
     }
 
-    def handle(self, message: Any) -> bool:
-        """Dispatch one pipe message; ``False`` means exit the loop."""
-        if not isinstance(message, dict):
-            # no id to answer under: report on id 0 rather than dying
-            self._reply_error(0, MalformedFrameError("pipe message must be a dict"))
-            return True
-        request_id = message.get("id")
-        if not isinstance(request_id, int) or isinstance(request_id, bool):
-            self._reply_error(0, MalformedFrameError("pipe message needs an integer id"))
-            return True
-        op = message.get("op")
-        session = message.get("session")
-        payload = message.get("payload")
-        payload = payload if isinstance(payload, dict) else {}
+    def handle(self, request_id: int, body: bytes) -> bool:
+        """Answer one pipe request; ``False`` means exit the loop."""
         try:
+            request = decode_frame(body)
+            op = request.get("verb")
+            session = request.get("session")
+            payload = request.get("payload")
+            payload = payload if isinstance(payload, dict) else {}
+            payload["trace"] = request.get("trace")  # the capsule rides beside it
             if op == "stop":
                 self._reply(request_id, {"stopped": True})
                 return False
@@ -290,8 +295,22 @@ class _WorkerRuntime:
             self._reply_error(request_id, exc)
         return True
 
+    def serve(self) -> None:
+        """Answer requests until ``stop`` or EOF, one blocking ``recv`` a read."""
+        buffer = PipeBuffer()
+        while True:
+            try:
+                data = self.conn.recv(1 << 16)
+            except OSError:
+                return
+            if not data:
+                return
+            for request_id, body in buffer.feed(data):
+                if not self.handle(request_id, body):
+                    return
 
-def worker_main(conn: Connection, worker_id: int, config: WorkerConfig) -> None:
+
+def worker_main(conn: socket.socket, worker_id: int, config: WorkerConfig) -> None:
     """Entry point of a shard worker process.
 
     Builds the serving stack, then answers pipe requests until told to
@@ -304,20 +323,14 @@ def worker_main(conn: Connection, worker_id: int, config: WorkerConfig) -> None:
         runtime = _WorkerRuntime(conn, worker_id, config)
     except BaseException as exc:  # noqa: BLE001 - surfaced to the parent
         try:
-            conn.send({"id": -1, "ok": False, "error": error_payload(exc)})
+            conn.sendall(pipe_frame(-1, error_body(exc)))
         finally:
             conn.close()
         return
     # the parent waits for this to confirm the shard is serving
-    runtime._send({"id": -1, "ok": True, "payload": {"worker": worker_id}})
+    runtime._reply(-1, {"worker": worker_id})
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if not runtime.handle(message):
-                break
+        runtime.serve()
     finally:
         try:
             runtime.server.shutdown(wait=False)

@@ -6,10 +6,17 @@ which serves the client sockets *and* the worker pipes (``stats``,
 ``scheduler_workers=1`` runs it on its own pipe thread.  These tests count
 the threads and the stats sections that design leaves, so a return of a
 per-shard reader thread or of a one-thread worker pool fails here by
-name, whatever the host's speed.
+name, whatever the host's speed.  They count the codec passes too: the
+client encodes a request and decodes its answer, the front door decodes
+the request once and relays the worker's answer undecoded, and nothing
+is pickled on the way.
 """
 
+import json
+import pickle
 import threading
+from collections import Counter
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -81,6 +88,51 @@ def test_the_front_door_adds_one_thread_and_no_pipe_reader(snapshot_root):
         finally:
             for client in clients:
                 client.close()
+
+
+def count_codec_calls(monkeypatch) -> Counter:
+    """Count every JSON encode / decode and pickle call, by thread name."""
+    calls: Counter = Counter()
+    codecs = [
+        (json.JSONEncoder, "encode", "encode"),
+        (json.JSONDecoder, "decode", "decode"),
+        (pickle, "dumps", "pickle"),
+        (pickle, "loads", "pickle"),
+        (ForkingPickler, "dumps", "pickle"),
+        (ForkingPickler, "loads", "pickle"),
+    ]
+    for owner, name, kind in codecs:
+
+        def counted(*args, _original=getattr(owner, name), _kind=kind, **kwargs):
+            calls[threading.current_thread().name, _kind] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_fleet_gesture_makes_five_codec_passes(snapshot_root, monkeypatch):
+    with ShardedServer(fleet_config(snapshot_root, scheduler_workers=1)) as server:
+        clients = [
+            ShardedClient("127.0.0.1", server.port, session_id=session_on(shard))
+            for shard in (0, 1)
+        ]
+        try:
+            for client in clients:
+                client.execute(ShowColumn(object_name="telemetry", view_name="v"))
+            calls = count_codec_calls(monkeypatch)
+            for i in range(GESTURES):
+                clients[i % 2].execute(Tap(view="v", fraction=0.5))
+            monkeypatch.undo()
+        finally:
+            for client in clients:
+                client.close()
+    # the other two passes are the worker's, in its own process
+    assert dict(calls) == {
+        ("MainThread", "encode"): GESTURES,
+        ("MainThread", "decode"): GESTURES,
+        ("repro-sharded-server", "decode"): GESTURES,
+    }
 
 
 @pytest.mark.parametrize("scheduler_workers, pooled", [(1, False), (2, True)])

@@ -29,12 +29,19 @@ from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     VERBS,
     FrameDecoder,
+    PipeBuffer,
     Request,
     Response,
+    answer_body,
+    answer_error,
+    answer_frame,
     decode_frame,
     encode_frame,
+    error_body,
     error_payload,
     exception_from_payload,
+    partial_frame,
+    pipe_frame,
 )
 
 
@@ -100,6 +107,38 @@ class TestFrameDecoder:
     def test_decoder_min_size(self):
         with pytest.raises(ProtocolError):
             FrameDecoder(max_bytes=1)
+
+
+class TestPipeFraming:
+    MESSAGES = [(7, b'{"verb":"ping"}'), (-1, b"{}"), (2**40, b'{"ok":true,"payload":{"b":[2]}}')]
+
+    def test_a_message_cut_anywhere_comes_out_once_whole(self):
+        stream = b"".join(pipe_frame(ident, body) for ident, body in self.MESSAGES)
+        for cut in range(len(stream) + 1):  # inside a header, a body, or between
+            buffer = PipeBuffer()
+            assert buffer.feed(stream[:cut]) + buffer.feed(stream[cut:]) == self.MESSAGES
+        buffer = PipeBuffer()
+        one_byte_at_a_time = [m for i in range(len(stream)) for m in buffer.feed(stream[i : i + 1])]
+        assert one_byte_at_a_time == self.MESSAGES
+
+    def test_spliced_answers_are_the_encoded_responses(self):
+        envelope = {"command_kind": "slide", "entries_returned": 3, "duration_s": 0.5}
+        body = answer_body({"envelope": envelope})
+        assert answer_error(body) is None
+        assert answer_frame(12, body) == encode_frame(
+            Response.success(12, {"envelope": envelope}).to_dict()
+        )
+        partial = {"partial": True, "seq": 4, "envelope": envelope}
+        assert partial_frame(12, 4, body) == encode_frame(Response.success(12, partial).to_dict())
+        refused = AdmissionError("full")
+        assert answer_frame(3, error_body(refused)) == encode_frame(
+            Response.failure(3, refused).to_dict()
+        )
+        assert isinstance(answer_error(error_body(refused)), AdmissionError)
+
+    def test_an_answer_json_cannot_carry_is_a_typed_error(self):
+        error = answer_error(answer_body({"x": float("nan")}))
+        assert isinstance(error, MalformedFrameError)
 
 
 class TestEnvelopes:

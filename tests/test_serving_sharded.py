@@ -37,13 +37,17 @@ from repro.persist.snapshot import StoreCatalog
 from repro.serving import (
     PROTOCOL_VERSION,
     FrameDecoder,
+    Response,
+    ShardManager,
     ShardedClient,
     ShardedServer,
     ShardedServerConfig,
     WorkerConfig,
+    decode_frame,
     encode_frame,
     shard_for_session,
 )
+from repro.serving.protocol import PipeBuffer, answer_body, pipe_frame
 from repro.storage.column import Column
 
 NUM_ROWS = 20_000
@@ -243,6 +247,73 @@ class TestWireServing:
             with pytest.raises(DbTouchError):
                 client.execute(Slide(view="v", duration=0.5))
             client.close_session()
+
+
+class TestAnswerBytes:
+    """Every frame the front door writes is ``encode_frame`` of its own
+    decoded :class:`Response`, id first, whichever process encoded it."""
+
+    @staticmethod
+    def canonical(line: bytes) -> Response:
+        response = Response.from_dict(decode_frame(line))
+        assert line.startswith(b'{"id":%d,"ok":' % response.id), line
+        assert line == encode_frame(response.to_dict())
+        return response
+
+    def ask(self, conn, lines, frame: dict, answers: int = 1) -> list[Response]:
+        conn.sendall(encode_frame(frame))
+        return [self.canonical(lines.readline()) for _ in range(answers)]
+
+    def test_execute_error_and_script_frames(self, server):
+        sid = "bytes-1"
+
+        def execute(request_id: int, command) -> dict:
+            return {
+                "id": request_id,
+                "verb": "execute",
+                "session": sid,
+                "payload": {"command": command.to_dict()},
+            }
+
+        script = make_script("w")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as conn:
+            lines = conn.makefile("rb")
+            (opened,) = self.ask(conn, lines, {"id": 1, "verb": "open-session", "session": sid})
+            assert opened.ok and opened.payload["session"] == sid
+            (shown,) = self.ask(conn, lines, execute(2, ShowColumn(object_name="telemetry")))
+            assert shown.ok and shown.payload["envelope"]["command_kind"] == "show-column"
+            (failed,) = self.ask(conn, lines, execute(3, Slide(view="ghost", duration=0.5)))
+            assert not failed.ok and "ghost" in failed.error["message"]
+            run = {"id": 4, "verb": "run-script", "session": sid}
+            run["payload"] = {"script": script.to_dict()}
+            frames = self.ask(conn, lines, run, answers=len(script) + 1)
+            assert [frame.id for frame in frames] == [4] * (len(script) + 1)
+            assert [frame.payload.get("seq") for frame in frames[:-1]] == list(range(len(script)))
+            assert all(frame.payload["partial"] for frame in frames[:-1])
+            assert frames[-1].payload == {"done": True, "total": len(script)}
+            (closed,) = self.ask(conn, lines, {"id": 5, "verb": "close-session", "session": sid})
+            assert closed.payload["counters"]["commands"] == 1 + len(script)
+
+    def test_an_answer_over_the_frame_bound_is_refused_by_id(self, snapshot_root):
+        config = server_config(snapshot_root, num_workers=1, max_frame_bytes=240)
+        with (
+            ShardedServer(config) as fleet,
+            socket.create_connection(("127.0.0.1", fleet.port), timeout=10) as conn,
+        ):
+            lines = conn.makefile("rb")
+            self.ask(conn, lines, {"id": 1, "verb": "open-session", "session": "tiny"})
+            show = ShowColumn(object_name="telemetry", view_name="v").to_dict()
+            request = {"id": 2, "verb": "execute", "session": "tiny", "payload": {"command": show}}
+            assert len(encode_frame(request)) <= 240  # the request fits, its answer does not
+            (refused,) = self.ask(conn, lines, request)
+            assert not refused.ok and refused.error["kind"] == "frame-too-large"
+            script = {"id": 3, "verb": "run-script", "session": "tiny"}
+            script["payload"] = {"script": GestureScript([Slide(view="v", duration=0.1)]).to_dict()}
+            partial, done = self.ask(conn, lines, script, answers=2)
+            assert partial.id == 3 and partial.error["kind"] == "frame-too-large"
+            assert done.payload == {"done": True, "total": 1}
+            (alive,) = self.ask(conn, lines, {"id": 4, "verb": "hello"})
+            assert alive.ok and alive.payload["alive_workers"] == [0]
 
 
 class TestFrontDoorFuzz:
@@ -546,6 +617,37 @@ class TestOneReaderPerPipe:
         assert partials == 1000
         assert answers[3] == {"done": True, "total": 1000}
         assert answers[4] == {"name": "big", "rows": 60_000}
+
+
+def cut_answer_worker(conn, worker_id, config) -> None:
+    """A stand-in worker: it answers its first request in three writes cut
+    inside the header and inside the body, half its second, then exits."""
+    conn.sendall(pipe_frame(-1, answer_body({"worker": worker_id})))
+    buffer, requests = PipeBuffer(), []
+    while len(requests) < 2:
+        requests += buffer.feed(conn.recv(1 << 16))
+    (first, _), (second, _) = requests
+    whole = pipe_frame(first, answer_body({"pieces": 3}))
+    for piece in (whole[:5], whole[5:20], whole[20:]):
+        conn.sendall(piece)
+        time.sleep(0.05)
+    conn.sendall(pipe_frame(second, answer_body({"never": "whole"}))[:-4])
+    conn.close()
+
+
+class TestSplitPipeFrames:
+    def test_a_cut_answer_lands_once_whole_and_eof_mid_answer_fails_the_rest(self, monkeypatch):
+        monkeypatch.setattr("repro.serving.shards.worker_main", cut_answer_worker)
+        fleet = ShardManager(num_workers=1)
+        try:
+            handle = fleet.workers[0]
+            first, second = handle.submit("ping"), handle.submit("ping")
+            assert first.result(timeout=10) == {"pieces": 3}
+            with pytest.raises(WorkerCrashedError, match="died mid-request"):
+                second.result(timeout=10)
+            assert not handle.alive
+        finally:
+            fleet.shutdown()
 
 
 class TestDrainAndAdmission:

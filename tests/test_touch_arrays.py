@@ -46,7 +46,7 @@ from repro.touchio.recognizer import (
     GestureRecognizer,
     GestureType,
 )
-from repro.touchio.synthesizer import GestureSynthesizer, SlideSegment
+from repro.touchio.synthesizer import GestureSynthesizer, SlideSegment, _linspace
 from repro.touchio.views import make_column_view, make_table_view
 
 # --------------------------------------------------------------------- #
@@ -231,6 +231,19 @@ def test_synthesized_streams_are_golden(axis, jitter):
         assert _digest(*_event_arrays(stream.events)) == GOLDEN[key], key
         assert len(stream) == len(stream.events)
         assert stream.duration == stream.events[-1].timestamp - stream.events[0].timestamp
+
+
+def test_the_slide_ramp_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(42)
+    starts = rng.uniform(-2.0, 2.0, 20_000)
+    stops = np.where(rng.random(20_000) < 0.1, starts, rng.uniform(-2.0, 2.0, 20_000))
+    counts = rng.integers(2, 400, 20_000)
+    cases = list(zip(starts.tolist(), stops.tolist(), counts.tolist()))
+    cases += [(0.3, 0.3, 50), (0.25, 0.75, 2), (0.0, 1.0, 2), (1.5, 1.5, 2), (0, 1, 7)]
+    for start, stop, n in cases:
+        expected = np.linspace(start, stop, n)
+        got = _linspace(start, stop, n)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (start, stop, n)
 
 
 def test_one_jitter_call_equals_scalar_draws():
