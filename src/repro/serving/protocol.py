@@ -30,9 +30,10 @@ string maps back to the same exception classes on the client side via
 shed at the front door is raised as an ``AdmissionError`` in the client
 process too.
 
-Behind the front door, a shard's pipe carries the same JSON under a
-binary header (:func:`pipe_frame`, :class:`PipeBuffer`).  A request body
-is the request's wire form, so the front door forwards a client's frame
+Behind the front door, a shard's pipe carries the same JSON, one line a
+message under its id (:func:`pipe_frame`, read back through a
+:class:`FrameDecoder` by :func:`pipe_messages`).  A request body is the
+request's wire form, so the front door forwards a client's frame
 as it arrived; an answer body is a response without its id, encoded once
 by the worker, which the front door writes out under the client's request
 id without decoding it (:func:`answer_frame`).
@@ -41,7 +42,7 @@ id without decoding it (:func:`answer_frame`).
 from __future__ import annotations
 
 import json
-import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -138,7 +139,7 @@ def encode_json(payload: dict[str, Any]) -> bytes:
     """Encode one JSON object compactly, with no newline."""
     try:
         return _ENCODER.encode(payload).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise MalformedFrameError(f"payload is not JSON-encodable: {exc}") from exc
 
 
@@ -163,7 +164,7 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
             raise MalformedFrameError(f"frame is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested past the stack
         raise MalformedFrameError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedFrameError(
@@ -189,6 +190,7 @@ class FrameDecoder:
             raise ProtocolError("max_bytes must allow at least one byte plus newline")
         self.max_bytes = max_bytes
         self._buffer = bytearray()
+        self._scanned = 0  # leading buffered bytes known to hold no newline
 
     @property
     def pending_bytes(self) -> int:
@@ -202,25 +204,26 @@ class FrameDecoder:
     def lines(self, data: bytes) -> list[bytes]:
         """Buffer ``data`` and return every frame line it completed, undecoded
         (keep-alive newlines dropped)."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         frames: list[bytes] = []
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                if len(self._buffer) > self.max_bytes:
-                    self._buffer.clear()
-                    raise FrameTooLargeError(
-                        f"frame exceeded {self.max_bytes} bytes without a newline"
-                    )
-                return frames
-            line = bytes(self._buffer[:newline])
-            del self._buffer[: newline + 1]
+        start, scan = 0, self._scanned  # a big frame's every read scans only its own bytes
+        while (newline := buffer.find(b"\n", scan)) >= 0:
+            line = bytes(buffer[start:newline])
+            start = scan = newline + 1
             if len(line) > self.max_bytes:
-                raise FrameTooLargeError(
-                    f"frame is {len(line)} bytes (limit {self.max_bytes})"
-                )
+                del buffer[:start]
+                self._scanned = 0
+                raise FrameTooLargeError(f"frame is {len(line)} bytes (limit {self.max_bytes})")
             if line.strip():  # else a bare keep-alive newline
                 frames.append(line)
+        del buffer[:start]  # one shift a read, however many lines it held
+        self._scanned = len(buffer)
+        if len(buffer) > self.max_bytes:
+            buffer.clear()
+            self._scanned = 0
+            raise FrameTooLargeError(f"frame exceeded {self.max_bytes} bytes without a newline")
+        return frames
 
 
 # --------------------------------------------------------------------- #
@@ -353,39 +356,23 @@ class Response:
 # the shard pipe
 # --------------------------------------------------------------------- #
 
-#: A pipe message's header: its id (``-1`` is a worker's ready handshake)
-#: and its JSON body's length.
-_PIPE_HEADER = struct.Struct("!qI")
+#: A pipe message has no size bound: both of its ends are this program.
+PIPE_MAX_BYTES = sys.maxsize
 _OK = b'{"ok":true,'
 _ENVELOPE = b'{"ok":true,"payload":{"envelope":'
 
 
 def pipe_frame(ident: int, body: bytes) -> bytes:
-    """One pipe message: the header, then the body."""
-    return _PIPE_HEADER.pack(ident, len(body)) + body
+    """One pipe message: its id (``-1`` is a worker's ready handshake), a
+    space, the body and a newline.  A body is one line of compact JSON —
+    a client's frame split off at its newline, or :func:`encode_json`'s
+    output — so it holds no raw newline."""
+    return b"%d %b\n" % (ident, body)
 
 
-class PipeBuffer:
-    """Reassembles pipe messages from whatever each ``recv`` returned: a
-    message cut anywhere, in its header or its body, waits until whole."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
-        """Buffer ``data`` and return every ``(id, body)`` it completed."""
-        buffer = self._buffer
-        buffer += data
-        messages, start, size = [], 0, _PIPE_HEADER.size
-        while len(buffer) - start >= size:
-            ident, length = _PIPE_HEADER.unpack_from(buffer, start)
-            end = start + size + length
-            if end > len(buffer):
-                break
-            messages.append((ident, bytes(buffer[start + size : end])))
-            start = end
-        del buffer[:start]
-        return messages
+def pipe_messages(lines: list[bytes]) -> list[tuple[int, bytes]]:
+    """The ``(id, body)`` of each pipe line a :class:`FrameDecoder` completed."""
+    return [(int(ident), body) for ident, _, body in (line.partition(b" ") for line in lines)]
 
 
 def request_body(

@@ -41,7 +41,7 @@ import threading
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Awaitable
+from typing import Any, Awaitable, Callable
 
 from repro.errors import (
     AdmissionError,
@@ -67,7 +67,7 @@ from repro.serving.protocol import (
     partial_frame,
     request_body,
 )
-from repro.serving.shards import ShardManager, all_drained, replies_of, shard_for_session
+from repro.serving.shards import Deliver, ShardManager, all_drained, replies_of, shard_for_session
 from repro.serving.worker import WorkerConfig
 
 
@@ -383,21 +383,25 @@ class ShardedServer:
         if request.session is None:
             raise MalformedFrameError(f"verb {request.verb!r} needs a 'session'")
         self._admit()
-        if request.verb == "run-script":
-            try:
-                self._stream_script(request, transport)
-            except BaseException:
-                self._release()
-                raise
-            return
-        root = None
-        if request.verb == "execute":
-            root, capsule = self._begin_root(request)
-            if root is not None:  # the shard's spans go under the front door's
-                line = encode_json(replace(request, trace=capsule).to_dict())
-        # pipe ops carry the wire verbs' names: the client's frame is the request
+        try:  # every body is made before the first is sent: a failure sends none
+            if request.verb == "run-script":
+                sends = self._stream_script(request, transport)
+            else:
+                root = None
+                if request.verb == "execute":
+                    root, capsule = self._begin_root(request)
+                    if root is not None:  # the shard's spans go under the front door's
+                        line = _finish_on_error(
+                            root, lambda: encode_json(replace(request, trace=capsule).to_dict())
+                        )
+                # pipe ops carry the wire verbs' names: the client's frame is the request
+                sends = [(line, partial(self._answer, transport, request.id, root))]
+        except BaseException:
+            self._release()
+            raise
         shard = self.shards.worker_for_session(request.session)
-        shard.send(line, partial(self._answer, transport, request.id, root))
+        for body, deliver in sends:  # a dead shard fails each one
+            shard.send(body, deliver)
 
     def _answer(
         self,
@@ -495,7 +499,9 @@ class ShardedServer:
             "workers": fleet["workers"],
         }
 
-    def _stream_script(self, request: Request, transport: asyncio.Transport) -> None:
+    def _stream_script(
+        self, request: Request, transport: asyncio.Transport
+    ) -> list[tuple[bytes, Deliver]]:
         """Answer a ``run-script``: one partial frame per completed gesture.
 
         A script is its commands: it is decomposed into per-command
@@ -507,7 +513,9 @@ class ShardedServer:
         closes with a ``done`` frame; the first failing gesture instead
         closes the run with that typed error, after which later results
         are dropped.  One front-door admission (already taken by the
-        caller) covers the whole run.
+        caller) covers the whole run.  Returns each command's pipe request
+        with what gets its answer, all encoded before any is sent: a command
+        JSON cannot carry fails the whole run with nothing sent.
         """
         script = request.payload.get("script")
         commands = script.get("commands") if isinstance(script, dict) else None
@@ -521,6 +529,13 @@ class ShardedServer:
         # per-command span on the shard attaches under it, so a script is
         # one distributed trace, not N
         root, capsule = self._begin_root(request, commands=total)
+        bodies = _finish_on_error(
+            root,
+            lambda: [
+                request_body("execute", request.session, {"command": command}, capsule)
+                for command in commands
+            ],
+        )
 
         def close(frame: bytes, error: BaseException | None = None) -> None:
             nonlocal closed
@@ -535,7 +550,7 @@ class ShardedServer:
         done = encode_frame(Response.success(request.id, {"done": True, "total": total}).to_dict())
         if total == 0:
             close(done)
-            return
+            return []
 
         def deliver(seq: int, answer: bytes | BaseException) -> None:
             error = _error_of(answer)
@@ -548,10 +563,7 @@ class ShardedServer:
             if seq == total - 1:
                 close(done)
 
-        shard = self.shards.worker_for_session(request.session)
-        for seq, command in enumerate(commands):  # a dead shard fails each one
-            body = request_body("execute", request.session, {"command": command}, capsule)
-            shard.send(body, partial(deliver, seq))
+        return [(body, partial(deliver, seq)) for seq, body in enumerate(bodies)]
 
     def _hello_payload(self) -> dict[str, Any]:
         return {
@@ -560,6 +572,17 @@ class ShardedServer:
             "alive_workers": self.shards.alive_workers,
             "max_frame_bytes": self.config.max_frame_bytes,
         }
+
+
+def _finish_on_error(root: RootSpan | None, build: Callable[[], Any]) -> Any:
+    """``build()``, finishing ``root`` with the error it raises (JSON decodes
+    a NaN it cannot encode: a refused request must not leave its root open)."""
+    try:
+        return build()
+    except BaseException as exc:
+        if root is not None:
+            root.finish(error=exc)
+        raise
 
 
 def _error_of(answer: bytes | BaseException) -> BaseException | None:

@@ -11,9 +11,10 @@ replay no matter how many shards serve the fleet.
 :class:`ShardManager` owns the fleet: it spawns every worker process
 and starts no thread (fork safety — forking a multi-threaded parent is
 how deadlocks are born).  A worker's pipe is a non-blocking socket pair
-carrying JSON under a binary header (:mod:`repro.serving.protocol`).  It
-has one reader and one writer: the event loop it is attached to (the
-front door's), which reads it through a buffer with one ``recv`` per
+carrying one line of JSON a message under its id
+(:mod:`repro.serving.protocol`).  It has one reader and one writer: the
+event loop it is attached to (the front door's), which reads it through
+a :class:`~repro.serving.protocol.FrameDecoder` with one ``recv`` per
 readiness and writes what the socket takes, or, while no loop is
 attached, whoever waits for a reply (a :class:`_Reply`).  An answer
 reaches whoever asked as its body, undecoded, so the front door can
@@ -39,7 +40,14 @@ from typing import Any, Callable
 
 from repro.errors import DbTouchError, ServiceError, WorkerCrashedError
 from repro.obs.registry import merge_numeric
-from repro.serving.protocol import PipeBuffer, answer_payload, pipe_frame, request_body
+from repro.serving.protocol import (
+    PIPE_MAX_BYTES,
+    FrameDecoder,
+    answer_payload,
+    pipe_frame,
+    pipe_messages,
+    request_body,
+)
 from repro.serving.worker import WorkerConfig, worker_main
 
 #: How long ShardManager waits for each worker's ready handshake.
@@ -118,7 +126,7 @@ class WorkerHandle:
         self.worker_id = worker_id
         self._conn, child_conn = socket.socketpair()
         self._conn.setblocking(False)  # read when readable, written as it takes
-        self._in = PipeBuffer()
+        self._in = FrameDecoder(max_bytes=PIPE_MAX_BYTES)
         self._out = bytearray()  # framed requests the pipe has not taken yet
         self._lock = threading.Lock()
         self._read_lock = threading.Lock()  # one buffer, one reader
@@ -242,7 +250,7 @@ class WorkerHandle:
                 return
             except (OSError, ValueError):
                 data = b""  # closed under us: as good as EOF
-            answers = self._in.feed(data) if data else None
+            answers = pipe_messages(self._in.lines(data)) if data else None
         if answers is None:
             # fail what waits first: once detached, no reply's own wait may
             # find a pending reply and read the EOF off the loop's thread

@@ -17,9 +17,10 @@ topology.  :func:`worker_main` runs in a child process spawned by
   what the screen shows), so a long-lived session costs a worker no more
   memory than a short one;
 * **serve the command pipe** — a socket pair to the front door carrying
-  JSON under a binary header (:func:`repro.serving.protocol.pipe_frame`):
-  each request is a wire request, often the client's own frame, read
-  through a :class:`~repro.serving.protocol.PipeBuffer` with one blocking
+  one line of JSON a message under its id
+  (:func:`repro.serving.protocol.pipe_frame`): each request is a wire
+  request, often the client's own frame, read through a
+  :class:`~repro.serving.protocol.FrameDecoder` with one blocking
   ``recv`` at a time; a pooled worker queues gesture work on the
   scheduler (its pipe loop never blocks on a gesture); and each answer is
   encoded once, here, as ``{"ok": ..., "payload" | "error": ...}`` and
@@ -52,11 +53,13 @@ from repro.errors import DbTouchError, MalformedFrameError, ServiceError, Unknow
 from repro.obs.trace import TraceConfig
 from repro.persist.snapshot import StoreCatalog
 from repro.serving.protocol import (
-    PipeBuffer,
+    PIPE_MAX_BYTES,
+    FrameDecoder,
     answer_body,
     decode_frame,
     error_body,
     pipe_frame,
+    pipe_messages,
 )
 from repro.service import LocalExplorationService, MultiSessionServer
 
@@ -297,7 +300,7 @@ class _WorkerRuntime:
 
     def serve(self) -> None:
         """Answer requests until ``stop`` or EOF, one blocking ``recv`` a read."""
-        buffer = PipeBuffer()
+        decoder = FrameDecoder(max_bytes=PIPE_MAX_BYTES)
         while True:
             try:
                 data = self.conn.recv(1 << 16)
@@ -305,7 +308,7 @@ class _WorkerRuntime:
                 return
             if not data:
                 return
-            for request_id, body in buffer.feed(data):
+            for request_id, body in pipe_messages(decoder.lines(data)):
                 if not self.handle(request_id, body):
                     return
 

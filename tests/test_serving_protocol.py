@@ -27,9 +27,9 @@ from repro.errors import (
 )
 from repro.serving.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
+    PIPE_MAX_BYTES,
     VERBS,
     FrameDecoder,
-    PipeBuffer,
     Request,
     Response,
     answer_body,
@@ -42,6 +42,7 @@ from repro.serving.protocol import (
     exception_from_payload,
     partial_frame,
     pipe_frame,
+    pipe_messages,
 )
 
 
@@ -114,12 +115,25 @@ class TestPipeFraming:
 
     def test_a_message_cut_anywhere_comes_out_once_whole(self):
         stream = b"".join(pipe_frame(ident, body) for ident, body in self.MESSAGES)
-        for cut in range(len(stream) + 1):  # inside a header, a body, or between
-            buffer = PipeBuffer()
-            assert buffer.feed(stream[:cut]) + buffer.feed(stream[cut:]) == self.MESSAGES
-        buffer = PipeBuffer()
-        one_byte_at_a_time = [m for i in range(len(stream)) for m in buffer.feed(stream[i : i + 1])]
-        assert one_byte_at_a_time == self.MESSAGES
+
+        def read(*pieces: bytes) -> list[tuple[int, bytes]]:
+            decoder = FrameDecoder(max_bytes=PIPE_MAX_BYTES)
+            return [m for piece in pieces for m in pipe_messages(decoder.lines(piece))]
+
+        for cut in range(len(stream) + 1):  # inside an id, a body, or between
+            assert read(stream[:cut], stream[cut:]) == self.MESSAGES
+        assert read(*(stream[i : i + 1] for i in range(len(stream)))) == self.MESSAGES
+
+    def test_a_read_of_many_lines_shifts_its_buffer_once(self):
+        decoder = FrameDecoder(max_bytes=64)
+        stream = b"".join(encode_frame({"id": i}) for i in range(200))
+        lines = decoder.lines(stream + b'{"id"')
+        assert [decode_frame(line)["id"] for line in lines] == list(range(200))
+        assert decoder.pending_bytes == 5
+        assert decoder.feed(b":7}\n") == [{"id": 7}]
+        with pytest.raises(FrameTooLargeError, match="limit 64"):  # whole, but too long
+            decoder.lines(b"x" * 65 + b"\n" + b'{"id":8}\n')
+        assert decoder.feed(b"") == [{"id": 8}]  # what followed it still reads
 
     def test_spliced_answers_are_the_encoded_responses(self):
         envelope = {"command_kind": "slide", "entries_returned": 3, "duration_s": 0.5}

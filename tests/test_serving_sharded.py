@@ -32,6 +32,7 @@ from repro.errors import (
     SnapshotError,
     WorkerCrashedError,
 )
+from repro.obs.trace import TraceConfig
 from repro.persist.diskstore import DiskColumnStore
 from repro.persist.snapshot import StoreCatalog
 from repro.serving import (
@@ -47,7 +48,7 @@ from repro.serving import (
     encode_frame,
     shard_for_session,
 )
-from repro.serving.protocol import PipeBuffer, answer_body, pipe_frame
+from repro.serving.protocol import PIPE_MAX_BYTES, answer_body, pipe_frame, pipe_messages
 from repro.storage.column import Column
 
 NUM_ROWS = 20_000
@@ -356,6 +357,11 @@ class TestFrontDoorFuzz:
         reply = self.raw(server, frame)
         assert b'"id":8' in reply and b'"ok":false' in reply
 
+    def test_nesting_past_the_stack_gets_typed_reply(self, server):
+        nested = b"[" * 100_000 + b"]" * 100_000  # past the recursion limit, within the bound
+        frame = b'{"id": 9, "verb": "hello", "payload": {"x": %b}}\n' % nested
+        assert b'"kind":"malformed-frame"' in self.raw(server, frame)
+
     def test_workers_survive_the_whole_fuzz_barrage(self, server):
         attacks = [
             b"\n\n\n",
@@ -397,6 +403,65 @@ class TestFrontDoorFuzz:
             with ShardedClient("127.0.0.1", fleet.port, session_id="post-drain") as client:
                 assert len(client.run(make_script())) == 4
                 client.close_session()
+
+
+class TestUnencodableRequests:
+    """JSON decodes ``NaN`` but the front door cannot encode it: a request
+    the front door must re-encode is refused by id, sends nothing, and gives
+    back its admission slot and its root span."""
+
+    @staticmethod
+    def traced_fleet(snapshot_root) -> ShardedServer:
+        config = server_config(snapshot_root, num_workers=1, max_inflight=1, tracing=TraceConfig())
+        return ShardedServer(config)
+
+    @staticmethod
+    def ask(sock, lines, frame: bytes) -> dict:
+        sock.sendall(frame + b"\n")
+        return json.loads(lines.readline())
+
+    def test_a_traced_execute_is_refused_and_releases_its_slot(self, snapshot_root):
+        show = json.dumps({"command": ShowColumn(object_name="telemetry").to_dict()})
+        with (
+            self.traced_fleet(snapshot_root) as fleet,
+            socket.create_connection(("127.0.0.1", fleet.port), timeout=10.0) as sock,
+        ):
+            lines = sock.makefile("rb")
+            opened = self.ask(sock, lines, b'{"id": 1, "verb": "open-session", "session": "n"}')
+            assert opened["ok"], opened
+            for request_id in (2, 3):  # each would hold the only slot for good
+                frame = b'{"id":%d,"verb":"execute","session":"n","payload":{"command":NaN}}'
+                refused = self.ask(sock, lines, frame % request_id)
+                assert refused["id"] == request_id and not refused["ok"], refused
+                assert refused["error"]["kind"] == "malformed-frame", refused
+            frame = b'{"id": 4, "verb": "execute", "session": "n", "payload": %b}'
+            shown = self.ask(sock, lines, frame % show.encode())
+            assert shown["id"] == 4 and shown["ok"], shown
+            assert fleet.inflight == 0
+            roots = [trace.root for trace in fleet.tracer.recorder.drain()]
+            errors = [root.tags.get("error") for root in roots if root.name == "execute"]
+            assert errors == ["MalformedFrameError", "MalformedFrameError", None]
+
+    def test_a_script_with_an_unencodable_command_sends_none(self, snapshot_root):
+        show = json.dumps(ShowColumn(object_name="telemetry").to_dict())
+        script = b'{"script": {"commands": [%b, NaN]}}' % show.encode()
+        with (
+            self.traced_fleet(snapshot_root) as fleet,
+            socket.create_connection(("127.0.0.1", fleet.port), timeout=10.0) as sock,
+        ):
+            lines = sock.makefile("rb")
+            self.ask(sock, lines, b'{"id": 1, "verb": "open-session", "session": "n"}')
+            run = b'{"id": 2, "verb": "run-script", "session": "n", "payload": %b}' % script
+            refused = self.ask(sock, lines, run)
+            assert refused["id"] == 2 and refused["error"]["kind"] == "malformed-frame", refused
+            # the shard's FIFO: a partial of command 0 would come before this
+            closed = self.ask(sock, lines, b'{"id": 3, "verb": "close-session", "session": "n"}')
+            assert closed["id"] == 3 and closed["payload"]["counters"]["commands"] == 0, closed
+            assert fleet.inflight == 0
+            roots = [trace.root for trace in fleet.tracer.recorder.drain()]
+            assert [(root.name, root.tags.get("error")) for root in roots] == [
+                ("run-script", "MalformedFrameError")
+            ]
 
 
 class TestWorkerCrash:
@@ -621,14 +686,14 @@ class TestOneReaderPerPipe:
 
 def cut_answer_worker(conn, worker_id, config) -> None:
     """A stand-in worker: it answers its first request in three writes cut
-    inside the header and inside the body, half its second, then exits."""
+    after the id and inside the body, half its second, then exits."""
     conn.sendall(pipe_frame(-1, answer_body({"worker": worker_id})))
-    buffer, requests = PipeBuffer(), []
+    decoder, requests = FrameDecoder(max_bytes=PIPE_MAX_BYTES), []
     while len(requests) < 2:
-        requests += buffer.feed(conn.recv(1 << 16))
+        requests += pipe_messages(decoder.lines(conn.recv(1 << 16)))
     (first, _), (second, _) = requests
     whole = pipe_frame(first, answer_body({"pieces": 3}))
-    for piece in (whole[:5], whole[5:20], whole[20:]):
+    for piece in (whole[:1], whole[1:12], whole[12:]):
         conn.sendall(piece)
         time.sleep(0.05)
     conn.sendall(pipe_frame(second, answer_body({"never": "whole"}))[:-4])
