@@ -28,19 +28,22 @@ bytes never reach a worker process, which is what the fuzz suites in
 ``tests/test_serving_protocol.py`` and ``tests/test_serving_sharded.py``
 pin down.
 
-The asyncio loop runs on a background thread — the one thread the front
-door starts: it serves the client sockets and every worker pipe and
-blocks on none of them — so blocking clients and tests can drive the
-server without owning a loop.
+The front door starts no thread of its own: it serves on the fleet's one
+event-loop thread, which :class:`~repro.serving.shards.ShardManager`
+starts once every worker is forked.  That loop serves the client sockets
+and every worker pipe and blocks on none of them, and the admission and
+drain state lives on it; the blocking :meth:`ShardedServer.drain` runs
+the ``drain`` verb's own coroutine there, so blocking clients and tests
+can drive the server without owning a loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
+from time import monotonic
 from typing import Any, Awaitable, Callable
 
 from repro.errors import (
@@ -67,7 +70,14 @@ from repro.serving.protocol import (
     partial_frame,
     request_body,
 )
-from repro.serving.shards import Deliver, ShardManager, all_drained, replies_of, shard_for_session
+from repro.serving.shards import (
+    Deliver,
+    ShardManager,
+    all_drained,
+    remaining,
+    shard_for_session,
+    wait_all,
+)
 from repro.serving.worker import WorkerConfig
 
 
@@ -114,7 +124,7 @@ class ShardedServer:
 
     def __init__(self, config: ShardedServerConfig | None = None) -> None:
         self.config = config if config is not None else ShardedServerConfig()
-        # fork the whole fleet before the asyncio loop thread exists
+        # forks the whole fleet, then starts the one loop thread this serves on
         self.shards = ShardManager(
             num_workers=self.config.num_workers, config=self.config.worker
         )
@@ -126,18 +136,15 @@ class ShardedServer:
         else:
             self.tracer = Tracer(TraceConfig(enabled=False))
         self.telemetry.register_collector("frontdoor", self._frontdoor_metrics)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        self._loop = self.shards.loop
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
         self._tasks: set[asyncio.Task] = set()  # fan-out verbs awaiting their shards
         self._port: int | None = None
-        self._started = threading.Event()
-        self._start_error: BaseException | None = None
-        self._lock = threading.Lock()
+        # admission and drain state: read and written on the loop only
         self._inflight = 0
         self._draining = False
-        self._idle: Future = Future()  # resolves once draining and nothing is in flight
+        self._idle = self._loop.create_future()  # resolves once draining and nothing is in flight
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -155,102 +162,64 @@ class ShardedServer:
         return (self.config.host, self.port)
 
     def start(self, timeout: float = 30.0) -> "ShardedServer":
-        """Bind the listen socket on a background event-loop thread."""
-        if self._thread is not None:
+        """Bind the listen socket on the fleet's event loop."""
+        if self._server is not None:
             raise ServiceError("server is already started")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-sharded-server", daemon=True
+        listen = self._loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
-        self._thread.start()
-        if not self._started.wait(timeout=timeout):
-            raise ServiceError("server failed to start in time")
-        if self._start_error is not None:
-            raise ServiceError(f"server failed to bind: {self._start_error}")
+        try:
+            self._server = self.shards.call(listen, timeout)
+        except OSError as exc:
+            raise ServiceError(f"server failed to bind: {exc}") from exc
+        except TimeoutError as exc:
+            raise ServiceError("server failed to start in time") from exc
+        self._port = self._server.sockets[0].getsockname()[1]
         return self
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        for handle in self.shards.workers:  # the loop reads every pipe itself
-            handle.attach(loop)
-
-        async def bootstrap() -> None:
-            try:
-                self._server = await loop.create_server(
-                    lambda: _Connection(self), self.config.host, self.config.port
-                )
-                self._port = self._server.sockets[0].getsockname()[1]
-            except OSError as exc:
-                self._start_error = exc
-            finally:
-                self._started.set()
-
-        loop.run_until_complete(bootstrap())
-        if self._start_error is None:
-            loop.run_forever()
-        # hang up on every client, cancel whatever the stop left behind,
-        # then close down cleanly
-        for connection in list(self._connections):
-            connection.transport.close()
-        loop.run_until_complete(asyncio.sleep(0))  # their close callbacks
-        pending = asyncio.all_tasks(loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
-        for handle in self.shards.workers:  # stop() reads its own answer
-            handle.detach()
-        loop.close()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Stop admitting work, finish what is in flight, drain every shard.
 
         Returns ``True`` when every admitted request was answered and
-        every shard finished its queued gestures within ``timeout``.
+        every shard finished its queued gestures within ``timeout``, one
+        budget for both.
         """
-        finished, _ = wait([self._begin_drain()], timeout=timeout)
-        return self.shards.drain(timeout=timeout) and bool(finished)
+        return self.shards.call(self._drain(timeout))["drained"]
 
-    async def _drain(self, idle: Future, timeout: float | None) -> dict[str, bool]:
-        """:meth:`drain` on the loop, once :meth:`_begin_drain` gave ``idle``:
-        it awaits what it waits for."""
-        finished, _ = await asyncio.wait([asyncio.wrap_future(idle)], timeout=timeout)
-        replies = await self._gather("drain", {"timeout": timeout}, timeout)
-        return {"drained": all_drained(replies) and bool(finished)}
+    async def _drain(self, timeout: float | None) -> dict[str, bool]:
+        """The ``drain`` verb: wait for idle, then drain every shard with
+        what is left of ``timeout``."""
+        started = monotonic()
+        idle = self._begin_drain()
+        await wait_all([idle], timeout)
+        left = remaining(timeout, started)
+        replies = await self.shards.gather("drain", {"timeout": left}, left)
+        return {"drained": all_drained(replies) and idle.done()}
 
-    def _begin_drain(self) -> Future:
+    def _begin_drain(self) -> asyncio.Future:
         """Admit nothing from now on; the future resolves once idle."""
-        with self._lock:
-            self._draining = True
-            if self._inflight == 0 and not self._idle.done():
-                self._idle.set_result(None)
-            return self._idle
-
-    async def _gather(
-        self, op: str, payload: dict | None = None, timeout: float | None = 30.0
-    ) -> dict[str, dict[str, Any]]:
-        """Fan ``op`` out to every live shard and await the replies on the
-        loop, which reads them off the pipes (see :func:`replies_of`)."""
-        futures = self.shards.submit_all(op, payload)
-        if futures:
-            await asyncio.wait([asyncio.wrap_future(f) for f in futures.values()], timeout=timeout)
-        return replies_of(futures)
+        self._draining = True
+        if self._inflight == 0 and not self._idle.done():
+            self._idle.set_result(None)
+        return self._idle
 
     def shutdown(self) -> None:
-        """Close the listen socket, stop the loop, stop every worker."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-
-            def stop() -> None:
-                if self._server is not None:
-                    self._server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+        """Close the listen socket and every client, stop every worker."""
+        if not self._loop.is_closed():
+            self.shards.call(self._close())
         self.shards.shutdown()
+
+    async def _close(self) -> None:
+        """Hang up on every client and cancel the fan-out verbs left waiting."""
+        if self._server is not None:
+            self._server.close()
+        for connection in list(self._connections):
+            connection.transport.close()
+        await asyncio.sleep(0)  # their close callbacks
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def __enter__(self) -> "ShardedServer":
         return self.start()
@@ -263,27 +232,22 @@ class ShardedServer:
     # admission
     # ------------------------------------------------------------------ #
     def _admit(self) -> None:
-        with self._lock:
-            if self._draining:
-                raise AdmissionError("server is draining; no new work admitted")
-            limit = self.config.max_inflight
-            if limit is not None and self._inflight >= limit:
-                raise AdmissionError(
-                    f"server is at its in-flight limit ({limit}); retry later"
-                )
-            self._inflight += 1
+        if self._draining:
+            raise AdmissionError("server is draining; no new work admitted")
+        limit = self.config.max_inflight
+        if limit is not None and self._inflight >= limit:
+            raise AdmissionError(f"server is at its in-flight limit ({limit}); retry later")
+        self._inflight += 1
 
     def _release(self) -> None:
-        with self._lock:
-            self._inflight -= 1
-            if self._inflight == 0 and self._draining and not self._idle.done():
-                self._idle.set_result(None)
+        self._inflight -= 1
+        if self._inflight == 0 and self._draining and not self._idle.done():
+            self._idle.set_result(None)
 
     @property
     def inflight(self) -> int:
         """Requests admitted but not yet answered."""
-        with self._lock:
-            return self._inflight
+        return self._inflight
 
     def _frontdoor_metrics(self) -> dict[str, int]:
         """The front door's own gauges (a telemetry collector)."""
@@ -377,7 +341,8 @@ class ShardedServer:
                 raise MalformedFrameError(
                     "drain 'timeout' must be a non-negative number of seconds or null"
                 )
-            self._spawn(request.id, transport, self._drain(self._begin_drain(), timeout))
+            self._begin_drain()  # the frames behind this one are refused already
+            self._spawn(request.id, transport, self._drain(timeout))
             return
         # everything else is session-scoped and runs on a shard
         if request.session is None:
@@ -441,7 +406,7 @@ class ShardedServer:
     async def _report(self, verb: str) -> dict[str, Any]:
         """The fleet's ``stats`` or ``telemetry`` (admitted by the caller)."""
         try:
-            replies = await self._gather(verb)
+            replies = await self.shards.gather(verb)
         finally:
             self._release()
         if verb == "stats":

@@ -8,18 +8,22 @@ gestures build (sample read-ahead, result streams, indexes) in one
 kernel, so per-session outcome counters stay bit-identical to a serial
 replay no matter how many shards serve the fleet.
 
-:class:`ShardManager` owns the fleet: it spawns every worker process
-and starts no thread (fork safety — forking a multi-threaded parent is
-how deadlocks are born).  A worker's pipe is a non-blocking socket pair
-carrying one line of JSON a message under its id
-(:mod:`repro.serving.protocol`).  It has one reader and one writer: the
-event loop it is attached to (the front door's), which reads it through
-a :class:`~repro.serving.protocol.FrameDecoder` with one ``recv`` per
-readiness and writes what the socket takes, or, while no loop is
-attached, whoever waits for a reply (a :class:`_Reply`).  An answer
-reaches whoever asked as its body, undecoded, so the front door can
-relay it; a :class:`_Reply` decodes it for the callers that read it.  A
-worker death is detected as pipe EOF and converted into
+:class:`ShardManager` owns the fleet: it forks every worker process
+while it has started no thread (fork safety — forking a multi-threaded
+parent is how deadlocks are born), then starts the fleet's one event-loop
+thread, ``repro-sharded-server``, which the front door serves its clients
+on too.  A worker's pipe is a non-blocking socket pair carrying one line
+of JSON a message under its id (:mod:`repro.serving.protocol`), and that
+loop is its only reader and writer for its whole life, from the ready
+handshake to ``stop``: it reads the pipe through a
+:class:`~repro.serving.protocol.FrameDecoder` with one ``recv`` per
+readiness and writes what the socket takes.  Any other thread reaches a
+pipe by handing work to the loop — :meth:`WorkerHandle.submit` and the
+blocking fleet-wide calls do — and waits on a future.  An answer reaches
+whoever asked as its body, undecoded, so the front door can relay it; a
+:class:`_Reply` decodes it for the callers that read it.  A fan-out
+(:meth:`ShardManager.gather`) waits one budget for every shard at once.
+A worker death is detected as pipe EOF and converted into
 :class:`repro.errors.WorkerCrashedError` on every pending and future
 request routed to that shard — sessions pinned to a dead shard fail
 loudly and immediately while the surviving shards keep serving, which is
@@ -31,12 +35,11 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import multiprocessing as mp
-import select
 import socket
 import threading
-import time
 from concurrent.futures import Future
-from typing import Any, Callable
+from time import monotonic
+from typing import Any, Awaitable, Callable, Iterable
 
 from repro.errors import DbTouchError, ServiceError, WorkerCrashedError
 from repro.obs.registry import merge_numeric
@@ -50,7 +53,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.worker import WorkerConfig, worker_main
 
-#: How long ShardManager waits for each worker's ready handshake.
+#: How long ShardManager waits for the workers' ready handshakes.
 DEFAULT_READY_TIMEOUT_S = 30.0
 
 
@@ -84,18 +87,29 @@ def all_drained(replies: dict[str, dict[str, Any]]) -> bool:
     return all(bool(report.get("drained")) for report in replies.values())
 
 
+async def wait_all(futures: Iterable[Future], timeout: float | None) -> None:
+    """Wait on the loop, at most ``timeout`` s in all, for every future not
+    yet done (``concurrent.futures`` or the loop's own); the one wait a
+    fan-out or a drain makes."""
+    pending = [asyncio.wrap_future(future) for future in futures if not future.done()]
+    for copy in pending:  # its outcome is read off the future it copies
+        copy.add_done_callback(lambda done: done.cancelled() or done.exception())
+    if pending:
+        await asyncio.wait(pending, timeout=timeout)
+
+
+def remaining(timeout: float | None, since: float) -> float | None:
+    """What is left of a ``timeout`` budget spent from ``since`` on
+    (a :func:`time.monotonic` reading); ``None`` is no bound."""
+    return None if timeout is None else max(0.0, timeout - (monotonic() - since))
+
+
 #: What gets a worker's answer: its body, or the shard's crash error.
 Deliver = Callable[[bytes | BaseException], None]
 
 
 class _Reply(Future):
-    """A worker's decoded answer.  While no event loop serves the pipe,
-    waiting on it writes the queued requests and reads the replies itself
-    (the ready handshake, ``stop``, a fan-out before start)."""
-
-    def __init__(self, handle: "WorkerHandle") -> None:
-        super().__init__()
-        self._handle = handle
+    """A worker's decoded answer, delivered on the loop's thread."""
 
     def deliver(self, answer: bytes | BaseException) -> None:
         """Resolve with the answer's payload, or its typed error."""
@@ -108,35 +122,26 @@ class _Reply(Future):
         except DbTouchError as exc:
             self.set_exception(exc)
 
-    def result(self, timeout: float | None = None) -> Any:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.done() and self._handle._loop is None:
-            left = 1.0 if deadline is None else deadline - time.monotonic()
-            if left <= 0:
-                break
-            self._handle.flush()
-            self._handle.read_ready(min(left, 0.05))  # then look for a loop again
-        return super().result(None if deadline is None else max(0.0, deadline - time.monotonic()))
-
 
 class WorkerHandle:
-    """Parent-side handle of one worker process: pipe, pending answers, liveness."""
+    """Parent-side handle of one worker process: pipe, pending answers, liveness.
+
+    Everything but :meth:`submit`, :attr:`alive` and :meth:`wait_ready`
+    runs on the loop's thread, so the handle's state needs no lock.
+    """
 
     def __init__(self, worker_id: int, config: WorkerConfig, ctx: mp.context.BaseContext):
         self.worker_id = worker_id
         self._conn, child_conn = socket.socketpair()
         self._conn.setblocking(False)  # read when readable, written as it takes
+        self._fd = self._conn.fileno()
         self._in = FrameDecoder(max_bytes=PIPE_MAX_BYTES)
         self._out = bytearray()  # framed requests the pipe has not taken yet
-        self._lock = threading.Lock()
-        self._read_lock = threading.Lock()  # one buffer, one reader
-        self._loop: asyncio.AbstractEventLoop | None = None  # serving the pipe,
-        self._loop_thread: int | None = None  # on this thread
+        self._loop: asyncio.AbstractEventLoop | None = None  # the pipe's one user
         self._writing = False  # the loop waits for room to write
-        self._ready = _Reply(self)
+        self._ready = _Reply()
         self._pending: dict[int, Deliver] = {-1: self._ready.deliver}  # by message id
         self._next_id = 0
-        self._alive = False
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, worker_id, config),
@@ -150,128 +155,110 @@ class WorkerHandle:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def wait_ready(self, timeout: float = DEFAULT_READY_TIMEOUT_S) -> None:
+    def serve_on(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Give the pipe to ``loop`` for good (before the loop runs)."""
+        self._loop = loop
+        loop.add_reader(self._fd, self.read_ready)
+
+    def wait_ready(self, timeout: float | None = DEFAULT_READY_TIMEOUT_S) -> None:
         """Block until the worker's ready handshake (or typed setup error)."""
         self._ready.result(timeout=timeout)
 
     @property
     def alive(self) -> bool:
         """Whether this shard is still accepting requests."""
-        with self._lock:
-            return self._alive
+        return self._alive
 
-    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Let ``loop`` serve the pipe from now on (call on the loop's thread)."""
-        self._loop, self._loop_thread = loop, threading.get_ident()
-        loop.add_reader(self._conn.fileno(), self.read_ready)
-        self.flush()
-
-    def detach(self) -> None:
-        """Take the pipe back from its loop (on the loop's thread)."""
-        loop, self._loop, self._loop_thread = self._loop, None, None
-        if loop is not None:
-            loop.remove_reader(self._conn.fileno())
-            loop.remove_writer(self._conn.fileno())
-        self._writing = False
+    def close(self) -> None:
+        """Fail what still waits and close the pipe (on the loop's thread,
+        once the worker has exited)."""
+        self._on_crash()
+        self._conn.close()
 
     # ------------------------------------------------------------------ #
     # request/response plumbing
     # ------------------------------------------------------------------ #
     def submit(self, op: str, session: str | None = None, payload: dict | None = None) -> Future:
-        """Queue one op for the worker; the future resolves with its payload."""
-        future = _Reply(self)
-        self.send(request_body(op, session, payload), future.deliver)
+        """Queue one op for the worker, from any thread; the future resolves
+        (on the loop's thread) with its payload."""
+        future = _Reply()
+        body = request_body(op, session, payload)
+        try:
+            self._loop.call_soon_threadsafe(self.send, body, future.deliver)
+        except RuntimeError:  # the loop is closed: the fleet has stopped
+            future.deliver(self._down())
         return future
 
     def send(self, body: bytes, deliver: Deliver) -> None:
         """Queue one request body (JSON in the wire's request form) for the
-        worker; ``deliver`` gets the answer's body, or the crash error."""
-        with self._lock:
-            alive = self._alive
-            if alive:
-                ident = self._next_id
-                self._next_id += 1
-                self._pending[ident] = deliver
-                self._out += pipe_frame(ident, body)
-        if not alive:
-            deliver(
-                WorkerCrashedError(
-                    f"worker {self.worker_id} is down; sessions pinned to this shard are lost"
-                )
-            )
+        worker, on the loop's thread; ``deliver`` gets the answer's body,
+        or the crash error."""
+        if not self._alive:
+            deliver(self._down())
             return
-        loop = self._loop
-        if loop is None or self._loop_thread == threading.get_ident():
-            self.flush()
-        else:
-            try:
-                loop.call_soon_threadsafe(self.flush)
-            except RuntimeError:
-                pass  # the loop just closed: the reply's own wait writes it
+        ident = self._next_id
+        self._next_id += 1
+        self._pending[ident] = deliver
+        self._out += pipe_frame(ident, body)
+        self.flush()
 
     def flush(self) -> None:
         """Write as much of the queued requests as the pipe takes now.
 
         Never blocks: a worker busy writing replies reads no request, and
-        the loop that would drain those replies must not wait on it.  On
-        the loop's thread, what is left waits for room with ``add_writer``.
+        the loop that would drain those replies must not wait on it.  What
+        is left waits for room with ``add_writer``.
         """
-        broken = False
-        with self._lock:
-            try:
-                while self._out:
-                    del self._out[: self._conn.send(self._out)]
-            except BlockingIOError:
-                pass
-            except OSError:
-                broken = True
-                self._out.clear()
-            waiting = bool(self._out)
-        loop = self._loop
-        if loop is not None and self._loop_thread == threading.get_ident():
-            if waiting and not self._writing:
-                loop.add_writer(self._conn.fileno(), self.flush)
-            elif not waiting and self._writing:
-                loop.remove_writer(self._conn.fileno())
-            self._writing = waiting
-        if broken:
+        try:
+            while self._out:
+                del self._out[: self._conn.send(self._out)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._out.clear()
             self._on_crash()  # the worker is gone: fail what waits on it
-
-    def read_ready(self, wait: float = 0.0) -> None:
-        """Read the pipe once (waiting up to ``wait`` s for it) and deliver
-        every answer it completed; at EOF the worker is gone: fail what
-        waits, stop reading."""
-        with self._read_lock:
-            try:
-                if wait and not select.select([self._conn], [], [], wait)[0]:
-                    return
-                data = self._conn.recv(1 << 16)
-            except BlockingIOError:
-                return
-            except (OSError, ValueError):
-                data = b""  # closed under us: as good as EOF
-            answers = pipe_messages(self._in.lines(data)) if data else None
-        if answers is None:
-            # fail what waits first: once detached, no reply's own wait may
-            # find a pending reply and read the EOF off the loop's thread
-            self._on_crash()
-            self.detach()
             return
-        with self._lock:
-            delivers = [(self._pending.pop(ident, None), body) for ident, body in answers]
-        for deliver, body in delivers:
+        waiting = bool(self._out)
+        if waiting != self._writing:
+            if waiting:
+                self._loop.add_writer(self._fd, self.flush)
+            else:
+                self._loop.remove_writer(self._fd)
+            self._writing = waiting
+
+    def read_ready(self) -> None:
+        """Read the pipe once and deliver every answer it completed; at EOF
+        the worker is gone: fail what waits, stop reading."""
+        try:
+            data = self._conn.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""  # reset under us: as good as EOF
+        if not data:
+            self._on_crash()
+            return
+        for ident, body in pipe_messages(self._in.lines(data)):
+            deliver = self._pending.pop(ident, None)
             if deliver is not None:  # else a late answer to an abandoned request
                 deliver(body)
 
     # ------------------------------------------------------------------ #
     # crash handling
     # ------------------------------------------------------------------ #
+    def _down(self) -> WorkerCrashedError:
+        return WorkerCrashedError(
+            f"worker {self.worker_id} is down; sessions pinned to this shard are lost"
+        )
+
     def _on_crash(self) -> None:
-        """Pipe EOF: fail everything pending with a typed crash error."""
-        with self._lock:
+        """Pipe EOF: leave the loop, fail everything pending with a typed
+        crash error."""
+        if self._alive:  # unregistered once: a closed fd's number may be reused
             self._alive = False
-            pending = self._pending
-            self._pending = {}
+            self._loop.remove_reader(self._fd)
+            self._loop.remove_writer(self._fd)
+        pending, self._pending = self._pending, {}
         exitcode = self.process.exitcode
         detail = f" (exit code {exitcode})" if exitcode not in (None, 0) else ""
         for ident, deliver in pending.items():
@@ -282,20 +269,6 @@ class WorkerHandle:
                     "sessions pinned to this shard are lost"
                 )
             )
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Ask the worker to exit; escalate to terminate if it will not."""
-        if self.alive:
-            try:
-                self.submit("stop").result(timeout=timeout)
-            except Exception:  # noqa: BLE001 - stopping must not raise
-                pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=timeout)
-        self._on_crash()  # nothing answers from here on: fail what still waits
-        self._conn.close()
 
 
 class ShardManager:
@@ -309,10 +282,14 @@ class ShardManager:
         Per-worker :class:`repro.serving.worker.WorkerConfig` (every shard
         gets the same one — workers are deliberately interchangeable
         modulo the sessions hashed onto them).
+    ready_timeout_s:
+        One budget for every worker's ready handshake.
 
     Workers start with the platform's default ``multiprocessing`` method
-    (fork on Linux).  The manager starts no thread, so a front door that
-    builds it before its event-loop thread forks safely by construction.
+    (fork on Linux), all of them before the manager starts its one thread:
+    the event loop (:attr:`loop`) that serves every pipe.  The blocking
+    fleet-wide calls run their coroutine there; call them from any thread
+    but the loop's own.
     """
 
     def __init__(
@@ -325,11 +302,19 @@ class ShardManager:
             raise ServiceError("num_workers must be positive")
         self.config = config if config is not None else WorkerConfig()
         ctx = mp.get_context()
-        # fork every process first, then read each one's handshake
+        # fork every process first; the loop comes after, so no child inherits it
         self.workers = [WorkerHandle(i, self.config, ctx) for i in range(num_workers)]
+        self.loop = asyncio.new_event_loop()
+        for handle in self.workers:
+            handle.serve_on(self.loop)
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name="repro-sharded-server", daemon=True
+        )
+        self._thread.start()
         try:
+            started = monotonic()
             for handle in self.workers:
-                handle.wait_ready(timeout=ready_timeout_s)
+                handle.wait_ready(timeout=remaining(ready_timeout_s, started))
         except BaseException:
             self.shutdown()
             raise
@@ -350,6 +335,16 @@ class ShardManager:
         """Ids of the shards still serving."""
         return [handle.worker_id for handle in self.workers if handle.alive]
 
+    def call(self, work: Awaitable[Any], timeout: float | None = None) -> Any:
+        """Run the coroutine ``work`` on the fleet's loop and block for its
+        result (from any thread but the loop's)."""
+        try:
+            future = asyncio.run_coroutine_threadsafe(work, self.loop)
+        except RuntimeError as exc:  # the loop is closed
+            work.close()
+            raise ServiceError("the fleet is shut down") from exc
+        return future.result(timeout)
+
     # ------------------------------------------------------------------ #
     # fleet-wide operations
     # ------------------------------------------------------------------ #
@@ -361,16 +356,13 @@ class ShardManager:
             if handle.alive
         }
 
-    def _fan_out(
+    async def gather(
         self, op: str, payload: dict | None = None, timeout: float | None = 30.0
     ) -> dict[str, dict[str, Any]]:
-        """:meth:`submit_all`, then wait for each reply (see :func:`replies_of`)."""
+        """Fan ``op`` out to every live shard and await the replies on the
+        loop, ``timeout`` s for all of them (see :func:`replies_of`)."""
         futures = self.submit_all(op, payload)
-        for future in futures.values():
-            try:
-                future.result(timeout=timeout)
-            except Exception:  # noqa: BLE001 - reported as data below
-                pass
+        await wait_all(futures.values(), timeout)
         return replies_of(futures)
 
     def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
@@ -385,7 +377,7 @@ class ShardManager:
         name with no change to this file.  ``index`` and ``storage`` are
         always present, ``None`` when no shard reports them.
         """
-        return self.merge_stats(self._fan_out("stats", timeout=timeout))
+        return self.merge_stats(self.call(self.gather("stats", timeout=timeout)))
 
     def merge_stats(self, replies: dict[str, dict[str, Any]]) -> dict[str, Any]:
         """The fleet's :meth:`stats` from every shard's ``stats`` reply."""
@@ -420,7 +412,7 @@ class ShardManager:
         (including each worker's own Prometheus exposition text).  Like
         :meth:`stats`, a dead shard is reported as data, never raised.
         """
-        return self.merge_telemetry(self._fan_out("telemetry", timeout=timeout))
+        return self.merge_telemetry(self.call(self.gather("telemetry", timeout=timeout)))
 
     def merge_telemetry(self, replies: dict[str, dict[str, Any]]) -> dict[str, Any]:
         """The fleet's :meth:`telemetry` from every shard's reply."""
@@ -440,9 +432,25 @@ class ShardManager:
 
     def drain(self, timeout: float | None = None) -> bool:
         """Finish every in-flight gesture on every live shard."""
-        return all_drained(self._fan_out("drain", {"timeout": timeout}, timeout))
+        return all_drained(self.call(self.gather("drain", {"timeout": timeout}, timeout)))
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker process (idempotent)."""
+        """Stop every worker process, then the loop (idempotent).
+
+        Every live worker is asked to ``stop`` (one ``timeout`` for all of
+        them) and joined; one that will not exit is terminated.  The loop
+        then closes every pipe, failing what still waits on one.
+        """
+        if self.loop.is_closed():
+            return
+        self.call(self.gather("stop", timeout=timeout))
         for handle in self.workers:
-            handle.stop(timeout=timeout)
+            handle.process.join(timeout=timeout)
+            if handle.process.is_alive():
+                handle.process.terminate()
+                handle.process.join(timeout=timeout)
+        for handle in self.workers:
+            self.loop.call_soon_threadsafe(handle.close)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()

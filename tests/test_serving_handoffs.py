@@ -6,7 +6,9 @@ which serves the client sockets *and* the worker pipes (``stats``,
 ``scheduler_workers=1`` runs it on its own pipe thread.  These tests count
 the threads and the stats sections that design leaves, so a return of a
 per-shard reader thread or of a one-thread worker pool fails here by
-name, whatever the host's speed.  They count the codec passes too: the
+name, whatever the host's speed; and the threads that touch a pipe, so a
+caller that reads or writes one itself, before the loop starts or after
+it stops, fails here too.  They count the codec passes too: the
 client encodes a request and decodes its answer, the front door decodes
 the request once and relays the worker's answer undecoded, and nothing
 is pickled on the way.
@@ -32,6 +34,7 @@ from repro.serving import (
     WorkerConfig,
     shard_for_session,
 )
+from repro.serving.shards import WorkerHandle
 from repro.storage.column import Column
 
 GESTURES = 200
@@ -88,6 +91,47 @@ def test_the_front_door_adds_one_thread_and_no_pipe_reader(snapshot_root):
         finally:
             for client in clients:
                 client.close()
+
+
+def test_every_pipe_is_read_and_written_on_the_loop_from_handshake_to_stop(
+    snapshot_root, monkeypatch
+):
+    """No caller reads or writes a pipe itself: before ``start()``, during
+    traffic and the fan-out verbs, in the blocking calls and at ``stop``,
+    every pipe call runs on the one loop thread."""
+    threads: Counter = Counter()
+    for name in ("read_ready", "send", "flush"):
+
+        def recorded(self, *args, _original=getattr(WorkerHandle, name), **kwargs):
+            threads[threading.current_thread().name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerHandle, name, recorded)
+    server = ShardedServer(fleet_config(snapshot_root, scheduler_workers=1))
+    try:
+        assert server.shards.stats()["alive_workers"] == [0, 1]  # before start()
+        server.start()
+        clients = [
+            ShardedClient("127.0.0.1", server.port, session_id=session_on(shard))
+            for shard in (0, 1)
+        ]
+        try:
+            for client in clients:
+                client.execute(ShowColumn(object_name="telemetry", view_name="v"))
+            for i in range(GESTURES - len(clients)):
+                clients[i % 2].execute(Tap(view="v", fraction=0.5))
+            assert len(clients[0].stats()["sessions"]) == 2
+            assert clients[1].telemetry()["alive_workers"] == [0, 1]
+            assert clients[0].drain(timeout=10.0) is True
+        finally:
+            for client in clients:
+                client.close()
+        assert server.shards.stats()["alive_workers"] == [0, 1]
+        assert server.drain(timeout=10.0) is True
+    finally:
+        server.shutdown()
+    assert list(threads) == ["repro-sharded-server"]
+    assert threads["repro-sharded-server"] > 2 * GESTURES
 
 
 def count_codec_calls(monkeypatch) -> Counter:

@@ -8,9 +8,11 @@ poison the shared one.
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -540,9 +542,24 @@ class TestWorkerCrash:
                 ShardedClient("127.0.0.1", server.port, session_id=sid)
 
 
+class TestFleetThatCannotStart:
+    def test_a_worker_setup_error_is_raised_and_leaves_nothing_running(self, tmp_path):
+        before = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        missing = tmp_path / "no-snapshot"
+        config = ShardedServerConfig(
+            num_workers=2, worker=WorkerConfig(snapshot_path=str(missing))
+        )
+        with pytest.raises(SnapshotError, match="manifest"):
+            ShardedServer(config)
+        assert [t.name for t in threading.enumerate() if t not in before] == []
+        assert set(multiprocessing.active_children()) == children
+
+
 class TestOneReaderPerPipe:
-    """Each pipe has one reader at a time: the loop while it runs, the
-    waiting caller before and after — so ``stop`` is answered, not forced."""
+    """Each pipe has one reader and writer, the fleet's loop, from the ready
+    handshake to ``stop`` — so ``stop`` is answered, not forced, whether
+    or not the front door ever started."""
 
     def test_every_worker_answers_stop(self, snapshot_root):
         fleets = [

@@ -7,8 +7,10 @@ worker-side ``queue_wait``/gesture/``kernel_exec`` spans (plus
 outcome counters stay bit-identical to a serial, untraced replay.
 """
 
+import asyncio
 import re
 import socket
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -27,6 +29,8 @@ from repro.serving import (
     WorkerConfig,
 )
 from repro.serving.protocol import FrameDecoder, encode_frame
+from repro.serving import server as server_module
+from repro.serving import shards
 from repro.serving.shards import ShardManager
 from repro.storage.column import Column
 
@@ -250,7 +254,8 @@ class TestTelemetryVerb:
 
 
 class _StubHandle:
-    """A worker handle that answers from a canned reply (no process)."""
+    """A worker handle that answers from a canned reply (no process);
+    ``None`` never answers."""
 
     alive = True
 
@@ -264,19 +269,36 @@ class _StubHandle:
         future: Future = Future()
         if isinstance(self.reply, Exception):
             future.set_exception(self.reply)
-        else:
+        elif self.reply is not None:
             future.set_result(self.reply)
         return future
 
 
-def stub_fleet(*replies) -> ShardManager:
-    fleet = ShardManager.__new__(ShardManager)  # skip __init__: nothing forks
-    fleet.workers = [_StubHandle(i, reply) for i, reply in enumerate(replies)]
-    return fleet
+@pytest.fixture
+def stub_fleet():
+    """Builds fleets of stub handles, each served by a loop of its own the
+    way a real fleet is, so the blocking calls run their coroutine on it."""
+    served = []
+
+    def build(*replies) -> ShardManager:
+        fleet = ShardManager.__new__(ShardManager)  # skip __init__: nothing forks
+        fleet.workers = [_StubHandle(i, reply) for i, reply in enumerate(replies)]
+        fleet.loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=fleet.loop.run_forever, daemon=True)
+        thread.start()
+        served.append((fleet.loop, thread))
+        return fleet
+
+    yield build
+    for loop, thread in served:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        loop.close()
 
 
 class TestFanOut:
-    def test_stats_merges_whatever_sections_workers_report(self):
+    def test_stats_merges_whatever_sections_workers_report(self, stub_fleet):
         fleet = stub_fleet(
             {"worker": 0, "sessions": {"a": {"commands": 1}}, "demo": {"x": 2}, "index": None},
             {"worker": 1, "sessions": {"b": {"commands": 3}}, "demo": {"x": 2}, "index": None},
@@ -292,13 +314,13 @@ class TestFanOut:
         assert stats["workers"]["2"] == {"error": "worker 2 died mid-request"}
         assert stats["workers"]["0"]["demo"] == {"x": 2}
 
-    def test_dead_shards_are_not_asked(self):
+    def test_dead_shards_are_not_asked(self, stub_fleet):
         fleet = stub_fleet({"worker": 0}, {"worker": 1})
         fleet.workers[1].alive = False
-        assert fleet._fan_out("ping") == {"0": {"worker": 0}}
+        assert fleet.call(fleet.gather("ping")) == {"0": {"worker": 0}}
         assert fleet.workers[1].requests == []
 
-    def test_drain_and_telemetry_share_the_gather(self):
+    def test_drain_and_telemetry_share_the_gather(self, stub_fleet):
         fleet = stub_fleet({"drained": True}, {"drained": True})
         assert fleet.drain(timeout=1.5) is True
         assert fleet.workers[0].requests == [("drain", {"timeout": 1.5})]
@@ -313,6 +335,65 @@ class TestFanOut:
         assert report["traces"] == [{"id": "t"}]
         assert report["slow_traces"] == [{"id": "s"}]
         assert report["workers"]["2"] == {"error": "gone"}
+
+
+class _FakeClock:
+    """Stands in for the serving code's clock and waits: a wait returns at
+    once and, if anything it waits on is pending, moves the clock on by
+    its whole timeout, the most a real wait could take."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    async def wait_all(self, futures, timeout) -> None:
+        if timeout is not None and not all(future.done() for future in futures):
+            self.now += timeout
+
+
+@pytest.fixture
+def clock(monkeypatch) -> _FakeClock:
+    fake = _FakeClock()
+    for module in (shards, server_module):
+        monkeypatch.setattr(module, "monotonic", fake.monotonic)
+        monkeypatch.setattr(module, "wait_all", fake.wait_all)
+    return fake
+
+
+class TestOneBudget:
+    """A timeout is one deadline for a whole fan-out or drain, however many
+    shards stay silent: counted on a fake clock, not timed."""
+
+    @pytest.mark.parametrize("silent", [1, 3])
+    def test_a_fan_out_waits_once(self, stub_fleet, clock, silent):
+        fleet = stub_fleet(*[None] * silent)
+        stats = fleet.stats(timeout=0.2)
+        telemetry = fleet.telemetry(timeout=0.2)
+        drained = fleet.drain(timeout=0.2)
+        assert clock.now == pytest.approx(3 * 0.2)  # 0.2 per call, not per shard
+        assert drained is False
+        for worker in map(str, range(silent)):
+            for report in (stats, telemetry):
+                assert report["workers"][worker] == {
+                    "error": f"worker {worker} did not answer in time"
+                }
+
+    @pytest.mark.parametrize("silent", [1, 3])
+    @pytest.mark.parametrize("inflight, shard_budget", [(0, 0.3), (1, 0.0)])
+    def test_a_drain_shares_its_budget_with_the_idle_wait(
+        self, stub_fleet, clock, monkeypatch, silent, inflight, shard_budget
+    ):
+        fleet = stub_fleet(*[None] * silent)
+        monkeypatch.setattr(server_module, "ShardManager", lambda **kwargs: fleet)
+        server = ShardedServer(ShardedServerConfig(num_workers=silent))
+        server._inflight = inflight  # a request that never finishes
+        assert server.drain(timeout=0.3) is False
+        assert clock.now == pytest.approx(0.3)
+        # each shard is told what is left of the budget, not the whole of it
+        for handle in fleet.workers:
+            assert handle.requests == [("drain", {"timeout": shard_budget})]
 
 
 class TestBackCompat:
